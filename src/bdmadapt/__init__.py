@@ -6,15 +6,14 @@ from .basis import (QuadRule, RefScalarBasis, make_scalar_basis,
 from .bdm import (BdmSpace, DgSpace, advection_matrix, bdm_mass_matrix,
                   divergence_matrix, interpolate_boundary_term)
 from .estimators import (EstimatorReport, ErrorBlock, dual_norm_star,
-                         error_norms, eta_improved, eta_tilde, full_report,
-                         oscillation_bound, saturation_delta)
+                         error_norms, eta_improved, full_report,
+                         oscillation_bound)
 from .experiments import ExperimentConfig, fit_slope, run_experiment
 from .fortin import (BiorthogonalSet, build_biorthogonal, fortin_apply,
                      fortin_report, scaled_trace_inequality_check)
 from .mesh import (DomainSpec, TriMesh, build_initial_mesh, jump_trace_pairs,
                    load_mesh, refine, save_mesh)
-from .postprocess import (PostprocResult, postprocess_resmin, solve_theta,
-                          stenberg_oracle)
+from .postprocess import PostprocResult, postprocess_resmin, stenberg_oracle
 from .problems import preset
 from .solver import (MixedSolution, MixedSystem, ProblemSpec,
                      SingularSystemError, assemble, assemble_advection_diffusion,

@@ -7,7 +7,7 @@ import numpy as np
 
 from .estimators import EstimatorReport, full_report
 from .mesh import TriMesh, build_initial_mesh
-from .postprocess import postprocess_resmin, solve_theta
+from .postprocess import postprocess_resmin
 from .solver import ProblemSpec, SingularSystemError, assemble, solve
 
 _DEFAULT_INITIAL = {"unit_square": 32, "l_shape": 96}
@@ -19,6 +19,8 @@ def dorfler_mark(eta_K, theta: float) -> np.ndarray:
     eta_K = np.asarray(eta_K, dtype=float)
     if eta_K.ndim != 1:
         raise ValueError("eta_K must be one-dimensional")
+    if not np.all(np.isfinite(eta_K)):
+        raise ValueError("indicators must be finite")
     if np.any(eta_K < 0):
         raise ValueError("indicators must be nonnegative")
     if not 0.0 < theta < 1.0:
@@ -111,7 +113,8 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
     """Execute the refinement loop and record one entry per solved mesh.
 
     marker selects the indicator driving the marking ("eta" improved or
-    "eta_tilde" built-in); uniform=True bisects every element instead.  The
+    "eta_tilde" built-in); uniform=True bisects every element instead.
+    with_theta decides whether the records carry the saturation delta.  The
     loop stops early when the estimator reaches eta_tol, when max_elements
     would be exceeded, or when the solver fails (partial run returned with
     the abort reason).
@@ -135,38 +138,35 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
             run.abort_reason = str(exc)
             break
         post = postprocess_resmin(solution)
-        theta_h = solve_theta(solution) if (with_theta and problem.has_exact) \
-            else None
-        report = full_report(problem, solution, post, theta=theta_h,
-                             with_errors=with_errors)
+        report = full_report(problem, solution, post, with_errors=with_errors)
         rec = IterationRecord(
             iteration=it, n_elements=mesh.n_triangles,
             n_flux_dofs=solution.flux_space.n_dofs,
             n_scalar_dofs=solution.scalar_space.n_dofs,
             eta=report.eta, eta_tilde=report.eta_tilde,
-            delta=report.delta, effectivity=report.effectivity,
+            delta=report.delta if with_theta else None,
+            effectivity=report.effectivity,
             errors=None if report.errors is None else report.errors.to_dict(),
             mesh=mesh if keep_meshes else None,
             report=report if keep_reports else None)
         run.records.append(rec)
-        if report.eta <= eta_tol:
+        if rec.eta <= eta_tol or it == iterations - 1:
             break
-        if it == iterations - 1:
-            break
+        indicator = report.eta_K if marker == "eta" else report.eta_tilde_K
+        # the next global solve sets the peak memory: free this mesh's state
+        del solution, post, report
         if uniform:
-            # two bisection sweeps halve h, keeping one congruence family
-            marked = np.arange(mesh.n_triangles)
-            mesh = mesh.refine(marked)
             marked = np.arange(mesh.n_triangles)
         else:
-            indicator = report.eta_K if marker == "eta" else report.eta_tilde_K
             marked = dorfler_mark(indicator, theta)
         rec.marked = marked
-        rec.marked_centroids = mesh.centroids[marked] if len(marked) else \
-            np.empty((0, 2))
+        rec.marked_centroids = mesh.centroids[marked]
         if len(marked) == 0:
             break
         refined = mesh.refine(marked)
+        if uniform:
+            # a second sweep halves h, keeping one congruence family
+            refined = refined.refine(np.arange(refined.n_triangles))
         if max_elements is not None and refined.n_triangles > max_elements:
             run.abort_reason = "max_elements reached"
             break

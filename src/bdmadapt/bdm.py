@@ -247,20 +247,6 @@ class BdmSpace:
         c = self.local_coeffs(coeffs)
         return np.einsum("nl,ql->nq", c, d) / self.mesh.det_jacobians[:, None]
 
-    def normal_trace_edge(self, coeffs, n_points: int) -> np.ndarray:
-        """q.n on every (element, local edge) at local-parameter Gauss points.
-
-        Returns (t, values) with values shaped (n_elements, 3, nq); the normal
-        is the element's outward one.
-        """
-        t, _, tab = bdm_edge_tables(self.p, n_points)
-        c = self.local_coeffs(coeffs)
-        ref = np.einsum("nl,jqla->njqa", c, tab)
-        phys = np.einsum("njqa,nba->njqb", ref,
-                         self.mesh.jacobians) / self.mesh.det_jacobians[:, None, None, None]
-        vals = np.einsum("njqa,nja->njq", phys, self.mesh.outward_normals)
-        return t, vals
-
     def interpolate(self, q, exactness: int | None = None) -> np.ndarray:
         """Canonical interpolation of a smooth vector field q(x) -> (n, 2)."""
         mesh, p = self.mesh, self.p

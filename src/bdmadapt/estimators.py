@@ -10,8 +10,11 @@ traces of the postprocessed scalar:
 
 Exact-error norms use a high-order rule, with subdivided quadrature on
 elements and edges flagged by the problem (corner singularities, outflow
-strips).  The element-local dual norm ||r||_*K is evaluated through its Riesz
-representative on the mean-free degree-(p+2) space.
+strips).  One pass over the element quadrature points gathers every
+element-interior error, the saturation numerator ||grad(u - theta_h)||_K
+included.  The element-local dual norm ||r||_*K on the mean-free degree-(p+2)
+space is ||L^{-1} b|| with L the Cholesky factor of the element stiffness
+and b the load of r.
 """
 
 import json
@@ -19,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_size, make_scalar_basis, quad_rule
+from .basis import make_scalar_basis, quad_rule
 from .bdm import bdm_edge_tables, reference_shape_values, shifted_legendre
-from .fields import (edge_ref_points, nu_jump_terms, scalar_tables,
-                     stiffness_tensors, subdivided_edge_rule, subdivided_rule)
+from .fields import (edge_ref_points, grad_outer_tables, mapped_points,
+                     nu_jump_terms, scalar_tables, subdivided_edge_rule,
+                     subdivided_rule)
 from .mesh import TriMesh
-from .postprocess import PostprocResult
+from .postprocess import PostprocResult, forward_solve
 from .solver import MixedSolution, ProblemSpec
 
 
@@ -67,17 +71,7 @@ def _singular_edges(mesh: TriMesh, problem: ProblemSpec):
     return at[mesh.edges].any(axis=1)
 
 
-def _subset_points(mesh, ids, ref_pts):
-    v0 = mesh.tri_coords[ids, 0]
-    return v0[:, None, :] + np.einsum("qb,nab->nqa", ref_pts, mesh.jacobians[ids])
-
-
 # -- discrete dual norm -------------------------------------------------------
-
-
-def _riesz_norms(rhs: np.ndarray, S22: np.ndarray) -> np.ndarray:
-    x = np.linalg.solve(S22, rhs[..., None])[..., 0]
-    return np.sqrt(np.maximum(np.einsum("ni,ni->n", rhs, x), 0.0))
 
 
 def dual_norm_star(mesh: TriMesh, p: int, element: int, r,
@@ -95,17 +89,18 @@ def dual_norm_star(mesh: TriMesh, p: int, element: int, r,
     D = basis.grads(rule.points)[:, 1:, :]
     ids = np.array([element])
     if callable(r):
-        pts = _subset_points(mesh, ids, rule.points)[0]
+        pts = mapped_points(mesh, rule.points, ids)[0]
         vals = np.asarray(r(pts), dtype=float)
     else:
         vals = np.asarray(r, dtype=float)
+    J, Binv = mesh.det_jacobians[element], mesh.inv_jacobians[element]
     # (r, grad v)_K = J sum_q w r . (B^{-T} Dhat)
-    pulled = np.einsum("qa,ba->qb", vals, mesh.inv_jacobians[element])
-    b = mesh.det_jacobians[element] * np.einsum(
-        "q,qb,qib->i", rule.weights, pulled, D)
-    S22 = stiffness_tensors(mesh, p + 2, 2 * (p + 2))[element, 1:, 1:]
-    x = np.linalg.solve(S22, b)
-    return float(np.sqrt(max(b @ x, 0.0)))
+    pulled = np.einsum("qa,ba->qb", vals, Binv)
+    b = J * np.einsum("q,qb,qib->i", rule.weights, pulled, D)
+    # this element's stiffness only
+    S = np.einsum("ab,abij->ij", J * Binv @ Binv.T,
+                  grad_outer_tables(p + 2, 2 * (p + 2)))[1:, 1:]
+    return float(np.linalg.norm(forward_solve(np.linalg.cholesky(S), b)))
 
 
 # -- estimators ----------------------------------------------------------------
@@ -168,14 +163,6 @@ class EstimatorReport:
             json.dump(self.to_dict(), fh)
 
 
-def eta_tilde(post: PostprocResult):
-    """Built-in indicator ||grad eps_K||_K, recomputed from the coefficients."""
-    S22 = stiffness_tensors(post.mesh, post.p + 2, 2 * (post.p + 2))[:, 1:, 1:]
-    per = np.sqrt(np.maximum(
-        np.einsum("ni,nij,nj->n", post.eps, S22, post.eps), 0.0))
-    return per, float(np.sqrt(np.sum(per ** 2)))
-
-
 def eta_improved(post: PostprocResult, solution: MixedSolution,
                  u_D) -> EstimatorReport:
     """Improved indicator: residual representative + mismatch + scaled traces."""
@@ -203,6 +190,7 @@ class ErrorBlock:
     """Per-element exact-error quantities and their global reductions."""
 
     grad_nu_K: np.ndarray       # ||grad(u - nu_h)||_K
+    grad_theta_K: np.ndarray    # ||grad(u - theta_h)||_K
     one_h_K: np.ndarray         # |u - nu_h|_{1,K,h}
     q_L2_K: np.ndarray          # ||q - q_h||_K
     q_trace_K: np.ndarray       # h_K^{1/2} ||(q - q_h).n||_{dK}
@@ -213,6 +201,10 @@ class ErrorBlock:
     @property
     def grad_nu(self):
         return float(np.sqrt(np.sum(self.grad_nu_K ** 2)))
+
+    @property
+    def grad_theta(self):
+        return float(np.sqrt(np.sum(self.grad_theta_K ** 2)))
 
     @property
     def one_h(self):
@@ -254,52 +246,55 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
     exact = 2 * p + 8
     nt = mesh.n_triangles
     basis_nu = make_scalar_basis(p + 1)
+    basis_p2 = make_scalar_basis(p + 2)
     basis_u = make_scalar_basis(p - 1)
     grad_nu_sq = np.zeros(nt)
+    grad_theta_sq = np.zeros(nt)
     q_L2_sq = np.zeros(nt)
     u_L2_sq = np.zeros(nt)
     nu_L2_sq = np.zeros(nt)
-    star_rhs = np.zeros((nt, basis_size(p + 2) - 1))
-    basis_p2 = make_scalar_basis(p + 2)
+    star_rhs = np.zeros((nt, basis_p2.size - 1))
     u_by_el = solution.scalar_by_element
     c_flux = solution.flux_space.local_coeffs(solution.flux)
 
     for ids, pts, w in _element_groups(mesh, problem, exact):
-        phys = _subset_points(mesh, ids, pts)
+        phys = mapped_points(mesh, pts, ids)
         flat = phys.reshape(-1, 2)
         qv = np.asarray(problem.exact_q(flat), float).reshape(len(ids), len(w), 2)
         uv = np.asarray(problem.exact_u(flat), float).reshape(len(ids), len(w))
         J = mesh.det_jacobians[ids]
         Binv = mesh.inv_jacobians[ids]
-        Vnu = basis_nu.values(pts)
-        Dnu = basis_nu.grads(pts)
-        nu_vals = np.einsum("ni,qi->nq", post.nu[ids], Vnu)
-        gnu = np.einsum("ni,qib->nqb", post.nu[ids], Dnu)
-        gnu = np.einsum("nqb,nba->nqa", gnu, Binv)
+        Dp2 = basis_p2.grads(pts)
+
+        def grad_error_sq(coeffs, D):
+            # grad(u - v) = -q - grad v
+            g = np.einsum("ni,qib->nqb", coeffs[ids], D)
+            g = np.einsum("nqb,nba->nqa", g, Binv)
+            return np.einsum("nq,q,n->n", np.sum((qv + g) ** 2, axis=2), w, J)
+
+        nu_vals = np.einsum("ni,qi->nq", post.nu[ids], basis_nu.values(pts))
         Nh = reference_shape_values(p, pts)
         qh = np.einsum("nl,qla->nqa", c_flux[ids], Nh)
         qh = np.einsum("nqa,nba->nqb", qh, mesh.jacobians[ids]) / J[:, None, None]
         uh = np.einsum("ni,qi->nq", u_by_el[ids], basis_u.values(pts))
-        # grad(u - nu) = -q - grad nu
-        grad_nu_sq[ids] = np.einsum("nq,q,n->n",
-                                    np.sum((qv + gnu) ** 2, axis=2), w, J)
+        grad_nu_sq[ids] = grad_error_sq(post.nu, basis_nu.grads(pts))
+        grad_theta_sq[ids] = grad_error_sq(post.theta, Dp2)
         q_L2_sq[ids] = np.einsum("nq,q,n->n",
                                  np.sum((qv - qh) ** 2, axis=2), w, J)
         u_L2_sq[ids] = np.einsum("nq,q,n->n", (uv - uh) ** 2, w, J)
         nu_L2_sq[ids] = np.einsum("nq,q,n->n", (uv - nu_vals) ** 2, w, J)
         diff = qv - qh
         pulled = np.einsum("nqa,nba->nqb", diff, Binv)
-        Dp2 = basis_p2.grads(pts)[:, 1:, :]
-        star_rhs[ids] = np.einsum("nqb,qib,q,n->ni", pulled, Dp2, w, J)
+        star_rhs[ids] = np.einsum("nqb,qib,q,n->ni", pulled, Dp2[:, 1:], w, J)
 
-    S22 = stiffness_tensors(mesh, p + 2, 2 * (p + 2))[:, 1:, 1:]
-    q_star_K = _riesz_norms(star_rhs, S22)
+    q_star_K = np.linalg.norm(forward_solve(post.chol, star_rhs), axis=1)
 
     trace_sq = _flux_trace_error_sq(problem, solution)
     jump_K, bnd_K = nu_jump_terms(mesh, post.nu, problem.u_D, p + 5)
     one_h_K = np.sqrt(grad_nu_sq + jump_K + bnd_K)
     return ErrorBlock(
         grad_nu_K=np.sqrt(grad_nu_sq),
+        grad_theta_K=np.sqrt(grad_theta_sq),
         one_h_K=one_h_K,
         q_L2_K=np.sqrt(q_L2_sq),
         q_trace_K=np.sqrt(mesh.h_K * trace_sq),
@@ -329,7 +324,7 @@ def _flux_trace_error_sq(problem: ProblemSpec, solution: MixedSolution):
             ref = np.einsum("nl,qla->nqa", c_flux[ids], tab[j])
             qh = np.einsum("nqa,nba->nqb", ref, mesh.jacobians[ids]) \
                 / mesh.det_jacobians[ids, None, None]
-            pts = _subset_points(mesh, ids, edge_ref_points(j, t))
+            pts = mapped_points(mesh, edge_ref_points(j, t), ids)
             qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
             qv = qv.reshape(len(ids), len(t), 2)
             nrm = mesh.outward_normals[ids, j]
@@ -358,7 +353,7 @@ def oscillation_bound(problem: ProblemSpec, mesh: TriMesh, p: int):
             ids = np.nonzero(sel)[0]
             if ids.size == 0:
                 continue
-            pts = _subset_points(mesh, ids, edge_ref_points(j, t))
+            pts = mapped_points(mesh, edge_ref_points(j, t), ids)
             qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
             qv = qv.reshape(len(ids), len(t), 2)
             g = np.einsum("nqa,na->nq", qv, mesh.outward_normals[ids, j])
@@ -371,53 +366,21 @@ def oscillation_bound(problem: ProblemSpec, mesh: TriMesh, p: int):
     return per, float(np.sqrt(np.sum(per ** 2)))
 
 
-def saturation_delta(problem: ProblemSpec, post: PostprocResult,
-                     theta: np.ndarray):
-    """delta = ||grad(u - theta_h)|| / ||grad(u - nu_h)|| over the mesh.
-
-    Returns (delta, degenerate) where degenerate marks an exactly discrete
-    solution (zero denominator, delta reported as 0).
-    """
-    if not problem.has_exact:
-        raise ValueError("saturation measurement needs the exact solution")
-    mesh, p = post.mesh, post.p
-    exact = 2 * p + 8
-    basis_nu = make_scalar_basis(p + 1)
-    basis_th = make_scalar_basis(p + 2)
-    num_sq = 0.0
-    den_sq = 0.0
-    for ids, pts, w in _element_groups(mesh, problem, exact):
-        phys = _subset_points(mesh, ids, pts)
-        qv = np.asarray(problem.exact_q(phys.reshape(-1, 2)), float)
-        qv = qv.reshape(len(ids), len(w), 2)
-        J = mesh.det_jacobians[ids]
-        Binv = mesh.inv_jacobians[ids]
-        for coeffs, basis, acc in ((post.nu, basis_nu, "den"),
-                                   (theta, basis_th, "num")):
-            g = np.einsum("ni,qib->nqb", coeffs[ids], basis.grads(pts))
-            g = np.einsum("nqb,nba->nqa", g, Binv)
-            val = float(np.einsum("nq,q,n->",
-                                  np.sum((qv + g) ** 2, axis=2), w, J))
-            if acc == "den":
-                den_sq += val
-            else:
-                num_sq += val
-    if den_sq <= 1e-28:
-        return 0.0, True
-    return float(np.sqrt(num_sq / den_sq)), False
-
-
 def full_report(problem: ProblemSpec, solution: MixedSolution,
-                post: PostprocResult, theta: np.ndarray | None = None,
+                post: PostprocResult,
                 with_errors: bool = True) -> EstimatorReport:
-    """Improved-estimator report, augmented with the exact-error block."""
+    """Improved-estimator report, augmented with the exact-error block.
+
+    With exact errors, delta = ||grad(u - theta_h)|| / ||grad(u - nu_h)||
+    measures saturation; an exactly discrete solution (zero denominator) is
+    flagged degenerate and reports delta = 0.
+    """
     report = eta_improved(post, solution, problem.u_D)
     if with_errors and problem.has_exact:
-        report.errors = error_norms(problem, solution, post)
+        err = report.errors = error_norms(problem, solution, post)
         report.osc_K, _ = oscillation_bound(problem, post.mesh, post.p)
-        full = report.errors.full
-        report.effectivity = report.eta / full if full > 0 else None
-        if theta is not None:
-            report.delta, report.delta_degenerate = saturation_delta(
-                problem, post, theta)
+        report.effectivity = report.eta / err.full if err.full > 0 else None
+        report.delta_degenerate = err.grad_nu ** 2 <= 1e-28
+        report.delta = 0.0 if report.delta_degenerate \
+            else err.grad_theta / err.grad_nu
     return report

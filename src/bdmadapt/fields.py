@@ -82,23 +82,12 @@ def stiffness_tensors(mesh: TriMesh, degree: int, exactness: int) -> np.ndarray:
     return np.einsum("nab,abij->nij", metric_tensors(mesh), R)
 
 
-def scalar_values_at(mesh: TriMesh, coeffs, V) -> np.ndarray:
-    """Field values (n, nq) from coefficients (n, s) and a value table."""
-    return np.einsum("ni,qi->nq", np.asarray(coeffs), V[:, : coeffs.shape[1]])
-
-
-def scalar_grads_at(mesh: TriMesh, coeffs, D) -> np.ndarray:
-    """Physical gradients (n, nq, 2) of an elementwise scalar field."""
-    ref = np.einsum("ni,qib->nqb", np.asarray(coeffs), D[:, : coeffs.shape[1], :])
-    return np.einsum("nqb,nba->nqa", ref, mesh.inv_jacobians)
-
-
-def mapped_points(mesh: TriMesh, ref_pts) -> np.ndarray:
-    """Physical images (n, nq, 2) of shared reference points."""
-    v0 = mesh.tri_coords[:, 0]
+def mapped_points(mesh: TriMesh, ref_pts, ids=slice(None)) -> np.ndarray:
+    """Physical images (n, nq, 2) of shared reference points (on elements
+    ids, default all)."""
+    v0 = mesh.tri_coords[ids, 0]
     return v0[:, None, :] + np.einsum("qb,nab->nqa", np.asarray(ref_pts),
-                                      mesh.jacobians)
-
+                                      mesh.jacobians[ids])
 
 
 def subdivided_rule(exactness: int, levels: int):

@@ -1,22 +1,23 @@
 """Element-local postprocessing of the mixed solution.
 
-Three local solves share one stiffness family on the mean-free hierarchical
-bases (the degree-(p+1) basis is the leading slice of the degree-(p+2) one):
+All local problems live on the mean-free hierarchical bases, where the
+degree-(p+1) basis is the leading slice of the degree-(p+2) one.  Each
+element's degree-(p+2) stiffness S22 is factored once, S22 = L L^T, and
+L11 (the leading block) is then the factor of the degree-(p+1) stiffness
+S11.  With the residual load rhs_i = -(q_h, grad v_i)_K and z = L^{-1} rhs:
 
-  * residual minimization: find (eps_K, nu_K) with nu_K of degree p+1, the
-    residual representative eps_K mean-free of degree p+2, such that
-    (grad eps + grad nu, grad v) = -(q_h, grad v) for all mean-free v of
-    degree p+2, (grad w, grad eps) = 0 for all mean-free w of degree p+1,
-    and nu_K matches the element mean of u_h;
-  * the classical elliptic postprocessing of degree p+1 with the same mean
-    constraint (reference implementation used as an independent oracle);
-  * the enriched degree-(p+2) elliptic solve producing the auxiliary field
-    used by the saturation measurements.
+  * theta_K = L^{-T} z is the enriched degree-(p+2) elliptic postprocessing;
+  * nu_K = L11^{-T} z[:n1] is the classical (Stenberg) degree-(p+1) one,
+    which coincides with the residual minimizer;
+  * eps_K = theta_K - nu_K is the residual representative of the saddle
+    problem (grad eps + grad nu, grad v) = -(q_h, grad v) for mean-free v of
+    degree p+2, (grad w, grad eps) = 0 for mean-free w of degree p+1;
+  * eta_tilde_K = ||grad eps_K||_K = ||z[n1:]||.
 
-The element mean constraint reduces to copying the constant coefficient of
-u_h because all bases share the same normalized constant.  Each element's
-dense system is factorized independently (LU with partial pivoting), so
-results do not depend on element order.
+The same factor gives discrete dual norms ||L^{-1} b|| of other loads.  The
+element mean constraint copies the constant coefficient of u_h because all
+bases share the same normalized constant.  Element systems are factored
+independently, so results do not depend on element order.
 """
 
 from dataclasses import dataclass
@@ -32,10 +33,12 @@ from .solver import MixedSolution
 
 @dataclass
 class PostprocResult:
-    """Per-element coefficients of the postprocessed scalar and residual.
+    """Per-element coefficients of the postprocessed scalars and residual.
 
-    nu has full degree-(p+1) coefficients (column 0 is the constant); eps has
-    mean-free degree-(p+2) coefficients; eta_tilde_K holds ||grad eps||_K.
+    nu (degree p+1) and theta (degree p+2) have full coefficients (column 0
+    is the constant); eps has mean-free degree-(p+2) coefficients;
+    eta_tilde_K holds ||grad eps||_K; chol holds the lower Cholesky factors
+    of the mean-free degree-(p+2) element stiffness matrices.
     """
 
     mesh: TriMesh
@@ -43,6 +46,8 @@ class PostprocResult:
     nu: np.ndarray
     eps: np.ndarray
     eta_tilde_K: np.ndarray
+    theta: np.ndarray
+    chol: np.ndarray
 
 
 def _local_ingredients(solution: MixedSolution):
@@ -66,50 +71,53 @@ def _local_ingredients(solution: MixedSolution):
     return S22, rhs
 
 
+def _with_mean(solution: MixedSolution, mean_free: np.ndarray) -> np.ndarray:
+    """Full coefficient rows whose constant matches the element mean of u_h."""
+    out = np.empty((mean_free.shape[0], mean_free.shape[1] + 1))
+    out[:, 0] = solution.scalar_by_element[:, 0]
+    out[:, 1:] = mean_free
+    return out
+
+
+def forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} b for lower factors L (..., n, n) and loads b (..., n).
+
+    ||L^{-1} b|| is the dual norm (b^T S^{-1} b)^{1/2} for S = L L^T.
+    np.linalg.solve is used because scipy's batched triangular solve loops
+    over the batch in Python.
+    """
+    return np.linalg.solve(chol, b[..., None])[..., 0]
+
+
 def postprocess_resmin(solution: MixedSolution) -> PostprocResult:
-    """Solve the local residual-minimization saddle systems on every element."""
-    mesh, p = solution.mesh, solution.p
-    n1 = basis_size(p + 1) - 1
-    n2 = basis_size(p + 2) - 1
+    """Factor every element stiffness once and derive all local solutions."""
+    n1 = basis_size(solution.p + 1) - 1
     S22, rhs = _local_ingredients(solution)
-    nt = mesh.n_triangles
-    A = np.zeros((nt, n2 + n1, n2 + n1))
-    A[:, :n2, :n2] = S22
-    A[:, :n2, n2:] = S22[:, :, :n1]
-    A[:, n2:, :n2] = S22[:, :n1, :]
-    b = np.zeros((nt, n2 + n1))
-    b[:, :n2] = rhs
     try:
-        x = np.linalg.solve(A, b[..., None])[..., 0]
+        L = np.linalg.cholesky(S22)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
-            "singular local saddle system; the mean-free basis construction "
-            "is broken") from exc
-    eps = x[:, :n2]
-    nu = np.zeros((nt, n1 + 1))
-    nu[:, 0] = solution.scalar_by_element[:, 0]  # mean constraint
-    nu[:, 1:] = x[:, n2:]
-    eta = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", eps, S22, eps), 0.0))
-    return PostprocResult(mesh=mesh, p=p, nu=nu, eps=eps, eta_tilde_K=eta)
+            "local stiffness not positive definite; the mean-free basis "
+            "construction is broken") from exc
+    z = forward_solve(L, rhs)
+    theta = forward_solve(np.swapaxes(L, 1, 2), z)
+    nu = forward_solve(np.swapaxes(L[:, :n1, :n1], 1, 2), z[:, :n1])
+    eps = theta.copy()
+    eps[:, :n1] -= nu
+    return PostprocResult(
+        mesh=solution.mesh, p=solution.p, nu=_with_mean(solution, nu),
+        eps=eps, eta_tilde_K=np.linalg.norm(z[:, n1:], axis=1),
+        theta=_with_mean(solution, theta), chol=L)
 
 
-def stenberg_oracle(solution: MixedSolution) -> np.ndarray:
-    """Degree-(p+1) elliptic postprocessing, solved directly (SPD systems)."""
-    p = solution.p
-    n1 = basis_size(p + 1) - 1
+def stenberg_oracle(solution: MixedSolution):
+    """Degree-(p+1) elliptic postprocessing and its degree-(p+2) enrichment,
+    solved directly by LU as an independent reference.
+
+    Returns (nu, theta) with the same layout as PostprocResult.
+    """
+    n1 = basis_size(solution.p + 1) - 1
     S22, rhs = _local_ingredients(solution)
-    x = np.linalg.solve(S22[:, :n1, :n1], rhs[:, :n1, None])[..., 0]
-    nu = np.zeros((solution.mesh.n_triangles, n1 + 1))
-    nu[:, 0] = solution.scalar_by_element[:, 0]
-    nu[:, 1:] = x
-    return nu
-
-
-def solve_theta(solution: MixedSolution) -> np.ndarray:
-    """Enriched degree-(p+2) elliptic postprocessing with mean matching."""
-    S22, rhs = _local_ingredients(solution)
-    x = np.linalg.solve(S22, rhs[..., None])[..., 0]
-    theta = np.zeros((solution.mesh.n_triangles, S22.shape[1] + 1))
-    theta[:, 0] = solution.scalar_by_element[:, 0]
-    theta[:, 1:] = x
-    return theta
+    theta = np.linalg.solve(S22, rhs[..., None])[..., 0]
+    nu = np.linalg.solve(S22[:, :n1, :n1], rhs[:, :n1, None])[..., 0]
+    return _with_mean(solution, nu), _with_mean(solution, theta)

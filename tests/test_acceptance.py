@@ -15,7 +15,7 @@ from scipy.linalg import eigh
 from bdmadapt import (build_biorthogonal, build_initial_mesh, dual_norm_star,
                       error_norms, eta_improved, fit_slope, fortin_apply,
                       postprocess_resmin, preset, run_adaptive, solve_problem,
-                      solve_theta, stenberg_oracle)
+                      stenberg_oracle)
 from bdmadapt.basis import make_scalar_basis, quad_rule
 from bdmadapt.fields import stiffness_tensors
 from bdmadapt.fortin import (boundary_moments, edge_lengths, pairing_matrix,
@@ -54,7 +54,7 @@ def smooth_suite():
 
 @pytest.fixture(scope="module")
 def cross_experiment_states():
-    """(experiment, p) -> (problem, solution, post, theta) on modest meshes."""
+    """(experiment, p) -> (problem, solution, post, direct LU (nu, theta))."""
     out = {}
     for name in ("smooth", "lshape", "advdiff"):
         problem = preset(name)
@@ -64,8 +64,7 @@ def cross_experiment_states():
         for p in (1, 2, 3):
             sol = solve_problem(mesh, p, problem)
             post = postprocess_resmin(sol)
-            theta = solve_theta(sol)
-            out[(name, p)] = (problem, sol, post, theta)
+            out[(name, p)] = (problem, sol, post, stenberg_oracle(sol))
     return out
 
 
@@ -113,8 +112,8 @@ def test_c01_exactness_smoke():
 
 def test_c02_postprocessing_equivalence(cross_experiment_states):
     worst = 0.0
-    for (name, p), (problem, sol, post, _) in cross_experiment_states.items():
-        ref = stenberg_oracle(sol)
+    for (name, p), (problem, sol, post, (ref, _)) in \
+            cross_experiment_states.items():
         J = sol.mesh.det_jacobians
         dev_K = np.sqrt(J[:, None]) * np.abs(post.nu - ref)
         norm = math.sqrt(float(np.sum(J[:, None] * ref ** 2)))
@@ -126,7 +125,7 @@ def test_c02_postprocessing_equivalence(cross_experiment_states):
 
 def test_c03_enrichment_identity(cross_experiment_states):
     worst = 0.0
-    for (name, p), (problem, sol, post, theta) in \
+    for (name, p), (problem, sol, post, (_, theta)) in \
             cross_experiment_states.items():
         S22 = stiffness_tensors(sol.mesh, p + 2, 2 * (p + 2))[:, 1:, 1:]
         diff = theta[:, 1:].copy()

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdmadapt import dorfler_mark, preset, run_adaptive
+from bdmadapt import fields
 
 from conftest import make_linear_problem
 
@@ -46,6 +48,14 @@ def test_dorfler_validates_inputs():
         dorfler_mark(np.array([-1.0, 2.0]), 0.5)
     with pytest.raises(ValueError):
         dorfler_mark(np.array([1.0]), 1.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dorfler_rejects_nonfinite_indicators(bad):
+    # a NaN used to make the cumulative sum never reach the target, so
+    # every element was marked
+    with pytest.raises(ValueError, match="finite"):
+        dorfler_mark(np.array([1.0, bad, 0.5]), 0.5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,6 +120,36 @@ def test_uniform_mode_squares_count():
                        initial_elements=8, with_errors=False,
                        with_theta=False)
     assert run.element_counts() == [8, 32, 128]
+
+
+def test_uniform_records_describe_the_solved_mesh():
+    smooth = preset("smooth")
+    run = run_adaptive(smooth, 1, iterations=2, uniform=True,
+                       initial_elements=32, with_errors=False)
+    rec = run.records[0]
+    assert rec.n_elements == 32
+    assert np.array_equal(rec.marked, np.arange(32))
+    assert np.array_equal(rec.marked_centroids, rec.mesh.centroids)
+
+
+def test_one_stiffness_build_per_iteration(monkeypatch):
+    # postprocess, estimator, exact errors and saturation share one factor
+    real = fields.stiffness_tensors
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bdmadapt") and \
+                getattr(module, "stiffness_tensors", None) is real:
+            monkeypatch.setattr(module, "stiffness_tensors", counted)
+    run = run_adaptive(preset("smooth"), 1, iterations=1, initial_elements=32,
+                       with_errors=True, with_theta=True)
+    rec = run.records[0]
+    assert rec.errors is not None and rec.delta is not None
+    assert len(calls) == 1
 
 
 def test_builtin_indicator_marker_switch():

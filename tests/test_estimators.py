@@ -3,12 +3,10 @@ import pytest
 from scipy.linalg import eigh
 
 from bdmadapt import (build_initial_mesh, dual_norm_star, error_norms,
-                      eta_improved, eta_tilde, full_report, oscillation_bound,
-                      postprocess_resmin, preset, saturation_delta,
-                      solve_problem, solve_theta)
+                      eta_improved, full_report, oscillation_bound,
+                      postprocess_resmin, preset, solve_problem)
 from bdmadapt.basis import make_scalar_basis, quad_rule
 from bdmadapt.fields import stiffness_tensors
-from bdmadapt.postprocess import PostprocResult
 
 from conftest import make_linear_problem, single_element_mesh
 
@@ -21,8 +19,7 @@ def smooth_run():
     for p in (1, 2, 3):
         sol = solve_problem(mesh, p, smooth)
         post = postprocess_resmin(sol)
-        theta = solve_theta(sol)
-        out[p] = (smooth, sol, post, theta)
+        out[p] = (smooth, sol, post, full_report(smooth, sol, post))
     return out
 
 
@@ -102,22 +99,16 @@ def test_dual_norm_below_l2_norm(rng):
         assert star <= l2 + 1e-12
 
 
-def test_eta_tilde_zero_for_zero_representative(smooth_run):
-    _, sol, post, _ = smooth_run[1]
-    silent = PostprocResult(mesh=post.mesh, p=post.p, nu=post.nu,
-                            eps=np.zeros_like(post.eps),
-                            eta_tilde_K=np.zeros_like(post.eta_tilde_K))
-    per, glob = eta_tilde(silent)
-    assert glob == 0.0 and np.abs(per).max() == 0.0
-
-
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_eta_tilde_matches_postprocess(p, smooth_run):
-    _, sol, post, _ = smooth_run[p]
-    per, glob = eta_tilde(post)
+    # ||z[n1:]|| from the factor equals ||grad eps||_K from the coefficients
+    _, sol, post, rep = smooth_run[p]
+    S22 = stiffness_tensors(sol.mesh, p + 2, 2 * (p + 2))[:, 1:, 1:]
+    per = np.sqrt(np.einsum("ni,nij,nj->n", post.eps, S22, post.eps))
     assert np.abs(per - post.eta_tilde_K).max() <= 1e-12 * max(
         1.0, post.eta_tilde_K.max())
-    assert abs(glob - np.sqrt(np.sum(per ** 2))) <= 1e-14 * max(glob, 1.0)
+    glob = np.sqrt(np.sum(per ** 2))
+    assert abs(rep.eta_tilde - glob) <= 1e-12 * max(glob, 1.0)
 
 
 def test_estimator_zero_on_linear_solution():
@@ -132,8 +123,7 @@ def test_estimator_zero_on_linear_solution():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_estimator_report_structure(p, smooth_run):
-    prob, sol, post, theta = smooth_run[p]
-    rep = full_report(prob, sol, post, theta=theta)
+    prob, sol, post, rep = smooth_run[p]
     # eta^2 equals the sum of squared indicators, and eta_tilde_K <= eta_K
     assert abs(rep.eta ** 2 - np.sum(rep.eta_K ** 2)) <= 1e-12 * rep.eta ** 2
     assert np.all(rep.eta_tilde_K <= rep.eta_K + 1e-15)
@@ -236,23 +226,19 @@ def test_oscillation_concentrates_at_corner():
 
 
 def test_saturation_nonnegative_and_degenerate_flag(smooth_run):
-    prob, sol, post, theta = smooth_run[1]
-    delta, degenerate = saturation_delta(prob, post, theta)
-    assert delta >= 0.0 and not degenerate
+    _, _, _, rep = smooth_run[1]
+    assert rep.delta >= 0.0 and not rep.delta_degenerate
     lin = make_linear_problem()
     mesh = build_initial_mesh(lin.domain, 8)
     sol2 = solve_problem(mesh, 1, lin)
-    post2 = postprocess_resmin(sol2)
-    theta2 = solve_theta(sol2)
-    delta2, degenerate2 = saturation_delta(lin, post2, theta2)
-    assert degenerate2 and delta2 == 0.0
+    rep2 = full_report(lin, sol2, postprocess_resmin(sol2))
+    assert rep2.delta_degenerate and rep2.delta == 0.0
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_saturation_below_one_smooth(p, smooth_run):
-    prob, sol, post, theta = smooth_run[p]
-    delta, _ = saturation_delta(prob, post, theta)
-    assert 0.0 < delta < 1.0
+    _, _, _, rep = smooth_run[p]
+    assert 0.0 < rep.delta < 1.0
 
 
 def test_eta_tilde_invariant_under_elementwise_constant_shift(smooth_run, rng):
@@ -271,18 +257,15 @@ def test_eta_tilde_invariant_under_elementwise_constant_shift(smooth_run, rng):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_reliability_with_measured_saturation(p, smooth_run):
     # ||grad(u - nu)|| <= eta_tilde / (1 - delta) with the measured delta
-    prob, sol, post, theta = smooth_run[p]
+    prob, sol, post, rep = smooth_run[p]
     err = error_norms(prob, sol, post)
-    delta, degenerate = saturation_delta(prob, post, theta)
-    assert not degenerate and delta < 1.0
-    _, eta_t = eta_tilde(post)
-    bound = eta_t / (1.0 - delta)
+    assert not rep.delta_degenerate and rep.delta < 1.0
+    bound = rep.eta_tilde / (1.0 - rep.delta)
     assert err.grad_nu <= bound + 1e-8 * err.grad_nu
 
 
 def test_report_json_roundtrip(tmp_path, smooth_run):
-    prob, sol, post, theta = smooth_run[2]
-    rep = full_report(prob, sol, post, theta=theta)
+    prob, sol, post, rep = smooth_run[2]
     path = str(tmp_path / "report.json")
     rep.save(path)
     import json
