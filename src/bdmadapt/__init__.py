@@ -16,8 +16,7 @@ from .mesh import (DomainSpec, TriMesh, build_initial_mesh, jump_trace_pairs,
 from .postprocess import PostprocResult, postprocess_resmin, stenberg_oracle
 from .problems import preset
 from .solver import (MixedSolution, MixedSystem, ProblemSpec,
-                     SingularSystemError, assemble, assemble_advection_diffusion,
-                     assemble_poisson, load_solution, save_solution, solve,
-                     solve_problem)
+                     SingularSystemError, assemble, load_solution,
+                     save_solution, solve, solve_problem)
 
 __version__ = "0.1.0"

@@ -168,6 +168,7 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
             # a second sweep halves h, keeping one congruence family
             refined = refined.refine(np.arange(refined.n_triangles))
         if max_elements is not None and refined.n_triangles > max_elements:
+            run.aborted = True
             run.abort_reason = "max_elements reached"
             break
         mesh = refined

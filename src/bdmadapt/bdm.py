@@ -277,24 +277,20 @@ class BdmSpace:
         return dofs
 
 
-def bdm_mass_matrix(space: BdmSpace):
-    """Global flux mass matrix (CSR)."""
-    mesh, p = space.mesh, space.p
+def element_mass_matrices(space: BdmSpace) -> np.ndarray:
+    """Element flux mass matrices (n_elements, nloc, nloc), globally oriented."""
+    p = space.p
     rule, Nh, _ = bdm_tables(p, 2 * (p + 2))
     Rm = np.einsum("q,qia,qjb->abij", rule.weights, Nh, Nh)
-    B, J = mesh.jacobians, mesh.det_jacobians
+    B, J = space.mesh.jacobians, space.mesh.det_jacobians
     T = np.einsum("nca,ncb->nab", B, B) / J[:, None, None]
     Mloc = np.einsum("nab,abij->nij", T, Rm)
     Mloc *= space.signs[:, :, None] * space.signs[:, None, :]
-    rows = np.repeat(space.l2g, space.local_dim, axis=1).ravel()
-    cols = np.tile(space.l2g, (1, space.local_dim)).ravel()
-    mat = coo_matrix((Mloc.ravel(), (rows, cols)),
-                     shape=(space.n_dofs, space.n_dofs))
-    return mat.tocsr()
+    return Mloc
 
 
-def divergence_matrix(space: BdmSpace, scalar: DgSpace):
-    """B[i, j] = (div N_j, psi_i) over the mesh (CSR).
+def element_divergence_matrices(space: BdmSpace, scalar: DgSpace) -> np.ndarray:
+    """Element blocks (n_elements, s, nloc) of (div N_l, psi_i), globally oriented.
 
     The scalar space must have degree p-1; the reference pairing is geometry
     independent because the 1/J of the Piola divergence cancels the Jacobian.
@@ -309,19 +305,12 @@ def divergence_matrix(space: BdmSpace, scalar: DgSpace):
     rule, _, dNh = bdm_tables(p, 2 * (p + 2))
     _, V, _ = scalar_tables(scalar.degree, 2 * (p + 2))
     D0 = np.einsum("q,qi,ql->il", rule.weights, V, dNh)
-    nt = space.mesh.n_triangles
-    vals = D0[None, :, :] * space.signs[:, None, :]
-    rows = (np.arange(nt)[:, None, None] * scalar.local_dim
-            + np.arange(scalar.local_dim)[None, :, None])
-    rows = np.broadcast_to(rows, vals.shape).ravel()
-    cols = np.broadcast_to(space.l2g[:, None, :], vals.shape).ravel()
-    mat = coo_matrix((vals.ravel(), (rows, cols)),
-                     shape=(scalar.n_dofs, space.n_dofs))
-    return mat.tocsr()
+    return D0[None, :, :] * space.signs[:, None, :]
 
 
-def advection_matrix(space: BdmSpace, scalar: DgSpace, beta):
-    """C[i, j] = (beta . N_j, psi_i) for a constant vector beta (CSR)."""
+def element_advection_matrices(space: BdmSpace, scalar: DgSpace,
+                               beta) -> np.ndarray:
+    """Element blocks (n_elements, s, nloc) of (beta . N_l, psi_i), constant beta."""
     p = space.p
     rule, Nh, _ = bdm_tables(p, 2 * (p + 2))
     _, V, _ = scalar_tables(scalar.degree, 2 * (p + 2))
@@ -329,14 +318,38 @@ def advection_matrix(space: BdmSpace, scalar: DgSpace, beta):
     Btb = np.einsum("nba,b->na", space.mesh.jacobians, np.asarray(beta, float))
     vals = np.einsum("ila,na->nil", Rc, Btb)
     vals *= space.signs[:, None, :]
-    nt = space.mesh.n_triangles
-    rows = (np.arange(nt)[:, None, None] * scalar.local_dim
-            + np.arange(scalar.local_dim)[None, :, None])
-    rows = np.broadcast_to(rows, vals.shape).ravel()
-    cols = np.broadcast_to(space.l2g[:, None, :], vals.shape).ravel()
-    mat = coo_matrix((vals.ravel(), (rows, cols)),
-                     shape=(scalar.n_dofs, space.n_dofs))
-    return mat.tocsr()
+    return vals
+
+
+def _scatter(blocks, row_map, col_map, shape):
+    """Sum element blocks (n, r, c) into a global CSR matrix."""
+    rows = np.broadcast_to(row_map[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(col_map[:, None, :], blocks.shape).ravel()
+    return coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+def _scalar_map(scalar: DgSpace) -> np.ndarray:
+    return np.arange(scalar.n_dofs).reshape(-1, scalar.local_dim)
+
+
+def bdm_mass_matrix(space: BdmSpace):
+    """Global flux mass matrix (CSR)."""
+    return _scatter(element_mass_matrices(space), space.l2g, space.l2g,
+                    (space.n_dofs, space.n_dofs))
+
+
+def divergence_matrix(space: BdmSpace, scalar: DgSpace):
+    """B[i, j] = (div N_j, psi_i) over the mesh (CSR)."""
+    return _scatter(element_divergence_matrices(space, scalar),
+                    _scalar_map(scalar), space.l2g,
+                    (scalar.n_dofs, space.n_dofs))
+
+
+def advection_matrix(space: BdmSpace, scalar: DgSpace, beta):
+    """C[i, j] = (beta . N_j, psi_i) for a constant vector beta (CSR)."""
+    return _scatter(element_advection_matrices(space, scalar, beta),
+                    _scalar_map(scalar), space.l2g,
+                    (scalar.n_dofs, space.n_dofs))
 
 
 def interpolate_boundary_term(space: BdmSpace, u_D) -> np.ndarray:

@@ -481,8 +481,8 @@ def save_mesh(mesh: TriMesh, prefix: str):
     """Write <prefix>.nodes / <prefix>.elems (plain text) and <prefix>.json.
 
     Nodes: one "x y" per line.  Elements: one "i j k" per line, 0-based, in
-    storage order (peak first).  The JSON block records boundary edges and the
-    bisection generation of every triangle.
+    storage order (peak first).  The JSON block records boundary edges, the
+    bisection generation and the parent of every triangle.
     """
     with open(f"{prefix}.nodes", "w") as fh:
         for x, y in mesh.vertices:
@@ -496,6 +496,7 @@ def save_mesh(mesh: TriMesh, prefix: str):
         "domain": mesh.domain_name,
         "boundary_edges": mesh.edges[mesh.boundary_edge].tolist(),
         "generation": mesh.generation.tolist(),
+        "parent": mesh.parent.tolist(),
     }
     with open(f"{prefix}.json", "w") as fh:
         json.dump(meta, fh, indent=1)
@@ -507,4 +508,4 @@ def load_mesh(prefix: str) -> TriMesh:
     with open(f"{prefix}.json") as fh:
         meta = json.load(fh)
     return TriMesh(verts, tris, generation=meta.get("generation"),
-                   domain_name=meta.get("domain"))
+                   parent=meta.get("parent"), domain_name=meta.get("domain"))

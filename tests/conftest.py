@@ -1,12 +1,35 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.sparse import bmat
 
 from bdmadapt import DomainSpec, ProblemSpec, build_initial_mesh, solve_problem
+from bdmadapt.bdm import (BdmSpace, DgSpace, advection_matrix, bdm_mass_matrix,
+                          divergence_matrix, interpolate_boundary_term)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240612)
+
+
+def saddle_system(mesh, p, problem):
+    """Global saddle system [[M, -B^T], [B - C, 0]] x = (-g_D, F) as an oracle.
+
+    Returns matrix (CSC), rhs and the two spaces; the program itself only
+    solves the hybridized form of this system.
+    """
+    flux = BdmSpace(mesh, p)
+    scalar = DgSpace(mesh, p - 1)
+    M = bdm_mass_matrix(flux)
+    B = divergence_matrix(flux, scalar)
+    C = advection_matrix(flux, scalar, problem.beta)
+    g = interpolate_boundary_term(flux, problem.u_D)
+    F = scalar.load_vector(problem.f, 2 * p + 8)
+    A = bmat([[M, -B.T], [B - C, None]], format="csc")
+    return SimpleNamespace(matrix=A, rhs=np.concatenate([g, F]),
+                           flux_space=flux, scalar_space=scalar)
 
 
 def make_linear_problem():

@@ -209,6 +209,7 @@ def test_max_elements_stops_loop():
                        initial_elements=8, max_elements=100,
                        with_errors=False, with_theta=False)
     assert run.records[-1].n_elements <= 100
+    assert run.aborted
     assert run.abort_reason == "max_elements reached"
 
 

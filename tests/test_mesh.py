@@ -228,6 +228,9 @@ def test_export_roundtrip(tmp_path):
     back = load_mesh(prefix)
     assert np.allclose(back.vertices, mesh.vertices)
     assert np.array_equal(back.triangles, mesh.triangles)
+    assert np.any(mesh.parent >= 0)
+    assert np.array_equal(back.parent, mesh.parent)
+    assert np.array_equal(back.generation, mesh.generation)
 
 
 def test_generation_tracking():

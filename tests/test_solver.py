@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
-from bdmadapt import (DomainSpec, ProblemSpec, assemble,
-                      assemble_advection_diffusion, assemble_poisson,
+import bdmadapt.solver as solver_mod
+from bdmadapt import (DomainSpec, ProblemSpec, SingularSystemError, assemble,
                       build_initial_mesh, load_solution, preset, save_solution,
                       solve, solve_problem)
 from bdmadapt.basis import quad_rule
 from bdmadapt.bdm import BdmSpace, DgSpace, advection_matrix
 from bdmadapt.fields import mapped_points, scalar_tables
 
-from conftest import make_linear_problem, single_element_mesh
+from conftest import make_linear_problem, saddle_system, single_element_mesh
 
 
 def zero_problem():
@@ -50,8 +51,7 @@ def test_divergence_equation_holds_exactly():
     smooth = preset("smooth")
     mesh = build_initial_mesh(smooth.domain, 32).refine(range(32))
     p = 2
-    system = assemble_poisson(mesh, p, smooth)
-    sol = solve(system)
+    sol = solve_problem(mesh, p, smooth)
     from bdmadapt.bdm import divergence_matrix
     B = divergence_matrix(sol.flux_space, sol.scalar_space)
     F = sol.scalar_space.load_vector(smooth.f, 2 * p + 8)
@@ -63,8 +63,7 @@ def test_galerkin_orthogonality_random_tests(rng):
     smooth = preset("smooth")
     mesh = build_initial_mesh(smooth.domain, 32)
     p = 2
-    system = assemble_poisson(mesh, p, smooth)
-    sol = solve(system)
+    sol = solve_problem(mesh, p, smooth)
     from bdmadapt.bdm import bdm_mass_matrix, divergence_matrix,\
         interpolate_boundary_term
     M = bdm_mass_matrix(sol.flux_space)
@@ -75,17 +74,6 @@ def test_galerkin_orthogonality_random_tests(rng):
     for _ in range(20):
         ph = rng.standard_normal(sol.flux_space.n_dofs)
         assert abs(ph @ resid) <= 1e-10 * scale * np.linalg.norm(ph)
-
-
-def test_beta_zero_reduces_to_poisson():
-    smooth = preset("smooth")
-    mesh = build_initial_mesh(smooth.domain, 8)
-    prob0 = ProblemSpec(domain=smooth.domain, f=smooth.f, u_D=smooth.u_D,
-                        beta=(0.0, 0.0), name="smooth0")
-    A1 = assemble_poisson(mesh, 2, prob0).matrix
-    A2 = assemble_advection_diffusion(mesh, 2, prob0).matrix
-    dev = np.abs((A1 - A2)).max()
-    assert dev <= 1e-14 * max(1.0, np.abs(A1).max())
 
 
 def test_advection_dispatch():
@@ -117,7 +105,7 @@ def test_advection_residual_decreases_under_refinement():
     norms = []
     mesh = build_initial_mesh(adv.domain, 32)
     for _ in range(3):
-        system = assemble(mesh, 1, adv)
+        system = saddle_system(mesh, 1, adv)
         flux = system.flux_space.interpolate(adv.exact_q)
         rule = quad_rule(10, "triangle")
         _, V, _ = scalar_tables(0, 10)
@@ -136,9 +124,9 @@ def test_advection_residual_decreases_under_refinement():
 def test_dense_lu_oracle_small_mesh():
     smooth = preset("smooth")
     mesh = build_initial_mesh(smooth.domain, 8)
-    system = assemble_poisson(mesh, 1, smooth)
+    system = saddle_system(mesh, 1, smooth)
     assert system.matrix.shape[0] <= 200
-    sol = solve(system)
+    sol = solve_problem(mesh, 1, smooth)
     dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
     x = np.concatenate([sol.flux, sol.scalar])
     assert np.abs(x - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
@@ -147,7 +135,7 @@ def test_dense_lu_oracle_small_mesh():
 def test_schur_complement_positive_definite():
     smooth = preset("smooth")
     mesh = build_initial_mesh(smooth.domain, 32)
-    system = assemble_poisson(mesh, 1, smooth)
+    system = saddle_system(mesh, 1, smooth)
     from bdmadapt.bdm import bdm_mass_matrix, divergence_matrix
     M = bdm_mass_matrix(system.flux_space).toarray()
     B = divergence_matrix(system.flux_space, system.scalar_space).toarray()
@@ -186,3 +174,78 @@ def test_solution_dump_roundtrip(tmp_path):
     assert np.array_equal(back.flux, sol.flux)
     assert np.array_equal(back.scalar, sol.scalar)
     assert back.diagnostics["rel_residual"] == sol.diagnostics["rel_residual"]
+
+
+@pytest.mark.parametrize("name", ["smooth", "lshape", "advdiff"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_hybrid_matches_saddle_lu(name, p):
+    problem = preset(name)
+    count = 96 if name == "lshape" else 32
+    mesh = build_initial_mesh(problem.domain, count).refine(range(count))
+    sol = solve_problem(mesh, p, problem)
+    oracle = saddle_system(mesh, p, problem)
+    x = splu(oracle.matrix).solve(oracle.rhs)
+    nq = oracle.flux_space.n_dofs
+    for got, want in ((sol.flux, x[:nq]), (sol.scalar, x[nq:])):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_multiplier_system_size_and_diagnostics():
+    adv = preset("advdiff")
+    mesh = build_initial_mesh(adv.domain, 32)
+    p = 2
+    system = assemble(mesh, p, adv)
+    n_interior = int((~mesh.boundary_edge).sum())
+    assert system.schur.shape == (n_interior * (p + 1),) * 2
+    sol = solve(system)
+    diag = sol.diagnostics
+    assert diag["n_dofs"] == n_interior * (p + 1)
+    assert diag["nnz"] == system.schur.nnz
+    assert diag["fill"] >= diag["n_dofs"]
+    assert diag["factor_seconds"] >= 0.0
+    assert diag["rel_residual"] <= 1e-13
+
+
+def _sloppy_factor(monkeypatch):
+    """Make every multiplier solve off by half."""
+    real_splu = solver_mod.splu
+
+    class Sloppy:
+        def __init__(self, lu):
+            self.lu, self.L, self.U = lu, lu.L, lu.U
+
+        def solve(self, b):
+            return 1.5 * self.lu.solve(b)
+
+    monkeypatch.setattr(solver_mod, "splu",
+                        lambda *a, **k: Sloppy(real_splu(*a, **k)))
+
+
+def test_inaccurate_factor_raises(monkeypatch):
+    _sloppy_factor(monkeypatch)
+    smooth = preset("smooth")
+    mesh = build_initial_mesh(smooth.domain, 32)
+    with pytest.raises(SingularSystemError, match="residual"):
+        solve_problem(mesh, 1, smooth)
+
+
+def test_rel_residual_is_that_of_the_mixed_equations(monkeypatch):
+    _sloppy_factor(monkeypatch)
+    monkeypatch.setattr(solver_mod, "RESIDUAL_TOL", np.inf)
+    adv = preset("advdiff")
+    mesh = build_initial_mesh(adv.domain, 32)
+    sol = solve_problem(mesh, 2, adv)
+    oracle = saddle_system(mesh, 2, adv)
+    x = np.concatenate([sol.flux, sol.scalar])
+    want = (np.linalg.norm(oracle.matrix @ x - oracle.rhs)
+            / np.linalg.norm(oracle.rhs))
+    assert want > 1e-3
+    assert sol.diagnostics["rel_residual"] == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_single_element_needs_no_multipliers(p):
+    sol = solve_problem(single_element_mesh(), p, make_linear_problem())
+    assert sol.diagnostics["n_dofs"] == 0
+    vals = sol.flux_space.eval_flux(sol.flux, 0, np.array([[0.2, 0.3]]))
+    assert np.abs(vals - [-1.0, 0.0]).max() <= 1e-12
