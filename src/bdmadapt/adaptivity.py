@@ -105,7 +105,6 @@ class AdaptiveRun:
 def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
                  iterations: int = 10, marker: str = "eta",
                  uniform: bool = False, initial_elements: int | None = None,
-                 initial_mesh: TriMesh | None = None,
                  with_errors: bool = True, with_theta: bool = True,
                  eta_tol: float = 0.0, max_elements: int | None = None,
                  keep_meshes: bool = True,
@@ -123,11 +122,8 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
         raise ValueError("iterations must be >= 1")
     if marker not in ("eta", "eta_tilde"):
         raise ValueError("marker must be 'eta' or 'eta_tilde'")
-    if initial_mesh is not None:
-        mesh = initial_mesh
-    else:
-        count = initial_elements or _DEFAULT_INITIAL.get(problem.domain.name, 64)
-        mesh = build_initial_mesh(problem.domain, count)
+    count = initial_elements or _DEFAULT_INITIAL.get(problem.domain.name, 64)
+    mesh = build_initial_mesh(problem.domain, count)
     run = AdaptiveRun(problem_name=problem.name, p=p, theta=theta,
                       marker=marker, uniform=uniform)
     for it in range(iterations):

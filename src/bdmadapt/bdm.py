@@ -23,7 +23,7 @@ from scipy.sparse import coo_matrix
 from scipy.special import eval_legendre
 
 from .basis import basis_size, make_scalar_basis, make_zero_mean_basis, quad_rule
-from .fields import edge_ref_points, mapped_points, scalar_tables
+from .fields import edge_points, edge_ref_points, mapped_points, scalar_tables
 from .mesh import TriMesh
 
 _REF_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -138,20 +138,6 @@ def bdm_tables(p: int, exactness: int):
     return rule, Nh, dNh
 
 
-@lru_cache(maxsize=None)
-def bdm_edge_tables(p: int, n_points: int):
-    """Shape values along the 3 local edges in local parameter.
-
-    Returns (t, w, table) with table shape (3, nq, nloc, 2).
-    """
-    rule = quad_rule(2 * n_points - 1, "edge")
-    t, w = rule.points, rule.weights
-    tab = np.stack([reference_shape_values(p, edge_ref_points(j, t))
-                    for j in range(3)])
-    tab.setflags(write=False)
-    return t, w, tab
-
-
 class DgSpace:
     """Elementwise discontinuous scalar space of total degree k."""
 
@@ -227,19 +213,16 @@ class BdmSpace:
             raise ValueError(f"expected {self.n_dofs} coefficients")
         if not 0 <= element < self.mesh.n_triangles:
             raise IndexError(f"element {element} out of range")
-        c = self.local_coeffs(coeffs)[element]
-        Nh = reference_shape_values(self.p, pts)
-        ref = np.einsum("l,qla->qa", c, Nh)
-        B = self.mesh.jacobians[element]
-        return ref @ B.T / self.mesh.det_jacobians[element]
+        return self.flux_values(coeffs, pts, [element])[0]
 
-    def flux_values(self, coeffs, ref_pts) -> np.ndarray:
-        """Batched physical flux values (n_elements, nq, 2) at shared points."""
+    def flux_values(self, coeffs, ref_pts, ids=slice(None)) -> np.ndarray:
+        """Batched physical flux values (n, nq, 2) at shared reference points
+        (on elements ids, default all)."""
         Nh = reference_shape_values(self.p, ref_pts)
-        c = self.local_coeffs(coeffs)
+        c = np.asarray(coeffs)[self.l2g[ids]] * self.signs[ids]
         ref = np.einsum("nl,qla->nqa", c, Nh)
-        return np.einsum("nqa,nba->nqb", ref,
-                         self.mesh.jacobians) / self.mesh.det_jacobians[:, None, None]
+        return np.einsum("nqa,nba->nqb", ref, self.mesh.jacobians[ids]) \
+            / self.mesh.det_jacobians[ids][:, None, None]
 
     def div_values(self, coeffs, ref_pts) -> np.ndarray:
         """Batched physical divergence values (n_elements, nq)."""
@@ -247,15 +230,13 @@ class BdmSpace:
         c = self.local_coeffs(coeffs)
         return np.einsum("nl,ql->nq", c, d) / self.mesh.det_jacobians[:, None]
 
-    def interpolate(self, q, exactness: int | None = None) -> np.ndarray:
+    def interpolate(self, q) -> np.ndarray:
         """Canonical interpolation of a smooth vector field q(x) -> (n, 2)."""
         mesh, p = self.mesh, self.p
-        exact = exactness if exactness is not None else 2 * p + 8
+        exact = 2 * p + 8
         erule = quad_rule(exact, "edge")
         t, w = erule.points, erule.weights
-        lo = mesh.vertices[mesh.edges[:, 0]]
-        hi = mesh.vertices[mesh.edges[:, 1]]
-        pts = lo[:, None, :] + t[None, :, None] * (hi - lo)[:, None, :]
+        pts = edge_points(mesh, slice(None), t)
         qv = np.asarray(q(pts.reshape(-1, 2)), dtype=float).reshape(
             mesh.n_edges, len(t), 2)
         qn = np.einsum("eqa,ea->eq", qv, mesh.edge_normals)
@@ -367,9 +348,7 @@ def interpolate_boundary_term(space: BdmSpace, u_D) -> np.ndarray:
         return g
     rule = quad_rule(2 * p + 9, "edge")
     t, w = rule.points, rule.weights
-    lo = mesh.vertices[mesh.edges[bdry, 0]]
-    hi = mesh.vertices[mesh.edges[bdry, 1]]
-    pts = lo[:, None, :] + t[None, :, None] * (hi - lo)[:, None, :]
+    pts = edge_points(mesh, bdry, t)
     ud = np.asarray(u_D(pts.reshape(-1, 2)), dtype=float).reshape(len(bdry), len(t))
     owner = mesh.edge_tris[bdry, 0]
     local = mesh.edge_local[bdry, 0]

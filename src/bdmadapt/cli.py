@@ -9,7 +9,7 @@ from .fortin import fortin_report
 from .verify import run_verification
 
 _RUN_KEYS = ("experiment", "p_list", "mode", "theta", "iterations", "out",
-             "seed", "marker", "dump_meshes", "initial_elements",
+             "marker", "dump_meshes", "initial_elements",
              "max_elements", "fit_window")
 
 
@@ -29,7 +29,6 @@ def _build_parser():
     run.add_argument("--theta", type=float, default=None)
     run.add_argument("--iters", dest="iterations", type=int, default=None)
     run.add_argument("--out", default=None)
-    run.add_argument("--seed", type=int, default=None)
     run.add_argument("--estimator", dest="marker",
                      choices=("eta", "eta_tilde"), default=None)
     run.add_argument("--dump-meshes", dest="dump_meshes",

@@ -8,13 +8,17 @@ traces of the postprocessed scalar:
               + 1/2 sum_{interior F of K} h_F^{-1} ||[nu_h]||_F^2
               + sum_{boundary F of K} h_F^{-1} ||u_D - nu_h||_F^2.
 
-Exact-error norms use a high-order rule, with subdivided quadrature on
-elements and edges flagged by the problem (corner singularities, outflow
-strips).  One pass over the element quadrature points gathers every
-element-interior error, the saturation numerator ||grad(u - theta_h)||_K
-included.  The element-local dual norm ||r||_*K on the mean-free degree-(p+2)
-space is ||L^{-1} b|| with L the Cholesky factor of the element stiffness
-and b the load of r.
+Exact-error norms use a high-order rule, subdivided where the problem asks
+for it: on elements and edges touching its singular point, and on elements
+with a vertex in its quadrature region.  One pass over the element
+quadrature points gathers every element-interior error, the saturation
+numerator ||grad(u - theta_h)||_K included.  The edge terms (the normal-flux
+trace error and the oscillation bound) are taken once per global edge: q . n_e
+is sampled in the stored edge direction, and q_h . n_e = sum_m c_(e,m) (2m+1)
+L_m(t) / |e| comes from the global edge moments c_(e,m) of q_h.  The
+element-local dual norm ||r||_*K on the mean-free degree-(p+2) space is
+||L^{-1} b|| with L the Cholesky factor of the element stiffness and b the
+load of r.
 """
 
 import json
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import make_scalar_basis, quad_rule
-from .bdm import bdm_edge_tables, reference_shape_values, shifted_legendre
-from .fields import (edge_ref_points, grad_outer_tables, mapped_points,
+from .bdm import shifted_legendre
+from .fields import (edge_points, grad_outer_tables, mapped_points,
                      nu_jump_terms, scalar_tables, subdivided_edge_rule,
                      subdivided_rule)
 from .mesh import TriMesh
@@ -48,11 +52,9 @@ def _element_groups(mesh: TriMesh, problem: ProblemSpec, exactness: int):
             pts, w = subdivided_rule(exactness, 2)
             groups.append((np.nonzero(touch)[0], pts, w))
             flagged |= touch
-    if problem.quad_strip is not None:
-        d = problem.quad_strip
-        xy = mesh.tri_coords
-        near = ((xy[:, :, 0].max(axis=1) > 1.0 - d)
-                | (xy[:, :, 1].max(axis=1) > 1.0 - d)) & ~flagged
+    if problem.quad_region is not None:
+        inside = np.asarray(problem.quad_region(mesh.vertices), dtype=bool)
+        near = inside[mesh.triangles].any(axis=1) & ~flagged
         if near.any():
             pts, w = subdivided_rule(exactness, 1)
             groups.append((np.nonzero(near)[0], pts, w))
@@ -63,36 +65,50 @@ def _element_groups(mesh: TriMesh, problem: ProblemSpec, exactness: int):
     return groups
 
 
-def _singular_edges(mesh: TriMesh, problem: ProblemSpec):
-    if problem.quad_singular_point is None:
-        return np.zeros(mesh.n_edges, dtype=bool)
-    xs = np.asarray(problem.quad_singular_point, dtype=float)
-    at = np.linalg.norm(mesh.vertices - xs, axis=1) < 1e-12
-    return at[mesh.edges].any(axis=1)
+def _edge_flux_sq(problem: ProblemSpec, mesh: TriMesh, n_points: int,
+                  residual):
+    """Per element, sum over its edges e of |e| int_0^1 r^2 dt.
+
+    Each global edge is visited once, with the n-point Gauss rule (subdivided
+    twice on edges touching quad_singular_point).  residual(edge_ids, t, w,
+    g) returns r (n, nq) from g = q . n_e, the exact normal flux at the
+    points in the stored edge direction.
+    """
+    singular = np.zeros(mesh.n_edges, dtype=bool)
+    if problem.quad_singular_point is not None:
+        xs = np.asarray(problem.quad_singular_point, dtype=float)
+        at = np.linalg.norm(mesh.vertices - xs, axis=1) < 1e-12
+        singular = at[mesh.edges].any(axis=1)
+    sq = np.zeros(mesh.n_edges)
+    for flagged, levels in ((False, 0), (True, 2)):
+        ids = np.nonzero(singular == flagged)[0]
+        if ids.size == 0:
+            continue
+        t, w = subdivided_edge_rule(n_points, levels)
+        pts = edge_points(mesh, ids, t)
+        qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
+        g = np.einsum("nqa,na->nq", qv.reshape(len(ids), len(t), 2),
+                      mesh.edge_normals[ids])
+        sq[ids] = np.einsum("nq,q->n", residual(ids, t, w, g) ** 2, w) \
+            * mesh.edge_lengths[ids]
+    return sq[mesh.elem_edges].sum(axis=1)
 
 
 # -- discrete dual norm -------------------------------------------------------
 
 
-def dual_norm_star(mesh: TriMesh, p: int, element: int, r,
-                   exactness: int | None = None) -> float:
+def dual_norm_star(mesh: TriMesh, p: int, element: int, r) -> float:
     """sup over mean-free degree-(p+2) v of (r, grad v)_K / ||grad v||_K.
 
-    r maps (n, 2) physical points to (n, 2) vector values; alternatively an
-    (nq, 2) array of values at the rule points of the element may be passed.
+    r maps (n, 2) physical points to (n, 2) vector values.
     """
     if not 0 <= element < mesh.n_triangles:
         raise IndexError(f"element {element} out of range")
-    exact = exactness if exactness is not None else 2 * p + 8
-    rule = quad_rule(exact, "triangle")
+    rule = quad_rule(2 * p + 8, "triangle")
     basis = make_scalar_basis(p + 2)
     D = basis.grads(rule.points)[:, 1:, :]
-    ids = np.array([element])
-    if callable(r):
-        pts = mapped_points(mesh, rule.points, ids)[0]
-        vals = np.asarray(r(pts), dtype=float)
-    else:
-        vals = np.asarray(r, dtype=float)
+    pts = mapped_points(mesh, rule.points, [element])[0]
+    vals = np.asarray(r(pts), dtype=float)
     J, Binv = mesh.det_jacobians[element], mesh.inv_jacobians[element]
     # (r, grad v)_K = J sum_q w r . (B^{-T} Dhat)
     pulled = np.einsum("qa,ba->qb", vals, Binv)
@@ -255,7 +271,6 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
     nu_L2_sq = np.zeros(nt)
     star_rhs = np.zeros((nt, basis_p2.size - 1))
     u_by_el = solution.scalar_by_element
-    c_flux = solution.flux_space.local_coeffs(solution.flux)
 
     for ids, pts, w in _element_groups(mesh, problem, exact):
         phys = mapped_points(mesh, pts, ids)
@@ -273,9 +288,7 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
             return np.einsum("nq,q,n->n", np.sum((qv + g) ** 2, axis=2), w, J)
 
         nu_vals = np.einsum("ni,qi->nq", post.nu[ids], basis_nu.values(pts))
-        Nh = reference_shape_values(p, pts)
-        qh = np.einsum("nl,qla->nqa", c_flux[ids], Nh)
-        qh = np.einsum("nqa,nba->nqb", qh, mesh.jacobians[ids]) / J[:, None, None]
+        qh = solution.flux_space.flux_values(solution.flux, pts, ids)
         uh = np.einsum("ni,qi->nq", u_by_el[ids], basis_u.values(pts))
         grad_nu_sq[ids] = grad_error_sq(post.nu, basis_nu.grads(pts))
         grad_theta_sq[ids] = grad_error_sq(post.theta, Dp2)
@@ -305,33 +318,16 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
 
 
 def _flux_trace_error_sq(problem: ProblemSpec, solution: MixedSolution):
-    """sum over local edges of ||(q - q_h) . n_K||^2_{edge}, per element."""
+    """sum over the edges of K of ||(q - q_h) . n||^2_{edge}, per element."""
     mesh, p = solution.mesh, solution.p
-    c_flux = solution.flux_space.local_coeffs(solution.flux)
-    singular = _singular_edges(mesh, problem)
-    out = np.zeros(mesh.n_triangles)
-    rules = [(False, *bdm_edge_tables(p, p + 5)[:2])]
-    if singular.any():
-        rules.append((True, *subdivided_edge_rule(p + 5, 2)))
-    for flagged, t, w in rules:
-        tab = np.stack([reference_shape_values(p, edge_ref_points(j, t))
-                        for j in range(3)])
-        for j in range(3):
-            sel = singular[mesh.elem_edges[:, j]] == flagged
-            ids = np.nonzero(sel)[0]
-            if ids.size == 0:
-                continue
-            ref = np.einsum("nl,qla->nqa", c_flux[ids], tab[j])
-            qh = np.einsum("nqa,nba->nqb", ref, mesh.jacobians[ids]) \
-                / mesh.det_jacobians[ids, None, None]
-            pts = mapped_points(mesh, edge_ref_points(j, t), ids)
-            qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
-            qv = qv.reshape(len(ids), len(t), 2)
-            nrm = mesh.outward_normals[ids, j]
-            dn = np.einsum("nqa,na->nq", qv - qh, nrm)
-            out[ids] += np.einsum("nq,q->n", dn ** 2, w) \
-                * mesh.tri_edge_lengths[ids, j]
-    return out
+    moments = np.asarray(solution.flux)[:mesh.n_edges * (p + 1)]
+    scaled = moments.reshape(-1, p + 1) * (2.0 * np.arange(p + 1) + 1.0)
+
+    def residual(ids, t, w, g):
+        qh_n = scaled[ids] @ shifted_legendre(np.arange(p + 1)[:, None], t)
+        return g - qh_n / mesh.edge_lengths[ids, None]
+
+    return _edge_flux_sq(problem, mesh, p + 5, residual)
 
 
 def oscillation_bound(problem: ProblemSpec, mesh: TriMesh, p: int):
@@ -341,28 +337,14 @@ def oscillation_bound(problem: ProblemSpec, mesh: TriMesh, p: int):
     """
     if problem.exact_q is None:
         raise ValueError("oscillation bound needs the exact flux")
-    singular = _singular_edges(mesh, problem)
-    resid_sq = np.zeros(mesh.n_triangles)
-    rules = [(False, *subdivided_edge_rule(p + 6, 0))]
-    if singular.any():
-        rules.append((True, *subdivided_edge_rule(p + 6, 2)))
-    for flagged, t, w in rules:
-        leg = np.stack([shifted_legendre(m, t) for m in range(p + 1)])
-        for j in range(3):
-            sel = singular[mesh.elem_edges[:, j]] == flagged
-            ids = np.nonzero(sel)[0]
-            if ids.size == 0:
-                continue
-            pts = mapped_points(mesh, edge_ref_points(j, t), ids)
-            qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
-            qv = qv.reshape(len(ids), len(t), 2)
-            g = np.einsum("nqa,na->nq", qv, mesh.outward_normals[ids, j])
-            mom = np.einsum("nq,mq,q->nm", g, leg, w)
-            proj = np.einsum("nm,m,mq->nq", mom,
-                             2.0 * np.arange(p + 1) + 1.0, leg)
-            resid_sq[ids] += np.einsum("nq,q->n", (g - proj) ** 2, w) \
-                * mesh.tri_edge_lengths[ids, j]
-    per = np.sqrt(mesh.h_K * resid_sq)
+    scale = 2.0 * np.arange(p + 1) + 1.0
+
+    def residual(ids, t, w, g):
+        # g minus its L2(0, 1) projection onto P_p
+        leg = shifted_legendre(np.arange(p + 1)[:, None], t)
+        return g - ((g * w) @ leg.T * scale) @ leg
+
+    per = np.sqrt(mesh.h_K * _edge_flux_sq(problem, mesh, p + 6, residual))
     return per, float(np.sqrt(np.sum(per ** 2)))
 
 

@@ -20,7 +20,6 @@ from .solver import ProblemSpec
 CSV_COLUMNS = ("iter", "Nel", "sqrtNel", "eta", "eta_tilde", "err_full",
                "err_L2_u", "err_L2_nu", "delta", "effectivity")
 
-_DEFAULT_INITIAL = {"smooth": 32, "lshape": 96, "advdiff": 32}
 _MESH_DUMP_ITERATIONS = (0, 5, 10)
 
 
@@ -32,7 +31,6 @@ class ExperimentConfig:
     theta: float = 0.5
     iterations: int = 5
     out: str = "results"
-    seed: int = 0
     marker: str = "eta"
     dump_meshes: bool = False
     initial_elements: int | None = None
@@ -142,7 +140,6 @@ def run_experiment(config: ExperimentConfig, problem: ProblemSpec | None = None,
         "theta": config.theta,
         "iterations": config.iterations,
         "marker": config.marker,
-        "seed": config.seed,
         "fit_policy": None,
         "per_degree": {},
     }
@@ -154,8 +151,6 @@ def run_experiment(config: ExperimentConfig, problem: ProblemSpec | None = None,
     summary["fit_policy"] = (
         f"final {tail} iterations" if tail is not None
         else "drop first 2 meshes")
-    initial = config.initial_elements or _DEFAULT_INITIAL.get(
-        config.experiment, 64)
     for p in config.p_list:
         if verbose:
             print(f"[{config.experiment}] p={p} mode={config.mode} ...",
@@ -163,7 +158,8 @@ def run_experiment(config: ExperimentConfig, problem: ProblemSpec | None = None,
         run = run_adaptive(
             problem, p, theta=config.theta, iterations=config.iterations,
             marker=config.marker, uniform=(config.mode == "uniform"),
-            initial_elements=initial, max_elements=config.max_elements,
+            initial_elements=config.initial_elements,
+            max_elements=config.max_elements,
             keep_meshes=True, keep_reports=True)
         slopes = run_slopes(run, tail=tail)
         summary["per_degree"][str(p)] = {

@@ -82,6 +82,14 @@ def stiffness_tensors(mesh: TriMesh, degree: int, exactness: int) -> np.ndarray:
     return np.einsum("nab,abij->nij", metric_tensors(mesh), R)
 
 
+def edge_points(mesh: TriMesh, edge_ids, t) -> np.ndarray:
+    """Physical points (n, nq, 2) at parameters t along global edges, in
+    their stored direction."""
+    lo = mesh.vertices[mesh.edges[edge_ids, 0]]
+    hi = mesh.vertices[mesh.edges[edge_ids, 1]]
+    return lo[:, None, :] + np.asarray(t)[None, :, None] * (hi - lo)[:, None, :]
+
+
 def mapped_points(mesh: TriMesh, ref_pts, ids=slice(None)) -> np.ndarray:
     """Physical images (n, nq, 2) of shared reference points (on elements
     ids, default all)."""
@@ -130,8 +138,7 @@ def nu_jump_terms(mesh: TriMesh, coeffs, u_D, n_points: int):
 
     Returns (jump_K, boundary_K): jump_K accumulates, per element, half of
     h_F^{-1} ||[field]||_F^2 over its interior edges; boundary_K accumulates
-    h_F^{-1} ||u_D - field||_F^2 over its boundary edges.  u_D may be None,
-    in which case the boundary part compares against zero traces of u_D = 0.
+    h_F^{-1} ||u_D - field||_F^2 over its boundary edges.
     """
     coeffs = np.asarray(coeffs)
     degree_size = coeffs.shape[1]
@@ -161,14 +168,9 @@ def nu_jump_terms(mesh: TriMesh, coeffs, u_D, n_points: int):
         l0 = mesh.edge_local[bdry, 0]
         a0 = mesh.elem_edge_aligned[k0, l0].astype(int)
         v = np.einsum("ni,nqi->nq", coeffs[k0], tab[l0, 1 - a0])
-        lo = mesh.vertices[mesh.edges[bdry, 0]]
-        hi = mesh.vertices[mesh.edges[bdry, 1]]
-        pts = lo[:, None, :] + t[None, :, None] * (hi - lo)[:, None, :]
-        if u_D is not None:
-            vals_ud = np.asarray(u_D(pts.reshape(-1, 2)), dtype=float)
-            vals_ud = vals_ud.reshape(len(bdry), len(t))
-        else:
-            vals_ud = np.zeros((len(bdry), len(t)))
+        pts = edge_points(mesh, bdry, t)
+        vals_ud = np.asarray(u_D(pts.reshape(-1, 2)), dtype=float)
+        vals_ud = vals_ud.reshape(len(bdry), len(t))
         sq = np.einsum("nq,q->n", (vals_ud - v) ** 2, w)
         np.add.at(bnd_K, k0, sq)
     return jump_K, bnd_K

@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .basis import (basis_size, make_zero_mean_basis, monomial_exponents,
-                    quad_rule)
+from .basis import (basis_size, make_zero_mean_basis, map_to_triangle,
+                    monomial_exponents, quad_rule)
 from .bdm import shifted_legendre
 from .fields import edge_ref_points, stiffness_tensors
 from .mesh import TriMesh, _LOCAL_EDGE_VERTS
@@ -254,8 +254,7 @@ def fortin_apply(v, bset: BiorthogonalSet, tri,
     t, w = rule.points, rule.weights
     alphas = np.empty(6)
     for j in range(3):
-        a, b = _LOCAL_EDGE_VERTS[j]
-        pts = (1 - t)[:, None] * tri[a][None, :] + t[:, None] * tri[b][None, :]
+        pts = map_to_triangle(edge_ref_points(j, t), tri)
         vals = np.asarray(v(pts), dtype=float)
         for m in range(2):
             alphas[2 * j + m] = (2 * m + 1) * float(
@@ -271,8 +270,7 @@ def boundary_moments(bset: BiorthogonalSet, tri, v, n_points: int = 12):
     le = edge_lengths(tri)
     out = np.empty(6)
     for j in range(3):
-        a, b = _LOCAL_EDGE_VERTS[j]
-        pts = (1 - t)[:, None] * tri[a][None, :] + t[:, None] * tri[b][None, :]
+        pts = map_to_triangle(edge_ref_points(j, t), tri)
         vals = np.asarray(v(pts), dtype=float)
         phi = trace_basis_values(tri, j, t)
         out[2 * j: 2 * j + 2] = le[j] * np.einsum("q,qm->m", w * vals, phi)
@@ -384,10 +382,7 @@ def fortin_report(n_samples: int = 100, seed: int = 20240601,
         proj = fortin_apply(vfun, bset, tri)
         vn2 = 0.0
         for j in range(3):
-            a, b = _LOCAL_EDGE_VERTS[j]
-            pts = ((1 - erule.points)[:, None] * np.asarray(tri)[a][None, :]
-                   + erule.points[:, None] * np.asarray(tri)[b][None, :])
-            vals = vfun(pts)
+            vals = vfun(map_to_triangle(edge_ref_points(j, erule.points), tri))
             vn2 += le[j] * float(np.dot(erule.weights, vals ** 2))
         if vn2 > 1e-20:
             ratios.append(proj.boundary_norm() / math.sqrt(vn2))

@@ -101,17 +101,31 @@ def _advdiff() -> ProblemSpec:
 
     spec = ProblemSpec(domain=DomainSpec.unit_square(), f=f, u_D=u_D,
                        beta=(P, P), exact_u=u, exact_q=q, name="advdiff",
-                       quad_strip=0.05)
+                       quad_region=lambda x: (x > 1.0 - 0.05).any(axis=1))
     grid = np.linspace(0.1, 0.85, 4)
     spec.validate_exact(np.array([(a, b) for a in grid for b in grid]))
     return spec
 
 
-_PRESETS = {"smooth": _smooth, "lshape": _lshape, "advdiff": _advdiff}
+def _linear() -> ProblemSpec:
+    """u = x on the unit square: every discrete space reproduces it."""
+    def u(x):
+        return x[:, 0]
+
+    def q(x):
+        return np.stack([-np.ones(len(x)), np.zeros(len(x))], axis=1)
+
+    return ProblemSpec(domain=DomainSpec.unit_square(),
+                       f=lambda x: np.zeros(len(x)), u_D=u,
+                       exact_u=u, exact_q=q, name="linear")
+
+
+_PRESETS = {"smooth": _smooth, "lshape": _lshape, "advdiff": _advdiff,
+            "linear": _linear}
 
 
 def preset(name: str) -> ProblemSpec:
-    """Named problem preset: smooth, lshape, or advdiff."""
+    """Named problem preset: smooth, lshape, advdiff, or linear."""
     try:
         maker = _PRESETS[name]
     except KeyError:

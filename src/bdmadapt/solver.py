@@ -47,8 +47,10 @@ class ProblemSpec:
     f, u_D and the optional exact fields take (n, 2) point arrays and return
     vectorized values ((n,) scalars, (n, 2) for the exact flux).  beta is a
     constant advection vector; (0, 0) selects the pure diffusion branch.
-    quad_singular_point / quad_strip flag regions where exact-solution
-    integrals use subdivided quadrature.
+    Exact-solution integrals use subdivided quadrature on elements touching
+    quad_singular_point (two levels) and on elements with a vertex in
+    quad_region, a predicate mapping (n, 2) vertices to (n,) booleans (one
+    level).
     """
 
     domain: DomainSpec
@@ -59,7 +61,7 @@ class ProblemSpec:
     exact_q: object = None
     name: str = "custom"
     quad_singular_point: tuple | None = None
-    quad_strip: float | None = None
+    quad_region: object = None
 
     @property
     def has_exact(self) -> bool:

@@ -7,24 +7,14 @@ from .adaptivity import dorfler_mark
 from .basis import make_scalar_basis, quad_rule
 from .estimators import dual_norm_star, error_norms, eta_improved, full_report
 from .fields import stiffness_tensors
-from .mesh import DomainSpec, build_initial_mesh
+from .mesh import build_initial_mesh
 from .postprocess import postprocess_resmin, stenberg_oracle
 from .problems import preset
-from .solver import ProblemSpec, solve_problem
+from .solver import solve_problem
 
 
 def _check(name, passed, detail):
     return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def _linear_problem() -> ProblemSpec:
-    return ProblemSpec(
-        domain=DomainSpec.unit_square(),
-        f=lambda x: np.zeros(len(x)),
-        u_D=lambda x: x[:, 0],
-        exact_u=lambda x: x[:, 0],
-        exact_q=lambda x: np.stack([-np.ones(len(x)), np.zeros(len(x))], axis=1),
-        name="linear")
 
 
 def run_verification(seed: int = 0, quick: bool = True) -> dict:
@@ -40,7 +30,7 @@ def run_verification(seed: int = 0, quick: bool = True) -> dict:
                          f"|err|={abs(val - exact):.2e}"))
 
     # full-pipeline exactness on a linear solution
-    lin = _linear_problem()
+    lin = preset("linear")
     worst = 0.0
     for p in (1, 2, 3):
         mesh = build_initial_mesh(lin.domain, 8)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.sparse import bmat
 
-from bdmadapt import DomainSpec, ProblemSpec, build_initial_mesh, solve_problem
+from bdmadapt import build_initial_mesh, preset, solve_problem
 from bdmadapt.bdm import (BdmSpace, DgSpace, advection_matrix, bdm_mass_matrix,
-                          divergence_matrix, interpolate_boundary_term)
+                          divergence_matrix, interpolate_boundary_term,
+                          reference_shape_values)
+from bdmadapt.fields import edge_ref_points, mapped_points, subdivided_edge_rule
 
 
 @pytest.fixture
@@ -32,15 +34,47 @@ def saddle_system(mesh, p, problem):
                            flux_space=flux, scalar_space=scalar)
 
 
+def element_flux_trace_sq(problem, solution):
+    """Element-side oracle for the exact normal-flux trace term.
+
+    Per element, sums ||(q - q_h) . n_K||^2 and ||q . n_K||^2 over its three
+    local edges, with q_h evaluated from the reference shape functions and
+    the Piola map and the (p+5)-point Gauss rule (subdivided twice on edges
+    touching quad_singular_point).  Returns (trace_sq, qn_sq).
+    """
+    mesh, p = solution.mesh, solution.p
+    c_flux = solution.flux_space.local_coeffs(solution.flux)
+    singular = np.zeros(mesh.n_edges, dtype=bool)
+    if problem.quad_singular_point is not None:
+        at = np.linalg.norm(mesh.vertices - problem.quad_singular_point,
+                            axis=1) < 1e-12
+        singular = at[mesh.edges].any(axis=1)
+    trace_sq = np.zeros(mesh.n_triangles)
+    qn_sq = np.zeros(mesh.n_triangles)
+    for flagged, levels in ((False, 0), (True, 2)):
+        t, w = subdivided_edge_rule(p + 5, levels)
+        for j in range(3):
+            ids = np.nonzero(singular[mesh.elem_edges[:, j]] == flagged)[0]
+            if ids.size == 0:
+                continue
+            ref = np.einsum("nl,qla->nqa", c_flux[ids],
+                            reference_shape_values(p, edge_ref_points(j, t)))
+            qh = np.einsum("nqa,nba->nqb", ref, mesh.jacobians[ids]) \
+                / mesh.det_jacobians[ids, None, None]
+            pts = mapped_points(mesh, edge_ref_points(j, t), ids)
+            qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
+            qv = qv.reshape(len(ids), len(t), 2)
+            nrm = mesh.outward_normals[ids, j]
+            le = mesh.tri_edge_lengths[ids, j]
+            dn = np.einsum("nqa,na->nq", qv - qh, nrm)
+            gn = np.einsum("nqa,na->nq", qv, nrm)
+            trace_sq[ids] += np.einsum("nq,q->n", dn ** 2, w) * le
+            qn_sq[ids] += np.einsum("nq,q->n", gn ** 2, w) * le
+    return trace_sq, qn_sq
+
+
 def make_linear_problem():
-    return ProblemSpec(
-        domain=DomainSpec.unit_square(),
-        f=lambda x: np.zeros(len(x)),
-        u_D=lambda x: x[:, 0],
-        exact_u=lambda x: x[:, 0],
-        exact_q=lambda x: np.stack([-np.ones(len(x)), np.zeros(len(x))],
-                                   axis=1),
-        name="linear")
+    return preset("linear")
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +84,6 @@ def linear_problem():
 
 @pytest.fixture(scope="session")
 def smooth_problem():
-    from bdmadapt import preset
     return preset("smooth")
 
 

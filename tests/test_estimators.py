@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -8,7 +10,8 @@ from bdmadapt import (build_initial_mesh, dual_norm_star, error_norms,
 from bdmadapt.basis import make_scalar_basis, quad_rule
 from bdmadapt.fields import stiffness_tensors
 
-from conftest import make_linear_problem, single_element_mesh
+from conftest import (element_flux_trace_sq, make_linear_problem,
+                      single_element_mesh)
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +217,51 @@ def test_oscillation_decay_rate_smooth():
     from bdmadapt import fit_slope
     slope = fit_slope(nels, vals, drop=0)
     assert slope <= -(p + 1) + 0.2
+
+
+@pytest.mark.parametrize("name,count", [("smooth", 32), ("lshape", 96),
+                                        ("advdiff", 32)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_flux_trace_matches_element_oracle(name, count, p):
+    # per-edge q_h . n from the edge moments against the element-side
+    # Piola evaluation on every local edge
+    prob = preset(name)
+    mesh = build_initial_mesh(prob.domain, count).refine([0, 5, 11])
+    sol = solve_problem(mesh, p, prob)
+    err = error_norms(prob, sol, postprocess_resmin(sol))
+    trace_sq, qn_sq = element_flux_trace_sq(prob, sol)
+    got = err.q_trace_K ** 2
+    want = mesh.h_K * trace_sq
+    tol = 1e-10 * want + 1e-16 * mesh.h_K * qn_sq
+    assert np.all(np.abs(got - want) <= tol)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_oscillation_evaluates_exact_q_once_per_edge_point(p):
+    smooth = preset("smooth")
+    seen = []
+
+    def counted(x):
+        seen.append(len(x))
+        return smooth.exact_q(x)
+
+    prob = dataclasses.replace(smooth, exact_q=counted)
+    mesh = build_initial_mesh(prob.domain, 32)
+    oscillation_bound(prob, mesh, p)
+    assert sum(seen) == mesh.n_edges * (p + 6)
+
+
+def test_quad_region_flags_elements_with_a_vertex_inside():
+    from bdmadapt.estimators import _element_groups
+    adv = preset("advdiff")
+    mesh = build_initial_mesh(adv.domain, 32).refine(range(32))
+    groups = _element_groups(mesh, adv, 10)
+    assert len(groups) == 2
+    xy = mesh.tri_coords
+    strip = (xy[:, :, 0].max(axis=1) > 0.95) | (xy[:, :, 1].max(axis=1) > 0.95)
+    assert strip.any() and not strip.all()
+    assert np.array_equal(groups[1][0], np.nonzero(strip)[0])
+    assert np.array_equal(groups[0][0], np.nonzero(~strip)[0])
 
 
 def test_oscillation_concentrates_at_corner():
