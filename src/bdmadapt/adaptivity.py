@@ -122,7 +122,8 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
         raise ValueError("iterations must be >= 1")
     if marker not in ("eta", "eta_tilde"):
         raise ValueError("marker must be 'eta' or 'eta_tilde'")
-    count = initial_elements or _DEFAULT_INITIAL.get(problem.domain.name, 64)
+    count = _DEFAULT_INITIAL.get(problem.domain.name, 64) \
+        if initial_elements is None else initial_elements
     mesh = build_initial_mesh(problem.domain, count)
     run = AdaptiveRun(problem_name=problem.name, p=p, theta=theta,
                       marker=marker, uniform=uniform)

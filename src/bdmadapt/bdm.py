@@ -23,7 +23,8 @@ from scipy.sparse import coo_matrix
 from scipy.special import eval_legendre
 
 from .basis import basis_size, make_scalar_basis, make_zero_mean_basis, quad_rule
-from .fields import edge_points, edge_ref_points, mapped_points, scalar_tables
+from .fields import (apply_2x2, coeff_contract, edge_points, edge_ref_points,
+                     mapped_points, scalar_tables)
 from .mesh import TriMesh
 
 _REF_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -160,8 +161,7 @@ class DgSpace:
         rule, V, _ = scalar_tables(self.degree, exactness)
         pts = mapped_points(self.mesh, rule.points)
         vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-        F = np.einsum("n,q,nq,qi->ni", self.mesh.det_jacobians, rule.weights,
-                      vals, V)
+        F = ((vals * rule.weights) @ V) * self.mesh.det_jacobians[:, None]
         return F.ravel()
 
     def eval(self, coeffs, element: int, pts) -> np.ndarray:
@@ -220,15 +220,16 @@ class BdmSpace:
         (on elements ids, default all)."""
         Nh = reference_shape_values(self.p, ref_pts)
         c = np.asarray(coeffs)[self.l2g[ids]] * self.signs[ids]
-        ref = np.einsum("nl,qla->nqa", c, Nh)
-        return np.einsum("nqa,nba->nqb", ref, self.mesh.jacobians[ids]) \
-            / self.mesh.det_jacobians[ids][:, None, None]
+        # Piola push-forward B N / J, a row map by B^T / J
+        BT = np.swapaxes(self.mesh.jacobians[ids], 1, 2)
+        return apply_2x2(coeff_contract(c, Nh),
+                         BT / self.mesh.det_jacobians[ids][:, None, None])
 
     def div_values(self, coeffs, ref_pts) -> np.ndarray:
         """Batched physical divergence values (n_elements, nq)."""
         d = reference_shape_divs(self.p, ref_pts)
         c = self.local_coeffs(coeffs)
-        return np.einsum("nl,ql->nq", c, d) / self.mesh.det_jacobians[:, None]
+        return (c @ d.T) / self.mesh.det_jacobians[:, None]
 
     def interpolate(self, q) -> np.ndarray:
         """Canonical interpolation of a smooth vector field q(x) -> (n, 2)."""
@@ -239,10 +240,10 @@ class BdmSpace:
         pts = edge_points(mesh, slice(None), t)
         qv = np.asarray(q(pts.reshape(-1, 2)), dtype=float).reshape(
             mesh.n_edges, len(t), 2)
-        qn = np.einsum("eqa,ea->eq", qv, mesh.edge_normals)
+        qn = (qv @ mesh.edge_normals[:, :, None])[..., 0]
         leg = np.stack([shifted_legendre(m, t) for m in range(p + 1)])
         dofs = np.empty(self.n_dofs)
-        edge_part = np.einsum("eq,mq,q,e->em", qn, leg, w, mesh.edge_lengths)
+        edge_part = ((qn * w) @ leg.T) * mesh.edge_lengths[:, None]
         dofs[: self.n_edge_dofs] = edge_part.ravel()
         if self.n_interior:
             trule = quad_rule(exact, "triangle")
@@ -251,9 +252,11 @@ class BdmSpace:
             qv = np.asarray(q(phys.reshape(-1, 2)), dtype=float).reshape(
                 mesh.n_triangles, len(trule.weights), 2)
             # contravariant pull-back J B^{-1} q
-            qhat = np.einsum("n,nab,nqb->nqa", mesh.det_jacobians,
-                             mesh.inv_jacobians, qv)
-            vals = np.einsum("nqa,qka,q->nk", qhat, theta, trule.weights)
+            JBinvT = mesh.det_jacobians[:, None, None] * np.swapaxes(
+                mesh.inv_jacobians, 1, 2)
+            qhat = apply_2x2(qv, JBinvT) * trule.weights[:, None]
+            vals = qhat.reshape(mesh.n_triangles, -1) @ np.swapaxes(
+                theta, 1, 2).reshape(-1, theta.shape[1])
             dofs[self.n_edge_dofs:] = vals.ravel()
         return dofs
 
@@ -265,7 +268,8 @@ def element_mass_matrices(space: BdmSpace) -> np.ndarray:
     Rm = np.einsum("q,qia,qjb->abij", rule.weights, Nh, Nh)
     B, J = space.mesh.jacobians, space.mesh.det_jacobians
     T = np.einsum("nca,ncb->nab", B, B) / J[:, None, None]
-    Mloc = np.einsum("nab,abij->nij", T, Rm)
+    nloc = Rm.shape[-1]
+    Mloc = (T.reshape(-1, 4) @ Rm.reshape(4, -1)).reshape(-1, nloc, nloc)
     Mloc *= space.signs[:, :, None] * space.signs[:, None, :]
     return Mloc
 
@@ -297,7 +301,8 @@ def element_advection_matrices(space: BdmSpace, scalar: DgSpace,
     _, V, _ = scalar_tables(scalar.degree, 2 * (p + 2))
     Rc = np.einsum("q,qi,qla->ila", rule.weights, V, Nh)
     Btb = np.einsum("nba,b->na", space.mesh.jacobians, np.asarray(beta, float))
-    vals = np.einsum("ila,na->nil", Rc, Btb)
+    vals = (Btb @ Rc.transpose(2, 0, 1).reshape(2, -1)).reshape(
+        -1, *Rc.shape[:2])
     vals *= space.signs[:, None, :]
     return vals
 
@@ -353,7 +358,7 @@ def interpolate_boundary_term(space: BdmSpace, u_D) -> np.ndarray:
     owner = mesh.edge_tris[bdry, 0]
     local = mesh.edge_local[bdry, 0]
     sigma = np.where(mesh.elem_edge_aligned[owner, local], 1.0, -1.0)
-    for m in range(p + 1):
-        mom = np.einsum("eq,q->e", ud, w * shifted_legendre(m, t))
-        g[bdry * (p + 1) + m] = -sigma * (2 * m + 1) * mom
+    m = np.arange(p + 1)
+    mom = ud @ (w * shifted_legendre(m[:, None], t)).T
+    g[bdry[:, None] * (p + 1) + m] = -(sigma[:, None] * (2 * m + 1)) * mom
     return g

@@ -12,13 +12,14 @@ Exact-error norms use a high-order rule, subdivided where the problem asks
 for it: on elements and edges touching its singular point, and on elements
 with a vertex in its quadrature region.  One pass over the element
 quadrature points gathers every element-interior error, the saturation
-numerator ||grad(u - theta_h)||_K included.  The edge terms (the normal-flux
-trace error and the oscillation bound) are taken once per global edge: q . n_e
-is sampled in the stored edge direction, and q_h . n_e = sum_m c_(e,m) (2m+1)
-L_m(t) / |e| comes from the global edge moments c_(e,m) of q_h.  The
-element-local dual norm ||r||_*K on the mean-free degree-(p+2) space is
-||L^{-1} b|| with L the Cholesky factor of the element stiffness and b the
-load of r.
+numerator ||grad(u - theta_h)||_K included; the scaled traces of nu_h are
+shared with the indicator through PostprocResult.nu_traces.  The edge terms
+(the normal-flux trace error and the oscillation bound) are taken once per
+global edge: q . n_e is sampled in the stored edge direction, and q_h . n_e =
+sum_m c_(e,m) (2m+1) L_m(t) / |e| comes from the global edge moments c_(e,m)
+of q_h.  The element-local dual norm ||r||_*K on the mean-free degree-(p+2)
+space is ||L^{-1} b|| with L the Cholesky factor of the element stiffness and
+b the load of r.
 """
 
 import json
@@ -28,9 +29,9 @@ import numpy as np
 
 from .basis import make_scalar_basis, quad_rule
 from .bdm import shifted_legendre
-from .fields import (edge_points, grad_outer_tables, mapped_points,
-                     nu_jump_terms, scalar_tables, subdivided_edge_rule,
-                     subdivided_rule)
+from .fields import (apply_2x2, coeff_contract, edge_points,
+                     grad_outer_tables, mapped_points, scalar_tables,
+                     subdivided_edge_rule, subdivided_rule)
 from .mesh import TriMesh
 from .postprocess import PostprocResult, forward_solve
 from .solver import MixedSolution, ProblemSpec
@@ -87,11 +88,16 @@ def _edge_flux_sq(problem: ProblemSpec, mesh: TriMesh, n_points: int,
         t, w = subdivided_edge_rule(n_points, levels)
         pts = edge_points(mesh, ids, t)
         qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
-        g = np.einsum("nqa,na->nq", qv.reshape(len(ids), len(t), 2),
-                      mesh.edge_normals[ids])
-        sq[ids] = np.einsum("nq,q->n", residual(ids, t, w, g) ** 2, w) \
-            * mesh.edge_lengths[ids]
+        g = (qv.reshape(len(ids), len(t), 2)
+             @ mesh.edge_normals[ids, :, None])[..., 0]
+        sq[ids] = (residual(ids, t, w, g) ** 2 @ w) * mesh.edge_lengths[ids]
     return sq[mesh.elem_edges].sum(axis=1)
+
+
+def _norm_sq(v):
+    """|v|^2 of 2-vectors v (..., 2); np.sum over a length-2 last axis is
+    several times slower."""
+    return v[..., 0] ** 2 + v[..., 1] ** 2
 
 
 # -- discrete dual norm -------------------------------------------------------
@@ -184,13 +190,10 @@ def eta_improved(post: PostprocResult, solution: MixedSolution,
     """Improved indicator: residual representative + mismatch + scaled traces."""
     mesh, p = post.mesh, post.p
     rule, _, D = scalar_tables(p + 1, 2 * (p + 2))
-    grad_nu = np.einsum("ni,qib->nqb", post.nu, D)
-    grad_nu = np.einsum("nqb,nba->nqa", grad_nu, mesh.inv_jacobians)
+    grad_nu = apply_2x2(coeff_contract(post.nu, D), mesh.inv_jacobians)
     qh = solution.flux_space.flux_values(solution.flux, rule.points)
-    mismatch_sq = np.einsum("nq,q,n->n",
-                            np.sum((qh + grad_nu) ** 2, axis=2),
-                            rule.weights, mesh.det_jacobians)
-    jump_K, bnd_K = nu_jump_terms(mesh, post.nu, u_D, p + 5)
+    mismatch_sq = (_norm_sq(qh + grad_nu) @ rule.weights) * mesh.det_jacobians
+    jump_K, bnd_K = post.nu_traces(u_D, p + 5)
     eta_K = np.sqrt(post.eta_tilde_K ** 2 + mismatch_sq + jump_K + bnd_K)
     return EstimatorReport(
         mesh=mesh, p=p, eta_K=eta_K, eta_tilde_K=post.eta_tilde_K.copy(),
@@ -261,9 +264,7 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
     mesh, p = solution.mesh, solution.p
     exact = 2 * p + 8
     nt = mesh.n_triangles
-    basis_nu = make_scalar_basis(p + 1)
     basis_p2 = make_scalar_basis(p + 2)
-    basis_u = make_scalar_basis(p - 1)
     grad_nu_sq = np.zeros(nt)
     grad_theta_sq = np.zeros(nt)
     q_L2_sq = np.zeros(nt)
@@ -279,31 +280,37 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
         uv = np.asarray(problem.exact_u(flat), float).reshape(len(ids), len(w))
         J = mesh.det_jacobians[ids]
         Binv = mesh.inv_jacobians[ids]
-        Dp2 = basis_p2.grads(pts)
+        V, D = basis_p2.values(pts), basis_p2.grads(pts)
 
-        def grad_error_sq(coeffs, D):
+        def at_points(coeffs, table):
+            # the bases are hierarchical: a lower degree is a leading slice
+            return coeff_contract(coeffs[ids], table[:, :coeffs.shape[1]])
+
+        def integral(vals):
+            return (vals @ w) * J
+
+        def grad_error_sq(coeffs):
             # grad(u - v) = -q - grad v
-            g = np.einsum("ni,qib->nqb", coeffs[ids], D)
-            g = np.einsum("nqb,nba->nqa", g, Binv)
-            return np.einsum("nq,q,n->n", np.sum((qv + g) ** 2, axis=2), w, J)
+            g = apply_2x2(at_points(coeffs, D), Binv)
+            return integral(_norm_sq(qv + g))
 
-        nu_vals = np.einsum("ni,qi->nq", post.nu[ids], basis_nu.values(pts))
         qh = solution.flux_space.flux_values(solution.flux, pts, ids)
-        uh = np.einsum("ni,qi->nq", u_by_el[ids], basis_u.values(pts))
-        grad_nu_sq[ids] = grad_error_sq(post.nu, basis_nu.grads(pts))
-        grad_theta_sq[ids] = grad_error_sq(post.theta, Dp2)
-        q_L2_sq[ids] = np.einsum("nq,q,n->n",
-                                 np.sum((qv - qh) ** 2, axis=2), w, J)
-        u_L2_sq[ids] = np.einsum("nq,q,n->n", (uv - uh) ** 2, w, J)
-        nu_L2_sq[ids] = np.einsum("nq,q,n->n", (uv - nu_vals) ** 2, w, J)
+        grad_nu_sq[ids] = grad_error_sq(post.nu)
+        grad_theta_sq[ids] = grad_error_sq(post.theta)
         diff = qv - qh
-        pulled = np.einsum("nqa,nba->nqb", diff, Binv)
-        star_rhs[ids] = np.einsum("nqb,qib,q,n->ni", pulled, Dp2[:, 1:], w, J)
+        q_L2_sq[ids] = integral(_norm_sq(diff))
+        u_L2_sq[ids] = integral((uv - at_points(u_by_el, V)) ** 2)
+        nu_L2_sq[ids] = integral((uv - at_points(post.nu, V)) ** 2)
+        # load (q - q_h, grad v) of the mean-free degree-(p+2) basis
+        pulled = apply_2x2(diff, np.swapaxes(Binv, 1, 2)) \
+            * (w * J[:, None])[:, :, None]
+        star_rhs[ids] = pulled.reshape(len(ids), -1) @ np.swapaxes(
+            D[:, 1:], 1, 2).reshape(-1, star_rhs.shape[1])
 
     q_star_K = np.linalg.norm(forward_solve(post.chol, star_rhs), axis=1)
 
     trace_sq = _flux_trace_error_sq(problem, solution)
-    jump_K, bnd_K = nu_jump_terms(mesh, post.nu, problem.u_D, p + 5)
+    jump_K, bnd_K = post.nu_traces(problem.u_D, p + 5)
     one_h_K = np.sqrt(grad_nu_sq + jump_K + bnd_K)
     return ErrorBlock(
         grad_nu_K=np.sqrt(grad_nu_sq),

@@ -2,9 +2,17 @@
 
 Scalar fields live elementwise as coefficient rows (n_elements, basis size)
 with respect to the orthonormal reference basis composed with the inverse
-affine map.  All kernels are vectorized over elements; per-element work is
-expressed through a handful of reference tables contracted with 2x2 geometry
-factors, so results do not depend on element visitation order.
+affine map.  All kernels are vectorized over elements and built from two
+operations:
+
+  * a contraction of element-batched rows against a reference table is one
+    dense matrix product (coeff_contract; a load against a table is the
+    transposed product), so it runs in BLAS;
+  * a per-element 2x2 geometry factor (Jacobian, its inverse, a metric) acts
+    on a batch of 2-vectors as one batched 2x2 product (apply_2x2).
+
+einsum only builds the reference tables and the per-element 2x2 geometry
+factors themselves.  Results do not depend on element visitation order.
 """
 
 from functools import lru_cache
@@ -66,6 +74,26 @@ def edge_scalar_tables(degree: int, n_points: int):
     return t, w, tab
 
 
+def coeff_contract(coeffs, table) -> np.ndarray:
+    """Rows (n, s) contracted with a reference table (nq, s, ...) over s.
+
+    Returns (n, nq, ...) from one matrix product.
+    """
+    nq, s = table.shape[:2]
+    flat = np.moveaxis(table, 1, 0).reshape(s, -1)
+    return (coeffs @ flat).reshape((len(coeffs), nq) + table.shape[2:])
+
+
+def apply_2x2(v, M) -> np.ndarray:
+    """Row vectors v (n, nq, 2) times per-element matrices M (n, 2, 2): v M.
+
+    v may be shared by all elements, shape (1, nq, 2).  np.matmul is used
+    because the written-out broadcast v0 M[0] + v1 M[1] runs ufunc loops of
+    length 2 and is more than ten times slower.
+    """
+    return np.matmul(v, M)
+
+
 def metric_tensors(mesh: TriMesh):
     """J * Binv Binv^T per element; contracts with grad_outer_tables."""
     Binv, J = mesh.inv_jacobians, mesh.det_jacobians
@@ -79,7 +107,9 @@ def stiffness_tensors(mesh: TriMesh, degree: int, exactness: int) -> np.ndarray:
     the stiffness on the mean-free sub-basis.
     """
     R = grad_outer_tables(degree, exactness)
-    return np.einsum("nab,abij->nij", metric_tensors(mesh), R)
+    s = R.shape[-1]
+    return (metric_tensors(mesh).reshape(-1, 4) @ R.reshape(4, s * s)).reshape(
+        -1, s, s)
 
 
 def edge_points(mesh: TriMesh, edge_ids, t) -> np.ndarray:
@@ -94,8 +124,9 @@ def mapped_points(mesh: TriMesh, ref_pts, ids=slice(None)) -> np.ndarray:
     """Physical images (n, nq, 2) of shared reference points (on elements
     ids, default all)."""
     v0 = mesh.tri_coords[ids, 0]
-    return v0[:, None, :] + np.einsum("qb,nab->nqa", np.asarray(ref_pts),
-                                      mesh.jacobians[ids])
+    B = mesh.jacobians[ids]
+    return v0[:, None, :] + apply_2x2(np.asarray(ref_pts)[None],
+                                      np.swapaxes(B, 1, 2))
 
 
 def subdivided_rule(exactness: int, levels: int):
@@ -143,8 +174,10 @@ def nu_jump_terms(mesh: TriMesh, coeffs, u_D, n_points: int):
     coeffs = np.asarray(coeffs)
     degree_size = coeffs.shape[1]
     t, w, tab = edge_scalar_tables(_degree_from_size(degree_size), n_points)
-    tab = tab[:, :, :, :degree_size]
     nt = mesh.n_triangles
+    # every element's field on all 6 (local edge, orientation) variants
+    vals = coeff_contract(coeffs, tab.reshape(-1, tab.shape[-1]))
+    vals = vals.reshape(nt, 3, 2, len(t))
     jump_K = np.zeros(nt)
     bnd_K = np.zeros(nt)
 
@@ -152,27 +185,24 @@ def nu_jump_terms(mesh: TriMesh, coeffs, u_D, n_points: int):
     if interior.size:
         kp = mesh.edge_tris[interior, 0]
         km = mesh.edge_tris[interior, 1]
-        lp = mesh.edge_local[interior, 0]
-        lm = mesh.edge_local[interior, 1]
         # K+ traverses with the global direction, K- against it
-        vp = np.einsum("ni,nqi->nq", coeffs[kp], tab[lp, 0])
-        vm = np.einsum("ni,nqi->nq", coeffs[km], tab[lm, 1])
+        vp = vals[kp, mesh.edge_local[interior, 0], 0]
+        vm = vals[km, mesh.edge_local[interior, 1], 1]
         # h_F^{-1} ||jump||_F^2: the 1/h_F weight cancels the |e| of ds = |e| dt
-        sq = np.einsum("nq,q->n", (vp - vm) ** 2, w)
-        np.add.at(jump_K, kp, 0.5 * sq)
-        np.add.at(jump_K, km, 0.5 * sq)
+        half = 0.5 * ((vp - vm) ** 2 @ w)
+        jump_K += np.bincount(kp, half, minlength=nt)
+        jump_K += np.bincount(km, half, minlength=nt)
 
     bdry = np.nonzero(mesh.boundary_edge)[0]
     if bdry.size:
         k0 = mesh.edge_tris[bdry, 0]
         l0 = mesh.edge_local[bdry, 0]
         a0 = mesh.elem_edge_aligned[k0, l0].astype(int)
-        v = np.einsum("ni,nqi->nq", coeffs[k0], tab[l0, 1 - a0])
+        v = vals[k0, l0, 1 - a0]
         pts = edge_points(mesh, bdry, t)
         vals_ud = np.asarray(u_D(pts.reshape(-1, 2)), dtype=float)
         vals_ud = vals_ud.reshape(len(bdry), len(t))
-        sq = np.einsum("nq,q->n", (vals_ud - v) ** 2, w)
-        np.add.at(bnd_K, k0, sq)
+        bnd_K += np.bincount(k0, (vals_ud - v) ** 2 @ w, minlength=nt)
     return jump_K, bnd_K
 
 

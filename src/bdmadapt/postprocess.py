@@ -20,13 +20,14 @@ bases share the same normalized constant.  Element systems are factored
 independently, so results do not depend on element order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import basis_size
 from .bdm import bdm_tables
-from .fields import scalar_tables, stiffness_tensors
+from .fields import (apply_2x2, coeff_contract, nu_jump_terms, scalar_tables,
+                     stiffness_tensors)
 from .mesh import TriMesh
 from .solver import MixedSolution
 
@@ -48,6 +49,20 @@ class PostprocResult:
     eta_tilde_K: np.ndarray
     theta: np.ndarray
     chol: np.ndarray
+    _traces: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    def nu_traces(self, u_D, n_points: int):
+        """nu_jump_terms(mesh, nu, u_D, n_points), computed once per
+        (u_D, n_points) and returned read-only: the improved indicator and
+        the exact-error block of one report both need it."""
+        key = (u_D, n_points)
+        if key not in self._traces:
+            terms = nu_jump_terms(self.mesh, self.nu, u_D, n_points)
+            for a in terms:
+                a.setflags(write=False)
+            self._traces[key] = terms
+        return self._traces[key]
 
 
 def _local_ingredients(solution: MixedSolution):
@@ -63,11 +78,11 @@ def _local_ingredients(solution: MixedSolution):
     rule, Nh, _ = bdm_tables(p, exact)
     _, _, D = scalar_tables(p + 2, exact)
     c = solution.flux_space.local_coeffs(solution.flux)
-    ref_flux = np.einsum("nl,qla->nqa", c, Nh)
     B, Binv = mesh.jacobians, mesh.inv_jacobians
     W = np.einsum("nca,nbc->nab", B, Binv)  # B^T B^{-T}
-    tw = np.einsum("nqa,nab->nqb", ref_flux, W)
-    rhs = -np.einsum("nqb,qib,q->ni", tw, D[:, 1:, :], rule.weights)
+    tw = apply_2x2(coeff_contract(c, Nh), W) * rule.weights[:, None]
+    rhs = -tw.reshape(mesh.n_triangles, -1) @ np.swapaxes(
+        D[:, 1:, :], 1, 2).reshape(-1, S22.shape[-1])
     return S22, rhs
 
 

@@ -215,7 +215,7 @@ def _local(system: MixedSystem, x: np.ndarray) -> np.ndarray:
 def _apply(system: MixedSystem, x: np.ndarray) -> np.ndarray:
     """Global saddle matrix times x, computed element by element."""
     flux = system.flux_space
-    Ax = np.einsum("nij,nj->ni", system.blocks, _local(system, x))
+    Ax = np.matmul(system.blocks, _local(system, x)[..., None])[..., 0]
     out_q = np.bincount(flux.l2g.ravel(), Ax[:, :flux.local_dim].ravel(),
                         minlength=flux.n_dofs)
     return np.concatenate([out_q, Ax[:, flux.local_dim:].ravel()])
@@ -232,7 +232,7 @@ def _hybrid_solve(system: MixedSystem, lu, r: np.ndarray) -> np.ndarray:
     ne = 3 * (system.p + 1)
     r_loc = _local(system, r)
     r_loc[:, :flux.local_dim] *= system.owned
-    z = np.einsum("nij,nj->ni", system.inverse, r_loc)
+    z = np.matmul(system.inverse, r_loc[..., None])[..., 0]
     mult, side = system.multiplier, system.side
     keep = mult >= 0
     load = np.bincount(mult[keep], (side * z[:, :ne])[keep],
@@ -240,7 +240,7 @@ def _hybrid_solve(system: MixedSystem, lu, r: np.ndarray) -> np.ndarray:
     lam = lu.solve(load)
     # index -1 (boundary edge) picks the appended zero
     lam_loc = side * np.append(lam, 0.0)[mult]
-    x_loc = z - np.einsum("nij,nj->ni", system.inverse[:, :, :ne], lam_loc)
+    x_loc = z - np.matmul(system.inverse[:, :, :ne], lam_loc[..., None])[..., 0]
     q = np.zeros(flux.n_dofs)
     q[flux.l2g[system.owned]] = x_loc[:, :flux.local_dim][system.owned]
     return np.concatenate([q, x_loc[:, flux.local_dim:].ravel()])

@@ -5,10 +5,16 @@ import pytest
 from scipy.sparse import bmat
 
 from bdmadapt import build_initial_mesh, preset, solve_problem
+from bdmadapt.basis import make_scalar_basis
 from bdmadapt.bdm import (BdmSpace, DgSpace, advection_matrix, bdm_mass_matrix,
-                          divergence_matrix, interpolate_boundary_term,
-                          reference_shape_values)
-from bdmadapt.fields import edge_ref_points, mapped_points, subdivided_edge_rule
+                          bdm_tables, divergence_matrix,
+                          interpolate_boundary_term, reference_shape_values,
+                          shifted_legendre)
+from bdmadapt.estimators import ErrorBlock, _element_groups
+from bdmadapt.fields import (edge_points, edge_ref_points, edge_scalar_tables,
+                             grad_outer_tables, mapped_points, metric_tensors,
+                             scalar_tables, subdivided_edge_rule)
+from bdmadapt.postprocess import forward_solve
 
 
 @pytest.fixture
@@ -106,3 +112,182 @@ def single_element_mesh(tri=None):
     from bdmadapt import TriMesh
     tri = skewed_triangle() if tri is None else np.asarray(tri, dtype=float)
     return TriMesh(tri, np.array([[0, 1, 2]]))
+
+
+# -- einsum oracles for the batched kernels ------------------------------------
+#
+# The program contracts element-batched arrays with reference tables as
+# matrix products and applies 2x2 geometry factors as batched products.  These
+# are the same kernels written as single einsum calls, kept as independent
+# references.
+
+
+def einsum_mapped_points(mesh, ref_pts, ids=slice(None)):
+    v0 = mesh.tri_coords[ids, 0]
+    return v0[:, None, :] + np.einsum("qb,nab->nqa", np.asarray(ref_pts),
+                                      mesh.jacobians[ids])
+
+
+def einsum_flux_values(space, coeffs, ref_pts, ids=slice(None)):
+    Nh = reference_shape_values(space.p, ref_pts)
+    c = np.asarray(coeffs)[space.l2g[ids]] * space.signs[ids]
+    ref = np.einsum("nl,qla->nqa", c, Nh)
+    return np.einsum("nqa,nba->nqb", ref, space.mesh.jacobians[ids]) \
+        / space.mesh.det_jacobians[ids][:, None, None]
+
+
+def einsum_stiffness_tensors(mesh, degree, exactness):
+    R = grad_outer_tables(degree, exactness)
+    return np.einsum("nab,abij->nij", metric_tensors(mesh), R)
+
+
+def einsum_element_mass_matrices(space):
+    p = space.p
+    rule, Nh, _ = bdm_tables(p, 2 * (p + 2))
+    Rm = np.einsum("q,qia,qjb->abij", rule.weights, Nh, Nh)
+    B, J = space.mesh.jacobians, space.mesh.det_jacobians
+    T = np.einsum("nca,ncb->nab", B, B) / J[:, None, None]
+    Mloc = np.einsum("nab,abij->nij", T, Rm)
+    return Mloc * space.signs[:, :, None] * space.signs[:, None, :]
+
+
+def einsum_element_advection_matrices(space, scalar, beta):
+    p = space.p
+    rule, Nh, _ = bdm_tables(p, 2 * (p + 2))
+    _, V, _ = scalar_tables(scalar.degree, 2 * (p + 2))
+    Rc = np.einsum("q,qi,qla->ila", rule.weights, V, Nh)
+    Btb = np.einsum("nba,b->na", space.mesh.jacobians, np.asarray(beta, float))
+    return np.einsum("ila,na->nil", Rc, Btb) * space.signs[:, None, :]
+
+
+def einsum_load_vector(scalar, f, exactness):
+    rule, V, _ = scalar_tables(scalar.degree, exactness)
+    pts = einsum_mapped_points(scalar.mesh, rule.points)
+    vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
+    return np.einsum("n,q,nq,qi->ni", scalar.mesh.det_jacobians, rule.weights,
+                     vals, V).ravel()
+
+
+def einsum_local_ingredients(solution):
+    """(S22, rhs) of the postprocessing, as in postprocess._local_ingredients."""
+    mesh, p = solution.mesh, solution.p
+    exact = 2 * (p + 2)
+    S22 = einsum_stiffness_tensors(mesh, p + 2, exact)[:, 1:, 1:]
+    rule, Nh, _ = bdm_tables(p, exact)
+    _, _, D = scalar_tables(p + 2, exact)
+    c = solution.flux_space.local_coeffs(solution.flux)
+    ref_flux = np.einsum("nl,qla->nqa", c, Nh)
+    B, Binv = mesh.jacobians, mesh.inv_jacobians
+    W = np.einsum("nca,nbc->nab", B, Binv)
+    tw = np.einsum("nqa,nab->nqb", ref_flux, W)
+    rhs = -np.einsum("nqb,qib,q->ni", tw, D[:, 1:, :], rule.weights)
+    return S22, rhs
+
+
+def einsum_mismatch_sq(post, solution):
+    """||q_h + grad nu_h||_K^2 per element, as in eta_improved."""
+    mesh, p = post.mesh, post.p
+    rule, _, D = scalar_tables(p + 1, 2 * (p + 2))
+    grad_nu = np.einsum("ni,qib->nqb", post.nu, D)
+    grad_nu = np.einsum("nqb,nba->nqa", grad_nu, mesh.inv_jacobians)
+    qh = einsum_flux_values(solution.flux_space, solution.flux, rule.points)
+    return np.einsum("nq,q,n->n", np.sum((qh + grad_nu) ** 2, axis=2),
+                     rule.weights, mesh.det_jacobians)
+
+
+def einsum_nu_jump_terms(mesh, coeffs, u_D, n_points):
+    """(jump_K, boundary_K) as in fields.nu_jump_terms."""
+    coeffs = np.asarray(coeffs)
+    degree = int(round((np.sqrt(8 * coeffs.shape[1] + 1) - 3) / 2))
+    t, w, tab = edge_scalar_tables(degree, n_points)
+    nt = mesh.n_triangles
+    jump_K = np.zeros(nt)
+    bnd_K = np.zeros(nt)
+    interior = np.nonzero(~mesh.boundary_edge)[0]
+    kp = mesh.edge_tris[interior, 0]
+    km = mesh.edge_tris[interior, 1]
+    lp = mesh.edge_local[interior, 0]
+    lm = mesh.edge_local[interior, 1]
+    vp = np.einsum("ni,nqi->nq", coeffs[kp], tab[lp, 0])
+    vm = np.einsum("ni,nqi->nq", coeffs[km], tab[lm, 1])
+    sq = np.einsum("nq,q->n", (vp - vm) ** 2, w)
+    np.add.at(jump_K, kp, 0.5 * sq)
+    np.add.at(jump_K, km, 0.5 * sq)
+    bdry = np.nonzero(mesh.boundary_edge)[0]
+    k0 = mesh.edge_tris[bdry, 0]
+    l0 = mesh.edge_local[bdry, 0]
+    a0 = mesh.elem_edge_aligned[k0, l0].astype(int)
+    v = np.einsum("ni,nqi->nq", coeffs[k0], tab[l0, 1 - a0])
+    pts = edge_points(mesh, bdry, t)
+    vals_ud = np.asarray(u_D(pts.reshape(-1, 2)), dtype=float)
+    sq = np.einsum("nq,q->n", (vals_ud.reshape(len(bdry), len(t)) - v) ** 2, w)
+    np.add.at(bnd_K, k0, sq)
+    return jump_K, bnd_K
+
+
+def einsum_flux_trace_sq(problem, solution):
+    """sum over the edges of K of ||(q - q_h) . n||^2, per element, from one
+    (p+5)-point pass per global edge (no subdivision: for problems without a
+    singular point)."""
+    mesh, p = solution.mesh, solution.p
+    assert problem.quad_singular_point is None
+    t, w = subdivided_edge_rule(p + 5, 0)
+    pts = edge_points(mesh, slice(None), t)
+    qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
+    g = np.einsum("nqa,na->nq", qv.reshape(mesh.n_edges, len(t), 2),
+                  mesh.edge_normals)
+    moments = np.asarray(solution.flux)[:mesh.n_edges * (p + 1)]
+    leg = shifted_legendre(np.arange(p + 1)[:, None], t)
+    qh_n = np.einsum("em,m,mq->eq", moments.reshape(-1, p + 1),
+                     2.0 * np.arange(p + 1) + 1.0, leg)
+    r = g - qh_n / mesh.edge_lengths[:, None]
+    sq = np.einsum("eq,q->e", r ** 2, w) * mesh.edge_lengths
+    return sq[mesh.elem_edges].sum(axis=1)
+
+
+def einsum_error_norms(problem, solution, post):
+    """ErrorBlock from the element loop of estimators.error_norms, written
+    with einsum."""
+    mesh, p = solution.mesh, solution.p
+    nt = mesh.n_triangles
+    basis_nu = make_scalar_basis(p + 1)
+    basis_p2 = make_scalar_basis(p + 2)
+    basis_u = make_scalar_basis(p - 1)
+    grad_nu_sq, grad_theta_sq = np.zeros(nt), np.zeros(nt)
+    q_L2_sq, u_L2_sq, nu_L2_sq = np.zeros(nt), np.zeros(nt), np.zeros(nt)
+    star_rhs = np.zeros((nt, basis_p2.size - 1))
+    u_by_el = solution.scalar_by_element
+    for ids, pts, w in _element_groups(mesh, problem, 2 * p + 8):
+        flat = einsum_mapped_points(mesh, pts, ids).reshape(-1, 2)
+        qv = np.asarray(problem.exact_q(flat), float).reshape(len(ids), len(w), 2)
+        uv = np.asarray(problem.exact_u(flat), float).reshape(len(ids), len(w))
+        J = mesh.det_jacobians[ids]
+        Binv = mesh.inv_jacobians[ids]
+        Dp2 = basis_p2.grads(pts)
+
+        def grad_error_sq(coeffs, D):
+            g = np.einsum("ni,qib->nqb", coeffs[ids], D)
+            g = np.einsum("nqb,nba->nqa", g, Binv)
+            return np.einsum("nq,q,n->n", np.sum((qv + g) ** 2, axis=2), w, J)
+
+        nu_vals = np.einsum("ni,qi->nq", post.nu[ids], basis_nu.values(pts))
+        qh = einsum_flux_values(solution.flux_space, solution.flux, pts, ids)
+        uh = np.einsum("ni,qi->nq", u_by_el[ids], basis_u.values(pts))
+        grad_nu_sq[ids] = grad_error_sq(post.nu, basis_nu.grads(pts))
+        grad_theta_sq[ids] = grad_error_sq(post.theta, Dp2)
+        q_L2_sq[ids] = np.einsum("nq,q,n->n",
+                                 np.sum((qv - qh) ** 2, axis=2), w, J)
+        u_L2_sq[ids] = np.einsum("nq,q,n->n", (uv - uh) ** 2, w, J)
+        nu_L2_sq[ids] = np.einsum("nq,q,n->n", (uv - nu_vals) ** 2, w, J)
+        pulled = np.einsum("nqa,nba->nqb", qv - qh, Binv)
+        star_rhs[ids] = np.einsum("nqb,qib,q,n->ni", pulled, Dp2[:, 1:], w, J)
+    jump_K, bnd_K = einsum_nu_jump_terms(mesh, post.nu, problem.u_D, p + 5)
+    return ErrorBlock(
+        grad_nu_K=np.sqrt(grad_nu_sq),
+        grad_theta_K=np.sqrt(grad_theta_sq),
+        one_h_K=np.sqrt(grad_nu_sq + jump_K + bnd_K),
+        q_L2_K=np.sqrt(q_L2_sq),
+        q_trace_K=np.sqrt(mesh.h_K * einsum_flux_trace_sq(problem, solution)),
+        q_star_K=np.linalg.norm(forward_solve(post.chol, star_rhs), axis=1),
+        u_L2=float(np.sqrt(u_L2_sq.sum())),
+        nu_L2=float(np.sqrt(nu_L2_sq.sum())))

@@ -224,3 +224,9 @@ def test_run_log_serialization(tmp_path):
     assert data["problem"] == "smooth"
     assert len(data["iterations"]) == run.n_iterations
     assert data["iterations"][0]["errors"]["full"] > 0
+
+
+def test_zero_initial_elements_is_rejected():
+    # 0 is not "use the default": it must reach build_initial_mesh and fail
+    with pytest.raises(ValueError, match="target_count"):
+        run_adaptive(preset("smooth"), 1, iterations=1, initial_elements=0)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from bdmadapt import (build_initial_mesh, dual_norm_star, error_norms,
                       eta_improved, full_report, oscillation_bound,
                       postprocess_resmin, preset, solve_problem)
 from bdmadapt.basis import make_scalar_basis, quad_rule
+from bdmadapt import fields
 from bdmadapt.fields import stiffness_tensors
 
 from conftest import (element_flux_trace_sq, make_linear_problem,
@@ -323,3 +325,31 @@ def test_report_json_roundtrip(tmp_path, smooth_run):
     assert len(data["eta_K"]) == sol.mesh.n_triangles
     assert abs(data["eta"] - rep.eta) < 1e-15
     assert data["errors"]["full"] == rep.errors.full
+
+
+def test_full_report_computes_nu_jump_terms_once(monkeypatch):
+    smooth = preset("smooth")
+    mesh = build_initial_mesh(smooth.domain, 32)
+    sol = solve_problem(mesh, 2, smooth)
+    post = postprocess_resmin(sol)
+    real = fields.nu_jump_terms
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bdmadapt") and \
+                getattr(module, "nu_jump_terms", None) is real:
+            monkeypatch.setattr(module, "nu_jump_terms", counted)
+    report = full_report(smooth, sol, post)
+    assert len(calls) == 1
+    # the shared traces are those of a fresh postprocess
+    fresh = postprocess_resmin(sol)
+    jump_K, bnd_K = real(mesh, fresh.nu, smooth.u_D, 2 + 5)
+    assert np.array_equal(report.jump_K, jump_K)
+    assert np.array_equal(report.boundary_K, bnd_K)
+    alone = error_norms(smooth, sol, fresh)
+    assert np.array_equal(report.errors.one_h_K, alone.one_h_K)
+    assert len(calls) == 2

@@ -103,6 +103,13 @@ def test_cli_run_with_config_and_override(tmp_path, capsys):
     assert "artifacts written" in captured.out
 
 
+def test_cli_rejects_zero_initial_elements(tmp_path):
+    with pytest.raises(ValueError, match="target_count"):
+        main(["run", "--experiment", "smooth", "--mode", "uniform", "--p", "1",
+              "--iters", "1", "--initial-elements", "0",
+              "--out", str(tmp_path / "zero")])
+
+
 def test_cli_verify(tmp_path, capsys):
     out = str(tmp_path / "verify.json")
     code = main(["verify", "--out", out])
