@@ -1,4 +1,4 @@
-"""Reference-triangle scalar bases, quadrature rules, and local L2 projections.
+"""Reference-triangle scalar bases and quadrature rules.
 
 The reference triangle is K = {(x, y) : x >= 0, y >= 0, x + y <= 1}.  Scalar
 bases are hierarchical and L2-orthonormal on K: they come from an exact
@@ -157,13 +157,6 @@ class QuadRule:
     exactness: int
     variant: str = "triangle"
 
-    @property
-    def barycentric(self) -> np.ndarray:
-        if self.variant != "triangle":
-            raise ValueError("barycentric coordinates only defined for triangle rules")
-        x, y = self.points[:, 0], self.points[:, 1]
-        return np.stack([1.0 - x - y, x, y], axis=1)
-
     def __len__(self):
         return len(self.weights)
 
@@ -208,26 +201,3 @@ def map_to_triangle(pts, tri) -> np.ndarray:
     tri = np.asarray(tri, dtype=float)
     jac = np.stack([tri[1] - tri[0], tri[2] - tri[0]], axis=1)
     return tri[0][None, :] + np.asarray(pts) @ jac.T
-
-
-def project_l2(f, degree: int, tri=None, exactness: int | None = None) -> np.ndarray:
-    """Coefficients of the L2 projection of f onto the degree-r space on tri.
-
-    f takes an (n, 2) array of physical points and returns n values.  tri is a
-    3x2 vertex array; None means the reference triangle.  The returned
-    coefficients refer to the orthonormal reference basis composed with the
-    inverse affine map, for which the projection is a plain quadrature sum
-    (the Jacobian cancels).
-    """
-    basis = make_scalar_basis(degree)
-    rule = quad_rule(exactness if exactness is not None else 2 * degree + 8,
-                     "triangle")
-    pts = rule.points if tri is None else map_to_triangle(rule.points, tri)
-    vals = np.asarray(f(pts), dtype=float)
-    return np.einsum("q,q,qi->i", rule.weights, vals, basis.values(rule.points))
-
-
-def eval_scalar(basis: RefScalarBasis, coeffs, pts) -> np.ndarray:
-    """Evaluate a coefficient vector of basis at reference points."""
-    return basis.values(pts) @ np.asarray(coeffs, dtype=float)
-

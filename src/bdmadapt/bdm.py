@@ -19,7 +19,6 @@ sign (-1)^(m+1) on moment m.
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import coo_matrix
 from scipy.special import eval_legendre
 
 from .basis import basis_size, make_scalar_basis, make_zero_mean_basis, quad_rule
@@ -153,21 +152,12 @@ class DgSpace:
     def coeffs_by_element(self, vec) -> np.ndarray:
         return np.asarray(vec).reshape(self.mesh.n_triangles, self.local_dim)
 
-    def mass_diagonal(self) -> np.ndarray:
-        """Orthonormal reference basis makes the mass matrix diagonal."""
-        return np.repeat(self.mesh.det_jacobians, self.local_dim)
-
     def load_vector(self, f, exactness: int) -> np.ndarray:
         rule, V, _ = scalar_tables(self.degree, exactness)
         pts = mapped_points(self.mesh, rule.points)
         vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
         F = ((vals * rule.weights) @ V) * self.mesh.det_jacobians[:, None]
         return F.ravel()
-
-    def eval(self, coeffs, element: int, pts) -> np.ndarray:
-        basis = make_scalar_basis(self.degree)
-        c = self.coeffs_by_element(coeffs)[element]
-        return basis.values(pts) @ c
 
 
 class BdmSpace:
@@ -224,12 +214,6 @@ class BdmSpace:
         BT = np.swapaxes(self.mesh.jacobians[ids], 1, 2)
         return apply_2x2(coeff_contract(c, Nh),
                          BT / self.mesh.det_jacobians[ids][:, None, None])
-
-    def div_values(self, coeffs, ref_pts) -> np.ndarray:
-        """Batched physical divergence values (n_elements, nq)."""
-        d = reference_shape_divs(self.p, ref_pts)
-        c = self.local_coeffs(coeffs)
-        return (c @ d.T) / self.mesh.det_jacobians[:, None]
 
     def interpolate(self, q) -> np.ndarray:
         """Canonical interpolation of a smooth vector field q(x) -> (n, 2)."""
@@ -305,37 +289,6 @@ def element_advection_matrices(space: BdmSpace, scalar: DgSpace,
         -1, *Rc.shape[:2])
     vals *= space.signs[:, None, :]
     return vals
-
-
-def _scatter(blocks, row_map, col_map, shape):
-    """Sum element blocks (n, r, c) into a global CSR matrix."""
-    rows = np.broadcast_to(row_map[:, :, None], blocks.shape).ravel()
-    cols = np.broadcast_to(col_map[:, None, :], blocks.shape).ravel()
-    return coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
-
-
-def _scalar_map(scalar: DgSpace) -> np.ndarray:
-    return np.arange(scalar.n_dofs).reshape(-1, scalar.local_dim)
-
-
-def bdm_mass_matrix(space: BdmSpace):
-    """Global flux mass matrix (CSR)."""
-    return _scatter(element_mass_matrices(space), space.l2g, space.l2g,
-                    (space.n_dofs, space.n_dofs))
-
-
-def divergence_matrix(space: BdmSpace, scalar: DgSpace):
-    """B[i, j] = (div N_j, psi_i) over the mesh (CSR)."""
-    return _scatter(element_divergence_matrices(space, scalar),
-                    _scalar_map(scalar), space.l2g,
-                    (scalar.n_dofs, space.n_dofs))
-
-
-def advection_matrix(space: BdmSpace, scalar: DgSpace, beta):
-    """C[i, j] = (beta . N_j, psi_i) for a constant vector beta (CSR)."""
-    return _scatter(element_advection_matrices(space, scalar, beta),
-                    _scalar_map(scalar), space.l2g,
-                    (scalar.n_dofs, space.n_dofs))
 
 
 def interpolate_boundary_term(space: BdmSpace, u_D) -> np.ndarray:

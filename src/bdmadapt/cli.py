@@ -9,8 +9,7 @@ from .fortin import fortin_report
 from .verify import run_verification
 
 _RUN_KEYS = ("experiment", "p_list", "mode", "theta", "iterations", "out",
-             "marker", "dump_meshes", "initial_elements",
-             "max_elements", "fit_window")
+             "marker", "dump_meshes", "initial_elements", "max_elements")
 
 
 def _build_parser():

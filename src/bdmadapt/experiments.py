@@ -35,7 +35,6 @@ class ExperimentConfig:
     dump_meshes: bool = False
     initial_elements: int | None = None
     max_elements: int | None = None
-    fit_window: str | None = None  # None -> per-experiment default
 
     def __post_init__(self):
         if self.experiment not in ("smooth", "lshape", "advdiff", "custom"):
@@ -143,11 +142,8 @@ def run_experiment(config: ExperimentConfig, problem: ProblemSpec | None = None,
         "fit_policy": None,
         "per_degree": {},
     }
-    tail = None
-    if config.fit_window == "tail6" or (
-            config.fit_window is None and config.experiment == "advdiff"
-            and config.mode == "adaptive"):
-        tail = 6
+    tail = (6 if config.experiment == "advdiff" and config.mode == "adaptive"
+            else None)
     summary["fit_policy"] = (
         f"final {tail} iterations" if tail is not None
         else "drop first 2 meshes")

@@ -161,10 +161,8 @@ def trace_basis_values(tri, local_edge: int, t) -> np.ndarray:
                      for m in range(2)], axis=1)
 
 
-def build_biorthogonal(p: int = 1) -> BiorthogonalSet:
+def build_biorthogonal() -> BiorthogonalSet:
     """Construct and verify the six-function biorthogonal boundary set."""
-    if p != 1:
-        raise ValueError("the biorthogonal construction is implemented for p = 1")
     A = _edge_system_matrix()
     beta = _solve3_fractions(A, [Fraction(1), Fraction(0), Fraction(0)])
     gamma = _solve3_fractions(A, [Fraction(0), Fraction(1), Fraction(0)])
@@ -262,34 +260,6 @@ def fortin_apply(v, bset: BiorthogonalSet, tri,
     return FortinProjection(bset=bset, tri=tri, alphas=alphas)
 
 
-def boundary_moments(bset: BiorthogonalSet, tri, v, n_points: int = 12):
-    """int_{dK} phi_i v for all six trace functionals (quadrature)."""
-    tri = np.asarray(tri, dtype=float)
-    rule = quad_rule(2 * n_points - 1, "edge")
-    t, w = rule.points, rule.weights
-    le = edge_lengths(tri)
-    out = np.empty(6)
-    for j in range(3):
-        pts = map_to_triangle(edge_ref_points(j, t), tri)
-        vals = np.asarray(v(pts), dtype=float)
-        phi = trace_basis_values(tri, j, t)
-        out[2 * j: 2 * j + 2] = le[j] * np.einsum("q,qm->m", w * vals, phi)
-    return out
-
-
-def projection_moments(bset: BiorthogonalSet, proj: FortinProjection):
-    """int_{dK} phi_i Pi v, for the moment-preservation check."""
-    rule = quad_rule(13, "edge")
-    t, w = rule.points, rule.weights
-    le = edge_lengths(proj.tri)
-    out = np.empty(6)
-    for j in range(3):
-        phi = trace_basis_values(proj.tri, j, t)
-        pv = proj.trace_values(j, t)
-        out[2 * j: 2 * j + 2] = le[j] * np.einsum("q,qm->m", w * pv, phi)
-    return out
-
-
 def random_shape_regular_triangles(n: int, seed: int, min_angle_deg: float = 15.0):
     """Deterministic sample of triangles with all angles >= min_angle_deg."""
     rng = np.random.default_rng(seed)
@@ -351,7 +321,7 @@ def scaled_trace_inequality_check(p: int, n_triangles: int = 100,
 def fortin_report(n_samples: int = 100, seed: int = 20240601,
                   degrees=(1, 2, 3)) -> dict:
     """Verification report: biorthogonality residuals, boundedness, traces."""
-    bset = build_biorthogonal(1)
+    bset = build_biorthogonal()
     ref_res = float(np.max(np.abs(
         pairing_matrix(bset, np.array([[0, 0], [1, 0], [0, 1]], dtype=float))
         - np.eye(6))))

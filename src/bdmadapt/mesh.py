@@ -103,7 +103,7 @@ class TriMesh:
     """Immutable conforming triangulation with full edge adjacency."""
 
     def __init__(self, vertices, triangles, generation=None, parent=None,
-                 domain_name=None, _flip_edges=()):
+                 domain_name=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         nt = len(self.triangles)
@@ -115,7 +115,7 @@ class TriMesh:
         if nt == 0:
             raise ValueError("empty mesh")
         self._check_orientation()
-        self._build_edges(frozenset(_flip_edges))
+        self._build_edges()
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
 
@@ -129,17 +129,13 @@ class TriMesh:
             bad = int(np.argmin(cross))
             raise ValueError(f"triangle {bad} is not positively oriented")
 
-    def _build_edges(self, flip_edges):
+    def _build_edges(self):
         tris = self.triangles
         nt = len(tris)
         pairs = np.stack([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]],
                          axis=1).reshape(-1, 2)
         sorted_pairs = np.sort(pairs, axis=1)
         edges, inverse = np.unique(sorted_pairs, axis=0, return_inverse=True)
-        if flip_edges:
-            edges = edges.copy()
-            for e in flip_edges:
-                edges[e] = edges[e, ::-1]
         counts = np.bincount(inverse, minlength=len(edges))
         if counts.max() > 2 or counts.min() < 1:
             raise ValueError("non-conforming triangulation (bad edge multiplicity)")
@@ -262,11 +258,6 @@ class TriMesh:
         cosA = np.clip((b * b + c * c - a * a) / (2 * b * c), -1.0, 1.0)
         return np.arccos(cosA)
 
-    @property
-    def refinement_edges(self):
-        """Global edge id of the refinement edge of each triangle."""
-        return self.elem_edges[:, 0]
-
     # -- refinement ---------------------------------------------------------
 
     def refine(self, marked) -> "TriMesh":
@@ -342,27 +333,6 @@ class TriMesh:
         if np.any(np.einsum("ij,ij->i", to_minus, self.edge_normals[interior]) <= 0):
             raise AssertionError("an interior edge normal does not point K+ -> K-")
         return self
-
-    def total_area(self):
-        return float(self.areas.sum())
-
-
-def jump_trace_pairs(mesh: TriMesh, edge_id: int):
-    """(K+, K-, (local edge in K+, local edge in K-)) for an interior edge.
-
-    The order is consistent with the stored edge normal, so a jump evaluated
-    as (trace from K+) - (trace from K-) follows the normal convention.
-    Boundary edges have no two-sided jump and raise ValueError.
-    """
-    if edge_id < 0 or edge_id >= mesh.n_edges:
-        raise ValueError(f"edge id {edge_id} out of range")
-    if mesh.boundary_edge[edge_id]:
-        raise ValueError(
-            f"edge {edge_id} is on the boundary; the jump there is the plain "
-            "trace, not a two-sided difference")
-    kp, km = mesh.edge_tris[edge_id]
-    lp, lm = mesh.edge_local[edge_id]
-    return int(kp), int(km), (int(lp), int(lm))
 
 
 # -- initial meshes ---------------------------------------------------------
@@ -467,11 +437,6 @@ def build_initial_mesh(domain: DomainSpec, target_count: int) -> TriMesh:
     return TriMesh(np.asarray(store["verts"], dtype=float),
                    np.asarray(store["tris"], dtype=np.int64),
                    domain_name=domain.name)
-
-
-def refine(mesh: TriMesh, marked) -> TriMesh:
-    """Functional form of TriMesh.refine."""
-    return mesh.refine(marked)
 
 
 # -- export -----------------------------------------------------------------

@@ -21,13 +21,13 @@ independently, so results do not depend on element order.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import basis_size
 from .bdm import bdm_tables
-from .fields import (apply_2x2, coeff_contract, nu_jump_terms, scalar_tables,
-                     stiffness_tensors)
+from .fields import nu_jump_terms, scalar_tables, stiffness_tensors
 from .mesh import TriMesh
 from .solver import MixedSolution
 
@@ -65,25 +65,29 @@ class PostprocResult:
         return self._traces[key]
 
 
+@lru_cache(maxsize=None)
+def _flux_load_table(p: int, exactness: int) -> np.ndarray:
+    """T[l, i] = sum_q w_q N_l . grad v_i on the reference element, for the
+    BDM(p) shapes N_l and the mean-free degree-(p+2) scalars v_i."""
+    rule, Nh, _ = bdm_tables(p, exactness)
+    _, _, D = scalar_tables(p + 2, exactness)
+    T = np.einsum("q,qla,qia->li", rule.weights, Nh, D[:, 1:, :])
+    T.setflags(write=False)
+    return T
+
+
 def _local_ingredients(solution: MixedSolution):
     """Stiffness on the mean-free degree-(p+2) basis and the residual load.
 
     Returns (S22, rhs) with S22 of shape (n, n2, n2) and rhs of shape (n, n2),
-    rhs_i = -(q_h, grad v_i)_K.
+    rhs_i = -(q_h, grad v_i)_K.  The load is geometry free: the Piola factor
+    B / J of q_h cancels the B^{-T} of grad v_i and the J of the integral.
     """
     mesh, p = solution.mesh, solution.p
     exact = 2 * (p + 2)
-    S_full = stiffness_tensors(mesh, p + 2, exact)
-    S22 = S_full[:, 1:, 1:]
-    rule, Nh, _ = bdm_tables(p, exact)
-    _, _, D = scalar_tables(p + 2, exact)
+    S22 = stiffness_tensors(mesh, p + 2, exact)[:, 1:, 1:]
     c = solution.flux_space.local_coeffs(solution.flux)
-    B, Binv = mesh.jacobians, mesh.inv_jacobians
-    W = np.einsum("nca,nbc->nab", B, Binv)  # B^T B^{-T}
-    tw = apply_2x2(coeff_contract(c, Nh), W) * rule.weights[:, None]
-    rhs = -tw.reshape(mesh.n_triangles, -1) @ np.swapaxes(
-        D[:, 1:, :], 1, 2).reshape(-1, S22.shape[-1])
-    return S22, rhs
+    return S22, -(c @ _flux_load_table(p, exact))
 
 
 def _with_mean(solution: MixedSolution, mean_free: np.ndarray) -> np.ndarray:

@@ -17,8 +17,6 @@ step on the residual of the full mixed equations.  The global saddle matrix
 is never formed; it lives only in the tests, as the oracle.
 """
 
-import base64
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -275,44 +273,3 @@ def solve(system: MixedSystem) -> MixedSolution:
 def solve_problem(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSolution:
     return solve(assemble(mesh, p, problem))
 
-
-# -- solution container I/O ---------------------------------------------------
-
-
-def _pack(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode()
-
-
-def _unpack(text: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
-
-
-def save_solution(sol: MixedSolution, path: str):
-    """JSON dump: header (p, Nel, DOF counts) plus base64 coefficient arrays."""
-    payload = {
-        "p": sol.p,
-        "n_elements": sol.mesh.n_triangles,
-        "n_flux_dofs": sol.flux_space.n_dofs,
-        "n_scalar_dofs": sol.scalar_space.n_dofs,
-        "diagnostics": sol.diagnostics,
-        "flux": _pack(sol.flux),
-        "scalar": _pack(sol.scalar),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_solution(path: str, mesh: TriMesh) -> MixedSolution:
-    with open(path) as fh:
-        payload = json.load(fh)
-    p = int(payload["p"])
-    if payload["n_elements"] != mesh.n_triangles:
-        raise ValueError("mesh does not match the stored solution")
-    flux_space = BdmSpace(mesh, p)
-    scalar_space = DgSpace(mesh, p - 1)
-    flux = _unpack(payload["flux"])
-    scalar = _unpack(payload["scalar"])
-    if len(flux) != flux_space.n_dofs or len(scalar) != scalar_space.n_dofs:
-        raise ValueError("coefficient sizes do not match the mesh/degree")
-    return MixedSolution(flux, scalar, mesh, p, flux_space, scalar_space,
-                         payload.get("diagnostics", {}))

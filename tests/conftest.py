@@ -2,24 +2,60 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse import bmat
+from scipy.sparse import bmat, coo_matrix
 
 from bdmadapt import build_initial_mesh, preset, solve_problem
-from bdmadapt.basis import make_scalar_basis
-from bdmadapt.bdm import (BdmSpace, DgSpace, advection_matrix, bdm_mass_matrix,
-                          bdm_tables, divergence_matrix,
+from bdmadapt.basis import make_scalar_basis, map_to_triangle, quad_rule
+from bdmadapt.bdm import (BdmSpace, DgSpace, bdm_tables,
+                          element_advection_matrices,
+                          element_divergence_matrices, element_mass_matrices,
                           interpolate_boundary_term, reference_shape_values,
                           shifted_legendre)
 from bdmadapt.estimators import ErrorBlock, _element_groups
 from bdmadapt.fields import (edge_points, edge_ref_points, edge_scalar_tables,
                              grad_outer_tables, mapped_points, metric_tensors,
                              scalar_tables, subdivided_edge_rule)
+from bdmadapt.fortin import edge_lengths, trace_basis_values
 from bdmadapt.postprocess import forward_solve
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240612)
+
+
+# -- global matrices, assembled only as oracles ------------------------------
+
+
+def _scatter(blocks, row_map, col_map, shape):
+    """Sum element blocks (n, r, c) into a global CSR matrix."""
+    rows = np.broadcast_to(row_map[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(col_map[:, None, :], blocks.shape).ravel()
+    return coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+def _scalar_map(scalar):
+    return np.arange(scalar.n_dofs).reshape(-1, scalar.local_dim)
+
+
+def bdm_mass_matrix(space):
+    """Global flux mass matrix (CSR)."""
+    return _scatter(element_mass_matrices(space), space.l2g, space.l2g,
+                    (space.n_dofs, space.n_dofs))
+
+
+def divergence_matrix(space, scalar):
+    """B[i, j] = (div N_j, psi_i) over the mesh (CSR)."""
+    return _scatter(element_divergence_matrices(space, scalar),
+                    _scalar_map(scalar), space.l2g,
+                    (scalar.n_dofs, space.n_dofs))
+
+
+def advection_matrix(space, scalar, beta):
+    """C[i, j] = (beta . N_j, psi_i) for a constant vector beta (CSR)."""
+    return _scatter(element_advection_matrices(space, scalar, beta),
+                    _scalar_map(scalar), space.l2g,
+                    (scalar.n_dofs, space.n_dofs))
 
 
 def saddle_system(mesh, p, problem):
@@ -112,6 +148,37 @@ def single_element_mesh(tri=None):
     from bdmadapt import TriMesh
     tri = skewed_triangle() if tri is None else np.asarray(tri, dtype=float)
     return TriMesh(tri, np.array([[0, 1, 2]]))
+
+
+# -- moments of the boundary trace functionals ----------------------------------
+
+
+def boundary_moments(tri, v):
+    """int_{dK} phi_i v for all six trace functionals (12-point Gauss)."""
+    tri = np.asarray(tri, dtype=float)
+    rule = quad_rule(23, "edge")
+    t, w = rule.points, rule.weights
+    le = edge_lengths(tri)
+    out = np.empty(6)
+    for j in range(3):
+        pts = map_to_triangle(edge_ref_points(j, t), tri)
+        vals = np.asarray(v(pts), dtype=float)
+        phi = trace_basis_values(tri, j, t)
+        out[2 * j: 2 * j + 2] = le[j] * np.einsum("q,qm->m", w * vals, phi)
+    return out
+
+
+def projection_moments(proj):
+    """int_{dK} phi_i Pi v, for the moment-preservation check."""
+    rule = quad_rule(13, "edge")
+    t, w = rule.points, rule.weights
+    le = edge_lengths(proj.tri)
+    out = np.empty(6)
+    for j in range(3):
+        phi = trace_basis_values(proj.tri, j, t)
+        pv = proj.trace_values(j, t)
+        out[2 * j: 2 * j + 2] = le[j] * np.einsum("q,qm->m", w * pv, phi)
+    return out
 
 
 # -- einsum oracles for the batched kernels ------------------------------------

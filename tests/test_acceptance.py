@@ -18,12 +18,12 @@ from bdmadapt import (build_biorthogonal, build_initial_mesh, dual_norm_star,
                       stenberg_oracle)
 from bdmadapt.basis import make_scalar_basis, quad_rule
 from bdmadapt.fields import stiffness_tensors
-from bdmadapt.fortin import (boundary_moments, edge_lengths, pairing_matrix,
-                             projection_moments,
+from bdmadapt.fortin import (edge_lengths, pairing_matrix,
                              random_shape_regular_triangles)
 from bdmadapt.mesh import _LOCAL_EDGE_VERTS
 
-from conftest import make_linear_problem
+from conftest import (boundary_moments, make_linear_problem,
+                      projection_moments)
 
 SLOPE_TOL = 0.15          # criterion 5
 ADAPTIVE_SLACK = 0.3      # criteria 8 and 9
@@ -242,7 +242,7 @@ def test_c09_advection_diffusion(advdiff_suite):
 
 
 def test_c10_biorthogonal_verification(rng):
-    bset = build_biorthogonal(1)
+    bset = build_biorthogonal()
     assert abs(np.linalg.det(bset.A) - 1.0 / 14400.0) <= 1e-15
     worst_pairing = 0.0
     ratios = []
@@ -267,8 +267,8 @@ def test_c10_biorthogonal_verification(rng):
                     np.dot(rule.weights, v(pts) ** 2))
             ratios.append(proj.boundary_norm() / math.sqrt(max(nrm2, 1e-300)))
             # moment preservation = degree-1 normal-flux orthogonality
-            want = boundary_moments(bset, tri, v)
-            got = projection_moments(bset, proj)
+            want = boundary_moments(tri, v)
+            got = projection_moments(proj)
             dev = np.abs(got - want).max() / max(1.0, np.abs(want).max())
             assert dev <= 1e-11, dev
     assert worst_pairing <= 1e-11

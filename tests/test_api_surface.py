@@ -1,0 +1,85 @@
+"""Guard: every function, method and property of the package has a caller.
+
+A name counts as called when src/bdmadapt or benchmarks/ read it as a Name
+or an Attribute, or when the benchmark tracer looks it up by string (the
+attribute column of its PATCHES table).  Imports do not count, and neither
+do the tests: code that only the tests call belongs in the tests.  Names
+without a caller must be on ALLOWED, with the reason they stay.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bdmadapt"
+BENCHMARKS = ROOT / "benchmarks"
+
+# qualified name (module.[Class.]name) -> why it stays without a caller
+ALLOWED = {
+    "cli.main": "entry point of the bdmadapt console script",
+    "bdm.BdmSpace.eval_flux":
+        "user-facing evaluation of a discrete flux on one element",
+    "bdm.BdmSpace.interpolate":
+        "canonical BDM interpolant of a user-supplied flux field",
+    "mesh.TriMesh.validate": "audit of the mesh invariants",
+    "mesh.TriMesh.outward_normals":
+        "outward normal per (element, local edge), for flux evaluation on "
+        "element boundaries",
+    "mesh.TriMesh.min_angles": "shape-regularity audit of refined meshes",
+    "mesh.TriMesh.inradius": "shape-regularity audit of refined meshes",
+    "mesh.DomainSpec.area": "audit of a mesh's area against its domain",
+    "mesh.load_mesh": "reader of the mesh files written by run --dump-meshes",
+}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions():
+    """Qualified name -> plain name of every module-level function and every
+    method or property of a module-level class in the package."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out[f"{path.stem}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        out[f"{path.stem}.{node.name}.{sub.name}"] = sub.name
+    return out
+
+
+def _tracer_lookups():
+    tree = ast.parse((BENCHMARKS / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "PATCHES"
+                for t in node.targets):
+            return {entry.elts[2].value for entry in node.value.elts}
+    raise AssertionError("benchmarks/tracing.py has no PATCHES table")
+
+
+def _names_read():
+    used = set(_tracer_lookups())
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCHMARKS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_package_function_has_a_caller():
+    defined, used = _definitions(), _names_read()
+    uncalled = sorted(q for q, name in defined.items()
+                      if name not in used and not _is_dunder(name)
+                      and q not in ALLOWED)
+    assert not uncalled, (
+        f"no code in src/bdmadapt or benchmarks/ calls {uncalled}: delete "
+        "them, move them into tests/ as oracles, or add them to ALLOWED "
+        "with a reason")
+    stale = sorted(set(ALLOWED) - set(defined))
+    assert not stale, f"ALLOWED names that no longer exist: {stale}"

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from bdmadapt import (DomainSpec, build_initial_mesh, divergence_matrix,
+from bdmadapt import (DomainSpec, build_initial_mesh,
                       interpolate_boundary_term)
 from bdmadapt.basis import basis_size, make_scalar_basis, quad_rule
-from bdmadapt.bdm import (BdmSpace, DgSpace, bdm_mass_matrix, local_dimension,
-                          reference_shape_divs, reference_shape_values,
-                          shifted_legendre)
+from bdmadapt.bdm import (BdmSpace, DgSpace, element_divergence_matrices,
+                          local_dimension, reference_shape_divs,
+                          reference_shape_values, shifted_legendre)
 from bdmadapt.fields import edge_ref_points
 from bdmadapt.mesh import TriMesh
 
-from conftest import single_element_mesh
+from conftest import bdm_mass_matrix, divergence_matrix, single_element_mesh
 
 
 @pytest.mark.parametrize("p,dim", [(1, 6), (2, 12), (3, 20)])
@@ -24,17 +24,12 @@ def test_local_dimensions(p, dim):
 
 
 def test_dg_mass_is_block_diagonal():
-    mesh = build_initial_mesh(DomainSpec.unit_square(), 8)
-    dg = DgSpace(mesh, 2)
-    diag = dg.mass_diagonal()
     rule = quad_rule(6, "triangle")
     basis = make_scalar_basis(2)
     V = basis.values(rule.points)
     G = np.einsum("q,qi,qj->ij", rule.weights, V, V)
     # reference orthonormality means each block is J * I
     assert np.abs(G - np.eye(basis.size)).max() < 1e-13
-    assert np.allclose(diag[: basis.size],
-                       mesh.det_jacobians[0] * np.ones(basis.size))
 
 
 def test_zero_coefficients_give_zero_field():
@@ -185,7 +180,7 @@ def test_divergence_consistency_random_field(p, rng):
 def test_divergence_matrix_degree_mismatch():
     mesh = single_element_mesh()
     with pytest.raises(ValueError, match="degree"):
-        divergence_matrix(BdmSpace(mesh, 2), DgSpace(mesh, 2))
+        element_divergence_matrices(BdmSpace(mesh, 2), DgSpace(mesh, 2))
 
 
 def test_boundary_term_zero_data():
@@ -236,7 +231,9 @@ def test_commuting_interpolation(p, rng):
 
     coeffs = space.interpolate(q)
     rule = quad_rule(2 * p + 6, "triangle")
-    got = space.div_values(coeffs, rule.points)
+    # Piola divergence: div(B N / J) = div_ref(N) / J
+    d = reference_shape_divs(p, rule.points)
+    got = (space.local_coeffs(coeffs) @ d.T) / mesh.det_jacobians[:, None]
     from bdmadapt.fields import mapped_points, scalar_tables
     _, V, _ = scalar_tables(p - 1, 2 * p + 6)
     pts = mapped_points(mesh, rule.points)
@@ -247,20 +244,31 @@ def test_commuting_interpolation(p, rng):
     assert np.abs(got - want).max() <= 1e-10 * scale
 
 
-def test_orientation_flip_invariance():
-    # flipping a stored edge direction and recompensating signs leaves the
-    # assembled mass matrix unchanged
-    mesh = build_initial_mesh(DomainSpec.unit_square(), 8)
+def test_orientation_flip_invariance(rng):
+    # relabelling the vertices reverses the stored direction of many edges;
+    # matching edges by their vertex pair and compensating each flipped one
+    # by (-1)^(m+1) on moment m leaves the assembled mass matrix unchanged
+    mesh = build_initial_mesh(DomainSpec.unit_square(), 8).refine([0, 3])
     p = 2
-    space = BdmSpace(mesh, p)
-    M = bdm_mass_matrix(space).toarray()
-    e = int(np.nonzero(~mesh.boundary_edge)[0][0])
-    flipped = TriMesh(mesh.vertices, mesh.triangles, _flip_edges=(e,))
-    space2 = BdmSpace(flipped, p)
-    M2 = bdm_mass_matrix(space2).toarray()
+    perm = rng.permutation(mesh.n_vertices)  # old vertex id -> new id
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    relabelled = TriMesh(verts, perm[mesh.triangles])
+    new_pairs = np.sort(perm[mesh.edges], axis=1)
+    lookup = {tuple(pair): e for e, pair in enumerate(relabelled.edges)}
+    new_edge = np.array([lookup[tuple(pair)] for pair in new_pairs])
+    flipped = perm[mesh.edges[:, 0]] > perm[mesh.edges[:, 1]]
+    assert flipped.sum() >= mesh.n_edges // 4
+
+    space, space2 = BdmSpace(mesh, p), BdmSpace(relabelled, p)
+    m = np.arange(p + 1)
+    index = np.arange(space.n_dofs)  # interior dofs keep their element order
+    index[: space.n_edge_dofs] = (new_edge[:, None] * (p + 1) + m).ravel()
     D = np.ones(space.n_dofs)
-    for m in range(p + 1):
-        D[e * (p + 1) + m] = (-1.0) ** (m + 1)
+    D[: space.n_edge_dofs] = np.where(flipped[:, None], (-1.0) ** (m + 1),
+                                      1.0).ravel()
+    M = bdm_mass_matrix(space).toarray()
+    M2 = bdm_mass_matrix(space2).toarray()[np.ix_(index, index)]
     M2_comp = (D[:, None] * M2) * D[None, :]
     assert np.abs(M2_comp - M).max() <= 1e-13 * np.abs(M).max()
 

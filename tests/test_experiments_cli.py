@@ -53,6 +53,16 @@ def test_run_experiment_artifacts(tmp_path):
     assert stored["fit_policy"] == "drop first 2 meshes"
 
 
+def test_fit_window_is_per_experiment(tmp_path):
+    # the slope-fit window is fixed by the experiment, not a config key
+    with pytest.raises(ValueError, match="fit_window"):
+        ExperimentConfig.from_dict({"fit_window": "tail6"})
+    summary = run_experiment(tiny_config(
+        str(tmp_path / "res"), experiment="advdiff", mode="adaptive",
+        iterations=2))
+    assert summary["fit_policy"] == "final 6 iterations"
+
+
 def test_run_experiment_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     run_experiment(tiny_config(out1))

@@ -8,12 +8,11 @@ from bdmadapt import (build_biorthogonal, build_initial_mesh, fortin_apply,
                       preset, scaled_trace_inequality_check, solve_problem)
 from bdmadapt.basis import quad_rule
 from bdmadapt.fields import edge_ref_points
-from bdmadapt.fortin import (boundary_moments, edge_lengths, fortin_report,
-                             pairing_matrix, projection_moments,
+from bdmadapt.fortin import (edge_lengths, fortin_report, pairing_matrix,
                              random_shape_regular_triangles, trace_basis_values,
                              xi_scale)
 
-from conftest import skewed_triangle
+from conftest import boundary_moments, projection_moments, skewed_triangle
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -28,12 +27,7 @@ A_EXPECTED = np.array([
 
 @pytest.fixture(scope="module")
 def bset():
-    return build_biorthogonal(1)
-
-
-def test_rejects_other_degrees():
-    with pytest.raises(ValueError):
-        build_biorthogonal(2)
+    return build_biorthogonal()
 
 
 def test_system_matrix_exact_values(bset):
@@ -85,8 +79,8 @@ def test_moment_preservation(bset):
         return np.sin(2.0 * x[:, 0]) + x[:, 1] ** 3 - 0.5
 
     proj = fortin_apply(v, bset, tri)
-    want = boundary_moments(bset, tri, v)
-    got = projection_moments(bset, proj)
+    want = boundary_moments(tri, v)
+    got = projection_moments(proj)
     scale = max(1.0, np.abs(want).max())
     assert np.abs(got - want).max() <= 1e-11 * scale
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdmadapt import (DomainSpec, build_initial_mesh, jump_trace_pairs,
-                      load_mesh, refine, save_mesh)
-from bdmadapt.bdm import DgSpace
+from bdmadapt import DomainSpec, build_initial_mesh, load_mesh, save_mesh
+from bdmadapt.basis import make_scalar_basis
+from bdmadapt.fields import nu_jump_terms
 
 
 def edge_hash_audit(mesh):
@@ -26,7 +26,7 @@ def edge_hash_audit(mesh):
 def test_initial_lshape_count():
     mesh = build_initial_mesh(DomainSpec.l_shape(), 96)
     assert mesh.n_triangles == 96
-    assert abs(mesh.total_area() - 3.0) < 1e-14
+    assert abs(mesh.areas.sum() - 3.0) < 1e-14
     mesh.validate()
 
 
@@ -49,7 +49,7 @@ def test_initial_advection_grid_count():
 
 def test_refine_empty_is_identity():
     mesh = build_initial_mesh(DomainSpec.unit_square(), 8)
-    out = refine(mesh, set())
+    out = mesh.refine(set())
     assert out is mesh
 
 
@@ -83,19 +83,20 @@ def test_refine_random_sets_stay_conforming(marked):
     out = mesh.refine(marked)
     out.validate()
     edge_hash_audit(out)
-    assert abs(out.total_area() - mesh.total_area()) <= 1e-12 * mesh.total_area()
+    area = mesh.areas.sum()
+    assert abs(out.areas.sum() - area) <= 1e-12 * area
     if marked:
         assert out.n_triangles > mesh.n_triangles
 
 
 def test_area_preserved_over_generations(rng):
     mesh = build_initial_mesh(DomainSpec.l_shape(), 24)
-    area0 = mesh.total_area()
+    area0 = mesh.areas.sum()
     for _ in range(5):
         marked = rng.choice(mesh.n_triangles,
                             size=max(1, mesh.n_triangles // 4), replace=False)
         mesh = mesh.refine(marked)
-        assert abs(mesh.total_area() - area0) <= 1e-12 * area0
+        assert abs(mesh.areas.sum() - area0) <= 1e-12 * area0
     mesh.validate()
 
 
@@ -134,11 +135,15 @@ def test_shape_regularity_bounded_under_refinement(rng):
 
 
 def test_jump_trace_pairs_two_triangles():
+    # edge_tris/edge_local hold (K+, K-) and their local edges, the pairs
+    # nu_jump_terms differences across each interior edge
     mesh = build_initial_mesh(DomainSpec.unit_square(), 2)
     interior = np.nonzero(~mesh.boundary_edge)[0]
     e = int(interior[0])
-    kp, km, (lp, lm) = jump_trace_pairs(mesh, e)
+    kp, km = mesh.edge_tris[e]
+    lp, lm = mesh.edge_local[e]
     assert {kp, km} == {0, 1}
+    assert mesh.elem_edge_aligned[kp, lp] and not mesh.elem_edge_aligned[km, lm]
     assert mesh.elem_edges[kp, lp] == e and mesh.elem_edges[km, lm] == e
     # normal points from K+ into K-
     mid = 0.5 * (mesh.vertices[mesh.edges[e, 0]] + mesh.vertices[mesh.edges[e, 1]])
@@ -151,8 +156,6 @@ def test_jump_of_continuous_field_vanishes():
     mesh = build_initial_mesh(DomainSpec.unit_square(), 8)
     # a globally affine field expressed elementwise is continuous
     from bdmadapt.fields import edge_ref_points
-    from bdmadapt.basis import make_scalar_basis
-    basis = make_scalar_basis(1)
 
     def eval_on_edge(k, j, t):
         pts = edge_ref_points(j, t)
@@ -162,7 +165,8 @@ def test_jump_of_continuous_field_vanishes():
 
     t = np.linspace(0.1, 0.9, 5)
     for e in np.nonzero(~mesh.boundary_edge)[0]:
-        kp, km, (lp, lm) = jump_trace_pairs(mesh, int(e))
+        kp, km = mesh.edge_tris[e]
+        lp, lm = mesh.edge_local[e]
         # same physical points on both sides: global parameter t
         ap = mesh.elem_edge_aligned[kp, lp]
         am = mesh.elem_edge_aligned[km, lm]
@@ -174,21 +178,16 @@ def test_jump_of_continuous_field_vanishes():
 def test_jump_of_indicator_is_one():
     mesh = build_initial_mesh(DomainSpec.unit_square(), 2)
     e = int(np.nonzero(~mesh.boundary_edge)[0][0])
-    kp, km, _ = jump_trace_pairs(mesh, e)
-    dg = DgSpace(mesh, 0)
-    coeffs = np.zeros(dg.n_dofs)
-    coeffs[dg.coeffs_by_element(np.arange(dg.n_dofs))[kp][0]] = 1.0 / np.sqrt(2)
+    kp, km = mesh.edge_tris[e]
+    # the indicator of K+ as degree-0 coefficient rows, one per element
+    coeffs = np.zeros((mesh.n_triangles, 1))
+    coeffs[kp] = 1.0 / np.sqrt(2)
     pts = np.array([[0.3, 0.3], [0.5, 0.2]])
-    vp = dg.eval(coeffs, kp, pts)
-    vm = dg.eval(coeffs, km, pts)
-    assert np.allclose(vp - vm, 1.0, atol=1e-14)
-
-
-def test_jump_trace_pairs_boundary_rejected():
-    mesh = build_initial_mesh(DomainSpec.unit_square(), 2)
-    e = int(np.nonzero(mesh.boundary_edge)[0][0])
-    with pytest.raises(ValueError, match="boundary"):
-        jump_trace_pairs(mesh, e)
+    V = make_scalar_basis(0).values(pts)
+    assert np.allclose(V @ coeffs[kp] - V @ coeffs[km], 1.0, atol=1e-14)
+    # h_F^{-1} ||[v]||_F^2 = 1, split evenly between K+ and K-
+    jump_K, _ = nu_jump_terms(mesh, coeffs, lambda x: np.zeros(len(x)), 3)
+    assert np.allclose(jump_K, 0.5, rtol=1e-14)
 
 
 def test_nonsimple_polygon_rejected():
@@ -206,7 +205,7 @@ def test_custom_polygon_mesh():
     mesh = build_initial_mesh(dom, 20)
     assert mesh.n_triangles >= 20
     mesh.validate()
-    assert abs(mesh.total_area() - dom.area) < 1e-12 * dom.area
+    assert abs(mesh.areas.sum() - dom.area) < 1e-12 * dom.area
 
 
 def test_export_roundtrip(tmp_path):

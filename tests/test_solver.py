@@ -4,13 +4,14 @@ from scipy.sparse.linalg import splu
 
 import bdmadapt.solver as solver_mod
 from bdmadapt import (DomainSpec, ProblemSpec, SingularSystemError, assemble,
-                      build_initial_mesh, load_solution, preset, save_solution,
+                      build_initial_mesh, interpolate_boundary_term, preset,
                       solve, solve_problem)
 from bdmadapt.basis import quad_rule
-from bdmadapt.bdm import BdmSpace, DgSpace, advection_matrix
+from bdmadapt.bdm import BdmSpace, DgSpace
 from bdmadapt.fields import mapped_points, scalar_tables
 
-from conftest import make_linear_problem, saddle_system, single_element_mesh
+from conftest import (advection_matrix, bdm_mass_matrix, divergence_matrix,
+                      make_linear_problem, saddle_system, single_element_mesh)
 
 
 def zero_problem():
@@ -52,7 +53,6 @@ def test_divergence_equation_holds_exactly():
     mesh = build_initial_mesh(smooth.domain, 32).refine(range(32))
     p = 2
     sol = solve_problem(mesh, p, smooth)
-    from bdmadapt.bdm import divergence_matrix
     B = divergence_matrix(sol.flux_space, sol.scalar_space)
     F = sol.scalar_space.load_vector(smooth.f, 2 * p + 8)
     resid = B @ sol.flux - F
@@ -64,8 +64,6 @@ def test_galerkin_orthogonality_random_tests(rng):
     mesh = build_initial_mesh(smooth.domain, 32)
     p = 2
     sol = solve_problem(mesh, p, smooth)
-    from bdmadapt.bdm import bdm_mass_matrix, divergence_matrix,\
-        interpolate_boundary_term
     M = bdm_mass_matrix(sol.flux_space)
     B = divergence_matrix(sol.flux_space, sol.scalar_space)
     g = interpolate_boundary_term(sol.flux_space, smooth.u_D)
@@ -136,7 +134,6 @@ def test_schur_complement_positive_definite():
     smooth = preset("smooth")
     mesh = build_initial_mesh(smooth.domain, 32)
     system = saddle_system(mesh, 1, smooth)
-    from bdmadapt.bdm import bdm_mass_matrix, divergence_matrix
     M = bdm_mass_matrix(system.flux_space).toarray()
     B = divergence_matrix(system.flux_space, system.scalar_space).toarray()
     S = B @ np.linalg.solve(M, B.T)
@@ -161,19 +158,6 @@ def test_exact_pair_validation_catches_mismatch():
         name="bad")
     with pytest.raises(ValueError, match="inconsistent"):
         bad.validate_exact(np.array([[0.3, 0.4], [0.6, 0.2]]))
-
-
-def test_solution_dump_roundtrip(tmp_path):
-    smooth = preset("smooth")
-    mesh = build_initial_mesh(smooth.domain, 8)
-    sol = solve_problem(mesh, 2, smooth)
-    path = str(tmp_path / "solution.json")
-    save_solution(sol, path)
-    back = load_solution(path, mesh)
-    assert back.p == 2
-    assert np.array_equal(back.flux, sol.flux)
-    assert np.array_equal(back.scalar, sol.scalar)
-    assert back.diagnostics["rel_residual"] == sol.diagnostics["rel_residual"]
 
 
 @pytest.mark.parametrize("name", ["smooth", "lshape", "advdiff"])
