@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import eval_legendre
 
 from .basis import basis_size, make_scalar_basis, make_zero_mean_basis, quad_rule
-from .fields import (apply_2x2, coeff_contract, edge_points, edge_ref_points,
+from .fields import (coeff_contract, edge_points, edge_ref_points,
                      mapped_points, scalar_tables)
 from .mesh import TriMesh
 
@@ -212,7 +212,7 @@ class BdmSpace:
         c = np.asarray(coeffs)[self.l2g[ids]] * self.signs[ids]
         # Piola push-forward B N / J, a row map by B^T / J
         BT = np.swapaxes(self.mesh.jacobians[ids], 1, 2)
-        return apply_2x2(coeff_contract(c, Nh),
+        return np.matmul(coeff_contract(c, Nh),
                          BT / self.mesh.det_jacobians[ids][:, None, None])
 
     def interpolate(self, q) -> np.ndarray:
@@ -238,7 +238,7 @@ class BdmSpace:
             # contravariant pull-back J B^{-1} q
             JBinvT = mesh.det_jacobians[:, None, None] * np.swapaxes(
                 mesh.inv_jacobians, 1, 2)
-            qhat = apply_2x2(qv, JBinvT) * trule.weights[:, None]
+            qhat = np.matmul(qv, JBinvT) * trule.weights[:, None]
             vals = qhat.reshape(mesh.n_triangles, -1) @ np.swapaxes(
                 theta, 1, 2).reshape(-1, theta.shape[1])
             dofs[self.n_edge_dofs:] = vals.ravel()

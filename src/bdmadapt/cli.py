@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 import sys
 
 from .experiments import ExperimentConfig, run_experiment
@@ -62,7 +63,8 @@ def _cmd_run(args) -> int:
         if val is not None:
             settings[key] = val
     config = ExperimentConfig.from_dict(settings)
-    summary = run_experiment(config, verbose=True)
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
+    summary = run_experiment(config)
     print(f"artifacts written to {config.out}")
     for p, entry in summary["per_degree"].items():
         slopes = {k: None if v is None else round(v, 3)

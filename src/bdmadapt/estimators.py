@@ -18,8 +18,8 @@ shared with the indicator through PostprocResult.nu_traces.  The edge terms
 global edge: q . n_e is sampled in the stored edge direction, and q_h . n_e =
 sum_m c_(e,m) (2m+1) L_m(t) / |e| comes from the global edge moments c_(e,m)
 of q_h.  The element-local dual norm ||r||_*K on the mean-free degree-(p+2)
-space is ||L^{-1} b|| with L the Cholesky factor of the element stiffness and
-b the load of r.
+space is ||G b|| with G = L^{-1} the inverse Cholesky factor of the element
+stiffness that the postprocessing already holds, and b the load of r.
 """
 
 import json
@@ -29,11 +29,10 @@ import numpy as np
 
 from .basis import make_scalar_basis, quad_rule
 from .bdm import shifted_legendre
-from .fields import (apply_2x2, coeff_contract, edge_points,
-                     grad_outer_tables, mapped_points, scalar_tables,
-                     subdivided_edge_rule, subdivided_rule)
+from .fields import (coeff_contract, edge_points, mapped_points,
+                     scalar_tables, subdivided_edge_rule, subdivided_rule)
 from .mesh import TriMesh
-from .postprocess import PostprocResult, forward_solve
+from .postprocess import PostprocResult, inverse_factors, mean_free_stiffness
 from .solver import MixedSolution, ProblemSpec
 
 
@@ -103,26 +102,30 @@ def _norm_sq(v):
 # -- discrete dual norm -------------------------------------------------------
 
 
+def _grad_load(r, Binv, J, w, D) -> np.ndarray:
+    """Loads (r, grad v_i)_K (n, s) from values r (n, nq, 2) at a rule with
+    weights w, reference gradients D (nq, s, 2), Binv (n, 2, 2) and J (n,)."""
+    # r . grad v = (r B^{-T}) . Dhat
+    pulled = np.matmul(r, np.swapaxes(Binv, 1, 2)) * (w * J[:, None])[..., None]
+    return pulled.reshape(len(J), -1) @ np.swapaxes(D, 1, 2).reshape(
+        -1, D.shape[1])
+
+
 def dual_norm_star(mesh: TriMesh, p: int, element: int, r) -> float:
     """sup over mean-free degree-(p+2) v of (r, grad v)_K / ||grad v||_K.
 
-    r maps (n, 2) physical points to (n, 2) vector values.
+    r maps (n, 2) physical points to (n, 2) vector values.  The element is
+    evaluated as a one-element mesh with the kernels of the adaptive loop.
     """
     if not 0 <= element < mesh.n_triangles:
         raise IndexError(f"element {element} out of range")
-    rule = quad_rule(2 * p + 8, "triangle")
-    basis = make_scalar_basis(p + 2)
-    D = basis.grads(rule.points)[:, 1:, :]
-    pts = mapped_points(mesh, rule.points, [element])[0]
-    vals = np.asarray(r(pts), dtype=float)
-    J, Binv = mesh.det_jacobians[element], mesh.inv_jacobians[element]
-    # (r, grad v)_K = J sum_q w r . (B^{-T} Dhat)
-    pulled = np.einsum("qa,ba->qb", vals, Binv)
-    b = J * np.einsum("q,qb,qib->i", rule.weights, pulled, D)
-    # this element's stiffness only
-    S = np.einsum("ab,abij->ij", J * Binv @ Binv.T,
-                  grad_outer_tables(p + 2, 2 * (p + 2)))[1:, 1:]
-    return float(np.linalg.norm(forward_solve(np.linalg.cholesky(S), b)))
+    one = TriMesh(mesh.tri_coords[element], [[0, 1, 2]])
+    rule, _, D = scalar_tables(p + 2, 2 * p + 8)
+    vals = np.asarray(r(mapped_points(one, rule.points)[0]), dtype=float)
+    b = _grad_load(vals[None], one.inv_jacobians, one.det_jacobians,
+                   rule.weights, D[:, 1:])
+    G = inverse_factors(mean_free_stiffness(one, p))
+    return float(np.linalg.norm(G[0] @ b[0]))
 
 
 # -- estimators ----------------------------------------------------------------
@@ -190,7 +193,7 @@ def eta_improved(post: PostprocResult, solution: MixedSolution,
     """Improved indicator: residual representative + mismatch + scaled traces."""
     mesh, p = post.mesh, post.p
     rule, _, D = scalar_tables(p + 1, 2 * (p + 2))
-    grad_nu = apply_2x2(coeff_contract(post.nu, D), mesh.inv_jacobians)
+    grad_nu = np.matmul(coeff_contract(post.nu, D), mesh.inv_jacobians)
     qh = solution.flux_space.flux_values(solution.flux, rule.points)
     mismatch_sq = (_norm_sq(qh + grad_nu) @ rule.weights) * mesh.det_jacobians
     jump_K, bnd_K = post.nu_traces(u_D, p + 5)
@@ -291,7 +294,7 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
 
         def grad_error_sq(coeffs):
             # grad(u - v) = -q - grad v
-            g = apply_2x2(at_points(coeffs, D), Binv)
+            g = np.matmul(at_points(coeffs, D), Binv)
             return integral(_norm_sq(qv + g))
 
         qh = solution.flux_space.flux_values(solution.flux, pts, ids)
@@ -302,12 +305,9 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
         u_L2_sq[ids] = integral((uv - at_points(u_by_el, V)) ** 2)
         nu_L2_sq[ids] = integral((uv - at_points(post.nu, V)) ** 2)
         # load (q - q_h, grad v) of the mean-free degree-(p+2) basis
-        pulled = apply_2x2(diff, np.swapaxes(Binv, 1, 2)) \
-            * (w * J[:, None])[:, :, None]
-        star_rhs[ids] = pulled.reshape(len(ids), -1) @ np.swapaxes(
-            D[:, 1:], 1, 2).reshape(-1, star_rhs.shape[1])
+        star_rhs[ids] = _grad_load(diff, Binv, J, w, D[:, 1:])
 
-    q_star_K = np.linalg.norm(forward_solve(post.chol, star_rhs), axis=1)
+    q_star_K = np.linalg.norm(post.chol_inv @ star_rhs[..., None], axis=(1, 2))
 
     trace_sq = _flux_trace_error_sq(problem, solution)
     jump_K, bnd_K = post.nu_traces(problem.u_D, p + 5)

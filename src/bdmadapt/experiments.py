@@ -7,6 +7,7 @@ window, recorded per run in the summary.
 """
 
 import json
+import logging
 import os
 from dataclasses import dataclass
 
@@ -21,6 +22,8 @@ CSV_COLUMNS = ("iter", "Nel", "sqrtNel", "eta", "eta_tilde", "err_full",
                "err_L2_u", "err_L2_nu", "delta", "effectivity")
 
 _MESH_DUMP_ITERATIONS = (0, 5, 10)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -122,13 +125,13 @@ def experiment_problem(config: ExperimentConfig) -> ProblemSpec:
     return preset(config.experiment)
 
 
-def run_experiment(config: ExperimentConfig, problem: ProblemSpec | None = None,
-                   verbose: bool = False) -> dict:
+def run_experiment(config: ExperimentConfig,
+                   problem: ProblemSpec | None = None) -> dict:
     """Run one experiment for every degree and write all artifacts.
 
     Returns the summary dictionary (also written to <out>/summary.json);
     artifact I/O failures are collected per file and never abort the numeric
-    run.
+    run.  Progress goes to this module's logger, one INFO record per degree.
     """
     problem = problem if problem is not None else experiment_problem(config)
     os.makedirs(config.out, exist_ok=True)
@@ -148,9 +151,7 @@ def run_experiment(config: ExperimentConfig, problem: ProblemSpec | None = None,
         f"final {tail} iterations" if tail is not None
         else "drop first 2 meshes")
     for p in config.p_list:
-        if verbose:
-            print(f"[{config.experiment}] p={p} mode={config.mode} ...",
-                  flush=True)
+        logger.info("[%s] p=%d mode=%s ...", config.experiment, p, config.mode)
         run = run_adaptive(
             problem, p, theta=config.theta, iterations=config.iterations,
             marker=config.marker, uniform=(config.mode == "uniform"),

@@ -8,8 +8,9 @@ operations:
   * a contraction of element-batched rows against a reference table is one
     dense matrix product (coeff_contract; a load against a table is the
     transposed product), so it runs in BLAS;
-  * a per-element 2x2 geometry factor (Jacobian, its inverse, a metric) acts
-    on a batch of 2-vectors as one batched 2x2 product (apply_2x2).
+  * a per-element 2x2 geometry factor M (Jacobian, its inverse, a metric)
+    acts on row 2-vectors v (n, nq, 2) as one np.matmul(v, M): the written-out
+    v0 M[0] + v1 M[1] runs ufunc loops of length 2, over ten times slower.
 
 einsum only builds the reference tables and the per-element 2x2 geometry
 factors themselves.  Results do not depend on element visitation order.
@@ -84,16 +85,6 @@ def coeff_contract(coeffs, table) -> np.ndarray:
     return (coeffs @ flat).reshape((len(coeffs), nq) + table.shape[2:])
 
 
-def apply_2x2(v, M) -> np.ndarray:
-    """Row vectors v (n, nq, 2) times per-element matrices M (n, 2, 2): v M.
-
-    v may be shared by all elements, shape (1, nq, 2).  np.matmul is used
-    because the written-out broadcast v0 M[0] + v1 M[1] runs ufunc loops of
-    length 2 and is more than ten times slower.
-    """
-    return np.matmul(v, M)
-
-
 def metric_tensors(mesh: TriMesh):
     """J * Binv Binv^T per element; contracts with grad_outer_tables."""
     Binv, J = mesh.inv_jacobians, mesh.det_jacobians
@@ -125,7 +116,7 @@ def mapped_points(mesh: TriMesh, ref_pts, ids=slice(None)) -> np.ndarray:
     ids, default all)."""
     v0 = mesh.tri_coords[ids, 0]
     B = mesh.jacobians[ids]
-    return v0[:, None, :] + apply_2x2(np.asarray(ref_pts)[None],
+    return v0[:, None, :] + np.matmul(np.asarray(ref_pts)[None],
                                       np.swapaxes(B, 1, 2))
 
 

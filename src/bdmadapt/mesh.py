@@ -261,10 +261,14 @@ class TriMesh:
     # -- refinement ---------------------------------------------------------
 
     def refine(self, marked) -> "TriMesh":
-        """Bisect the marked triangles, closing the mesh (no hanging nodes)."""
-        marked = np.asarray(sorted(set(int(m) for m in marked)), dtype=np.int64)
+        """Bisect the marked triangles (integer ids, repeats ignored), closing
+        the mesh (no hanging nodes)."""
+        marked = np.asarray(list(marked))
         if marked.size == 0:
             return self
+        if marked.dtype.kind not in "iu":
+            raise ValueError(f"marked ids must be integers, not {marked.dtype}")
+        marked = np.unique(marked)
         if marked.min() < 0 or marked.max() >= self.n_triangles:
             raise ValueError("marked set contains invalid triangle ids")
         edge_marked = np.zeros(self.n_edges, dtype=bool)

@@ -3,18 +3,18 @@
 All local problems live on the mean-free hierarchical bases, where the
 degree-(p+1) basis is the leading slice of the degree-(p+2) one.  Each
 element's degree-(p+2) stiffness S22 is factored once, S22 = L L^T, and
-L11 (the leading block) is then the factor of the degree-(p+1) stiffness
-S11.  With the residual load rhs_i = -(q_h, grad v_i)_K and z = L^{-1} rhs:
+G = L^{-1} is formed; its leading block G11 = L11^{-1} inverts the factor of
+the degree-(p+1) stiffness S11.  With rhs_i = -(q_h, grad v_i)_K, z = G rhs:
 
-  * theta_K = L^{-T} z is the enriched degree-(p+2) elliptic postprocessing;
-  * nu_K = L11^{-T} z[:n1] is the classical (Stenberg) degree-(p+1) one,
-    which coincides with the residual minimizer;
+  * theta_K = G^T z is the enriched degree-(p+2) elliptic postprocessing;
+  * nu_K = G11^T z[:n1] is the classical (Stenberg) degree-(p+1) one, which
+    coincides with the residual minimizer;
   * eps_K = theta_K - nu_K is the residual representative of the saddle
     problem (grad eps + grad nu, grad v) = -(q_h, grad v) for mean-free v of
     degree p+2, (grad w, grad eps) = 0 for mean-free w of degree p+1;
   * eta_tilde_K = ||grad eps_K||_K = ||z[n1:]||.
 
-The same factor gives discrete dual norms ||L^{-1} b|| of other loads.  The
+The same factor gives discrete dual norms ||G b|| of other loads.  The
 element mean constraint copies the constant coefficient of u_h because all
 bases share the same normalized constant.  Element systems are factored
 independently, so results do not depend on element order.
@@ -38,8 +38,8 @@ class PostprocResult:
 
     nu (degree p+1) and theta (degree p+2) have full coefficients (column 0
     is the constant); eps has mean-free degree-(p+2) coefficients;
-    eta_tilde_K holds ||grad eps||_K; chol holds the lower Cholesky factors
-    of the mean-free degree-(p+2) element stiffness matrices.
+    eta_tilde_K holds ||grad eps||_K; chol_inv holds G = L^{-1} for the
+    Cholesky factors L of the mean-free degree-(p+2) element stiffnesses.
     """
 
     mesh: TriMesh
@@ -48,7 +48,7 @@ class PostprocResult:
     eps: np.ndarray
     eta_tilde_K: np.ndarray
     theta: np.ndarray
-    chol: np.ndarray
+    chol_inv: np.ndarray
     _traces: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -76,6 +76,11 @@ def _flux_load_table(p: int, exactness: int) -> np.ndarray:
     return T
 
 
+def mean_free_stiffness(mesh: TriMesh, p: int) -> np.ndarray:
+    """Element stiffnesses (n, n2, n2) on the mean-free degree-(p+2) basis."""
+    return stiffness_tensors(mesh, p + 2, 2 * (p + 2))[:, 1:, 1:]
+
+
 def _local_ingredients(solution: MixedSolution):
     """Stiffness on the mean-free degree-(p+2) basis and the residual load.
 
@@ -83,11 +88,21 @@ def _local_ingredients(solution: MixedSolution):
     rhs_i = -(q_h, grad v_i)_K.  The load is geometry free: the Piola factor
     B / J of q_h cancels the B^{-T} of grad v_i and the J of the integral.
     """
-    mesh, p = solution.mesh, solution.p
-    exact = 2 * (p + 2)
-    S22 = stiffness_tensors(mesh, p + 2, exact)[:, 1:, 1:]
+    p = solution.p
     c = solution.flux_space.local_coeffs(solution.flux)
-    return S22, -(c @ _flux_load_table(p, exact))
+    return (mean_free_stiffness(solution.mesh, p),
+            -(c @ _flux_load_table(p, 2 * (p + 2))))
+
+
+def inverse_factors(S22: np.ndarray) -> np.ndarray:
+    """G = L^{-1} (n, m, m) for the Cholesky factors S22 = L L^T."""
+    try:
+        L = np.linalg.cholesky(S22)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(
+            "local stiffness not positive definite; the mean-free basis "
+            "construction is broken") from exc
+    return np.linalg.inv(L)
 
 
 def _with_mean(solution: MixedSolution, mean_free: np.ndarray) -> np.ndarray:
@@ -98,35 +113,20 @@ def _with_mean(solution: MixedSolution, mean_free: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^{-1} b for lower factors L (..., n, n) and loads b (..., n).
-
-    ||L^{-1} b|| is the dual norm (b^T S^{-1} b)^{1/2} for S = L L^T.
-    np.linalg.solve is used because scipy's batched triangular solve loops
-    over the batch in Python.
-    """
-    return np.linalg.solve(chol, b[..., None])[..., 0]
-
-
 def postprocess_resmin(solution: MixedSolution) -> PostprocResult:
     """Factor every element stiffness once and derive all local solutions."""
     n1 = basis_size(solution.p + 1) - 1
     S22, rhs = _local_ingredients(solution)
-    try:
-        L = np.linalg.cholesky(S22)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            "local stiffness not positive definite; the mean-free basis "
-            "construction is broken") from exc
-    z = forward_solve(L, rhs)
-    theta = forward_solve(np.swapaxes(L, 1, 2), z)
-    nu = forward_solve(np.swapaxes(L[:, :n1, :n1], 1, 2), z[:, :n1])
+    G = inverse_factors(S22)
+    z = G @ rhs[..., None]
+    theta = (np.swapaxes(G, 1, 2) @ z)[..., 0]
+    nu = (np.swapaxes(G[:, :n1, :n1], 1, 2) @ z[:, :n1])[..., 0]
     eps = theta.copy()
     eps[:, :n1] -= nu
     return PostprocResult(
         mesh=solution.mesh, p=solution.p, nu=_with_mean(solution, nu),
-        eps=eps, eta_tilde_K=np.linalg.norm(z[:, n1:], axis=1),
-        theta=_with_mean(solution, theta), chol=L)
+        eps=eps, eta_tilde_K=np.linalg.norm(z[:, n1:, 0], axis=1),
+        theta=_with_mean(solution, theta), chol_inv=G)
 
 
 def stenberg_oracle(solution: MixedSolution):

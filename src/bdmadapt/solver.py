@@ -97,6 +97,7 @@ class MixedSystem:
     the local edge dofs' multipliers (-1 on boundary edges), side is +-1 for
     the aligned/opposite element of the edge, and owned marks the one
     element that holds each shared flux dof when local values are gathered.
+    advective (beta != 0) says the blocks, and so S, are nonsymmetric.
     """
 
     blocks: np.ndarray
@@ -110,7 +111,7 @@ class MixedSystem:
     p: int
     flux_space: BdmSpace
     scalar_space: DgSpace
-    beta: tuple
+    advective: bool
 
 
 @dataclass
@@ -140,8 +141,6 @@ def _data_exactness(p: int) -> int:
 
 def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     """Invert the element blocks and assemble the multiplier system S."""
-    if mesh.n_triangles == 0:
-        raise ValueError("empty mesh")
     flux = BdmSpace(mesh, p)
     scalar = DgSpace(mesh, p - 1)
     nt, nq = mesh.n_triangles, flux.local_dim
@@ -150,7 +149,8 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     A[:, :nq, :nq] = element_mass_matrices(flux)
     A[:, :nq, nq:] = -B.transpose(0, 2, 1)
     A[:, nq:, :nq] = B
-    if problem.is_advective:
+    advective = problem.is_advective
+    if advective:
         A[:, nq:, :nq] -= element_advection_matrices(flux, scalar, problem.beta)
     try:
         Ainv = np.linalg.inv(A)
@@ -181,7 +181,7 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     S = coo_matrix((S_loc[keep], (rows[keep], cols[keep])),
                    shape=(n_mult, n_mult)).tocsc()
     return MixedSystem(A, Ainv, np.concatenate([g, F]), S, multiplier, side,
-                       owned, mesh, p, flux, scalar, tuple(problem.beta))
+                       owned, mesh, p, flux, scalar, advective)
 
 
 def _factor(system: MixedSystem):
@@ -192,7 +192,7 @@ def _factor(system: MixedSystem):
     """
     S = system.schur
     try:
-        if any(system.beta):
+        if system.advective:
             return splu(S)
         return splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     relax=1, options={"SymmetricMode": True})

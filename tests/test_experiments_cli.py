@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import pytest
@@ -51,6 +52,17 @@ def test_run_experiment_artifacts(tmp_path):
     slope = stored["per_degree"]["1"]["slopes"]["err_L2_nu"]
     assert slope is not None and slope < -1.5
     assert stored["fit_policy"] == "drop first 2 meshes"
+
+
+def test_run_experiment_logs_one_record_per_degree(tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="bdmadapt.experiments"):
+        run_experiment(tiny_config(str(tmp_path / "log"), p_list=(1, 2),
+                                   iterations=1))
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "bdmadapt.experiments"]
+    assert messages == ["[smooth] p=1 mode=uniform ...",
+                        "[smooth] p=2 mode=uniform ..."]
+    assert all(r.levelno == logging.INFO for r in caplog.records)
 
 
 def test_fit_window_is_per_experiment(tmp_path):

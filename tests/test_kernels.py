@@ -16,8 +16,8 @@ from bdmadapt.basis import quad_rule
 from bdmadapt.bdm import (BdmSpace, DgSpace, element_advection_matrices,
                           element_mass_matrices)
 from bdmadapt.estimators import eta_improved, error_norms, full_report
-from bdmadapt.fields import (apply_2x2, coeff_contract, mapped_points,
-                             nu_jump_terms, stiffness_tensors)
+from bdmadapt.fields import (coeff_contract, mapped_points, nu_jump_terms,
+                             stiffness_tensors)
 from bdmadapt.postprocess import _local_ingredients, postprocess_resmin
 from bdmadapt.solver import assemble, solve
 
@@ -143,7 +143,7 @@ def test_error_block_matches_einsum(solved, advdiff, p):
         assert_matches(getattr(new, name), getattr(ref, name))
 
 
-# -- the two primitives --------------------------------------------------------
+# -- the contraction primitive -------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,34 +158,28 @@ def test_coeff_contract_is_the_einsum(n, nq, s, tail, seed):
     assert_matches(out, np.einsum("ni,qi...->nq...", coeffs, table), 1e-13)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 7), nq=st.integers(1, 6), shared=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_apply_2x2_is_the_row_map(n, nq, shared, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((1 if shared else n, nq, 2))
-    M = rng.standard_normal((n, 2, 2))
-    out = apply_2x2(v, M)
-    assert out.shape == (n, nq, 2)
-    ref = np.einsum("nqa,nab->nqb", np.broadcast_to(v, (n, nq, 2)), M)
-    assert_matches(out, ref, 1e-13)
-
-
 # -- guard ---------------------------------------------------------------------
 
 
-def test_loop_passes_no_element_batch_through_einsum(monkeypatch, advdiff):
-    """Only the 2x2 geometry factors (at most 4 entries per element) may go
-    through einsum in assemble -> solve -> postprocess -> full_report."""
+def _warm_iteration(advdiff):
+    """(n_triangles, iteration): one p = 2 assemble -> solve -> postprocess ->
+    full_report on the 512-element advdiff mesh, already run once so that
+    the cached reference tables are filled."""
     mesh = build_initial_mesh(advdiff.domain, 512)
-    nt = mesh.n_triangles
-    assert nt == 512
+    assert mesh.n_triangles == 512
 
     def iteration():
         solution = solve(assemble(mesh, 2, advdiff))
         return full_report(advdiff, solution, postprocess_resmin(solution))
 
-    iteration()  # fills the cached reference tables
+    iteration()
+    return mesh.n_triangles, iteration
+
+
+def test_loop_passes_no_element_batch_through_einsum(monkeypatch, advdiff):
+    """Only the 2x2 geometry factors (at most 4 entries per element) may go
+    through einsum in assemble -> solve -> postprocess -> full_report."""
+    nt, iteration = _warm_iteration(advdiff)
     real = np.einsum
     offending = []
 
@@ -199,3 +193,20 @@ def test_loop_passes_no_element_batch_through_einsum(monkeypatch, advdiff):
     monkeypatch.setattr(np, "einsum", watched)
     iteration()
     assert offending == []
+
+
+def test_loop_factors_each_element_stiffness_once(monkeypatch, advdiff):
+    """One Cholesky of the element stiffnesses, one inverse of its factors and
+    one of the mixed element blocks; no dense solve in the loop."""
+    _, iteration = _warm_iteration(advdiff)
+    calls = {"solve": 0, "cholesky": 0, "inv": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    iteration()
+    assert calls == {"solve": 0, "cholesky": 1, "inv": 2}

@@ -67,6 +67,21 @@ def test_refine_invalid_ids_rejected():
         mesh.refine([5])
 
 
+def test_refine_takes_integer_ids_only():
+    mesh = build_initial_mesh(DomainSpec.unit_square(), 32)
+    everything = mesh.refine(np.arange(32))
+    assert everything.n_triangles == 64
+    assert mesh.refine(range(32)).n_triangles == 64
+    # repeats and order do not matter
+    assert np.array_equal(mesh.refine(np.array([5, 0, 5])).triangles,
+                          mesh.refine([0, 5]).triangles)
+    # a boolean mask is not a set of ids {0, 1}, nor are float ids truncated
+    with pytest.raises(ValueError):
+        mesh.refine(np.ones(32, dtype=bool))
+    with pytest.raises(ValueError):
+        mesh.refine([0.7, 2.9])
+
+
 def test_closure_single_marked_two_triangles():
     mesh = build_initial_mesh(DomainSpec.unit_square(), 2)
     out = mesh.refine([0])

@@ -78,7 +78,7 @@ def test_advection_dispatch():
     adv = preset("advdiff")
     mesh = build_initial_mesh(adv.domain, 8)
     system = assemble(mesh, 1, adv)
-    assert system.beta != (0.0, 0.0)
+    assert system.advective
 
 
 def test_advection_one_element_sanity(rng):
