@@ -1,8 +1,7 @@
 """Adaptive BDM mixed finite elements with residual-minimization postprocessing."""
 
 from .adaptivity import AdaptiveRun, dorfler_mark, run_adaptive
-from .basis import (QuadRule, RefScalarBasis, make_scalar_basis,
-                    make_zero_mean_basis, quad_rule)
+from .basis import QuadRule, RefScalarBasis, make_scalar_basis, quad_rule
 from .bdm import BdmSpace, DgSpace, interpolate_boundary_term
 from .estimators import (EstimatorReport, ErrorBlock, dual_norm_star,
                          error_norms, eta_improved, full_report,

@@ -4,8 +4,8 @@ The reference triangle is K = {(x, y) : x >= 0, y >= 0, x + y <= 1}.  Scalar
 bases are hierarchical and L2-orthonormal on K: they come from an exact
 rational LDL^T Gram-Schmidt of the monomial basis ordered by total degree, so
 the degree-r basis is the leading slice of every higher-degree basis and the
-first function is the normalized constant.  Dropping that constant yields an
-exactly mean-free sub-basis.
+first function is the normalized constant.  Dropping that constant (column 0
+of values and grads) yields an exactly mean-free sub-basis.
 """
 
 from dataclasses import dataclass
@@ -85,21 +85,13 @@ def _orthonormal_monomial_coeffs(degree: int) -> np.ndarray:
 
 
 class RefScalarBasis:
-    """Orthonormal scalar basis on the reference triangle.
+    """Orthonormal scalar basis on the reference triangle."""
 
-    With zero_mean=True the constant is dropped, leaving the mean-free
-    sub-basis of the same hierarchical family.
-    """
-
-    def __init__(self, degree: int, zero_mean: bool = False):
+    def __init__(self, degree: int):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if zero_mean and degree < 1:
-            raise ValueError("zero-mean space of degree 0 is trivial")
         self.degree = degree
-        self.zero_mean = zero_mean
-        full = _orthonormal_monomial_coeffs(degree)
-        self._coeffs = full[:, 1:] if zero_mean else full
+        self._coeffs = _orthonormal_monomial_coeffs(degree)
         self._exps = np.array(monomial_exponents(degree))
         self.size = self._coeffs.shape[1]
 
@@ -129,19 +121,12 @@ class RefScalarBasis:
         return np.stack([dx @ self._coeffs, dy @ self._coeffs], axis=-1)
 
     def __repr__(self):
-        kind = "zero-mean" if self.zero_mean else "full"
-        return f"RefScalarBasis(degree={self.degree}, {kind}, size={self.size})"
+        return f"RefScalarBasis(degree={self.degree}, size={self.size})"
 
 
 @lru_cache(maxsize=None)
 def make_scalar_basis(degree: int) -> RefScalarBasis:
-    return RefScalarBasis(degree, zero_mean=False)
-
-
-@lru_cache(maxsize=None)
-def make_zero_mean_basis(degree: int) -> RefScalarBasis:
-    """Mean-free basis of dimension basis_size(degree) - 1; degree >= 1."""
-    return RefScalarBasis(degree, zero_mean=True)
+    return RefScalarBasis(degree)
 
 
 @dataclass(frozen=True)

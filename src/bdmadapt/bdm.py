@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import eval_legendre
 
-from .basis import basis_size, make_scalar_basis, make_zero_mean_basis, quad_rule
+from .basis import basis_size, make_scalar_basis, quad_rule
 from .fields import (coeff_contract, edge_points, edge_ref_points,
                      mapped_points, scalar_tables)
 from .mesh import TriMesh
@@ -57,8 +57,9 @@ def _interior_test_fields(p: int, pts) -> np.ndarray:
     out = np.empty((len(pts), n_int, 2))
     if n_int == 0:
         return out
-    zm = make_zero_mean_basis(p - 1)
-    out[:, : zm.size, :] = zm.grads(pts)
+    zm_grads = make_scalar_basis(p - 1).grads(pts)[:, 1:]
+    n_zm = zm_grads.shape[1]
+    out[:, :n_zm, :] = zm_grads
     wbas = make_scalar_basis(p - 2)
     b, db = _bubble_and_grad(pts)
     wv = wbas.values(pts)
@@ -66,8 +67,8 @@ def _interior_test_fields(p: int, pts) -> np.ndarray:
     # curl(b*w) = (d_y(b w), -d_x(b w))
     gx = wv * db[:, 0:1] + b[:, None] * wg[:, :, 0]
     gy = wv * db[:, 1:2] + b[:, None] * wg[:, :, 1]
-    out[:, zm.size:, 0] = gy
-    out[:, zm.size:, 1] = -gx
+    out[:, n_zm:, 0] = gy
+    out[:, n_zm:, 1] = -gx
     return out
 
 

@@ -1,6 +1,7 @@
 """Command line interface: run experiments, verify identities, trace report."""
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -9,8 +10,7 @@ from .experiments import ExperimentConfig, run_experiment
 from .fortin import fortin_report
 from .verify import run_verification
 
-_RUN_KEYS = ("experiment", "p_list", "mode", "theta", "iterations", "out",
-             "marker", "dump_meshes", "initial_elements", "max_elements")
+_RUN_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _build_parser():

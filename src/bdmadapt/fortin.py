@@ -1,10 +1,12 @@
 """Biorthogonal edge functions and the normal-trace projection for degree 1.
 
-Per edge of the reference triangle, three cubic bubbles built from the
-barycentric coordinates of the edge endpoints vanish on the two other edges.
-Two combinations of them are fixed by a 3x3 system so that they are
-biorthogonal to the edge trace basis and mean-free on the element.  Composing
-with the inverse affine map and scaling the trace basis per edge yields
+Per edge (P, Q) of the reference triangle, the three cubic bubbles
+lamP lamQ, lamP^2 lamQ and lamP lamQ^2 in the barycentric coordinates of the
+endpoints vanish on the two other edges.  Two combinations of them, the
+columns of the solution of one 3x3 floating-point system with closed-form
+factorial entries, are biorthogonal to the edge trace basis and mean-free
+on the element.  Composing with the inverse affine map and scaling the trace
+basis per edge yields
 
     int_{dK} phi_i psi_j = xi_K delta_ij,    xi_K = |dK| / |dK_ref|,
 
@@ -14,99 +16,38 @@ moments and is bounded on L2 of the boundary.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 import math
 
 import numpy as np
 
-from .basis import (basis_size, make_zero_mean_basis, map_to_triangle,
-                    monomial_exponents, quad_rule)
+from .basis import (REF_VERTICES, make_scalar_basis, map_to_triangle,
+                    quad_rule)
 from .bdm import shifted_legendre
 from .fields import edge_ref_points, stiffness_tensors
 from .mesh import TriMesh, _LOCAL_EDGE_VERTS
 
 REF_PERIMETER = 2.0 + math.sqrt(2.0)
 
-# barycentric coordinates on the reference triangle as monomial triples
-# lambda = c0 + c1 x + c2 y
-_BARY = ((1, -1, -1), (0, 1, 0), (0, 0, 1))
+# exponents (a, b) of the edge bubbles lamP^a lamQ^b
+_BUBBLE_EXPONENTS = ((1, 1), (2, 1), (1, 2))
 
 
-def _poly1_integral(coeffs):
-    """Exact integral over [0,1] of a 1D polynomial with Fraction coeffs."""
-    return sum(Fraction(c) / (k + 1) for k, c in enumerate(coeffs))
-
-
-def _poly1_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += Fraction(ai) * Fraction(bj)
-    return out
-
-
-def _edge_system_matrix():
+def _edge_system_matrix() -> np.ndarray:
     """The 3x3 system pairing the edge bubbles with trace moments and the mean.
 
-    Edge-parameter forms of the bubbles: (1-t)t, (1-t)^2 t, (1-t) t^2.  Rows
-    1-2 pair them with the moment trace basis (2m+1) L_m(t); row 3 holds the
-    element integrals of the corresponding cubics.
+    Column k is the bubble lamP^a lamQ^b, whose edge trace is (1-t)^a t^b.
+    With I = a! b! / (a+b+2)! its element integral (row 3), the trace has
+    moment 0 int_0^1 (1-t)^a t^b dt = (a+b+2) I (row 1) and moment 1
+    3 int_0^1 (2t-1) (1-t)^a t^b dt = 3(b-a) I (row 2).  Each entry is one
+    rounded division of integers.
     """
-    one_minus = [Fraction(1), Fraction(-1)]
-    t = [Fraction(0), Fraction(1)]
-    bubbles = [_poly1_mul(one_minus, t),
-               _poly1_mul(_poly1_mul(one_minus, one_minus), t),
-               _poly1_mul(one_minus, _poly1_mul(t, t))]
-    legendre = [[Fraction(1)], [Fraction(-1), Fraction(2)]]
-    A = [[Fraction(0)] * 3 for _ in range(3)]
-    for m in range(2):
-        weight = 2 * m + 1
-        for k in range(3):
-            A[m][k] = weight * _poly1_integral(_poly1_mul(legendre[m], bubbles[k]))
-    # element integrals of lamP^a lamQ^b: a! b! / (a+b+2)!
-    A[2][0] = Fraction(math.factorial(1) ** 2, math.factorial(4))
-    A[2][1] = Fraction(math.factorial(2), math.factorial(5))
-    A[2][2] = Fraction(math.factorial(2), math.factorial(5))
-    return A
-
-
-def _solve3_fractions(A, rhs):
-    a = [row[:] for row in A]
-    b = list(rhs)
-    n = 3
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                fac = a[r][col] / a[col][col]
-                a[r] = [x - fac * y for x, y in zip(a[r], a[col])]
-                b[r] = b[r] - fac * b[col]
-    return [b[r] / a[r][r] for r in range(n)]
-
-
-def _mono2_mul(a, b, degree):
-    """Multiply two 2D monomial coefficient dicts {(i, j): c}."""
-    out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            if i1 + i2 + j1 + j2 > degree:
-                raise ValueError("degree overflow")
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return out
-
-
-def _edge_bubble_monomials(local_edge):
-    """Monomial dicts of the three cubics lamP lamQ, lamP^2 lamQ, lamP lamQ^2."""
-    pa, qa = _LOCAL_EDGE_VERTS[local_edge]
-    lp = {(0, 0): Fraction(_BARY[pa][0]), (1, 0): Fraction(_BARY[pa][1]),
-          (0, 1): Fraction(_BARY[pa][2])}
-    lq = {(0, 0): Fraction(_BARY[qa][0]), (1, 0): Fraction(_BARY[qa][1]),
-          (0, 1): Fraction(_BARY[qa][2])}
-    pq = _mono2_mul(lp, lq, 3)
-    return pq, _mono2_mul(lp, pq, 3), _mono2_mul(lq, pq, 3)
+    cols = []
+    for a, b in _BUBBLE_EXPONENTS:
+        num = math.factorial(a) * math.factorial(b)
+        den = math.factorial(a + b + 2)
+        cols.append(((a + b + 2) * num / den, 3 * (b - a) * num / den,
+                     num / den))
+    return np.array(cols).T
 
 
 @dataclass
@@ -114,21 +55,21 @@ class BiorthogonalSet:
     """Reference data of the six biorthogonal boundary functions.
 
     psi functions are ordered (edge 0, moments 0..1), (edge 1, ...), (edge 2,
-    ...); monomial and mean-free-basis coefficient forms are both kept.
+    ...); psi_(j, m) = sum_k coeffs[k, m] * (bubble k of edge j).
     """
 
     A: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    psi_monomial: np.ndarray      # (6, 10) over degree-3 monomials
-    psi_zero_mean: np.ndarray     # (6, 9) over the mean-free degree-3 basis
+    coeffs: np.ndarray            # (3 bubbles, 2 moments)
 
     def psi_values(self, pts) -> np.ndarray:
         """Values of the six functions at reference points; (npts, 6)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        exps = np.array(monomial_exponents(3))
-        mono = pts[:, 0:1] ** exps[:, 0][None, :] * pts[:, 1:2] ** exps[:, 1][None, :]
-        return mono @ self.psi_monomial.T
+        lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]],
+                       axis=1)
+        P, Q = np.array(_LOCAL_EDGE_VERTS).T
+        a, b = np.array(_BUBBLE_EXPONENTS).T
+        bubbles = lam[:, P, None] ** a * lam[:, Q, None] ** b
+        return (bubbles @ self.coeffs).reshape(len(pts), 6)
 
     def psi_edge_trace(self, local_edge: int, t) -> np.ndarray:
         """Traces of all six functions along one local edge; (nt, 6)."""
@@ -164,42 +105,16 @@ def trace_basis_values(tri, local_edge: int, t) -> np.ndarray:
 def build_biorthogonal() -> BiorthogonalSet:
     """Construct and verify the six-function biorthogonal boundary set."""
     A = _edge_system_matrix()
-    beta = _solve3_fractions(A, [Fraction(1), Fraction(0), Fraction(0)])
-    gamma = _solve3_fractions(A, [Fraction(0), Fraction(1), Fraction(0)])
-    exps = monomial_exponents(3)
-    index = {e: k for k, e in enumerate(exps)}
-    psi_mono = np.zeros((6, len(exps)))
-    for j in range(3):
-        bubbles = _edge_bubble_monomials(j)
-        for m, combo in enumerate((beta, gamma)):
-            acc = {}
-            for coef, bub in zip(combo, bubbles):
-                for key, c in bub.items():
-                    acc[key] = acc.get(key, Fraction(0)) + coef * c
-            for key, c in acc.items():
-                psi_mono[2 * j + m, index[key]] = float(c)
-    bset = BiorthogonalSet(
-        A=np.array([[float(x) for x in row] for row in A]),
-        beta=np.array([float(x) for x in beta]),
-        gamma=np.array([float(x) for x in gamma]),
-        psi_monomial=psi_mono,
-        psi_zero_mean=np.zeros((6, basis_size(3) - 1)),
-    )
-    # express psi in the mean-free degree-3 basis (exact quadrature)
-    rule = quad_rule(8, "triangle")
-    zb = make_zero_mean_basis(3)
-    vals = bset.psi_values(rule.points)
-    bset.psi_zero_mean = np.einsum("q,qi,qk->ki", rule.weights,
-                                   zb.values(rule.points), vals)
-    recon = zb.values(rule.points) @ bset.psi_zero_mean.T
-    if np.max(np.abs(recon - vals)) > 1e-11:
+    bset = BiorthogonalSet(A=A, coeffs=np.linalg.solve(A, np.eye(3)[:, :2]))
+    rule = quad_rule(3, "triangle")
+    if np.abs(rule.weights @ bset.psi_values(rule.points)).max() > 1e-13:
         raise ArithmeticError("biorthogonal functions fail to be mean-free")
     _verify_reference_biorthogonality(bset)
     return bset
 
 
 def _verify_reference_biorthogonality(bset: BiorthogonalSet, tol=1e-12):
-    G = pairing_matrix(bset, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    G = pairing_matrix(bset, REF_VERTICES)
     if np.max(np.abs(G - np.eye(6))) > tol:
         raise ArithmeticError("reference biorthogonality violated")
 
@@ -240,15 +155,15 @@ class FortinProjection:
         return math.sqrt(total)
 
 
-def fortin_apply(v, bset: BiorthogonalSet, tri,
-                 n_points: int = 12) -> FortinProjection:
+def fortin_apply(v, bset: BiorthogonalSet, tri) -> FortinProjection:
     """Project a boundary field: alpha_j = (1/xi_K) int_{dK} phi_j v.
 
     v maps (n, 2) physical boundary points to values.  The moments reduce to
-    (2m+1) int_0^1 L_m(t) v(x_j(t)) dt per edge, independent of xi_K.
+    (2m+1) int_0^1 L_m(t) v(x_j(t)) dt per edge, independent of xi_K, and are
+    taken with the 12-point Gauss rule.
     """
     tri = np.asarray(tri, dtype=float)
-    rule = quad_rule(2 * n_points - 1, "edge")
+    rule = quad_rule(23, "edge")
     t, w = rule.points, rule.weights
     alphas = np.empty(6)
     for j in range(3):
@@ -260,11 +175,11 @@ def fortin_apply(v, bset: BiorthogonalSet, tri,
     return FortinProjection(bset=bset, tri=tri, alphas=alphas)
 
 
-def random_shape_regular_triangles(n: int, seed: int, min_angle_deg: float = 15.0):
-    """Deterministic sample of triangles with all angles >= min_angle_deg."""
+def random_shape_regular_triangles(n: int, seed: int):
+    """Deterministic sample of triangles with all angles >= 15 degrees."""
     rng = np.random.default_rng(seed)
     tris = []
-    min_angle = math.radians(min_angle_deg)
+    min_angle = math.radians(15.0)
     while len(tris) < n:
         base = rng.uniform(0.4, 2.5)
         apex = rng.uniform([-1.5, 0.15], [2.5, 2.5])
@@ -293,7 +208,7 @@ def scaled_trace_inequality_check(p: int, n_triangles: int = 100,
     trace-visible complement of the mean-free degree-(p+2) space."""
     if p not in (1, 2, 3):
         raise ValueError("supported degrees are 1, 2, 3")
-    basis = make_zero_mean_basis(p + 2)
+    basis = make_scalar_basis(p + 2)
     rule = quad_rule(2 * (p + 2) + 1, "edge")
     t, w = rule.points, rule.weights
     consts = []
@@ -304,7 +219,7 @@ def scaled_trace_inequality_check(p: int, n_triangles: int = 100,
         le = edge_lengths(tri)
         T = np.zeros_like(S)
         for j in range(3):
-            vals = basis.values(edge_ref_points(j, t))
+            vals = basis.values(edge_ref_points(j, t))[:, 1:]
             T += le[j] * np.einsum("q,qi,qk->ik", w, vals, vals)
         evals, evecs = eigh(T)
         keep = evals > 1e-10 * evals.max()
@@ -322,25 +237,20 @@ def fortin_report(n_samples: int = 100, seed: int = 20240601,
                   degrees=(1, 2, 3)) -> dict:
     """Verification report: biorthogonality residuals, boundedness, traces."""
     bset = build_biorthogonal()
-    ref_res = float(np.max(np.abs(
-        pairing_matrix(bset, np.array([[0, 0], [1, 0], [0, 1]], dtype=float))
-        - np.eye(6))))
+    ref_res = float(np.max(np.abs(pairing_matrix(bset, REF_VERTICES)
+                                  - np.eye(6))))
     rng = np.random.default_rng(seed)
     phys_res = 0.0
     ratios = []
     psi_norm_ratios = []
+    erule = quad_rule(13, "edge")
     for tri in random_shape_regular_triangles(n_samples, seed):
         G = pairing_matrix(bset, tri)
         phys_res = max(phys_res, float(np.max(np.abs(G - np.eye(6)))))
         xi = xi_scale(tri)
-        le = edge_lengths(tri)
-        erule = quad_rule(13, "edge")
-        for k in range(6):
-            nrm2 = 0.0
-            for j in range(3):
-                v = bset.psi_edge_trace(j, erule.points)[:, k]
-                nrm2 += le[j] * float(np.dot(erule.weights, v ** 2))
-            psi_norm_ratios.append(math.sqrt(nrm2 / xi))
+        for alphas in np.eye(6):
+            psi = FortinProjection(bset=bset, tri=tri, alphas=alphas)
+            psi_norm_ratios.append(psi.boundary_norm() / math.sqrt(xi))
         coeff = rng.standard_normal(6)
 
         def vfun(x, tri=tri, coeff=coeff):
@@ -350,6 +260,7 @@ def fortin_report(n_samples: int = 100, seed: int = 20240601,
                     + coeff[4] * x[:, 0] ** 2 + coeff[5] * np.exp(-x[:, 1]))
 
         proj = fortin_apply(vfun, bset, tri)
+        le = edge_lengths(tri)
         vn2 = 0.0
         for j in range(3):
             vals = vfun(map_to_triangle(edge_ref_points(j, erule.points), tri))

@@ -34,6 +34,8 @@ class DomainSpec:
         loop = np.asarray(self.loop, dtype=float)
         if loop.ndim != 2 or loop.shape[0] < 3 or loop.shape[1] != 2:
             raise ValueError("polygon loop must be an (n>=3, 2) array")
+        if not np.all(np.isfinite(loop)):
+            raise ValueError("polygon loop has non-finite coordinates")
         if abs(_polygon_area(loop)) < 1e-14:
             raise ValueError("degenerate polygon")
         if not _is_simple_polygon(loop):
@@ -114,6 +116,7 @@ class TriMesh:
         self.domain_name = domain_name
         if nt == 0:
             raise ValueError("empty mesh")
+        self._check_input()
         self._check_orientation()
         self._build_edges()
         self.vertices.setflags(write=False)
@@ -121,11 +124,25 @@ class TriMesh:
 
     # -- construction -----------------------------------------------------
 
+    def _check_input(self):
+        verts, tris = self.vertices, self.triangles
+        if (verts.ndim != 2 or verts.shape[1] != 2
+                or not np.all(np.isfinite(verts))):
+            raise ValueError("vertices must form a finite (n, 2) array")
+        if tris.ndim != 2 or tris.shape[1] != 3:
+            raise ValueError("triangles must form an (nt, 3) array")
+        if tris.min() < 0 or tris.max() >= len(verts):
+            raise ValueError(f"vertex ids must lie in [0, {len(verts)})")
+        nt = len(tris)
+        if self.generation.shape != (nt,) or self.parent.shape != (nt,):
+            raise ValueError("need one generation and one parent entry per "
+                             "triangle")
+
     def _check_orientation(self):
         t = self.vertices[self.triangles]
         cross = ((t[:, 1, 0] - t[:, 0, 0]) * (t[:, 2, 1] - t[:, 0, 1])
                  - (t[:, 1, 1] - t[:, 0, 1]) * (t[:, 2, 0] - t[:, 0, 0]))
-        if np.any(cross <= 0):
+        if not np.all(cross > 0):
             bad = int(np.argmin(cross))
             raise ValueError(f"triangle {bad} is not positively oriented")
 

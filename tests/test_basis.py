@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bdmadapt import make_scalar_basis, make_zero_mean_basis, quad_rule
+from bdmadapt import make_scalar_basis, quad_rule
 from bdmadapt.basis import basis_size, map_to_triangle
 
 from conftest import skewed_triangle
@@ -29,23 +29,18 @@ def project_l2(f, degree, tri=None, exactness=None):
 
 
 def test_zero_mean_dimensions_and_means():
+    # dropping the constant column leaves a mean-free sub-basis
     rule = quad_rule(8, "triangle")
     for k, dim in ((1, 2), (2, 5), (3, 9)):
-        basis = make_zero_mean_basis(k)
-        assert basis.size == dim
-        means = np.einsum("q,qi->i", rule.weights, basis.values(rule.points))
+        values = make_scalar_basis(k).values(rule.points)[:, 1:]
+        assert values.shape[1] == dim
+        means = np.einsum("q,qi->i", rule.weights, values)
         assert np.abs(means).max() <= 1e-13
 
 
-def test_zero_mean_degree_zero_rejected():
-    with pytest.raises(ValueError):
-        make_zero_mean_basis(0)
-
-
 def test_gradient_gram_nonsingular_dense_eig():
-    basis = make_zero_mean_basis(2)
     rule = quad_rule(6, "triangle")
-    D = basis.grads(rule.points)
+    D = make_scalar_basis(2).grads(rule.points)[:, 1:]
     G = np.einsum("q,qia,qja->ij", rule.weights, D, D)
     evals = np.linalg.eigvalsh(G)
     assert evals.min() > 1e-12
@@ -156,11 +151,10 @@ def test_quad_rule_unsupported_degree_lists_maximum():
 def test_zero_mean_plus_constants_spans_full_space(rng):
     for k in (1, 2, 3):
         full = make_scalar_basis(k)
-        zm = make_zero_mean_basis(k)
         rule = quad_rule(2 * k + 2, "triangle")
         target = full.values(rule.points) @ rng.standard_normal(full.size)
         A = np.column_stack([np.ones(len(rule.points)),
-                             zm.values(rule.points)])
+                             full.values(rule.points)[:, 1:]])
         coef, *_ = np.linalg.lstsq(A, target, rcond=None)
         assert np.abs(A @ coef - target).max() <= 1e-10
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -5,7 +6,7 @@ import os
 import pytest
 
 from bdmadapt import ExperimentConfig, fit_slope, run_experiment
-from bdmadapt.cli import main
+from bdmadapt.cli import _build_parser, main
 from bdmadapt.experiments import CSV_COLUMNS
 
 
@@ -123,6 +124,13 @@ def test_cli_run_with_config_and_override(tmp_path, capsys):
     assert summary["iterations"] == 3  # flag overrode the config file
     captured = capsys.readouterr()
     assert "artifacts written" in captured.out
+
+
+def test_cli_run_has_a_flag_per_config_field():
+    args = _build_parser().parse_args(["run"])
+    missing = [f.name for f in dataclasses.fields(ExperimentConfig)
+               if not hasattr(args, f.name)]
+    assert not missing
 
 
 def test_cli_rejects_zero_initial_elements(tmp_path):

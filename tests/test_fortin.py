@@ -45,6 +45,25 @@ def test_system_matrix_exact_values(bset):
     assert abs(det - 1.0 / 14400.0) <= 1e-15
 
 
+def test_coefficients_solve_the_exact_system(bset):
+    # columns solve A c = e_0 and A c = e_1 in rational arithmetic
+    a = [list(row) for row in A_EXPECTED]
+    want = []
+    for m in range(2):
+        rhs = [Fraction(int(i == m)) for i in range(3)]
+        aug = [row[:] + [rhs[i]] for i, row in enumerate(a)]
+        for col in range(3):
+            piv = next(r for r in range(col, 3) if aug[r][col] != 0)
+            aug[col], aug[piv] = aug[piv], aug[col]
+            for r in range(3):
+                if r != col:
+                    fac = aug[r][col] / aug[col][col]
+                    aug[r] = [x - fac * y for x, y in zip(aug[r], aug[col])]
+        want.append([float(aug[r][3] / aug[r][r]) for r in range(3)])
+    assert bset.coeffs.shape == (3, 2)
+    assert np.abs(bset.coeffs - np.array(want).T).max() <= 1e-14
+
+
 def test_reference_biorthogonality_all_36_pairs(bset):
     G = pairing_matrix(bset, REF_TRI)
     assert np.abs(G - np.eye(6)).max() <= 1e-12
@@ -207,7 +226,7 @@ def test_trace_inequality_scale_invariance():
     # h^{1/2} ||grad v|| / ||v||_{dK} is invariant under uniform scaling
     from bdmadapt.fortin import _triangle_mesh
     from bdmadapt.fields import stiffness_tensors
-    from bdmadapt.basis import make_zero_mean_basis
+    from bdmadapt.basis import make_scalar_basis
     from scipy.linalg import eigh
     tri = skewed_triangle()
     vals = []
@@ -215,13 +234,13 @@ def test_trace_inequality_scale_invariance():
         stri = tri * s
         mesh = _triangle_mesh(stri)
         p = 2
-        basis = make_zero_mean_basis(p + 2)
+        basis = make_scalar_basis(p + 2)
         S = stiffness_tensors(mesh, p + 2, 2 * (p + 2))[0, 1:, 1:]
         rule = quad_rule(2 * (p + 2) + 1, "edge")
         le = edge_lengths(stri)
         T = np.zeros_like(S)
         for j in range(3):
-            B = basis.values(edge_ref_points(j, rule.points))
+            B = basis.values(edge_ref_points(j, rule.points))[:, 1:]
             T += le[j] * np.einsum("q,qi,qk->ik", rule.weights, B, B)
         evals, evecs = eigh(T)
         keep = evals > 1e-10 * evals.max()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdmadapt import DomainSpec, build_initial_mesh, load_mesh, save_mesh
+from bdmadapt import (DomainSpec, TriMesh, build_initial_mesh, load_mesh,
+                      save_mesh)
 from bdmadapt.basis import make_scalar_basis
 from bdmadapt.fields import nu_jump_terms
 
@@ -245,6 +246,52 @@ def test_export_roundtrip(tmp_path):
     assert np.any(mesh.parent >= 0)
     assert np.array_equal(back.parent, mesh.parent)
     assert np.array_equal(back.generation, mesh.generation)
+
+
+UNIT_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("vertices, triangles, kwargs", [
+    ([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], [[0, 1, 2]], {}),
+    ([[0.0, 0.0], [1.0, 0.0], [np.inf, 1.0]], [[0, 1, 2]], {}),
+    (UNIT_TRI, [[0, 1, -1]], {}),
+    (UNIT_TRI, [[0, 1, 3]], {}),
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 2]], {}),
+    (UNIT_TRI, [[0, 1, 2, 0]], {}),
+    (UNIT_TRI, [[0, 1, 2]], {"generation": [0, 0]}),
+    (UNIT_TRI, [[0, 1, 2]], {"parent": [-1, -1]}),
+    (UNIT_TRI, [[0, 1, 2]], {"parent": 1}),
+], ids=["nan-vertex", "inf-vertex", "negative-id", "id-too-large",
+        "three-columns", "four-vertex-ids", "generation-length",
+        "parent-length", "scalar-parent"])
+def test_malformed_mesh_rejected(vertices, triangles, kwargs):
+    with pytest.raises(ValueError):
+        TriMesh(vertices, triangles, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_polygon_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DomainSpec(loop=((0, 0), (1, 0), (1, bad), (0, 1)))
+
+
+def test_load_mesh_rejects_malformed_files(tmp_path):
+    prefix = str(tmp_path / "mesh")
+    save_mesh(build_initial_mesh(DomainSpec.unit_square(), 2), prefix)
+    with open(prefix + ".json") as fh:
+        meta = json.load(fh)
+    meta["parent"] = meta["parent"][:1]
+    with open(prefix + ".json", "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(ValueError, match="parent"):
+        load_mesh(prefix)
+    with open(prefix + ".nodes") as fh:
+        nodes = fh.read().splitlines()
+    nodes[0] = "nan 0.0"
+    with open(prefix + ".nodes", "w") as fh:
+        fh.write("\n".join(nodes) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_mesh(prefix)
 
 
 def test_generation_tracking():
