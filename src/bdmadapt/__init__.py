@@ -10,7 +10,7 @@ from .experiments import ExperimentConfig, fit_slope, run_experiment
 from .fortin import (BiorthogonalSet, build_biorthogonal, fortin_apply,
                      fortin_report, scaled_trace_inequality_check)
 from .mesh import DomainSpec, TriMesh, build_initial_mesh, load_mesh, save_mesh
-from .postprocess import PostprocResult, postprocess_resmin, stenberg_oracle
+from .postprocess import PostprocResult, postprocess_resmin
 from .problems import preset
 from .solver import (MixedSolution, MixedSystem, ProblemSpec,
                      SingularSystemError, assemble, solve, solve_problem)

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-REF_AREA = 0.5
 MAX_DEGREE = 12
 MAX_QUAD_EXACTNESS = 50
 
@@ -139,8 +138,6 @@ class QuadRule:
 
     points: np.ndarray
     weights: np.ndarray
-    exactness: int
-    variant: str = "triangle"
 
     def __len__(self):
         return len(self.weights)
@@ -178,7 +175,7 @@ def quad_rule(exactness: int, variant: str = "triangle") -> QuadRule:
     wts = np.ascontiguousarray(wts)
     pts.setflags(write=False)
     wts.setflags(write=False)
-    return QuadRule(points=pts, weights=wts, exactness=exactness, variant=variant)
+    return QuadRule(points=pts, weights=wts)
 
 
 def map_to_triangle(pts, tri) -> np.ndarray:

@@ -23,7 +23,7 @@ from scipy.special import eval_legendre
 
 from .basis import basis_size, make_scalar_basis, quad_rule
 from .fields import (coeff_contract, edge_points, edge_ref_points,
-                     mapped_points, scalar_tables)
+                     field_values, mapped_points, scalar_tables)
 from .mesh import TriMesh
 
 _REF_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -76,8 +76,8 @@ def _interior_test_fields(p: int, pts) -> np.ndarray:
 def _bdm_reference(p: int):
     """Nodal coefficient matrix of the reference shape functions.
 
-    Returns (coeffs, cond) where column l of coeffs holds the coefficients of
-    shape function l over the primal basis [(phi_i, 0)] + [(0, phi_i)].
+    Column l holds the coefficients of shape function l over the primal
+    basis [(phi_i, 0)] + [(0, phi_i)].
     """
     if p < 1:
         raise ValueError("BDM degree must be >= 1")
@@ -109,12 +109,12 @@ def _bdm_reference(p: int):
         raise ArithmeticError(f"BDM degree-{p} functional matrix is ill posed")
     coeffs = np.linalg.inv(V)
     coeffs.setflags(write=False)
-    return coeffs, cond
+    return coeffs
 
 
 def reference_shape_values(p: int, pts) -> np.ndarray:
     """Reference shape function values; shape (npts, local_dim, 2)."""
-    coeffs, _ = _bdm_reference(p)
+    coeffs = _bdm_reference(p)
     s = basis_size(p)
     phi = make_scalar_basis(p).values(pts)
     return np.stack([phi @ coeffs[:s, :], phi @ coeffs[s:, :]], axis=-1)
@@ -122,7 +122,7 @@ def reference_shape_values(p: int, pts) -> np.ndarray:
 
 def reference_shape_divs(p: int, pts) -> np.ndarray:
     """Reference divergences of the shape functions; shape (npts, local_dim)."""
-    coeffs, _ = _bdm_reference(p)
+    coeffs = _bdm_reference(p)
     s = basis_size(p)
     g = make_scalar_basis(p).grads(pts)
     return g[:, :, 0] @ coeffs[:s, :] + g[:, :, 1] @ coeffs[s:, :]
@@ -155,8 +155,7 @@ class DgSpace:
 
     def load_vector(self, f, exactness: int) -> np.ndarray:
         rule, V, _ = scalar_tables(self.degree, exactness)
-        pts = mapped_points(self.mesh, rule.points)
-        vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
+        vals = field_values(f, mapped_points(self.mesh, rule.points), "f")
         F = ((vals * rule.weights) @ V) * self.mesh.det_jacobians[:, None]
         return F.ravel()
 
@@ -222,9 +221,8 @@ class BdmSpace:
         exact = 2 * p + 8
         erule = quad_rule(exact, "edge")
         t, w = erule.points, erule.weights
-        pts = edge_points(mesh, slice(None), t)
-        qv = np.asarray(q(pts.reshape(-1, 2)), dtype=float).reshape(
-            mesh.n_edges, len(t), 2)
+        qv = field_values(q, edge_points(mesh, slice(None), t), "q",
+                          vector=True)
         qn = (qv @ mesh.edge_normals[:, :, None])[..., 0]
         leg = np.stack([shifted_legendre(m, t) for m in range(p + 1)])
         dofs = np.empty(self.n_dofs)
@@ -233,9 +231,8 @@ class BdmSpace:
         if self.n_interior:
             trule = quad_rule(exact, "triangle")
             theta = _interior_test_fields(p, trule.points)
-            phys = mapped_points(mesh, trule.points)
-            qv = np.asarray(q(phys.reshape(-1, 2)), dtype=float).reshape(
-                mesh.n_triangles, len(trule.weights), 2)
+            qv = field_values(q, mapped_points(mesh, trule.points), "q",
+                              vector=True)
             # contravariant pull-back J B^{-1} q
             JBinvT = mesh.det_jacobians[:, None, None] * np.swapaxes(
                 mesh.inv_jacobians, 1, 2)
@@ -307,8 +304,7 @@ def interpolate_boundary_term(space: BdmSpace, u_D) -> np.ndarray:
         return g
     rule = quad_rule(2 * p + 9, "edge")
     t, w = rule.points, rule.weights
-    pts = edge_points(mesh, bdry, t)
-    ud = np.asarray(u_D(pts.reshape(-1, 2)), dtype=float).reshape(len(bdry), len(t))
+    ud = field_values(u_D, edge_points(mesh, bdry, t), "u_D")
     owner = mesh.edge_tris[bdry, 0]
     local = mesh.edge_local[bdry, 0]
     sigma = np.where(mesh.elem_edge_aligned[owner, local], 1.0, -1.0)

@@ -29,8 +29,9 @@ import numpy as np
 
 from .basis import make_scalar_basis, quad_rule
 from .bdm import shifted_legendre
-from .fields import (coeff_contract, edge_points, mapped_points,
-                     scalar_tables, subdivided_edge_rule, subdivided_rule)
+from .fields import (coeff_contract, edge_points, field_values,
+                     mapped_points, scalar_tables, subdivided_edge_rule,
+                     subdivided_rule)
 from .mesh import TriMesh
 from .postprocess import PostprocResult, inverse_factors, mean_free_stiffness
 from .solver import MixedSolution, ProblemSpec
@@ -53,7 +54,8 @@ def _element_groups(mesh: TriMesh, problem: ProblemSpec, exactness: int):
             groups.append((np.nonzero(touch)[0], pts, w))
             flagged |= touch
     if problem.quad_region is not None:
-        inside = np.asarray(problem.quad_region(mesh.vertices), dtype=bool)
+        inside = field_values(problem.quad_region, mesh.vertices,
+                              "quad_region") != 0
         near = inside[mesh.triangles].any(axis=1) & ~flagged
         if near.any():
             pts, w = subdivided_rule(exactness, 1)
@@ -85,10 +87,9 @@ def _edge_flux_sq(problem: ProblemSpec, mesh: TriMesh, n_points: int,
         if ids.size == 0:
             continue
         t, w = subdivided_edge_rule(n_points, levels)
-        pts = edge_points(mesh, ids, t)
-        qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
-        g = (qv.reshape(len(ids), len(t), 2)
-             @ mesh.edge_normals[ids, :, None])[..., 0]
+        qv = field_values(problem.exact_q, edge_points(mesh, ids, t),
+                          "exact_q", vector=True)
+        g = (qv @ mesh.edge_normals[ids, :, None])[..., 0]
         sq[ids] = (residual(ids, t, w, g) ** 2 @ w) * mesh.edge_lengths[ids]
     return sq[mesh.elem_edges].sum(axis=1)
 
@@ -121,8 +122,8 @@ def dual_norm_star(mesh: TriMesh, p: int, element: int, r) -> float:
         raise IndexError(f"element {element} out of range")
     one = TriMesh(mesh.tri_coords[element], [[0, 1, 2]])
     rule, _, D = scalar_tables(p + 2, 2 * p + 8)
-    vals = np.asarray(r(mapped_points(one, rule.points)[0]), dtype=float)
-    b = _grad_load(vals[None], one.inv_jacobians, one.det_jacobians,
+    vals = field_values(r, mapped_points(one, rule.points), "r", vector=True)
+    b = _grad_load(vals, one.inv_jacobians, one.det_jacobians,
                    rule.weights, D[:, 1:])
     G = inverse_factors(mean_free_stiffness(one, p))
     return float(np.linalg.norm(G[0] @ b[0]))
@@ -278,9 +279,8 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
 
     for ids, pts, w in _element_groups(mesh, problem, exact):
         phys = mapped_points(mesh, pts, ids)
-        flat = phys.reshape(-1, 2)
-        qv = np.asarray(problem.exact_q(flat), float).reshape(len(ids), len(w), 2)
-        uv = np.asarray(problem.exact_u(flat), float).reshape(len(ids), len(w))
+        qv = field_values(problem.exact_q, phys, "exact_q", vector=True)
+        uv = field_values(problem.exact_u, phys, "exact_u")
         J = mesh.det_jacobians[ids]
         Binv = mesh.inv_jacobians[ids]
         V, D = basis_p2.values(pts), basis_p2.grads(pts)

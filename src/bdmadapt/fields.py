@@ -31,8 +31,7 @@ _REF_EDGE_ENDS = (((1.0, 0.0), (0.0, 1.0)),
 def edge_ref_points(local_edge: int, t) -> np.ndarray:
     """Reference coordinates of local-edge points at traversal parameters t."""
     t = np.asarray(t, dtype=float)[:, None]
-    a, b = np.asarray(_REF_EDGE_ENDS[local_edge][0]), np.asarray(
-        _REF_EDGE_ENDS[local_edge][1])
+    a, b = np.asarray(_REF_EDGE_ENDS[local_edge])
     return (1.0 - t) * a[None, :] + t * b[None, :]
 
 
@@ -73,6 +72,22 @@ def edge_scalar_tables(degree: int, n_points: int):
         tab[j, 1] = basis.values(edge_ref_points(j, 1.0 - t))
     tab.setflags(write=False)
     return t, w, tab
+
+
+def field_values(fn, pts, name: str, vector: bool = False) -> np.ndarray:
+    """A problem callable at points (..., 2), called once on the flat (n, 2)
+    batch; it must return finite values of shape (n,), or (n, 2) if vector.
+    """
+    pts = np.asarray(pts, dtype=float)
+    flat = pts.reshape(-1, 2)
+    vals = np.asarray(fn(flat), dtype=float)
+    want = flat.shape if vector else flat.shape[:1]
+    if vals.shape != want:
+        raise ValueError(f"{name} returned shape {vals.shape} for "
+                         f"{len(flat)} points; expected {want}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{name} returned non-finite values")
+    return vals.reshape(pts.shape if vector else pts.shape[:-1])
 
 
 def coeff_contract(coeffs, table) -> np.ndarray:
@@ -124,21 +139,14 @@ def subdivided_rule(exactness: int, levels: int):
     """Reference rule replicated on the 4^levels congruent sub-triangles."""
     rule = quad_rule(exactness, "triangle")
     pts, wts = rule.points, rule.weights
+    children = np.array([[[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]],
+                         [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5]],
+                         [[0.0, 0.5], [0.5, 0.5], [0.0, 1.0]],
+                         [[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]]])
     for _ in range(levels):
-        children = (
-            ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5)),
-            ((0.5, 0.0), (1.0, 0.0), (0.5, 0.5)),
-            ((0.0, 0.5), (0.5, 0.5), (0.0, 1.0)),
-            ((0.5, 0.5), (0.0, 0.5), (0.5, 0.0)),
-        )
-        new_p, new_w = [], []
-        for v0, v1, v2 in children:
-            v0, v1, v2 = map(np.asarray, (v0, v1, v2))
-            jac = np.stack([v1 - v0, v2 - v0], axis=1)
-            new_p.append(v0[None, :] + pts @ jac.T)
-            new_w.append(wts / 4.0)
-        pts = np.vstack(new_p)
-        wts = np.concatenate(new_w)
+        pts = np.vstack([v0 + pts @ np.stack([v1 - v0, v2 - v0], axis=1).T
+                         for v0, v1, v2 in children])
+        wts = np.tile(wts / 4.0, 4)
     return pts, wts
 
 
@@ -190,9 +198,7 @@ def nu_jump_terms(mesh: TriMesh, coeffs, u_D, n_points: int):
         l0 = mesh.edge_local[bdry, 0]
         a0 = mesh.elem_edge_aligned[k0, l0].astype(int)
         v = vals[k0, l0, 1 - a0]
-        pts = edge_points(mesh, bdry, t)
-        vals_ud = np.asarray(u_D(pts.reshape(-1, 2)), dtype=float)
-        vals_ud = vals_ud.reshape(len(bdry), len(t))
+        vals_ud = field_values(u_D, edge_points(mesh, bdry, t), "u_D")
         bnd_K += np.bincount(k0, (vals_ud - v) ** 2 @ w, minlength=nt)
     return jump_K, bnd_K
 

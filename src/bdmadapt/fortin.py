@@ -23,7 +23,7 @@ import numpy as np
 from .basis import (REF_VERTICES, make_scalar_basis, map_to_triangle,
                     quad_rule)
 from .bdm import shifted_legendre
-from .fields import edge_ref_points, stiffness_tensors
+from .fields import edge_ref_points, field_values, stiffness_tensors
 from .mesh import TriMesh, _LOCAL_EDGE_VERTS
 
 REF_PERIMETER = 2.0 + math.sqrt(2.0)
@@ -168,7 +168,7 @@ def fortin_apply(v, bset: BiorthogonalSet, tri) -> FortinProjection:
     alphas = np.empty(6)
     for j in range(3):
         pts = map_to_triangle(edge_ref_points(j, t), tri)
-        vals = np.asarray(v(pts), dtype=float)
+        vals = field_values(v, pts, "v")
         for m in range(2):
             alphas[2 * j + m] = (2 * m + 1) * float(
                 np.dot(w * shifted_legendre(m, t), vals))
@@ -198,10 +198,6 @@ def random_shape_regular_triangles(n: int, seed: int):
     return tris
 
 
-def _triangle_mesh(tri) -> TriMesh:
-    return TriMesh(np.asarray(tri, dtype=float), np.array([[0, 1, 2]]))
-
-
 def scaled_trace_inequality_check(p: int, n_triangles: int = 100,
                                   seed: int = 20240601) -> dict:
     """Measured constant in ||grad v|| <= C h^{-1/2} ||v||_{dK} on the
@@ -214,7 +210,7 @@ def scaled_trace_inequality_check(p: int, n_triangles: int = 100,
     consts = []
     from scipy.linalg import eigh
     for tri in random_shape_regular_triangles(n_triangles, seed):
-        mesh = _triangle_mesh(np.asarray(tri))
+        mesh = TriMesh(tri, [[0, 1, 2]])
         S = stiffness_tensors(mesh, p + 2, 2 * (p + 2))[0, 1:, 1:]
         le = edge_lengths(tri)
         T = np.zeros_like(S)

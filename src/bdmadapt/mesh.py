@@ -101,18 +101,27 @@ def _is_simple_polygon(loop):
     return True
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """values as int64; a non-integral or out-of-range entry is an error."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "f" and not np.all((np.abs(raw) < 2.0 ** 63)
+                                            & (raw == np.round(raw))):
+        raise ValueError(f"{name} must hold integers")
+    return raw.astype(np.int64, order="C")
+
+
 class TriMesh:
     """Immutable conforming triangulation with full edge adjacency."""
 
     def __init__(self, vertices, triangles, generation=None, parent=None,
                  domain_name=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        self.triangles = _integers(triangles, "triangles")
         nt = len(self.triangles)
         self.generation = (np.zeros(nt, dtype=np.int64) if generation is None
-                           else np.asarray(generation, dtype=np.int64))
+                           else _integers(generation, "generation"))
         self.parent = (np.full(nt, -1, dtype=np.int64) if parent is None
-                       else np.asarray(parent, dtype=np.int64))
+                       else _integers(parent, "parent"))
         self.domain_name = domain_name
         if nt == 0:
             raise ValueError("empty mesh")
@@ -341,10 +350,6 @@ class TriMesh:
         have = (self.edge_tris >= 0).sum(axis=1)
         if not np.array_equal(counts, have):
             raise AssertionError("edge adjacency inconsistent with boundary flags")
-        lens = self.edge_lengths
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        if not np.allclose(lens, np.hypot(d[:, 0], d[:, 1]), rtol=0, atol=0):
-            raise AssertionError("edge length table stale")
         # stored normal points from K+ into K- on interior edges
         interior = ~self.boundary_edge
         kp, km = self.edge_tris[interior, 0], self.edge_tris[interior, 1]

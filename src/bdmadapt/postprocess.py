@@ -127,16 +127,3 @@ def postprocess_resmin(solution: MixedSolution) -> PostprocResult:
         mesh=solution.mesh, p=solution.p, nu=_with_mean(solution, nu),
         eps=eps, eta_tilde_K=np.linalg.norm(z[:, n1:, 0], axis=1),
         theta=_with_mean(solution, theta), chol_inv=G)
-
-
-def stenberg_oracle(solution: MixedSolution):
-    """Degree-(p+1) elliptic postprocessing and its degree-(p+2) enrichment,
-    solved directly by LU as an independent reference.
-
-    Returns (nu, theta) with the same layout as PostprocResult.
-    """
-    n1 = basis_size(solution.p + 1) - 1
-    S22, rhs = _local_ingredients(solution)
-    theta = np.linalg.solve(S22, rhs[..., None])[..., 0]
-    nu = np.linalg.solve(S22[:, :n1, :n1], rhs[:, :n1, None])[..., 0]
-    return _with_mean(solution, nu), _with_mean(solution, theta)

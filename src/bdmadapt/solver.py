@@ -27,6 +27,7 @@ from scipy.sparse.linalg import splu
 from .bdm import (BdmSpace, DgSpace, element_advection_matrices,
                   element_divergence_matrices, element_mass_matrices,
                   interpolate_boundary_term)
+from .fields import field_values
 from .mesh import DomainSpec, TriMesh
 
 # relative residual of the full mixed equations above which solve() fails
@@ -42,13 +43,13 @@ class SingularSystemError(RuntimeError):
 class ProblemSpec:
     """Data of one boundary value problem.
 
-    f, u_D and the optional exact fields take (n, 2) point arrays and return
-    vectorized values ((n,) scalars, (n, 2) for the exact flux).  beta is a
-    constant advection vector; (0, 0) selects the pure diffusion branch.
-    Exact-solution integrals use subdivided quadrature on elements touching
-    quad_singular_point (two levels) and on elements with a vertex in
-    quad_region, a predicate mapping (n, 2) vertices to (n,) booleans (one
-    level).
+    f, u_D and the optional exact_u, exact_q and quad_region are called on
+    one (n, 2) point array and must return n finite values: shape (n,), or
+    (n, 2) for the flux exact_q.  fields.field_values makes every call and
+    raises ValueError naming the field otherwise.  beta is a finite constant
+    advection vector; (0, 0) selects the pure diffusion branch.  Exact
+    integrals subdivide the rule on elements touching quad_singular_point
+    (two levels) and on those with a vertex in quad_region (one level).
     """
 
     domain: DomainSpec
@@ -60,6 +61,21 @@ class ProblemSpec:
     name: str = "custom"
     quad_singular_point: tuple | None = None
     quad_region: object = None
+
+    def __post_init__(self):
+        for key in ("f", "u_D", "exact_u", "exact_q", "quad_region"):
+            fn = getattr(self, key)
+            if not (callable(fn) or fn is None and key not in ("f", "u_D")):
+                raise TypeError(f"{key} must be callable, got {fn!r}")
+        for key in ("beta", "quad_singular_point"):
+            value = getattr(self, key)
+            if value is None and key != "beta":
+                continue
+            pair = np.asarray(value, dtype=float)
+            if pair.shape != (2,) or not np.all(np.isfinite(pair)):
+                raise ValueError(
+                    f"{key} must be a finite 2-vector, got {value!r}")
+            setattr(self, key, tuple(pair.tolist()))
 
     @property
     def has_exact(self) -> bool:
@@ -73,15 +89,12 @@ class ProblemSpec:
         """Check q = -grad u at sample points by central differences."""
         if not self.has_exact:
             return
-        pts = np.asarray(points, dtype=float)
         h = 1e-6
-        ex = np.array([h, 0.0])
-        ey = np.array([0.0, h])
-        gx = (self.exact_u(pts + ex) - self.exact_u(pts - ex)) / (2 * h)
-        gy = (self.exact_u(pts + ey) - self.exact_u(pts - ey)) / (2 * h)
-        q = np.asarray(self.exact_q(pts), dtype=float)
+        steps = h * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        u = field_values(self.exact_u, points + steps[:, None], "exact_u")
+        q = field_values(self.exact_q, points, "exact_q", vector=True)
         scale = max(1.0, float(np.abs(q).max()))
-        err = np.hypot(q[:, 0] + gx, q[:, 1] + gy).max()
+        err = np.hypot(*(q + (u[0::2] - u[1::2]).T / (2 * h)).T).max()
         if err > tol * scale:
             raise ValueError(
                 f"exact pair inconsistent: max |q + grad u| = {err:.3e}")

@@ -5,7 +5,8 @@ import pytest
 from scipy.sparse import bmat, coo_matrix
 
 from bdmadapt import build_initial_mesh, preset, solve_problem
-from bdmadapt.basis import make_scalar_basis, map_to_triangle, quad_rule
+from bdmadapt.basis import (basis_size, make_scalar_basis, map_to_triangle,
+                            quad_rule)
 from bdmadapt.bdm import (BdmSpace, DgSpace, bdm_tables,
                           element_advection_matrices,
                           element_divergence_matrices, element_mass_matrices,
@@ -16,6 +17,7 @@ from bdmadapt.fields import (edge_points, edge_ref_points, edge_scalar_tables,
                              grad_outer_tables, mapped_points, metric_tensors,
                              scalar_tables, subdivided_edge_rule)
 from bdmadapt.fortin import edge_lengths, trace_basis_values
+from bdmadapt.postprocess import _local_ingredients, _with_mean
 
 
 @pytest.fixture
@@ -248,6 +250,19 @@ def einsum_local_ingredients(solution):
     tw = np.einsum("nqa,nab->nqb", ref_flux, W)
     rhs = -np.einsum("nqb,qib,q->ni", tw, D[:, 1:, :], rule.weights)
     return S22, rhs
+
+
+def stenberg_oracle(solution):
+    """Degree-(p+1) elliptic postprocessing and its degree-(p+2) enrichment,
+    solved directly by LU as an independent reference.
+
+    Returns (nu, theta) with the same layout as PostprocResult.
+    """
+    n1 = basis_size(solution.p + 1) - 1
+    S22, rhs = _local_ingredients(solution)
+    theta = np.linalg.solve(S22, rhs[..., None])[..., 0]
+    nu = np.linalg.solve(S22[:, :n1, :n1], rhs[:, :n1, None])[..., 0]
+    return _with_mean(solution, nu), _with_mean(solution, theta)
 
 
 def einsum_mismatch_sq(post, solution):

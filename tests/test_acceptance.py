@@ -14,8 +14,7 @@ from scipy.linalg import eigh
 
 from bdmadapt import (build_biorthogonal, build_initial_mesh, dual_norm_star,
                       error_norms, eta_improved, fit_slope, fortin_apply,
-                      postprocess_resmin, preset, run_adaptive, solve_problem,
-                      stenberg_oracle)
+                      postprocess_resmin, preset, run_adaptive, solve_problem)
 from bdmadapt.basis import make_scalar_basis, quad_rule
 from bdmadapt.fields import stiffness_tensors
 from bdmadapt.fortin import (edge_lengths, pairing_matrix,
@@ -23,7 +22,7 @@ from bdmadapt.fortin import (edge_lengths, pairing_matrix,
 from bdmadapt.mesh import _LOCAL_EDGE_VERTS
 
 from conftest import (boundary_moments, make_linear_problem,
-                      projection_moments)
+                      projection_moments, stenberg_oracle)
 
 SLOPE_TOL = 0.15          # criterion 5
 ADAPTIVE_SLACK = 0.3      # criteria 8 and 9

@@ -1,10 +1,12 @@
-"""Guard: every function, method and property of the package has a caller.
+"""Guard: every function, method, property and module-level constant of the
+package has a reader.
 
-A name counts as called when src/bdmadapt or benchmarks/ read it as a Name
-or an Attribute, or when the benchmark tracer looks it up by string (the
-attribute column of its PATCHES table).  Imports do not count, and neither
-do the tests: code that only the tests call belongs in the tests.  Names
-without a caller must be on ALLOWED, with the reason they stay.
+A name counts as read when src/bdmadapt or benchmarks/ load it as a Name or
+an Attribute, or when the benchmark tracer looks it up by string (the
+attribute column of its PATCHES table).  Assignments and imports do not
+count, and neither do the tests: code that only the tests call belongs in
+the tests.  Names without a reader must be on ALLOWED, with the reason they
+stay.
 """
 
 import ast
@@ -51,6 +53,24 @@ def _definitions():
     return out
 
 
+def _constants():
+    """Qualified name -> plain name of every module-level assigned name."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        out[f"{path.stem}.{sub.id}"] = sub.id
+    return out
+
+
 def _tracer_lookups():
     tree = ast.parse((BENCHMARKS / "tracing.py").read_text())
     for node in tree.body:
@@ -65,21 +85,33 @@ def _names_read():
     used = set(_tracer_lookups())
     for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCHMARKS.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
                 used.add(node.attr)
     return used
 
 
+def _unread(defined):
+    used = _names_read()
+    return sorted(q for q, name in defined.items()
+                  if name not in used and not _is_dunder(name)
+                  and q not in ALLOWED)
+
+
 def test_every_package_function_has_a_caller():
-    defined, used = _definitions(), _names_read()
-    uncalled = sorted(q for q, name in defined.items()
-                      if name not in used and not _is_dunder(name)
-                      and q not in ALLOWED)
+    uncalled = _unread(_definitions())
     assert not uncalled, (
         f"no code in src/bdmadapt or benchmarks/ calls {uncalled}: delete "
         "them, move them into tests/ as oracles, or add them to ALLOWED "
         "with a reason")
-    stale = sorted(set(ALLOWED) - set(defined))
+    stale = sorted(set(ALLOWED) - set(_definitions()) - set(_constants()))
     assert not stale, f"ALLOWED names that no longer exist: {stale}"
+
+
+def test_every_module_constant_is_read():
+    unread = _unread(_constants())
+    assert not unread, (
+        f"no code in src/bdmadapt or benchmarks/ reads {unread}: delete "
+        "them or add them to ALLOWED with a reason")

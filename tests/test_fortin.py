@@ -224,7 +224,7 @@ def test_trace_inequality_constants(p):
 
 def test_trace_inequality_scale_invariance():
     # h^{1/2} ||grad v|| / ||v||_{dK} is invariant under uniform scaling
-    from bdmadapt.fortin import _triangle_mesh
+    from bdmadapt.mesh import TriMesh
     from bdmadapt.fields import stiffness_tensors
     from bdmadapt.basis import make_scalar_basis
     from scipy.linalg import eigh
@@ -232,7 +232,7 @@ def test_trace_inequality_scale_invariance():
     vals = []
     for s in (1.0, 3.7):
         stri = tri * s
-        mesh = _triangle_mesh(stri)
+        mesh = TriMesh(stri, [[0, 1, 2]])
         p = 2
         basis = make_scalar_basis(p + 2)
         S = stiffness_tensors(mesh, p + 2, 2 * (p + 2))[0, 1:, 1:]

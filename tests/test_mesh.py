@@ -261,12 +261,26 @@ UNIT_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     (UNIT_TRI, [[0, 1, 2]], {"generation": [0, 0]}),
     (UNIT_TRI, [[0, 1, 2]], {"parent": [-1, -1]}),
     (UNIT_TRI, [[0, 1, 2]], {"parent": 1}),
+    (UNIT_TRI, [[0.4, 1.9, 2.2]], {}),
+    (UNIT_TRI, [[0.0, 1.0, np.inf]], {}),
+    (UNIT_TRI, [[0, 1, 2]], {"generation": [0.7]}),
+    (UNIT_TRI, [[0, 1, 2]], {"parent": [-1.5]}),
+    (UNIT_TRI, [[0, 1, 2]], {"generation": [1e30]}),
 ], ids=["nan-vertex", "inf-vertex", "negative-id", "id-too-large",
         "three-columns", "four-vertex-ids", "generation-length",
-        "parent-length", "scalar-parent"])
+        "parent-length", "scalar-parent", "fractional-ids", "inf-id",
+        "fractional-generation", "fractional-parent", "huge-generation"])
 def test_malformed_mesh_rejected(vertices, triangles, kwargs):
     with pytest.raises(ValueError):
         TriMesh(vertices, triangles, **kwargs)
+
+
+def test_integral_float_ids_accepted():
+    mesh = TriMesh(UNIT_TRI, [[0.0, 1.0, 2.0]], generation=[1.0],
+                   parent=[-1.0])
+    assert mesh.triangles.dtype == np.int64
+    assert mesh.triangles.tolist() == [[0, 1, 2]]
+    assert mesh.generation.tolist() == [1] and mesh.parent.tolist() == [-1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -280,11 +294,12 @@ def test_load_mesh_rejects_malformed_files(tmp_path):
     save_mesh(build_initial_mesh(DomainSpec.unit_square(), 2), prefix)
     with open(prefix + ".json") as fh:
         meta = json.load(fh)
-    meta["parent"] = meta["parent"][:1]
-    with open(prefix + ".json", "w") as fh:
-        json.dump(meta, fh)
-    with pytest.raises(ValueError, match="parent"):
-        load_mesh(prefix)
+    half = [0.5] + meta["generation"][1:]
+    for key, value in (("generation", half), ("parent", meta["parent"][:1])):
+        with open(prefix + ".json", "w") as fh:
+            json.dump(dict(meta, **{key: value}), fh)
+        with pytest.raises(ValueError, match=key):
+            load_mesh(prefix)
     with open(prefix + ".nodes") as fh:
         nodes = fh.read().splitlines()
     nodes[0] = "nan 0.0"

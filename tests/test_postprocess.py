@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from bdmadapt import postprocess_resmin, stenberg_oracle
+from bdmadapt import postprocess_resmin
 from bdmadapt.basis import basis_size, make_scalar_basis, quad_rule
 from bdmadapt.bdm import BdmSpace, DgSpace
 from bdmadapt.estimators import dual_norm_star
 from bdmadapt.fields import stiffness_tensors
 from bdmadapt.solver import MixedSolution
 
-from conftest import single_element_mesh
+from conftest import single_element_mesh, stenberg_oracle
 
 
 def manual_solution(mesh, p, flux, scalar):

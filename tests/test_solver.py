@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -158,6 +160,33 @@ def test_exact_pair_validation_catches_mismatch():
         name="bad")
     with pytest.raises(ValueError, match="inconsistent"):
         bad.validate_exact(np.array([[0.3, 0.4], [0.6, 0.2]]))
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({"beta": (np.nan, 0.0)}, ValueError),
+    ({"beta": (np.inf, 0.0)}, ValueError),
+    ({"beta": (1.0,)}, ValueError),
+    ({"beta": None}, ValueError),
+    ({"quad_singular_point": (0.0, np.nan)}, ValueError),
+    ({"quad_singular_point": (0.0, 0.0, 0.0)}, ValueError),
+    ({"f": None}, TypeError),
+    ({"u_D": 0.0}, TypeError),
+    ({"exact_u": "x ** 2"}, TypeError),
+    ({"exact_q": np.zeros(2)}, TypeError),
+    ({"quad_region": True}, TypeError),
+], ids=["nan-beta", "inf-beta", "short-beta", "no-beta", "nan-point",
+        "3d-point", "no-f", "number-u_D", "string-exact_u", "array-exact_q",
+        "bool-quad_region"])
+def test_bad_problem_constants_rejected(changes, error):
+    with pytest.raises(error):
+        dataclasses.replace(zero_problem(), **changes)
+
+
+def test_problem_constants_stored_as_float_pairs():
+    spec = dataclasses.replace(zero_problem(), beta=np.array([1, 2]),
+                               quad_singular_point=[0, 1])
+    assert spec.beta == (1.0, 2.0) and spec.quad_singular_point == (0.0, 1.0)
+    assert all(type(v) is float for v in spec.beta + spec.quad_singular_point)
 
 
 @pytest.mark.parametrize("name", ["smooth", "lshape", "advdiff"])
