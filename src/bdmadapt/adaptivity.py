@@ -50,7 +50,6 @@ class IterationRecord:
     effectivity: float | None = None
     errors: dict | None = None
     marked: np.ndarray | None = None
-    marked_centroids: np.ndarray | None = None
     mesh: TriMesh | None = None
     report: EstimatorReport | None = None
 
@@ -157,7 +156,6 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
         else:
             marked = dorfler_mark(indicator, theta)
         rec.marked = marked
-        rec.marked_centroids = mesh.centroids[marked]
         if len(marked) == 0:
             break
         refined = mesh.refine(marked)

@@ -169,7 +169,6 @@ class BdmSpace:
         self.mesh = mesh
         self.p = p
         self.local_dim = local_dimension(p)
-        self.edge_dofs_per_edge = p + 1
         self.n_interior = interior_dof_count(p)
         self.n_edge_dofs = mesh.n_edges * (p + 1)
         self.n_dofs = self.n_edge_dofs + mesh.n_triangles * self.n_interior
@@ -299,14 +298,11 @@ def interpolate_boundary_term(space: BdmSpace, u_D) -> np.ndarray:
     """
     mesh, p = space.mesh, space.p
     g = np.zeros(space.n_dofs)
-    bdry = np.nonzero(mesh.boundary_edge)[0]
-    if bdry.size == 0:
-        return g
+    owner, local = np.nonzero(mesh.boundary_edge[mesh.elem_edges])
+    bdry = mesh.elem_edges[owner, local]
     rule = quad_rule(2 * p + 9, "edge")
     t, w = rule.points, rule.weights
     ud = field_values(u_D, edge_points(mesh, bdry, t), "u_D")
-    owner = mesh.edge_tris[bdry, 0]
-    local = mesh.edge_local[bdry, 0]
     sigma = np.where(mesh.elem_edge_aligned[owner, local], 1.0, -1.0)
     m = np.arange(p + 1)
     mom = ud @ (w * shifted_legendre(m[:, None], t)).T

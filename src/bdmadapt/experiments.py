@@ -51,6 +51,8 @@ class ExperimentConfig:
             raise ValueError("theta must lie in (0, 1)")
         if self.mode not in ("uniform", "adaptive"):
             raise ValueError("mode must be 'uniform' or 'adaptive'")
+        if self.marker not in ("eta", "eta_tilde"):
+            raise ValueError("marker must be 'eta' or 'eta_tilde'")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -111,7 +111,13 @@ def _integers(values, name: str) -> np.ndarray:
 
 
 class TriMesh:
-    """Immutable conforming triangulation with full edge adjacency."""
+    """Immutable conforming triangulation.
+
+    Adjacency is stored once, element to edge: elem_edges (nt, 3) holds the
+    global edge of each local edge, elem_edge_aligned whether the element
+    traverses it in the global direction (the element is K+ there; each
+    interior edge has exactly one), boundary_edge the edges with one element.
+    """
 
     def __init__(self, vertices, triangles, generation=None, parent=None,
                  domain_name=None):
@@ -157,40 +163,23 @@ class TriMesh:
 
     def _build_edges(self):
         tris = self.triangles
-        nt = len(tris)
-        pairs = np.stack([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]],
-                         axis=1).reshape(-1, 2)
-        sorted_pairs = np.sort(pairs, axis=1)
-        edges, inverse = np.unique(sorted_pairs, axis=0, return_inverse=True)
+        pairs = tris[:, np.array(_LOCAL_EDGE_VERTS)].reshape(-1, 2)
+        edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0,
+                                   return_inverse=True)
         counts = np.bincount(inverse, minlength=len(edges))
-        if counts.max() > 2 or counts.min() < 1:
+        if counts.max() > 2:
             raise ValueError("non-conforming triangulation (bad edge multiplicity)")
+        # traversal of the local edge agrees with the stored global direction?
+        aligned = pairs[:, 0] == edges[inverse, 0]
+        if np.any(np.bincount(inverse, aligned)[counts == 2] != 1):
+            raise ValueError("two triangles traverse one edge the same way "
+                             "(inconsistent orientation)")
         self.edges = edges
-        self.elem_edges = inverse.reshape(nt, 3)
-        # traversal of local edge j agrees with the stored global direction?
-        first = pairs.reshape(nt, 3, 2)[:, :, 0]
-        self.elem_edge_aligned = first == edges[self.elem_edges, 0]
-        ne = len(edges)
-        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        edge_local = np.full((ne, 2), -1, dtype=np.int64)
-        for k, e in enumerate(inverse):
-            t, j = divmod(k, 3)
-            side = 0 if self.elem_edge_aligned[t, j] else 1
-            if edge_tris[e, side] != -1:
-                raise ValueError("two triangles traverse one edge the same way "
-                                 "(inconsistent orientation)")
-            edge_tris[e, side] = t
-            edge_local[e, side] = j
-        boundary = counts == 1
-        # boundary edges keep their single element in slot 0
-        swap = boundary & (edge_tris[:, 0] == -1)
-        edge_tris[swap, 0], edge_tris[swap, 1] = edge_tris[swap, 1], -1
-        edge_local[swap, 0], edge_local[swap, 1] = edge_local[swap, 1], -1
-        self.edge_tris = edge_tris
-        self.edge_local = edge_local
-        self.boundary_edge = boundary
+        self.elem_edges = inverse.reshape(tris.shape)
+        self.elem_edge_aligned = aligned.reshape(tris.shape)
+        self.boundary_edge = counts == 1
         for arr in (self.edges, self.elem_edges, self.elem_edge_aligned,
-                    self.edge_tris, self.edge_local, self.boundary_edge):
+                    self.boundary_edge):
             arr.setflags(write=False)
 
     # -- geometry ----------------------------------------------------------
@@ -268,13 +257,8 @@ class TriMesh:
     @cached_property
     def outward_normals(self):
         """Outward unit normal per (triangle, local edge); shape (nt, 3, 2)."""
-        t = self.tri_coords
-        out = np.empty((len(t), 3, 2))
-        for j, (a, b) in enumerate(_LOCAL_EDGE_VERTS):
-            d = t[:, b] - t[:, a]
-            n = np.stack([d[:, 1], -d[:, 0]], axis=1)
-            out[:, j] = n / np.hypot(d[:, 0], d[:, 1])[:, None]
-        return out
+        sign = np.where(self.elem_edge_aligned, 1.0, -1.0)
+        return self.edge_normals[self.elem_edges] * sign[..., None]
 
     @cached_property
     def min_angles(self):
@@ -346,18 +330,14 @@ class TriMesh:
     def validate(self):
         """Raise if any structural invariant fails; returns self when clean."""
         self._check_orientation()
-        counts = np.where(self.boundary_edge, 1, 2)
-        have = (self.edge_tris >= 0).sum(axis=1)
-        if not np.array_equal(counts, have):
+        counts = np.bincount(self.elem_edges.ravel(), minlength=self.n_edges)
+        if not np.array_equal(counts == 1, self.boundary_edge):
             raise AssertionError("edge adjacency inconsistent with boundary flags")
-        # stored normal points from K+ into K- on interior edges
-        interior = ~self.boundary_edge
-        kp, km = self.edge_tris[interior, 0], self.edge_tris[interior, 1]
-        mid = 0.5 * (self.vertices[self.edges[interior, 0]]
-                     + self.vertices[self.edges[interior, 1]])
-        to_minus = self.centroids[km] - mid
-        if np.any(np.einsum("ij,ij->i", to_minus, self.edge_normals[interior]) <= 0):
-            raise AssertionError("an interior edge normal does not point K+ -> K-")
+        # every element sees the normals of its edges point out of it
+        ends = self.vertices[self.edges[self.elem_edges]]
+        to_edge = 0.5 * ends.sum(axis=2) - self.centroids[:, None, :]
+        if np.any(np.einsum("nja,nja->nj", to_edge, self.outward_normals) <= 0):
+            raise AssertionError("an edge normal does not point out of its element")
         return self
 
 
@@ -437,17 +417,18 @@ def _orient_longest_edge(verts, tris):
 def build_initial_mesh(domain: DomainSpec, target_count: int) -> TriMesh:
     """Conforming mesh of the domain with element count close to target_count.
 
-    Presets get deterministic structured layouts (2*n^2 triangles on the unit
-    square, 6*n^2 on the L-shape); other polygons are ear-clipped and
-    uniformly bisected until the target is reached.
+    The preset domains get deterministic structured layouts (2*n^2 triangles
+    on the unit square, 6*n^2 on the L-shape); any other polygon, whatever
+    its name, is ear-clipped and uniformly bisected until the target is
+    reached.
     """
     if target_count < 1:
         raise ValueError("target_count must be positive")
     store = {"verts": [], "tris": [], "index": {}}
-    if domain.name == "unit_square":
+    if domain == DomainSpec.unit_square():
         n = max(1, round((target_count / 2.0) ** 0.5))
         _grid_block(store, 0.0, 0.0, n, n, 1.0 / n)
-    elif domain.name == "l_shape":
+    elif domain == DomainSpec.l_shape():
         n = max(1, round((target_count / 6.0) ** 0.5))
         h = 1.0 / n
         _grid_block(store, 0.0, -1.0, n, n, h)

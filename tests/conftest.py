@@ -276,27 +276,52 @@ def einsum_mismatch_sq(post, solution):
                      rule.weights, mesh.det_jacobians)
 
 
+def edge_elements(mesh):
+    """Edge-to-element table (edge_tris, edge_local), each (n_edges, 2),
+    built by a plain loop over the local edges as an adjacency oracle.
+
+    Slot 0 holds the element traversing the edge in its global direction
+    (K+) and slot 1 the other one (K-); a boundary edge keeps its single
+    element in slot 0 and -1 in slot 1.
+    """
+    edge_tris = np.full((mesh.n_edges, 2), -1, dtype=np.int64)
+    edge_local = np.full((mesh.n_edges, 2), -1, dtype=np.int64)
+    for k in range(mesh.n_triangles):
+        for j in range(3):
+            e = mesh.elem_edges[k, j]
+            side = 0 if mesh.elem_edge_aligned[k, j] else 1
+            assert edge_tris[e, side] == -1, "two K+ (or K-) on one edge"
+            edge_tris[e, side] = k
+            edge_local[e, side] = j
+    swap = edge_tris[:, 0] == -1
+    edge_tris[swap] = edge_tris[swap, ::-1]
+    edge_local[swap] = edge_local[swap, ::-1]
+    return edge_tris, edge_local
+
+
 def einsum_nu_jump_terms(mesh, coeffs, u_D, n_points):
-    """(jump_K, boundary_K) as in fields.nu_jump_terms."""
+    """(jump_K, boundary_K) as in fields.nu_jump_terms, from the
+    edge_elements oracle."""
     coeffs = np.asarray(coeffs)
     degree = int(round((np.sqrt(8 * coeffs.shape[1] + 1) - 3) / 2))
     t, w, tab = edge_scalar_tables(degree, n_points)
     nt = mesh.n_triangles
+    edge_tris, edge_local = edge_elements(mesh)
     jump_K = np.zeros(nt)
     bnd_K = np.zeros(nt)
     interior = np.nonzero(~mesh.boundary_edge)[0]
-    kp = mesh.edge_tris[interior, 0]
-    km = mesh.edge_tris[interior, 1]
-    lp = mesh.edge_local[interior, 0]
-    lm = mesh.edge_local[interior, 1]
+    kp = edge_tris[interior, 0]
+    km = edge_tris[interior, 1]
+    lp = edge_local[interior, 0]
+    lm = edge_local[interior, 1]
     vp = np.einsum("ni,nqi->nq", coeffs[kp], tab[lp, 0])
     vm = np.einsum("ni,nqi->nq", coeffs[km], tab[lm, 1])
     sq = np.einsum("nq,q->n", (vp - vm) ** 2, w)
     np.add.at(jump_K, kp, 0.5 * sq)
     np.add.at(jump_K, km, 0.5 * sq)
     bdry = np.nonzero(mesh.boundary_edge)[0]
-    k0 = mesh.edge_tris[bdry, 0]
-    l0 = mesh.edge_local[bdry, 0]
+    k0 = edge_tris[bdry, 0]
+    l0 = edge_local[bdry, 0]
     a0 = mesh.elem_edge_aligned[k0, l0].astype(int)
     v = np.einsum("ni,nqi->nq", coeffs[k0], tab[l0, 1 - a0])
     pts = edge_points(mesh, bdry, t)

@@ -206,9 +206,8 @@ def test_c08_lshape_adaptive(lshape_suite):
         assert nu >= (p + 2) - ADAPTIVE_SLACK, (p, nu)
         slopes[p] = (round(full, 2), round(nu, 2))
     run3 = runs[3]
-    pts = np.vstack([r.marked_centroids for r in run3.records[5:]
-                     if r.marked_centroids is not None
-                     and len(r.marked_centroids)])
+    pts = np.vstack([r.mesh.centroids[r.marked] for r in run3.records[5:]
+                     if r.marked is not None and len(r.marked)])
     frac = float(np.mean(np.linalg.norm(pts, axis=1) < 0.25))
     assert frac >= 0.5, frac
     _report("C08", f"decays (full, nu_L2): {slopes}; corner-marked fraction "
@@ -228,9 +227,8 @@ def test_c09_advection_diffusion(advdiff_suite):
     assert min(gaps[1], gaps[2]) > gaps[3], gaps
     # outflow-layer localization in late iterations
     run3 = runs[3]
-    pts = np.vstack([r.marked_centroids for r in run3.records[8:]
-                     if r.marked_centroids is not None
-                     and len(r.marked_centroids)])
+    pts = np.vstack([r.mesh.centroids[r.marked] for r in run3.records[8:]
+                     if r.marked is not None and len(r.marked)])
     in_strip = (pts[:, 0] > 0.9) | (pts[:, 1] > 0.9)
     density_strip = in_strip.mean() / 0.19
     density_rest = (1.0 - in_strip.mean()) / 0.81

@@ -129,7 +129,7 @@ def test_uniform_records_describe_the_solved_mesh():
     rec = run.records[0]
     assert rec.n_elements == 32
     assert np.array_equal(rec.marked, np.arange(32))
-    assert np.array_equal(rec.marked_centroids, rec.mesh.centroids)
+    assert np.array_equal(rec.mesh.centroids[rec.marked], rec.mesh.centroids)
 
 
 def test_one_stiffness_build_per_iteration(monkeypatch):

@@ -1,12 +1,12 @@
-"""Guard: every function, method, property and module-level constant of the
-package has a reader.
+"""Guard: every function, method, property, module-level constant, instance
+attribute and dataclass field of the package has a reader.
 
 A name counts as read when src/bdmadapt or benchmarks/ load it as a Name or
-an Attribute, or when the benchmark tracer looks it up by string (the
-attribute column of its PATCHES table).  Assignments and imports do not
-count, and neither do the tests: code that only the tests call belongs in
-the tests.  Names without a reader must be on ALLOWED, with the reason they
-stay.
+an Attribute or pass it as a string literal to getattr, or when the
+benchmark tracer looks it up by string (the attribute column of its PATCHES
+table).  Assignments and imports do not count, and neither do the tests:
+code that only the tests call belongs in the tests.  Names without a reader
+must be on ALLOWED, with the reason they stay.
 """
 
 import ast
@@ -71,6 +71,29 @@ def _constants():
     return out
 
 
+def _attributes():
+    """Qualified name -> plain name of every field declared in the body of a
+    module-level class (the dataclass fields) and every attribute its code
+    stores on self."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for sub in node.body:
+                if (isinstance(sub, ast.AnnAssign)
+                        and isinstance(sub.target, ast.Name)):
+                    out[f"{path.stem}.{node.name}.{sub.target.id}"] = \
+                        sub.target.id
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    out[f"{path.stem}.{node.name}.{sub.attr}"] = sub.attr
+    return out
+
+
 def _tracer_lookups():
     tree = ast.parse((BENCHMARKS / "tracing.py").read_text())
     for node in tree.body:
@@ -90,6 +113,11 @@ def _names_read():
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 used.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                used.add(node.args[1].value)
     return used
 
 
@@ -106,12 +134,20 @@ def test_every_package_function_has_a_caller():
         f"no code in src/bdmadapt or benchmarks/ calls {uncalled}: delete "
         "them, move them into tests/ as oracles, or add them to ALLOWED "
         "with a reason")
-    stale = sorted(set(ALLOWED) - set(_definitions()) - set(_constants()))
+    stale = sorted(set(ALLOWED) - set(_definitions()) - set(_constants())
+                   - set(_attributes()))
     assert not stale, f"ALLOWED names that no longer exist: {stale}"
 
 
 def test_every_module_constant_is_read():
     unread = _unread(_constants())
+    assert not unread, (
+        f"no code in src/bdmadapt or benchmarks/ reads {unread}: delete "
+        "them or add them to ALLOWED with a reason")
+
+
+def test_every_attribute_is_read():
+    unread = _unread(_attributes())
     assert not unread, (
         f"no code in src/bdmadapt or benchmarks/ reads {unread}: delete "
         "them or add them to ALLOWED with a reason")

@@ -10,7 +10,8 @@ from bdmadapt.bdm import (BdmSpace, DgSpace, element_divergence_matrices,
 from bdmadapt.fields import edge_ref_points
 from bdmadapt.mesh import TriMesh
 
-from conftest import bdm_mass_matrix, divergence_matrix, single_element_mesh
+from conftest import (bdm_mass_matrix, divergence_matrix, edge_elements,
+                      single_element_mesh)
 
 
 @pytest.mark.parametrize("p,dim", [(1, 6), (2, 12), (3, 20)])
@@ -19,7 +20,6 @@ def test_local_dimensions(p, dim):
     mesh = single_element_mesh()
     space = BdmSpace(mesh, p)
     assert space.local_dim == dim
-    assert space.edge_dofs_per_edge == p + 1
     assert space.n_dofs == 3 * (p + 1) + (p * p - 1 if p >= 2 else 0)
 
 
@@ -89,9 +89,10 @@ def test_normal_trace_continuity(p, rng):
     coeffs = rng.standard_normal(space.n_dofs)
     t = quad_rule(9, "edge").points
     scale = np.abs(coeffs).max()
+    edge_tris, edge_local = edge_elements(mesh)
     for e in np.nonzero(~mesh.boundary_edge)[0]:
-        kp, km = mesh.edge_tris[e]
-        lp, lm = mesh.edge_local[e]
+        kp, km = edge_tris[e]
+        lp, lm = edge_local[e]
         ap = mesh.elem_edge_aligned[kp, lp]
         am = mesh.elem_edge_aligned[km, lm]
         n = mesh.edge_normals[e]
@@ -168,9 +169,10 @@ def test_divergence_consistency_random_field(p, rng):
     erule = quad_rule(2 * p + 9, "edge")
     t, w = erule.points, erule.weights
     flux = 0.0
+    edge_tris, edge_local = edge_elements(mesh)
     for e in np.nonzero(mesh.boundary_edge)[0]:
-        k = mesh.edge_tris[e, 0]
-        j = mesh.edge_local[e, 0]
+        k = edge_tris[e, 0]
+        j = edge_local[e, 0]
         vals = space.eval_flux(coeffs, k, edge_ref_points(j, t))
         flux += mesh.edge_lengths[e] * float(
             np.dot(w, vals @ mesh.outward_normals[k, j]))
@@ -197,9 +199,10 @@ def test_boundary_term_constant_data_closed_form():
     p = 2
     space = BdmSpace(mesh, p)
     g = interpolate_boundary_term(space, lambda x: np.ones(len(x)))
+    edge_tris, edge_local = edge_elements(mesh)
     for e in range(mesh.n_edges):
-        k = mesh.edge_tris[e, 0]
-        j = mesh.edge_local[e, 0]
+        k = edge_tris[e, 0]
+        j = edge_local[e, 0]
         for m in range(p + 1):
             got = g[e * (p + 1) + m]
             if not mesh.boundary_edge[e]:

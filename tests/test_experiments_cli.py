@@ -26,6 +26,8 @@ def test_config_validation():
         ExperimentConfig(iterations=0)
     with pytest.raises(ValueError):
         ExperimentConfig(mode="sideways")
+    with pytest.raises(ValueError, match="marker"):
+        ExperimentConfig(marker="bogus")
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"unknown_key": 1})
 

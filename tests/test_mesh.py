@@ -10,6 +10,8 @@ from bdmadapt import (DomainSpec, TriMesh, build_initial_mesh, load_mesh,
 from bdmadapt.basis import make_scalar_basis
 from bdmadapt.fields import nu_jump_terms
 
+from conftest import edge_elements
+
 
 def edge_hash_audit(mesh):
     """Independent adjacency oracle: count edges via a plain dict."""
@@ -151,13 +153,14 @@ def test_shape_regularity_bounded_under_refinement(rng):
 
 
 def test_jump_trace_pairs_two_triangles():
-    # edge_tris/edge_local hold (K+, K-) and their local edges, the pairs
+    # edge_elements holds (K+, K-) and their local edges, the pairs
     # nu_jump_terms differences across each interior edge
     mesh = build_initial_mesh(DomainSpec.unit_square(), 2)
+    edge_tris, edge_local = edge_elements(mesh)
     interior = np.nonzero(~mesh.boundary_edge)[0]
     e = int(interior[0])
-    kp, km = mesh.edge_tris[e]
-    lp, lm = mesh.edge_local[e]
+    kp, km = edge_tris[e]
+    lp, lm = edge_local[e]
     assert {kp, km} == {0, 1}
     assert mesh.elem_edge_aligned[kp, lp] and not mesh.elem_edge_aligned[km, lm]
     assert mesh.elem_edges[kp, lp] == e and mesh.elem_edges[km, lm] == e
@@ -180,9 +183,10 @@ def test_jump_of_continuous_field_vanishes():
         return 2.0 * phys[:, 0] - 0.7 * phys[:, 1] + 0.3
 
     t = np.linspace(0.1, 0.9, 5)
+    edge_tris, edge_local = edge_elements(mesh)
     for e in np.nonzero(~mesh.boundary_edge)[0]:
-        kp, km = mesh.edge_tris[e]
-        lp, lm = mesh.edge_local[e]
+        kp, km = edge_tris[e]
+        lp, lm = edge_local[e]
         # same physical points on both sides: global parameter t
         ap = mesh.elem_edge_aligned[kp, lp]
         am = mesh.elem_edge_aligned[km, lm]
@@ -194,7 +198,7 @@ def test_jump_of_continuous_field_vanishes():
 def test_jump_of_indicator_is_one():
     mesh = build_initial_mesh(DomainSpec.unit_square(), 2)
     e = int(np.nonzero(~mesh.boundary_edge)[0][0])
-    kp, km = mesh.edge_tris[e]
+    kp, km = edge_elements(mesh)[0][e]
     # the indicator of K+ as degree-0 coefficient rows, one per element
     coeffs = np.zeros((mesh.n_triangles, 1))
     coeffs[kp] = 1.0 / np.sqrt(2)
@@ -213,6 +217,25 @@ def test_nonsimple_polygon_rejected():
     bowtie = ((0, 0), (1, 1), (1, 0), (0, 1))  # zero signed area
     with pytest.raises(ValueError):
         DomainSpec(loop=bowtie)
+
+
+@pytest.mark.parametrize("domain", [
+    DomainSpec(loop=((0, 0), (2, 0), (2, 2), (0, 2)), name="unit_square"),
+    DomainSpec(loop=((0, 0), (0, -2), (2, -2), (2, 2), (-2, 2), (-2, 0)),
+               name="l_shape"),
+], ids=["square-named-unit_square", "l-named-l_shape"])
+def test_initial_mesh_covers_its_domain(domain):
+    # a preset's name alone does not select its structured layout
+    mesh = build_initial_mesh(domain, 24)
+    mesh.validate()
+    assert abs(mesh.areas.sum() - domain.area) < 1e-12 * domain.area
+
+
+def test_validate_catches_flipped_alignment():
+    mesh = build_initial_mesh(DomainSpec.unit_square(), 8)
+    mesh.elem_edge_aligned = ~mesh.elem_edge_aligned
+    with pytest.raises(AssertionError, match="normal"):
+        mesh.validate()
 
 
 def test_custom_polygon_mesh():
@@ -251,27 +274,37 @@ def test_export_roundtrip(tmp_path):
 UNIT_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
-@pytest.mark.parametrize("vertices, triangles, kwargs", [
-    ([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], [[0, 1, 2]], {}),
-    ([[0.0, 0.0], [1.0, 0.0], [np.inf, 1.0]], [[0, 1, 2]], {}),
-    (UNIT_TRI, [[0, 1, -1]], {}),
-    (UNIT_TRI, [[0, 1, 3]], {}),
-    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 2]], {}),
-    (UNIT_TRI, [[0, 1, 2, 0]], {}),
-    (UNIT_TRI, [[0, 1, 2]], {"generation": [0, 0]}),
-    (UNIT_TRI, [[0, 1, 2]], {"parent": [-1, -1]}),
-    (UNIT_TRI, [[0, 1, 2]], {"parent": 1}),
-    (UNIT_TRI, [[0.4, 1.9, 2.2]], {}),
-    (UNIT_TRI, [[0.0, 1.0, np.inf]], {}),
-    (UNIT_TRI, [[0, 1, 2]], {"generation": [0.7]}),
-    (UNIT_TRI, [[0, 1, 2]], {"parent": [-1.5]}),
-    (UNIT_TRI, [[0, 1, 2]], {"generation": [1e30]}),
+@pytest.mark.parametrize("vertices, triangles, kwargs, match", [
+    ([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], [[0, 1, 2]], {}, "finite"),
+    ([[0.0, 0.0], [1.0, 0.0], [np.inf, 1.0]], [[0, 1, 2]], {}, "finite"),
+    (UNIT_TRI, [[0, 1, -1]], {}, "vertex ids"),
+    (UNIT_TRI, [[0, 1, 3]], {}, "vertex ids"),
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 2]], {},
+     r"\(n, 2\)"),
+    (UNIT_TRI, [[0, 1, 2, 0]], {}, r"\(nt, 3\)"),
+    (UNIT_TRI, [[0, 1, 2]], {"generation": [0, 0]}, "one generation"),
+    (UNIT_TRI, [[0, 1, 2]], {"parent": [-1, -1]}, "one generation"),
+    (UNIT_TRI, [[0, 1, 2]], {"parent": 1}, "one generation"),
+    (UNIT_TRI, [[0.4, 1.9, 2.2]], {}, "triangles must hold integers"),
+    (UNIT_TRI, [[0.0, 1.0, np.inf]], {}, "triangles must hold integers"),
+    (UNIT_TRI, [[0, 1, 2]], {"generation": [0.7]},
+     "generation must hold integers"),
+    (UNIT_TRI, [[0, 1, 2]], {"parent": [-1.5]}, "parent must hold integers"),
+    (UNIT_TRI, [[0, 1, 2]], {"generation": [1e30]},
+     "generation must hold integers"),
+    # both positively oriented, both traverse the shared edge 0 -> 1
+    ([[0.0, 0.0], [1.0, 0.0], [0.2, 1.0], [0.8, 1.0]], [[0, 1, 2], [0, 1, 3]],
+     {}, "inconsistent orientation"),
+    # the edge 0 -- 1 bounds three triangles
+    ([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]],
+     [[0, 1, 2], [1, 0, 3], [0, 1, 4]], {}, "multiplicity"),
 ], ids=["nan-vertex", "inf-vertex", "negative-id", "id-too-large",
         "three-columns", "four-vertex-ids", "generation-length",
         "parent-length", "scalar-parent", "fractional-ids", "inf-id",
-        "fractional-generation", "fractional-parent", "huge-generation"])
-def test_malformed_mesh_rejected(vertices, triangles, kwargs):
-    with pytest.raises(ValueError):
+        "fractional-generation", "fractional-parent", "huge-generation",
+        "overlapping-triangles", "edge-in-three-triangles"])
+def test_malformed_mesh_rejected(vertices, triangles, kwargs, match):
+    with pytest.raises(ValueError, match=match):
         TriMesh(vertices, triangles, **kwargs)
 
 
