@@ -242,50 +242,41 @@ class BdmSpace:
         return dofs
 
 
-def element_mass_matrices(space: BdmSpace) -> np.ndarray:
-    """Element flux mass matrices (n_elements, nloc, nloc), globally oriented."""
-    p = space.p
-    rule, Nh, _ = bdm_tables(p, 2 * (p + 2))
+@lru_cache(maxsize=None)
+def _mixed_tables(p: int):
+    """Reference tables of the element blocks of degree p: mass Rm (2, 2,
+    nloc, nloc), divergence D (s, nloc) and advection Rc (2, s, nloc)."""
+    rule, Nh, dNh = bdm_tables(p, 2 * (p + 2))
+    _, V, _ = scalar_tables(p - 1, 2 * (p + 2))
     Rm = np.einsum("q,qia,qjb->abij", rule.weights, Nh, Nh)
-    B, J = space.mesh.jacobians, space.mesh.det_jacobians
-    T = np.einsum("nca,ncb->nab", B, B) / J[:, None, None]
-    nloc = Rm.shape[-1]
-    Mloc = (T.reshape(-1, 4) @ Rm.reshape(4, -1)).reshape(-1, nloc, nloc)
-    Mloc *= space.signs[:, :, None] * space.signs[:, None, :]
-    return Mloc
+    D = np.einsum("q,qi,ql->il", rule.weights, V, dNh)
+    Rc = np.einsum("q,qi,qla->ail", rule.weights, V, Nh)
+    for table in (Rm, D, Rc):
+        table.setflags(write=False)
+    return Rm, D, Rc
 
 
-def element_divergence_matrices(space: BdmSpace, scalar: DgSpace) -> np.ndarray:
-    """Element blocks (n_elements, s, nloc) of (div N_l, psi_i), globally oriented.
+def mixed_blocks(space: BdmSpace, ids, beta) -> np.ndarray:
+    """Element blocks [[M, -D^T], [D - C, 0]] (len(ids), m, m) of elements
+    ids in their local orientation, m = flux + scalar local dimensions.
 
-    The scalar space must have degree p-1; the reference pairing is geometry
-    independent because the 1/J of the Piola divergence cancels the Jacobian.
+    The globally oriented block of element K is Sigma_K A Sigma_K with
+    Sigma_K = diag(space.signs[K], 1).  The Piola mass depends on the metric
+    B^T B / J, the advection block (beta . N_l, psi_i) is linear in B^T beta,
+    and the divergence block (div N_l, psi_i) of the degree-(p-1) scalars is
+    geometry free: the 1/J of the Piola divergence cancels the Jacobian.
     """
-    if scalar.degree != space.p - 1:
-        raise ValueError(
-            f"scalar degree {scalar.degree} does not match flux degree "
-            f"{space.p} (expected {space.p - 1})")
-    if scalar.mesh is not space.mesh:
-        raise ValueError("spaces live on different meshes")
-    p = space.p
-    rule, _, dNh = bdm_tables(p, 2 * (p + 2))
-    _, V, _ = scalar_tables(scalar.degree, 2 * (p + 2))
-    D0 = np.einsum("q,qi,ql->il", rule.weights, V, dNh)
-    return D0[None, :, :] * space.signs[:, None, :]
-
-
-def element_advection_matrices(space: BdmSpace, scalar: DgSpace,
-                               beta) -> np.ndarray:
-    """Element blocks (n_elements, s, nloc) of (beta . N_l, psi_i), constant beta."""
-    p = space.p
-    rule, Nh, _ = bdm_tables(p, 2 * (p + 2))
-    _, V, _ = scalar_tables(scalar.degree, 2 * (p + 2))
-    Rc = np.einsum("q,qi,qla->ila", rule.weights, V, Nh)
-    Btb = np.einsum("nba,b->na", space.mesh.jacobians, np.asarray(beta, float))
-    vals = (Btb @ Rc.transpose(2, 0, 1).reshape(2, -1)).reshape(
-        -1, *Rc.shape[:2])
-    vals *= space.signs[:, None, :]
-    return vals
+    Rm, D, Rc = _mixed_tables(space.p)
+    B, J = space.mesh.jacobians[ids], space.mesh.det_jacobians[ids]
+    s, nloc = D.shape
+    T = np.matmul(np.swapaxes(B, 1, 2), B) / J[:, None, None]
+    Btb = np.matmul(np.asarray(beta, dtype=float), B)
+    A = np.zeros((len(J), nloc + s, nloc + s))
+    A[:, :nloc, :nloc] = (T.reshape(-1, 4) @ Rm.reshape(4, -1)).reshape(
+        -1, nloc, nloc)
+    A[:, :nloc, nloc:] = -D.T
+    A[:, nloc:, :nloc] = D - (Btb @ Rc.reshape(2, -1)).reshape(-1, s, nloc)
+    return A
 
 
 def interpolate_boundary_term(space: BdmSpace, u_D) -> np.ndarray:

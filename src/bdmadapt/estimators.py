@@ -18,8 +18,8 @@ shared with the indicator through PostprocResult.nu_traces.  The edge terms
 global edge: q . n_e is sampled in the stored edge direction, and q_h . n_e =
 sum_m c_(e,m) (2m+1) L_m(t) / |e| comes from the global edge moments c_(e,m)
 of q_h.  The element-local dual norm ||r||_*K on the mean-free degree-(p+2)
-space is ||G b|| with G = L^{-1} the inverse Cholesky factor of the element
-stiffness that the postprocessing already holds, and b the load of r.
+space is ||G b|| with G = L^{-1} the inverse Cholesky factor of the element's
+class stiffness that the postprocessing already holds, and b the load of r.
 """
 
 import json
@@ -33,7 +33,7 @@ from .fields import (coeff_contract, edge_points, field_values,
                      mapped_points, scalar_tables, subdivided_edge_rule,
                      subdivided_rule)
 from .mesh import TriMesh
-from .postprocess import PostprocResult, inverse_factors, mean_free_stiffness
+from .postprocess import PostprocResult, class_factors
 from .solver import MixedSolution, ProblemSpec
 
 
@@ -125,7 +125,7 @@ def dual_norm_star(mesh: TriMesh, p: int, element: int, r) -> float:
     vals = field_values(r, mapped_points(one, rule.points), "r", vector=True)
     b = _grad_load(vals, one.inv_jacobians, one.det_jacobians,
                    rule.weights, D[:, 1:])
-    G = inverse_factors(mean_free_stiffness(one, p))
+    _, G = class_factors(one, p)
     return float(np.linalg.norm(G[0] @ b[0]))
 
 
@@ -307,7 +307,8 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
         # load (q - q_h, grad v) of the mean-free degree-(p+2) basis
         star_rhs[ids] = _grad_load(diff, Binv, J, w, D[:, 1:])
 
-    q_star_K = np.linalg.norm(post.chol_inv @ star_rhs[..., None], axis=(1, 2))
+    q_star_K = np.linalg.norm(post.classes.matmul(post.chol_inv, star_rhs),
+                              axis=1)
 
     trace_sq = _flux_trace_error_sq(problem, solution)
     jump_K, bnd_K = post.nu_traces(problem.u_D, p + 5)

@@ -13,7 +13,10 @@ operations:
     v0 M[0] + v1 M[1] runs ufunc loops of length 2, over ten times slower.
 
 einsum only builds the reference tables and the per-element 2x2 geometry
-factors themselves.  Results do not depend on element visitation order.
+factors themselves.  Element matrices that depend on the geometry only
+through the element's shape are built once per shape class (ElementClasses)
+and applied as one matrix product per class.  Results do not depend on
+element visitation order.
 """
 
 from functools import lru_cache
@@ -100,22 +103,71 @@ def coeff_contract(coeffs, table) -> np.ndarray:
     return (coeffs @ flat).reshape((len(coeffs), nq) + table.shape[2:])
 
 
-def metric_tensors(mesh: TriMesh):
-    """J * Binv Binv^T per element; contracts with grad_outer_tables."""
-    Binv, J = mesh.inv_jacobians, mesh.det_jacobians
+def metric_tensors(mesh: TriMesh, ids=slice(None)):
+    """J * Binv Binv^T per element (of elements ids, default all); contracts
+    with grad_outer_tables."""
+    Binv, J = mesh.inv_jacobians[ids], mesh.det_jacobians[ids]
     return np.einsum("n,nab,ncb->nac", J, Binv, Binv)
 
 
-def stiffness_tensors(mesh: TriMesh, degree: int, exactness: int) -> np.ndarray:
-    """Element stiffness matrices (n, s, s) for the degree-r scalar basis.
+def stiffness_tensors(mesh: TriMesh, degree: int, exactness: int,
+                      ids=slice(None)) -> np.ndarray:
+    """Element stiffness matrices (n, s, s) for the degree-r scalar basis on
+    elements ids (default all).
 
     Row/column 0 belongs to the constant and vanishes; slicing [1:, 1:] gives
     the stiffness on the mean-free sub-basis.
     """
     R = grad_outer_tables(degree, exactness)
     s = R.shape[-1]
-    return (metric_tensors(mesh).reshape(-1, 4) @ R.reshape(4, s * s)).reshape(
-        -1, s, s)
+    return (metric_tensors(mesh, ids).reshape(-1, 4)
+            @ R.reshape(4, s * s)).reshape(-1, s, s)
+
+
+class ElementClasses:
+    """The elements of a mesh grouped into shape classes.
+
+    The element blocks of the mixed system and the scalar stiffnesses depend
+    on the geometry only through the metric T = B^T B / J, which is scale and
+    rotation free, and, with an advection vector beta, through B^T beta;
+    orientation signs are applied per element.
+    Elements whose key agrees to 12 digits share one class: the key is T, to
+    which beta != 0 adds B^T beta / (|beta| sqrt J) and log2 J.  Newest-vertex
+    bisection keeps the number of classes small; a mesh whose elements all
+    differ has one class per element.
+
+    id (n_elements,) is the class of each element, reps (n_classes,) the
+    representative element of each class (its lowest id) and groups the
+    element ids of each class (slice(None) when one class holds them all).
+    """
+
+    def __init__(self, mesh: TriMesh, beta=(0.0, 0.0)):
+        B, J = mesh.jacobians, mesh.det_jacobians
+        T = np.matmul(np.swapaxes(B, 1, 2), B) / J[:, None, None]
+        key = [T[:, 0, 0], T[:, 0, 1], T[:, 1, 1]]
+        size = float(np.hypot(*beta))
+        if size:
+            Btb = np.matmul(np.asarray(beta, dtype=float), B)
+            key += [*(Btb / (size * np.sqrt(J)[:, None])).T, np.log2(J)]
+        key = np.round(np.stack(key), 12)
+        order = np.lexsort(key[::-1])
+        ordered = key[:, order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        self.id = np.empty(len(order), dtype=np.int64)
+        self.id[order] = np.cumsum(first) - 1
+        starts = np.flatnonzero(first)
+        self.reps = order[starts]
+        self.groups = ([slice(None)] if len(starts) == 1
+                       else np.split(order, starts[1:]))
+
+    def matmul(self, mats, x) -> np.ndarray:
+        """Rows y_K = mats[id_K] @ x_K (n_elements, r) of rows x (n_elements,
+        k) and class matrices mats (n_classes, r, k): one GEMM per class."""
+        out = np.empty((len(x), mats.shape[1]))
+        for mat, ids in zip(mats, self.groups):
+            out[ids] = x[ids] @ mat.T
+        return out
 
 
 def edge_points(mesh: TriMesh, edge_ids, t) -> np.ndarray:

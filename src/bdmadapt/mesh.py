@@ -164,8 +164,11 @@ class TriMesh:
     def _build_edges(self):
         tris = self.triangles
         pairs = tris[:, np.array(_LOCAL_EDGE_VERTS)].reshape(-1, 2)
-        edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0,
-                                   return_inverse=True)
+        # one int64 key lo * n_v + hi per edge sorts like the (lo, hi) rows
+        n_v = len(self.vertices)
+        keys, inverse = np.unique(pairs.min(axis=1) * n_v + pairs.max(axis=1),
+                                  return_inverse=True)
+        edges = np.stack([keys // n_v, keys % n_v], axis=1)
         counts = np.bincount(inverse, minlength=len(edges))
         if counts.max() > 2:
             raise ValueError("non-conforming triangulation (bad edge multiplicity)")

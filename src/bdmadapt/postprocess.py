@@ -1,10 +1,12 @@
 """Element-local postprocessing of the mixed solution.
 
 All local problems live on the mean-free hierarchical bases, where the
-degree-(p+1) basis is the leading slice of the degree-(p+2) one.  Each
-element's degree-(p+2) stiffness S22 is factored once, S22 = L L^T, and
-G = L^{-1} is formed; its leading block G11 = L11^{-1} inverts the factor of
-the degree-(p+1) stiffness S11.  With rhs_i = -(q_h, grad v_i)_K, z = G rhs:
+degree-(p+1) basis is the leading slice of the degree-(p+2) one.  The
+degree-(p+2) stiffness S22 depends on the element only through its metric,
+so it is built and factored once per shape class (fields.ElementClasses),
+S22 = L L^T, and G = L^{-1} is formed; its leading block G11 = L11^{-1}
+inverts the factor of the degree-(p+1) stiffness S11.  With
+rhs_i = -(q_h, grad v_i)_K, z = G rhs, each product one GEMM per class:
 
   * theta_K = G^T z is the enriched degree-(p+2) elliptic postprocessing;
   * nu_K = G11^T z[:n1] is the classical (Stenberg) degree-(p+1) one, which
@@ -16,8 +18,8 @@ the degree-(p+1) stiffness S11.  With rhs_i = -(q_h, grad v_i)_K, z = G rhs:
 
 The same factor gives discrete dual norms ||G b|| of other loads.  The
 element mean constraint copies the constant coefficient of u_h because all
-bases share the same normalized constant.  Element systems are factored
-independently, so results do not depend on element order.
+bases share the same normalized constant.  Each element is solved with its
+class factor alone, so results do not depend on element order.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +29,8 @@ import numpy as np
 
 from .basis import basis_size
 from .bdm import bdm_tables
-from .fields import nu_jump_terms, scalar_tables, stiffness_tensors
+from .fields import (ElementClasses, nu_jump_terms, scalar_tables,
+                     stiffness_tensors)
 from .mesh import TriMesh
 from .solver import MixedSolution
 
@@ -38,8 +41,9 @@ class PostprocResult:
 
     nu (degree p+1) and theta (degree p+2) have full coefficients (column 0
     is the constant); eps has mean-free degree-(p+2) coefficients;
-    eta_tilde_K holds ||grad eps||_K; chol_inv holds G = L^{-1} for the
-    Cholesky factors L of the mean-free degree-(p+2) element stiffnesses.
+    eta_tilde_K holds ||grad eps||_K; classes groups the elements by shape
+    and chol_inv holds G = L^{-1} (n_classes, n2, n2) for the Cholesky
+    factors L of the classes' mean-free degree-(p+2) stiffnesses.
     """
 
     mesh: TriMesh
@@ -48,6 +52,7 @@ class PostprocResult:
     eps: np.ndarray
     eta_tilde_K: np.ndarray
     theta: np.ndarray
+    classes: ElementClasses
     chol_inv: np.ndarray
     _traces: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -76,33 +81,28 @@ def _flux_load_table(p: int, exactness: int) -> np.ndarray:
     return T
 
 
-def mean_free_stiffness(mesh: TriMesh, p: int) -> np.ndarray:
-    """Element stiffnesses (n, n2, n2) on the mean-free degree-(p+2) basis."""
-    return stiffness_tensors(mesh, p + 2, 2 * (p + 2))[:, 1:, 1:]
-
-
-def _local_ingredients(solution: MixedSolution):
-    """Stiffness on the mean-free degree-(p+2) basis and the residual load.
-
-    Returns (S22, rhs) with S22 of shape (n, n2, n2) and rhs of shape (n, n2),
-    rhs_i = -(q_h, grad v_i)_K.  The load is geometry free: the Piola factor
-    B / J of q_h cancels the B^{-T} of grad v_i and the J of the integral.
-    """
+def residual_load(solution: MixedSolution) -> np.ndarray:
+    """Loads rhs (n, n2), rhs_i = -(q_h, grad v_i)_K, of the mean-free
+    degree-(p+2) basis.  The load is geometry free: the Piola factor B / J
+    of q_h cancels the B^{-T} of grad v_i and the J of the integral."""
     p = solution.p
     c = solution.flux_space.local_coeffs(solution.flux)
-    return (mean_free_stiffness(solution.mesh, p),
-            -(c @ _flux_load_table(p, 2 * (p + 2))))
+    return -(c @ _flux_load_table(p, 2 * (p + 2)))
 
 
-def inverse_factors(S22: np.ndarray) -> np.ndarray:
-    """G = L^{-1} (n, m, m) for the Cholesky factors S22 = L L^T."""
+def class_factors(mesh: TriMesh, p: int):
+    """(classes, G): the shape classes of the mesh and G = L^{-1}
+    (n_classes, n2, n2) for the Cholesky factors L of the stiffnesses on
+    the mean-free degree-(p+2) basis, built on the representatives."""
+    classes = ElementClasses(mesh)
+    S22 = stiffness_tensors(mesh, p + 2, 2 * (p + 2), classes.reps)[:, 1:, 1:]
     try:
         L = np.linalg.cholesky(S22)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             "local stiffness not positive definite; the mean-free basis "
             "construction is broken") from exc
-    return np.linalg.inv(L)
+    return classes, np.linalg.inv(L)
 
 
 def _with_mean(solution: MixedSolution, mean_free: np.ndarray) -> np.ndarray:
@@ -114,16 +114,15 @@ def _with_mean(solution: MixedSolution, mean_free: np.ndarray) -> np.ndarray:
 
 
 def postprocess_resmin(solution: MixedSolution) -> PostprocResult:
-    """Factor every element stiffness once and derive all local solutions."""
+    """Factor each class stiffness once and derive all local solutions."""
     n1 = basis_size(solution.p + 1) - 1
-    S22, rhs = _local_ingredients(solution)
-    G = inverse_factors(S22)
-    z = G @ rhs[..., None]
-    theta = (np.swapaxes(G, 1, 2) @ z)[..., 0]
-    nu = (np.swapaxes(G[:, :n1, :n1], 1, 2) @ z[:, :n1])[..., 0]
+    classes, G = class_factors(solution.mesh, solution.p)
+    z = classes.matmul(G, residual_load(solution))
+    theta = classes.matmul(np.swapaxes(G, 1, 2), z)
+    nu = classes.matmul(np.swapaxes(G[:, :n1, :n1], 1, 2), z[:, :n1])
     eps = theta.copy()
     eps[:, :n1] -= nu
     return PostprocResult(
         mesh=solution.mesh, p=solution.p, nu=_with_mean(solution, nu),
-        eps=eps, eta_tilde_K=np.linalg.norm(z[:, n1:, 0], axis=1),
-        theta=_with_mean(solution, theta), chol_inv=G)
+        eps=eps, eta_tilde_K=np.linalg.norm(z[:, n1:], axis=1),
+        theta=_with_mean(solution, theta), classes=classes, chol_inv=G)

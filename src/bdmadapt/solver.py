@@ -8,11 +8,14 @@ The flux/scalar pair (q_h, u_h) in BDM_p x DG_{p-1} satisfies
 The solve is hybridized (Arnold & Brezzi 1985): the normal continuity of
 BDM is broken and imposed by one Lagrange multiplier per (interior edge,
 Legendre moment), which are the edge degrees of freedom BDM already has.
-Each element block A_K = [[M_K, -B_K^T], [B_K - C_K, 0]] is inverted
-locally, and only the multiplier system S = sum_K E_K A_K^{-1} E_K^T is
-factorized by sparse LU; it is symmetric positive definite when beta = 0.
+The element blocks A_K = [[M_K, -B_K^T], [B_K - C_K, 0]] depend on the
+element only through its shape class and its orientation signs,
+A_K = Sigma_K A_c Sigma_K (fields.ElementClasses), so one block per class is
+built and inverted, and every local solve is one matrix product per class.
+Only the multiplier system S = sum_K E_K A_K^{-1} E_K^T is factorized by
+sparse LU; it is symmetric positive definite when beta = 0.
 Boundary edges carry no multiplier, since u_D enters through the load.
-(q_h, u_h) are recovered element by element, followed by one refinement
+(q_h, u_h) are recovered class by class, followed by one refinement
 step on the residual of the full mixed equations.  The global saddle matrix
 is never formed; it lives only in the tests, as the oracle.
 """
@@ -24,10 +27,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from .bdm import (BdmSpace, DgSpace, element_advection_matrices,
-                  element_divergence_matrices, element_mass_matrices,
-                  interpolate_boundary_term)
-from .fields import field_values
+from .bdm import BdmSpace, DgSpace, interpolate_boundary_term, mixed_blocks
+from .fields import ElementClasses, field_values
 from .mesh import DomainSpec, TriMesh
 
 # relative residual of the full mixed equations above which solve() fails
@@ -104,21 +105,27 @@ class ProblemSpec:
 class MixedSystem:
     """Element blocks of the mixed system, condensed onto edge multipliers.
 
-    blocks are the A_K (n_elements, m, m), m = flux + scalar local dims, in
-    the global edge orientation, and inverse their inverses.  rhs is the
-    global right side (-g_D, F).  multiplier (n_elements, 3(p+1)) numbers
-    the local edge dofs' multipliers (-1 on boundary edges), side is +-1 for
-    the aligned/opposite element of the edge, and owned marks the one
-    element that holds each shared flux dof when local values are gathered.
+    classes groups the elements by shape; blocks (n_classes, m, m), m = flux
+    + scalar local dims, are the class blocks in the local orientation and
+    inverse their inverses.  With signs (n_elements, m) the orientation
+    signs of the local dofs (1 on scalar dofs), element K's block in the
+    global edge orientation is signs[K] * blocks[id_K] * signs[K]^T, and its
+    inverse likewise.  rhs is the global right side (-g_D, F).  multiplier
+    (n_elements, 3(p+1)) numbers the local edge dofs' multipliers (-1 on
+    boundary edges); edge_sign is signs[:, :3(p+1)] times +-1 for the
+    aligned/opposite element of the edge, and owned marks the one element
+    that holds each shared flux dof when local values are gathered.
     advective (beta != 0) says the blocks, and so S, are nonsymmetric.
     """
 
+    classes: ElementClasses
     blocks: np.ndarray
     inverse: np.ndarray
+    signs: np.ndarray
     rhs: np.ndarray
     schur: object
     multiplier: np.ndarray
-    side: np.ndarray
+    edge_sign: np.ndarray
     owned: np.ndarray
     mesh: TriMesh
     p: int
@@ -153,22 +160,18 @@ def _data_exactness(p: int) -> int:
 
 
 def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
-    """Invert the element blocks and assemble the multiplier system S."""
+    """Invert the class blocks and assemble the multiplier system S."""
     flux = BdmSpace(mesh, p)
     scalar = DgSpace(mesh, p - 1)
     nt, nq = mesh.n_triangles, flux.local_dim
-    B = element_divergence_matrices(flux, scalar)
-    A = np.zeros((nt, nq + scalar.local_dim, nq + scalar.local_dim))
-    A[:, :nq, :nq] = element_mass_matrices(flux)
-    A[:, :nq, nq:] = -B.transpose(0, 2, 1)
-    A[:, nq:, :nq] = B
-    advective = problem.is_advective
-    if advective:
-        A[:, nq:, :nq] -= element_advection_matrices(flux, scalar, problem.beta)
+    classes = ElementClasses(mesh, problem.beta)
+    blocks = mixed_blocks(flux, classes.reps, problem.beta)
     try:
-        Ainv = np.linalg.inv(A)
+        inverse = np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"singular element block: {exc}") from exc
+    signs = np.ones((nt, blocks.shape[1]))
+    signs[:, :nq] = flux.signs
     g = interpolate_boundary_term(flux, problem.u_D)
     F = scalar.load_vector(problem.f, _data_exactness(p))
 
@@ -187,14 +190,19 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     # the aligned element owns an interior edge, the only one a boundary edge
     owned = np.ones((nt, nq), dtype=bool)
     owned[:, :ne] = (side > 0) | (multiplier < 0)
-    S_loc = side[:, :, None] * Ainv[:, :ne, :ne] * side[:, None, :]
+    # multiplier side times the dof's orientation sign
+    edge_sign = side * signs[:, :ne]
+    S_loc = inverse[:, :ne, :ne][classes.id]
+    S_loc *= edge_sign[:, :, None]
+    S_loc *= edge_sign[:, None, :]
     rows = np.broadcast_to(multiplier[:, :, None], S_loc.shape)
     cols = np.broadcast_to(multiplier[:, None, :], S_loc.shape)
     keep = (rows >= 0) & (cols >= 0)
     S = coo_matrix((S_loc[keep], (rows[keep], cols[keep])),
                    shape=(n_mult, n_mult)).tocsc()
-    return MixedSystem(A, Ainv, np.concatenate([g, F]), S, multiplier, side,
-                       owned, mesh, p, flux, scalar, advective)
+    return MixedSystem(classes, blocks, inverse, signs, np.concatenate([g, F]),
+                       S, multiplier, edge_sign, owned, mesh, p, flux, scalar,
+                       problem.is_advective)
 
 
 def _factor(system: MixedSystem):
@@ -224,9 +232,12 @@ def _local(system: MixedSystem, x: np.ndarray) -> np.ndarray:
 
 
 def _apply(system: MixedSystem, x: np.ndarray) -> np.ndarray:
-    """Global saddle matrix times x, computed element by element."""
+    """Global saddle matrix times x, computed class by class."""
     flux = system.flux_space
-    Ax = np.matmul(system.blocks, _local(system, x)[..., None])[..., 0]
+    x_loc = _local(system, x)
+    x_loc *= system.signs
+    Ax = system.classes.matmul(system.blocks, x_loc)
+    Ax *= system.signs
     out_q = np.bincount(flux.l2g.ravel(), Ax[:, :flux.local_dim].ravel(),
                         minlength=flux.n_dofs)
     return np.concatenate([out_q, Ax[:, flux.local_dim:].ravel()])
@@ -237,21 +248,26 @@ def _hybrid_solve(system: MixedSystem, lu, r: np.ndarray) -> np.ndarray:
 
     Each shared flux row of r goes to its owner's element load; the element
     equations A_K x_K + E_K^T lambda = r_K and continuity sum_K E_K x_K = 0
-    give S lambda = sum_K E_K A_K^{-1} r_K.
+    give S lambda = sum_K E_K A_K^{-1} r_K and x_K = A_K^{-1} (r_K - E_K^T
+    lambda).  Both local solves run on the signed rows signs * r_K, one
+    matrix product per class.
     """
     flux = system.flux_space
     ne = 3 * (system.p + 1)
+    mult, edge_sign = system.multiplier, system.edge_sign
     r_loc = _local(system, r)
     r_loc[:, :flux.local_dim] *= system.owned
-    z = np.matmul(system.inverse, r_loc[..., None])[..., 0]
-    mult, side = system.multiplier, system.side
+    r_loc *= system.signs
+    # the load needs only the edge rows of A_K^{-1} r_K
+    z = system.classes.matmul(system.inverse[:, :ne], r_loc)
+    z *= edge_sign
     keep = mult >= 0
-    load = np.bincount(mult[keep], (side * z[:, :ne])[keep],
-                       minlength=system.schur.shape[0])
-    lam = lu.solve(load)
+    lam = lu.solve(
+        np.bincount(mult[keep], z[keep], minlength=system.schur.shape[0]))
     # index -1 (boundary edge) picks the appended zero
-    lam_loc = side * np.append(lam, 0.0)[mult]
-    x_loc = z - np.matmul(system.inverse[:, :, :ne], lam_loc[..., None])[..., 0]
+    r_loc[:, :ne] -= edge_sign * np.append(lam, 0.0)[mult]
+    x_loc = system.classes.matmul(system.inverse, r_loc)
+    x_loc *= system.signs
     q = np.zeros(flux.n_dofs)
     q[flux.l2g[system.owned]] = x_loc[:, :flux.local_dim][system.owned]
     return np.concatenate([q, x_loc[:, flux.local_dim:].ravel()])

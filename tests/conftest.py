@@ -8,8 +8,6 @@ from bdmadapt import build_initial_mesh, preset, solve_problem
 from bdmadapt.basis import (basis_size, make_scalar_basis, map_to_triangle,
                             quad_rule)
 from bdmadapt.bdm import (BdmSpace, DgSpace, bdm_tables,
-                          element_advection_matrices,
-                          element_divergence_matrices, element_mass_matrices,
                           interpolate_boundary_term, reference_shape_values,
                           shifted_legendre)
 from bdmadapt.estimators import ErrorBlock, _element_groups
@@ -17,7 +15,7 @@ from bdmadapt.fields import (edge_points, edge_ref_points, edge_scalar_tables,
                              grad_outer_tables, mapped_points, metric_tensors,
                              scalar_tables, subdivided_edge_rule)
 from bdmadapt.fortin import edge_lengths, trace_basis_values
-from bdmadapt.postprocess import _local_ingredients, _with_mean
+from bdmadapt.postprocess import _with_mean
 
 
 @pytest.fixture
@@ -41,20 +39,20 @@ def _scalar_map(scalar):
 
 def bdm_mass_matrix(space):
     """Global flux mass matrix (CSR)."""
-    return _scatter(element_mass_matrices(space), space.l2g, space.l2g,
-                    (space.n_dofs, space.n_dofs))
+    return _scatter(einsum_element_mass_matrices(space), space.l2g,
+                    space.l2g, (space.n_dofs, space.n_dofs))
 
 
 def divergence_matrix(space, scalar):
     """B[i, j] = (div N_j, psi_i) over the mesh (CSR)."""
-    return _scatter(element_divergence_matrices(space, scalar),
+    return _scatter(element_divergence_matrices(space),
                     _scalar_map(scalar), space.l2g,
                     (scalar.n_dofs, space.n_dofs))
 
 
 def advection_matrix(space, scalar, beta):
     """C[i, j] = (beta . N_j, psi_i) for a constant vector beta (CSR)."""
-    return _scatter(element_advection_matrices(space, scalar, beta),
+    return _scatter(einsum_element_advection_matrices(space, scalar, beta),
                     _scalar_map(scalar), space.l2g,
                     (scalar.n_dofs, space.n_dofs))
 
@@ -219,6 +217,32 @@ def einsum_element_mass_matrices(space):
     return Mloc * space.signs[:, :, None] * space.signs[:, None, :]
 
 
+def element_divergence_matrices(space):
+    """Element blocks (n_elements, s, nloc) of (div N_l, psi_i) against the
+    degree-(p-1) scalars, globally oriented: the reference pairing times the
+    orientation signs, since the 1/J of the Piola divergence cancels the
+    Jacobian."""
+    p = space.p
+    rule, _, dNh = bdm_tables(p, 2 * (p + 2))
+    _, V, _ = scalar_tables(p - 1, 2 * (p + 2))
+    D0 = np.einsum("q,qi,ql->il", rule.weights, V, dNh)
+    return D0[None, :, :] * space.signs[:, None, :]
+
+
+def einsum_element_blocks(space, beta):
+    """Globally oriented element blocks [[M, -D^T], [D - C, 0]] (n, m, m)
+    from the per-element einsum oracles."""
+    scalar = DgSpace(space.mesh, space.p - 1)
+    nq, s = space.local_dim, scalar.local_dim
+    D = element_divergence_matrices(space)
+    A = np.zeros((space.mesh.n_triangles, nq + s, nq + s))
+    A[:, :nq, :nq] = einsum_element_mass_matrices(space)
+    A[:, :nq, nq:] = -np.swapaxes(D, 1, 2)
+    A[:, nq:, :nq] = D - einsum_element_advection_matrices(space, scalar,
+                                                           beta)
+    return A
+
+
 def einsum_element_advection_matrices(space, scalar, beta):
     p = space.p
     rule, Nh, _ = bdm_tables(p, 2 * (p + 2))
@@ -237,7 +261,8 @@ def einsum_load_vector(scalar, f, exactness):
 
 
 def einsum_local_ingredients(solution):
-    """(S22, rhs) of the postprocessing, as in postprocess._local_ingredients."""
+    """Per-element stiffness S22 (n, n2, n2) on the mean-free degree-(p+2)
+    basis and the load rhs of postprocess.residual_load."""
     mesh, p = solution.mesh, solution.p
     exact = 2 * (p + 2)
     S22 = einsum_stiffness_tensors(mesh, p + 2, exact)[:, 1:, 1:]
@@ -259,7 +284,7 @@ def stenberg_oracle(solution):
     Returns (nu, theta) with the same layout as PostprocResult.
     """
     n1 = basis_size(solution.p + 1) - 1
-    S22, rhs = _local_ingredients(solution)
+    S22, rhs = einsum_local_ingredients(solution)
     theta = np.linalg.solve(S22, rhs[..., None])[..., 0]
     nu = np.linalg.solve(S22[:, :n1, :n1], rhs[:, :n1, None])[..., 0]
     return _with_mean(solution, nu), _with_mean(solution, theta)

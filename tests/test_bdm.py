@@ -4,9 +4,9 @@ import pytest
 from bdmadapt import (DomainSpec, build_initial_mesh,
                       interpolate_boundary_term)
 from bdmadapt.basis import basis_size, make_scalar_basis, quad_rule
-from bdmadapt.bdm import (BdmSpace, DgSpace, element_divergence_matrices,
-                          local_dimension, reference_shape_divs,
-                          reference_shape_values, shifted_legendre)
+from bdmadapt.bdm import (BdmSpace, DgSpace, local_dimension,
+                          reference_shape_divs, reference_shape_values,
+                          shifted_legendre)
 from bdmadapt.fields import edge_ref_points
 from bdmadapt.mesh import TriMesh
 
@@ -177,12 +177,6 @@ def test_divergence_consistency_random_field(p, rng):
         flux += mesh.edge_lengths[e] * float(
             np.dot(w, vals @ mesh.outward_normals[k, j]))
     assert abs(total_div - flux) <= 1e-11 * max(1.0, abs(flux))
-
-
-def test_divergence_matrix_degree_mismatch():
-    mesh = single_element_mesh()
-    with pytest.raises(ValueError, match="degree"):
-        element_divergence_matrices(BdmSpace(mesh, 2), DgSpace(mesh, 2))
 
 
 def test_boundary_term_zero_data():

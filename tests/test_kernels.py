@@ -1,9 +1,13 @@
-"""Batched kernels against their einsum oracles, and a guard on einsum use.
+"""Batched kernels against their einsum oracles, and guards on einsum use and
+on the batch sizes of the dense factorizations.
 
-The oracles in conftest are the kernels written as single einsum calls; the
-program evaluates them as matrix products and batched 2x2 products.  Both must
-agree to round-off on a mesh with jittered vertices and both edge
-orientations.
+The oracles in conftest are the kernels written as single einsum calls, per
+element; the program evaluates them as matrix products and batched 2x2
+products, and builds the element blocks and factors once per shape class.
+Both must agree to round-off on two meshes with both edge orientations: one
+with jittered vertices, where every element is its own class, and an
+ear-clipped one, where newest-vertex bisection merges 304 elements into 6
+classes (17 with the advdiff beta).
 """
 
 import numpy as np
@@ -11,18 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdmadapt import TriMesh, build_initial_mesh, preset, solve_problem
+from bdmadapt import (DomainSpec, TriMesh, build_initial_mesh, preset,
+                      solve_problem)
 from bdmadapt.basis import quad_rule
-from bdmadapt.bdm import (BdmSpace, DgSpace, element_advection_matrices,
-                          element_mass_matrices)
+from bdmadapt.bdm import BdmSpace, DgSpace
 from bdmadapt.estimators import eta_improved, error_norms, full_report
-from bdmadapt.fields import (coeff_contract, mapped_points, nu_jump_terms,
-                             stiffness_tensors)
-from bdmadapt.postprocess import _local_ingredients, postprocess_resmin
+from bdmadapt.fields import (ElementClasses, coeff_contract, mapped_points,
+                             nu_jump_terms, stiffness_tensors)
+from bdmadapt.postprocess import postprocess_resmin, residual_load
 from bdmadapt.solver import assemble, solve
 
-from conftest import (einsum_element_advection_matrices,
-                      einsum_element_mass_matrices, einsum_error_norms,
+from conftest import (einsum_element_blocks, einsum_error_norms,
                       einsum_flux_values, einsum_load_vector,
                       einsum_local_ingredients, einsum_mapped_points,
                       einsum_mismatch_sq, einsum_nu_jump_terms,
@@ -61,12 +64,32 @@ def perturbed_mesh(advdiff):
 
 
 @pytest.fixture(scope="module")
-def solved(perturbed_mesh, advdiff):
-    """p -> (solution, postprocess) of advdiff on the perturbed mesh."""
+def merged_mesh(advdiff):
+    """Ear-clipped unit square bisected to 304 elements in few classes."""
+    square = DomainSpec(((0, 0), (0.6, 0), (1, 0), (1, 1), (0, 1)), "square")
+    mesh = build_initial_mesh(square, 150)
+    counts = np.bincount(ElementClasses(mesh).id)
+    assert mesh.n_triangles == 304 and len(counts) == 6 and counts.min() == 1
+    assert len(ElementClasses(mesh, advdiff.beta).reps) == 17
+    return mesh
+
+
+@pytest.fixture(scope="module")
+def meshes(perturbed_mesh, merged_mesh):
+    assert len(ElementClasses(perturbed_mesh).reps) == \
+        perturbed_mesh.n_triangles
+    return perturbed_mesh, merged_mesh
+
+
+@pytest.fixture(scope="module")
+def solved(meshes, advdiff):
+    """p -> [(solution, postprocess)] of advdiff on both meshes."""
     out = {}
     for p in (1, 2, 3):
-        sol = solve_problem(perturbed_mesh, p, advdiff)
-        out[p] = sol, postprocess_resmin(sol)
+        out[p] = []
+        for mesh in meshes:
+            sol = solve_problem(mesh, p, advdiff)
+            out[p].append((sol, postprocess_resmin(sol)))
     return out
 
 
@@ -93,16 +116,23 @@ def test_flux_values_matches_einsum(perturbed_mesh, p):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_element_matrices_match_einsum(perturbed_mesh, advdiff, p):
-    assert_matches(stiffness_tensors(perturbed_mesh, p + 2, 2 * (p + 2)),
-                   einsum_stiffness_tensors(perturbed_mesh, p + 2, 2 * (p + 2)))
-    space = BdmSpace(perturbed_mesh, p)
-    scalar = DgSpace(perturbed_mesh, p - 1)
-    assert_matches(element_mass_matrices(space),
-                   einsum_element_mass_matrices(space))
-    assert_matches(
-        element_advection_matrices(space, scalar, advdiff.beta),
-        einsum_element_advection_matrices(space, scalar, advdiff.beta))
+def test_element_matrices_match_einsum(meshes, advdiff, p):
+    """Each element's signed class block, and its inverse, against the
+    element's own einsum blocks, for beta = 0 and beta != 0."""
+    for mesh in meshes:
+        assert_matches(stiffness_tensors(mesh, p + 2, 2 * (p + 2)),
+                       einsum_stiffness_tensors(mesh, p + 2, 2 * (p + 2)))
+        for problem in (preset("smooth"), advdiff):
+            system = assemble(mesh, p, problem)
+            ids, signs = system.classes.id, system.signs
+            ref = einsum_element_blocks(system.flux_space, problem.beta)
+            got = signs[:, :, None] * system.blocks[ids] * signs[:, None, :]
+            assert_matches(got, ref)
+            inv = signs[:, :, None] * system.inverse[ids] * signs[:, None, :]
+            # scaled like a backward error: advective blocks are ill conditioned
+            resid = np.abs(inv @ ref - np.eye(ref.shape[1])).max(axis=(1, 2))
+            scale = np.abs(inv).max(axis=(1, 2)) * np.abs(ref).max(axis=(1, 2))
+            assert np.all(resid <= RTOL * scale)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -114,33 +144,36 @@ def test_load_vector_matches_einsum(perturbed_mesh, advdiff, p):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_local_ingredients_match_einsum(solved, p):
-    solution, _ = solved[p]
-    S22, rhs = _local_ingredients(solution)
-    S22_ref, rhs_ref = einsum_local_ingredients(solution)
-    assert_matches(S22, S22_ref)
-    assert_matches(rhs, rhs_ref)
+    """The residual load, and each element's class factor G = L^{-1}
+    against the inverse Cholesky factor of the element's own stiffness."""
+    for solution, post in solved[p]:
+        S22_ref, rhs_ref = einsum_local_ingredients(solution)
+        assert_matches(residual_load(solution), rhs_ref)
+        G_ref = np.linalg.inv(np.linalg.cholesky(S22_ref))
+        assert_matches(post.chol_inv[post.classes.id], G_ref)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_estimator_terms_match_einsum(solved, advdiff, p):
-    solution, post = solved[p]
-    report = eta_improved(post, solution, advdiff.u_D)
-    assert_matches(report.mismatch_K ** 2, einsum_mismatch_sq(post, solution))
-    jump_ref, bnd_ref = einsum_nu_jump_terms(post.mesh, post.nu, advdiff.u_D,
-                                             p + 5)
-    jump_K, bnd_K = nu_jump_terms(post.mesh, post.nu, advdiff.u_D, p + 5)
-    assert_matches(jump_K, jump_ref)
-    assert_matches(bnd_K, bnd_ref)
+    for solution, post in solved[p]:
+        report = eta_improved(post, solution, advdiff.u_D)
+        assert_matches(report.mismatch_K ** 2,
+                       einsum_mismatch_sq(post, solution))
+        jump_ref, bnd_ref = einsum_nu_jump_terms(post.mesh, post.nu,
+                                                 advdiff.u_D, p + 5)
+        jump_K, bnd_K = nu_jump_terms(post.mesh, post.nu, advdiff.u_D, p + 5)
+        assert_matches(jump_K, jump_ref)
+        assert_matches(bnd_K, bnd_ref)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_error_block_matches_einsum(solved, advdiff, p):
-    solution, post = solved[p]
-    new = error_norms(advdiff, solution, post)
-    ref = einsum_error_norms(advdiff, solution, post)
-    for name in ("grad_nu_K", "grad_theta_K", "one_h_K", "q_L2_K",
-                 "q_trace_K", "q_star_K", "u_L2", "nu_L2"):
-        assert_matches(getattr(new, name), getattr(ref, name))
+    for solution, post in solved[p]:
+        new = error_norms(advdiff, solution, post)
+        ref = einsum_error_norms(advdiff, solution, post)
+        for name in ("grad_nu_K", "grad_theta_K", "one_h_K", "q_L2_K",
+                     "q_trace_K", "q_star_K", "u_L2", "nu_L2"):
+            assert_matches(getattr(new, name), getattr(ref, name))
 
 
 # -- the contraction primitive -------------------------------------------------
@@ -196,17 +229,22 @@ def test_loop_passes_no_element_batch_through_einsum(monkeypatch, advdiff):
 
 
 def test_loop_factors_each_element_stiffness_once(monkeypatch, advdiff):
-    """One Cholesky of the element stiffnesses, one inverse of its factors and
-    one of the mixed element blocks; no dense solve in the loop."""
+    """One Cholesky of the class stiffnesses, one inverse of its factors and
+    one of the mixed class blocks, each batched over the shape classes and
+    not over the 512 elements; no dense solve in the loop.  Every element of
+    the uniform mesh is right isosceles with its peak at the right angle, so
+    T = B^T B / J = I: one class for the stiffness, and two for the mixed
+    blocks, whose advection term tells the two orientations apart by
+    B^T beta."""
     _, iteration = _warm_iteration(advdiff)
-    calls = {"solve": 0, "cholesky": 0, "inv": 0}
+    calls = {"solve": [], "cholesky": [], "inv": []}
     for name in calls:
         real = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+        def counted(a, *args, _name=name, _real=real, **kwargs):
+            calls[_name].append(len(a))
+            return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     iteration()
-    assert calls == {"solve": 0, "cholesky": 1, "inv": 2}
+    assert calls == {"solve": [], "cholesky": [1], "inv": [2, 1]}

@@ -14,7 +14,8 @@ from conftest import edge_elements
 
 
 def edge_hash_audit(mesh):
-    """Independent adjacency oracle: count edges via a plain dict."""
+    """Independent adjacency oracle: count edges via a plain dict; the edge
+    table lists them in lexicographic (lo, hi) order."""
     counts = {}
     for tri in mesh.triangles:
         for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
@@ -24,6 +25,9 @@ def edge_hash_audit(mesh):
     n_bnd = sum(1 for v in counts.values() if v == 1)
     assert n_bnd == int(mesh.boundary_edge.sum())
     assert len(counts) == mesh.n_edges
+    assert [tuple(e) for e in mesh.edges.tolist()] == sorted(counts)
+    ends = np.sort(mesh.triangles[:, [[1, 2], [2, 0], [0, 1]]], axis=2)
+    assert np.array_equal(mesh.edges[mesh.elem_edges], ends)
 
 
 def test_initial_lshape_count():
