@@ -29,9 +29,9 @@ import numpy as np
 
 from .basis import make_scalar_basis, quad_rule
 from .bdm import shifted_legendre
-from .fields import (coeff_contract, edge_points, field_values,
-                     mapped_points, scalar_tables, subdivided_edge_rule,
-                     subdivided_rule)
+from .fields import (ElementClasses, coeff_contract, edge_points,
+                     field_values, mapped_points, scalar_tables,
+                     subdivided_edge_rule, subdivided_rule)
 from .mesh import TriMesh
 from .postprocess import PostprocResult, class_factors
 from .solver import MixedSolution, ProblemSpec
@@ -125,7 +125,7 @@ def dual_norm_star(mesh: TriMesh, p: int, element: int, r) -> float:
     vals = field_values(r, mapped_points(one, rule.points), "r", vector=True)
     b = _grad_load(vals, one.inv_jacobians, one.det_jacobians,
                    rule.weights, D[:, 1:])
-    _, G = class_factors(one, p)
+    G = class_factors(one, p, ElementClasses(one))
     return float(np.linalg.norm(G[0] @ b[0]))
 
 

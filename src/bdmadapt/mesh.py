@@ -5,7 +5,8 @@ the refinement edge is always the local edge 0, i.e. (a, b), opposite the
 peak.  Bisection inserts the midpoint of (a, b) as the new peak of both
 children, whose refinement edges are the two remaining parent edges, so the
 scheme is the standard newest-vertex rule.  A marked refinement propagates
-through a closure loop until no hanging node remains.
+through a closure loop; the children then fill a fixed four-slot table per
+triangle, as in refineNVB (Funken, Praetorius & Wissgott 2011).
 
 Interior edges carry a global orientation from the lower to the higher vertex
 index; the stored unit normal is the right-hand normal of that direction and
@@ -275,7 +276,19 @@ class TriMesh:
 
     def refine(self, marked) -> "TriMesh":
         """Bisect the marked triangles (integer ids, repeats ignored), closing
-        the mesh (no hanging nodes)."""
+        the mesh (no hanging nodes).
+
+        A parent (p, a, b) with edges e0 = (a, b), e1 = (b, p), e2 = (p, a)
+        and midpoints m_j fills up to four child slots ("if e_j" reads "if e_j
+        is split"; the closure splits e0 wherever e1 or e2 is split):
+          1. (m2, m0, p) if e2, else (m0, p, a) if e0, else (p, a, b);
+          2. (m2, a, m0) if e2;
+          3. (m1, m0, b) if e1, else (m0, b, p) if e0;
+          4. (m1, p, m0) if e1.
+        The filled slots are listed parent by parent.  A child is one
+        generation deeper per bisection and its parent is the split
+        triangle's id; an unsplit triangle keeps its generation and parent.
+        """
         marked = np.asarray(list(marked))
         if marked.size == 0:
             return self
@@ -300,33 +313,22 @@ class TriMesh:
                       + self.vertices[self.edges[split_ids, 1]])
         verts = np.vstack([self.vertices, mids])
 
-        tris, gen, par = [], [], []
-        tri_arr, edg_arr = self.triangles, self.elem_edges
-        for t in range(self.n_triangles):
-            e0, e1, e2 = edg_arr[t]
-            if not edge_marked[e0]:
-                tris.append(tri_arr[t])
-                gen.append(self.generation[t])
-                par.append(self.parent[t])
-                continue
-            p, a, b = tri_arr[t]
-            m = new_vid[e0]
-            g, pid = self.generation[t], t
-            # children (m, p, a) with refinement edge e2=(p,a) and
-            # (m, b, p) with refinement edge e1=(b,p)
-            for child, opp_edge in (((m, p, a), e2), ((m, b, p), e1)):
-                if edge_marked[opp_edge]:
-                    cp, ca, cb = child
-                    mm = new_vid[opp_edge]
-                    tris.extend([(mm, cp, ca), (mm, cb, cp)])
-                    gen.extend([g + 2, g + 2])
-                    par.extend([pid, pid])
-                else:
-                    tris.append(child)
-                    gen.append(g + 1)
-                    par.append(pid)
-        return TriMesh(verts, np.asarray(tris, dtype=np.int64), generation=gen,
-                       parent=par, domain_name=self.domain_name)
+        s0, s1, s2 = edge_marked[self.elem_edges].T
+        p, a, b = self.triangles.T
+        m0, m1, m2 = new_vid[self.elem_edges].T
+        children = np.stack([
+            np.where(s2, [m2, m0, p], np.where(s0, [m0, p, a], [p, a, b])),
+            [m2, a, m0],
+            np.where(s1, [m1, m0, b], [m0, b, p]),
+            [m1, p, m0]]).transpose(2, 0, 1)
+        keep = np.stack([np.ones_like(s0), s2, s0, s1], axis=1)
+        # slots 1-2 halve the parent's half at e2 once more, slots 3-4 at e1
+        depth = s0[:, None] + np.stack([s2, s2, s1, s1], axis=1, dtype=np.int64)
+        parent = np.where(s0, np.arange(len(s0)), self.parent)
+        return TriMesh(verts, children[keep],
+                       generation=(self.generation[:, None] + depth)[keep],
+                       parent=np.repeat(parent, keep.sum(axis=1)),
+                       domain_name=self.domain_name)
 
     # -- audits -------------------------------------------------------------
 

@@ -3,10 +3,10 @@
 All local problems live on the mean-free hierarchical bases, where the
 degree-(p+1) basis is the leading slice of the degree-(p+2) one.  The
 degree-(p+2) stiffness S22 depends on the element only through its metric,
-so it is built and factored once per shape class (fields.ElementClasses),
-S22 = L L^T, and G = L^{-1} is formed; its leading block G11 = L11^{-1}
-inverts the factor of the degree-(p+1) stiffness S11.  With
-rhs_i = -(q_h, grad v_i)_K, z = G rhs, each product one GEMM per class:
+so it is built and factored once per shape class of the solver
+(fields.ElementClasses), S22 = L L^T, and G = L^{-1} is formed; its leading
+block G11 = L11^{-1} inverts the factor of the degree-(p+1) stiffness S11.
+With rhs_i = -(q_h, grad v_i)_K, z = G rhs, each product one GEMM per class:
 
   * theta_K = G^T z is the enriched degree-(p+2) elliptic postprocessing;
   * nu_K = G11^T z[:n1] is the classical (Stenberg) degree-(p+1) one, which
@@ -90,11 +90,10 @@ def residual_load(solution: MixedSolution) -> np.ndarray:
     return -(c @ _flux_load_table(p, 2 * (p + 2)))
 
 
-def class_factors(mesh: TriMesh, p: int):
-    """(classes, G): the shape classes of the mesh and G = L^{-1}
-    (n_classes, n2, n2) for the Cholesky factors L of the stiffnesses on
-    the mean-free degree-(p+2) basis, built on the representatives."""
-    classes = ElementClasses(mesh)
+def class_factors(mesh: TriMesh, p: int, classes: ElementClasses):
+    """G = L^{-1} (n_classes, n2, n2) for the Cholesky factors L of the
+    stiffnesses on the mean-free degree-(p+2) basis, built on the class
+    representatives; the classes may also be keyed by beta."""
     S22 = stiffness_tensors(mesh, p + 2, 2 * (p + 2), classes.reps)[:, 1:, 1:]
     try:
         L = np.linalg.cholesky(S22)
@@ -102,7 +101,7 @@ def class_factors(mesh: TriMesh, p: int):
         raise ArithmeticError(
             "local stiffness not positive definite; the mean-free basis "
             "construction is broken") from exc
-    return classes, np.linalg.inv(L)
+    return np.linalg.inv(L)
 
 
 def _with_mean(solution: MixedSolution, mean_free: np.ndarray) -> np.ndarray:
@@ -116,7 +115,8 @@ def _with_mean(solution: MixedSolution, mean_free: np.ndarray) -> np.ndarray:
 def postprocess_resmin(solution: MixedSolution) -> PostprocResult:
     """Factor each class stiffness once and derive all local solutions."""
     n1 = basis_size(solution.p + 1) - 1
-    classes, G = class_factors(solution.mesh, solution.p)
+    classes = solution.classes
+    G = class_factors(solution.mesh, solution.p, classes)
     z = classes.matmul(G, residual_load(solution))
     theta = classes.matmul(np.swapaxes(G, 1, 2), z)
     nu = classes.matmul(np.swapaxes(G[:, :n1, :n1], 1, 2), z[:, :n1])

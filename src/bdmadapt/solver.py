@@ -12,8 +12,8 @@ The element blocks A_K = [[M_K, -B_K^T], [B_K - C_K, 0]] depend on the
 element only through its shape class and its orientation signs,
 A_K = Sigma_K A_c Sigma_K (fields.ElementClasses), so one block per class is
 built and inverted, and every local solve is one matrix product per class.
-Only the multiplier system S = sum_K E_K A_K^{-1} E_K^T is factorized by
-sparse LU; it is symmetric positive definite when beta = 0.
+Only the multiplier system S = sum_K E_K A_K^{-1} E_K^T is factorized, by
+one sparse LU for every beta; S is symmetric positive definite when beta = 0.
 Boundary edges carry no multiplier, since u_D enters through the load.
 (q_h, u_h) are recovered class by class, followed by one refinement
 step on the residual of the full mixed equations.  The global saddle matrix
@@ -48,9 +48,9 @@ class ProblemSpec:
     one (n, 2) point array and must return n finite values: shape (n,), or
     (n, 2) for the flux exact_q.  fields.field_values makes every call and
     raises ValueError naming the field otherwise.  beta is a finite constant
-    advection vector; (0, 0) selects the pure diffusion branch.  Exact
-    integrals subdivide the rule on elements touching quad_singular_point
-    (two levels) and on those with a vertex in quad_region (one level).
+    advection vector, (0, 0) for pure diffusion.  Exact integrals subdivide
+    the rule on elements touching quad_singular_point (two levels) and on
+    those with a vertex in quad_region (one level).
     """
 
     domain: DomainSpec
@@ -82,10 +82,6 @@ class ProblemSpec:
     def has_exact(self) -> bool:
         return self.exact_u is not None and self.exact_q is not None
 
-    @property
-    def is_advective(self) -> bool:
-        return float(np.hypot(*self.beta)) != 0.0
-
     def validate_exact(self, points, tol=1e-8):
         """Check q = -grad u at sample points by central differences."""
         if not self.has_exact:
@@ -115,7 +111,6 @@ class MixedSystem:
     boundary edges); edge_sign is signs[:, :3(p+1)] times +-1 for the
     aligned/opposite element of the edge, and owned marks the one element
     that holds each shared flux dof when local values are gathered.
-    advective (beta != 0) says the blocks, and so S, are nonsymmetric.
     """
 
     classes: ElementClasses
@@ -131,12 +126,11 @@ class MixedSystem:
     p: int
     flux_space: BdmSpace
     scalar_space: DgSpace
-    advective: bool
 
 
 @dataclass
 class MixedSolution:
-    """Coefficients of the discrete mixed solution plus solver diagnostics."""
+    """Discrete mixed solution, the solver's shape classes and diagnostics."""
 
     flux: np.ndarray
     scalar: np.ndarray
@@ -144,6 +138,7 @@ class MixedSolution:
     p: int
     flux_space: BdmSpace
     scalar_space: DgSpace
+    classes: ElementClasses
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -201,20 +196,20 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     S = coo_matrix((S_loc[keep], (rows[keep], cols[keep])),
                    shape=(n_mult, n_mult)).tocsc()
     return MixedSystem(classes, blocks, inverse, signs, np.concatenate([g, F]),
-                       S, multiplier, edge_sign, owned, mesh, p, flux, scalar,
-                       problem.is_advective)
+                       S, multiplier, edge_sign, owned, mesh, p, flux, scalar)
 
 
 def _factor(system: MixedSystem):
-    """Sparse LU of S; a symmetric ordering without pivoting when beta = 0.
+    """Sparse LU of S: symmetric ordering, no pivoting, for every beta.
 
-    relax=1 turns off SuperLU's relaxed supernodes, which under the minimum
-    degree ordering of S slow the factorization by 3-8x at equal fill.
+    S is nonsymmetric when beta != 0; skipping pivoting is safe because
+    solve() raises SingularSystemError when the residual of the mixed
+    equations exceeds RESIDUAL_TOL.  relax=1 turns off SuperLU's relaxed
+    supernodes, which under the minimum degree ordering of S slow the
+    factorization by 3-8x at equal fill.
     """
     S = system.schur
     try:
-        if system.advective:
-            return splu(S)
         return splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     relax=1, options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
@@ -293,6 +288,7 @@ def solve(system: MixedSystem) -> MixedSolution:
     return MixedSolution(
         flux=x[:nq], scalar=x[nq:], mesh=system.mesh, p=system.p,
         flux_space=system.flux_space, scalar_space=system.scalar_space,
+        classes=system.classes,
         diagnostics={"rel_residual": rel, "n_dofs": int(S.shape[0]),
                      "nnz": int(S.nnz),
                      "fill": int(lu.L.nnz + lu.U.nnz),

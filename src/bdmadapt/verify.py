@@ -6,7 +6,7 @@ from scipy.linalg import eigh
 from .adaptivity import dorfler_mark
 from .basis import make_scalar_basis, quad_rule
 from .estimators import dual_norm_star, error_norms, eta_improved, full_report
-from .fields import stiffness_tensors
+from .fields import ElementClasses, stiffness_tensors
 from .mesh import DomainSpec, build_initial_mesh
 from .postprocess import class_factors, postprocess_resmin, residual_load
 from .problems import preset
@@ -86,7 +86,8 @@ def run_verification(seed: int = 0, quick: bool = True) -> dict:
     worst = 0.0
     for p in (1, 2):
         S22 = stiffness_tensors(mesh, p + 2, 2 * (p + 2))[:, 1:, 1:]
-        classes, G = class_factors(mesh, p)
+        classes = ElementClasses(mesh)
+        G = class_factors(mesh, p, classes)
         for _ in range(3 if quick else 10):
             k = int(rng.integers(0, mesh.n_triangles))
             coef = rng.standard_normal((3, 2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import bmat, coo_matrix
 
-from bdmadapt import build_initial_mesh, preset, solve_problem
+from bdmadapt import TriMesh, build_initial_mesh, preset, solve_problem
 from bdmadapt.basis import (basis_size, make_scalar_basis, map_to_triangle,
                             quad_rule)
 from bdmadapt.bdm import (BdmSpace, DgSpace, bdm_tables,
@@ -144,7 +144,6 @@ def skewed_triangle():
 
 
 def single_element_mesh(tri=None):
-    from bdmadapt import TriMesh
     tri = skewed_triangle() if tri is None else np.asarray(tri, dtype=float)
     return TriMesh(tri, np.array([[0, 1, 2]]))
 
@@ -322,6 +321,56 @@ def edge_elements(mesh):
     edge_tris[swap] = edge_tris[swap, ::-1]
     edge_local[swap] = edge_local[swap, ::-1]
     return edge_tris, edge_local
+
+
+def refine_loop(mesh, marked):
+    """mesh.refine(marked) by a plain loop over the triangles, as the
+    newest-vertex bisection oracle: same closure, same vertices, and the
+    children appended parent by parent."""
+    marked = np.unique(np.asarray(list(marked), dtype=np.int64))
+    if marked.size == 0:
+        return mesh
+    edge_marked = np.zeros(mesh.n_edges, dtype=bool)
+    edge_marked[mesh.elem_edges[marked, 0]] = True
+    while True:
+        has_marked = edge_marked[mesh.elem_edges].any(axis=1)
+        need = has_marked & ~edge_marked[mesh.elem_edges[:, 0]]
+        if not need.any():
+            break
+        edge_marked[mesh.elem_edges[need, 0]] = True
+    split_ids = np.nonzero(edge_marked)[0]
+    new_vid = np.full(mesh.n_edges, -1, dtype=np.int64)
+    new_vid[split_ids] = mesh.n_vertices + np.arange(len(split_ids))
+    mids = 0.5 * (mesh.vertices[mesh.edges[split_ids, 0]]
+                  + mesh.vertices[mesh.edges[split_ids, 1]])
+    verts = np.vstack([mesh.vertices, mids])
+
+    tris, gen, par = [], [], []
+    for t in range(mesh.n_triangles):
+        e0, e1, e2 = mesh.elem_edges[t]
+        if not edge_marked[e0]:
+            tris.append(mesh.triangles[t])
+            gen.append(mesh.generation[t])
+            par.append(mesh.parent[t])
+            continue
+        p, a, b = mesh.triangles[t]
+        m = new_vid[e0]
+        g = mesh.generation[t]
+        # children (m, p, a) with refinement edge e2=(p,a) and
+        # (m, b, p) with refinement edge e1=(b,p)
+        for child, opp_edge in (((m, p, a), e2), ((m, b, p), e1)):
+            if edge_marked[opp_edge]:
+                cp, ca, cb = child
+                mm = new_vid[opp_edge]
+                tris.extend([(mm, cp, ca), (mm, cb, cp)])
+                gen.extend([g + 2, g + 2])
+                par.extend([t, t])
+            else:
+                tris.append(child)
+                gen.append(g + 1)
+                par.append(t)
+    return TriMesh(verts, np.asarray(tris, dtype=np.int64), generation=gen,
+                   parent=par, domain_name=mesh.domain_name)
 
 
 def einsum_nu_jump_terms(mesh, coeffs, u_D, n_points):

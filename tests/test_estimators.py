@@ -298,7 +298,7 @@ def test_eta_tilde_invariant_under_elementwise_constant_shift(smooth_run, rng):
     from bdmadapt.solver import MixedSolution
     sol2 = MixedSolution(flux=sol.flux, scalar=shifted.ravel(), mesh=sol.mesh,
                          p=sol.p, flux_space=sol.flux_space,
-                         scalar_space=sol.scalar_space)
+                         scalar_space=sol.scalar_space, classes=sol.classes)
     post2 = postprocess_resmin(sol2)
     assert np.array_equal(post2.eta_tilde_K, post.eta_tilde_K)
     assert np.array_equal(post2.eps, post.eps)

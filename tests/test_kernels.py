@@ -230,12 +230,12 @@ def test_loop_passes_no_element_batch_through_einsum(monkeypatch, advdiff):
 
 def test_loop_factors_each_element_stiffness_once(monkeypatch, advdiff):
     """One Cholesky of the class stiffnesses, one inverse of its factors and
-    one of the mixed class blocks, each batched over the shape classes and
-    not over the 512 elements; no dense solve in the loop.  Every element of
-    the uniform mesh is right isosceles with its peak at the right angle, so
-    T = B^T B / J = I: one class for the stiffness, and two for the mixed
-    blocks, whose advection term tells the two orientations apart by
-    B^T beta."""
+    one of the mixed class blocks, each batched over the solver's shape
+    classes and not over the 512 elements; no dense solve in the loop.
+    Every element of the uniform mesh is right isosceles with its peak at
+    the right angle, so T = B^T B / J = I, and the advection key B^T beta
+    tells the two orientations apart: two classes, which the postprocessing
+    reuses."""
     _, iteration = _warm_iteration(advdiff)
     calls = {"solve": [], "cholesky": [], "inv": []}
     for name in calls:
@@ -247,4 +247,4 @@ def test_loop_factors_each_element_stiffness_once(monkeypatch, advdiff):
 
         monkeypatch.setattr(np.linalg, name, counted)
     iteration()
-    assert calls == {"solve": [], "cholesky": [1], "inv": [2, 1]}
+    assert calls == {"solve": [], "cholesky": [2], "inv": [2, 2]}

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdmadapt import (DomainSpec, TriMesh, build_initial_mesh, load_mesh,
-                      save_mesh)
+                      preset, run_adaptive, save_mesh)
 from bdmadapt.basis import make_scalar_basis
 from bdmadapt.fields import nu_jump_terms
 
-from conftest import edge_elements
+from conftest import edge_elements, refine_loop
 
 
 def edge_hash_audit(mesh):
@@ -28,6 +28,49 @@ def edge_hash_audit(mesh):
     assert [tuple(e) for e in mesh.edges.tolist()] == sorted(counts)
     ends = np.sort(mesh.triangles[:, [[1, 2], [2, 0], [0, 1]]], axis=2)
     assert np.array_equal(mesh.edges[mesh.elem_edges], ends)
+
+
+def assert_same_mesh(got, want):
+    for name in ("vertices", "triangles", "generation", "parent"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def assert_bisection_history(mesh, out, marked):
+    """generation and parent of out = mesh.refine(marked) against geometry.
+
+    The children of split triangles are the triangles with a new vertex.
+    Every other triangle keeps its vertex triple, generation and parent; the
+    children of each split parent fill its area, and each child is one
+    generation deeper per halving of the area, so by 1 or 2.
+    """
+    child = (out.triangles >= mesh.n_vertices).any(axis=1)
+    old_id = {tuple(t): k for k, t in enumerate(mesh.triangles.tolist())}
+    kept = np.array([old_id[tuple(t)] for t in out.triangles[~child].tolist()],
+                    dtype=np.int64)
+    assert np.array_equal(out.generation[~child], mesh.generation[kept])
+    assert np.array_equal(out.parent[~child], mesh.parent[kept])
+    split = np.unique(out.parent[child])
+    assert set(marked) <= set(split.tolist())
+    assert np.array_equal(np.sort(np.concatenate([kept, split])),
+                          np.arange(mesh.n_triangles))
+    area = np.bincount(out.parent[child], out.areas[child],
+                       minlength=mesh.n_triangles)[split]
+    assert np.allclose(area, mesh.areas[split], rtol=1e-12, atol=0.0)
+    parent = out.parent[child]
+    depth = out.generation[child] - mesh.generation[parent]
+    assert set(depth.tolist()) <= {1, 2}
+    assert np.allclose(np.log2(mesh.areas[parent] / out.areas[child]), depth,
+                       rtol=0.0, atol=1e-9)
+
+
+# start meshes for random marked sets: an unrefined grid, an L-shape whose
+# generations and parents already differ, and an ear-clipped pentagon
+RANDOM_START = {
+    "square": build_initial_mesh(DomainSpec.unit_square(), 32),
+    "lshape": build_initial_mesh(DomainSpec.l_shape(), 24).refine([0, 7, 15]),
+    "earclip": build_initial_mesh(
+        DomainSpec(loop=((0, 0), (2, 0), (2, 1), (1, 1.5), (0, 1))), 20),
+}
 
 
 def test_initial_lshape_count():
@@ -98,10 +141,14 @@ def test_closure_single_marked_two_triangles():
     edge_hash_audit(out)
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.sets(st.integers(min_value=0, max_value=31), max_size=12))
-def test_refine_random_sets_stay_conforming(marked):
-    mesh = build_initial_mesh(DomainSpec.unit_square(), 32)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_refine_random_sets_stay_conforming(data):
+    # conforming, area-preserving, bitwise equal to the loop oracle, and
+    # with the generation and parent of the bisection history
+    mesh = RANDOM_START[data.draw(st.sampled_from(sorted(RANDOM_START)))]
+    marked = data.draw(st.sets(
+        st.integers(min_value=0, max_value=mesh.n_triangles - 1), max_size=12))
     out = mesh.refine(marked)
     out.validate()
     edge_hash_audit(out)
@@ -109,6 +156,27 @@ def test_refine_random_sets_stay_conforming(marked):
     assert abs(out.areas.sum() - area) <= 1e-12 * area
     if marked:
         assert out.n_triangles > mesh.n_triangles
+    assert_same_mesh(out, refine_loop(mesh, marked))
+    assert_bisection_history(mesh, out, marked)
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("smooth", {"uniform": True, "iterations": 4}),
+    ("lshape", {"iterations": 12}),
+    ("advdiff", {"iterations": 12}),
+], ids=["smooth", "lshape", "advdiff"])
+def test_refine_matches_loop_oracle_on_adaptive_traces(name, kwargs):
+    run = run_adaptive(preset(name), 1, with_errors=False, **kwargs)
+    steps = [(rec.mesh, rec.marked) for rec in run.records[:-1]]
+    assert len(steps) == kwargs["iterations"] - 1
+    if kwargs.get("uniform"):
+        # the second sweep of each uniform step
+        steps += [(fine, np.arange(fine.n_triangles))
+                  for fine in (m.refine(marked) for m, marked in steps)]
+    for mesh, marked in steps:
+        out = mesh.refine(marked)
+        assert_same_mesh(out, refine_loop(mesh, marked))
+        assert_bisection_history(mesh, out, marked)
 
 
 def test_area_preserved_over_generations(rng):

@@ -5,7 +5,7 @@ from bdmadapt import postprocess_resmin
 from bdmadapt.basis import basis_size, make_scalar_basis, quad_rule
 from bdmadapt.bdm import BdmSpace, DgSpace
 from bdmadapt.estimators import dual_norm_star
-from bdmadapt.fields import stiffness_tensors
+from bdmadapt.fields import ElementClasses, stiffness_tensors
 from bdmadapt.solver import MixedSolution
 
 from conftest import single_element_mesh, stenberg_oracle
@@ -14,7 +14,8 @@ from conftest import single_element_mesh, stenberg_oracle
 def manual_solution(mesh, p, flux, scalar):
     return MixedSolution(flux=flux, scalar=scalar, mesh=mesh, p=p,
                          flux_space=BdmSpace(mesh, p),
-                         scalar_space=DgSpace(mesh, p - 1))
+                         scalar_space=DgSpace(mesh, p - 1),
+                         classes=ElementClasses(mesh))
 
 
 def element_means(mesh, coeffs):

@@ -108,4 +108,3 @@ def test_advdiff_boundary_data_zero():
 def test_advdiff_beta_value():
     adv = preset("advdiff")
     assert np.allclose(adv.beta, (1000.0 / 3.0, 1000.0 / 3.0))
-    assert adv.is_advective

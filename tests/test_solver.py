@@ -76,13 +76,6 @@ def test_galerkin_orthogonality_random_tests(rng):
         assert abs(ph @ resid) <= 1e-10 * scale * np.linalg.norm(ph)
 
 
-def test_advection_dispatch():
-    adv = preset("advdiff")
-    mesh = build_initial_mesh(adv.domain, 8)
-    system = assemble(mesh, 1, adv)
-    assert system.advective
-
-
 def test_advection_one_element_sanity(rng):
     # (beta . N_l, 1)_K equals beta . (integral of N_l), componentwise oracle
     mesh = single_element_mesh()
@@ -189,10 +182,15 @@ def test_problem_constants_stored_as_float_pairs():
     assert all(type(v) is float for v in spec.beta + spec.quad_singular_point)
 
 
-@pytest.mark.parametrize("name", ["smooth", "lshape", "advdiff"])
+@pytest.mark.parametrize("name, beta_scale", [
+    ("smooth", 1), ("lshape", 1), ("advdiff", 1), ("advdiff", 10)],
+    ids=["smooth", "lshape", "advdiff", "advdiff-10beta"])
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_hybrid_matches_saddle_lu(name, p):
+def test_hybrid_matches_saddle_lu(name, beta_scale, p):
+    # one unpivoted factorization serves beta = 0 and both advection sizes
     problem = preset(name)
+    problem = dataclasses.replace(
+        problem, beta=tuple(beta_scale * b for b in problem.beta))
     count = 96 if name == "lshape" else 32
     mesh = build_initial_mesh(problem.domain, count).refine(range(count))
     sol = solve_problem(mesh, p, problem)
