@@ -5,7 +5,9 @@ bases are hierarchical and L2-orthonormal on K: they come from an exact
 rational LDL^T Gram-Schmidt of the monomial basis ordered by total degree, so
 the degree-r basis is the leading slice of every higher-degree basis and the
 first function is the normalized constant.  Dropping that constant (column 0
-of values and grads) yields an exactly mean-free sub-basis.
+of values and grads) yields an exactly mean-free sub-basis.  One exact
+factorization serves every degree: it is extended on demand to the largest
+degree asked for, and a lower degree reads its leading block.
 """
 
 from dataclasses import dataclass
@@ -38,46 +40,61 @@ def monomial_integral(a: int, b: int) -> Fraction:
                     math.factorial(a + b + 2))
 
 
-def _ldl_fractions(gram):
-    """LDL^T of a symmetric positive definite matrix of Fractions."""
-    n = len(gram)
-    low = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        s = gram[j][j] - sum(low[j][k] * low[j][k] * diag[k] for k in range(j))
-        if s <= 0:
+# Exact LDL^T of the monomial Gram matrix, kept as the strict lower rows of
+# L, the diagonal D and the columns of L^{-T}.  It grows on demand to the
+# largest degree asked for so far; a lower degree reads its leading block.
+_LOW, _DIAG, _INV_T = [], [], []
+
+
+def _dot(xs, ys) -> Fraction:
+    """Exact sum of x * y over pairs of Fractions, reduced once at the end."""
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        q = x.denominator * y.denominator
+        num = num * q + x.numerator * y.numerator * den
+        den *= q
+    return Fraction(num, den)
+
+
+def _grow_exact_factor(degree: int):
+    """Extend the exact factors by the rows and columns up to degree."""
+    exps = monomial_exponents(degree)
+    for i in range(len(_DIAG), len(exps)):
+        a, b = exps[i]
+        # t[j] = L[i][j] D[j]
+        t = []
+        for j in range(i):
+            s = monomial_integral(a + exps[j][0], b + exps[j][1])
+            t.append(s - _dot(t, _LOW[j]))
+        row = [t[j] / _DIAG[j] for j in range(i)]
+        d = monomial_integral(2 * a, 2 * b) - _dot(t, row)
+        if d <= 0:
             raise ArithmeticError("monomial Gram matrix not positive definite")
-        diag[j] = s
-        low[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            t = gram[i][j] - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
-            low[i][j] = t / s
-    return low, diag
+        _LOW.append(row)
+        _DIAG.append(d)
+        # column i of X = L^{-T}, from L^T X = I; X is unit upper triangular
+        col = [Fraction(0)] * i + [Fraction(1)]
+        for r in range(i - 1, -1, -1):
+            col[r] = -_dot((_LOW[k][r] for k in range(r + 1, i + 1)),
+                           col[r + 1:])
+        _INV_T.append(col)
 
 
 @lru_cache(maxsize=None)
 def _orthonormal_monomial_coeffs(degree: int) -> np.ndarray:
     """Column j holds the monomial coefficients of the j-th orthonormal function.
 
-    Computed as L^{-T} D^{-1/2} from the exact LDL^T of the monomial Gram
-    matrix; only the final diagonal scaling leaves rational arithmetic.
+    The leading block L^{-T} D^{-1/2} of the exact factors; only the final
+    diagonal scaling leaves rational arithmetic.
     """
     if degree > MAX_DEGREE:
         raise ValueError(f"degree {degree} exceeds supported maximum {MAX_DEGREE}")
-    exps = monomial_exponents(degree)
-    n = len(exps)
-    gram = [[monomial_integral(exps[i][0] + exps[j][0], exps[i][1] + exps[j][1])
-             for j in range(n)] for i in range(n)]
-    low, diag = _ldl_fractions(gram)
-    # back-substitute L^T X = I exactly; X = L^{-T} is unit upper triangular
-    inv_t = [[Fraction(0)] * n for _ in range(n)]
+    _grow_exact_factor(degree)
+    n = basis_size(degree)
+    coeffs = np.zeros((n, n))
     for j in range(n):
-        for i in range(j, -1, -1):
-            s = Fraction(1) if i == j else Fraction(0)
-            s -= sum(low[k][i] * inv_t[k][j] for k in range(i + 1, j + 1))
-            inv_t[i][j] = s
-    coeffs = np.array([[float(inv_t[i][j]) for j in range(n)] for i in range(n)])
-    scale = np.array([1.0 / math.sqrt(float(d)) for d in diag])
+        coeffs[:j + 1, j] = [float(x) for x in _INV_T[j]]
+    scale = np.array([1.0 / math.sqrt(float(d)) for d in _DIAG[:n]])
     coeffs = coeffs * scale[None, :]
     coeffs.setflags(write=False)
     return coeffs

@@ -185,8 +185,10 @@ class EstimatorReport:
         return out
 
     def save(self, path: str):
+        # json.dump streams through the pure-Python encoder; json.dumps
+        # runs the C one and gives the same text
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))
 
 
 def eta_improved(post: PostprocResult, solution: MixedSolution,

@@ -1,12 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+import bdmadapt.basis as basis_mod
 from bdmadapt import make_scalar_basis, quad_rule
 from bdmadapt.basis import basis_size, map_to_triangle
 
-from conftest import skewed_triangle
+from conftest import orthonormal_coeffs_per_degree, skewed_triangle
 
 
 def exact_monomial(a, b):
@@ -198,3 +200,26 @@ def test_hierarchical_nesting():
     b4 = make_scalar_basis(4)
     pts = np.array([[0.1, 0.2], [0.4, 0.5], [0.25, 0.3]])
     assert np.allclose(b4.values(pts)[:, : b2.size], b2.values(pts), atol=1e-14)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_grown_exact_basis_matches_per_degree_build(monkeypatch, order):
+    # the shared factorization grown in any call order gives bitwise the
+    # floats of a fresh exact build for each degree
+    degrees = list(range(9))
+    if order == "descending":
+        degrees.reverse()
+    elif order == "shuffled":
+        random.Random(7).shuffle(degrees)
+    for name in ("_LOW", "_DIAG", "_INV_T"):
+        monkeypatch.setattr(basis_mod, name, [])
+    basis_mod._orthonormal_monomial_coeffs.cache_clear()
+    try:
+        for degree in degrees:
+            got = basis_mod._orthonormal_monomial_coeffs(degree)
+            want = orthonormal_coeffs_per_degree(degree)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                degree
+    finally:
+        basis_mod._orthonormal_monomial_coeffs.cache_clear()

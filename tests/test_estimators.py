@@ -320,7 +320,9 @@ def test_report_json_roundtrip(tmp_path, smooth_run):
     rep.save(path)
     import json
     with open(path) as fh:
-        data = json.load(fh)
+        text = fh.read()
+    assert text == json.dumps(rep.to_dict())
+    data = json.loads(text)
     assert data["p"] == 2
     assert len(data["eta_K"]) == sol.mesh.n_triangles
     assert abs(data["eta"] - rep.eta) < 1e-15

@@ -217,13 +217,39 @@ def test_multiplier_system_size_and_diagnostics():
     assert diag["rel_residual"] <= 1e-13
 
 
+def test_fill_is_read_from_the_factor_without_copies(monkeypatch):
+    # solve() may only solve with the factor and read its size: building
+    # L and U as matrices would copy the whole fill
+    real_factor = solver_mod._factor
+    seen = []
+
+    class Guard:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def __getattr__(self, name):
+            if name not in ("solve", "nnz", "shape"):
+                raise AssertionError(f"solve() read the factor's {name!r}")
+            return getattr(self._lu, name)
+
+    def guarded(system):
+        lu = real_factor(system)
+        seen.append(lu)
+        return Guard(lu)
+
+    monkeypatch.setattr(solver_mod, "_factor", guarded)
+    adv = preset("advdiff")
+    sol = solve_problem(build_initial_mesh(adv.domain, 32), 2, adv)
+    assert sol.diagnostics["fill"] == seen[0].nnz
+
+
 def _sloppy_factor(monkeypatch):
     """Make every multiplier solve off by half."""
     real_splu = solver_mod.splu
 
     class Sloppy:
         def __init__(self, lu):
-            self.lu, self.L, self.U = lu, lu.L, lu.U
+            self.lu, self.nnz = lu, lu.nnz
 
         def solve(self, b):
             return 1.5 * self.lu.solve(b)
