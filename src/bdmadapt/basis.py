@@ -8,6 +8,13 @@ first function is the normalized constant.  Dropping that constant (column 0
 of values and grads) yields an exactly mean-free sub-basis.  One exact
 factorization serves every degree: it is extended on demand to the largest
 degree asked for, and a lower degree reads its leading block.
+
+Quadrature rules are collapsed products of Gauss-Legendre and
+Gauss-Jacobi(1, 0) rules, computed in numpy: Golub-Welsch nodes (eigenvalues
+of the Jacobi matrix) polished by two Newton steps on the three-term
+recurrence of P_n^(alpha,0), and the closed-form weights
+2^(alpha+1) / ((1 - x^2) P_n'(x)^2).  The same recurrence evaluates the
+Legendre polynomials of the BDM edge moments.
 """
 
 from dataclasses import dataclass
@@ -16,7 +23,6 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 MAX_DEGREE = 12
@@ -145,6 +151,48 @@ def make_scalar_basis(degree: int) -> RefScalarBasis:
     return RefScalarBasis(degree)
 
 
+def _jacobi(n: int, alpha: int, x):
+    """Values and derivatives of P_k^(alpha,0) at x for k = 0..n, alpha in
+    {0, 1}; two arrays of shape (n + 1, *x.shape) from the three-term
+    recurrence (alpha = 0 gives the Legendre polynomials)."""
+    x = np.asarray(x, dtype=float)
+    P = np.empty((n + 1,) + x.shape)
+    dP = np.empty_like(P)
+    P[0], dP[0] = 1.0, 0.0
+    if n > 0:
+        P[1], dP[1] = ((alpha + 2) * x + alpha) / 2, (alpha + 2) / 2
+    for k in range(2, n + 1):
+        # 2k(k+a)(s-2) P_k = (s-1)(s(s-2)x + a^2) P_{k-1}
+        #                    - 2(k+a-1)(k-1)s P_{k-2},  s = 2k + a
+        s = 2 * k + alpha
+        den = 2 * k * (k + alpha) * (s - 2)
+        a, b = (s - 1) * s * (s - 2) / den, (s - 1) * alpha ** 2 / den
+        c = 2 * (k + alpha - 1) * (k - 1) * s / den
+        P[k] = (a * x + b) * P[k - 1] - c * P[k - 2]
+        dP[k] = (a * x + b) * dP[k - 1] + a * P[k - 1] - c * dP[k - 2]
+    return P, dP
+
+
+@lru_cache(maxsize=None)
+def _gauss_jacobi(n: int, alpha: int):
+    """Ascending nodes and weights of the n-point Gauss rule on [-1, 1] for
+    the weight (1 - x)^alpha, alpha in {0, 1}."""
+    k = np.arange(n)
+    s = 2 * k + alpha
+    diag = np.zeros(n) if alpha == 0 else -1.0 / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = 2 * k * (k + alpha) / (s * np.sqrt(s * s - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    for _ in range(2):
+        P, dP = _jacobi(n, alpha, x)
+        x = x - P[n] / dP[n]
+    dP = _jacobi(n, alpha, x)[1][n]
+    w = 2.0 ** (alpha + 1) / ((1.0 - x * x) * dP * dP)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadRule:
     """Quadrature rule on the reference triangle or the unit edge [0, 1].
@@ -174,12 +222,12 @@ def quad_rule(exactness: int, variant: str = "triangle") -> QuadRule:
             f"exactness {exactness} unsupported; maximum is {MAX_QUAD_EXACTNESS}")
     n = max(1, (exactness + 2) // 2)
     if variant == "edge":
-        x, w = roots_legendre(n)
+        x, w = _gauss_jacobi(n, 0)
         pts = 0.5 * (x + 1.0)
         wts = 0.5 * w
     elif variant == "triangle":
-        xa, wa = roots_legendre(n)
-        xb, wb = roots_jacobi(n, 1.0, 0.0)
+        xa, wa = _gauss_jacobi(n, 0)
+        xb, wb = _gauss_jacobi(n, 1)
         A, B = np.meshgrid(xa, xb, indexing="ij")
         WA, WB = np.meshgrid(wa, wb, indexing="ij")
         x = (1.0 + A) * (1.0 - B) / 4.0

@@ -19,9 +19,8 @@ sign (-1)^(m+1) on moment m.
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_legendre
 
-from .basis import basis_size, make_scalar_basis, quad_rule
+from .basis import _jacobi, basis_size, make_scalar_basis, quad_rule
 from .fields import (coeff_contract, edge_points, edge_ref_points,
                      field_values, mapped_points, scalar_tables)
 from .mesh import TriMesh
@@ -40,7 +39,11 @@ def interior_dof_count(p: int) -> int:
 
 
 def shifted_legendre(m, t):
-    return eval_legendre(m, 2.0 * np.asarray(t, dtype=float) - 1.0)
+    """Legendre polynomials L_m(2t - 1) on [0, 1], m and t broadcast."""
+    m = np.asarray(m)
+    x = 2.0 * np.asarray(t, dtype=float) - 1.0
+    P = _jacobi(int(m.max()), 0, x)[0]
+    return P[(m,) + np.indices(x.shape, sparse=True)]
 
 
 def _bubble_and_grad(pts):

@@ -10,8 +10,10 @@ traces of the postprocessed scalar:
 
 Exact-error norms use a high-order rule, subdivided where the problem asks
 for it: on elements and edges touching its singular point, and on elements
-with a vertex in its quadrature region.  One pass over the element
-quadrature points gathers every element-interior error, the saturation
+with a vertex in its quadrature region.  The singular-point rule is averaged
+over the six vertex orders of the reference triangle, so it depends only on
+the physical element and not on its local vertex order.  One pass over the
+element quadrature points gathers every element-interior error, the saturation
 numerator ||grad(u - theta_h)||_K included; the scaled traces of nu_h are
 shared with the indicator through PostprocResult.nu_traces.  The edge terms
 (the normal-flux trace error and the oscillation bound) are taken once per
@@ -22,6 +24,7 @@ space is ||G b|| with G = L^{-1} the inverse Cholesky factor of the element's
 class stiffness that the postprocessing already holds, and b the load of r.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -51,7 +54,12 @@ def _element_groups(mesh: TriMesh, problem: ProblemSpec, exactness: int):
         touch = (np.linalg.norm(mesh.tri_coords - xs, axis=2) < 1e-12).any(axis=1)
         if touch.any():
             pts, w = subdivided_rule(exactness, 2)
-            groups.append((np.nonzero(touch)[0], pts, w))
+            # averaged over the 6 vertex orders of the reference triangle,
+            # so the rule does not depend on the element's local vertex order
+            bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
+            pts = np.vstack([bary[:, perm[1:]]
+                             for perm in itertools.permutations(range(3))])
+            groups.append((np.nonzero(touch)[0], pts, np.tile(w / 6.0, 6)))
             flagged |= touch
     if problem.quad_region is not None:
         inside = field_values(problem.quad_region, mesh.vertices,

@@ -103,10 +103,12 @@ def _is_simple_polygon(loop):
 
 
 def _integers(values, name: str) -> np.ndarray:
-    """values as int64; a non-integral or out-of-range entry is an error."""
+    """values as int64; only integer or integral float entries in range are
+    accepted (booleans, strings and objects are errors)."""
     raw = np.asarray(values)
-    if raw.dtype.kind == "f" and not np.all((np.abs(raw) < 2.0 ** 63)
-                                            & (raw == np.round(raw))):
+    kind = raw.dtype.kind
+    if not (kind in "iu" or (kind == "f" and np.all(
+            (np.abs(raw) < 2.0 ** 63) & (raw == np.round(raw))))):
         raise ValueError(f"{name} must hold integers")
     return raw.astype(np.int64, order="C")
 

@@ -13,7 +13,10 @@ With rhs_i = -(q_h, grad v_i)_K, z = G rhs, each product one GEMM per class:
     coincides with the residual minimizer;
   * eps_K = theta_K - nu_K is the residual representative of the saddle
     problem (grad eps + grad nu, grad v) = -(q_h, grad v) for mean-free v of
-    degree p+2, (grad w, grad eps) = 0 for mean-free w of degree p+1;
+    degree p+2, (grad w, grad eps) = 0 for mean-free w of degree p+1.  As
+    G^T is upper triangular, eps_K = G^T [0; z[n1:]]: formed without the
+    subtraction, it carries ||grad eps_K|| = eta_tilde_K to round-off even
+    where eps_K is far smaller than theta_K;
   * eta_tilde_K = ||grad eps_K||_K = ||z[n1:]||.
 
 The same factor gives discrete dual norms ||G b|| of other loads.  The
@@ -120,8 +123,7 @@ def postprocess_resmin(solution: MixedSolution) -> PostprocResult:
     z = classes.matmul(G, residual_load(solution))
     theta = classes.matmul(np.swapaxes(G, 1, 2), z)
     nu = classes.matmul(np.swapaxes(G[:, :n1, :n1], 1, 2), z[:, :n1])
-    eps = theta.copy()
-    eps[:, :n1] -= nu
+    eps = classes.matmul(np.swapaxes(G[:, n1:, :], 1, 2), z[:, n1:])
     return PostprocResult(
         mesh=solution.mesh, p=solution.p, nu=_with_mean(solution, nu),
         eps=eps, eta_tilde_K=np.linalg.norm(z[:, n1:], axis=1),

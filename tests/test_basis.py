@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,3 +227,38 @@ def test_grown_exact_basis_matches_per_degree_build(monkeypatch, order):
                 degree
     finally:
         basis_mod._orthonormal_monomial_coeffs.cache_clear()
+
+
+@pytest.mark.parametrize("alpha", [0, 1], ids=["legendre", "jacobi10"])
+def test_gauss_rules_match_high_precision(alpha):
+    # every rule quad_rule can need (n <= 26), against 40-digit nodes found
+    # by Newton on mpmath's hypergeometric P_n^(alpha,0) and the weights
+    # 2^(alpha+1) / ((1 - x^2) P_n'(x)^2)
+    mpmath = pytest.importorskip("mpmath")
+    n_max = (basis_mod.MAX_QUAD_EXACTNESS + 2) // 2
+    with mpmath.workdps(40):
+        for n in range(1, n_max + 1):
+            x, w = basis_mod._gauss_jacobi(n, alpha)
+            for xi, wi in zip(x, w):
+                t = mpmath.mpf(float(xi))
+                for _ in range(3):
+                    d = (n + alpha + 1) * mpmath.jacobi(n - 1, alpha + 1, 1,
+                                                        t) / 2
+                    t -= mpmath.jacobi(n, alpha, 0, t, zeroprec=400) / d
+                d = (n + alpha + 1) * mpmath.jacobi(n - 1, alpha + 1, 1, t) / 2
+                want = 2 ** (alpha + 1) / ((1 - t * t) * d * d)
+                assert abs(float(xi - t)) <= 4.5e-16, (n, xi)
+                assert abs(float((wi - want) / want)) <= 3e-14, (n, xi)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    src = str(pathlib.Path(basis_mod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, bdmadapt, bdmadapt.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.special')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

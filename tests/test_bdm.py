@@ -291,3 +291,15 @@ def test_reference_normal_traces_closed_form(p):
         # interior shapes have no normal trace
         if p >= 2:
             assert np.abs(qn[:, 3 * (p + 1):]).max() <= 1e-11
+
+
+def test_shifted_legendre_matches_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    t = np.linspace(0.0, 1.0, 41)
+    table = shifted_legendre(np.arange(9)[:, None], t)
+    with mpmath.workdps(40):
+        for m in range(9):
+            want = np.array([float(mpmath.legendre(m, 2 * mpmath.mpf(ti) - 1))
+                             for ti in t])
+            assert np.abs(shifted_legendre(m, t) - want).max() <= 4e-15, m
+            assert np.array_equal(table[m], shifted_legendre(m, t))

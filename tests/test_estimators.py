@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from bdmadapt import (build_initial_mesh, dual_norm_star, error_norms,
-                      eta_improved, full_report, oscillation_bound,
-                      postprocess_resmin, preset, solve_problem)
+from bdmadapt import (TriMesh, build_initial_mesh, dual_norm_star,
+                      error_norms, eta_improved, full_report,
+                      oscillation_bound, postprocess_resmin, preset,
+                      run_adaptive, solve_problem)
 from bdmadapt.basis import make_scalar_basis, quad_rule
 from bdmadapt import fields
 from bdmadapt.fields import stiffness_tensors
@@ -355,3 +356,22 @@ def test_full_report_computes_nu_jump_terms_once(monkeypatch):
     alone = error_norms(smooth, sol, fresh)
     assert np.array_equal(report.errors.one_h_K, alone.one_h_K)
     assert len(calls) == 2
+
+
+def test_lshape_errors_do_not_depend_on_vertex_order():
+    # the exact solution is symmetric about y = x, so the mirror image of an
+    # adaptive mesh, (x, y) -> (y, x) with triangles (p, a, b) -> (p, b, a),
+    # has the same exact errors; the corner rule must not see the local
+    # vertex order that the mirror changes
+    lshape = preset("lshape")
+    run = run_adaptive(lshape, 3, iterations=6, theta=0.5, with_errors=False)
+    mesh = run.records[-1].mesh
+    assert mesh.n_triangles == 118
+    mirror = TriMesh(mesh.vertices[:, ::-1], mesh.triangles[:, [0, 2, 1]])
+    reports = []
+    for m in (mesh, mirror):
+        sol = solve_problem(m, 3, lshape)
+        reports.append(full_report(lshape, sol, postprocess_resmin(sol)))
+    a, b = reports
+    assert b.errors.full == pytest.approx(a.errors.full, rel=1e-12, abs=0.0)
+    assert b.delta == pytest.approx(a.delta, rel=1e-12, abs=0.0)

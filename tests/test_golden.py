@@ -13,11 +13,9 @@ import json
 
 import pytest
 
-from make_golden import CASES, DEGREES, GOLDEN, trajectory
+from make_golden import CASES, DEGREES, GOLDEN, PARTS, SCALARS, trajectory
 
 RTOL = 1e-9
-SCALARS = ("eta", "eta_tilde", "err_full", "delta", "max_eta_K")
-PARTS = ("mismatch_sq", "jump", "boundary")
 
 _golden = json.loads(GOLDEN.read_text())
 

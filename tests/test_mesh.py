@@ -364,6 +364,12 @@ UNIT_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     (UNIT_TRI, [[0, 1, 2]], {"parent": [-1.5]}, "parent must hold integers"),
     (UNIT_TRI, [[0, 1, 2]], {"generation": [1e30]},
      "generation must hold integers"),
+    (UNIT_TRI, [[0, 1, 2]], {"generation": [True]},
+     "generation must hold integers"),
+    (UNIT_TRI, [[0, 1, 2]], {"parent": [False]}, "parent must hold integers"),
+    (UNIT_TRI, [["0", "1", "2"]], {}, "triangles must hold integers"),
+    (UNIT_TRI, [[0, 1, 2]], {"parent": [None]}, "parent must hold integers"),
+    (UNIT_TRI, [[0, 1, 2 + 0j]], {}, "triangles must hold integers"),
     # both positively oriented, both traverse the shared edge 0 -> 1
     ([[0.0, 0.0], [1.0, 0.0], [0.2, 1.0], [0.8, 1.0]], [[0, 1, 2], [0, 1, 3]],
      {}, "inconsistent orientation"),
@@ -374,6 +380,8 @@ UNIT_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         "three-columns", "four-vertex-ids", "generation-length",
         "parent-length", "scalar-parent", "fractional-ids", "inf-id",
         "fractional-generation", "fractional-parent", "huge-generation",
+        "bool-generation", "bool-parent", "string-ids", "object-parent",
+        "complex-ids",
         "overlapping-triangles", "edge-in-three-triangles"])
 def test_malformed_mesh_rejected(vertices, triangles, kwargs, match):
     with pytest.raises(ValueError, match=match):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from bdmadapt import postprocess_resmin
+from bdmadapt import build_initial_mesh, postprocess_resmin, solve_problem
 from bdmadapt.basis import basis_size, make_scalar_basis, quad_rule
 from bdmadapt.bdm import BdmSpace, DgSpace
 from bdmadapt.estimators import dual_norm_star
 from bdmadapt.fields import ElementClasses, stiffness_tensors
+from bdmadapt.postprocess import residual_load
 from bdmadapt.solver import MixedSolution
 
 from conftest import single_element_mesh, stenberg_oracle
@@ -175,3 +176,38 @@ def test_bitwise_determinism(small_smooth_solutions):
     assert np.array_equal(a.nu, b.nu)
     assert np.array_equal(a.eps, b.eps)
     assert np.array_equal(a.eta_tilde_K, b.eta_tilde_K)
+
+
+def test_eps_is_accurate_where_it_is_far_below_theta(smooth_problem):
+    # on a 2048-element p = 3 mesh eps is below 1e-8 of theta.  Checked
+    # against 40-digit solves of the same float class stiffness S22 and load,
+    # eps_K = S22^{-1} rhs - [S11^{-1} rhs_1; 0] agrees to the scale of the
+    # data (the float product z = G rhs bounds what any float64 form can
+    # reach relative to eps itself), and eps carries the enrichment identity
+    # ||grad eps_K|| = eta_tilde_K to round-off relative to eta_tilde_K,
+    # which a difference theta - nu misses by about 1e-8
+    mpmath = pytest.importorskip("mpmath")
+    p = 3
+    mesh = build_initial_mesh(smooth_problem.domain, 32)
+    while mesh.n_triangles < 2048:
+        mesh = mesh.refine(range(mesh.n_triangles))
+    sol = solve_problem(mesh, p, smooth_problem)
+    post = postprocess_resmin(sol)
+    classes = sol.classes
+    S22 = stiffness_tensors(mesh, p + 2, 2 * (p + 2), classes.reps)[:, 1:, 1:]
+    rhs = residual_load(sol)
+    n1 = post.nu.shape[1] - 1
+    scale = np.abs(post.theta).max()
+    with mpmath.workdps(40):
+        for k in np.linspace(0, mesh.n_triangles - 1, 5).astype(int):
+            S = mpmath.matrix(S22[classes.id[k]].tolist())
+            b = mpmath.matrix(rhs[k].tolist())
+            theta = mpmath.lu_solve(S, b)
+            nu = mpmath.lu_solve(S[:n1, :n1], b[:n1])
+            want = np.array([float(theta[i] - (nu[i] if i < n1 else 0))
+                             for i in range(len(b))])
+            assert np.abs(post.eps[k] - want).max() <= 1e-15 * scale, k
+    energy = np.sqrt(np.einsum("ni,nij,nj->n", post.eps, S22[classes.id],
+                               post.eps))
+    assert np.all(np.abs(energy - post.eta_tilde_K)
+                  <= 1e-12 * post.eta_tilde_K)
