@@ -241,10 +241,3 @@ def quad_rule(exactness: int, variant: str = "triangle") -> QuadRule:
     pts.setflags(write=False)
     wts.setflags(write=False)
     return QuadRule(points=pts, weights=wts)
-
-
-def map_to_triangle(pts, tri) -> np.ndarray:
-    """Map reference points into the physical triangle tri (3x2 vertex rows)."""
-    tri = np.asarray(tri, dtype=float)
-    jac = np.stack([tri[1] - tri[0], tri[2] - tri[0]], axis=1)
-    return tri[0][None, :] + np.asarray(pts) @ jac.T

@@ -46,6 +46,25 @@ def shifted_legendre(m, t):
     return P[(m,) + np.indices(x.shape, sparse=True)]
 
 
+@lru_cache(maxsize=None)
+def edge_legendre(p: int, n_points: int, levels: int):
+    """(t, w, L), read-only: the n-point Gauss rule on [0, 1] replicated on
+    2^levels equal sub-intervals, and L[m, q] = L_m(2 t_q - 1), m = 0..p.
+
+    Row m of the recurrence does not depend on p, so it equals
+    shifted_legendre(m, t) bitwise.
+    """
+    rule = quad_rule(2 * n_points - 1, "edge")
+    t, w = rule.points, rule.weights
+    for _ in range(levels):
+        t = np.concatenate([0.5 * t, 0.5 + 0.5 * t])
+        w = np.concatenate([0.5 * w, 0.5 * w])
+    L = _jacobi(p, 0, 2.0 * t - 1.0)[0]
+    for a in (t, w, L):
+        a.setflags(write=False)
+    return t, w, L
+
+
 def _bubble_and_grad(pts):
     x, y = pts[:, 0], pts[:, 1]
     b = x * y * (1.0 - x - y)
@@ -221,12 +240,10 @@ class BdmSpace:
         """Canonical interpolation of a smooth vector field q(x) -> (n, 2)."""
         mesh, p = self.mesh, self.p
         exact = 2 * p + 8
-        erule = quad_rule(exact, "edge")
-        t, w = erule.points, erule.weights
+        t, w, leg = edge_legendre(p, p + 5, 0)
         qv = field_values(q, edge_points(mesh, slice(None), t), "q",
                           vector=True)
         qn = (qv @ mesh.edge_normals[:, :, None])[..., 0]
-        leg = np.stack([shifted_legendre(m, t) for m in range(p + 1)])
         dofs = np.empty(self.n_dofs)
         edge_part = ((qn * w) @ leg.T) * mesh.edge_lengths[:, None]
         dofs[: self.n_edge_dofs] = edge_part.ravel()
@@ -294,11 +311,10 @@ def interpolate_boundary_term(space: BdmSpace, u_D) -> np.ndarray:
     g = np.zeros(space.n_dofs)
     owner, local = np.nonzero(mesh.boundary_edge[mesh.elem_edges])
     bdry = mesh.elem_edges[owner, local]
-    rule = quad_rule(2 * p + 9, "edge")
-    t, w = rule.points, rule.weights
+    t, w, leg = edge_legendre(p, p + 5, 0)
     ud = field_values(u_D, edge_points(mesh, bdry, t), "u_D")
     sigma = np.where(mesh.elem_edge_aligned[owner, local], 1.0, -1.0)
     m = np.arange(p + 1)
-    mom = ud @ (w * shifted_legendre(m[:, None], t)).T
+    mom = ud @ (w * leg).T
     g[bdry[:, None] * (p + 1) + m] = -(sigma[:, None] * (2 * m + 1)) * mom
     return g

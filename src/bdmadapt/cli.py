@@ -88,8 +88,11 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _cmd_fortin(args) -> int:
-    report = fortin_report(n_samples=args.samples, seed=args.seed)
+def _cmd_fortin(args, parser) -> int:
+    try:
+        report = fortin_report(n_samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"A = {report['A']}")
     print(f"det A = {report['det_A']:.6e}")
     print("biorthogonality residual (reference): "
@@ -107,12 +110,13 @@ def _cmd_fortin(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "verify":
         return _cmd_verify(args)
-    return _cmd_fortin(args)
+    return _cmd_fortin(args, parser)
 
 
 if __name__ == "__main__":

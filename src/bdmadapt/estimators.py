@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import make_scalar_basis, quad_rule
-from .bdm import shifted_legendre
+from .bdm import edge_legendre
 from .fields import (ElementClasses, coeff_contract, edge_points,
                      field_values, mapped_points, scalar_tables,
-                     subdivided_edge_rule, subdivided_rule)
+                     subdivided_rule)
 from .mesh import TriMesh
 from .postprocess import PostprocResult, class_factors
 from .solver import MixedSolution, ProblemSpec
@@ -43,24 +43,28 @@ from .solver import MixedSolution, ProblemSpec
 # -- quadrature groups for exact-solution integrals ---------------------------
 
 
+def _singular_vertices(problem: ProblemSpec, mesh: TriMesh) -> np.ndarray:
+    """Per-vertex mask of the vertices at quad_singular_point (all False
+    without one); elements and edges touching it get the subdivided rules."""
+    if problem.quad_singular_point is None:
+        return np.zeros(len(mesh.vertices), dtype=bool)
+    xs = np.asarray(problem.quad_singular_point, dtype=float)
+    return np.linalg.norm(mesh.vertices - xs, axis=1) < 1e-12
+
+
 def _element_groups(mesh: TriMesh, problem: ProblemSpec, exactness: int):
     """[(element ids, ref points, ref weights)] with local refinement flags."""
     base = quad_rule(exactness, "triangle")
-    nt = mesh.n_triangles
-    flagged = np.zeros(nt, dtype=bool)
     groups = []
-    if problem.quad_singular_point is not None:
-        xs = np.asarray(problem.quad_singular_point, dtype=float)
-        touch = (np.linalg.norm(mesh.tri_coords - xs, axis=2) < 1e-12).any(axis=1)
-        if touch.any():
-            pts, w = subdivided_rule(exactness, 2)
-            # averaged over the 6 vertex orders of the reference triangle,
-            # so the rule does not depend on the element's local vertex order
-            bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
-            pts = np.vstack([bary[:, perm[1:]]
-                             for perm in itertools.permutations(range(3))])
-            groups.append((np.nonzero(touch)[0], pts, np.tile(w / 6.0, 6)))
-            flagged |= touch
+    flagged = _singular_vertices(problem, mesh)[mesh.triangles].any(axis=1)
+    if flagged.any():
+        pts, w = subdivided_rule(exactness, 2)
+        # averaged over the 6 vertex orders of the reference triangle, so
+        # the rule does not depend on the element's local vertex order
+        bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
+        pts = np.vstack([bary[:, perm[1:]]
+                         for perm in itertools.permutations(range(3))])
+        groups.append((np.nonzero(flagged)[0], pts, np.tile(w / 6.0, 6)))
     if problem.quad_region is not None:
         inside = field_values(problem.quad_region, mesh.vertices,
                               "quad_region") != 0
@@ -75,30 +79,27 @@ def _element_groups(mesh: TriMesh, problem: ProblemSpec, exactness: int):
     return groups
 
 
-def _edge_flux_sq(problem: ProblemSpec, mesh: TriMesh, n_points: int,
-                  residual):
+def _edge_flux_sq(problem: ProblemSpec, mesh: TriMesh, p: int,
+                  n_points: int, residual):
     """Per element, sum over its edges e of |e| int_0^1 r^2 dt.
 
     Each global edge is visited once, with the n-point Gauss rule (subdivided
-    twice on edges touching quad_singular_point).  residual(edge_ids, t, w,
-    g) returns r (n, nq) from g = q . n_e, the exact normal flux at the
-    points in the stored edge direction.
+    twice on edges touching quad_singular_point).  residual(edge_ids, w, leg,
+    g) returns r (n, nq) from the weights w, the Legendre table leg (p + 1,
+    nq) of edge_legendre and g = q . n_e, the exact normal flux at the points
+    in the stored edge direction.
     """
-    singular = np.zeros(mesh.n_edges, dtype=bool)
-    if problem.quad_singular_point is not None:
-        xs = np.asarray(problem.quad_singular_point, dtype=float)
-        at = np.linalg.norm(mesh.vertices - xs, axis=1) < 1e-12
-        singular = at[mesh.edges].any(axis=1)
+    singular = _singular_vertices(problem, mesh)[mesh.edges].any(axis=1)
     sq = np.zeros(mesh.n_edges)
     for flagged, levels in ((False, 0), (True, 2)):
         ids = np.nonzero(singular == flagged)[0]
         if ids.size == 0:
             continue
-        t, w = subdivided_edge_rule(n_points, levels)
+        t, w, leg = edge_legendre(p, n_points, levels)
         qv = field_values(problem.exact_q, edge_points(mesh, ids, t),
                           "exact_q", vector=True)
         g = (qv @ mesh.edge_normals[ids, :, None])[..., 0]
-        sq[ids] = (residual(ids, t, w, g) ** 2 @ w) * mesh.edge_lengths[ids]
+        sq[ids] = (residual(ids, w, leg, g) ** 2 @ w) * mesh.edge_lengths[ids]
     return sq[mesh.elem_edges].sum(axis=1)
 
 
@@ -207,7 +208,7 @@ def eta_improved(post: PostprocResult, solution: MixedSolution,
     grad_nu = np.matmul(coeff_contract(post.nu, D), mesh.inv_jacobians)
     qh = solution.flux_space.flux_values(solution.flux, rule.points)
     mismatch_sq = (_norm_sq(qh + grad_nu) @ rule.weights) * mesh.det_jacobians
-    jump_K, bnd_K = post.nu_traces(u_D, p + 5)
+    jump_K, bnd_K = post.nu_traces(u_D)
     eta_K = np.sqrt(post.eta_tilde_K ** 2 + mismatch_sq + jump_K + bnd_K)
     return EstimatorReport(
         mesh=mesh, p=p, eta_K=eta_K, eta_tilde_K=post.eta_tilde_K.copy(),
@@ -321,7 +322,7 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
                               axis=1)
 
     trace_sq = _flux_trace_error_sq(problem, solution)
-    jump_K, bnd_K = post.nu_traces(problem.u_D, p + 5)
+    jump_K, bnd_K = post.nu_traces(problem.u_D)
     one_h_K = np.sqrt(grad_nu_sq + jump_K + bnd_K)
     return ErrorBlock(
         grad_nu_K=np.sqrt(grad_nu_sq),
@@ -341,11 +342,10 @@ def _flux_trace_error_sq(problem: ProblemSpec, solution: MixedSolution):
     moments = np.asarray(solution.flux)[:mesh.n_edges * (p + 1)]
     scaled = moments.reshape(-1, p + 1) * (2.0 * np.arange(p + 1) + 1.0)
 
-    def residual(ids, t, w, g):
-        qh_n = scaled[ids] @ shifted_legendre(np.arange(p + 1)[:, None], t)
-        return g - qh_n / mesh.edge_lengths[ids, None]
+    def residual(ids, w, leg, g):
+        return g - (scaled[ids] @ leg) / mesh.edge_lengths[ids, None]
 
-    return _edge_flux_sq(problem, mesh, p + 5, residual)
+    return _edge_flux_sq(problem, mesh, p, p + 5, residual)
 
 
 def oscillation_bound(problem: ProblemSpec, mesh: TriMesh, p: int):
@@ -357,12 +357,11 @@ def oscillation_bound(problem: ProblemSpec, mesh: TriMesh, p: int):
         raise ValueError("oscillation bound needs the exact flux")
     scale = 2.0 * np.arange(p + 1) + 1.0
 
-    def residual(ids, t, w, g):
+    def residual(ids, w, leg, g):
         # g minus its L2(0, 1) projection onto P_p
-        leg = shifted_legendre(np.arange(p + 1)[:, None], t)
         return g - ((g * w) @ leg.T * scale) @ leg
 
-    per = np.sqrt(mesh.h_K * _edge_flux_sq(problem, mesh, p + 6, residual))
+    per = np.sqrt(mesh.h_K * _edge_flux_sq(problem, mesh, p, p + 6, residual))
     return per, float(np.sqrt(np.sum(per ** 2)))
 
 

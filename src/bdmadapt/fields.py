@@ -202,16 +202,6 @@ def subdivided_rule(exactness: int, levels: int):
     return pts, wts
 
 
-def subdivided_edge_rule(n_points: int, levels: int):
-    """Edge rule on [0, 1] replicated on 2^levels equal sub-intervals."""
-    rule = quad_rule(2 * n_points - 1, "edge")
-    t, w = rule.points, rule.weights
-    for _ in range(levels):
-        t = np.concatenate([0.5 * t, 0.5 + 0.5 * t])
-        w = np.concatenate([0.5 * w, 0.5 * w])
-    return t, w
-
-
 # -- interior-edge jumps and boundary traces of elementwise scalar fields ----
 
 

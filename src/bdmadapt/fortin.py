@@ -13,6 +13,11 @@ basis per edge yields
 on arbitrary triangles.  The induced projection Pi_{dK} v = sum alpha_j psi_j
 with alpha_j = (1/xi_K) int_{dK} phi_j v preserves all degree-1 normal-flux
 moments and is bounded on L2 of the boundary.
+
+Every check runs on a TriMesh and takes its geometry from it (edge lengths,
+affine maps, stiffnesses, angles), batched over the elements: the random
+sample is one mesh of n disjoint triangles, and a single triangle is a
+one-element mesh.  Per-element results carry the element as leading axis.
 """
 
 from dataclasses import dataclass
@@ -20,10 +25,10 @@ import math
 
 import numpy as np
 
-from .basis import (REF_VERTICES, make_scalar_basis, map_to_triangle,
-                    quad_rule)
-from .bdm import shifted_legendre
-from .fields import edge_ref_points, field_values, stiffness_tensors
+from .basis import REF_VERTICES, make_scalar_basis, quad_rule
+from .bdm import edge_legendre, shifted_legendre
+from .fields import (edge_ref_points, field_values, mapped_points,
+                     stiffness_tensors)
 from .mesh import TriMesh, _LOCAL_EDGE_VERTS
 
 REF_PERIMETER = 2.0 + math.sqrt(2.0)
@@ -76,30 +81,21 @@ class BiorthogonalSet:
         return self.psi_values(edge_ref_points(local_edge, np.asarray(t)))
 
 
-def xi_scale(tri) -> float:
-    """Perimeter ratio |dK| / |dK_ref| of a physical triangle."""
-    tri = np.asarray(tri, dtype=float)
-    per = sum(np.linalg.norm(tri[(i + 1) % 3] - tri[i]) for i in range(3))
-    return float(per / REF_PERIMETER)
+def xi_scale(mesh: TriMesh) -> np.ndarray:
+    """Perimeter ratios |dK| / |dK_ref| per element; shape (n,)."""
+    return mesh.tri_edge_lengths.sum(axis=1) / REF_PERIMETER
 
 
-def edge_lengths(tri) -> np.ndarray:
-    tri = np.asarray(tri, dtype=float)
-    return np.array([np.linalg.norm(tri[b] - tri[a])
-                     for a, b in _LOCAL_EDGE_VERTS])
-
-
-def trace_basis_values(tri, local_edge: int, t) -> np.ndarray:
-    """phi_(edge, m) along its edge in local parameter; shape (nt, 2).
+def trace_basis_values(mesh: TriMesh, local_edge: int, t) -> np.ndarray:
+    """phi_(edge, m) along its edge in local parameter; shape (n, nt, 2).
 
     Scaled so that the pairing with the psi functions is xi_K * identity on
     any triangle: phi_(j, m) = (xi_K / |e_j|) (2m+1) L_m(t).
     """
-    xi = xi_scale(tri)
-    le = edge_lengths(tri)[local_edge]
-    t = np.asarray(t, dtype=float)
-    return np.stack([(xi / le) * (2 * m + 1) * shifted_legendre(m, t)
-                     for m in range(2)], axis=1)
+    m = np.arange(2)
+    scale = xi_scale(mesh) / mesh.tri_edge_lengths[:, local_edge]
+    return ((scale[:, None, None] * (2 * m + 1))
+            * shifted_legendre(m, np.asarray(t, dtype=float)[:, None]))
 
 
 def build_biorthogonal() -> BiorthogonalSet:
@@ -109,74 +105,81 @@ def build_biorthogonal() -> BiorthogonalSet:
     rule = quad_rule(3, "triangle")
     if np.abs(rule.weights @ bset.psi_values(rule.points)).max() > 1e-13:
         raise ArithmeticError("biorthogonal functions fail to be mean-free")
-    _verify_reference_biorthogonality(bset)
+    G = pairing_matrices(bset, TriMesh(REF_VERTICES, [[0, 1, 2]]))
+    if np.abs(G - np.eye(6)).max() > 1e-12:
+        raise ArithmeticError("reference biorthogonality violated")
     return bset
 
 
-def _verify_reference_biorthogonality(bset: BiorthogonalSet, tol=1e-12):
-    G = pairing_matrix(bset, REF_VERTICES)
-    if np.max(np.abs(G - np.eye(6))) > tol:
-        raise ArithmeticError("reference biorthogonality violated")
-
-
-def pairing_matrix(bset: BiorthogonalSet, tri) -> np.ndarray:
-    """(1/xi_K) int_{dK} phi_i psi_j over all 36 pairs; identity when correct."""
+def pairing_matrices(bset: BiorthogonalSet, mesh: TriMesh) -> np.ndarray:
+    """(1/xi_K) int_{dK} phi_i psi_j over all 36 pairs per element; shape
+    (n, 6, 6), the identity when correct."""
     rule = quad_rule(11, "edge")
     t, w = rule.points, rule.weights
-    xi = xi_scale(tri)
-    le = edge_lengths(tri)
-    G = np.zeros((6, 6))
+    le = mesh.tri_edge_lengths
+    G = np.empty((mesh.n_triangles, 6, 6))
     for j in range(3):
-        phi = trace_basis_values(tri, j, t)          # (nt, 2)
-        psi = bset.psi_edge_trace(j, t)              # (nt, 6)
-        block = np.einsum("q,qm,qk->mk", w * le[j], phi, psi)
-        G[2 * j: 2 * j + 2, :] = block
-    return G / xi
+        G[:, 2 * j: 2 * j + 2] = np.einsum(
+            "nq,nqm,qk->nmk", w * le[:, j, None],
+            trace_basis_values(mesh, j, t), bset.psi_edge_trace(j, t))
+    return G / xi_scale(mesh)[:, None, None]
 
 
 @dataclass
 class FortinProjection:
-    """Boundary projection of one scalar field on one triangle."""
+    """Boundary projections of one scalar field on the elements of a mesh;
+    alphas (n, 6) holds the psi coefficients per element."""
 
     bset: BiorthogonalSet
-    tri: np.ndarray
+    mesh: TriMesh
     alphas: np.ndarray
 
     def trace_values(self, local_edge: int, t) -> np.ndarray:
-        return self.bset.psi_edge_trace(local_edge, t) @ self.alphas
+        """Values along one local edge per element; shape (n, nt)."""
+        return self.alphas @ self.bset.psi_edge_trace(local_edge, t).T
 
-    def boundary_norm(self) -> float:
-        rule = quad_rule(13, "edge")
-        le = edge_lengths(self.tri)
-        total = 0.0
-        for j in range(3):
-            v = self.trace_values(j, rule.points)
-            total += le[j] * float(np.dot(rule.weights, v ** 2))
-        return math.sqrt(total)
+    def boundary_norm(self) -> np.ndarray:
+        """||Pi v||_{dK} per element; shape (n,)."""
+        return _boundary_norms(self.mesh, self.trace_values)
 
 
-def fortin_apply(v, bset: BiorthogonalSet, tri) -> FortinProjection:
-    """Project a boundary field: alpha_j = (1/xi_K) int_{dK} phi_j v.
+def _boundary_norms(mesh: TriMesh, traces) -> np.ndarray:
+    """L2(dK) norms (n,) of the boundary functions given by their traces(j,
+    t) (n, nt) along the local edges, with the 7-point Gauss rule."""
+    rule = quad_rule(13, "edge")
+    le = mesh.tri_edge_lengths
+    return np.sqrt(sum(le[:, j] * (traces(j, rule.points) ** 2 @ rule.weights)
+                       for j in range(3)))
 
-    v maps (n, 2) physical boundary points to values.  The moments reduce to
-    (2m+1) int_0^1 L_m(t) v(x_j(t)) dt per edge, independent of xi_K, and are
-    taken with the 12-point Gauss rule.
+
+def fortin_apply(v, bset: BiorthogonalSet, mesh: TriMesh) -> FortinProjection:
+    """Project a boundary field on every element: alpha_j = (1/xi_K)
+    int_{dK} phi_j v.
+
+    v maps (N, 2) physical boundary points to values; it is called once per
+    local edge, on the points of all elements.  The moments reduce to
+    (2m+1) int_0^1 L_m(t) v(x_j(t)) dt per edge, independent of xi_K, and
+    are taken with the 12-point Gauss rule.
     """
-    tri = np.asarray(tri, dtype=float)
-    rule = quad_rule(23, "edge")
-    t, w = rule.points, rule.weights
-    alphas = np.empty(6)
+    t, w, leg = edge_legendre(1, 12, 0)
+    weights = (w * leg).T
+    alphas = np.empty((mesh.n_triangles, 6))
     for j in range(3):
-        pts = map_to_triangle(edge_ref_points(j, t), tri)
-        vals = field_values(v, pts, "v")
-        for m in range(2):
-            alphas[2 * j + m] = (2 * m + 1) * float(
-                np.dot(w * shifted_legendre(m, t), vals))
-    return FortinProjection(bset=bset, tri=tri, alphas=alphas)
+        pts = mapped_points(mesh, edge_ref_points(j, t))
+        alphas[:, 2 * j: 2 * j + 2] = (2 * np.arange(2) + 1) * (
+            field_values(v, pts, "v") @ weights)
+    return FortinProjection(bset=bset, mesh=mesh, alphas=alphas)
 
 
-def random_shape_regular_triangles(n: int, seed: int):
-    """Deterministic sample of triangles with all angles >= 15 degrees."""
+def _check_count(n: int, name: str):
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
+
+
+def random_shape_regular_triangles(n: int, seed: int) -> TriMesh:
+    """Deterministic sample of n triangles with all angles >= 15 degrees, as
+    one mesh of disjoint elements."""
+    _check_count(n, "n")
     rng = np.random.default_rng(seed)
     tris = []
     min_angle = math.radians(15.0)
@@ -184,18 +187,34 @@ def random_shape_regular_triangles(n: int, seed: int):
         base = rng.uniform(0.4, 2.5)
         apex = rng.uniform([-1.5, 0.15], [2.5, 2.5])
         tri = np.array([[0.0, 0.0], [base, 0.0], apex])
-        L = sorted([np.linalg.norm(tri[1] - tri[0]),
-                    np.linalg.norm(tri[2] - tri[1]),
-                    np.linalg.norm(tri[0] - tri[2])])
-        a, b, c = L
-        cosA = (b * b + c * c - a * a) / (2 * b * c)
-        if math.acos(min(1.0, max(-1.0, cosA))) < min_angle:
+        if TriMesh(tri, [[0, 1, 2]]).min_angles[0] < min_angle:
             continue
         ang = rng.uniform(0, 2 * math.pi)
         R = np.array([[math.cos(ang), -math.sin(ang)],
                       [math.sin(ang), math.cos(ang)]])
         tris.append(tri @ R.T + rng.uniform(-1, 1, size=2)[None, :])
-    return tris
+    return TriMesh(np.concatenate(tris), np.arange(3 * n).reshape(n, 3))
+
+
+def trace_constants(mesh: TriMesh, p: int) -> np.ndarray:
+    """Per element, the measured constant C_K in ||grad v||_K <= C_K
+    h_K^{-1/2} ||v||_{dK} on the trace-visible complement of the mean-free
+    degree-(p+2) space; shape (n,)."""
+    from scipy.linalg import eigh
+    rule = quad_rule(2 * (p + 2) + 1, "edge")
+    basis = make_scalar_basis(p + 2)
+    S = stiffness_tensors(mesh, p + 2, 2 * (p + 2))[:, 1:, 1:]
+    V = np.stack([basis.values(edge_ref_points(j, rule.points))[:, 1:]
+                  for j in range(3)])
+    # boundary mass: the reference edge Gram matrices scaled by |e_j|
+    gram = np.einsum("q,jqi,jqk->jik", rule.weights, V, V)
+    T = np.einsum("nj,jik->nik", mesh.tri_edge_lengths, gram)
+    lam = np.empty(mesh.n_triangles)
+    for k, (S_K, T_K) in enumerate(zip(S, T)):
+        evals, evecs = eigh(T_K)
+        C = evecs[:, evals > 1e-10 * evals.max()]
+        lam[k] = eigh(C.T @ S_K @ C, C.T @ T_K @ C, eigvals_only=True).max()
+    return np.sqrt(lam * mesh.h_K)
 
 
 def scaled_trace_inequality_check(p: int, n_triangles: int = 100,
@@ -204,74 +223,52 @@ def scaled_trace_inequality_check(p: int, n_triangles: int = 100,
     trace-visible complement of the mean-free degree-(p+2) space."""
     if p not in (1, 2, 3):
         raise ValueError("supported degrees are 1, 2, 3")
-    basis = make_scalar_basis(p + 2)
-    rule = quad_rule(2 * (p + 2) + 1, "edge")
-    t, w = rule.points, rule.weights
-    consts = []
-    from scipy.linalg import eigh
-    for tri in random_shape_regular_triangles(n_triangles, seed):
-        mesh = TriMesh(tri, [[0, 1, 2]])
-        S = stiffness_tensors(mesh, p + 2, 2 * (p + 2))[0, 1:, 1:]
-        le = edge_lengths(tri)
-        T = np.zeros_like(S)
-        for j in range(3):
-            vals = basis.values(edge_ref_points(j, t))[:, 1:]
-            T += le[j] * np.einsum("q,qi,qk->ik", w, vals, vals)
-        evals, evecs = eigh(T)
-        keep = evals > 1e-10 * evals.max()
-        C = evecs[:, keep]
-        lam = eigh(C.T @ S @ C, C.T @ T @ C, eigvals_only=True)
-        hK = float(le.max())
-        consts.append(math.sqrt(max(lam) * hK))
+    _check_count(n_triangles, "n_triangles")
+    consts = trace_constants(
+        random_shape_regular_triangles(n_triangles, seed), p)
     return {"p": p, "n_samples": n_triangles,
-            "max_constant": float(max(consts)),
-            "min_constant": float(min(consts)),
+            "max_constant": float(consts.max()),
+            "min_constant": float(consts.min()),
             "mean_constant": float(np.mean(consts))}
 
 
 def fortin_report(n_samples: int = 100, seed: int = 20240601,
                   degrees=(1, 2, 3)) -> dict:
     """Verification report: biorthogonality residuals, boundedness, traces."""
+    _check_count(n_samples, "n_samples")
     bset = build_biorthogonal()
-    ref_res = float(np.max(np.abs(pairing_matrix(bset, REF_VERTICES)
-                                  - np.eye(6))))
-    rng = np.random.default_rng(seed)
-    phys_res = 0.0
-    ratios = []
-    psi_norm_ratios = []
-    erule = quad_rule(13, "edge")
-    for tri in random_shape_regular_triangles(n_samples, seed):
-        G = pairing_matrix(bset, tri)
-        phys_res = max(phys_res, float(np.max(np.abs(G - np.eye(6)))))
-        xi = xi_scale(tri)
-        for alphas in np.eye(6):
-            psi = FortinProjection(bset=bset, tri=tri, alphas=alphas)
-            psi_norm_ratios.append(psi.boundary_norm() / math.sqrt(xi))
-        coeff = rng.standard_normal(6)
+    eye = np.eye(6)
+    ref = TriMesh(REF_VERTICES, [[0, 1, 2]])
+    ref_res = np.abs(pairing_matrices(bset, ref) - eye).max()
+    mesh = random_shape_regular_triangles(n_samples, seed)
+    phys_res = np.abs(pairing_matrices(bset, mesh) - eye).max()
+    root_xi = np.sqrt(xi_scale(mesh))
+    psi_ratio = max(
+        (FortinProjection(bset, mesh, np.tile(e, (n_samples, 1)))
+         .boundary_norm() / root_xi).max() for e in eye)
+    # one coefficient row per element: c[i] has shape (n, 1)
+    c = np.random.default_rng(seed).standard_normal((n_samples, 6)).T[
+        :, :, None]
 
-        def vfun(x, tri=tri, coeff=coeff):
-            # smooth non-polynomial boundary data
-            return (coeff[0] + coeff[1] * np.sin(x[:, 0]) + coeff[2] * x[:, 1]
-                    + coeff[3] * np.cos(2 * x[:, 0] * x[:, 1])
-                    + coeff[4] * x[:, 0] ** 2 + coeff[5] * np.exp(-x[:, 1]))
+    def vfun(x):
+        # smooth non-polynomial boundary data, points grouped by element
+        x0, x1 = x.reshape(n_samples, -1, 2).transpose(2, 0, 1)
+        return (c[0] + c[1] * np.sin(x0) + c[2] * x1
+                + c[3] * np.cos(2 * x0 * x1) + c[4] * x0 ** 2
+                + c[5] * np.exp(-x1)).ravel()
 
-        proj = fortin_apply(vfun, bset, tri)
-        le = edge_lengths(tri)
-        vn2 = 0.0
-        for j in range(3):
-            vals = vfun(map_to_triangle(edge_ref_points(j, erule.points), tri))
-            vn2 += le[j] * float(np.dot(erule.weights, vals ** 2))
-        if vn2 > 1e-20:
-            ratios.append(proj.boundary_norm() / math.sqrt(vn2))
-    report = {
+    vn = _boundary_norms(mesh, lambda j, t: vfun(mapped_points(
+        mesh, edge_ref_points(j, t))).reshape(n_samples, -1))
+    ok = vn > 1e-10
+    ratios = fortin_apply(vfun, bset, mesh).boundary_norm()[ok] / vn[ok]
+    return {
         "A": bset.A.tolist(),
         "det_A": float(np.linalg.det(bset.A)),
-        "reference_biorthogonality_residual": ref_res,
-        "physical_biorthogonality_residual": phys_res,
-        "stability_constant": float(max(ratios)),
-        "psi_boundary_norm_over_sqrt_xi": float(max(psi_norm_ratios)),
+        "reference_biorthogonality_residual": float(ref_res),
+        "physical_biorthogonality_residual": float(phys_res),
+        "stability_constant": float(ratios.max()),
+        "psi_boundary_norm_over_sqrt_xi": float(psi_ratio),
         "trace_inequality": {str(p): scaled_trace_inequality_check(p, 40, seed)
                              for p in degrees},
         "n_samples": n_samples,
     }
-    return report

@@ -60,17 +60,16 @@ class PostprocResult:
     _traces: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
-    def nu_traces(self, u_D, n_points: int):
-        """nu_jump_terms(mesh, nu, u_D, n_points), computed once per
-        (u_D, n_points) and returned read-only: the improved indicator and
-        the exact-error block of one report both need it."""
-        key = (u_D, n_points)
-        if key not in self._traces:
-            terms = nu_jump_terms(self.mesh, self.nu, u_D, n_points)
+    def nu_traces(self, u_D):
+        """nu_jump_terms of nu and u_D with the (p + 5)-point Gauss rule on
+        the edges, computed once per u_D and returned read-only: the improved
+        indicator and the exact-error block of one report both need it."""
+        if u_D not in self._traces:
+            terms = nu_jump_terms(self.mesh, self.nu, u_D, self.p + 5)
             for a in terms:
                 a.setflags(write=False)
-            self._traces[key] = terms
-        return self._traces[key]
+            self._traces[u_D] = terms
+        return self._traces[u_D]
 
 
 @lru_cache(maxsize=None)

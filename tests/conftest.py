@@ -8,16 +8,14 @@ import pytest
 from scipy.sparse import bmat, coo_matrix
 
 from bdmadapt import TriMesh, build_initial_mesh, preset, solve_problem
-from bdmadapt.basis import (basis_size, make_scalar_basis, map_to_triangle,
-                            monomial_exponents, quad_rule)
-from bdmadapt.bdm import (BdmSpace, DgSpace, bdm_tables,
+from bdmadapt.basis import basis_size, make_scalar_basis, monomial_exponents
+from bdmadapt.bdm import (BdmSpace, DgSpace, bdm_tables, edge_legendre,
                           interpolate_boundary_term, reference_shape_values,
                           shifted_legendre)
 from bdmadapt.estimators import ErrorBlock, _element_groups
 from bdmadapt.fields import (edge_points, edge_ref_points, edge_scalar_tables,
                              grad_outer_tables, mapped_points, metric_tensors,
-                             scalar_tables, subdivided_edge_rule)
-from bdmadapt.fortin import edge_lengths, trace_basis_values
+                             scalar_tables)
 from bdmadapt.postprocess import _with_mean
 
 
@@ -110,7 +108,7 @@ def element_flux_trace_sq(problem, solution):
     trace_sq = np.zeros(mesh.n_triangles)
     qn_sq = np.zeros(mesh.n_triangles)
     for flagged, levels in ((False, 0), (True, 2)):
-        t, w = subdivided_edge_rule(p + 5, levels)
+        t, w, _ = edge_legendre(p, p + 5, levels)
         for j in range(3):
             ids = np.nonzero(singular[mesh.elem_edges[:, j]] == flagged)[0]
             if ids.size == 0:
@@ -213,32 +211,50 @@ def orthonormal_coeffs_per_degree(degree):
 # -- moments of the boundary trace functionals ----------------------------------
 
 
-def boundary_moments(tri, v):
-    """int_{dK} phi_i v for all six trace functionals (12-point Gauss)."""
+def affine_map(pts, tri):
+    """Images (n, 2) of reference points pts in the triangle tri (3x2 vertex
+    rows): v0 + x (v1 - v0) + y (v2 - v0)."""
     tri = np.asarray(tri, dtype=float)
-    rule = quad_rule(23, "edge")
-    t, w = rule.points, rule.weights
-    le = edge_lengths(tri)
+    pts = np.asarray(pts, dtype=float)
+    return (tri[0] + pts[:, :1] * (tri[1] - tri[0])
+            + pts[:, 1:] * (tri[2] - tri[0]))
+
+
+# local edge j runs from vertex P to vertex Q and is opposite vertex j
+_EDGE_ENDS = ((1, 2), (2, 0), (0, 1))
+
+
+def _trace_moments(tri, traces):
+    """int_{dK} phi_i g over one triangle for the six trace functionals
+    phi_(j, m) = (xi_K / |e_j|) (2m+1) L_m(t), with xi_K = |dK| / (2 + sqrt 2)
+    and t the parameter from P to Q, by the 12-point Gauss rule.
+
+    traces(j, pts, t) returns g at the physical points pts (nq, 2) of local
+    edge j; ds = |e_j| dt cancels the 1/|e_j| of phi.
+    """
+    tri = np.asarray(tri, dtype=float)
+    x, w = np.polynomial.legendre.leggauss(12)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    perimeter = sum(math.hypot(*(tri[q] - tri[p])) for p, q in _EDGE_ENDS)
+    xi = perimeter / (2.0 + math.sqrt(2.0))
+    leg = np.stack([np.ones_like(t), 3.0 * (2.0 * t - 1.0)], axis=1)
     out = np.empty(6)
-    for j in range(3):
-        pts = map_to_triangle(edge_ref_points(j, t), tri)
-        vals = np.asarray(v(pts), dtype=float)
-        phi = trace_basis_values(tri, j, t)
-        out[2 * j: 2 * j + 2] = le[j] * np.einsum("q,qm->m", w * vals, phi)
+    for j, (p, q) in enumerate(_EDGE_ENDS):
+        pts = (1.0 - t)[:, None] * tri[p] + t[:, None] * tri[q]
+        g = np.asarray(traces(j, pts, t), dtype=float)
+        out[2 * j: 2 * j + 2] = xi * ((w * g) @ leg)
     return out
 
 
-def projection_moments(proj):
-    """int_{dK} phi_i Pi v, for the moment-preservation check."""
-    rule = quad_rule(13, "edge")
-    t, w = rule.points, rule.weights
-    le = edge_lengths(proj.tri)
-    out = np.empty(6)
-    for j in range(3):
-        phi = trace_basis_values(proj.tri, j, t)
-        pv = proj.trace_values(j, t)
-        out[2 * j: 2 * j + 2] = le[j] * np.einsum("q,qm->m", w * pv, phi)
-    return out
+def boundary_moments(tri, v):
+    """int_{dK} phi_i v for all six trace functionals, v a field on tri."""
+    return _trace_moments(tri, lambda j, pts, t: v(pts))
+
+
+def projection_moments(tri, trace_values):
+    """int_{dK} phi_i Pi v, for the moment-preservation check;
+    trace_values(j, t) gives Pi v along local edge j of tri."""
+    return _trace_moments(tri, lambda j, pts, t: trace_values(j, t))
 
 
 # -- einsum oracles for the batched kernels ------------------------------------
@@ -473,7 +489,7 @@ def einsum_flux_trace_sq(problem, solution):
     singular point)."""
     mesh, p = solution.mesh, solution.p
     assert problem.quad_singular_point is None
-    t, w = subdivided_edge_rule(p + 5, 0)
+    t, w, _ = edge_legendre(p, p + 5, 0)
     pts = edge_points(mesh, slice(None), t)
     qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
     g = np.einsum("nqa,na->nq", qv.reshape(mesh.n_edges, len(t), 2),

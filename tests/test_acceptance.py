@@ -17,8 +17,7 @@ from bdmadapt import (build_biorthogonal, build_initial_mesh, dual_norm_star,
                       postprocess_resmin, preset, run_adaptive, solve_problem)
 from bdmadapt.basis import make_scalar_basis, quad_rule
 from bdmadapt.fields import stiffness_tensors
-from bdmadapt.fortin import (edge_lengths, pairing_matrix,
-                             random_shape_regular_triangles)
+from bdmadapt.fortin import pairing_matrices, random_shape_regular_triangles
 from bdmadapt.mesh import _LOCAL_EDGE_VERTS
 
 from conftest import (boundary_moments, make_linear_problem,
@@ -241,31 +240,40 @@ def test_c09_advection_diffusion(advdiff_suite):
 def test_c10_biorthogonal_verification(rng):
     bset = build_biorthogonal()
     assert abs(np.linalg.det(bset.A) - 1.0 / 14400.0) <= 1e-15
-    worst_pairing = 0.0
+    mesh = random_shape_regular_triangles(100, seed=31)
+    tri = mesh.tri_coords
+    G = pairing_matrices(bset, mesh)
+    worst_pairing = float(np.abs(G - np.eye(6)).max())
+    rule = quad_rule(13, "edge")
     ratios = []
-    tris = random_shape_regular_triangles(100, seed=31)
-    for tri in tris:
-        G = pairing_matrix(bset, tri)
-        worst_pairing = max(worst_pairing, float(np.abs(G - np.eye(6)).max()))
-        for _ in range(3):
-            c = rng.standard_normal(4)
 
-            def v(x, c=c):
-                return (c[0] + c[1] * np.sin(2 * x[:, 0]) + c[2] * x[:, 1] ** 2
-                        + c[3] * np.cos(x[:, 0] + x[:, 1]))
+    def field(c):
+        # smooth data with one coefficient row c[k] (4,) per element k;
+        # the points come grouped by element
+        def v(x):
+            x0, x1 = x.reshape(len(c), -1, 2).transpose(2, 0, 1)
+            return (c[:, :1] + c[:, 1:2] * np.sin(2 * x0)
+                    + c[:, 2:3] * x1 ** 2 + c[:, 3:] * np.cos(x0 + x1)).ravel()
+        return v
 
-            proj = fortin_apply(v, bset, tri)
-            rule = quad_rule(13, "edge")
-            nrm2 = 0.0
-            for j, (a, b) in enumerate(_LOCAL_EDGE_VERTS):
-                pts = ((1 - rule.points)[:, None] * tri[a][None, :]
-                       + rule.points[:, None] * tri[b][None, :])
-                nrm2 += edge_lengths(tri)[j] * float(
-                    np.dot(rule.weights, v(pts) ** 2))
-            ratios.append(proj.boundary_norm() / math.sqrt(max(nrm2, 1e-300)))
-            # moment preservation = degree-1 normal-flux orthogonality
-            want = boundary_moments(tri, v)
-            got = projection_moments(proj)
+    # three fields per element, drawn element by element
+    coeffs = rng.standard_normal((100, 3, 4))
+    for r in range(3):
+        v = field(coeffs[:, r])
+        proj = fortin_apply(v, bset, mesh)
+        nrm2 = np.zeros(100)
+        for j, (a, b) in enumerate(_LOCAL_EDGE_VERTS):
+            pts = ((1 - rule.points)[None, :, None] * tri[:, None, a]
+                   + rule.points[None, :, None] * tri[:, None, b])
+            vals = v(pts.reshape(-1, 2)).reshape(100, -1)
+            nrm2 += mesh.tri_edge_lengths[:, j] * (vals ** 2 @ rule.weights)
+        ratios.extend(proj.boundary_norm() / np.sqrt(np.maximum(nrm2,
+                                                                1e-300)))
+        # moment preservation = degree-1 normal-flux orthogonality
+        for k in range(100):
+            want = boundary_moments(tri[k], field(coeffs[k:k + 1, r]))
+            got = projection_moments(
+                tri[k], lambda j, t, k=k: proj.trace_values(j, t)[k])
             dev = np.abs(got - want).max() / max(1.0, np.abs(want).max())
             assert dev <= 1e-11, dev
     assert worst_pairing <= 1e-11

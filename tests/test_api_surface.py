@@ -27,7 +27,6 @@ ALLOWED = {
     "mesh.TriMesh.outward_normals":
         "outward normal per (element, local edge), for flux evaluation on "
         "element boundaries",
-    "mesh.TriMesh.min_angles": "shape-regularity audit of refined meshes",
     "mesh.TriMesh.inradius": "shape-regularity audit of refined meshes",
     "mesh.DomainSpec.area": "audit of a mesh's area against its domain",
     "mesh.load_mesh": "reader of the mesh files written by run --dump-meshes",

@@ -10,9 +10,10 @@ import pytest
 
 import bdmadapt.basis as basis_mod
 from bdmadapt import make_scalar_basis, quad_rule
-from bdmadapt.basis import basis_size, map_to_triangle
+from bdmadapt.basis import basis_size
 
-from conftest import orthonormal_coeffs_per_degree, skewed_triangle
+from conftest import (affine_map, orthonormal_coeffs_per_degree,
+                      skewed_triangle)
 
 
 def exact_monomial(a, b):
@@ -29,7 +30,7 @@ def project_l2(f, degree, tri=None, exactness=None):
     """
     rule = quad_rule(2 * degree + 8 if exactness is None else exactness,
                      "triangle")
-    pts = rule.points if tri is None else map_to_triangle(rule.points, tri)
+    pts = rule.points if tri is None else affine_map(rule.points, tri)
     V = make_scalar_basis(degree).values(rule.points)
     return (rule.weights * np.asarray(f(pts), dtype=float)) @ V
 
@@ -75,7 +76,7 @@ def test_projection_degree_zero_is_mean():
     coeffs = project_l2(f, 0, tri=tri, exactness=24)
     value = float(make_scalar_basis(0).values([[1 / 3, 1 / 3]])[0] @ coeffs)
     rule = quad_rule(24, "triangle")
-    pts = map_to_triangle(rule.points, tri)
+    pts = affine_map(rule.points, tri)
     mean = float(np.dot(rule.weights, f(pts)) / rule.weights.sum())
     assert abs(value - mean) < 1e-10
 

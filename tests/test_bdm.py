@@ -4,7 +4,7 @@ import pytest
 from bdmadapt import (DomainSpec, build_initial_mesh,
                       interpolate_boundary_term)
 from bdmadapt.basis import basis_size, make_scalar_basis, quad_rule
-from bdmadapt.bdm import (BdmSpace, DgSpace, local_dimension,
+from bdmadapt.bdm import (BdmSpace, DgSpace, edge_legendre, local_dimension,
                           reference_shape_divs, reference_shape_values,
                           shifted_legendre)
 from bdmadapt.fields import edge_ref_points
@@ -303,3 +303,17 @@ def test_shifted_legendre_matches_high_precision():
                              for ti in t])
             assert np.abs(shifted_legendre(m, t) - want).max() <= 4e-15, m
             assert np.array_equal(table[m], shifted_legendre(m, t))
+
+
+@pytest.mark.parametrize("p, n_points, levels", [(1, 12, 0), (3, 8, 0),
+                                                 (2, 7, 2)])
+def test_edge_legendre_table(p, n_points, levels):
+    t, w, L = edge_legendre(p, n_points, levels)
+    assert edge_legendre(p, n_points, levels)[2] is L
+    assert len(t) == n_points * 2 ** levels and abs(w.sum() - 1.0) <= 1e-14
+    rule = quad_rule(2 * n_points - 1, "edge")
+    assert np.array_equal(t[:n_points], rule.points / 2 ** levels)
+    for m in range(p + 1):
+        assert np.array_equal(L[m], shifted_legendre(m, t))
+    for a in (t, w, L):
+        assert not a.flags.writeable

@@ -162,3 +162,14 @@ def test_cli_fortin(tmp_path, capsys):
     assert report["det_A"] > 0
     captured = capsys.readouterr()
     assert "biorthogonality" in captured.out
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_cli_fortin_rejects_empty_sample(tmp_path, capsys, samples):
+    out = tmp_path / "fortin.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["fortin", "--samples", samples, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "n_samples must be at least 1" in err and "Traceback" not in err
+    assert not out.exists()

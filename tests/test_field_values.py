@@ -14,6 +14,7 @@ from bdmadapt import (BdmSpace, assemble, build_biorthogonal,
                       eta_improved, fortin_apply, oscillation_bound,
                       postprocess_resmin, preset, run_adaptive, solve_problem)
 from bdmadapt import fields
+from bdmadapt.fortin import random_shape_regular_triangles
 
 KINDS = ["transposed", "scalar", "nan"]
 
@@ -101,9 +102,9 @@ def test_dual_norm_rejects_bad_field(smooth_state, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_fortin_apply_rejects_bad_field(kind):
-    tri = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 0.9]])
+    mesh = random_shape_regular_triangles(3, seed=0)
     with raises_for("v"):
-        fortin_apply(bad_field(kind), build_biorthogonal(), tri)
+        fortin_apply(bad_field(kind), build_biorthogonal(), mesh)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -8,13 +8,51 @@ from bdmadapt import (build_biorthogonal, build_initial_mesh, fortin_apply,
                       preset, scaled_trace_inequality_check, solve_problem)
 from bdmadapt.basis import quad_rule
 from bdmadapt.fields import edge_ref_points
-from bdmadapt.fortin import (edge_lengths, fortin_report, pairing_matrix,
-                             random_shape_regular_triangles, trace_basis_values,
-                             xi_scale)
+from bdmadapt.fortin import (FortinProjection, fortin_report,
+                             pairing_matrices, random_shape_regular_triangles,
+                             trace_basis_values, trace_constants, xi_scale)
+from bdmadapt.mesh import _LOCAL_EDGE_VERTS
 
-from conftest import boundary_moments, projection_moments, skewed_triangle
+from conftest import (boundary_moments, projection_moments,
+                      single_element_mesh, skewed_triangle)
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def edge_param_field(tri, edge_value):
+    """A boundary field on one triangle: each point x is located on its
+    local edge j at parameter t, and edge_value(j, t, x) gives the values."""
+    tri = np.asarray(tri)
+
+    def v(x):
+        out = np.zeros(len(x))
+        for j, (a, b) in enumerate(_LOCAL_EDGE_VERTS):
+            d = tri[b] - tri[a]
+            rel = x - tri[a]
+            t = (rel @ d) / (d @ d)
+            on = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0]) < 1e-9
+            mask = on & (t > -1e-12) & (t < 1 + 1e-12)
+            if mask.any():
+                out[mask] = edge_value(j, t[mask], x[mask])
+        return out
+
+    return v
+
+
+def edge_norms_sq(mesh, v):
+    """||v||_{dK}^2 per element by the 7-point Gauss rule on each edge, with
+    points interpolated between the edge's end vertices; v is called on the
+    points of all elements along one local edge at a time."""
+    x, w = np.polynomial.legendre.leggauss(7)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    tri = mesh.tri_coords
+    out = np.zeros(mesh.n_triangles)
+    for a, b in _LOCAL_EDGE_VERTS:
+        d = tri[:, b] - tri[:, a]
+        pts = tri[:, None, a] + t[None, :, None] * d[:, None, :]
+        vals = np.asarray(v(pts.reshape(-1, 2))).reshape(len(tri), -1)
+        out += np.hypot(d[:, 0], d[:, 1]) * (vals ** 2 @ w)
+    return out
 
 # frozen oracle values: rows are moment-0, moment-1, element-mean pairings of
 # the three edge bubbles, from exact factorial/Beta integrals
@@ -65,8 +103,9 @@ def test_coefficients_solve_the_exact_system(bset):
 
 
 def test_reference_biorthogonality_all_36_pairs(bset):
-    G = pairing_matrix(bset, REF_TRI)
-    assert np.abs(G - np.eye(6)).max() <= 1e-12
+    G = pairing_matrices(bset, single_element_mesh(REF_TRI))
+    assert G.shape == (1, 6, 6)
+    assert np.abs(G[0] - np.eye(6)).max() <= 1e-12
 
 
 def test_psi_zero_mean_and_vanishing_on_other_edges(bset):
@@ -82,13 +121,50 @@ def test_psi_zero_mean_and_vanishing_on_other_edges(bset):
 
 
 def test_physical_biorthogonality_random_triangles(bset):
-    for tri in random_shape_regular_triangles(100, seed=7):
-        G = pairing_matrix(bset, tri)
-        assert np.abs(G - np.eye(6)).max() <= 1e-11
+    mesh = random_shape_regular_triangles(100, seed=7)
+    assert mesh.n_triangles == 100 and mesh.boundary_edge.all()
+    G = pairing_matrices(bset, mesh)
+    assert np.abs(G - np.eye(6)).max() <= 1e-11
+
+
+def test_sample_is_shape_regular():
+    mesh = random_shape_regular_triangles(100, seed=7)
+    assert mesh.min_angles.min() >= math.radians(15.0)
 
 
 def test_xi_is_one_on_reference(bset):
-    assert abs(xi_scale(REF_TRI) - 1.0) <= 1e-15
+    xi = xi_scale(single_element_mesh(REF_TRI))
+    assert xi.shape == (1,) and abs(xi[0] - 1.0) <= 1e-15
+
+
+def test_batched_equals_one_element_meshes(bset, rng):
+    # every per-element result on the sample mesh is the one of the element
+    # evaluated alone
+    mesh = random_shape_regular_triangles(30, seed=13)
+    c = rng.standard_normal((30, 3))
+
+    def field(coeffs):
+        def v(x):
+            x0, x1 = x.reshape(len(coeffs), -1, 2).transpose(2, 0, 1)
+            return (coeffs[:, :1] + coeffs[:, 1:2] * np.sin(x0 * x1)
+                    + coeffs[:, 2:] * x1 ** 2).ravel()
+        return v
+
+    G = pairing_matrices(bset, mesh)
+    proj = fortin_apply(field(c), bset, mesh)
+    norms = proj.boundary_norm()
+    consts = {p: trace_constants(mesh, p) for p in (1, 2, 3)}
+    assert proj.alphas.shape == (30, 6) and norms.shape == (30,)
+    for k in range(mesh.n_triangles):
+        one = single_element_mesh(mesh.tri_coords[k])
+        assert np.abs(pairing_matrices(bset, one)[0] - G[k]).max() <= 1e-14
+        single = fortin_apply(field(c[k:k + 1]), bset, one)
+        assert np.allclose(single.alphas[0], proj.alphas[k], rtol=1e-14,
+                           atol=1e-14)
+        assert abs(single.boundary_norm()[0] - norms[k]) <= 1e-14 * norms[k]
+        for p, want in consts.items():
+            got = trace_constants(one, p)[0]
+            assert abs(got - want[k]) <= 1e-14 * want[k], (k, p)
 
 
 def test_moment_preservation(bset):
@@ -97,9 +173,9 @@ def test_moment_preservation(bset):
     def v(x):
         return np.sin(2.0 * x[:, 0]) + x[:, 1] ** 3 - 0.5
 
-    proj = fortin_apply(v, bset, tri)
+    proj = fortin_apply(v, bset, single_element_mesh(tri))
     want = boundary_moments(tri, v)
-    got = projection_moments(proj)
+    got = projection_moments(tri, lambda j, t: proj.trace_values(j, t)[0])
     scale = max(1.0, np.abs(want).max())
     assert np.abs(got - want).max() <= 1e-11 * scale
 
@@ -108,24 +184,10 @@ def test_projection_reproduces_matching_moments(bset, rng):
     # a field already in the psi span is reproduced exactly
     tri = skewed_triangle()
     coeffs = rng.standard_normal(6)
-
-    def v(x):
-        # evaluate the psi combination on the boundary via edge parameters
-        out = np.zeros(len(x))
-        tri_arr = np.asarray(tri)
-        from bdmadapt.mesh import _LOCAL_EDGE_VERTS
-        for j, (a, b) in enumerate(_LOCAL_EDGE_VERTS):
-            d = tri_arr[b] - tri_arr[a]
-            rel = x - tri_arr[a]
-            t = (rel @ d) / (d @ d)
-            on = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0]) < 1e-9
-            mask = on & (t > -1e-12) & (t < 1 + 1e-12)
-            if mask.any():
-                out[mask] = bset.psi_edge_trace(j, t[mask]) @ coeffs
-        return out
-
-    proj = fortin_apply(v, bset, tri)
-    assert np.abs(proj.alphas - coeffs).max() <= 1e-10 * max(
+    v = edge_param_field(
+        tri, lambda j, t, x: bset.psi_edge_trace(j, t) @ coeffs)
+    proj = fortin_apply(v, bset, single_element_mesh(tri))
+    assert np.abs(proj.alphas[0] - coeffs).max() <= 1e-10 * max(
         1.0, np.abs(coeffs).max())
 
 
@@ -140,78 +202,61 @@ def test_bdm_flux_orthogonality_on_sample_run(bset, rng):
     for k in (0, 3, 5):
         tri = mesh.tri_coords[k]
 
-        def v(x, k=k):
-            # (q - q_h) . n needs a per-edge normal; locate the edge first
-            out = np.zeros(len(x))
-            from bdmadapt.mesh import _LOCAL_EDGE_VERTS
-            for j, (a, b) in enumerate(_LOCAL_EDGE_VERTS):
-                d = tri[b] - tri[a]
-                rel = x - tri[a]
-                tpar = (rel @ d) / (d @ d)
-                on = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0]) < 1e-9
-                mask = on & (tpar > -1e-12) & (tpar < 1 + 1e-12)
-                if mask.any():
-                    n = mesh.outward_normals[k, j]
-                    ref = edge_ref_points(j, tpar[mask])
-                    qh = sol.flux_space.eval_flux(sol.flux, k, ref)
-                    q = smooth.exact_q(x[mask])
-                    out[mask] = (q - qh) @ n
-            return out
+        def normal_error(j, tpar, x, k=k):
+            # (q - q_h) . n on local edge j of element k
+            ref = edge_ref_points(j, tpar)
+            qh = sol.flux_space.eval_flux(sol.flux, k, ref)
+            return (smooth.exact_q(x) - qh) @ mesh.outward_normals[k, j]
 
-        proj = fortin_apply(v, bset, tri)
-        le = edge_lengths(tri)
+        v = edge_param_field(tri, normal_error)
+        one = single_element_mesh(tri)
+        proj = fortin_apply(v, bset, one)
+        le = one.tri_edge_lengths[0]
         # all 6 normal-trace basis functions: supported on one edge each
         for j in range(3):
-            a, b = None, None
             pts = edge_ref_points(j, t)
             phys = tri[0][None, :] + pts @ (np.stack(
                 [tri[1] - tri[0], tri[2] - tri[0]], axis=1)).T
             vals = v(phys)
-            pvals = proj.trace_values(j, t)
-            phi = trace_basis_values(tri, j, t)
+            pvals = proj.trace_values(j, t)[0]
+            phi = trace_basis_values(one, j, t)[0]
             resid = le[j] * np.einsum("q,qm->m", w * (vals - pvals), phi)
             assert np.abs(resid).max() <= 1e-11 * max(
                 1.0, np.abs(vals).max())
 
 
 def test_boundedness_sweep(bset, rng):
-    ratios = []
-    for tri in random_shape_regular_triangles(100, seed=11):
-        coeff = rng.standard_normal(5)
+    mesh = random_shape_regular_triangles(100, seed=11)
+    c = rng.standard_normal((100, 5)).T[:, :, None]
 
-        def v(x, c=coeff):
-            return (c[0] + c[1] * np.sin(3 * x[:, 0]) + c[2] * x[:, 1]
-                    + c[3] * np.cos(x[:, 0] * x[:, 1]) + c[4] * x[:, 0] ** 2)
+    def v(x):
+        x0, x1 = x.reshape(100, -1, 2).transpose(2, 0, 1)
+        return (c[0] + c[1] * np.sin(3 * x0) + c[2] * x1
+                + c[3] * np.cos(x0 * x1) + c[4] * x0 ** 2).ravel()
 
-        proj = fortin_apply(v, bset, tri)
-        rule = quad_rule(13, "edge")
-        le = edge_lengths(tri)
-        nrm2 = 0.0
-        from bdmadapt.mesh import _LOCAL_EDGE_VERTS
-        for j, (a, b) in enumerate(_LOCAL_EDGE_VERTS):
-            pts = ((1 - rule.points)[:, None] * tri[a][None, :]
-                   + rule.points[:, None] * tri[b][None, :])
-            nrm2 += le[j] * float(np.dot(rule.weights, v(pts) ** 2))
-        if nrm2 > 1e-16:
-            ratios.append(proj.boundary_norm() / math.sqrt(nrm2))
-    C = max(ratios)
+    proj = fortin_apply(v, bset, mesh)
+    nrm2 = edge_norms_sq(mesh, v)
+    ok = nrm2 > 1e-16
+    C = (proj.boundary_norm()[ok] / np.sqrt(nrm2[ok])).max()
     assert np.isfinite(C) and C < 50.0
 
 
 def test_psi_boundary_norm_scaling(bset):
     # ||psi_i||_{dK} stays below a single constant times sqrt(xi_K)
     rule = quad_rule(13, "edge")
-    worst = 0.0
-    for tri in random_shape_regular_triangles(100, seed=23):
-        xi = xi_scale(tri)
-        le = edge_lengths(tri)
-        for k in range(6):
-            nrm2 = 0.0
-            for j in range(3):
-                vals = bset.psi_edge_trace(j, rule.points)[:, k]
-                nrm2 += le[j] * float(np.dot(rule.weights, vals ** 2))
-            worst = max(worst, math.sqrt(nrm2 / xi))
+    mesh = random_shape_regular_triangles(100, seed=23)
+    xi = xi_scale(mesh)
+    # psi_k on edge j: (nq, 6) traces, weighted by the edge lengths
+    nrm2 = sum(np.outer(mesh.tri_edge_lengths[:, j],
+                        rule.weights @ bset.psi_edge_trace(j, rule.points)
+                        ** 2) for j in range(3))
+    worst = np.sqrt(nrm2 / xi[:, None]).max()
     assert worst < 10.0
+    # the projection's own norm agrees on each psi
+    for k, e in enumerate(np.eye(6)):
+        proj = FortinProjection(bset, mesh, np.tile(e, (100, 1)))
+        assert np.allclose(proj.boundary_norm(), np.sqrt(nrm2[:, k]),
+                           rtol=1e-13)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -224,29 +269,9 @@ def test_trace_inequality_constants(p):
 
 def test_trace_inequality_scale_invariance():
     # h^{1/2} ||grad v|| / ||v||_{dK} is invariant under uniform scaling
-    from bdmadapt.mesh import TriMesh
-    from bdmadapt.fields import stiffness_tensors
-    from bdmadapt.basis import make_scalar_basis
-    from scipy.linalg import eigh
     tri = skewed_triangle()
-    vals = []
-    for s in (1.0, 3.7):
-        stri = tri * s
-        mesh = TriMesh(stri, [[0, 1, 2]])
-        p = 2
-        basis = make_scalar_basis(p + 2)
-        S = stiffness_tensors(mesh, p + 2, 2 * (p + 2))[0, 1:, 1:]
-        rule = quad_rule(2 * (p + 2) + 1, "edge")
-        le = edge_lengths(stri)
-        T = np.zeros_like(S)
-        for j in range(3):
-            B = basis.values(edge_ref_points(j, rule.points))[:, 1:]
-            T += le[j] * np.einsum("q,qi,qk->ik", rule.weights, B, B)
-        evals, evecs = eigh(T)
-        keep = evals > 1e-10 * evals.max()
-        C = evecs[:, keep]
-        lam = eigh(C.T @ S @ C, C.T @ T @ C, eigvals_only=True)
-        vals.append(math.sqrt(max(lam) * le.max()))
+    vals = [trace_constants(single_element_mesh(tri * s), 2)[0]
+            for s in (1.0, 3.7)]
     assert abs(vals[0] - vals[1]) <= 1e-10 * vals[0]
 
 
@@ -257,3 +282,15 @@ def test_fortin_report_contents():
     assert report["physical_biorthogonality_residual"] <= 1e-11
     assert np.isfinite(report["stability_constant"])
     assert "1" in report["trace_inequality"]
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda n: random_shape_regular_triangles(n, seed=1), "n"),
+    (lambda n: scaled_trace_inequality_check(1, n_triangles=n),
+     "n_triangles"),
+    (lambda n: fortin_report(n_samples=n), "n_samples"),
+])
+@pytest.mark.parametrize("n", [0, -3])
+def test_empty_sample_is_rejected(call, name, n):
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        call(n)
