@@ -224,12 +224,13 @@ class BdmSpace:
             raise ValueError(f"expected {self.n_dofs} coefficients")
         if not 0 <= element < self.mesh.n_triangles:
             raise IndexError(f"element {element} out of range")
-        return self.flux_values(coeffs, pts, [element])[0]
+        Nh = reference_shape_values(self.p, pts)
+        return self.flux_values(coeffs, Nh, [element])[0]
 
-    def flux_values(self, coeffs, ref_pts, ids=slice(None)) -> np.ndarray:
-        """Batched physical flux values (n, nq, 2) at shared reference points
-        (on elements ids, default all)."""
-        Nh = reference_shape_values(self.p, ref_pts)
+    def flux_values(self, coeffs, Nh, ids=slice(None)) -> np.ndarray:
+        """Batched physical flux values (n, nq, 2) from reference shape values
+        Nh (nq, local_dim, 2) at shared points (on elements ids, default
+        all)."""
         c = np.asarray(coeffs)[self.l2g[ids]] * self.signs[ids]
         # Piola push-forward B N / J, a row map by B^T / J
         BT = np.swapaxes(self.mesh.jacobians[ids], 1, 2)

@@ -53,7 +53,7 @@ def _build_parser():
     return parser
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, parser) -> int:
     settings = {}
     if args.config:
         with open(args.config) as fh:
@@ -62,7 +62,10 @@ def _cmd_run(args) -> int:
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
-    config = ExperimentConfig.from_dict(settings)
+    try:
+        config = ExperimentConfig.from_dict(settings)
+    except ValueError as exc:
+        parser.error(str(exc))
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     summary = run_experiment(config)
     print(f"artifacts written to {config.out}")
@@ -113,7 +116,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, parser)
     if args.command == "verify":
         return _cmd_verify(args)
     return _cmd_fortin(args, parser)

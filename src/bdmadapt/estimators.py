@@ -12,7 +12,10 @@ Exact-error norms use a high-order rule, subdivided where the problem asks
 for it: on elements and edges touching its singular point, and on elements
 with a vertex in its quadrature region.  The singular-point rule is averaged
 over the six vertex orders of the reference triangle, so it depends only on
-the physical element and not on its local vertex order.  One pass over the
+the physical element and not on its local vertex order.  Each of these three
+rules carries a table of its points, weights and reference shape values
+(degree-(p+2) scalars and BDM(p) fluxes) that is built once per (p, rule) and
+shared by every later mesh.  One pass over the
 element quadrature points gathers every element-interior error, the saturation
 numerator ||grad(u - theta_h)||_K included; the scaled traces of nu_h are
 shared with the indicator through PostprocResult.nu_traces.  The edge terms
@@ -27,11 +30,12 @@ class stiffness that the postprocessing already holds, and b the load of r.
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import make_scalar_basis, quad_rule
-from .bdm import edge_legendre
+from .basis import basis_size, make_scalar_basis, quad_rule
+from .bdm import bdm_tables, edge_legendre, reference_shape_values
 from .fields import (ElementClasses, coeff_contract, edge_points,
                      field_values, mapped_points, scalar_tables,
                      subdivided_rule)
@@ -52,30 +56,55 @@ def _singular_vertices(problem: ProblemSpec, mesh: TriMesh) -> np.ndarray:
     return np.linalg.norm(mesh.vertices - xs, axis=1) < 1e-12
 
 
-def _element_groups(mesh: TriMesh, problem: ProblemSpec, exactness: int):
-    """[(element ids, ref points, ref weights)] with local refinement flags."""
-    base = quad_rule(exactness, "triangle")
-    groups = []
-    flagged = _singular_vertices(problem, mesh)[mesh.triangles].any(axis=1)
-    if flagged.any():
+@lru_cache(maxsize=None)
+def _group_table(p: int, exactness: int, kind: str):
+    """(points, weights, V, D, Nh), read-only, of one element group's rule:
+    the degree-(p+2) scalar values V (nq, s) and gradients D (nq, s, 2) and
+    the BDM(p) shape values Nh (nq, nloc, 2) at its points.
+
+    kind is "base" (the plain rule), "region" (subdivided once) or
+    "singular" (subdivided twice and averaged over the 6 vertex orders of
+    the reference triangle, so that the rule does not depend on the
+    element's local vertex order).
+    """
+    if kind == "base":
+        rule = quad_rule(exactness, "triangle")
+        pts, w = rule.points, rule.weights
+    elif kind == "region":
+        pts, w = subdivided_rule(exactness, 1)
+    else:
         pts, w = subdivided_rule(exactness, 2)
-        # averaged over the 6 vertex orders of the reference triangle, so
-        # the rule does not depend on the element's local vertex order
         bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
         pts = np.vstack([bary[:, perm[1:]]
                          for perm in itertools.permutations(range(3))])
-        groups.append((np.nonzero(flagged)[0], pts, np.tile(w / 6.0, 6)))
+        w = np.tile(w / 6.0, 6)
+    basis = make_scalar_basis(p + 2)
+    table = (pts, w, basis.values(pts), basis.grads(pts),
+             reference_shape_values(p, pts))
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _element_groups(mesh: TriMesh, problem: ProblemSpec, p: int,
+                    exactness: int):
+    """[(element ids, _group_table)] with local refinement flags."""
+    groups = []
+    flagged = _singular_vertices(problem, mesh)[mesh.triangles].any(axis=1)
+    if flagged.any():
+        groups.append((np.nonzero(flagged)[0],
+                       _group_table(p, exactness, "singular")))
     if problem.quad_region is not None:
         inside = field_values(problem.quad_region, mesh.vertices,
                               "quad_region") != 0
         near = inside[mesh.triangles].any(axis=1) & ~flagged
         if near.any():
-            pts, w = subdivided_rule(exactness, 1)
-            groups.append((np.nonzero(near)[0], pts, w))
+            groups.append((np.nonzero(near)[0],
+                           _group_table(p, exactness, "region")))
             flagged |= near
     rest = np.nonzero(~flagged)[0]
     if rest.size:
-        groups.insert(0, (rest, base.points, base.weights))
+        groups.insert(0, (rest, _group_table(p, exactness, "base")))
     return groups
 
 
@@ -206,7 +235,8 @@ def eta_improved(post: PostprocResult, solution: MixedSolution,
     mesh, p = post.mesh, post.p
     rule, _, D = scalar_tables(p + 1, 2 * (p + 2))
     grad_nu = np.matmul(coeff_contract(post.nu, D), mesh.inv_jacobians)
-    qh = solution.flux_space.flux_values(solution.flux, rule.points)
+    qh = solution.flux_space.flux_values(solution.flux,
+                                         bdm_tables(p, 2 * (p + 2))[1])
     mismatch_sq = (_norm_sq(qh + grad_nu) @ rule.weights) * mesh.det_jacobians
     jump_K, bnd_K = post.nu_traces(u_D)
     eta_K = np.sqrt(post.eta_tilde_K ** 2 + mismatch_sq + jump_K + bnd_K)
@@ -279,22 +309,20 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
     mesh, p = solution.mesh, solution.p
     exact = 2 * p + 8
     nt = mesh.n_triangles
-    basis_p2 = make_scalar_basis(p + 2)
     grad_nu_sq = np.zeros(nt)
     grad_theta_sq = np.zeros(nt)
     q_L2_sq = np.zeros(nt)
     u_L2_sq = np.zeros(nt)
     nu_L2_sq = np.zeros(nt)
-    star_rhs = np.zeros((nt, basis_p2.size - 1))
+    star_rhs = np.zeros((nt, basis_size(p + 2) - 1))
     u_by_el = solution.scalar_by_element
 
-    for ids, pts, w in _element_groups(mesh, problem, exact):
+    for ids, (pts, w, V, D, Nh) in _element_groups(mesh, problem, p, exact):
         phys = mapped_points(mesh, pts, ids)
         qv = field_values(problem.exact_q, phys, "exact_q", vector=True)
         uv = field_values(problem.exact_u, phys, "exact_u")
         J = mesh.det_jacobians[ids]
         Binv = mesh.inv_jacobians[ids]
-        V, D = basis_p2.values(pts), basis_p2.grads(pts)
 
         def at_points(coeffs, table):
             # the bases are hierarchical: a lower degree is a leading slice
@@ -308,7 +336,7 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
             g = np.matmul(at_points(coeffs, D), Binv)
             return integral(_norm_sq(qv + g))
 
-        qh = solution.flux_space.flux_values(solution.flux, pts, ids)
+        qh = solution.flux_space.flux_values(solution.flux, Nh, ids)
         grad_nu_sq[ids] = grad_error_sq(post.nu)
         grad_theta_sq[ids] = grad_error_sq(post.theta)
         diff = qv - qh

@@ -44,11 +44,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         self.p_list = tuple(int(p) for p in self.p_list)
         if any(p not in (1, 2, 3) for p in self.p_list):
-            raise ValueError("polynomial degrees must lie in {1, 2, 3}")
+            raise ValueError("polynomial degrees must lie in {1, 2, 3}, "
+                             f"got {list(self.p_list)}")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        for name in ("initial_elements", "max_elements"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
+            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if self.mode not in ("uniform", "adaptive"):
             raise ValueError("mode must be 'uniform' or 'adaptive'")
         if self.marker not in ("eta", "eta_tilde"):

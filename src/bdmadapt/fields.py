@@ -12,6 +12,13 @@ operations:
     acts on row 2-vectors v (n, nq, 2) as one np.matmul(v, M): the written-out
     v0 M[0] + v1 M[1] runs ufunc loops of length 2, over ten times slower.
 
+Point maps are the exception: the reference points are shared by every
+element, so mapped_points is one GEMM of the Jacobian rows (n, 4) against a
+(4, 2 nq) table of the points, and edge_points one outer product per
+component.  A broadcast np.matmul((1, nq, 2), (n, 2, 2)) gives the same bits
+3-5 times slower; v0 is added afterwards, since folding it into the GEMM as a
+fifth row changes the last bit.
+
 einsum only builds the reference tables and the per-element 2x2 geometry
 factors themselves.  Element matrices that depend on the geometry only
 through the element's shape are built once per shape class (ElementClasses)
@@ -99,7 +106,8 @@ def coeff_contract(coeffs, table) -> np.ndarray:
     Returns (n, nq, ...) from one matrix product.
     """
     nq, s = table.shape[:2]
-    flat = np.moveaxis(table, 1, 0).reshape(s, -1)
+    # swapaxes, unlike np.moveaxis, has no Python-level argument handling
+    flat = table.swapaxes(0, 1).reshape(s, -1)
     return (coeffs @ flat).reshape((len(coeffs), nq) + table.shape[2:])
 
 
@@ -137,8 +145,8 @@ class ElementClasses:
     differ has one class per element.
 
     id (n_elements,) is the class of each element, reps (n_classes,) the
-    representative element of each class (its lowest id) and groups the
-    element ids of each class (slice(None) when one class holds them all).
+    representative element of each class (its lowest id), order the element
+    ids sorted by class and slices the range of each class in order.
     """
 
     def __init__(self, mesh: TriMesh, beta=(0.0, 0.0)):
@@ -150,23 +158,29 @@ class ElementClasses:
             Btb = np.matmul(np.asarray(beta, dtype=float), B)
             key += [*(Btb / (size * np.sqrt(J)[:, None])).T, np.log2(J)]
         key = np.round(np.stack(key), 12)
-        order = np.lexsort(key[::-1])
-        ordered = key[:, order]
-        first = np.ones(len(order), dtype=bool)
+        self.order = np.lexsort(key[::-1])
+        ordered = key[:, self.order]
+        first = np.ones(len(self.order), dtype=bool)
         first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-        self.id = np.empty(len(order), dtype=np.int64)
-        self.id[order] = np.cumsum(first) - 1
+        self.id = np.empty(len(self.order), dtype=np.int64)
+        self.id[self.order] = np.cumsum(first) - 1
         starts = np.flatnonzero(first)
-        self.reps = order[starts]
-        self.groups = ([slice(None)] if len(starts) == 1
-                       else np.split(order, starts[1:]))
+        self.reps = self.order[starts]
+        ends = np.append(starts[1:], len(self.order))
+        self.slices = [slice(a, b) for a, b in zip(starts, ends)]
 
     def matmul(self, mats, x) -> np.ndarray:
         """Rows y_K = mats[id_K] @ x_K (n_elements, r) of rows x (n_elements,
-        k) and class matrices mats (n_classes, r, k): one GEMM per class."""
-        out = np.empty((len(x), mats.shape[1]))
-        for mat, ids in zip(mats, self.groups):
-            out[ids] = x[ids] @ mat.T
+        k) and class matrices mats (n_classes, r, k): one gather into class
+        order, one GEMM per class on its contiguous rows, one scatter back."""
+        if len(mats) == 1:
+            return x @ mats[0].T
+        xs = x[self.order]
+        ys = np.empty((len(x), mats.shape[1]))
+        for mat, rows in zip(mats, self.slices):
+            np.matmul(xs[rows], mat.T, out=ys[rows])
+        out = np.empty_like(ys)
+        out[self.order] = ys
         return out
 
 
@@ -174,17 +188,28 @@ def edge_points(mesh: TriMesh, edge_ids, t) -> np.ndarray:
     """Physical points (n, nq, 2) at parameters t along global edges, in
     their stored direction."""
     lo = mesh.vertices[mesh.edges[edge_ids, 0]]
-    hi = mesh.vertices[mesh.edges[edge_ids, 1]]
-    return lo[:, None, :] + np.asarray(t)[None, :, None] * (hi - lo)[:, None, :]
+    d = mesh.vertices[mesh.edges[edge_ids, 1]] - lo
+    t = np.asarray(t)
+    out = np.empty((len(lo), len(t), 2))
+    for c in range(2):
+        np.add(np.multiply.outer(d[:, c], t), lo[:, c, None], out=out[..., c])
+    return out
 
 
 def mapped_points(mesh: TriMesh, ref_pts, ids=slice(None)) -> np.ndarray:
     """Physical images (n, nq, 2) of shared reference points (on elements
     ids, default all)."""
+    ref = np.asarray(ref_pts, dtype=float)
+    # table[(a, b), (q, c)] = ref[q, b] [a == c], so row (a, b) of B picks
+    # B[a, b] ref[q, b] into component a
+    table = np.zeros((2, 2, len(ref), 2))
+    table[0, :, :, 0] = table[1, :, :, 1] = ref.T
+    out = (mesh.jacobians[ids].reshape(-1, 4)
+           @ table.reshape(4, -1)).reshape(-1, len(ref), 2)
     v0 = mesh.tri_coords[ids, 0]
-    B = mesh.jacobians[ids]
-    return v0[:, None, :] + np.matmul(np.asarray(ref_pts)[None],
-                                      np.swapaxes(B, 1, 2))
+    out[..., 0] += v0[:, 0, None]
+    out[..., 1] += v0[:, 1, None]
+    return out
 
 
 def subdivided_rule(exactness: int, levels: int):

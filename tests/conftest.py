@@ -266,9 +266,29 @@ def projection_moments(tri, trace_values):
 
 
 def einsum_mapped_points(mesh, ref_pts, ids=slice(None)):
+    """optimize=True contracts over b through BLAS, as fields.mapped_points
+    does, so the two agree bitwise."""
     v0 = mesh.tri_coords[ids, 0]
     return v0[:, None, :] + np.einsum("qb,nab->nqa", np.asarray(ref_pts),
-                                      mesh.jacobians[ids])
+                                      mesh.jacobians[ids], optimize=True)
+
+
+def broadcast_edge_points(mesh, edge_ids, t):
+    """Points along global edges by one broadcast lo + t (hi - lo)."""
+    lo = mesh.vertices[mesh.edges[edge_ids, 0]]
+    hi = mesh.vertices[mesh.edges[edge_ids, 1]]
+    return lo[:, None, :] + np.asarray(t)[None, :, None] * (hi - lo)[:, None, :]
+
+
+def loop_class_matmul(classes, mats, x):
+    """ElementClasses.matmul by one gather and one scatter per class."""
+    n_classes = len(classes.reps)
+    groups = [slice(None)] if n_classes == 1 else [
+        np.flatnonzero(classes.id == c) for c in range(n_classes)]
+    out = np.empty((len(x), mats.shape[1]))
+    for mat, ids in zip(mats, groups):
+        out[ids] = x[ids] @ mat.T
+    return out
 
 
 def einsum_flux_values(space, coeffs, ref_pts, ids=slice(None)):
@@ -515,7 +535,7 @@ def einsum_error_norms(problem, solution, post):
     q_L2_sq, u_L2_sq, nu_L2_sq = np.zeros(nt), np.zeros(nt), np.zeros(nt)
     star_rhs = np.zeros((nt, basis_p2.size - 1))
     u_by_el = solution.scalar_by_element
-    for ids, pts, w in _element_groups(mesh, problem, 2 * p + 8):
+    for ids, (pts, w, *_) in _element_groups(mesh, problem, p, 2 * p + 8):
         flat = einsum_mapped_points(mesh, pts, ids).reshape(-1, 2)
         qv = np.asarray(problem.exact_q(flat), float).reshape(len(ids), len(w), 2)
         uv = np.asarray(problem.exact_u(flat), float).reshape(len(ids), len(w))

@@ -20,7 +20,9 @@ BENCHMARKS = ROOT / "benchmarks"
 ALLOWED = {
     "cli.main": "entry point of the bdmadapt console script",
     "bdm.BdmSpace.eval_flux":
-        "user-facing evaluation of a discrete flux on one element",
+        "the one point-based flux evaluation: user-facing, on one element at "
+        "any reference points (the kernels pass cached shape tables to "
+        "flux_values)",
     "bdm.BdmSpace.interpolate":
         "canonical BDM interpolant of a user-supplied flux field",
     "mesh.TriMesh.validate": "audit of the mesh invariants",

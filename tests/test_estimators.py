@@ -258,13 +258,15 @@ def test_quad_region_flags_elements_with_a_vertex_inside():
     from bdmadapt.estimators import _element_groups
     adv = preset("advdiff")
     mesh = build_initial_mesh(adv.domain, 32).refine(range(32))
-    groups = _element_groups(mesh, adv, 10)
+    groups = _element_groups(mesh, adv, 1, 10)
     assert len(groups) == 2
     xy = mesh.tri_coords
     strip = (xy[:, :, 0].max(axis=1) > 0.95) | (xy[:, :, 1].max(axis=1) > 0.95)
     assert strip.any() and not strip.all()
     assert np.array_equal(groups[1][0], np.nonzero(strip)[0])
     assert np.array_equal(groups[0][0], np.nonzero(~strip)[0])
+    # the strip's rule is the base rule on 4 sub-triangles
+    assert len(groups[1][1][0]) == 4 * len(groups[0][1][0])
 
 
 def test_oscillation_concentrates_at_corner():

@@ -135,11 +135,30 @@ def test_cli_run_has_a_flag_per_config_field():
     assert not missing
 
 
-def test_cli_rejects_zero_initial_elements(tmp_path):
-    with pytest.raises(ValueError, match="target_count"):
+def _rejected_run(tmp_path, capsys, *flags):
+    """stderr of a run whose flags fail the config checks: exit 2 with a
+    usage message, before the output directory exists."""
+    out = tmp_path / "zero"
+    with pytest.raises(SystemExit) as exc:
         main(["run", "--experiment", "smooth", "--mode", "uniform", "--p", "1",
-              "--iters", "1", "--initial-elements", "0",
-              "--out", str(tmp_path / "zero")])
+              "--iters", "1", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+    return err
+
+
+def test_cli_rejects_zero_initial_elements(tmp_path, capsys):
+    err = _rejected_run(tmp_path, capsys, "--initial-elements", "0")
+    assert "initial_elements must be >= 1, got 0" in err
+
+
+@pytest.mark.parametrize("flag, name", [("--iters", "iterations"),
+                                        ("--max-elements", "max_elements")])
+def test_cli_rejects_zero_counts(tmp_path, capsys, flag, name):
+    err = _rejected_run(tmp_path, capsys, flag, "0")
+    assert f"{name} must be >= 1, got 0" in err
 
 
 def test_cli_verify(tmp_path, capsys):

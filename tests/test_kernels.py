@@ -1,5 +1,5 @@
-"""Batched kernels against their einsum oracles, and guards on einsum use and
-on the batch sizes of the dense factorizations.
+"""Batched kernels against their einsum oracles, and guards on einsum use, on
+the batch sizes of the dense factorizations and on rebuilt reference tables.
 
 The oracles in conftest are the kernels written as single einsum calls, per
 element; the program evaluates them as matrix products and batched 2x2
@@ -7,7 +7,8 @@ products, and builds the element blocks and factors once per shape class.
 Both must agree to round-off on two meshes with both edge orientations: one
 with jittered vertices, where every element is its own class, and an
 ear-clipped one, where newest-vertex bisection merges 304 elements into 6
-classes (17 with the advdiff beta).
+classes (17 with the advdiff beta).  The point maps and the class products
+must give the bits of their oracles.
 """
 
 import numpy as np
@@ -15,21 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdmadapt import (DomainSpec, TriMesh, build_initial_mesh, preset,
-                      solve_problem)
-from bdmadapt.basis import quad_rule
-from bdmadapt.bdm import BdmSpace, DgSpace
+from bdmadapt import (DomainSpec, TriMesh, bdm, build_initial_mesh,
+                      estimators, preset, solve_problem)
+from bdmadapt.basis import RefScalarBasis, quad_rule
+from bdmadapt.bdm import BdmSpace, DgSpace, reference_shape_values
 from bdmadapt.estimators import eta_improved, error_norms, full_report
-from bdmadapt.fields import (ElementClasses, coeff_contract, mapped_points,
-                             nu_jump_terms, stiffness_tensors)
+from bdmadapt.fields import (ElementClasses, coeff_contract, edge_points,
+                             mapped_points, nu_jump_terms, stiffness_tensors)
 from bdmadapt.postprocess import postprocess_resmin, residual_load
 from bdmadapt.solver import assemble, solve
 
-from conftest import (einsum_element_blocks, einsum_error_norms,
-                      einsum_flux_values, einsum_load_vector,
-                      einsum_local_ingredients, einsum_mapped_points,
-                      einsum_mismatch_sq, einsum_nu_jump_terms,
-                      einsum_stiffness_tensors)
+from conftest import (broadcast_edge_points, einsum_element_blocks,
+                      einsum_error_norms, einsum_flux_values,
+                      einsum_load_vector, einsum_local_ingredients,
+                      einsum_mapped_points, einsum_mismatch_sq,
+                      einsum_nu_jump_terms, einsum_stiffness_tensors,
+                      loop_class_matmul)
 
 RTOL = 1e-12
 
@@ -95,11 +97,35 @@ def solved(meshes, advdiff):
 
 def test_mapped_points_matches_einsum(perturbed_mesh):
     pts = quad_rule(12, "triangle").points
-    ids = np.arange(1, perturbed_mesh.n_triangles, 3)
-    assert_matches(mapped_points(perturbed_mesh, pts),
-                   einsum_mapped_points(perturbed_mesh, pts))
-    assert_matches(mapped_points(perturbed_mesh, pts, ids),
-                   einsum_mapped_points(perturbed_mesh, pts, ids))
+    ids = np.random.default_rng(5).permutation(perturbed_mesh.n_triangles)
+    for sel in (slice(None), ids[::3], ids[[0, 4, 4, 1]]):
+        assert np.array_equal(mapped_points(perturbed_mesh, pts, sel),
+                              einsum_mapped_points(perturbed_mesh, pts, sel))
+
+
+def test_edge_points_match_broadcast(perturbed_mesh):
+    t = quad_rule(11, "edge").points
+    ids = np.random.default_rng(6).permutation(perturbed_mesh.n_edges)[::4]
+    for sel in (slice(None), ids):
+        assert np.array_equal(edge_points(perturbed_mesh, sel, t),
+                              broadcast_edge_points(perturbed_mesh, sel, t))
+
+
+def test_class_matmul_matches_loop(merged_mesh, advdiff):
+    """One gather, a GEMM per contiguous class slice and one scatter give
+    the bits of a gather and scatter per class, on the merged mesh with its
+    elements shuffled (17 classes with the advdiff beta), and on one class."""
+    rng = np.random.default_rng(7)
+    perm = rng.permutation(merged_mesh.n_triangles)
+    mesh = TriMesh(merged_mesh.vertices, merged_mesh.triangles[perm])
+    for classes in (ElementClasses(mesh, advdiff.beta),
+                    ElementClasses(build_initial_mesh(advdiff.domain, 32))):
+        n = len(classes.id)
+        mats = rng.standard_normal((len(classes.reps), 5, 9))
+        x = rng.standard_normal((n, 12))
+        for rows in (x[:, :9], np.ascontiguousarray(x[:, 3:])):
+            assert np.array_equal(classes.matmul(mats, rows),
+                                  loop_class_matmul(classes, mats, rows))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -108,10 +134,11 @@ def test_flux_values_matches_einsum(perturbed_mesh, p):
     space = BdmSpace(perturbed_mesh, p)
     coeffs = rng.standard_normal(space.n_dofs)
     pts = quad_rule(2 * p + 8, "triangle").points
+    Nh = reference_shape_values(p, pts)
     ids = np.sort(rng.choice(perturbed_mesh.n_triangles, 17, replace=False))
-    assert_matches(space.flux_values(coeffs, pts),
+    assert_matches(space.flux_values(coeffs, Nh),
                    einsum_flux_values(space, coeffs, pts))
-    assert_matches(space.flux_values(coeffs, pts, ids),
+    assert_matches(space.flux_values(coeffs, Nh, ids),
                    einsum_flux_values(space, coeffs, pts, ids))
 
 
@@ -248,3 +275,31 @@ def test_loop_factors_each_element_stiffness_once(monkeypatch, advdiff):
         monkeypatch.setattr(np.linalg, name, counted)
     iteration()
     assert calls == {"solve": [], "cholesky": [2], "inv": [2, 2]}
+
+
+def test_loop_builds_reference_tables_once(monkeypatch, advdiff):
+    """After one warm full_report, the full_report of a refined mesh (base
+    and quad_region groups again) evaluates no reference basis: every point
+    table comes from a cache."""
+    nt, iteration = _warm_iteration(advdiff)
+    mesh = build_initial_mesh(advdiff.domain, nt).refine(range(0, nt, 5))
+    solution = solve(assemble(mesh, 2, advdiff))
+    post = postprocess_resmin(solution)
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(RefScalarBasis, "values")
+    counting(RefScalarBasis, "grads")
+    for module in (bdm, estimators):
+        counting(module, "reference_shape_values")
+    report = full_report(advdiff, solution, post)
+    assert report.has_exact and mesh.n_triangles > nt
+    assert calls == []
