@@ -152,9 +152,9 @@ def make_scalar_basis(degree: int) -> RefScalarBasis:
 
 
 def _jacobi(n: int, alpha: int, x):
-    """Values and derivatives of P_k^(alpha,0) at x for k = 0..n, alpha in
-    {0, 1}; two arrays of shape (n + 1, *x.shape) from the three-term
-    recurrence (alpha = 0 gives the Legendre polynomials)."""
+    """Values and derivatives of P_k^(alpha,0) at x for k = 0..n and any
+    integer alpha >= 0; two arrays of shape (n + 1, *x.shape) from the
+    three-term recurrence (alpha = 0 gives the Legendre polynomials)."""
     x = np.asarray(x, dtype=float)
     P = np.empty((n + 1,) + x.shape)
     dP = np.empty_like(P)

@@ -133,9 +133,11 @@ def _edge_flux_sq(problem: ProblemSpec, mesh: TriMesh, p: int,
 
 
 def _norm_sq(v):
-    """|v|^2 of 2-vectors v (..., 2); np.sum over a length-2 last axis is
-    several times slower."""
-    return v[..., 0] ** 2 + v[..., 1] ** 2
+    """|v|^2 of 2-vectors v (..., 2), squaring v in place so that the sum
+    is the only new array; np.sum over a length-2 last axis is several
+    times slower."""
+    np.square(v, out=v)
+    return v[..., 0] + v[..., 1]
 
 
 # -- discrete dual norm -------------------------------------------------------
@@ -144,10 +146,11 @@ def _norm_sq(v):
 def _grad_load(r, Binv, J, w, D) -> np.ndarray:
     """Loads (r, grad v_i)_K (n, s) from values r (n, nq, 2) at a rule with
     weights w, reference gradients D (nq, s, 2), Binv (n, 2, 2) and J (n,)."""
-    # r . grad v = (r B^{-T}) . Dhat
-    pulled = np.matmul(r, np.swapaxes(Binv, 1, 2)) * (w * J[:, None])[..., None]
-    return pulled.reshape(len(J), -1) @ np.swapaxes(D, 1, 2).reshape(
-        -1, D.shape[1])
+    # r . grad v = (r B^{-T}) . Dhat; J rides on the 2x2 map and w on the
+    # table, so no pass over the (n, nq, 2) values weights them
+    pulled = np.matmul(r, np.swapaxes(Binv, 1, 2) * J[:, None, None])
+    table = np.swapaxes(D, 1, 2) * w[:, None, None]
+    return pulled.reshape(len(J), -1) @ table.reshape(-1, D.shape[1])
 
 
 def dual_norm_star(mesh: TriMesh, p: int, element: int, r) -> float:
@@ -237,7 +240,8 @@ def eta_improved(post: PostprocResult, solution: MixedSolution,
     grad_nu = np.matmul(coeff_contract(post.nu, D), mesh.inv_jacobians)
     qh = solution.flux_space.flux_values(solution.flux,
                                          bdm_tables(p, 2 * (p + 2))[1])
-    mismatch_sq = (_norm_sq(qh + grad_nu) @ rule.weights) * mesh.det_jacobians
+    qh += grad_nu
+    mismatch_sq = (_norm_sq(qh) @ rule.weights) * mesh.det_jacobians
     jump_K, bnd_K = post.nu_traces(u_D)
     eta_K = np.sqrt(post.eta_tilde_K ** 2 + mismatch_sq + jump_K + bnd_K)
     return EstimatorReport(
@@ -334,17 +338,23 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
         def grad_error_sq(coeffs):
             # grad(u - v) = -q - grad v
             g = np.matmul(at_points(coeffs, D), Binv)
-            return integral(_norm_sq(qv + g))
+            g += qv
+            return integral(_norm_sq(g))
 
-        qh = solution.flux_space.flux_values(solution.flux, Nh, ids)
+        def value_error_sq(coeffs):
+            d = at_points(coeffs, V)
+            np.subtract(uv, d, out=d)
+            return integral(np.square(d, out=d))
+
         grad_nu_sq[ids] = grad_error_sq(post.nu)
         grad_theta_sq[ids] = grad_error_sq(post.theta)
-        diff = qv - qh
-        q_L2_sq[ids] = integral(_norm_sq(diff))
-        u_L2_sq[ids] = integral((uv - at_points(u_by_el, V)) ** 2)
-        nu_L2_sq[ids] = integral((uv - at_points(post.nu, V)) ** 2)
+        u_L2_sq[ids] = value_error_sq(u_by_el)
+        nu_L2_sq[ids] = value_error_sq(post.nu)
+        diff = solution.flux_space.flux_values(solution.flux, Nh, ids)
+        np.subtract(qv, diff, out=diff)
         # load (q - q_h, grad v) of the mean-free degree-(p+2) basis
         star_rhs[ids] = _grad_load(diff, Binv, J, w, D[:, 1:])
+        q_L2_sq[ids] = integral(_norm_sq(diff))
 
     q_star_K = np.linalg.norm(post.classes.matmul(post.chol_inv, star_rhs),
                               axis=1)

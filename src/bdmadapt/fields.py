@@ -22,8 +22,8 @@ fifth row changes the last bit.
 einsum only builds the reference tables and the per-element 2x2 geometry
 factors themselves.  Element matrices that depend on the geometry only
 through the element's shape are built once per shape class (ElementClasses)
-and applied as one matrix product per class.  Results do not depend on
-element visitation order.
+and applied as one batched matrix product over fixed-length class chunks.
+Results do not depend on element visitation order.
 """
 
 from functools import lru_cache
@@ -144,9 +144,13 @@ class ElementClasses:
     bisection keeps the number of classes small; a mesh whose elements all
     differ has one class per element.
 
-    id (n_elements,) is the class of each element, reps (n_classes,) the
-    representative element of each class (its lowest id), order the element
-    ids sorted by class and slices the range of each class in order.
+    id (n_elements,) is the class of each element and reps (n_classes,) the
+    representative element of each class (its lowest id).  For matmul each
+    class is cut into chunks of L = ceil(n_elements / n_classes) rows, at
+    most 2 n_classes chunks padded to at most 2 n_elements + n_classes rows:
+    chunk_class (n_chunks,) is the class of each chunk, slot (n_elements,)
+    the row of each element in the padded (n_chunks L) buffer and source
+    (n_chunks L,) the element of each buffer row (element 0 on padding).
     """
 
     def __init__(self, mesh: TriMesh, beta=(0.0, 0.0)):
@@ -158,30 +162,40 @@ class ElementClasses:
             Btb = np.matmul(np.asarray(beta, dtype=float), B)
             key += [*(Btb / (size * np.sqrt(J)[:, None])).T, np.log2(J)]
         key = np.round(np.stack(key), 12)
-        self.order = np.lexsort(key[::-1])
-        ordered = key[:, self.order]
-        first = np.ones(len(self.order), dtype=bool)
+        order = np.lexsort(key[::-1])
+        ordered = key[:, order]
+        first = np.ones(len(order), dtype=bool)
         first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-        self.id = np.empty(len(self.order), dtype=np.int64)
-        self.id[self.order] = np.cumsum(first) - 1
+        self.id = np.empty(len(order), dtype=np.int64)
+        self.id[order] = np.cumsum(first) - 1
         starts = np.flatnonzero(first)
-        self.reps = self.order[starts]
-        ends = np.append(starts[1:], len(self.order))
-        self.slices = [slice(a, b) for a, b in zip(starts, ends)]
+        self.reps = order[starts]
+        # chunk the class-sorted rows: row j of class c goes to chunk
+        # offset[c] + j // L, row j % L
+        counts = np.diff(np.append(starts, len(order)))
+        self.chunk_rows = L = -(-len(order) // len(starts))
+        per_class = -(-counts // L)
+        self.chunk_class = np.repeat(np.arange(len(starts)), per_class)
+        offset = np.cumsum(per_class) - per_class
+        j = np.arange(len(order)) - np.repeat(starts, counts)
+        self.slot = np.empty(len(order), dtype=np.int64)
+        self.slot[order] = np.repeat(offset * L, counts) + j
+        self.source = np.zeros(len(self.chunk_class) * L, dtype=np.int64)
+        self.source[self.slot] = np.arange(len(order))
 
     def matmul(self, mats, x) -> np.ndarray:
         """Rows y_K = mats[id_K] @ x_K (n_elements, r) of rows x (n_elements,
-        k) and class matrices mats (n_classes, r, k): one gather into class
-        order, one GEMM per class on its contiguous rows, one scatter back."""
+        k) and class matrices mats (n_classes, r, k): one gather into the
+        padded chunk buffer, one batched GEMM against the matrices of the
+        chunks, one gather back.  The padding rows are copies of row 0 (a
+        gather is faster than zeroing and scattering) whose products are
+        dropped."""
         if len(mats) == 1:
             return x @ mats[0].T
-        xs = x[self.order]
-        ys = np.empty((len(x), mats.shape[1]))
-        for mat, rows in zip(mats, self.slices):
-            np.matmul(xs[rows], mat.T, out=ys[rows])
-        out = np.empty_like(ys)
-        out[self.order] = ys
-        return out
+        n_chunks, L = len(self.chunk_class), self.chunk_rows
+        ys = np.matmul(x[self.source].reshape(n_chunks, L, -1),
+                       mats[self.chunk_class].swapaxes(1, 2))
+        return ys.reshape(n_chunks * L, -1)[self.slot]
 
 
 def edge_points(mesh: TriMesh, edge_ids, t) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Built-in problem presets with closed-form exact solutions.
 
-All callables are numpy-vectorized over (n, 2) point arrays.  The advective
-preset evaluates its exponential layer factors in shifted form (arguments
-always <= 0) so large Peclet numbers stay well conditioned.
+All callables are numpy-vectorized over (n, 2) point arrays and never write
+into them.  The advective preset evaluates its exponential layer factors in
+shifted form (arguments always <= 0) so large Peclet numbers stay well
+conditioned, with one exponential per coordinate shared by u, q and f.
 """
 
 import numpy as np
@@ -48,14 +49,22 @@ def _lshape() -> ProblemSpec:
         return r ** (2.0 / 3.0) * np.sin((2.0 / 3.0) * (np.pi - th))
 
     def q(x):
+        # grad u = (2/3) r^(-1/3) (sin(arg) e_r - cos(arg) e_t) with
+        # e_r = (x, y) / r and e_t = (-y, x) / r folds into r^(-4/3) =
+        # 1 / (r cbrt(r)): a power with the rounded exponent -4/3 would be
+        # off by |ln r| 7e-17 relative.  The clamp keeps it finite, so q is
+        # 0 at the corner itself.
         r, th = _polar(x)
-        rs = np.maximum(r, 1e-300) ** (-1.0 / 3.0)
         arg = (2.0 / 3.0) * (np.pi - th)
-        er = np.stack([np.cos(th), np.sin(th)], axis=1)
-        et = np.stack([-np.sin(th), np.cos(th)], axis=1)
-        grad = (2.0 / 3.0) * rs[:, None] * (
-            np.sin(arg)[:, None] * er - np.cos(arg)[:, None] * et)
-        return -grad
+        s, c = np.sin(arg), np.cos(arg)
+        r = np.maximum(r, 1e-200)
+        r *= np.cbrt(r)
+        scale = np.divide(-2.0 / 3.0, r, out=r)
+        out = np.empty((len(x), 2))
+        out[:, 0] = s * x[:, 0] + c * x[:, 1]
+        out[:, 1] = s * x[:, 1] - c * x[:, 0]
+        out *= scale[:, None]
+        return out
 
     def f(x):
         return np.zeros(len(x))
@@ -73,28 +82,56 @@ def _lshape() -> ProblemSpec:
 def _advdiff() -> ProblemSpec:
     P = ADVECTION_PECLET
     em = -np.expm1(-P)  # 1 - e^{-P}
+    e_min = np.exp(-P)
 
-    def g(s):
-        return s - (np.exp(P * (s - 1.0)) - np.exp(-P)) / em
+    # u = g(x) g(y) with g(s) = s - (e(s) - e^{-P}) / em, e(s) = e^{P (s - 1)},
+    # g'(s) = 1 - P e / em and g''(s) = -P^2 e / em
 
-    def dg(s):
-        return 1.0 - P * np.exp(P * (s - 1.0)) / em
+    def layer(x, keep_e=True):
+        """g and e at every coordinate of the points x (n, 2); g alone,
+        written over e, without keep_e."""
+        e = x - 1.0
+        e *= P
+        np.exp(e, out=e)
+        g = np.subtract(e, e_min, out=None if keep_e else e)
+        g /= em
+        np.subtract(x, g, out=g)
+        return (g, e) if keep_e else g
 
-    def d2g(s):
-        return -P * P * np.exp(P * (s - 1.0)) / em
+    def slope(e):
+        """g' from e, written over e."""
+        e *= P
+        e /= em
+        return np.subtract(1.0, e, out=e)
+
+    def crossed(a, g):
+        """a(x) g(y) and a(y) g(x) of per-coordinate factors (n, 2), written
+        over a column by column (a reversed-column view is several times
+        slower)."""
+        a[:, 0] *= g[:, 1]
+        a[:, 1] *= g[:, 0]
+        return a
 
     def u(x):
-        return g(x[:, 0]) * g(x[:, 1])
+        g = layer(x, keep_e=False)
+        return g[:, 0] * g[:, 1]
 
     def q(x):
-        return -np.stack([dg(x[:, 0]) * g(x[:, 1]),
-                          g(x[:, 0]) * dg(x[:, 1])], axis=1)
+        g, e = layer(x)
+        d = crossed(slope(e), g)
+        return np.negative(d, out=d)
 
     def f(x):
-        gx, gy = g(x[:, 0]), g(x[:, 1])
-        lap = d2g(x[:, 0]) * gy + gx * d2g(x[:, 1])
-        adv = P * (dg(x[:, 0]) * gy + gx * dg(x[:, 1]))
-        return -lap + adv
+        # -(g''(x) g(y) + g(x) g''(y)) + P (g'(x) g(y) + g(x) g'(y))
+        g, e = layer(x)
+        lap = e * (-P * P)
+        lap /= em
+        crossed(lap, g)
+        adv = crossed(slope(e), g)
+        out = adv[:, 0] + adv[:, 1]
+        out *= P
+        out -= lap[:, 0] + lap[:, 1]
+        return out
 
     def u_D(x):
         return np.zeros(len(x))

@@ -257,6 +257,54 @@ def projection_moments(tri, trace_values):
     return _trace_moments(tri, lambda j, pts, t: trace_values(j, t))
 
 
+# -- closed forms of the problem presets ---------------------------------------
+#
+# The presets as first written, one expression per formula: the advdiff
+# layer factors take their own exponential in every term, the lshape flux
+# builds its polar unit vectors from cos and sin of the angle.
+
+
+def closed_form_advdiff(P):
+    """(u, q, f) of the advdiff preset at Peclet number P."""
+    em = -np.expm1(-P)
+
+    def g(s):
+        return s - (np.exp(P * (s - 1.0)) - np.exp(-P)) / em
+
+    def dg(s):
+        return 1.0 - P * np.exp(P * (s - 1.0)) / em
+
+    def d2g(s):
+        return -P * P * np.exp(P * (s - 1.0)) / em
+
+    def u(x):
+        return g(x[:, 0]) * g(x[:, 1])
+
+    def q(x):
+        return -np.stack([dg(x[:, 0]) * g(x[:, 1]),
+                          g(x[:, 0]) * dg(x[:, 1])], axis=1)
+
+    def f(x):
+        gx, gy = g(x[:, 0]), g(x[:, 1])
+        lap = d2g(x[:, 0]) * gy + gx * d2g(x[:, 1])
+        adv = P * (dg(x[:, 0]) * gy + gx * dg(x[:, 1]))
+        return -lap + adv
+
+    return u, q, f
+
+
+def closed_form_lshape_q(x):
+    """-grad of r^(2/3) sin(2/3 (pi - theta))."""
+    r = np.hypot(x[:, 0], x[:, 1])
+    th = np.arctan2(x[:, 1], x[:, 0])
+    rs = np.maximum(r, 1e-300) ** (-1.0 / 3.0)
+    arg = (2.0 / 3.0) * (np.pi - th)
+    er = np.stack([np.cos(th), np.sin(th)], axis=1)
+    et = np.stack([-np.sin(th), np.cos(th)], axis=1)
+    return -(2.0 / 3.0) * rs[:, None] * (
+        np.sin(arg)[:, None] * er - np.cos(arg)[:, None] * et)
+
+
 # -- einsum oracles for the batched kernels ------------------------------------
 #
 # The program contracts element-batched arrays with reference tables as

@@ -252,6 +252,26 @@ def test_gauss_rules_match_high_precision(alpha):
                 assert abs(float((wi - want) / want)) <= 3e-14, (n, xi)
 
 
+def test_jacobi_recurrence_holds_for_every_alpha():
+    # the Gauss rules use alpha = 0 and 1 only; the recurrence itself must
+    # give P_n^(alpha,0) and its derivative (n + alpha + 1)/2
+    # P_(n-1)^(alpha+1,1) for any alpha, against scipy.special (tests only)
+    special = pytest.importorskip("scipy.special")
+    x = np.linspace(-1.0, 1.0, 41)
+    for alpha in range(10):
+        P, dP = basis_mod._jacobi(8, alpha, x)
+        for n in range(9):
+            want = special.eval_jacobi(n, alpha, 0, x)
+            assert np.abs(P[n] - want).max() <= 4e-15 * np.abs(want).max()
+            if n:
+                want = (n + alpha + 1) / 2 * special.eval_jacobi(
+                    n - 1, alpha + 1, 1, x)
+                assert np.abs(dP[n] - want).max() <= \
+                    4e-15 * np.abs(want).max()
+            else:
+                assert not dP[n].any()
+
+
 def test_import_leaves_scipy_special_unloaded():
     src = str(pathlib.Path(basis_mod.__file__).resolve().parents[1])
     env = dict(os.environ)

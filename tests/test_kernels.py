@@ -7,9 +7,12 @@ products, and builds the element blocks and factors once per shape class.
 Both must agree to round-off on two meshes with both edge orientations: one
 with jittered vertices, where every element is its own class, and an
 ear-clipped one, where newest-vertex bisection merges 304 elements into 6
-classes (17 with the advdiff beta).  The point maps and the class products
-must give the bits of their oracles.
+classes (17 with the advdiff beta).  The point maps must give the bits of
+their oracles; the class products, one batched GEMM over class chunks, agree
+with the per-class loop to round-off.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,21 +114,93 @@ def test_edge_points_match_broadcast(perturbed_mesh):
                               broadcast_edge_points(perturbed_mesh, sel, t))
 
 
-def test_class_matmul_matches_loop(merged_mesh, advdiff):
-    """One gather, a GEMM per contiguous class slice and one scatter give
-    the bits of a gather and scatter per class, on the merged mesh with its
-    elements shuffled (17 classes with the advdiff beta), and on one class."""
+def _disjoint_triangles(apex):
+    """Mesh of the disjoint triangles (0, 0), (1, 0), apex_k, translated
+    apart; with beta = 0 the classes are the distinct apexes.  The
+    coordinates are dyadic, so equal apexes give bitwise equal keys."""
+    n = len(apex)
+    tris = np.zeros((n, 3, 2))
+    tris[:, 1, 0] = 1.0
+    tris[:, 2] = apex
+    tris[..., 0] += 4.0 * np.arange(n)[:, None]
+    return TriMesh(tris.reshape(-1, 2), np.arange(3 * n).reshape(n, 3))
+
+
+@pytest.fixture(scope="module")
+def class_layouts(merged_mesh, advdiff):
+    """ElementClasses of: the shuffled merged mesh with the advdiff beta (17
+    classes), one uniform class, one class of n - 20 elements plus 20
+    singletons, and all singletons."""
     rng = np.random.default_rng(7)
     perm = rng.permutation(merged_mesh.n_triangles)
-    mesh = TriMesh(merged_mesh.vertices, merged_mesh.triangles[perm])
-    for classes in (ElementClasses(mesh, advdiff.beta),
-                    ElementClasses(build_initial_mesh(advdiff.domain, 32))):
-        n = len(classes.id)
-        mats = rng.standard_normal((len(classes.reps), 5, 9))
-        x = rng.standard_normal((n, 12))
+    shuffled = TriMesh(merged_mesh.vertices, merged_mesh.triangles[perm])
+    odd = np.column_stack([0.25 + np.arange(40) / 64.0, np.ones(40)])
+    one_large = np.vstack([np.tile([0.5, 0.75], (280, 1)), odd[:20]])
+    layouts = [ElementClasses(shuffled, advdiff.beta),
+               ElementClasses(build_initial_mesh(advdiff.domain, 32)),
+               ElementClasses(_disjoint_triangles(rng.permutation(one_large))),
+               ElementClasses(_disjoint_triangles(odd))]
+    counts = [np.bincount(c.id) for c in layouts]
+    assert [len(c) for c in counts] == [17, 1, 21, 40]
+    assert counts[2].max() == 280 and counts[3].max() == 1
+    return layouts
+
+
+def _class_operands(classes, seed=7):
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((len(classes.reps), 5, 9))
+    return mats, rng.standard_normal((len(classes.id), 12))
+
+
+def test_class_matmul_matches_loop(class_layouts):
+    """The batched chunk GEMM agrees with a gather and scatter per class to
+    round-off (the GEMM may block rows differently from the per-class
+    products) on every layout, for strided and contiguous rows, and its
+    padding stays within 2 n + n_classes rows of at most 2 n_classes
+    chunks."""
+    for classes in class_layouts:
+        n, n_classes = len(classes.id), len(classes.reps)
+        mats, x = _class_operands(classes)
         for rows in (x[:, :9], np.ascontiguousarray(x[:, 3:])):
-            assert np.array_equal(classes.matmul(mats, rows),
-                                  loop_class_matmul(classes, mats, rows))
+            assert_matches(classes.matmul(mats, rows),
+                           loop_class_matmul(classes, mats, rows))
+        if n_classes > 1:
+            n_chunks = len(classes.chunk_class)
+            assert n_chunks <= 2 * n_classes
+            assert n_chunks * classes.chunk_rows <= 2 * n + n_classes
+            assert np.array_equal(classes.source[classes.slot],
+                                  np.arange(n))
+
+
+def test_class_matmul_is_one_gemm(class_layouts, monkeypatch):
+    """One product over the 17 advdiff classes makes one np.matmul call."""
+    classes = class_layouts[0]
+    mats, x = _class_operands(classes)
+    calls = []
+    real = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    classes.matmul(mats, x[:, :9])
+    assert len(calls) == 1
+
+
+def test_class_matmul_memory_is_linear(class_layouts):
+    """A product's peak allocation is a fixed multiple of its operands and
+    result, also with one large class beside many singletons."""
+    for classes in class_layouts:
+        mats, x = _class_operands(classes)
+        x = x[:, :9].copy()
+        tracemalloc.start()
+        try:
+            out = classes.matmul(mats, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (x.nbytes + out.nbytes + mats.nbytes)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

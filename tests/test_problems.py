@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from bdmadapt import preset
+from bdmadapt.problems import ADVECTION_PECLET
+
+from conftest import closed_form_advdiff, closed_form_lshape_q
 
 
 def test_unknown_preset_rejected():
@@ -108,3 +111,52 @@ def test_advdiff_boundary_data_zero():
 def test_advdiff_beta_value():
     adv = preset("advdiff")
     assert np.allclose(adv.beta, (1000.0 / 3.0, 1000.0 / 3.0))
+
+
+def _advdiff_points(rng):
+    """Random points of the unit square, and points with x or y in {0, 1}."""
+    inner = rng.uniform(0.0, 1.0, size=(500, 2))
+    t = rng.uniform(0.0, 1.0, 40)
+    edges = [np.column_stack([np.full_like(t, c), t]) for c in (0.0, 1.0)]
+    edges += [e[:, ::-1] for e in edges]
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    return np.vstack([inner, *edges, corners])
+
+
+def test_advdiff_matches_closed_form_bitwise(rng):
+    """The shared-exponential u, q and f give the bits of one exponential
+    per term."""
+    adv = preset("advdiff")
+    pts = _advdiff_points(rng)
+    for got, ref in zip((adv.exact_u, adv.exact_q, adv.f),
+                        closed_form_advdiff(ADVECTION_PECLET)):
+        assert np.array_equal(got(pts), ref(pts))
+
+
+def test_lshape_flux_matches_closed_form(rng):
+    """q from x / r and r^(-4/3) agrees with the polar unit-vector form to
+    2e-15 relative per point, near the corner and on the rays theta = pi and
+    theta = -pi/2 where u vanishes."""
+    lshape = preset("lshape")
+    r = 10.0 ** rng.uniform(-12, 0, 300)
+    th = rng.uniform(-0.5 * np.pi, np.pi, 300)
+    near = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    s = np.geomspace(1e-12, 1.0, 50)
+    rays = [np.column_stack([-s, np.zeros_like(s)]),
+            np.column_stack([np.zeros_like(s), -s])]
+    for pts in (near, *rays):
+        got, ref = lshape.exact_q(pts), closed_form_lshape_q(pts)
+        err = np.linalg.norm(got - ref, axis=1)
+        assert np.all(err <= 2e-15 * np.linalg.norm(ref, axis=1))
+
+
+@pytest.mark.parametrize("name", ["smooth", "lshape", "advdiff", "linear"])
+def test_preset_callables_leave_points_unchanged(name, rng):
+    spec = preset(name)
+    pts = rng.uniform(-1.0, 1.0, size=(64, 2))
+    pts.setflags(write=False)
+    keep = pts.copy()
+    fns = [spec.f, spec.u_D, spec.exact_u, spec.exact_q, spec.quad_region]
+    for fn in filter(None, fns):
+        fn(pts)
+        assert np.array_equal(pts, keep)
