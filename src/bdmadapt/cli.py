@@ -53,11 +53,23 @@ def _build_parser():
     return parser
 
 
+def _read_config(path, parser) -> dict:
+    """The settings of a --config file; a usage error names what is wrong."""
+    try:
+        with open(path) as fh:
+            settings = json.load(fh)
+    except OSError as exc:
+        parser.error(f"cannot read config file {path}: {exc.strerror}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        parser.error(f"config file {path} is not JSON: {exc}")
+    if not isinstance(settings, dict):
+        parser.error(f"config file {path} must hold a JSON object, "
+                     f"got {type(settings).__name__}")
+    return settings
+
+
 def _cmd_run(args, parser) -> int:
-    settings = {}
-    if args.config:
-        with open(args.config) as fh:
-            settings.update(json.load(fh))
+    settings = _read_config(args.config, parser) if args.config else {}
     for key in _RUN_KEYS:
         val = getattr(args, key, None)
         if val is not None:

@@ -8,6 +8,7 @@ window, recorded per run in the summary.
 
 import json
 import logging
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -26,6 +27,27 @@ _MESH_DUMP_ITERATIONS = (0, 5, 10)
 logger = logging.getLogger(__name__)
 
 
+def _degree_list(p_list) -> tuple:
+    """p_list as a tuple of distinct ints in {1, 2, 3}, else ValueError."""
+    if isinstance(p_list, np.ndarray):
+        p_list = p_list.tolist()
+    if not isinstance(p_list, (list, tuple)):
+        raise ValueError(f"p_list must be a list of degrees, got {p_list!r}")
+    if len(p_list) == 0:
+        raise ValueError("p_list must name at least one degree, got []")
+    for p in p_list:
+        if isinstance(p, bool) or not isinstance(p, numbers.Integral):
+            raise ValueError(
+                f"polynomial degrees must be integers, got {p!r} in p_list")
+    degrees = tuple(int(p) for p in p_list)
+    if len(set(degrees)) < len(degrees):
+        raise ValueError(f"p_list repeats a degree: {list(degrees)}")
+    if any(p not in (1, 2, 3) for p in degrees):
+        raise ValueError("polynomial degrees must lie in {1, 2, 3}, "
+                         f"got {list(degrees)}")
+    return degrees
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str = "smooth"
@@ -42,10 +64,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in ("smooth", "lshape", "advdiff", "custom"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        self.p_list = tuple(int(p) for p in self.p_list)
-        if any(p not in (1, 2, 3) for p in self.p_list):
-            raise ValueError("polynomial degrees must lie in {1, 2, 3}, "
-                             f"got {list(self.p_list)}")
+        self.p_list = _degree_list(self.p_list)
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         for name in ("initial_elements", "max_elements"):

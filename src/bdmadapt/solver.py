@@ -207,11 +207,29 @@ def _factor(system: MixedSystem):
     equations exceeds RESIDUAL_TOL.  relax=1 turns off SuperLU's relaxed
     supernodes, which under the minimum degree ordering of S slow the
     factorization by 3-8x at equal fill.
+
+    panel_size=1 factors one column per panel.  The supernodes of the
+    MMD-ordered S are small, and a wider panel works on the union of its
+    columns' sparse structures with n x width of work storage, so one
+    column does less work in less memory.  The ordering and the fill do not
+    depend on the panel width (perm_c and lu.nnz are identical on all 87
+    multiplier matrices of the three benchmark workloads, seed 1); only the
+    schedule of the column updates changes, at round-off.  splu summed
+    over those matrices, median of 8 alternating repetitions (2-vCPU Xeon
+    VM, one BLAS thread); widths 2..8 and relax=2 are no faster:
+
+        workload    default panel   panel_size=1
+        lshape         0.506 s         0.363 s
+        smooth         0.227 s         0.166 s
+        advdiff        0.141 s         0.114 s
+
+    Under glibc's debug allocator (MALLOC_CHECK_=3) widths 1..20 factor
+    all 87 matrices cleanly; 24, 32 and 40 corrupt the heap.
     """
     S = system.schur
     try:
         return splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    relax=1, options={"SymmetricMode": True})
+                    relax=1, panel_size=1, options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SingularSystemError(
             f"multiplier factorization failed on {S.shape[0]} dofs "

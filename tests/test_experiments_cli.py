@@ -3,6 +3,7 @@ import json
 import logging
 import os
 
+import numpy as np
 import pytest
 
 from bdmadapt import ExperimentConfig, fit_slope, run_experiment
@@ -135,18 +136,23 @@ def test_cli_run_has_a_flag_per_config_field():
     assert not missing
 
 
-def _rejected_run(tmp_path, capsys, *flags):
-    """stderr of a run whose flags fail the config checks: exit 2 with a
-    usage message, before the output directory exists."""
+def _usage_error(tmp_path, capsys, *args):
+    """stderr of a run rejected with exit 2 and a usage message, before the
+    output directory exists."""
     out = tmp_path / "zero"
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--experiment", "smooth", "--mode", "uniform", "--p", "1",
-              "--iters", "1", *flags, "--out", str(out)])
+        main(["run", *args, "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err
     return err
+
+
+def _rejected_run(tmp_path, capsys, *flags):
+    """stderr of a run whose flags fail the config checks."""
+    return _usage_error(tmp_path, capsys, "--experiment", "smooth", "--mode",
+                        "uniform", "--p", "1", "--iters", "1", *flags)
 
 
 def test_cli_rejects_zero_initial_elements(tmp_path, capsys):
@@ -159,6 +165,60 @@ def test_cli_rejects_zero_initial_elements(tmp_path, capsys):
 def test_cli_rejects_zero_counts(tmp_path, capsys, flag, name):
     err = _rejected_run(tmp_path, capsys, flag, "0")
     assert f"{name} must be >= 1, got 0" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file {path}: No such file or directory"),
+    ("iterations: 3", "config file {path} is not JSON"),
+    ("[1, 2]", "config file {path} must hold a JSON object, got list"),
+    ('{"p_list": 2}', "p_list must be a list of degrees, got 2"),
+], ids=["missing", "not-json", "not-object", "scalar-p_list"])
+def test_cli_rejects_bad_config(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    err = _usage_error(tmp_path, capsys, "--config", str(path))
+    assert message.format(path=path) in err
+
+
+_BAD_DEGREES = [
+    pytest.param([], "p_list must name at least one degree, got []",
+                 id="empty"),
+    pytest.param([1, 1], "p_list repeats a degree: [1, 1]", id="repeated"),
+    pytest.param([1.5], "polynomial degrees must be integers, got 1.5 in "
+                 "p_list", id="fraction"),
+    pytest.param([True], "polynomial degrees must be integers, got True in "
+                 "p_list", id="bool"),
+    pytest.param([2.0, 3], "polynomial degrees must be integers, got 2.0 in "
+                 "p_list", id="integral-float"),
+]
+
+
+@pytest.mark.parametrize("p_list, message", _BAD_DEGREES)
+def test_config_rejects_bad_degree_list(p_list, message):
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig(p_list=tuple(p_list))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("p_list, message", _BAD_DEGREES)
+def test_cli_rejects_bad_degree_list(tmp_path, capsys, p_list, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p_list": p_list}))
+    err = _usage_error(tmp_path, capsys, "--config", str(path))
+    assert message in err
+
+
+def test_cli_rejects_repeated_degree_flag(tmp_path, capsys):
+    err = _usage_error(tmp_path, capsys, "--p", "1", "1")
+    assert "p_list repeats a degree: [1, 1]" in err
+
+
+def test_config_keeps_numpy_integer_degrees():
+    config = ExperimentConfig(p_list=(np.int64(3), np.int32(1)))
+    assert config.p_list == (3, 1)
+    assert all(type(p) is int for p in config.p_list)
+    assert ExperimentConfig(p_list=np.array([2])).p_list == (2,)
 
 
 def test_cli_verify(tmp_path, capsys):

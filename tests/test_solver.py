@@ -1,4 +1,8 @@
+import ctypes.util
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from bdmadapt.fields import mapped_points, scalar_tables
 
 from conftest import (advection_matrix, bdm_mass_matrix, divergence_matrix,
                       make_linear_problem, saddle_system, single_element_mesh)
+from factor_cases import multiplier_cases
 
 
 def zero_problem():
@@ -286,3 +291,76 @@ def test_single_element_needs_no_multipliers(p):
     assert sol.diagnostics["n_dofs"] == 0
     vals = sol.flux_space.eval_flux(sol.flux, 0, np.array([[0.2, 0.3]]))
     assert np.abs(vals - [-1.0, 0.0]).max() <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def multiplier_systems():
+    return {name: assemble(mesh, p, problem)
+            for name, problem, mesh, p in multiplier_cases()}
+
+
+@pytest.mark.parametrize("name", ["advdiff", "smooth", "lshape"])
+def test_one_column_panels_keep_ordering_and_fill(multiplier_systems, name,
+                                                  rng):
+    # the panel width only schedules the column updates: against SuperLU's
+    # default panel the ordering and the fill are the same, the solution
+    # the same to round-off
+    system = multiplier_systems[name]
+    lu = solver_mod._factor(system)
+    ref = splu(system.schur, permc_spec="MMD_AT_PLUS_A",
+               diag_pivot_thresh=0.0, relax=1,
+               options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_c, ref.perm_c)
+    assert np.array_equal(lu.perm_r, ref.perm_r)
+    assert lu.nnz == ref.nnz
+    b = rng.standard_normal(system.schur.shape[0])
+    want = ref.solve(b)
+    assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_factor_call_is_pinned(monkeypatch):
+    calls = []
+    real_splu = solver_mod.splu
+
+    def recorder(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "splu", recorder)
+    smooth = preset("smooth")
+    solve_problem(build_initial_mesh(smooth.domain, 32), 1, smooth)
+    assert calls == [(1, {"permc_spec": "MMD_AT_PLUS_A",
+                          "diag_pivot_thresh": 0.0, "relax": 1,
+                          "panel_size": 1,
+                          "options": {"SymmetricMode": True}})]
+
+
+_MALLOC_DEBUG = ctypes.util.find_library("c_malloc_debug")
+# two passes: with address randomization one pass of a wide panel escapes
+# the checks in about 1 run of 30, two passes escaped in none of 40
+_HEAP_GUARD = """
+from bdmadapt import solve_problem
+from factor_cases import multiplier_cases
+cases = multiplier_cases()
+for _ in range(2):
+    for name, problem, mesh, p in cases:
+        solve_problem(mesh, p, problem)
+"""
+
+
+@pytest.mark.skipif(_MALLOC_DEBUG is None,
+                    reason="glibc's debug allocator is not installed")
+def test_factor_heap_is_intact_under_debug_allocator():
+    # wide SuperLU panels (panel_size >= 24 on these systems) corrupt the
+    # heap, which glibc's checking allocator turns into an abort; the
+    # pinned factor must run all three presets cleanly
+    src = os.path.dirname(os.path.dirname(solver_mod.__file__))
+    paths = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+    preload = [_MALLOC_DEBUG, os.environ.get("LD_PRELOAD")]
+    env = dict(os.environ, MALLOC_CHECK_="3", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, paths)),
+               LD_PRELOAD=" ".join(filter(None, preload)))
+    proc = subprocess.run([sys.executable, "-c", _HEAP_GUARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
