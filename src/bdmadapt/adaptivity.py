@@ -1,10 +1,10 @@
 """Dörfler (bulk) marking and the solve/postprocess/estimate/refine loop."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_json
 from .estimators import EstimatorReport, full_report
 from .mesh import TriMesh, build_initial_mesh
 from .postprocess import postprocess_resmin
@@ -90,15 +90,16 @@ class AdaptiveRun:
     def element_counts(self):
         return [r.n_elements for r in self.records]
 
-    def to_json(self, path: str):
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "problem": self.problem_name, "p": self.p, "theta": self.theta,
             "marker": self.marker, "uniform": self.uniform,
             "aborted": self.aborted, "abort_reason": self.abort_reason,
             "iterations": [r.to_dict() for r in self.records],
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+
+    def to_json(self, path: str):
+        write_json(path, self.to_dict())
 
 
 def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,

@@ -6,6 +6,7 @@ import json
 import logging
 import sys
 
+from .artifacts import write_json
 from .experiments import ExperimentConfig, run_experiment
 from .fortin import fortin_report
 from .verify import run_verification
@@ -98,8 +99,7 @@ def _cmd_verify(args) -> int:
         state = "PASS" if check["passed"] else "FAIL"
         print(f"[{state}] {check['name']}: {check['detail']}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=1)
+        write_json(args.out, report)
     return 0 if report["passed"] else 1
 
 
@@ -119,8 +119,7 @@ def _cmd_fortin(args, parser) -> int:
         print(f"trace inequality p={p}: max constant "
               f"{entry['max_constant']:.4f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=1)
+        write_json(args.out, report)
     return 0
 
 

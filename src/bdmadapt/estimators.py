@@ -28,12 +28,12 @@ class stiffness that the postprocessing already holds, and b the load of r.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .artifacts import write_json
 from .basis import basis_size, make_scalar_basis, quad_rule
 from .bdm import bdm_tables, edge_legendre, reference_shape_values
 from .fields import (ElementClasses, coeff_contract, edge_points,
@@ -226,10 +226,7 @@ class EstimatorReport:
         return out
 
     def save(self, path: str):
-        # json.dump streams through the pure-Python encoder; json.dumps
-        # runs the C one and gives the same text
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_dict()))
+        write_json(path, self.to_dict())
 
 
 def eta_improved(post: PostprocResult, solution: MixedSolution,

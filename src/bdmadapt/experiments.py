@@ -6,7 +6,6 @@ two meshes (pre-asymptotic); strongly layered problems instead use a trailing
 window, recorded per run in the summary.
 """
 
-import json
 import logging
 import numbers
 import os
@@ -15,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptivity import AdaptiveRun, run_adaptive
+from .artifacts import write_json
 from .mesh import save_mesh
 from .problems import preset
 from .solver import ProblemSpec
@@ -62,15 +62,30 @@ class ExperimentConfig:
     max_elements: int | None = None
 
     def __post_init__(self):
+        for name in ("experiment", "mode", "marker", "out"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(
+                    f"{name} must be a string, got {getattr(self, name)!r}")
+        if not isinstance(self.dump_meshes, bool):
+            raise ValueError(
+                f"dump_meshes must be a boolean, got {self.dump_meshes!r}")
+        if isinstance(self.theta, bool) or not isinstance(self.theta,
+                                                          numbers.Real):
+            raise ValueError(f"theta must be a real number, got {self.theta!r}")
+        self.theta = float(self.theta)
+        for name in ("iterations", "initial_elements", "max_elements"):
+            value = getattr(self, name)
+            if value is None and name != "iterations":
+                continue
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            setattr(self, name, int(value))
         if self.experiment not in ("smooth", "lshape", "advdiff", "custom"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         self.p_list = _degree_list(self.p_list)
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        for name in ("initial_elements", "max_elements"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if self.mode not in ("uniform", "adaptive"):
@@ -213,9 +228,9 @@ def run_experiment(config: ExperimentConfig,
             except OSError as exc:
                 io_errors.append({"path": path, "error": str(exc)})
     summary["io_errors"] = io_errors
+    path = os.path.join(config.out, "summary.json")
     try:
-        with open(os.path.join(config.out, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=1)
+        write_json(path, summary)
     except OSError as exc:
-        io_errors.append({"path": "summary.json", "error": str(exc)})
+        io_errors.append({"path": path, "error": str(exc)})
     return summary

@@ -21,6 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .artifacts import write_json
+
 _LOCAL_EDGE_VERTS = ((1, 2), (2, 0), (0, 1))  # local edge j is opposite vertex j
 
 
@@ -477,8 +479,7 @@ def save_mesh(mesh: TriMesh, prefix: str):
         "generation": mesh.generation.tolist(),
         "parent": mesh.parent.tolist(),
     }
-    with open(f"{prefix}.json", "w") as fh:
-        json.dump(meta, fh, indent=1)
+    write_json(f"{prefix}.json", meta)
 
 
 def load_mesh(prefix: str) -> TriMesh:

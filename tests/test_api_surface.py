@@ -7,10 +7,17 @@ benchmark tracer looks it up by string (the attribute column of its PATCHES
 table).  Assignments and imports do not count, and neither do the tests:
 code that only the tests call belongs in the tests.  Names without a reader
 must be on ALLOWED, with the reason they stay.
+
+Two more guards keep artifacts.write_json the one JSON writer: no
+json.dump or json.dumps call in the package, and no orjson import on the
+way to `import bdmadapt`.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bdmadapt"
@@ -152,3 +159,31 @@ def test_every_attribute_is_read():
     assert not unread, (
         f"no code in src/bdmadapt or benchmarks/ reads {unread}: delete "
         "them or add them to ALLOWED with a reason")
+
+
+def test_package_writes_json_only_through_write_json():
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and {a.name for a in node.names} & {"dump", "dumps"}):
+                calls.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("dump", "dumps")
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "json"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, (
+        f"json.dump/json.dumps at {calls}: write JSON artifacts through "
+        "artifacts.write_json")
+
+
+def test_import_leaves_orjson_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, bdmadapt; print('orjson' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

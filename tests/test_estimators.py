@@ -13,6 +13,7 @@ from bdmadapt.basis import make_scalar_basis, quad_rule
 from bdmadapt import fields
 from bdmadapt.fields import stiffness_tensors
 
+from artifact_checks import load_strict, mismatches, null_floats
 from conftest import (element_flux_trace_sq, make_linear_problem,
                       single_element_mesh)
 
@@ -321,11 +322,10 @@ def test_report_json_roundtrip(tmp_path, smooth_run):
     prob, sol, post, rep = smooth_run[2]
     path = str(tmp_path / "report.json")
     rep.save(path)
-    import json
-    with open(path) as fh:
-        text = fh.read()
-    assert text == json.dumps(rep.to_dict())
-    data = json.loads(text)
+    data = load_strict(path)
+    expected = rep.to_dict()
+    assert not mismatches(data, expected)
+    assert not null_floats(data, expected)
     assert data["p"] == 2
     assert len(data["eta_K"]) == sol.mesh.n_triangles
     assert abs(data["eta"] - rep.eta) < 1e-15

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from bdmadapt import ExperimentConfig, fit_slope, run_experiment
+from bdmadapt import cli, experiments
 from bdmadapt.cli import _build_parser, main
 from bdmadapt.experiments import CSV_COLUMNS
+
+from artifact_checks import assert_round_trip
 
 
 def tiny_config(out, **kw):
@@ -37,6 +40,7 @@ def test_run_experiment_artifacts(tmp_path):
     out = str(tmp_path / "res")
     summary = run_experiment(tiny_config(out, iterations=4))
     assert summary["io_errors"] == []
+    assert_round_trip(os.path.join(out, "summary.json"), summary)
     csv_path = os.path.join(out, "convergence_p1.csv")
     with open(csv_path) as fh:
         lines = fh.read().strip().splitlines()
@@ -80,14 +84,52 @@ def test_fit_window_is_per_experiment(tmp_path):
 
 
 def test_run_experiment_deterministic(tmp_path):
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    run_experiment(tiny_config(out1))
-    run_experiment(tiny_config(out2))
-    with open(os.path.join(out1, "convergence_p1.csv"), "rb") as fh:
-        blob1 = fh.read()
-    with open(os.path.join(out2, "convergence_p1.csv"), "rb") as fh:
-        blob2 = fh.read()
-    assert blob1 == blob2
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    config = dict(p_list=(1, 2), mode="adaptive", dump_meshes=True)
+    run_experiment(tiny_config(str(out1), **config))
+    run_experiment(tiny_config(str(out2), **config))
+    names = sorted(path.name for path in out1.iterdir())
+    assert names == sorted(path.name for path in out2.iterdir())
+    for kind in ("convergence_p1.csv", "log_p2.json", "report_p1_final.json",
+                 "summary.json", "mesh_p2_iter0.json"):
+        assert kind in names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_log_round_trips_exactly(tmp_path, monkeypatch):
+    runs = {}
+    real = experiments.run_adaptive
+
+    def keep(problem, p, **kw):
+        runs[p] = real(problem, p, **kw)
+        return runs[p]
+
+    monkeypatch.setattr(experiments, "run_adaptive", keep)
+    out = tmp_path / "res"
+    run_experiment(tiny_config(str(out), p_list=(1, 2), mode="adaptive"))
+    for p, run in runs.items():
+        assert_round_trip(out / f"log_p{p}.json", run.to_dict())
+        assert_round_trip(out / f"report_p{p}_final.json",
+                          run.records[-1].report.to_dict())
+
+
+def test_failed_summary_write_records_its_full_path(tmp_path, monkeypatch):
+    out = str(tmp_path / "res")
+    summary_path = os.path.join(out, "summary.json")
+    real = experiments.write_json
+
+    def write_json(path, obj):
+        if path == summary_path:
+            raise OSError("disk full")
+        real(path, obj)
+
+    monkeypatch.setattr(experiments, "write_json", write_json)
+    summary = run_experiment(tiny_config(out, iterations=1))
+    assert summary["io_errors"] == [{"path": summary_path,
+                                     "error": "disk full"}]
+    assert not os.path.exists(summary_path)
+    assert os.path.exists(os.path.join(out, "log_p1.json"))
 
 
 def test_mesh_dumps_at_snapshot_iterations(tmp_path):
@@ -209,6 +251,73 @@ def test_cli_rejects_bad_degree_list(tmp_path, capsys, p_list, message):
     assert message in err
 
 
+_BAD_SCALARS = [
+    pytest.param({"iterations": "3"}, "iterations must be an integer, got '3'",
+                 id="string-iterations"),
+    pytest.param({"iterations": True}, "iterations must be an integer, got "
+                 "True", id="bool-iterations"),
+    pytest.param({"initial_elements": 8.0}, "initial_elements must be an "
+                 "integer, got 8.0", id="float-initial_elements"),
+    pytest.param({"max_elements": "100"}, "max_elements must be an integer, "
+                 "got '100'", id="string-max_elements"),
+    pytest.param({"theta": None}, "theta must be a real number, got None",
+                 id="null-theta"),
+    pytest.param({"theta": "0.5"}, "theta must be a real number, got '0.5'",
+                 id="string-theta"),
+    pytest.param({"theta": True}, "theta must be a real number, got True",
+                 id="bool-theta"),
+    pytest.param({"dump_meshes": "yes"}, "dump_meshes must be a boolean, got "
+                 "'yes'", id="string-dump_meshes"),
+    pytest.param({"dump_meshes": 1}, "dump_meshes must be a boolean, got 1",
+                 id="int-dump_meshes"),
+    pytest.param({"experiment": ["smooth"]}, "experiment must be a string, "
+                 "got ['smooth']", id="list-experiment"),
+    pytest.param({"mode": None}, "mode must be a string, got None",
+                 id="null-mode"),
+    pytest.param({"marker": 1}, "marker must be a string, got 1",
+                 id="int-marker"),
+    pytest.param({"out": 5}, "out must be a string, got 5", id="int-out"),
+]
+
+
+@pytest.mark.parametrize("settings, message", _BAD_SCALARS)
+def test_config_rejects_bad_scalar_types(settings, message):
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig.from_dict(settings)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("settings, message", _BAD_SCALARS)
+def test_cli_rejects_bad_scalar_types(tmp_path, capsys, monkeypatch,
+                                      settings, message):
+    # run from an empty directory without --out, so that a config "out" is
+    # not overridden and no output directory may appear anywhere
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (tmp_path / "cfg.json").write_text(json.dumps(settings))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(tmp_path / "cfg.json")])
+    assert exc.value.code == 2
+    assert list(work.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+    assert message in err
+
+
+def test_config_keeps_numpy_integer_counts():
+    config = ExperimentConfig(iterations=np.int64(2),
+                              initial_elements=np.int32(8),
+                              max_elements=np.uint16(100),
+                              theta=np.float32(0.25))
+    assert (config.iterations, config.initial_elements,
+            config.max_elements, config.theta) == (2, 8, 100, 0.25)
+    assert all(type(v) is int for v in (config.iterations,
+                                        config.initial_elements,
+                                        config.max_elements))
+    assert type(config.theta) is float
+
+
 def test_cli_rejects_repeated_degree_flag(tmp_path, capsys):
     err = _usage_error(tmp_path, capsys, "--p", "1", "1")
     assert "p_list repeats a degree: [1, 1]" in err
@@ -221,7 +330,21 @@ def test_config_keeps_numpy_integer_degrees():
     assert ExperimentConfig(p_list=np.array([2])).p_list == (2,)
 
 
-def test_cli_verify(tmp_path, capsys):
+def _keep_report(monkeypatch, name):
+    """Replace cli.<name> by a wrapper that keeps the report it returns."""
+    kept = []
+    real = getattr(cli, name)
+
+    def keep(**kw):
+        kept.append(real(**kw))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, name, keep)
+    return kept
+
+
+def test_cli_verify(tmp_path, capsys, monkeypatch):
+    kept = _keep_report(monkeypatch, "run_verification")
     out = str(tmp_path / "verify.json")
     code = main(["verify", "--out", out])
     assert code == 0
@@ -230,15 +353,18 @@ def test_cli_verify(tmp_path, capsys):
     with open(out) as fh:
         report = json.load(fh)
     assert report["passed"]
+    assert_round_trip(out, kept[0])
 
 
-def test_cli_fortin(tmp_path, capsys):
+def test_cli_fortin(tmp_path, capsys, monkeypatch):
+    kept = _keep_report(monkeypatch, "fortin_report")
     out = str(tmp_path / "fortin.json")
     code = main(["fortin", "--samples", "20", "--out", out])
     assert code == 0
     with open(out) as fh:
         report = json.load(fh)
     assert report["det_A"] > 0
+    assert_round_trip(out, kept[0])
     captured = capsys.readouterr()
     assert "biorthogonality" in captured.out
 

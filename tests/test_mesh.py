@@ -10,6 +10,7 @@ from bdmadapt import (DomainSpec, TriMesh, build_initial_mesh, load_mesh,
 from bdmadapt.basis import make_scalar_basis
 from bdmadapt.fields import nu_jump_terms
 
+from artifact_checks import assert_round_trip
 from conftest import edge_elements, refine_loop
 
 
@@ -335,6 +336,11 @@ def test_export_roundtrip(tmp_path):
     assert meta["n_triangles"] == mesh.n_triangles
     assert len(meta["boundary_edges"]) == int(mesh.boundary_edge.sum())
     assert meta["generation"] == mesh.generation.tolist()
+    assert_round_trip(prefix + ".json", {
+        "n_vertices": mesh.n_vertices, "n_triangles": mesh.n_triangles,
+        "domain": mesh.domain_name,
+        "boundary_edges": mesh.edges[mesh.boundary_edge],
+        "generation": mesh.generation, "parent": mesh.parent})
     back = load_mesh(prefix)
     assert np.allclose(back.vertices, mesh.vertices)
     assert np.array_equal(back.triangles, mesh.triangles)
