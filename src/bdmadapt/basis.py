@@ -1,109 +1,39 @@
 """Reference-triangle scalar bases and quadrature rules.
 
 The reference triangle is K = {(x, y) : x >= 0, y >= 0, x + y <= 1}.  Scalar
-bases are hierarchical and L2-orthonormal on K: they come from an exact
-rational LDL^T Gram-Schmidt of the monomial basis ordered by total degree, so
-the degree-r basis is the leading slice of every higher-degree basis and the
-first function is the normalized constant.  Dropping that constant (column 0
-of values and grads) yields an exactly mean-free sub-basis.  One exact
-factorization serves every degree: it is extended on demand to the largest
-degree asked for, and a lower degree reads its leading block.
+bases are hierarchical and L2-orthonormal on K: the Dubiner-Koornwinder
+functions (Dubiner, J. Sci. Comput. 6 (1991) 345)
+
+    psi_ij(x, y) = c_ij Q_i(x, 1 - y) P_j^(2i+1,0)(2y - 1),
+    c_ij^2 = 2 (2i + 1) (i + j + 1),
+
+where Q_i(x, s) = s^i P_i(2x/s - 1) is the scaled Legendre polynomial.  They
+are ordered by total degree i + j, so the degree-r basis is the leading slice
+of every higher-degree basis, and the first function is the normalized
+constant sqrt(2).  Every other function is orthogonal to it, so dropping
+column 0 of values and grads yields a mean-free sub-basis.
 
 Quadrature rules are collapsed products of Gauss-Legendre and
 Gauss-Jacobi(1, 0) rules, computed in numpy: Golub-Welsch nodes (eigenvalues
 of the Jacobi matrix) polished by two Newton steps on the three-term
 recurrence of P_n^(alpha,0), and the closed-form weights
 2^(alpha+1) / ((1 - x^2) P_n'(x)^2).  The same recurrence evaluates the
-Legendre polynomials of the BDM edge moments.
+P_j^(2i+1,0) factors of the scalar bases and the Legendre polynomials of the
+BDM edge moments.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-import math
 
 import numpy as np
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-MAX_DEGREE = 12
 MAX_QUAD_EXACTNESS = 50
 
 
 def basis_size(degree: int) -> int:
     """Dimension of the full polynomial space of total degree <= degree."""
     return (degree + 1) * (degree + 2) // 2
-
-
-@lru_cache(maxsize=None)
-def monomial_exponents(degree: int):
-    """(a, b) exponent pairs of x^a y^b ordered by total degree."""
-    return tuple((d - i, i) for d in range(degree + 1) for i in range(d + 1))
-
-
-def monomial_integral(a: int, b: int) -> Fraction:
-    """Exact integral of x^a y^b over the reference triangle."""
-    return Fraction(math.factorial(a) * math.factorial(b),
-                    math.factorial(a + b + 2))
-
-
-# Exact LDL^T of the monomial Gram matrix, kept as the strict lower rows of
-# L, the diagonal D and the columns of L^{-T}.  It grows on demand to the
-# largest degree asked for so far; a lower degree reads its leading block.
-_LOW, _DIAG, _INV_T = [], [], []
-
-
-def _dot(xs, ys) -> Fraction:
-    """Exact sum of x * y over pairs of Fractions, reduced once at the end."""
-    num, den = 0, 1
-    for x, y in zip(xs, ys):
-        q = x.denominator * y.denominator
-        num = num * q + x.numerator * y.numerator * den
-        den *= q
-    return Fraction(num, den)
-
-
-def _grow_exact_factor(degree: int):
-    """Extend the exact factors by the rows and columns up to degree."""
-    exps = monomial_exponents(degree)
-    for i in range(len(_DIAG), len(exps)):
-        a, b = exps[i]
-        # t[j] = L[i][j] D[j]
-        t = []
-        for j in range(i):
-            s = monomial_integral(a + exps[j][0], b + exps[j][1])
-            t.append(s - _dot(t, _LOW[j]))
-        row = [t[j] / _DIAG[j] for j in range(i)]
-        d = monomial_integral(2 * a, 2 * b) - _dot(t, row)
-        if d <= 0:
-            raise ArithmeticError("monomial Gram matrix not positive definite")
-        _LOW.append(row)
-        _DIAG.append(d)
-        # column i of X = L^{-T}, from L^T X = I; X is unit upper triangular
-        col = [Fraction(0)] * i + [Fraction(1)]
-        for r in range(i - 1, -1, -1):
-            col[r] = -_dot((_LOW[k][r] for k in range(r + 1, i + 1)),
-                           col[r + 1:])
-        _INV_T.append(col)
-
-
-@lru_cache(maxsize=None)
-def _orthonormal_monomial_coeffs(degree: int) -> np.ndarray:
-    """Column j holds the monomial coefficients of the j-th orthonormal function.
-
-    The leading block L^{-T} D^{-1/2} of the exact factors; only the final
-    diagonal scaling leaves rational arithmetic.
-    """
-    if degree > MAX_DEGREE:
-        raise ValueError(f"degree {degree} exceeds supported maximum {MAX_DEGREE}")
-    _grow_exact_factor(degree)
-    n = basis_size(degree)
-    coeffs = np.zeros((n, n))
-    for j in range(n):
-        coeffs[:j + 1, j] = [float(x) for x in _INV_T[j]]
-    scale = np.array([1.0 / math.sqrt(float(d)) for d in _DIAG[:n]])
-    coeffs = coeffs * scale[None, :]
-    coeffs.setflags(write=False)
-    return coeffs
 
 
 class RefScalarBasis:
@@ -113,34 +43,51 @@ class RefScalarBasis:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.degree = degree
-        self._coeffs = _orthonormal_monomial_coeffs(degree)
-        self._exps = np.array(monomial_exponents(degree))
-        self.size = self._coeffs.shape[1]
+        self.size = basis_size(degree)
+        # (i, j) of each column, ordered by total degree i + j
+        self._i, self._j = np.array([(i, d - i) for d in range(degree + 1)
+                                     for i in range(d + 1)]).T
+        self._c = np.sqrt(2.0 * (2 * self._i + 1) * (self._i + self._j + 1))
 
-    def _monomial_values(self, pts):
+    def _evaluate(self, pts):
+        """Values (npts, size) and gradients (npts, size, 2) at pts."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        a = self._exps[:, 0][None, :]
-        b = self._exps[:, 1][None, :]
-        return pts[:, 0:1] ** a * pts[:, 1:2] ** b
-
-    def _monomial_grads(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        a = self._exps[:, 0][None, :]
-        b = self._exps[:, 1][None, :]
-        x, y = pts[:, 0:1], pts[:, 1:2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = np.where(a > 0, a * x ** np.maximum(a - 1, 0) * y ** b, 0.0)
-            dy = np.where(b > 0, b * x ** a * y ** np.maximum(b - 1, 0), 0.0)
-        return dx, dy
+        r, n = self.degree, len(pts)
+        x, y = pts[:, 0], pts[:, 1]
+        s = 1.0 - y
+        t, ss = 2.0 * x - s, s * s
+        # Q_k(x, s) by the division-free scaled Legendre recurrence
+        # (k + 1) Q_{k+1} = (2k + 1) t Q_k - k s^2 Q_{k-1}, t = 2x + y - 1,
+        # differentiated through it in x and y
+        Q = np.empty((r + 1, n))
+        Qx, Qy = np.empty_like(Q), np.empty_like(Q)
+        Q[0], Qx[0], Qy[0] = 1.0, 0.0, 0.0
+        if r > 0:
+            Q[1], Qx[1], Qy[1] = t, 2.0, 1.0
+        for k in range(1, r):
+            a, b = (2 * k + 1) / (k + 1), k / (k + 1)
+            Q[k + 1] = a * t * Q[k] - b * ss * Q[k - 1]
+            Qx[k + 1] = a * (2.0 * Q[k] + t * Qx[k]) - b * ss * Qx[k - 1]
+            Qy[k + 1] = (a * (Q[k] + t * Qy[k])
+                         - b * s * (s * Qy[k - 1] - 2.0 * Q[k - 1]))
+        # P_j^(2i+1,0)(2y - 1) for every i at once, indexed [j, i]
+        alpha = 2 * np.arange(r + 1)[:, None] + 1
+        P, dP = _jacobi(r, alpha, np.broadcast_to(2.0 * y - 1.0, (r + 1, n)))
+        i, j, c = self._i, self._j, self._c[:, None]
+        P, dP = P[j, i], dP[j, i]
+        V = c * Q[i] * P
+        G = np.stack([c * Qx[i] * P, c * (Qy[i] * P + 2.0 * Q[i] * dP)],
+                     axis=-1)
+        return (np.ascontiguousarray(V.T),
+                np.ascontiguousarray(G.transpose(1, 0, 2)))
 
     def values(self, pts) -> np.ndarray:
         """Basis values at reference points; shape (npts, size)."""
-        return self._monomial_values(pts) @ self._coeffs
+        return self._evaluate(pts)[0]
 
     def grads(self, pts) -> np.ndarray:
         """Basis gradients at reference points; shape (npts, size, 2)."""
-        dx, dy = self._monomial_grads(pts)
-        return np.stack([dx @ self._coeffs, dy @ self._coeffs], axis=-1)
+        return self._evaluate(pts)[1]
 
     def __repr__(self):
         return f"RefScalarBasis(degree={self.degree}, size={self.size})"
@@ -151,10 +98,11 @@ def make_scalar_basis(degree: int) -> RefScalarBasis:
     return RefScalarBasis(degree)
 
 
-def _jacobi(n: int, alpha: int, x):
+def _jacobi(n: int, alpha, x):
     """Values and derivatives of P_k^(alpha,0) at x for k = 0..n and any
-    integer alpha >= 0; two arrays of shape (n + 1, *x.shape) from the
-    three-term recurrence (alpha = 0 gives the Legendre polynomials)."""
+    integer alpha >= 0 (or an integer array of them broadcasting against
+    x); two arrays of shape (n + 1, *x.shape) from the three-term
+    recurrence (alpha = 0 gives the Legendre polynomials)."""
     x = np.asarray(x, dtype=float)
     P = np.empty((n + 1,) + x.shape)
     dP = np.empty_like(P)

@@ -1,6 +1,5 @@
 import math
 import warnings
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from scipy.sparse import bmat, coo_matrix
 
 from bdmadapt import TriMesh, build_initial_mesh, preset, solve_problem
-from bdmadapt.basis import basis_size, make_scalar_basis, monomial_exponents
+from bdmadapt.basis import basis_size, make_scalar_basis
 from bdmadapt.bdm import (BdmSpace, DgSpace, bdm_tables, edge_legendre,
                           interpolate_boundary_term, reference_shape_values,
                           shifted_legendre)
@@ -161,51 +160,6 @@ def skewed_triangle():
 def single_element_mesh(tri=None):
     tri = skewed_triangle() if tri is None else np.asarray(tri, dtype=float)
     return TriMesh(tri, np.array([[0, 1, 2]]))
-
-
-# -- exact orthonormal basis, rebuilt from scratch for each degree ------------
-
-
-def _ldl_fractions(gram):
-    """LDL^T of a symmetric positive definite matrix of Fractions."""
-    n = len(gram)
-    low = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        s = gram[j][j] - sum(low[j][k] * low[j][k] * diag[k] for k in range(j))
-        if s <= 0:
-            raise ArithmeticError("monomial Gram matrix not positive definite")
-        diag[j] = s
-        low[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            t = gram[i][j] - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
-            low[i][j] = t / s
-    return low, diag
-
-
-def orthonormal_coeffs_per_degree(degree):
-    """Monomial coefficients L^{-T} D^{-1/2} of the orthonormal basis from a
-    fresh exact LDL^T of the degree's own Gram matrix (column j: function j)."""
-    exps = monomial_exponents(degree)
-    n = len(exps)
-
-    def integral(a, b):
-        return Fraction(math.factorial(a) * math.factorial(b),
-                        math.factorial(a + b + 2))
-
-    gram = [[integral(exps[i][0] + exps[j][0], exps[i][1] + exps[j][1])
-             for j in range(n)] for i in range(n)]
-    low, diag = _ldl_fractions(gram)
-    # back-substitute L^T X = I exactly; X = L^{-T} is unit upper triangular
-    inv_t = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(j, -1, -1):
-            s = Fraction(1) if i == j else Fraction(0)
-            s -= sum(low[k][i] * inv_t[k][j] for k in range(i + 1, j + 1))
-            inv_t[i][j] = s
-    coeffs = np.array([[float(inv_t[i][j]) for j in range(n)] for i in range(n)])
-    scale = np.array([1.0 / math.sqrt(float(d)) for d in diag])
-    return coeffs * scale[None, :]
 
 
 # -- moments of the boundary trace functionals ----------------------------------

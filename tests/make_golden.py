@@ -2,8 +2,9 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/make_golden.py          # rewrite the file
-    PYTHONPATH=src python tests/make_golden.py --diff   # compare, write nothing
+    PYTHONPATH=src python tests/make_golden.py               # rewrite the file
+    PYTHONPATH=src python tests/make_golden.py --diff        # compare, write nothing
+    PYTHONPATH=src python tests/make_golden.py --floor 0 1 2 # round-off floor
 
 Cases: the smooth preset under uniform refinement (4 iterations) and the
 lshape and advdiff presets under adaptive refinement (8 iterations each), all
@@ -14,19 +15,29 @@ iterations that mark, the relative Doerfler gap at the cut.  Regenerate the
 file only in a change that records the old and new values and the reason;
 never to hide a defect.
 
---diff prints, per case, any difference in the element counts and the worst
-deviation of each stored quantity against the committed file: relative for
-the scalars, in units of eta^2 for the estimator parts (the measures of
-test_golden.py) and absolute for the Doerfler gap.
+--diff prints, per case, its bound, any difference in the element counts and
+the worst deviation of each stored quantity against the committed file:
+relative for the scalars, in units of eta^2 for the estimator parts (the
+measures of test_golden.py) and absolute for the Doerfler gap.  A gated
+quantity over the case's bound is marked "OVER".
+
+--floor SEEDS measures each case's round-off floor: for every seed, in a
+fresh process, each node and weight of every Gauss rule (basis._gauss_jacobi,
+the one source of every quadrature rule) is moved one ulp up or down with
+signs drawn from the seed, and the nudged trajectories are compared with the
+committed file.  It prints, per case, the worst deviation of each gated
+quantity over the seeds and the bound that FLOOR_FACTOR makes of it.
 """
 
+from concurrent.futures import ProcessPoolExecutor
 import json
+import multiprocessing
 import pathlib
 import sys
 
 import numpy as np
 
-from bdmadapt import preset, run_adaptive
+from bdmadapt import basis, preset, run_adaptive
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 
@@ -37,6 +48,34 @@ CASES = {
     "advdiff-adaptive": ("advdiff", {"iterations": 8, "theta": 0.5}),
 }
 DEGREES = (1, 2, 3)
+KEYS = tuple(f"{case}/p{p}" for case in CASES for p in DEGREES)
+
+# Per case, the largest deviation of any gated quantity that --floor
+# measured over FLOOR_SEEDS.  A case's bound is FLOOR_FACTOR times its floor,
+# but never below 1e-9, so the gate sits above what a last-bit change of a
+# rule can move and still as close to the committed values as round-off
+# allows.  Change the table only with a new --floor measurement, recording
+# the old and new values.
+FLOOR_SEEDS = (0, 1, 2)
+FLOOR_FACTOR = 4
+FLOOR = {
+    "smooth-uniform/p1": 6.8e-13,
+    "smooth-uniform/p2": 4.5e-11,
+    "smooth-uniform/p3": 7.4e-09,
+    "lshape-adaptive/p1": 3.6e-11,
+    "lshape-adaptive/p2": 2.2e-12,
+    "lshape-adaptive/p3": 3.3e-13,
+    "advdiff-adaptive/p1": 2.1e-14,
+    "advdiff-adaptive/p2": 1.5e-14,
+    "advdiff-adaptive/p3": 8.9e-15,
+}
+
+
+def bound(floor: float) -> float:
+    return max(1e-9, FLOOR_FACTOR * floor)
+
+
+BOUNDS = {key: bound(FLOOR[key]) for key in KEYS}
 
 
 def dorfler_gap(eta_K, n_marked: int):
@@ -95,23 +134,79 @@ def deviations(got: list, want: list) -> dict:
     return worst
 
 
+def compare(key: str, golden: dict):
+    """(element counts, golden counts, worst deviations) of a fresh
+    trajectory of key."""
+    case, p = key.split("/p")
+    got, want = trajectory(case, int(p)), golden[key]
+    return ([r["n"] for r in got], [r["n"] for r in want],
+            deviations(got, want))
+
+
 def diff():
     golden = json.loads(GOLDEN.read_text())
-    for case in CASES:
-        for p in DEGREES:
-            key = f"{case}/p{p}"
-            got, want = trajectory(case, p), golden[key]
-            counts = [r["n"] for r in got], [r["n"] for r in want]
-            print(f"{key}: counts "
-                  + ("identical" if counts[0] == counts[1]
-                     else f"{counts[0]} != golden {counts[1]}"))
-            print("  " + "  ".join(f"{name} {dev:.1e}" for name, dev
-                                   in deviations(got, want).items()))
+    for key in KEYS:
+        got, want, worst = compare(key, golden)
+        print(f"{key}: bound {BOUNDS[key]:.1e}, counts "
+              + ("identical" if got == want else f"{got} != golden {want}"))
+        print("  " + "  ".join(
+            f"{name} {dev:.1e}"
+            + (" OVER" if name in SCALARS + PARTS and dev > BOUNDS[key]
+               else "")
+            for name, dev in worst.items()))
+
+
+def _nudge_rules(seed: int):
+    """Replace basis._gauss_jacobi by a rule source whose every node and
+    weight lies one ulp above or below the computed one, the direction
+    drawn per entry from (seed, n, alpha)."""
+    assert basis.quad_rule.cache_info().currsize == 0, "rules already built"
+    exact = basis._gauss_jacobi
+
+    def nudged(n, alpha):
+        rng = np.random.default_rng([seed, n, alpha])
+        out = []
+        for a in exact(n, alpha):
+            up = rng.integers(0, 2, size=a.shape).astype(bool)
+            a = np.where(up, np.nextafter(a, np.inf), np.nextafter(a, -np.inf))
+            a.setflags(write=False)
+            out.append(a)
+        return tuple(out)
+
+    basis._gauss_jacobi = nudged
+
+
+def _nudged_comparison(seed: int) -> dict:
+    _nudge_rules(seed)
+    golden = json.loads(GOLDEN.read_text())
+    return {key: compare(key, golden) for key in KEYS}
+
+
+def floor(seeds):
+    # one fresh process per seed, so no rule or table cached before the
+    # nudge survives into a measurement
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=ctx, max_tasks_per_child=1) as ex:
+        runs = list(ex.map(_nudged_comparison, seeds))
+    print(f"round-off floor over seeds {list(seeds)}")
+    for key in KEYS:
+        same = all(run[key][0] == run[key][1] for run in runs)
+        worst = {name: max(run[key][2][name] for run in runs)
+                 for name in SCALARS + PARTS}
+        top = max(worst, key=worst.get)
+        print(f"{key}: counts " + ("identical" if same else "DIFFER")
+              + f", floor {worst[top]:.1e} ({top}), "
+              f"bound {bound(worst[top]):.1e}")
+        print("  " + "  ".join(f"{name} {dev:.1e}"
+                               for name, dev in worst.items()))
 
 
 def main():
     if sys.argv[1:] == ["--diff"]:
         diff()
+        return
+    if sys.argv[1:2] == ["--floor"]:
+        floor([int(s) for s in sys.argv[2:]] or list(FLOOR_SEEDS))
         return
     golden = {f"{case}/p{p}": trajectory(case, p)
               for case in CASES for p in DEGREES}

@@ -1,7 +1,6 @@
 import math
 import os
 import pathlib
-import random
 import subprocess
 import sys
 
@@ -9,11 +8,11 @@ import numpy as np
 import pytest
 
 import bdmadapt.basis as basis_mod
-from bdmadapt import make_scalar_basis, quad_rule
+from bdmadapt import make_scalar_basis, preset, quad_rule, run_adaptive
 from bdmadapt.basis import basis_size
+from bdmadapt.experiments import run_slopes
 
-from conftest import (affine_map, orthonormal_coeffs_per_degree,
-                      skewed_triangle)
+from conftest import affine_map, skewed_triangle
 
 
 def exact_monomial(a, b):
@@ -207,27 +206,55 @@ def test_hierarchical_nesting():
     assert np.allclose(b4.values(pts)[:, : b2.size], b2.values(pts), atol=1e-14)
 
 
-@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_grown_exact_basis_matches_per_degree_build(monkeypatch, order):
-    # the shared factorization grown in any call order gives bitwise the
-    # floats of a fresh exact build for each degree
-    degrees = list(range(9))
-    if order == "descending":
-        degrees.reverse()
-    elif order == "shuffled":
-        random.Random(7).shuffle(degrees)
-    for name in ("_LOW", "_DIAG", "_INV_T"):
-        monkeypatch.setattr(basis_mod, name, [])
-    basis_mod._orthonormal_monomial_coeffs.cache_clear()
-    try:
-        for degree in degrees:
-            got = basis_mod._orthonormal_monomial_coeffs(degree)
-            want = orthonormal_coeffs_per_degree(degree)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
-                degree
-    finally:
-        basis_mod._orthonormal_monomial_coeffs.cache_clear()
+def test_orthonormal_and_mean_free_up_to_degree_12():
+    for degree in range(13):
+        rule = quad_rule(2 * degree + 2, "triangle")
+        V = make_scalar_basis(degree).values(rule.points)
+        gram = V.T @ (rule.weights[:, None] * V)
+        assert np.abs(gram - np.eye(len(gram))).max() <= 1e-14, degree
+        assert np.abs(rule.weights @ V[:, 1:]).max(initial=0.0) <= 1e-14, \
+            degree
+
+
+def test_values_and_grads_match_exact_dubiner(rng):
+    # psi_ij = c_ij Q_i(x, 1 - y) P_j^(2i+1,0)(2y - 1) in column
+    # (i + j)(i + j + 1)/2 + i, built exactly in sympy: Q_i(x, s) =
+    # sum_k a_k s^(i-k) (2x - s)^k for P_i(t) = sum_k a_k t^k
+    sp = pytest.importorskip("sympy")
+    x, y, t = sp.symbols("x y t")
+    s = 1 - y
+    degree = 8
+    u = rng.uniform(size=(12, 2))
+    u = np.where(u.sum(axis=1, keepdims=True) > 1, 1 - u, u)
+    pts = np.vstack([basis_mod.REF_VERTICES, [[0.5, 0.5], [1 / 3, 1 / 3]],
+                     u])
+    basis = make_scalar_basis(degree)
+    got = [basis.values(pts), basis.grads(pts)[..., 0],
+           basis.grads(pts)[..., 1]]
+    for i in range(degree + 1):
+        leg = sp.Poly(sp.legendre(i, t), t).all_coeffs()[::-1]
+        Q = sum(a * s ** (i - k) * (2 * x - s) ** k for k, a in enumerate(leg))
+        for j in range(degree + 1 - i):
+            psi = sp.Poly(sp.expand(Q * sp.jacobi(j, 2 * i + 1, 0, 2 * y - 1)),
+                          x, y)
+            c = math.sqrt(2 * (2 * i + 1) * (i + j + 1))
+            col = (i + j) * (i + j + 1) // 2 + i
+            for table, f in zip(got, (psi, psi.diff(x), psi.diff(y))):
+                want = np.array([c * float(f(sp.Rational(px), sp.Rational(py)))
+                                 for px, py in pts])
+                err = np.abs(table[:, col] - want) / np.maximum(1, np.abs(want))
+                assert err.max() <= 1e-13, (i, j)
+
+
+@pytest.mark.parametrize("p", [4, 5])
+def test_smooth_uniform_rates_at_high_degree(p):
+    # the basis must stay accurate enough for the a priori rate p + 1 of
+    # the estimator, the full error and the flux error at p = 4 and 5
+    run = run_adaptive(preset("smooth"), p, iterations=4, uniform=True,
+                       with_theta=False)
+    slopes = run_slopes(run)
+    for key in ("eta", "err_full", "err_q_0h"):
+        assert abs(slopes[key] + (p + 1)) <= 0.2, (key, slopes[key])
 
 
 @pytest.mark.parametrize("alpha", [0, 1], ids=["legendre", "jacobi10"])
@@ -272,14 +299,27 @@ def test_jacobi_recurrence_holds_for_every_alpha():
                 assert not dP[n].any()
 
 
-def test_import_leaves_scipy_special_unloaded():
+def _fresh_interpreter_output(code):
+    """Stripped stdout of code run in a fresh interpreter that imports the
+    package from this checkout."""
     src = str(pathlib.Path(basis_mod.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_special_unloaded():
     code = ("import sys, bdmadapt, bdmadapt.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.startswith('scipy.special')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter_output(code) == "[]"
+
+
+def test_basis_build_leaves_fractions_unloaded():
+    code = ("import sys, bdmadapt; "
+            "bdmadapt.make_scalar_basis(5).values([[0.2, 0.3]]); "
+            "print('fractions' in sys.modules)")
+    assert _fresh_interpreter_output(code) == "False"
