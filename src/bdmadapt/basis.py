@@ -1,4 +1,4 @@
-"""Reference-triangle scalar bases and quadrature rules.
+"""Reference-triangle bases and quadrature rules.
 
 The reference triangle is K = {(x, y) : x >= 0, y >= 0, x + y <= 1}.  Scalar
 bases are hierarchical and L2-orthonormal on K: the Dubiner-Koornwinder
@@ -11,7 +11,12 @@ where Q_i(x, s) = s^i P_i(2x/s - 1) is the scaled Legendre polynomial.  They
 are ordered by total degree i + j, so the degree-r basis is the leading slice
 of every higher-degree basis, and the first function is the normalized
 constant sqrt(2).  Every other function is orthogonal to it, so dropping
-column 0 of values and grads yields a mean-free sub-basis.
+column 0 of values and grads yields a mean-free sub-basis.  tabulate
+evaluates values and gradients together, coefficient-major.
+
+The reference BDM(p) shapes are the nodal basis of the functionals listed in
+the bdm module on (P_p)^2; bdm_reference holds their coefficients over the
+scalar basis.
 
 Quadrature rules are collapsed products of Gauss-Legendre and
 Gauss-Jacobi(1, 0) rules, computed in numpy: Golub-Welsch nodes (eigenvalues
@@ -49,8 +54,10 @@ class RefScalarBasis:
                                      for i in range(d + 1)]).T
         self._c = np.sqrt(2.0 * (2 * self._i + 1) * (self._i + self._j + 1))
 
-    def _evaluate(self, pts):
-        """Values (npts, size) and gradients (npts, size, 2) at pts."""
+    def tabulate(self, pts):
+        """Values (size, npts) and gradients (size, npts, 2) at pts from one
+        run of the recurrence, coefficient-major: row i belongs to basis
+        function i, so the rows of a lower degree are a leading slice."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r, n = self.degree, len(pts)
         x, y = pts[:, 0], pts[:, 1]
@@ -78,16 +85,15 @@ class RefScalarBasis:
         V = c * Q[i] * P
         G = np.stack([c * Qx[i] * P, c * (Qy[i] * P + 2.0 * Q[i] * dP)],
                      axis=-1)
-        return (np.ascontiguousarray(V.T),
-                np.ascontiguousarray(G.transpose(1, 0, 2)))
+        return V, G
 
     def values(self, pts) -> np.ndarray:
         """Basis values at reference points; shape (npts, size)."""
-        return self._evaluate(pts)[0]
+        return np.ascontiguousarray(self.tabulate(pts)[0].T)
 
     def grads(self, pts) -> np.ndarray:
         """Basis gradients at reference points; shape (npts, size, 2)."""
-        return self._evaluate(pts)[1]
+        return np.ascontiguousarray(self.tabulate(pts)[1].transpose(1, 0, 2))
 
     def __repr__(self):
         return f"RefScalarBasis(degree={self.degree}, size={self.size})"
@@ -189,3 +195,72 @@ def quad_rule(exactness: int, variant: str = "triangle") -> QuadRule:
     pts.setflags(write=False)
     wts.setflags(write=False)
     return QuadRule(points=pts, weights=wts)
+
+
+# -- the reference BDM element ------------------------------------------------
+
+# local edge j is opposite vertex j; its traversal parameter t runs between
+# these ends, its outward unit normal and length follow
+_REF_EDGE_ENDS = (((1.0, 0.0), (0.0, 1.0)),
+                  ((0.0, 1.0), (0.0, 0.0)),
+                  ((0.0, 0.0), (1.0, 0.0)))
+_REF_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+_REF_NORMALS[0] /= np.sqrt(2.0)
+_REF_EDGE_LEN = np.array([np.sqrt(2.0), 1.0, 1.0])
+
+
+def edge_ref_points(local_edge: int, t) -> np.ndarray:
+    """Reference coordinates of local-edge points at traversal parameters t."""
+    t = np.asarray(t, dtype=float)[:, None]
+    a, b = np.asarray(_REF_EDGE_ENDS[local_edge])
+    return (1.0 - t) * a[None, :] + t * b[None, :]
+
+
+def interior_test_fields(p: int, pts, V, G) -> np.ndarray:
+    """The BDM(p) interior functional fields (p^2 - 1, nq, 2) at pts, from
+    the values V (rows, nq) and gradients G (rows, nq, 2) of the scalar
+    basis to any degree >= p - 1: the gradients of the mean-free
+    degree-(p-1) functions, then curl(b w) for the bubble b = xy(1 - x - y)
+    and the degree-(p-2) functions w."""
+    k = basis_size(p - 2)
+    x, y = pts[:, 0], pts[:, 1]
+    b = x * y * (1.0 - x - y)
+    bx, by = y * (1.0 - 2.0 * x - y), x * (1.0 - x - 2.0 * y)
+    # curl(b w) = (d_y(b w), -d_x(b w))
+    curl = np.stack([V[:k] * by + b * G[:k, :, 1],
+                     -(V[:k] * bx + b * G[:k, :, 0])], axis=-1)
+    return np.concatenate([G[1:basis_size(p - 1)], curl])
+
+
+@lru_cache(maxsize=None)
+def bdm_reference(p: int) -> np.ndarray:
+    """Nodal coefficient matrix (2s, 2s), s = basis_size(p), of the
+    reference BDM(p) shapes, read-only: column l holds the coefficients of
+    shape l over the primal basis [(phi_i, 0)] + [(0, phi_i)] of (P_p)^2,
+    so that the edge and interior functionals of the bdm module are dual to
+    the shapes."""
+    if p < 1:
+        raise ValueError("BDM degree must be >= 1")
+    basis = make_scalar_basis(p)
+    erule = quad_rule(2 * p + 3, "edge")
+    t, w = erule.points, erule.weights
+    phi = basis.tabulate(np.vstack([edge_ref_points(j, t)
+                                    for j in range(3)]))[0]
+    L = _jacobi(p, 0, 2.0 * t - 1.0)[0]
+    # |e_j| int_0^1 L_m phi_i dt, then times the normal components: rows
+    # (j, m), columns (component, i)
+    moments = np.einsum("mq,ijq->jmi", w * L, phi.reshape(len(phi), 3, -1))
+    scale = _REF_EDGE_LEN[:, None] * _REF_NORMALS
+    edge = scale[:, None, :, None] * moments[:, :, None, :]
+    trule = quad_rule(2 * p + 2, "triangle")
+    V, G = basis.tabulate(trule.points)
+    theta = interior_test_fields(p, trule.points, V, G)
+    interior = np.einsum("kqa,q,iq->kai", theta, trule.weights, V)
+    M = np.vstack([edge.reshape(-1, 2 * basis.size),
+                   interior.reshape(-1, 2 * basis.size)])
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond) or cond > 1e10:
+        raise ArithmeticError(f"BDM degree-{p} functional matrix is ill posed")
+    coeffs = np.linalg.inv(M)
+    coeffs.setflags(write=False)
+    return coeffs

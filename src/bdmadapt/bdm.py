@@ -1,7 +1,8 @@
 """BDM H(div)-conforming flux spaces and discontinuous scalar spaces.
 
 Reference shape functions of degree p are the nodal (dual) basis of these
-functionals on the full vector polynomial space (P_p)^2:
+functionals on the full vector polynomial space (P_p)^2 (their coefficients
+are basis.bdm_reference, their tables at quadrature points fields.ref_tables):
 
   * per edge, moments of q.n against shifted Legendre polynomials of degree
     0..p in the edge traversal parameter (p+1 per edge);
@@ -20,14 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _jacobi, basis_size, make_scalar_basis, quad_rule
-from .fields import (coeff_contract, edge_points, edge_ref_points,
-                     field_values, mapped_points, scalar_tables)
+from .basis import _jacobi, basis_size, interior_test_fields, quad_rule
+from .fields import (edge_points, field_values, mapped_points, ref_tables,
+                     tabulate)
 from .mesh import TriMesh
-
-_REF_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-_REF_NORMALS[0] /= np.sqrt(2.0)
-_REF_EDGE_LEN = np.array([np.sqrt(2.0), 1.0, 1.0])
 
 
 def local_dimension(p: int) -> int:
@@ -65,102 +62,6 @@ def edge_legendre(p: int, n_points: int, levels: int):
     return t, w, L
 
 
-def _bubble_and_grad(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    b = x * y * (1.0 - x - y)
-    db = np.stack([y * (1.0 - 2.0 * x - y), x * (1.0 - x - 2.0 * y)], axis=1)
-    return b, db
-
-
-def _interior_test_fields(p: int, pts) -> np.ndarray:
-    """Interior functional fields at pts; shape (nq, n_interior, 2)."""
-    n_int = interior_dof_count(p)
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty((len(pts), n_int, 2))
-    if n_int == 0:
-        return out
-    zm_grads = make_scalar_basis(p - 1).grads(pts)[:, 1:]
-    n_zm = zm_grads.shape[1]
-    out[:, :n_zm, :] = zm_grads
-    wbas = make_scalar_basis(p - 2)
-    b, db = _bubble_and_grad(pts)
-    wv = wbas.values(pts)
-    wg = wbas.grads(pts)
-    # curl(b*w) = (d_y(b w), -d_x(b w))
-    gx = wv * db[:, 0:1] + b[:, None] * wg[:, :, 0]
-    gy = wv * db[:, 1:2] + b[:, None] * wg[:, :, 1]
-    out[:, n_zm:, 0] = gy
-    out[:, n_zm:, 1] = -gx
-    return out
-
-
-@lru_cache(maxsize=None)
-def _bdm_reference(p: int):
-    """Nodal coefficient matrix of the reference shape functions.
-
-    Column l holds the coefficients of shape function l over the primal
-    basis [(phi_i, 0)] + [(0, phi_i)].
-    """
-    if p < 1:
-        raise ValueError("BDM degree must be >= 1")
-    s = basis_size(p)
-    N = 2 * s
-    basis = make_scalar_basis(p)
-    V = np.zeros((N, N))
-    row = 0
-    erule = quad_rule(2 * p + 3, "edge")
-    t, w = erule.points, erule.weights
-    for j in range(3):
-        phi = basis.values(edge_ref_points(j, t))
-        for m in range(p + 1):
-            base = _REF_EDGE_LEN[j] * np.einsum(
-                "q,qi->i", w * shifted_legendre(m, t), phi)
-            V[row, :s] = _REF_NORMALS[j, 0] * base
-            V[row, s:] = _REF_NORMALS[j, 1] * base
-            row += 1
-    if p >= 2:
-        trule = quad_rule(2 * p + 2, "triangle")
-        phi = basis.values(trule.points)
-        theta = _interior_test_fields(p, trule.points)
-        for k in range(interior_dof_count(p)):
-            V[row, :s] = np.einsum("q,qi->i", trule.weights * theta[:, k, 0], phi)
-            V[row, s:] = np.einsum("q,qi->i", trule.weights * theta[:, k, 1], phi)
-            row += 1
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > 1e10:
-        raise ArithmeticError(f"BDM degree-{p} functional matrix is ill posed")
-    coeffs = np.linalg.inv(V)
-    coeffs.setflags(write=False)
-    return coeffs
-
-
-def reference_shape_values(p: int, pts) -> np.ndarray:
-    """Reference shape function values; shape (npts, local_dim, 2)."""
-    coeffs = _bdm_reference(p)
-    s = basis_size(p)
-    phi = make_scalar_basis(p).values(pts)
-    return np.stack([phi @ coeffs[:s, :], phi @ coeffs[s:, :]], axis=-1)
-
-
-def reference_shape_divs(p: int, pts) -> np.ndarray:
-    """Reference divergences of the shape functions; shape (npts, local_dim)."""
-    coeffs = _bdm_reference(p)
-    s = basis_size(p)
-    g = make_scalar_basis(p).grads(pts)
-    return g[:, :, 0] @ coeffs[:s, :] + g[:, :, 1] @ coeffs[s:, :]
-
-
-@lru_cache(maxsize=None)
-def bdm_tables(p: int, exactness: int):
-    """(rule, shape values (nq, nloc, 2), divergences (nq, nloc))."""
-    rule = quad_rule(exactness, "triangle")
-    Nh = reference_shape_values(p, rule.points)
-    dNh = reference_shape_divs(p, rule.points)
-    Nh.setflags(write=False)
-    dNh.setflags(write=False)
-    return rule, Nh, dNh
-
-
 class DgSpace:
     """Elementwise discontinuous scalar space of total degree k."""
 
@@ -176,9 +77,11 @@ class DgSpace:
         return np.asarray(vec).reshape(self.mesh.n_triangles, self.local_dim)
 
     def load_vector(self, f, exactness: int) -> np.ndarray:
-        rule, V, _ = scalar_tables(self.degree, exactness)
-        vals = field_values(f, mapped_points(self.mesh, rule.points), "f")
-        F = ((vals * rule.weights) @ V) * self.mesh.det_jacobians[:, None]
+        # the scalars of degree k pair with the BDM(k + 1) fluxes
+        T = ref_tables(self.degree + 1, exactness, "triangle")
+        vals = field_values(f, mapped_points(self.mesh, T.points), "f")
+        F = ((vals * T.weights) @ T.V[:self.local_dim].T) \
+            * self.mesh.det_jacobians[:, None]
         return F.ravel()
 
 
@@ -224,17 +127,17 @@ class BdmSpace:
             raise ValueError(f"expected {self.n_dofs} coefficients")
         if not 0 <= element < self.mesh.n_triangles:
             raise IndexError(f"element {element} out of range")
-        Nh = reference_shape_values(self.p, pts)
-        return self.flux_values(coeffs, Nh, [element])[0]
+        N = tabulate(self.p, pts)[2]
+        return self.flux_values(coeffs, N, [element])[0]
 
-    def flux_values(self, coeffs, Nh, ids=slice(None)) -> np.ndarray:
-        """Batched physical flux values (n, nq, 2) from reference shape values
-        Nh (nq, local_dim, 2) at shared points (on elements ids, default
-        all)."""
+    def flux_values(self, coeffs, N, ids=slice(None)) -> np.ndarray:
+        """Batched physical flux values (n, nq, 2) from the reference shape
+        table N (local_dim, 2 nq) of tabulate at shared points (on elements
+        ids, default all)."""
         c = np.asarray(coeffs)[self.l2g[ids]] * self.signs[ids]
         # Piola push-forward B N / J, a row map by B^T / J
         BT = np.swapaxes(self.mesh.jacobians[ids], 1, 2)
-        return np.matmul(coeff_contract(c, Nh),
+        return np.matmul((c @ N).reshape(len(c), -1, 2),
                          BT / self.mesh.det_jacobians[ids][:, None, None])
 
     def interpolate(self, q) -> np.ndarray:
@@ -249,16 +152,17 @@ class BdmSpace:
         edge_part = ((qn * w) @ leg.T) * mesh.edge_lengths[:, None]
         dofs[: self.n_edge_dofs] = edge_part.ravel()
         if self.n_interior:
-            trule = quad_rule(exact, "triangle")
-            theta = _interior_test_fields(p, trule.points)
-            qv = field_values(q, mapped_points(mesh, trule.points), "q",
+            T = ref_tables(p, exact, "triangle")
+            theta = interior_test_fields(
+                p, T.points, T.V, T.D.reshape(len(T.D), -1, 2))
+            qv = field_values(q, mapped_points(mesh, T.points), "q",
                               vector=True)
             # contravariant pull-back J B^{-1} q
             JBinvT = mesh.det_jacobians[:, None, None] * np.swapaxes(
                 mesh.inv_jacobians, 1, 2)
-            qhat = np.matmul(qv, JBinvT) * trule.weights[:, None]
-            vals = qhat.reshape(mesh.n_triangles, -1) @ np.swapaxes(
-                theta, 1, 2).reshape(-1, theta.shape[1])
+            qhat = np.matmul(qv, JBinvT) * T.weights[:, None]
+            vals = qhat.reshape(mesh.n_triangles, -1) @ theta.reshape(
+                len(theta), -1).T
             dofs[self.n_edge_dofs:] = vals.ravel()
         return dofs
 
@@ -267,11 +171,12 @@ class BdmSpace:
 def _mixed_tables(p: int):
     """Reference tables of the element blocks of degree p: mass Rm (2, 2,
     nloc, nloc), divergence D (s, nloc) and advection Rc (2, s, nloc)."""
-    rule, Nh, dNh = bdm_tables(p, 2 * (p + 2))
-    _, V, _ = scalar_tables(p - 1, 2 * (p + 2))
-    Rm = np.einsum("q,qia,qjb->abij", rule.weights, Nh, Nh)
-    D = np.einsum("q,qi,ql->il", rule.weights, V, dNh)
-    Rc = np.einsum("q,qi,qla->ail", rule.weights, V, Nh)
+    T = ref_tables(p, 2 * (p + 2), "triangle")
+    w, V = T.weights, T.V[:basis_size(p - 1)]
+    N = T.N.reshape(len(T.N), len(w), 2)
+    Rm = np.einsum("q,iqa,jqb->abij", w, N, N)
+    D = np.einsum("q,iq,lq->il", w, V, T.div)
+    Rc = np.einsum("q,iq,lqa->ail", w, V, N)
     for table in (Rm, D, Rc):
         table.setflags(write=False)
     return Rm, D, Rc

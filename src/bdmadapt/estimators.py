@@ -13,12 +13,13 @@ for it: on elements and edges touching its singular point, and on elements
 with a vertex in its quadrature region.  The singular-point rule is averaged
 over the six vertex orders of the reference triangle, so it depends only on
 the physical element and not on its local vertex order.  Each of these three
-rules carries a table of its points, weights and reference shape values
-(degree-(p+2) scalars and BDM(p) fluxes) that is built once per (p, rule) and
-shared by every later mesh.  One pass over the
-element quadrature points gathers every element-interior error, the saturation
-numerator ||grad(u - theta_h)||_K included; the scaled traces of nu_h are
-shared with the indicator through PostprocResult.nu_traces.  The edge terms
+point sets has its fields.ref_tables, built once per p and shared by every
+later mesh; the plain rule's is the one the load vector and the dual norm
+read.  One pass over the element quadrature points gathers every
+element-interior error, the saturation numerator ||grad(u - theta_h)||_K
+included; the scaled traces of nu_h are shared with the indicator through
+PostprocResult.nu_traces.  The oscillation bound of a report is computed when
+it is first read.  The edge terms
 (the normal-flux trace error and the oscillation bound) are taken once per
 global edge: q . n_e is sampled in the stored edge direction, and q_h . n_e =
 sum_m c_(e,m) (2m+1) L_m(t) / |e| comes from the global edge moments c_(e,m)
@@ -27,18 +28,16 @@ space is ||G b|| with G = L^{-1} the inverse Cholesky factor of the element's
 class stiffness that the postprocessing already holds, and b the load of r.
 """
 
-import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .artifacts import write_json
-from .basis import basis_size, make_scalar_basis, quad_rule
-from .bdm import bdm_tables, edge_legendre, reference_shape_values
-from .fields import (ElementClasses, coeff_contract, edge_points,
-                     field_values, mapped_points, scalar_tables,
-                     subdivided_rule)
+from .basis import basis_size
+from .bdm import edge_legendre
+from .fields import (ElementClasses, edge_points, field_values, mapped_points,
+                     ref_tables)
 from .mesh import TriMesh
 from .postprocess import PostprocResult, class_factors
 from .solver import MixedSolution, ProblemSpec
@@ -56,55 +55,27 @@ def _singular_vertices(problem: ProblemSpec, mesh: TriMesh) -> np.ndarray:
     return np.linalg.norm(mesh.vertices - xs, axis=1) < 1e-12
 
 
-@lru_cache(maxsize=None)
-def _group_table(p: int, exactness: int, kind: str):
-    """(points, weights, V, D, Nh), read-only, of one element group's rule:
-    the degree-(p+2) scalar values V (nq, s) and gradients D (nq, s, 2) and
-    the BDM(p) shape values Nh (nq, nloc, 2) at its points.
-
-    kind is "base" (the plain rule), "region" (subdivided once) or
-    "singular" (subdivided twice and averaged over the 6 vertex orders of
-    the reference triangle, so that the rule does not depend on the
-    element's local vertex order).
-    """
-    if kind == "base":
-        rule = quad_rule(exactness, "triangle")
-        pts, w = rule.points, rule.weights
-    elif kind == "region":
-        pts, w = subdivided_rule(exactness, 1)
-    else:
-        pts, w = subdivided_rule(exactness, 2)
-        bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
-        pts = np.vstack([bary[:, perm[1:]]
-                         for perm in itertools.permutations(range(3))])
-        w = np.tile(w / 6.0, 6)
-    basis = make_scalar_basis(p + 2)
-    table = (pts, w, basis.values(pts), basis.grads(pts),
-             reference_shape_values(p, pts))
-    for a in table:
-        a.setflags(write=False)
-    return table
-
-
 def _element_groups(mesh: TriMesh, problem: ProblemSpec, p: int,
                     exactness: int):
-    """[(element ids, _group_table)] with local refinement flags."""
+    """[(element ids, ref_tables)]: the "singular" point set on elements
+    touching quad_singular_point, "region" on the other elements with a
+    vertex in quad_region, and the plain "triangle" rule on the rest."""
     groups = []
     flagged = _singular_vertices(problem, mesh)[mesh.triangles].any(axis=1)
     if flagged.any():
         groups.append((np.nonzero(flagged)[0],
-                       _group_table(p, exactness, "singular")))
+                       ref_tables(p, exactness, "singular")))
     if problem.quad_region is not None:
         inside = field_values(problem.quad_region, mesh.vertices,
                               "quad_region") != 0
         near = inside[mesh.triangles].any(axis=1) & ~flagged
         if near.any():
             groups.append((np.nonzero(near)[0],
-                           _group_table(p, exactness, "region")))
+                           ref_tables(p, exactness, "region")))
             flagged |= near
     rest = np.nonzero(~flagged)[0]
     if rest.size:
-        groups.insert(0, (rest, _group_table(p, exactness, "base")))
+        groups.insert(0, (rest, ref_tables(p, exactness, "triangle")))
     return groups
 
 
@@ -145,12 +116,11 @@ def _norm_sq(v):
 
 def _grad_load(r, Binv, J, w, D) -> np.ndarray:
     """Loads (r, grad v_i)_K (n, s) from values r (n, nq, 2) at a rule with
-    weights w, reference gradients D (nq, s, 2), Binv (n, 2, 2) and J (n,)."""
+    weights w, the gradient table D (s, 2 nq), Binv (n, 2, 2) and J (n,)."""
     # r . grad v = (r B^{-T}) . Dhat; J rides on the 2x2 map and w on the
     # table, so no pass over the (n, nq, 2) values weights them
     pulled = np.matmul(r, np.swapaxes(Binv, 1, 2) * J[:, None, None])
-    table = np.swapaxes(D, 1, 2) * w[:, None, None]
-    return pulled.reshape(len(J), -1) @ table.reshape(-1, D.shape[1])
+    return pulled.reshape(len(J), -1) @ (D * np.repeat(w, 2)).T
 
 
 def dual_norm_star(mesh: TriMesh, p: int, element: int, r) -> float:
@@ -162,10 +132,10 @@ def dual_norm_star(mesh: TriMesh, p: int, element: int, r) -> float:
     if not 0 <= element < mesh.n_triangles:
         raise IndexError(f"element {element} out of range")
     one = TriMesh(mesh.tri_coords[element], [[0, 1, 2]])
-    rule, _, D = scalar_tables(p + 2, 2 * p + 8)
-    vals = field_values(r, mapped_points(one, rule.points), "r", vector=True)
+    T = ref_tables(p, 2 * p + 8, "triangle")
+    vals = field_values(r, mapped_points(one, T.points), "r", vector=True)
     b = _grad_load(vals, one.inv_jacobians, one.det_jacobians,
-                   rule.weights, D[:, 1:])
+                   T.weights, T.D[1:])
     G = class_factors(one, p, ElementClasses(one))
     return float(np.linalg.norm(G[0] @ b[0]))
 
@@ -185,10 +155,21 @@ class EstimatorReport:
     jump_K: np.ndarray
     boundary_K: np.ndarray
     errors: "ErrorBlock | None" = None
-    osc_K: np.ndarray | None = None
     delta: float | None = None
     delta_degenerate: bool = False
     effectivity: float | None = None
+    # the problem whose oscillation bound osc_K reads
+    _osc_problem: ProblemSpec | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def osc_K(self) -> np.ndarray | None:
+        """Per-element oscillation_bound of a report with exact errors,
+        computed on first read: of a run, only the reports that are written
+        out read it."""
+        if self._osc_problem is None:
+            return None
+        return oscillation_bound(self._osc_problem, self.mesh, self.p)[0]
 
     @property
     def eta(self) -> float:
@@ -233,12 +214,13 @@ def eta_improved(post: PostprocResult, solution: MixedSolution,
                  u_D) -> EstimatorReport:
     """Improved indicator: residual representative + mismatch + scaled traces."""
     mesh, p = post.mesh, post.p
-    rule, _, D = scalar_tables(p + 1, 2 * (p + 2))
-    grad_nu = np.matmul(coeff_contract(post.nu, D), mesh.inv_jacobians)
-    qh = solution.flux_space.flux_values(solution.flux,
-                                         bdm_tables(p, 2 * (p + 2))[1])
+    T = ref_tables(p, 2 * (p + 2), "triangle")
+    grad_nu = np.matmul(
+        (post.nu @ T.D[:post.nu.shape[1]]).reshape(mesh.n_triangles, -1, 2),
+        mesh.inv_jacobians)
+    qh = solution.flux_space.flux_values(solution.flux, T.N)
     qh += grad_nu
-    mismatch_sq = (_norm_sq(qh) @ rule.weights) * mesh.det_jacobians
+    mismatch_sq = (_norm_sq(qh) @ T.weights) * mesh.det_jacobians
     jump_K, bnd_K = post.nu_traces(u_D)
     eta_K = np.sqrt(post.eta_tilde_K ** 2 + mismatch_sq + jump_K + bnd_K)
     return EstimatorReport(
@@ -318,8 +300,9 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
     star_rhs = np.zeros((nt, basis_size(p + 2) - 1))
     u_by_el = solution.scalar_by_element
 
-    for ids, (pts, w, V, D, Nh) in _element_groups(mesh, problem, p, exact):
-        phys = mapped_points(mesh, pts, ids)
+    for ids, T in _element_groups(mesh, problem, p, exact):
+        w = T.weights
+        phys = mapped_points(mesh, T.points, ids)
         qv = field_values(problem.exact_q, phys, "exact_q", vector=True)
         uv = field_values(problem.exact_u, phys, "exact_u")
         J = mesh.det_jacobians[ids]
@@ -327,19 +310,20 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
 
         def at_points(coeffs, table):
             # the bases are hierarchical: a lower degree is a leading slice
-            return coeff_contract(coeffs[ids], table[:, :coeffs.shape[1]])
+            return coeffs[ids] @ table[:coeffs.shape[1]]
 
         def integral(vals):
             return (vals @ w) * J
 
         def grad_error_sq(coeffs):
             # grad(u - v) = -q - grad v
-            g = np.matmul(at_points(coeffs, D), Binv)
+            g = np.matmul(at_points(coeffs, T.D).reshape(len(ids), -1, 2),
+                          Binv)
             g += qv
             return integral(_norm_sq(g))
 
         def value_error_sq(coeffs):
-            d = at_points(coeffs, V)
+            d = at_points(coeffs, T.V)
             np.subtract(uv, d, out=d)
             return integral(np.square(d, out=d))
 
@@ -347,10 +331,10 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
         grad_theta_sq[ids] = grad_error_sq(post.theta)
         u_L2_sq[ids] = value_error_sq(u_by_el)
         nu_L2_sq[ids] = value_error_sq(post.nu)
-        diff = solution.flux_space.flux_values(solution.flux, Nh, ids)
+        diff = solution.flux_space.flux_values(solution.flux, T.N, ids)
         np.subtract(qv, diff, out=diff)
         # load (q - q_h, grad v) of the mean-free degree-(p+2) basis
-        star_rhs[ids] = _grad_load(diff, Binv, J, w, D[:, 1:])
+        star_rhs[ids] = _grad_load(diff, Binv, J, w, T.D[1:])
         q_L2_sq[ids] = integral(_norm_sq(diff))
 
     q_star_K = np.linalg.norm(post.classes.matmul(post.chol_inv, star_rhs),
@@ -412,7 +396,7 @@ def full_report(problem: ProblemSpec, solution: MixedSolution,
     report = eta_improved(post, solution, problem.u_D)
     if with_errors and problem.has_exact:
         err = report.errors = error_norms(problem, solution, post)
-        report.osc_K, _ = oscillation_bound(problem, post.mesh, post.p)
+        report._osc_problem = problem
         report.effectivity = report.eta / err.full if err.full > 0 else None
         report.delta_degenerate = err.grad_nu ** 2 <= 1e-28
         report.delta = 0.0 if report.delta_degenerate \

@@ -1,13 +1,31 @@
-"""Batched element-level kernels shared by assembly, postprocessing and norms.
+"""Reference tables and the batched element-level kernels shared by
+assembly, postprocessing and norms.
 
 Scalar fields live elementwise as coefficient rows (n_elements, basis size)
 with respect to the orthonormal reference basis composed with the inverse
-affine map.  All kernels are vectorized over elements and built from two
-operations:
+affine map; fluxes as signed rows (n_elements, nloc) of the BDM(p) reference
+shapes under the Piola map.
 
-  * a contraction of element-batched rows against a reference table is one
-    dense matrix product (coeff_contract; a load against a table is the
-    transposed product), so it runs in BLAS;
+One cached function, ref_tables(p, exactness, kind), tabulates the degree-p
+method at one point set: a triangle rule, the subdivided rules of the
+exact-error report, or an edge rule on the six (local edge, orientation)
+variants.  One run of the Dubiner recurrence gives the values and gradients
+of the scalars up to degree p + 2, and the BDM(p) shapes and divergences
+follow from their nodal coefficients (basis.bdm_reference).  Each table is
+cached read-only and coefficient-major, one row per basis function:
+
+    V (s, nq), D (s, 2 nq), N (nloc, 2 nq), div (nloc, nq),
+
+a 2-vector column pair being (point, component).  The bases are
+hierarchical, so a degree-k field at the points is coeffs @ V[:basis_size(k)],
+one GEMM on a row-slice view of the cached array, and the product of D or N
+reshapes to (n, nq, 2) without a copy.  The derived reference tables (the
+stiffness, mass, divergence and load pairings) are products of the same
+arrays.  The kernels are built from two operations:
+
+  * a contraction of element-batched rows against a table is one dense
+    matrix product (a load against a table is the transposed product), so
+    it runs in BLAS;
   * a per-element 2x2 geometry factor M (Jacobian, its inverse, a metric)
     acts on row 2-vectors v (n, nq, 2) as one np.matmul(v, M): the written-out
     v0 M[0] + v1 M[1] runs ufunc loops of length 2, over ten times slower.
@@ -26,62 +44,90 @@ and applied as one batched matrix product over fixed-length class chunks.
 Results do not depend on element visitation order.
 """
 
+import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import make_scalar_basis, quad_rule
+from .basis import (basis_size, bdm_reference, edge_ref_points,
+                    make_scalar_basis, quad_rule)
 from .mesh import TriMesh
 
-_REF_EDGE_ENDS = (((1.0, 0.0), (0.0, 1.0)),
-                  ((0.0, 1.0), (0.0, 0.0)),
-                  ((0.0, 0.0), (1.0, 0.0)))
+
+def tabulate(p: int, pts):
+    """Coefficient-major tables at reference points pts (nq, 2) from one
+    evaluation of the degree-(p+2) scalar basis: values V (s, nq), gradients
+    D (s, 2 nq), BDM(p) shapes N (nloc, 2 nq) and their divergences div
+    (nloc, nq); a 2-vector column pair is (point, component) flattened."""
+    V, G = make_scalar_basis(p + 2).tabulate(pts)
+    C, s = bdm_reference(p), basis_size(p)
+    N = np.stack([C[:s].T @ V[:s], C[s:].T @ V[:s]], axis=-1)
+    div = C[:s].T @ G[:s, :, 0] + C[s:].T @ G[:s, :, 1]
+    return V, G.reshape(len(G), -1), N.reshape(len(N), -1), div
 
 
-def edge_ref_points(local_edge: int, t) -> np.ndarray:
-    """Reference coordinates of local-edge points at traversal parameters t."""
-    t = np.asarray(t, dtype=float)[:, None]
-    a, b = np.asarray(_REF_EDGE_ENDS[local_edge])
-    return (1.0 - t) * a[None, :] + t * b[None, :]
+@dataclass(frozen=True, eq=False)
+class RefTables:
+    """The tables of tabulate at the points of one rule, read-only.
+
+    weights are the rule's weights.  For the edge variants, points and the
+    table columns run over (local edge, orientation, edge point) and weights
+    over the edge points of one variant.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    V: np.ndarray
+    D: np.ndarray
+    N: np.ndarray
+    div: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def scalar_tables(degree: int, exactness: int):
-    """(rule, values (nq, s), grads (nq, s, 2)) on the triangle rule."""
-    rule = quad_rule(exactness, "triangle")
-    basis = make_scalar_basis(degree)
-    V = basis.values(rule.points)
-    D = basis.grads(rule.points)
-    V.setflags(write=False)
-    D.setflags(write=False)
-    return rule, V, D
+def ref_tables(p: int, exactness: int, kind: str) -> RefTables:
+    """The degree-p reference tables of one point set, built once.
+
+    kind is "triangle" (the rule of this exactness), "region" (that rule
+    subdivided once), "singular" (subdivided twice and averaged over the 6
+    vertex orders of the reference triangle, so that the rule does not
+    depend on an element's local vertex order) or "edge" (the edge rule of
+    this exactness on the 6 (local edge, orientation) variants; orientation
+    1 runs against the local traversal).
+    """
+    if kind == "edge":
+        rule = quad_rule(exactness, "edge")
+        t, w = rule.points, rule.weights
+        pts = np.vstack([edge_ref_points(j, u) for j in range(3)
+                         for u in (t, 1.0 - t)])
+    elif kind == "triangle":
+        rule = quad_rule(exactness, "triangle")
+        pts, w = rule.points, rule.weights
+    elif kind == "region":
+        pts, w = subdivided_rule(exactness, 1)
+    elif kind == "singular":
+        pts, w = subdivided_rule(exactness, 2)
+        bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
+        pts = np.vstack([bary[:, perm[1:]]
+                         for perm in itertools.permutations(range(3))])
+        w = np.tile(w / 6.0, 6)
+    else:
+        raise ValueError(f"unknown point set {kind!r}")
+    tables = RefTables(pts, w, *tabulate(p, pts))
+    for a in vars(tables).values():
+        a.setflags(write=False)
+    return tables
 
 
 @lru_cache(maxsize=None)
 def grad_outer_tables(degree: int, exactness: int):
     """R[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j on the reference element."""
-    rule, _, D = scalar_tables(degree, exactness)
-    R = np.einsum("q,qia,qjb->abij", rule.weights, D, D)
+    # the degree-p tables reach degree p + 2
+    T = ref_tables(max(degree - 2, 1), exactness, "triangle")
+    D = T.D[:basis_size(degree)].reshape(-1, len(T.weights), 2)
+    R = np.einsum("q,iqa,jqb->abij", T.weights, D, D)
     R.setflags(write=False)
     return R
-
-
-@lru_cache(maxsize=None)
-def edge_scalar_tables(degree: int, n_points: int):
-    """Basis values on all 6 (local edge, orientation) variants of edge points.
-
-    Returns (t, w, table) with table shape (3, 2, nq, s); orientation index 1
-    means the traversal parameter runs against the stored global direction.
-    """
-    rule = quad_rule(2 * n_points - 1, "edge")
-    t, w = rule.points, rule.weights
-    basis = make_scalar_basis(degree)
-    tab = np.empty((3, 2, len(t), basis.size))
-    for j in range(3):
-        tab[j, 0] = basis.values(edge_ref_points(j, t))
-        tab[j, 1] = basis.values(edge_ref_points(j, 1.0 - t))
-    tab.setflags(write=False)
-    return t, w, tab
 
 
 def field_values(fn, pts, name: str, vector: bool = False) -> np.ndarray:
@@ -98,17 +144,6 @@ def field_values(fn, pts, name: str, vector: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{name} returned non-finite values")
     return vals.reshape(pts.shape if vector else pts.shape[:-1])
-
-
-def coeff_contract(coeffs, table) -> np.ndarray:
-    """Rows (n, s) contracted with a reference table (nq, s, ...) over s.
-
-    Returns (n, nq, ...) from one matrix product.
-    """
-    nq, s = table.shape[:2]
-    # swapaxes, unlike np.moveaxis, has no Python-level argument handling
-    flat = table.swapaxes(0, 1).reshape(s, -1)
-    return (coeffs @ flat).reshape((len(coeffs), nq) + table.shape[2:])
 
 
 def metric_tensors(mesh: TriMesh, ids=slice(None)):
@@ -244,19 +279,19 @@ def subdivided_rule(exactness: int, levels: int):
 # -- interior-edge jumps and boundary traces of elementwise scalar fields ----
 
 
-def nu_jump_terms(mesh: TriMesh, coeffs, u_D, n_points: int):
-    """Scaled squared traces of an elementwise field across and along edges.
+def nu_jump_terms(mesh: TriMesh, coeffs, u_D, p: int):
+    """Scaled squared traces of an elementwise field of degree <= p + 2
+    across and along edges, by the (p + 5)-point Gauss rule.
 
     Returns (jump_K, boundary_K): jump_K accumulates, per element, half of
     h_F^{-1} ||[field]||_F^2 over its interior edges; boundary_K accumulates
     h_F^{-1} ||u_D - field||_F^2 over its boundary edges.
     """
     coeffs = np.asarray(coeffs)
-    degree_size = coeffs.shape[1]
-    t, w, tab = edge_scalar_tables(_degree_from_size(degree_size), n_points)
+    tables = ref_tables(p, 2 * p + 9, "edge")
+    t, w = quad_rule(2 * p + 9, "edge").points, tables.weights
     # every element's field on all 6 (local edge, orientation) variants
-    vals = coeff_contract(coeffs, tab.reshape(-1, tab.shape[-1]))
-    vals = vals.reshape(-1, 3, 2, len(t))
+    vals = (coeffs @ tables.V[:coeffs.shape[1]]).reshape(-1, 3, 2, len(t))
     aligned = mesh.elem_edge_aligned
     # slot 0 of an edge holds the trace of K+, slot 1 that of K-, both in
     # the global edge direction; a boundary edge fills one slot
@@ -273,9 +308,3 @@ def nu_jump_terms(mesh: TriMesh, coeffs, u_D, n_points: int):
     bnd[bdry] = (vals_ud - sides[bdry].sum(axis=1)) ** 2 @ w
     return jump[mesh.elem_edges].sum(axis=1), bnd[mesh.elem_edges].sum(axis=1)
 
-
-def _degree_from_size(size: int) -> int:
-    d = int(round((np.sqrt(8 * size + 1) - 3) / 2))
-    if (d + 1) * (d + 2) // 2 != size:
-        raise ValueError(f"{size} is not a triangular basis dimension")
-    return d

@@ -25,10 +25,9 @@ import math
 
 import numpy as np
 
-from .basis import REF_VERTICES, make_scalar_basis, quad_rule
+from .basis import REF_VERTICES, edge_ref_points, make_scalar_basis, quad_rule
 from .bdm import edge_legendre, shifted_legendre
-from .fields import (edge_ref_points, field_values, mapped_points,
-                     stiffness_tensors)
+from .fields import field_values, mapped_points, stiffness_tensors
 from .mesh import TriMesh, _LOCAL_EDGE_VERTS
 
 REF_PERIMETER = 2.0 + math.sqrt(2.0)

@@ -293,7 +293,9 @@ class TriMesh:
         generation deeper per bisection and its parent is the split
         triangle's id; an unsplit triangle keeps its generation and parent.
         """
-        marked = np.asarray(list(marked))
+        if not (isinstance(marked, np.ndarray) and marked.ndim == 1):
+            # boxing an array's ids through a list costs ~0.1 us per id
+            marked = np.asarray(list(marked))
         if marked.size == 0:
             return self
         if marked.dtype.kind not in "iu":

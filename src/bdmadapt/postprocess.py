@@ -31,8 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import basis_size
-from .bdm import bdm_tables
-from .fields import (ElementClasses, nu_jump_terms, scalar_tables,
+from .fields import (ElementClasses, nu_jump_terms, ref_tables,
                      stiffness_tensors)
 from .mesh import TriMesh
 from .solver import MixedSolution
@@ -61,11 +60,11 @@ class PostprocResult:
                           compare=False)
 
     def nu_traces(self, u_D):
-        """nu_jump_terms of nu and u_D with the (p + 5)-point Gauss rule on
-        the edges, computed once per u_D and returned read-only: the improved
-        indicator and the exact-error block of one report both need it."""
+        """nu_jump_terms of nu and u_D, computed once per u_D and returned
+        read-only: the improved indicator and the exact-error block of one
+        report both need it."""
         if u_D not in self._traces:
-            terms = nu_jump_terms(self.mesh, self.nu, u_D, self.p + 5)
+            terms = nu_jump_terms(self.mesh, self.nu, u_D, self.p)
             for a in terms:
                 a.setflags(write=False)
             self._traces[u_D] = terms
@@ -76,11 +75,10 @@ class PostprocResult:
 def _flux_load_table(p: int, exactness: int) -> np.ndarray:
     """T[l, i] = sum_q w_q N_l . grad v_i on the reference element, for the
     BDM(p) shapes N_l and the mean-free degree-(p+2) scalars v_i."""
-    rule, Nh, _ = bdm_tables(p, exactness)
-    _, _, D = scalar_tables(p + 2, exactness)
-    T = np.einsum("q,qla,qia->li", rule.weights, Nh, D[:, 1:, :])
-    T.setflags(write=False)
-    return T
+    T = ref_tables(p, exactness, "triangle")
+    load = (T.N * np.repeat(T.weights, 2)) @ T.D[1:].T
+    load.setflags(write=False)
+    return load
 
 
 def residual_load(solution: MixedSolution) -> np.ndarray:

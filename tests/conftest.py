@@ -7,14 +7,12 @@ import pytest
 from scipy.sparse import bmat, coo_matrix
 
 from bdmadapt import TriMesh, build_initial_mesh, preset, solve_problem
-from bdmadapt.basis import basis_size, make_scalar_basis
-from bdmadapt.bdm import (BdmSpace, DgSpace, bdm_tables, edge_legendre,
-                          interpolate_boundary_term, reference_shape_values,
-                          shifted_legendre)
+from bdmadapt.basis import (basis_size, bdm_reference, edge_ref_points,
+                            make_scalar_basis, quad_rule)
+from bdmadapt.bdm import (BdmSpace, DgSpace, edge_legendre,
+                          interpolate_boundary_term, shifted_legendre)
 from bdmadapt.estimators import ErrorBlock, _element_groups
-from bdmadapt.fields import (edge_points, edge_ref_points, edge_scalar_tables,
-                             grad_outer_tables, mapped_points, metric_tensors,
-                             scalar_tables)
+from bdmadapt.fields import edge_points, mapped_points, metric_tensors
 from bdmadapt.postprocess import _with_mean
 
 
@@ -264,7 +262,22 @@ def closed_form_lshape_q(x):
 # The program contracts element-batched arrays with reference tables as
 # matrix products and applies 2x2 geometry factors as batched products.  These
 # are the same kernels written as single einsum calls, kept as independent
-# references.
+# references: their point tables come from the scalar basis at the points,
+# point-major, and not from fields.ref_tables.
+
+
+def reference_shape_values(p, pts):
+    """Reference BDM(p) shape values (nq, nloc, 2) at pts."""
+    C, s = bdm_reference(p), basis_size(p)
+    phi = make_scalar_basis(p).values(pts)
+    return np.stack([phi @ C[:s], phi @ C[s:]], axis=-1)
+
+
+def reference_shape_divs(p, pts):
+    """Reference divergences (nq, nloc) of the BDM(p) shapes at pts."""
+    C, s = bdm_reference(p), basis_size(p)
+    g = make_scalar_basis(p).grads(pts)
+    return g[:, :, 0] @ C[:s] + g[:, :, 1] @ C[s:]
 
 
 def einsum_mapped_points(mesh, ref_pts, ids=slice(None)):
@@ -302,13 +315,16 @@ def einsum_flux_values(space, coeffs, ref_pts, ids=slice(None)):
 
 
 def einsum_stiffness_tensors(mesh, degree, exactness):
-    R = grad_outer_tables(degree, exactness)
+    rule = quad_rule(exactness, "triangle")
+    D = make_scalar_basis(degree).grads(rule.points)
+    R = np.einsum("q,qia,qjb->abij", rule.weights, D, D)
     return np.einsum("nab,abij->nij", metric_tensors(mesh), R)
 
 
 def einsum_element_mass_matrices(space):
     p = space.p
-    rule, Nh, _ = bdm_tables(p, 2 * (p + 2))
+    rule = quad_rule(2 * (p + 2), "triangle")
+    Nh = reference_shape_values(p, rule.points)
     Rm = np.einsum("q,qia,qjb->abij", rule.weights, Nh, Nh)
     B, J = space.mesh.jacobians, space.mesh.det_jacobians
     T = np.einsum("nca,ncb->nab", B, B) / J[:, None, None]
@@ -322,8 +338,9 @@ def element_divergence_matrices(space):
     orientation signs, since the 1/J of the Piola divergence cancels the
     Jacobian."""
     p = space.p
-    rule, _, dNh = bdm_tables(p, 2 * (p + 2))
-    _, V, _ = scalar_tables(p - 1, 2 * (p + 2))
+    rule = quad_rule(2 * (p + 2), "triangle")
+    dNh = reference_shape_divs(p, rule.points)
+    V = make_scalar_basis(p - 1).values(rule.points)
     D0 = np.einsum("q,qi,ql->il", rule.weights, V, dNh)
     return D0[None, :, :] * space.signs[:, None, :]
 
@@ -344,15 +361,17 @@ def einsum_element_blocks(space, beta):
 
 def einsum_element_advection_matrices(space, scalar, beta):
     p = space.p
-    rule, Nh, _ = bdm_tables(p, 2 * (p + 2))
-    _, V, _ = scalar_tables(scalar.degree, 2 * (p + 2))
+    rule = quad_rule(2 * (p + 2), "triangle")
+    Nh = reference_shape_values(p, rule.points)
+    V = make_scalar_basis(scalar.degree).values(rule.points)
     Rc = np.einsum("q,qi,qla->ila", rule.weights, V, Nh)
     Btb = np.einsum("nba,b->na", space.mesh.jacobians, np.asarray(beta, float))
     return np.einsum("ila,na->nil", Rc, Btb) * space.signs[:, None, :]
 
 
 def einsum_load_vector(scalar, f, exactness):
-    rule, V, _ = scalar_tables(scalar.degree, exactness)
+    rule = quad_rule(exactness, "triangle")
+    V = make_scalar_basis(scalar.degree).values(rule.points)
     pts = einsum_mapped_points(scalar.mesh, rule.points)
     vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     return np.einsum("n,q,nq,qi->ni", scalar.mesh.det_jacobians, rule.weights,
@@ -365,8 +384,9 @@ def einsum_local_ingredients(solution):
     mesh, p = solution.mesh, solution.p
     exact = 2 * (p + 2)
     S22 = einsum_stiffness_tensors(mesh, p + 2, exact)[:, 1:, 1:]
-    rule, Nh, _ = bdm_tables(p, exact)
-    _, _, D = scalar_tables(p + 2, exact)
+    rule = quad_rule(exact, "triangle")
+    Nh = reference_shape_values(p, rule.points)
+    D = make_scalar_basis(p + 2).grads(rule.points)
     c = solution.flux_space.local_coeffs(solution.flux)
     ref_flux = np.einsum("nl,qla->nqa", c, Nh)
     B, Binv = mesh.jacobians, mesh.inv_jacobians
@@ -392,7 +412,8 @@ def stenberg_oracle(solution):
 def einsum_mismatch_sq(post, solution):
     """||q_h + grad nu_h||_K^2 per element, as in eta_improved."""
     mesh, p = post.mesh, post.p
-    rule, _, D = scalar_tables(p + 1, 2 * (p + 2))
+    rule = quad_rule(2 * (p + 2), "triangle")
+    D = make_scalar_basis(p + 1).grads(rule.points)
     grad_nu = np.einsum("ni,qib->nqb", post.nu, D)
     grad_nu = np.einsum("nqb,nba->nqa", grad_nu, mesh.inv_jacobians)
     qh = einsum_flux_values(solution.flux_space, solution.flux, rule.points)
@@ -478,7 +499,12 @@ def einsum_nu_jump_terms(mesh, coeffs, u_D, n_points):
     edge_elements oracle."""
     coeffs = np.asarray(coeffs)
     degree = int(round((np.sqrt(8 * coeffs.shape[1] + 1) - 3) / 2))
-    t, w, tab = edge_scalar_tables(degree, n_points)
+    rule = quad_rule(2 * n_points - 1, "edge")
+    t, w = rule.points, rule.weights
+    basis = make_scalar_basis(degree)
+    # tab[j, o]: values on local edge j, o = 1 against its traversal
+    tab = np.array([[basis.values(edge_ref_points(j, u))
+                     for u in (t, 1.0 - t)] for j in range(3)])
     nt = mesh.n_triangles
     edge_tris, edge_local = edge_elements(mesh)
     jump_K = np.zeros(nt)
@@ -537,7 +563,8 @@ def einsum_error_norms(problem, solution, post):
     q_L2_sq, u_L2_sq, nu_L2_sq = np.zeros(nt), np.zeros(nt), np.zeros(nt)
     star_rhs = np.zeros((nt, basis_p2.size - 1))
     u_by_el = solution.scalar_by_element
-    for ids, (pts, w, *_) in _element_groups(mesh, problem, p, 2 * p + 8):
+    for ids, tables in _element_groups(mesh, problem, p, 2 * p + 8):
+        pts, w = tables.points, tables.weights
         flat = einsum_mapped_points(mesh, pts, ids).reshape(-1, 2)
         qv = np.asarray(problem.exact_q(flat), float).reshape(len(ids), len(w), 2)
         uv = np.asarray(problem.exact_u(flat), float).reshape(len(ids), len(w))

@@ -27,9 +27,9 @@ BENCHMARKS = ROOT / "benchmarks"
 ALLOWED = {
     "cli.main": "entry point of the bdmadapt console script",
     "bdm.BdmSpace.eval_flux":
-        "the one point-based flux evaluation: user-facing, on one element at "
-        "any reference points (the kernels pass cached shape tables to "
-        "flux_values)",
+        "user-facing flux evaluation on one element at any reference "
+        "points, tabulated on the call (the loop's kernels read the cached "
+        "fields.ref_tables)",
     "bdm.BdmSpace.interpolate":
         "canonical BDM interpolant of a user-supplied flux field",
     "mesh.TriMesh.validate": "audit of the mesh invariants",

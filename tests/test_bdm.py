@@ -5,10 +5,11 @@ from bdmadapt import (DomainSpec, build_initial_mesh,
                       interpolate_boundary_term)
 from bdmadapt.basis import basis_size, make_scalar_basis, quad_rule
 from bdmadapt.bdm import (BdmSpace, DgSpace, edge_legendre, local_dimension,
-                          reference_shape_divs, reference_shape_values,
                           shifted_legendre)
 from bdmadapt.fields import edge_ref_points
 from bdmadapt.mesh import TriMesh
+
+from conftest import reference_shape_divs, reference_shape_values
 
 from conftest import (bdm_mass_matrix, divergence_matrix, edge_elements,
                       single_element_mesh)
@@ -231,8 +232,8 @@ def test_commuting_interpolation(p, rng):
     # Piola divergence: div(B N / J) = div_ref(N) / J
     d = reference_shape_divs(p, rule.points)
     got = (space.local_coeffs(coeffs) @ d.T) / mesh.det_jacobians[:, None]
-    from bdmadapt.fields import mapped_points, scalar_tables
-    _, V, _ = scalar_tables(p - 1, 2 * p + 6)
+    from bdmadapt.fields import mapped_points
+    V = make_scalar_basis(p - 1).values(rule.points)
     pts = mapped_points(mesh, rule.points)
     want_vals = div_q(pts.reshape(-1, 2)).reshape(pts.shape[:2])
     proj = np.einsum("q,nq,qi->ni", rule.weights, want_vals, V)

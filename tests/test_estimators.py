@@ -10,7 +10,7 @@ from bdmadapt import (TriMesh, build_initial_mesh, dual_norm_star,
                       oscillation_bound, postprocess_resmin, preset,
                       run_adaptive, solve_problem)
 from bdmadapt.basis import make_scalar_basis, quad_rule
-from bdmadapt import fields
+from bdmadapt import estimators, fields
 from bdmadapt.fields import stiffness_tensors
 
 from artifact_checks import load_strict, mismatches, null_floats
@@ -140,6 +140,24 @@ def test_estimator_report_structure(p, smooth_run):
     assert rep.osc_K is not None and payload["osc"] >= 0.0
 
 
+def test_osc_is_the_oscillation_bound_read_once(monkeypatch, smooth_run):
+    prob, sol, post, _ = smooth_run[2]
+    rep = full_report(prob, sol, post)
+    calls = []
+    real = estimators.oscillation_bound
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(estimators, "oscillation_bound", counted)
+    assert calls == []
+    want, _ = real(prob, sol.mesh, 2)
+    assert np.array_equal(rep.osc_K, want)
+    assert rep.osc_K is rep.osc_K and len(calls) == 1
+    assert full_report(prob, sol, post, with_errors=False).osc_K is None
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_local_efficiency_builtin(p, smooth_run):
     prob, sol, post, _ = smooth_run[p]
@@ -267,7 +285,7 @@ def test_quad_region_flags_elements_with_a_vertex_inside():
     assert np.array_equal(groups[1][0], np.nonzero(strip)[0])
     assert np.array_equal(groups[0][0], np.nonzero(~strip)[0])
     # the strip's rule is the base rule on 4 sub-triangles
-    assert len(groups[1][1][0]) == 4 * len(groups[0][1][0])
+    assert len(groups[1][1].points) == 4 * len(groups[0][1].points)
 
 
 def test_oscillation_concentrates_at_corner():
@@ -352,7 +370,7 @@ def test_full_report_computes_nu_jump_terms_once(monkeypatch):
     assert len(calls) == 1
     # the shared traces are those of a fresh postprocess
     fresh = postprocess_resmin(sol)
-    jump_K, bnd_K = real(mesh, fresh.nu, smooth.u_D, 2 + 5)
+    jump_K, bnd_K = real(mesh, fresh.nu, smooth.u_D, 2)
     assert np.array_equal(report.jump_K, jump_K)
     assert np.array_equal(report.boundary_K, bnd_K)
     alone = error_norms(smooth, sol, fresh)

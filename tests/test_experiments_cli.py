@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bdmadapt import ExperimentConfig, fit_slope, run_experiment
-from bdmadapt import cli, experiments
+from bdmadapt import cli, estimators, experiments
 from bdmadapt.cli import _build_parser, main
 from bdmadapt.experiments import CSV_COLUMNS
 
@@ -60,6 +60,26 @@ def test_run_experiment_artifacts(tmp_path):
     slope = stored["per_degree"]["1"]["slopes"]["err_L2_nu"]
     assert slope is not None and slope < -1.5
     assert stored["fit_policy"] == "drop first 2 meshes"
+
+
+def test_run_experiment_makes_one_oscillation_pass_per_degree(
+        tmp_path, monkeypatch):
+    # only the final report of each degree is written, and only it reads
+    # the oscillation bound
+    real = estimators.oscillation_bound
+    calls = []
+
+    def counted(problem, mesh, p):
+        calls.append((p, mesh.n_triangles))
+        return real(problem, mesh, p)
+
+    monkeypatch.setattr(estimators, "oscillation_bound", counted)
+    summary = run_experiment(tiny_config(str(tmp_path / "osc"),
+                                         p_list=(1, 2), iterations=4))
+    final = [summary["per_degree"][p]["final_elements"] for p in ("1", "2")]
+    assert calls == [(1, final[0]), (2, final[1])]
+    with open(tmp_path / "osc" / "report_p2_final.json") as fh:
+        assert json.load(fh)["osc"] > 0.0
 
 
 def test_run_experiment_logs_one_record_per_degree(tmp_path, caplog):

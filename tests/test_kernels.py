@@ -12,20 +12,25 @@ their oracles; the class products, one batched GEMM over class chunks, agree
 with the per-class loop to round-off.
 """
 
+import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bdmadapt import (DomainSpec, TriMesh, bdm, build_initial_mesh,
-                      estimators, preset, solve_problem)
-from bdmadapt.basis import RefScalarBasis, quad_rule
-from bdmadapt.bdm import BdmSpace, DgSpace, reference_shape_values
+                      estimators, fields, postprocess, preset, solve_problem)
+from bdmadapt.basis import (RefScalarBasis, basis_size, edge_ref_points,
+                            quad_rule)
+from bdmadapt.bdm import BdmSpace, DgSpace
 from bdmadapt.estimators import eta_improved, error_norms, full_report
-from bdmadapt.fields import (ElementClasses, coeff_contract, edge_points,
-                             mapped_points, nu_jump_terms, stiffness_tensors)
+from bdmadapt.fields import (ElementClasses, edge_points, mapped_points,
+                             nu_jump_terms, ref_tables, stiffness_tensors,
+                             tabulate)
 from bdmadapt.postprocess import postprocess_resmin, residual_load
 from bdmadapt.solver import assemble, solve
 
@@ -34,7 +39,10 @@ from conftest import (broadcast_edge_points, einsum_element_blocks,
                       einsum_load_vector, einsum_local_ingredients,
                       einsum_mapped_points, einsum_mismatch_sq,
                       einsum_nu_jump_terms, einsum_stiffness_tensors,
-                      loop_class_matmul)
+                      loop_class_matmul, reference_shape_divs,
+                      reference_shape_values)
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 RTOL = 1e-12
 
@@ -209,7 +217,7 @@ def test_flux_values_matches_einsum(perturbed_mesh, p):
     space = BdmSpace(perturbed_mesh, p)
     coeffs = rng.standard_normal(space.n_dofs)
     pts = quad_rule(2 * p + 8, "triangle").points
-    Nh = reference_shape_values(p, pts)
+    Nh = tabulate(p, pts)[2]
     ids = np.sort(rng.choice(perturbed_mesh.n_triangles, 17, replace=False))
     assert_matches(space.flux_values(coeffs, Nh),
                    einsum_flux_values(space, coeffs, pts))
@@ -263,7 +271,7 @@ def test_estimator_terms_match_einsum(solved, advdiff, p):
                        einsum_mismatch_sq(post, solution))
         jump_ref, bnd_ref = einsum_nu_jump_terms(post.mesh, post.nu,
                                                  advdiff.u_D, p + 5)
-        jump_K, bnd_K = nu_jump_terms(post.mesh, post.nu, advdiff.u_D, p + 5)
+        jump_K, bnd_K = nu_jump_terms(post.mesh, post.nu, advdiff.u_D, p)
         assert_matches(jump_K, jump_ref)
         assert_matches(bnd_K, bnd_ref)
 
@@ -278,19 +286,149 @@ def test_error_block_matches_einsum(solved, advdiff, p):
             assert_matches(getattr(new, name), getattr(ref, name))
 
 
-# -- the contraction primitive -------------------------------------------------
+# -- the reference tables -----------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 7), nq=st.integers(1, 6), s=st.integers(1, 11),
-       tail=st.sampled_from([(), (2,), (2, 3)]), seed=st.integers(0, 2**32 - 1))
-def test_coeff_contract_is_the_einsum(n, nq, s, tail, seed):
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal((n, s))
-    table = rng.standard_normal((nq, s) + tail)
-    out = coeff_contract(coeffs, table)
-    assert out.shape == (n, nq) + tail
-    assert_matches(out, np.einsum("ni,qi...->nq...", coeffs, table), 1e-13)
+def _point_sets(p):
+    """(kind, exactness) of every point set the loop tabulates at degree p."""
+    return [("triangle", 2 * (p + 2)), ("triangle", 2 * p + 8),
+            ("region", 2 * p + 8), ("singular", 2 * p + 8),
+            ("edge", 2 * p + 9)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_ref_tables_are_the_einsum(p):
+    """Every table of every point set is coefficient-major, read-only and
+    contiguous, and a degree-k field contracted on its leading row slice
+    equals the einsum over the point-major basis at the same points, for
+    every degree k the table reaches."""
+    rng = np.random.default_rng(p)
+    basis = RefScalarBasis(p + 2)
+    for kind, exactness in _point_sets(p):
+        T = ref_tables(p, exactness, kind)
+        pts = T.points
+        nq, nloc = len(pts), 2 * basis_size(p)
+        if kind == "edge":
+            t = quad_rule(exactness, "edge").points
+            assert np.array_equal(pts, np.vstack([
+                edge_ref_points(j, u) for j in range(3) for u in (t, 1 - t)]))
+            assert abs(T.weights.sum() - 1.0) <= 1e-14
+        else:
+            # exact for every monomial up to the exactness
+            for a in range(exactness + 1):
+                for b in range(exactness + 1 - a):
+                    exact = (math.factorial(a) * math.factorial(b)
+                             / math.factorial(a + b + 2))
+                    got = T.weights @ (pts[:, 0] ** a * pts[:, 1] ** b)
+                    assert abs(got - exact) <= 1e-14
+        shapes = {"V": (basis.size, nq), "D": (basis.size, 2 * nq),
+                  "N": (nloc, 2 * nq), "div": (nloc, nq)}
+        for name, shape in shapes.items():
+            table = getattr(T, name)
+            assert table.shape == shape and table.flags.c_contiguous
+            assert not table.flags.writeable
+        V, G = basis.values(pts), basis.grads(pts)
+        for k in range(p + 3):
+            s = basis_size(k)
+            c = rng.standard_normal((5, s))
+            assert_matches(c @ T.V[:s], np.einsum("ni,qi->nq", c, V[:, :s]),
+                           1e-13)
+            assert_matches((c @ T.D[:s]).reshape(5, nq, 2),
+                           np.einsum("ni,qia->nqa", c, G[:, :s]), 1e-13)
+        c = rng.standard_normal((5, nloc))
+        assert_matches((c @ T.N).reshape(5, nq, 2), np.einsum(
+            "nl,qla->nqa", c, reference_shape_values(p, pts)), 1e-13)
+        assert_matches(c @ T.div, np.einsum(
+            "nl,ql->nq", c, reference_shape_divs(p, pts)), 1e-13)
+
+
+def test_ref_tables_are_built_once():
+    assert ref_tables(2, 12, "triangle") is ref_tables(2, 12, "triangle")
+    with pytest.raises(ValueError, match="point set"):
+        ref_tables(2, 12, "square")
+
+
+class _TableView(np.ndarray):
+    """A cached table as the kernels see it: views of it stay _TableView,
+    every other result is a plain array, and each matrix product records
+    whether its table operand still shares memory with the cached table
+    and is contiguous, so that BLAS reads it in place."""
+
+    reads = []
+
+    def __array_finalize__(self, obj):
+        self.cached = getattr(obj, "cached", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _TableView.reads.extend(
+                np.shares_memory(x, x.cached)
+                and (x.flags.c_contiguous or x.flags.f_contiguous)
+                for x in inputs if isinstance(x, _TableView))
+        inputs = [x.view(np.ndarray) if isinstance(x, _TableView) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_contractions_read_views_of_cached_tables(monkeypatch, advdiff):
+    """assemble -> solve -> postprocess -> full_report contracts element
+    rows with the cached tables themselves: every product reads a view of
+    the cached array, never a reshaped copy."""
+    real = fields.ref_tables
+
+    def viewed(*args):
+        T = real(*args)
+
+        def view(a):
+            out = a.view(_TableView)
+            out.cached = a
+            return out
+        return fields.RefTables(*(view(a) for a in vars(T).values()))
+
+    mesh = build_initial_mesh(advdiff.domain, 32).refine(range(0, 32, 3))
+
+    def run():
+        for p in (1, 2, 3):
+            solution = solve(assemble(mesh, p, advdiff))
+            full_report(advdiff, solution, postprocess_resmin(solution))
+
+    run()  # the tables derived from the cached ones are cached as well
+    for module in (fields, bdm, estimators, postprocess):
+        monkeypatch.setattr(module, "ref_tables", viewed)
+    monkeypatch.setattr(_TableView, "reads", [])
+    run()
+    # per degree: load vector, eta_improved (2), error groups (2 x 5) and
+    # the 6 edge variants of the traces of nu
+    assert len(_TableView.reads) >= 3 * 14
+    assert all(_TableView.reads)
+
+
+def test_cold_run_tabulates_each_point_set_once():
+    """A cold p = 1..3 run of smooth and advdiff evaluates the scalar basis
+    once per (degree, point set): values, gradients and BDM shapes of a
+    point set come from one run of the recurrence."""
+    script = (
+        "import collections\n"
+        "import numpy as np\n"
+        "from bdmadapt import RefScalarBasis, preset, run_adaptive\n"
+        "seen = collections.Counter()\n"
+        "real = RefScalarBasis.tabulate\n"
+        "def counted(self, pts):\n"
+        "    pts = np.asarray(pts, dtype=float)\n"
+        "    seen[self.degree, pts.shape, pts.tobytes()] += 1\n"
+        "    return real(self, pts)\n"
+        "RefScalarBasis.tabulate = counted\n"
+        "for name in ('smooth', 'advdiff'):\n"
+        "    for p in (1, 2, 3):\n"
+        "        run = run_adaptive(preset(name), p, iterations=3,\n"
+        "                           keep_reports=True)\n"
+        "        run.records[-1].report.to_dict()\n"
+        "print(len(seen), max(seen.values()))\n")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    n_sets, most = map(int, out.stdout.split())
+    assert most == 1 and n_sets >= 3 * 4
 
 
 # -- guard ---------------------------------------------------------------------
@@ -371,10 +509,7 @@ def test_loop_builds_reference_tables_once(monkeypatch, advdiff):
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(RefScalarBasis, "values")
-    counting(RefScalarBasis, "grads")
-    for module in (bdm, estimators):
-        counting(module, "reference_shape_values")
+    counting(RefScalarBasis, "tabulate")
     report = full_report(advdiff, solution, post)
     assert report.has_exact and mesh.n_triangles > nt
     assert calls == []

@@ -12,9 +12,9 @@ import bdmadapt.solver as solver_mod
 from bdmadapt import (DomainSpec, ProblemSpec, SingularSystemError, assemble,
                       build_initial_mesh, interpolate_boundary_term, preset,
                       solve, solve_problem)
-from bdmadapt.basis import quad_rule
+from bdmadapt.basis import make_scalar_basis, quad_rule
 from bdmadapt.bdm import BdmSpace, DgSpace
-from bdmadapt.fields import mapped_points, scalar_tables
+from bdmadapt.fields import mapped_points
 
 from conftest import (advection_matrix, bdm_mass_matrix, divergence_matrix,
                       make_linear_problem, saddle_system, single_element_mesh)
@@ -47,7 +47,7 @@ def test_linear_solution_exact(p):
         assert np.abs(vals - [-1.0, 0.0]).max() <= 1e-10
     # u_h is the elementwise L2 projection of x
     rule = quad_rule(2 * p + 8, "triangle")
-    _, V, _ = scalar_tables(p - 1, 2 * p + 8)
+    V = make_scalar_basis(p - 1).values(rule.points)
     phys = mapped_points(mesh, rule.points)
     proj = np.einsum("q,nq,qi->ni", rule.weights, phys[:, :, 0], V)
     got = sol.scalar_by_element
@@ -106,7 +106,7 @@ def test_advection_residual_decreases_under_refinement():
         system = saddle_system(mesh, 1, adv)
         flux = system.flux_space.interpolate(adv.exact_q)
         rule = quad_rule(10, "triangle")
-        _, V, _ = scalar_tables(0, 10)
+        V = make_scalar_basis(0).values(rule.points)
         phys = mapped_points(mesh, rule.points)
         uvals = np.asarray(adv.exact_u(phys.reshape(-1, 2))).reshape(
             phys.shape[:2])
