@@ -25,6 +25,17 @@ recurrence of P_n^(alpha,0), and the closed-form weights
 2^(alpha+1) / ((1 - x^2) P_n'(x)^2).  The same recurrence evaluates the
 P_j^(2i+1,0) factors of the scalar bases and the Legendre polynomials of the
 BDM edge moments.
+
+The graded rules integrate fields singular like r^(k/3) at a vertex, r the
+distance to it.  The graded triangle rule splits K into its 6 barycentric
+sub-triangles (vertex, edge midpoint, centroid) and collapses a Gauss product
+at each one's vertex with the radial map rho = s^3; the graded edge rule maps
+the halves of [0, 1] by t = s^3 / 2 and 1 - s^3 / 2.  Under these maps
+r^(k/3) times a polynomial, k >= -2, is a polynomial in s on the pieces at
+the vertex (Duffy, SIAM J. Numer. Anal. 19 (1982) 1260).  Its angular factor
+and its values on the other pieces are smooth, and there the rules converge
+geometrically.  They grade toward every vertex alike, so they are symmetric
+under the vertex permutations of K and of the edge.
 """
 
 from dataclasses import dataclass
@@ -34,6 +45,12 @@ import numpy as np
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 MAX_QUAD_EXACTNESS = 50
+# the power s^GRADING of the graded rules' maps toward a vertex
+GRADING = 3
+# Gauss points a graded rule adds in each direction to those its polynomial
+# exactness needs: away from the graded vertex the mapped fields are smooth
+# but not polynomial in s, so convergence sets this count
+GRADED_EXTRA_POINTS = 4
 
 
 def basis_size(degree: int) -> int:
@@ -147,6 +164,13 @@ def _gauss_jacobi(n: int, alpha: int):
     return x, w
 
 
+def _unit_gauss(n: int):
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on
+    [0, 1]."""
+    x, w = _gauss_jacobi(n, 0)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 @dataclass(frozen=True)
 class QuadRule:
     """Quadrature rule on the reference triangle or the unit edge [0, 1].
@@ -166,8 +190,12 @@ class QuadRule:
 def quad_rule(exactness: int, variant: str = "triangle") -> QuadRule:
     """Rule exact for polynomials of total degree <= exactness.
 
+    variant is "triangle", "edge", "graded triangle" or "graded edge".
     Triangle rules are collapsed Gauss-Legendre x Gauss-Jacobi(1,0) products
-    with strictly interior points and positive weights.
+    with strictly interior points and positive weights.  The graded rules
+    (see the module docstring) take, in s, the Gauss rule that keeps this
+    exactness under the map, with GRADED_EXTRA_POINTS more points in every
+    direction.
     """
     if exactness < 0:
         raise ValueError("exactness must be nonnegative")
@@ -176,9 +204,33 @@ def quad_rule(exactness: int, variant: str = "triangle") -> QuadRule:
             f"exactness {exactness} unsupported; maximum is {MAX_QUAD_EXACTNESS}")
     n = max(1, (exactness + 2) // 2)
     if variant == "edge":
-        x, w = _gauss_jacobi(n, 0)
-        pts = 0.5 * (x + 1.0)
-        wts = 0.5 * w
+        pts, wts = _unit_gauss(n)
+    elif variant == "graded edge":
+        # degree e in t is degree GRADING (e + 1) - 1 in s
+        s, ws = _unit_gauss((GRADING * (exactness + 1) + 1) // 2
+                            + GRADED_EXTRA_POINTS)
+        half = 0.5 * s ** GRADING
+        w = 0.5 * GRADING * s ** (GRADING - 1) * ws
+        pts = np.concatenate([half, 1.0 - half[::-1]])
+        wts = np.concatenate([w, w[::-1]])
+    elif variant == "graded triangle":
+        # degree e in x is degree GRADING (e + 2) - 1 in s, with rho drho =
+        # GRADING s^(2 GRADING - 1) ds; sigma runs along the far side
+        s, ws = _unit_gauss((GRADING * (exactness + 2) + 1) // 2
+                            + GRADED_EXTRA_POINTS)
+        sigma, wsigma = _unit_gauss(n + GRADED_EXTRA_POINTS)
+        rho = s ** GRADING
+        centroid = REF_VERTICES.mean(axis=0)
+        pts = []
+        for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+            v = REF_VERTICES[i]
+            mid = 0.5 * (v + REF_VERTICES[j])
+            ray = (mid - v) + sigma[:, None] * (centroid - mid)
+            pts.append(v + rho[:, None, None] * ray)
+        pts = np.concatenate(pts).reshape(-1, 2)
+        # each sub-triangle has |det(mid - v, centroid - mid)| = 1/6
+        w = np.outer(GRADING * s ** (2 * GRADING - 1) * ws, wsigma) / 6.0
+        wts = np.tile(w.ravel(), 6)
     elif variant == "triangle":
         xa, wa = _gauss_jacobi(n, 0)
         xb, wb = _gauss_jacobi(n, 1)

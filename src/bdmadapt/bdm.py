@@ -44,21 +44,19 @@ def shifted_legendre(m, t):
 
 
 @lru_cache(maxsize=None)
-def edge_legendre(p: int, n_points: int, levels: int):
-    """(t, w, L), read-only: the n-point Gauss rule on [0, 1] replicated on
-    2^levels equal sub-intervals, and L[m, q] = L_m(2 t_q - 1), m = 0..p.
+def edge_legendre(p: int, n_points: int, graded: bool):
+    """(t, w, L), read-only: the n-point Gauss rule on [0, 1], or with graded
+    the graded edge rule of the same exactness (quad_rule "graded edge",
+    for edges that end at a singular point), and L[m, q] = L_m(2 t_q - 1),
+    m = 0..p.
 
     Row m of the recurrence does not depend on p, so it equals
     shifted_legendre(m, t) bitwise.
     """
-    rule = quad_rule(2 * n_points - 1, "edge")
+    rule = quad_rule(2 * n_points - 1, "graded edge" if graded else "edge")
     t, w = rule.points, rule.weights
-    for _ in range(levels):
-        t = np.concatenate([0.5 * t, 0.5 + 0.5 * t])
-        w = np.concatenate([0.5 * w, 0.5 * w])
     L = _jacobi(p, 0, 2.0 * t - 1.0)[0]
-    for a in (t, w, L):
-        a.setflags(write=False)
+    L.setflags(write=False)
     return t, w, L
 
 
@@ -144,7 +142,7 @@ class BdmSpace:
         """Canonical interpolation of a smooth vector field q(x) -> (n, 2)."""
         mesh, p = self.mesh, self.p
         exact = 2 * p + 8
-        t, w, leg = edge_legendre(p, p + 5, 0)
+        t, w, leg = edge_legendre(p, p + 5, False)
         qv = field_values(q, edge_points(mesh, slice(None), t), "q",
                           vector=True)
         qn = (qv @ mesh.edge_normals[:, :, None])[..., 0]
@@ -217,7 +215,7 @@ def interpolate_boundary_term(space: BdmSpace, u_D) -> np.ndarray:
     g = np.zeros(space.n_dofs)
     owner, local = np.nonzero(mesh.boundary_edge[mesh.elem_edges])
     bdry = mesh.elem_edges[owner, local]
-    t, w, leg = edge_legendre(p, p + 5, 0)
+    t, w, leg = edge_legendre(p, p + 5, False)
     ud = field_values(u_D, edge_points(mesh, bdry, t), "u_D")
     sigma = np.where(mesh.elem_edge_aligned[owner, local], 1.0, -1.0)
     m = np.arange(p + 1)

@@ -8,24 +8,26 @@ traces of the postprocessed scalar:
               + 1/2 sum_{interior F of K} h_F^{-1} ||[nu_h]||_F^2
               + sum_{boundary F of K} h_F^{-1} ||u_D - nu_h||_F^2.
 
-Exact-error norms use a high-order rule, subdivided where the problem asks
-for it: on elements and edges touching its singular point, and on elements
-with a vertex in its quadrature region.  The singular-point rule is averaged
-over the six vertex orders of the reference triangle, so it depends only on
-the physical element and not on its local vertex order.  Each of these three
-point sets has its fields.ref_tables, built once per p and shared by every
-later mesh; the plain rule's is the one the load vector and the dual norm
-read.  One pass over the element quadrature points gathers every
-element-interior error, the saturation numerator ||grad(u - theta_h)||_K
-included; the scaled traces of nu_h are shared with the indicator through
-PostprocResult.nu_traces.  The oscillation bound of a report is computed when
-it is first read.  The edge terms
-(the normal-flux trace error and the oscillation bound) are taken once per
-global edge: q . n_e is sampled in the stored edge direction, and q_h . n_e =
-sum_m c_(e,m) (2m+1) L_m(t) / |e| comes from the global edge moments c_(e,m)
-of q_h.  The element-local dual norm ||r||_*K on the mean-free degree-(p+2)
-space is ||G b|| with G = L^{-1} the inverse Cholesky factor of the element's
-class stiffness that the postprocessing already holds, and b the load of r.
+Exact-error norms use a high-order rule, refined where the problem asks for
+it.  Elements and edges touching its singular point get the graded rules of
+basis.quad_rule, which make the r^(-2/3) of |q|^2 at a re-entrant corner a
+polynomial integrand.  They grade toward every vertex alike, so the errors
+depend only on the physical element and not on its local vertex order.
+Elements with a vertex in its quadrature region get the rule subdivided
+once.  Each of these three element point sets has its fields.ref_tables,
+built once per p and shared by every later mesh; the plain rule's is the
+one the load vector and the dual norm read.  One pass over the element
+quadrature points gathers every element-interior error, the saturation
+numerator ||grad(u - theta_h)||_K included; the scaled traces of nu_h are
+shared with the indicator through PostprocResult.nu_traces.  The
+oscillation bound of a report is computed when it is first read.  The edge
+terms (the normal-flux trace error and the oscillation bound) are taken
+once per global edge: q . n_e is sampled in the stored edge direction, on
+singular edges from the singular end, and q_h . n_e = sum_m c_(e,m) (2m+1)
+L_m(t) / |e| comes from the global edge moments c_(e,m) of q_h.  The
+element-local dual norm ||r||_*K on the mean-free degree-(p+2) space is
+||G b|| with G = L^{-1} the inverse Cholesky factor of the element's class
+stiffness that the postprocessing already holds, and b the load of r.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +50,7 @@ from .solver import MixedSolution, ProblemSpec
 
 def _singular_vertices(problem: ProblemSpec, mesh: TriMesh) -> np.ndarray:
     """Per-vertex mask of the vertices at quad_singular_point (all False
-    without one); elements and edges touching it get the subdivided rules."""
+    without one); elements and edges touching it get the graded rules."""
     if problem.quad_singular_point is None:
         return np.zeros(len(mesh.vertices), dtype=bool)
     xs = np.asarray(problem.quad_singular_point, dtype=float)
@@ -83,21 +85,23 @@ def _edge_flux_sq(problem: ProblemSpec, mesh: TriMesh, p: int,
                   n_points: int, residual):
     """Per element, sum over its edges e of |e| int_0^1 r^2 dt.
 
-    Each global edge is visited once, with the n-point Gauss rule (subdivided
-    twice on edges touching quad_singular_point).  residual(edge_ids, w, leg,
-    g) returns r (n, nq) from the weights w, the Legendre table leg (p + 1,
-    nq) of edge_legendre and g = q . n_e, the exact normal flux at the points
-    in the stored edge direction.
+    Each global edge is visited once, with the n-point Gauss rule, or on
+    edges touching quad_singular_point the graded edge rule, sampled from the
+    singular end.  residual(edge_ids, w, leg, g) returns r (n, nq) from the
+    weights w, the Legendre table leg (p + 1, nq) of edge_legendre and g =
+    q . n_e, the exact normal flux at the points in the stored edge
+    direction.
     """
-    singular = _singular_vertices(problem, mesh)[mesh.edges].any(axis=1)
+    at = _singular_vertices(problem, mesh)[mesh.edges]
+    singular = at.any(axis=1)
     sq = np.zeros(mesh.n_edges)
-    for flagged, levels in ((False, 0), (True, 2)):
-        ids = np.nonzero(singular == flagged)[0]
+    for graded in (False, True):
+        ids = np.nonzero(singular == graded)[0]
         if ids.size == 0:
             continue
-        t, w, leg = edge_legendre(p, n_points, levels)
-        qv = field_values(problem.exact_q, edge_points(mesh, ids, t),
-                          "exact_q", vector=True)
+        t, w, leg = edge_legendre(p, n_points, graded)
+        pts = edge_points(mesh, ids, t, from_end=at[ids, 1])
+        qv = field_values(problem.exact_q, pts, "exact_q", vector=True)
         g = (qv @ mesh.edge_normals[ids, :, None])[..., 0]
         sq[ids] = (residual(ids, w, leg, g) ** 2 @ w) * mesh.edge_lengths[ids]
     return sq[mesh.elem_edges].sum(axis=1)

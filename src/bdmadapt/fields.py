@@ -7,12 +7,13 @@ affine map; fluxes as signed rows (n_elements, nloc) of the BDM(p) reference
 shapes under the Piola map.
 
 One cached function, ref_tables(p, exactness, kind), tabulates the degree-p
-method at one point set: a triangle rule, the subdivided rules of the
-exact-error report, or an edge rule on the six (local edge, orientation)
-variants.  One run of the Dubiner recurrence gives the values and gradients
-of the scalars up to degree p + 2, and the BDM(p) shapes and divergences
-follow from their nodal coefficients (basis.bdm_reference).  Each table is
-cached read-only and coefficient-major, one row per basis function:
+method at one point set: a triangle rule, the subdivided and graded rules
+of the exact-error report, or an edge rule on the six (local edge,
+orientation) variants.  One run of the Dubiner recurrence gives the values
+and gradients of the scalars up to degree p + 2, and the BDM(p) shapes and
+divergences follow from their nodal coefficients (basis.bdm_reference).
+Each table is cached read-only and coefficient-major, one row per basis
+function:
 
     V (s, nq), D (s, 2 nq), N (nloc, 2 nq), div (nloc, nq),
 
@@ -44,7 +45,6 @@ and applied as one batched matrix product over fixed-length class chunks.
 Results do not depend on element visitation order.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,28 +89,23 @@ def ref_tables(p: int, exactness: int, kind: str) -> RefTables:
     """The degree-p reference tables of one point set, built once.
 
     kind is "triangle" (the rule of this exactness), "region" (that rule
-    subdivided once), "singular" (subdivided twice and averaged over the 6
-    vertex orders of the reference triangle, so that the rule does not
-    depend on an element's local vertex order) or "edge" (the edge rule of
-    this exactness on the 6 (local edge, orientation) variants; orientation
-    1 runs against the local traversal).
+    subdivided once), "singular" (the graded triangle rule of quad_rule,
+    graded toward every vertex alike, so that it does not depend on an
+    element's local vertex order) or "edge" (the edge rule of this exactness
+    on the 6 (local edge, orientation) variants; orientation 1 runs against
+    the local traversal).
     """
     if kind == "edge":
         rule = quad_rule(exactness, "edge")
         t, w = rule.points, rule.weights
         pts = np.vstack([edge_ref_points(j, u) for j in range(3)
                          for u in (t, 1.0 - t)])
-    elif kind == "triangle":
-        rule = quad_rule(exactness, "triangle")
+    elif kind in ("triangle", "singular"):
+        rule = quad_rule(exactness, "triangle" if kind == "triangle"
+                         else "graded triangle")
         pts, w = rule.points, rule.weights
     elif kind == "region":
-        pts, w = subdivided_rule(exactness, 1)
-    elif kind == "singular":
-        pts, w = subdivided_rule(exactness, 2)
-        bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
-        pts = np.vstack([bary[:, perm[1:]]
-                         for perm in itertools.permutations(range(3))])
-        w = np.tile(w / 6.0, 6)
+        pts, w = subdivided_rule(exactness)
     else:
         raise ValueError(f"unknown point set {kind!r}")
     tables = RefTables(pts, w, *tabulate(p, pts))
@@ -233,15 +228,24 @@ class ElementClasses:
         return ys.reshape(n_chunks * L, -1)[self.slot]
 
 
-def edge_points(mesh: TriMesh, edge_ids, t) -> np.ndarray:
+def edge_points(mesh: TriMesh, edge_ids, t, from_end=None) -> np.ndarray:
     """Physical points (n, nq, 2) at parameters t along global edges, in
-    their stored direction."""
+    their stored direction.
+
+    A node t near 1 has lost the digits of 1 - t, the distance to the second
+    end, that a field singular there needs.  For a rule t symmetric about
+    1/2, the point at t_q is also hi - d t_(nq-1-q): the edges of the mask
+    from_end (n,) are sampled that way, from their second end.
+    """
     lo = mesh.vertices[mesh.edges[edge_ids, 0]]
-    d = mesh.vertices[mesh.edges[edge_ids, 1]] - lo
+    hi = mesh.vertices[mesh.edges[edge_ids, 1]]
+    d = hi - lo
     t = np.asarray(t)
     out = np.empty((len(lo), len(t), 2))
     for c in range(2):
         np.add(np.multiply.outer(d[:, c], t), lo[:, c, None], out=out[..., c])
+    if from_end is not None:
+        out[from_end] = hi[from_end, None] - d[from_end, None] * t[::-1, None]
     return out
 
 
@@ -261,19 +265,16 @@ def mapped_points(mesh: TriMesh, ref_pts, ids=slice(None)) -> np.ndarray:
     return out
 
 
-def subdivided_rule(exactness: int, levels: int):
-    """Reference rule replicated on the 4^levels congruent sub-triangles."""
+def subdivided_rule(exactness: int):
+    """Reference rule replicated on the 4 congruent sub-triangles."""
     rule = quad_rule(exactness, "triangle")
-    pts, wts = rule.points, rule.weights
     children = np.array([[[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]],
                          [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5]],
                          [[0.0, 0.5], [0.5, 0.5], [0.0, 1.0]],
                          [[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]]])
-    for _ in range(levels):
-        pts = np.vstack([v0 + pts @ np.stack([v1 - v0, v2 - v0], axis=1).T
-                         for v0, v1, v2 in children])
-        wts = np.tile(wts / 4.0, 4)
-    return pts, wts
+    pts = np.vstack([v0 + rule.points @ np.stack([v1 - v0, v2 - v0], axis=1).T
+                     for v0, v1, v2 in children])
+    return pts, np.tile(rule.weights / 4.0, 4)
 
 
 # -- interior-edge jumps and boundary traces of elementwise scalar fields ----

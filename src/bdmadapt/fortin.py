@@ -160,7 +160,7 @@ def fortin_apply(v, bset: BiorthogonalSet, mesh: TriMesh) -> FortinProjection:
     (2m+1) int_0^1 L_m(t) v(x_j(t)) dt per edge, independent of xi_K, and
     are taken with the 12-point Gauss rule.
     """
-    t, w, leg = edge_legendre(1, 12, 0)
+    t, w, leg = edge_legendre(1, 12, False)
     weights = (w * leg).T
     alphas = np.empty((mesh.n_triangles, 6))
     for j in range(3):

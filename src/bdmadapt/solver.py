@@ -48,9 +48,11 @@ class ProblemSpec:
     one (n, 2) point array and must return n finite values: shape (n,), or
     (n, 2) for the flux exact_q.  fields.field_values makes every call and
     raises ValueError naming the field otherwise.  beta is a finite constant
-    advection vector, (0, 0) for pure diffusion.  Exact integrals subdivide
-    the rule on elements touching quad_singular_point (two levels) and on
-    those with a vertex in quad_region (one level).
+    advection vector, (0, 0) for pure diffusion.  Exact integrals use the
+    graded rules (basis.quad_rule) on elements and edges touching
+    quad_singular_point, a mesh vertex where the exact solution has
+    r^(k/3) terms (a re-entrant corner), and subdivide the rule once on
+    elements with a vertex in quad_region.
     """
 
     domain: DomainSpec

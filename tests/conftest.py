@@ -91,30 +91,44 @@ def element_flux_trace_sq(problem, solution):
     """Element-side oracle for the exact normal-flux trace term.
 
     Per element, sums ||(q - q_h) . n_K||^2 and ||q . n_K||^2 over its three
-    local edges, with q_h evaluated from the reference shape functions and
-    the Piola map and the (p+5)-point Gauss rule (subdivided twice on edges
-    touching quad_singular_point).  Returns (trace_sq, qn_sq).
+    local edges, in their local traversal, with q_h evaluated from the
+    reference shape functions and the Piola map and the (p+5)-point Gauss
+    rule (the graded edge rule on edges touching quad_singular_point, whose
+    exact flux is sampled from the singular end).  Returns (trace_sq,
+    qn_sq).
     """
     mesh, p = solution.mesh, solution.p
     c_flux = solution.flux_space.local_coeffs(solution.flux)
-    singular = np.zeros(mesh.n_edges, dtype=bool)
+    at = np.zeros(len(mesh.vertices), dtype=bool)
     if problem.quad_singular_point is not None:
         at = np.linalg.norm(mesh.vertices - problem.quad_singular_point,
                             axis=1) < 1e-12
-        singular = at[mesh.edges].any(axis=1)
+    singular = at[mesh.edges].any(axis=1)
     trace_sq = np.zeros(mesh.n_triangles)
     qn_sq = np.zeros(mesh.n_triangles)
-    for flagged, levels in ((False, 0), (True, 2)):
-        t, w, _ = edge_legendre(p, p + 5, levels)
+    for graded in (False, True):
+        t, w, _ = edge_legendre(p, p + 5, graded)
         for j in range(3):
-            ids = np.nonzero(singular[mesh.elem_edges[:, j]] == flagged)[0]
+            ids = np.nonzero(singular[mesh.elem_edges[:, j]] == graded)[0]
             if ids.size == 0:
                 continue
             ref = np.einsum("nl,qla->nqa", c_flux[ids],
                             reference_shape_values(p, edge_ref_points(j, t)))
             qh = np.einsum("nqa,nba->nqb", ref, mesh.jacobians[ids]) \
                 / mesh.det_jacobians[ids, None, None]
-            pts = mapped_points(mesh, edge_ref_points(j, t), ids)
+            if graded:
+                # a node near a vertex other than v0 has lost digits of the
+                # distance to it; the graded rule is symmetric, so the edge
+                # is sampled from its singular end x0 towards x1, at the
+                # nodes mirrored when that end is the second one
+                ends = mesh.tri_coords[ids][:, [(j + 1) % 3, (j + 2) % 3]]
+                back = at[mesh.triangles[ids, (j + 2) % 3]]
+                ends[back] = ends[back, ::-1]
+                u = np.where(back[:, None], t[::-1], t)
+                pts = ends[:, None, 0] + np.einsum(
+                    "nq,na->nqa", u, ends[:, 1] - ends[:, 0])
+            else:
+                pts = mapped_points(mesh, edge_ref_points(j, t), ids)
             qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
             qv = qv.reshape(len(ids), len(t), 2)
             nrm = mesh.outward_normals[ids, j]

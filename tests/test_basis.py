@@ -154,6 +154,85 @@ def test_quad_rule_unsupported_degree_lists_maximum():
         quad_rule(51, "triangle")
 
 
+# r^(k/3) times a monomial, r the distance to a vertex: the power alone at
+# k = -2 (|q|^2 at the L-shape corner), monomials of degree <= 2 at k = -1
+# (q . q_h) and k = 2 (u)
+_SINGULAR_CASES = [(-2, 0, 0)] + [(k, a, b) for k in (-1, 2)
+                                  for a in range(3) for b in range(3 - a)]
+
+
+def _vertex_power_integral(mpmath, k, a, b, vertex):
+    """int_K r^(k/3) x^a y^b, r = |x - REF_VERTICES[vertex]|, in polar
+    coordinates about the vertex: the binomial expansion gives the radial
+    integral in closed form and mpmath.quad the smooth angular one."""
+    v = [mpmath.mpf(c) for c in basis_mod.REF_VERTICES[vertex]]
+    (ax, ay), (bx, by) = [[mpmath.mpf(c) for c in basis_mod.REF_VERTICES[j]]
+                          for j in range(3) if j != vertex]
+    # the opposite side is n . (x - A) = 0
+    nx, ny = by - ay, ax - bx
+    height = nx * (ax - v[0]) + ny * (ay - v[1])
+
+    def angular(th):
+        c, s = mpmath.cos(th), mpmath.sin(th)
+        R = height / (nx * c + ny * s)
+        total = 0
+        for i in range(a + 1):
+            for j in range(b + 1):
+                m = mpmath.mpf(k) / 3 + 2 + i + j
+                total += (mpmath.binomial(a, i) * v[0] ** (a - i) * c ** i
+                          * mpmath.binomial(b, j) * v[1] ** (b - j) * s ** j
+                          * R ** m / m)
+        return total
+
+    ends = sorted(mpmath.atan2(y - v[1], x - v[0])
+                  for x, y in ((ax, ay), (bx, by)))
+    return float(mpmath.quad(angular, ends))
+
+
+def test_graded_triangle_rule_matches_mpmath():
+    # the exactness of the exact-error report at p = 1..3, with the
+    # singular point at each vertex
+    mpmath = pytest.importorskip("mpmath")
+    rules = [quad_rule(2 * p + 8, "graded triangle") for p in (1, 2, 3)]
+    with mpmath.workdps(30):
+        for vertex in range(3):
+            for k, a, b in _SINGULAR_CASES:
+                want = _vertex_power_integral(mpmath, k, a, b, vertex)
+                for rule in rules:
+                    x = rule.points
+                    r = np.hypot(*(x - basis_mod.REF_VERTICES[vertex]).T)
+                    got = rule.weights @ (r ** (k / 3) * x[:, 0] ** a
+                                          * x[:, 1] ** b)
+                    assert abs(got - want) <= 1e-13, (vertex, k, a, b)
+    for rule in rules:
+        assert np.all(rule.weights > 0)
+        assert abs(rule.weights.sum() - 0.5) <= 1e-15
+
+
+def test_graded_edge_rule_matches_mpmath():
+    # the trace and oscillation rules, n = p + 5 and p + 6 points for
+    # p = 1..3, with the singular point at either end: int_0^1 t^(k/3) t^m
+    # is 1 / (k/3 + m + 1), int_0^1 (1 - t)^(k/3) t^m the beta function.
+    # The distance 1 - t is read off the mirrored node, as the exact-error
+    # report samples such an edge: 1.0 - t has lost its digits near t = 1.
+    mpmath = pytest.importorskip("mpmath")
+    rules = [quad_rule(2 * n - 1, "graded edge") for n in range(6, 10)]
+    with mpmath.workdps(30):
+        for k in (-2, -1, 2):
+            alpha = mpmath.mpf(k) / 3
+            for m in range(4):
+                want = (float(1 / (alpha + m + 1)),
+                        float(mpmath.beta(alpha + 1, m + 1)))
+                for rule in rules:
+                    t = rule.points
+                    for r, exact in zip((t, t[::-1]), want):
+                        got = rule.weights @ (r ** (k / 3) * t ** m)
+                        assert abs(got - exact) <= 1e-13, (k, m, len(t))
+    for rule in rules:
+        assert np.all(np.diff(rule.points) > 0) and np.all(rule.weights > 0)
+        assert abs(rule.weights.sum() - 1.0) <= 1e-15
+
+
 def test_zero_mean_plus_constants_spans_full_space(rng):
     for k in (1, 2, 3):
         full = make_scalar_basis(k)

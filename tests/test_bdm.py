@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bdmadapt.basis as basis_mod
 from bdmadapt import (DomainSpec, build_initial_mesh,
                       interpolate_boundary_term)
 from bdmadapt.basis import basis_size, make_scalar_basis, quad_rule
@@ -306,14 +307,24 @@ def test_shifted_legendre_matches_high_precision():
             assert np.array_equal(table[m], shifted_legendre(m, t))
 
 
-@pytest.mark.parametrize("p, n_points, levels", [(1, 12, 0), (3, 8, 0),
-                                                 (2, 7, 2)])
-def test_edge_legendre_table(p, n_points, levels):
-    t, w, L = edge_legendre(p, n_points, levels)
-    assert edge_legendre(p, n_points, levels)[2] is L
-    assert len(t) == n_points * 2 ** levels and abs(w.sum() - 1.0) <= 1e-14
-    rule = quad_rule(2 * n_points - 1, "edge")
-    assert np.array_equal(t[:n_points], rule.points / 2 ** levels)
+@pytest.mark.parametrize("p, n_points, graded", [(1, 12, False),
+                                                 (3, 8, False), (2, 7, True)])
+def test_edge_legendre_table(p, n_points, graded):
+    t, w, L = edge_legendre(p, n_points, graded)
+    assert edge_legendre(p, n_points, graded)[2] is L
+    assert abs(w.sum() - 1.0) <= 1e-14
+    if graded:
+        # Gauss nodes s on each half, at t = s^3 / 2 and 1 - s^3 / 2: the
+        # s rule keeps the exactness 2 n - 1 in t, plus the extra points
+        n = 3 * n_points + basis_mod.GRADED_EXTRA_POINTS
+        s = 0.5 * (basis_mod._gauss_jacobi(n, 0)[0] + 1.0)
+        assert len(t) == 2 * n
+        assert np.array_equal(t[:n], 0.5 * s ** 3)
+        assert np.array_equal(t[n:], 1.0 - t[:n][::-1])
+        assert np.array_equal(w[n:], w[:n][::-1])
+    else:
+        rule = quad_rule(2 * n_points - 1, "edge")
+        assert np.array_equal(t, rule.points)
     for m in range(p + 1):
         assert np.array_equal(L[m], shifted_legendre(m, t))
     for a in (t, w, L):

@@ -10,9 +10,12 @@ from bdmadapt import (TriMesh, build_initial_mesh, dual_norm_star,
                       oscillation_bound, postprocess_resmin, preset,
                       run_adaptive, solve_problem)
 from bdmadapt.basis import make_scalar_basis, quad_rule
+import bdmadapt.basis as basis_mod
 from bdmadapt import estimators, fields
+from bdmadapt.bdm import edge_legendre
 from bdmadapt.fields import stiffness_tensors
 
+import make_golden
 from artifact_checks import load_strict, mismatches, null_floats
 from conftest import (element_flux_trace_sq, make_linear_problem,
                       single_element_mesh)
@@ -384,14 +387,52 @@ def test_lshape_errors_do_not_depend_on_vertex_order():
     # has the same exact errors; the corner rule must not see the local
     # vertex order that the mirror changes
     lshape = preset("lshape")
-    run = run_adaptive(lshape, 3, iterations=6, theta=0.5, with_errors=False)
-    mesh = run.records[-1].mesh
-    assert mesh.n_triangles == 118
-    mirror = TriMesh(mesh.vertices[:, ::-1], mesh.triangles[:, [0, 2, 1]])
-    reports = []
-    for m in (mesh, mirror):
-        sol = solve_problem(m, 3, lshape)
-        reports.append(full_report(lshape, sol, postprocess_resmin(sol)))
-    a, b = reports
-    assert b.errors.full == pytest.approx(a.errors.full, rel=1e-12, abs=0.0)
-    assert b.delta == pytest.approx(a.delta, rel=1e-12, abs=0.0)
+    for p, count in ((1, 124), (2, 120), (3, 118)):
+        run = run_adaptive(lshape, p, iterations=6, theta=0.5,
+                           with_errors=False)
+        mesh = run.records[-1].mesh
+        assert mesh.n_triangles == count
+        mirror = TriMesh(mesh.vertices[:, ::-1], mesh.triangles[:, [0, 2, 1]])
+        reports = []
+        for m in (mesh, mirror):
+            sol = solve_problem(m, p, lshape)
+            reports.append(full_report(lshape, sol, postprocess_resmin(sol)))
+        a, b = reports
+        assert b.errors.full == pytest.approx(a.errors.full, rel=1e-12,
+                                              abs=0.0), p
+        assert b.delta == pytest.approx(a.delta, rel=1e-12, abs=0.0), p
+
+
+def _clear_rule_caches():
+    for cached in (basis_mod.quad_rule, fields.ref_tables, edge_legendre):
+        cached.cache_clear()
+
+
+def test_lshape_exact_errors_are_converged(monkeypatch):
+    # four more Gauss points in every direction of the graded corner rules
+    # (element s and sigma, edge s) move no ErrorBlock quantity, per
+    # element, by 1e-10 relative on the meshes of the lshape golden cases
+    lshape = preset("lshape")
+    _, kwargs = make_golden.CASES["lshape-adaptive"]
+    states = []
+    for p in (1, 2, 3):
+        run = run_adaptive(lshape, p, with_errors=False, **kwargs)
+        for rec in run.records:
+            sol = solve_problem(rec.mesh, p, lshape)
+            states.append((sol, postprocess_resmin(sol)))
+    blocks = [error_norms(lshape, sol, post) for sol, post in states]
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(basis_mod, "GRADED_EXTRA_POINTS",
+                      basis_mod.GRADED_EXTRA_POINTS + 4)
+            _clear_rule_caches()
+            finer = [error_norms(lshape, sol, post) for sol, post in states]
+    finally:
+        # no table of the finer rules may outlive the test
+        _clear_rule_caches()
+    assert len(states) == 3 * kwargs["iterations"]
+    for a, b in zip(blocks, finer):
+        for name, value in vars(a).items():
+            want = np.asarray(getattr(b, name))
+            assert np.all(np.abs(value - want) <= 1e-10 * np.abs(want)), \
+                (a.grad_nu_K.size, name)
