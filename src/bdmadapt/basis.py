@@ -190,9 +190,11 @@ class QuadRule:
 def quad_rule(exactness: int, variant: str = "triangle") -> QuadRule:
     """Rule exact for polynomials of total degree <= exactness.
 
-    variant is "triangle", "edge", "graded triangle" or "graded edge".
-    Triangle rules are collapsed Gauss-Legendre x Gauss-Jacobi(1,0) products
-    with strictly interior points and positive weights.  The graded rules
+    variant is "triangle", "edge", "subdivided triangle", "graded triangle"
+    or "graded edge".  Triangle rules are collapsed Gauss-Legendre x
+    Gauss-Jacobi(1,0) products with strictly interior points and positive
+    weights; the subdivided rule is the triangle rule replicated on the 4
+    congruent sub-triangles.  The graded rules
     (see the module docstring) take, in s, the Gauss rule that keeps this
     exactness under the map, with GRADED_EXTRA_POINTS more points in every
     direction.
@@ -231,6 +233,16 @@ def quad_rule(exactness: int, variant: str = "triangle") -> QuadRule:
         # each sub-triangle has |det(mid - v, centroid - mid)| = 1/6
         w = np.outer(GRADING * s ** (2 * GRADING - 1) * ws, wsigma) / 6.0
         wts = np.tile(w.ravel(), 6)
+    elif variant == "subdivided triangle":
+        rule = quad_rule(exactness, "triangle")
+        children = np.array([[[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]],
+                             [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5]],
+                             [[0.0, 0.5], [0.5, 0.5], [0.0, 1.0]],
+                             [[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]]])
+        pts = np.vstack([v0 + rule.points @ np.stack([v1 - v0, v2 - v0],
+                                                     axis=1).T
+                         for v0, v1, v2 in children])
+        wts = np.tile(rule.weights / 4.0, 4)
     elif variant == "triangle":
         xa, wa = _gauss_jacobi(n, 0)
         xb, wb = _gauss_jacobi(n, 1)

@@ -22,8 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import _jacobi, basis_size, interior_test_fields, quad_rule
-from .fields import (edge_points, field_values, mapped_points, ref_tables,
-                     tabulate)
+from .fields import edge_points, field_values, mapped_points, ref_tables
 from .mesh import TriMesh
 
 
@@ -35,14 +34,6 @@ def interior_dof_count(p: int) -> int:
     return p * p - 1 if p >= 2 else 0
 
 
-def shifted_legendre(m, t):
-    """Legendre polynomials L_m(2t - 1) on [0, 1], m and t broadcast."""
-    m = np.asarray(m)
-    x = 2.0 * np.asarray(t, dtype=float) - 1.0
-    P = _jacobi(int(m.max()), 0, x)[0]
-    return P[(m,) + np.indices(x.shape, sparse=True)]
-
-
 @lru_cache(maxsize=None)
 def edge_legendre(p: int, n_points: int, graded: bool):
     """(t, w, L), read-only: the n-point Gauss rule on [0, 1], or with graded
@@ -50,8 +41,8 @@ def edge_legendre(p: int, n_points: int, graded: bool):
     for edges that end at a singular point), and L[m, q] = L_m(2 t_q - 1),
     m = 0..p.
 
-    Row m of the recurrence does not depend on p, so it equals
-    shifted_legendre(m, t) bitwise.
+    Row m of the recurrence does not depend on p, so the tables of every p
+    agree bitwise on their common rows.
     """
     rule = quad_rule(2 * n_points - 1, "graded edge" if graded else "edge")
     t, w = rule.points, rule.weights
@@ -74,9 +65,9 @@ class DgSpace:
     def coeffs_by_element(self, vec) -> np.ndarray:
         return np.asarray(vec).reshape(self.mesh.n_triangles, self.local_dim)
 
-    def load_vector(self, f, exactness: int) -> np.ndarray:
+    def load_vector(self, f) -> np.ndarray:
         # the scalars of degree k pair with the BDM(k + 1) fluxes
-        T = ref_tables(self.degree + 1, exactness, "triangle")
+        T = ref_tables(self.degree + 1, "data")
         vals = field_values(f, mapped_points(self.mesh, T.points), "f")
         F = ((vals * T.weights) @ T.V[:self.local_dim].T) \
             * self.mesh.det_jacobians[:, None]
@@ -118,16 +109,6 @@ class BdmSpace:
         """Per-element reference coefficients, orientation signs applied."""
         return np.asarray(vec)[self.l2g] * self.signs
 
-    def eval_flux(self, coeffs, element: int, pts) -> np.ndarray:
-        """Physical flux values of a global coefficient vector at reference pts."""
-        coeffs = np.asarray(coeffs)
-        if coeffs.shape != (self.n_dofs,):
-            raise ValueError(f"expected {self.n_dofs} coefficients")
-        if not 0 <= element < self.mesh.n_triangles:
-            raise IndexError(f"element {element} out of range")
-        N = tabulate(self.p, pts)[2]
-        return self.flux_values(coeffs, N, [element])[0]
-
     def flux_values(self, coeffs, N, ids=slice(None)) -> np.ndarray:
         """Batched physical flux values (n, nq, 2) from the reference shape
         table N (local_dim, 2 nq) of tabulate at shared points (on elements
@@ -141,7 +122,6 @@ class BdmSpace:
     def interpolate(self, q) -> np.ndarray:
         """Canonical interpolation of a smooth vector field q(x) -> (n, 2)."""
         mesh, p = self.mesh, self.p
-        exact = 2 * p + 8
         t, w, leg = edge_legendre(p, p + 5, False)
         qv = field_values(q, edge_points(mesh, slice(None), t), "q",
                           vector=True)
@@ -150,7 +130,7 @@ class BdmSpace:
         edge_part = ((qn * w) @ leg.T) * mesh.edge_lengths[:, None]
         dofs[: self.n_edge_dofs] = edge_part.ravel()
         if self.n_interior:
-            T = ref_tables(p, exact, "triangle")
+            T = ref_tables(p, "data")
             theta = interior_test_fields(
                 p, T.points, T.V, T.D.reshape(len(T.D), -1, 2))
             qv = field_values(q, mapped_points(mesh, T.points), "q",
@@ -169,7 +149,7 @@ class BdmSpace:
 def _mixed_tables(p: int):
     """Reference tables of the element blocks of degree p: mass Rm (2, 2,
     nloc, nloc), divergence D (s, nloc) and advection Rc (2, s, nloc)."""
-    T = ref_tables(p, 2 * (p + 2), "triangle")
+    T = ref_tables(p, "local")
     w, V = T.weights, T.V[:basis_size(p - 1)]
     N = T.N.reshape(len(T.N), len(w), 2)
     Rm = np.einsum("q,iqa,jqb->abij", w, N, N)

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 
 from .artifacts import write_json
@@ -79,6 +80,11 @@ def _cmd_run(args, parser) -> int:
         config = ExperimentConfig.from_dict(settings)
     except ValueError as exc:
         parser.error(str(exc))
+    try:
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot use output directory {config.out!r}: "
+                     f"{exc.strerror}")
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     summary = run_experiment(config)
     print(f"artifacts written to {config.out}")
@@ -93,13 +99,23 @@ def _cmd_run(args, parser) -> int:
     return 0
 
 
+def _write_report(path, report) -> bool:
+    """Write a report to path; on failure say why on stderr."""
+    try:
+        write_json(path, report)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_verify(args) -> int:
     report = run_verification(seed=args.seed, quick=not args.full)
     for check in report["checks"]:
         state = "PASS" if check["passed"] else "FAIL"
         print(f"[{state}] {check['name']}: {check['detail']}")
-    if args.out:
-        write_json(args.out, report)
+    if args.out and not _write_report(args.out, report):
+        return 1
     return 0 if report["passed"] else 1
 
 
@@ -118,8 +134,8 @@ def _cmd_fortin(args, parser) -> int:
     for p, entry in report["trace_inequality"].items():
         print(f"trace inequality p={p}: max constant "
               f"{entry['max_constant']:.4f}")
-    if args.out:
-        write_json(args.out, report)
+    if args.out and not _write_report(args.out, report):
+        return 1
     return 0
 
 

@@ -8,15 +8,16 @@ traces of the postprocessed scalar:
               + 1/2 sum_{interior F of K} h_F^{-1} ||[nu_h]||_F^2
               + sum_{boundary F of K} h_F^{-1} ||u_D - nu_h||_F^2.
 
-Exact-error norms use a high-order rule, refined where the problem asks for
-it.  Elements and edges touching its singular point get the graded rules of
-basis.quad_rule, which make the r^(-2/3) of |q|^2 at a re-entrant corner a
+Exact-error norms use the "data" rule of fields.ref_tables(p, kind),
+refined where the problem asks for it.  Elements touching its singular
+point get the "singular" rule and edges touching it the graded edge rule
+(basis.quad_rule), which make the r^(-2/3) of |q|^2 at a re-entrant corner a
 polynomial integrand.  They grade toward every vertex alike, so the errors
 depend only on the physical element and not on its local vertex order.
-Elements with a vertex in its quadrature region get the rule subdivided
-once.  Each of these three element point sets has its fields.ref_tables,
-built once per p and shared by every later mesh; the plain rule's is the
-one the load vector and the dual norm read.  One pass over the element
+Elements with a vertex in its quadrature region get the "region" rule, the
+data rule subdivided once.  The tables of each of these jobs are built once
+per p and shared by every later mesh; the "data" tables are also the ones
+the load vector and the dual norm read.  One pass over the element
 quadrature points gathers every element-interior error, the saturation
 numerator ||grad(u - theta_h)||_K included; the scaled traces of nu_h are
 shared with the indicator through PostprocResult.nu_traces.  The
@@ -57,27 +58,24 @@ def _singular_vertices(problem: ProblemSpec, mesh: TriMesh) -> np.ndarray:
     return np.linalg.norm(mesh.vertices - xs, axis=1) < 1e-12
 
 
-def _element_groups(mesh: TriMesh, problem: ProblemSpec, p: int,
-                    exactness: int):
+def _element_groups(mesh: TriMesh, problem: ProblemSpec, p: int):
     """[(element ids, ref_tables)]: the "singular" point set on elements
     touching quad_singular_point, "region" on the other elements with a
-    vertex in quad_region, and the plain "triangle" rule on the rest."""
+    vertex in quad_region, and the plain "data" rule on the rest."""
     groups = []
     flagged = _singular_vertices(problem, mesh)[mesh.triangles].any(axis=1)
     if flagged.any():
-        groups.append((np.nonzero(flagged)[0],
-                       ref_tables(p, exactness, "singular")))
+        groups.append((np.nonzero(flagged)[0], ref_tables(p, "singular")))
     if problem.quad_region is not None:
         inside = field_values(problem.quad_region, mesh.vertices,
                               "quad_region") != 0
         near = inside[mesh.triangles].any(axis=1) & ~flagged
         if near.any():
-            groups.append((np.nonzero(near)[0],
-                           ref_tables(p, exactness, "region")))
+            groups.append((np.nonzero(near)[0], ref_tables(p, "region")))
             flagged |= near
     rest = np.nonzero(~flagged)[0]
     if rest.size:
-        groups.insert(0, (rest, ref_tables(p, exactness, "triangle")))
+        groups.insert(0, (rest, ref_tables(p, "data")))
     return groups
 
 
@@ -136,7 +134,7 @@ def dual_norm_star(mesh: TriMesh, p: int, element: int, r) -> float:
     if not 0 <= element < mesh.n_triangles:
         raise IndexError(f"element {element} out of range")
     one = TriMesh(mesh.tri_coords[element], [[0, 1, 2]])
-    T = ref_tables(p, 2 * p + 8, "triangle")
+    T = ref_tables(p, "data")
     vals = field_values(r, mapped_points(one, T.points), "r", vector=True)
     b = _grad_load(vals, one.inv_jacobians, one.det_jacobians,
                    T.weights, T.D[1:])
@@ -218,7 +216,7 @@ def eta_improved(post: PostprocResult, solution: MixedSolution,
                  u_D) -> EstimatorReport:
     """Improved indicator: residual representative + mismatch + scaled traces."""
     mesh, p = post.mesh, post.p
-    T = ref_tables(p, 2 * (p + 2), "triangle")
+    T = ref_tables(p, "local")
     grad_nu = np.matmul(
         (post.nu @ T.D[:post.nu.shape[1]]).reshape(mesh.n_triangles, -1, 2),
         mesh.inv_jacobians)
@@ -294,7 +292,6 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
     if not problem.has_exact:
         raise ValueError("problem carries no exact solution")
     mesh, p = solution.mesh, solution.p
-    exact = 2 * p + 8
     nt = mesh.n_triangles
     grad_nu_sq = np.zeros(nt)
     grad_theta_sq = np.zeros(nt)
@@ -304,7 +301,7 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
     star_rhs = np.zeros((nt, basis_size(p + 2) - 1))
     u_by_el = solution.scalar_by_element
 
-    for ids, T in _element_groups(mesh, problem, p, exact):
+    for ids, T in _element_groups(mesh, problem, p):
         w = T.weights
         phys = mapped_points(mesh, T.points, ids)
         qv = field_values(problem.exact_q, phys, "exact_q", vector=True)

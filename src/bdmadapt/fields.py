@@ -6,14 +6,16 @@ with respect to the orthonormal reference basis composed with the inverse
 affine map; fluxes as signed rows (n_elements, nloc) of the BDM(p) reference
 shapes under the Piola map.
 
-One cached function, ref_tables(p, exactness, kind), tabulates the degree-p
-method at one point set: a triangle rule, the subdivided and graded rules
-of the exact-error report, or an edge rule on the six (local edge,
-orientation) variants.  One run of the Dubiner recurrence gives the values
-and gradients of the scalars up to degree p + 2, and the BDM(p) shapes and
-divergences follow from their nodal coefficients (basis.bdm_reference).
-Each table is cached read-only and coefficient-major, one row per basis
-function:
+One cached function, ref_tables(p, kind), tabulates the degree-p method at
+the rule of one job, which p fixes: "local" (element matrices and the
+indicator, exactness 2(p + 2)), "data" (problem data, the dual norm and the
+exact errors, 2p + 8), "region" (the data rule subdivided once), "singular"
+(the graded data rule) or "edge" (the 2p + 9 edge rule of the jump terms,
+on the six (local edge, orientation) variants).  One run of the Dubiner
+recurrence gives the values and gradients of the scalars up to degree
+p + 2, and the BDM(p) shapes and divergences follow from their nodal
+coefficients (basis.bdm_reference).  Each table is cached read-only and
+coefficient-major, one row per basis function:
 
     V (s, nq), D (s, 2 nq), N (nloc, 2 nq), div (nloc, nq),
 
@@ -84,30 +86,30 @@ class RefTables:
     div: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def ref_tables(p: int, exactness: int, kind: str) -> RefTables:
-    """The degree-p reference tables of one point set, built once.
-
-    kind is "triangle" (the rule of this exactness), "region" (that rule
-    subdivided once), "singular" (the graded triangle rule of quad_rule,
-    graded toward every vertex alike, so that it does not depend on an
-    element's local vertex order) or "edge" (the edge rule of this exactness
-    on the 6 (local edge, orientation) variants; orientation 1 runs against
-    the local traversal).
-    """
-    if kind == "edge":
-        rule = quad_rule(exactness, "edge")
-        t, w = rule.points, rule.weights
-        pts = np.vstack([edge_ref_points(j, u) for j in range(3)
-                         for u in (t, 1.0 - t)])
-    elif kind in ("triangle", "singular"):
-        rule = quad_rule(exactness, "triangle" if kind == "triangle"
-                         else "graded triangle")
-        pts, w = rule.points, rule.weights
-    elif kind == "region":
-        pts, w = subdivided_rule(exactness)
-    else:
+def _job_rule(p: int, kind: str):
+    """The quadrature rule of the job kind at degree p (see ref_tables)."""
+    jobs = {"local": ("triangle", 2 * (p + 2)),
+            "data": ("triangle", 2 * p + 8),
+            "region": ("subdivided triangle", 2 * p + 8),
+            "singular": ("graded triangle", 2 * p + 8),
+            "edge": ("edge", 2 * p + 9)}
+    if kind not in jobs:
         raise ValueError(f"unknown point set {kind!r}")
+    variant, exactness = jobs[kind]
+    return quad_rule(exactness, variant)
+
+
+@lru_cache(maxsize=None)
+def ref_tables(p: int, kind: str) -> RefTables:
+    """The degree-p reference tables of the rule of the job kind (see the
+    module docstring), built once.  The "edge" tables run over the 6 (local
+    edge, orientation) variants, orientation 1 against the local traversal.
+    """
+    rule = _job_rule(p, kind)
+    pts, w = rule.points, rule.weights
+    if kind == "edge":
+        pts = np.vstack([edge_ref_points(j, u) for j in range(3)
+                         for u in (pts, 1.0 - pts)])
     tables = RefTables(pts, w, *tabulate(p, pts))
     for a in vars(tables).values():
         a.setflags(write=False)
@@ -115,11 +117,11 @@ def ref_tables(p: int, exactness: int, kind: str) -> RefTables:
 
 
 @lru_cache(maxsize=None)
-def grad_outer_tables(degree: int, exactness: int):
-    """R[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j on the reference element."""
-    # the degree-p tables reach degree p + 2
-    T = ref_tables(max(degree - 2, 1), exactness, "triangle")
-    D = T.D[:basis_size(degree)].reshape(-1, len(T.weights), 2)
+def grad_outer_tables(p: int):
+    """R[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j on the reference element,
+    for the degree-(p+2) scalars phi at the "local" rule."""
+    T = ref_tables(p, "local")
+    D = T.D.reshape(-1, len(T.weights), 2)
     R = np.einsum("q,iqa,jqb->abij", T.weights, D, D)
     R.setflags(write=False)
     return R
@@ -148,18 +150,14 @@ def metric_tensors(mesh: TriMesh, ids=slice(None)):
     return np.einsum("n,nab,ncb->nac", J, Binv, Binv)
 
 
-def stiffness_tensors(mesh: TriMesh, degree: int, exactness: int,
-                      ids=slice(None)) -> np.ndarray:
-    """Element stiffness matrices (n, s, s) for the degree-r scalar basis on
-    elements ids (default all).
-
-    Row/column 0 belongs to the constant and vanishes; slicing [1:, 1:] gives
-    the stiffness on the mean-free sub-basis.
-    """
-    R = grad_outer_tables(degree, exactness)
+def stiffness_tensors(mesh: TriMesh, p: int, ids=slice(None)) -> np.ndarray:
+    """Element stiffness matrices (n, s - 1, s - 1) of the mean-free
+    degree-(p+2) scalars on elements ids (default all): those of the full
+    basis without row and column 0, which belong to the constant."""
+    R = grad_outer_tables(p)
     s = R.shape[-1]
     return (metric_tensors(mesh, ids).reshape(-1, 4)
-            @ R.reshape(4, s * s)).reshape(-1, s, s)
+            @ R.reshape(4, s * s)).reshape(-1, s, s)[:, 1:, 1:]
 
 
 class ElementClasses:
@@ -265,32 +263,20 @@ def mapped_points(mesh: TriMesh, ref_pts, ids=slice(None)) -> np.ndarray:
     return out
 
 
-def subdivided_rule(exactness: int):
-    """Reference rule replicated on the 4 congruent sub-triangles."""
-    rule = quad_rule(exactness, "triangle")
-    children = np.array([[[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]],
-                         [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5]],
-                         [[0.0, 0.5], [0.5, 0.5], [0.0, 1.0]],
-                         [[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]]])
-    pts = np.vstack([v0 + rule.points @ np.stack([v1 - v0, v2 - v0], axis=1).T
-                     for v0, v1, v2 in children])
-    return pts, np.tile(rule.weights / 4.0, 4)
-
-
 # -- interior-edge jumps and boundary traces of elementwise scalar fields ----
 
 
 def nu_jump_terms(mesh: TriMesh, coeffs, u_D, p: int):
     """Scaled squared traces of an elementwise field of degree <= p + 2
-    across and along edges, by the (p + 5)-point Gauss rule.
+    across and along edges, by the (p + 5)-point Gauss rule of the "edge" job.
 
     Returns (jump_K, boundary_K): jump_K accumulates, per element, half of
     h_F^{-1} ||[field]||_F^2 over its interior edges; boundary_K accumulates
     h_F^{-1} ||u_D - field||_F^2 over its boundary edges.
     """
     coeffs = np.asarray(coeffs)
-    tables = ref_tables(p, 2 * p + 9, "edge")
-    t, w = quad_rule(2 * p + 9, "edge").points, tables.weights
+    tables = ref_tables(p, "edge")
+    t, w = _job_rule(p, "edge").points, tables.weights
     # every element's field on all 6 (local edge, orientation) variants
     vals = (coeffs @ tables.V[:coeffs.shape[1]]).reshape(-1, 3, 2, len(t))
     aligned = mesh.elem_edge_aligned

@@ -25,8 +25,9 @@ import math
 
 import numpy as np
 
-from .basis import REF_VERTICES, edge_ref_points, make_scalar_basis, quad_rule
-from .bdm import edge_legendre, shifted_legendre
+from .basis import (REF_VERTICES, _jacobi, edge_ref_points, make_scalar_basis,
+                    quad_rule)
+from .bdm import edge_legendre
 from .fields import field_values, mapped_points, stiffness_tensors
 from .mesh import TriMesh, _LOCAL_EDGE_VERTS
 
@@ -93,8 +94,8 @@ def trace_basis_values(mesh: TriMesh, local_edge: int, t) -> np.ndarray:
     """
     m = np.arange(2)
     scale = xi_scale(mesh) / mesh.tri_edge_lengths[:, local_edge]
-    return ((scale[:, None, None] * (2 * m + 1))
-            * shifted_legendre(m, np.asarray(t, dtype=float)[:, None]))
+    L = _jacobi(1, 0, 2.0 * np.asarray(t, dtype=float) - 1.0)[0]
+    return (scale[:, None, None] * (2 * m + 1)) * L.T
 
 
 def build_biorthogonal() -> BiorthogonalSet:
@@ -202,7 +203,7 @@ def trace_constants(mesh: TriMesh, p: int) -> np.ndarray:
     from scipy.linalg import eigh
     rule = quad_rule(2 * (p + 2) + 1, "edge")
     basis = make_scalar_basis(p + 2)
-    S = stiffness_tensors(mesh, p + 2, 2 * (p + 2))[:, 1:, 1:]
+    S = stiffness_tensors(mesh, p)
     V = np.stack([basis.values(edge_ref_points(j, rule.points))[:, 1:]
                   for j in range(3)])
     # boundary mass: the reference edge Gram matrices scaled by |e_j|

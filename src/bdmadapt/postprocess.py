@@ -72,10 +72,10 @@ class PostprocResult:
 
 
 @lru_cache(maxsize=None)
-def _flux_load_table(p: int, exactness: int) -> np.ndarray:
+def _flux_load_table(p: int) -> np.ndarray:
     """T[l, i] = sum_q w_q N_l . grad v_i on the reference element, for the
     BDM(p) shapes N_l and the mean-free degree-(p+2) scalars v_i."""
-    T = ref_tables(p, exactness, "triangle")
+    T = ref_tables(p, "local")
     load = (T.N * np.repeat(T.weights, 2)) @ T.D[1:].T
     load.setflags(write=False)
     return load
@@ -87,14 +87,14 @@ def residual_load(solution: MixedSolution) -> np.ndarray:
     of q_h cancels the B^{-T} of grad v_i and the J of the integral."""
     p = solution.p
     c = solution.flux_space.local_coeffs(solution.flux)
-    return -(c @ _flux_load_table(p, 2 * (p + 2)))
+    return -(c @ _flux_load_table(p))
 
 
 def class_factors(mesh: TriMesh, p: int, classes: ElementClasses):
     """G = L^{-1} (n_classes, n2, n2) for the Cholesky factors L of the
     stiffnesses on the mean-free degree-(p+2) basis, built on the class
     representatives; the classes may also be keyed by beta."""
-    S22 = stiffness_tensors(mesh, p + 2, 2 * (p + 2), classes.reps)[:, 1:, 1:]
+    S22 = stiffness_tensors(mesh, p, classes.reps)
     try:
         L = np.linalg.cholesky(S22)
     except np.linalg.LinAlgError as exc:

@@ -152,10 +152,6 @@ class MixedSolution:
         return self.flux_space.n_dofs + self.scalar_space.n_dofs
 
 
-def _data_exactness(p: int) -> int:
-    return 2 * p + 8
-
-
 def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     """Invert the class blocks and assemble the multiplier system S."""
     flux = BdmSpace(mesh, p)
@@ -170,7 +166,7 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     signs = np.ones((nt, blocks.shape[1]))
     signs[:, :nq] = flux.signs
     g = interpolate_boundary_term(flux, problem.u_D)
-    F = scalar.load_vector(problem.f, _data_exactness(p))
+    F = scalar.load_vector(problem.f)
 
     interior = ~mesh.boundary_edge
     n_mult = int(interior.sum()) * (p + 1)

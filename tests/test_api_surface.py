@@ -10,7 +10,9 @@ must be on ALLOWED, with the reason they stay.
 
 Two more guards keep artifacts.write_json the one JSON writer: no
 json.dump or json.dumps call in the package, and no orjson import on the
-way to `import bdmadapt`.
+way to `import bdmadapt`.  A last one keeps basis.quad_rule the one place
+that takes a quadrature exactness: every other rule follows from p and its
+job (fields.ref_tables).
 """
 
 import ast
@@ -26,10 +28,6 @@ BENCHMARKS = ROOT / "benchmarks"
 # qualified name (module.[Class.]name) -> why it stays without a caller
 ALLOWED = {
     "cli.main": "entry point of the bdmadapt console script",
-    "bdm.BdmSpace.eval_flux":
-        "user-facing flux evaluation on one element at any reference "
-        "points, tabulated on the call (the loop's kernels read the cached "
-        "fields.ref_tables)",
     "bdm.BdmSpace.interpolate":
         "canonical BDM interpolant of a user-supplied flux field",
     "mesh.TriMesh.validate": "audit of the mesh invariants",
@@ -187,3 +185,18 @@ def test_import_leaves_orjson_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_only_quad_rule_takes_an_exactness():
+    takers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args
+                         + args.kwonlyargs}
+                if "exactness" in names:
+                    takers.append(f"{path.stem}.{node.name}")
+    assert takers == ["basis.quad_rule"], (
+        f"{takers} take an exactness: derive the rule from p and its job "
+        "with fields.ref_tables(p, kind)")

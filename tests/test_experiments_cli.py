@@ -398,3 +398,45 @@ def test_cli_fortin_rejects_empty_sample(tmp_path, capsys, samples):
     err = capsys.readouterr().err
     assert "n_samples must be at least 1" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["empty", "file", "below-file", "config"])
+def test_cli_run_rejects_unusable_out(tmp_path, capsys, monkeypatch, where):
+    # an output path that cannot be a directory is a usage error naming
+    # it, before any solve
+    monkeypatch.setattr(cli, "run_experiment", None)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = {"empty": "", "file": str(blocker)}.get(where, str(blocker / "sub"))
+    argv = ["run", "--iters", "1"]
+    if where == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": out}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    else:
+        argv += ["--out", out]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and repr(out) in err and "Traceback" not in err
+
+
+def test_cli_verify_reports_unwritable_out(tmp_path, capsys, monkeypatch):
+    # the checks pass, but the report cannot be written: exit 1, and the
+    # message names the path
+    report = {"passed": True,
+              "checks": [{"name": "stub", "passed": True, "detail": ""}]}
+    monkeypatch.setattr(cli, "run_verification", lambda **kw: report)
+    (tmp_path / "blocker").write_text("")
+    out = str(tmp_path / "blocker" / "verify.json")
+    assert main(["verify", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot write {out}: " in err and "Traceback" not in err
+
+
+def test_cli_fortin_reports_unwritable_out(tmp_path, capsys):
+    (tmp_path / "blocker").write_text("")
+    out = str(tmp_path / "blocker" / "fortin.json")
+    assert main(["fortin", "--samples", "2", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot write {out}: " in err and "Traceback" not in err

@@ -13,7 +13,7 @@ from bdmadapt.fortin import (FortinProjection, fortin_report,
                              trace_basis_values, trace_constants, xi_scale)
 from bdmadapt.mesh import _LOCAL_EDGE_VERTS
 
-from conftest import (boundary_moments, projection_moments,
+from conftest import (boundary_moments, eval_flux, projection_moments,
                       single_element_mesh, skewed_triangle)
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -205,7 +205,7 @@ def test_bdm_flux_orthogonality_on_sample_run(bset, rng):
         def normal_error(j, tpar, x, k=k):
             # (q - q_h) . n on local edge j of element k
             ref = edge_ref_points(j, tpar)
-            qh = sol.flux_space.eval_flux(sol.flux, k, ref)
+            qh = eval_flux(sol.flux_space, sol.flux, k, ref)
             return (smooth.exact_q(x) - qh) @ mesh.outward_normals[k, j]
 
         v = edge_param_field(tri, normal_error)

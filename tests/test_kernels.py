@@ -230,8 +230,8 @@ def test_element_matrices_match_einsum(meshes, advdiff, p):
     """Each element's signed class block, and its inverse, against the
     element's own einsum blocks, for beta = 0 and beta != 0."""
     for mesh in meshes:
-        assert_matches(stiffness_tensors(mesh, p + 2, 2 * (p + 2)),
-                       einsum_stiffness_tensors(mesh, p + 2, 2 * (p + 2)))
+        assert_matches(stiffness_tensors(mesh, p), einsum_stiffness_tensors(
+            mesh, p + 2, 2 * (p + 2))[:, 1:, 1:])
         for problem in (preset("smooth"), advdiff):
             system = assemble(mesh, p, problem)
             ids, signs = system.classes.id, system.signs
@@ -248,7 +248,7 @@ def test_element_matrices_match_einsum(meshes, advdiff, p):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_load_vector_matches_einsum(perturbed_mesh, advdiff, p):
     scalar = DgSpace(perturbed_mesh, p - 1)
-    assert_matches(scalar.load_vector(advdiff.f, 2 * p + 8),
+    assert_matches(scalar.load_vector(advdiff.f),
                    einsum_load_vector(scalar, advdiff.f, 2 * p + 8))
 
 
@@ -290,10 +290,13 @@ def test_error_block_matches_einsum(solved, advdiff, p):
 
 
 def _point_sets(p):
-    """(kind, exactness) of every point set the loop tabulates at degree p."""
-    return [("triangle", 2 * (p + 2)), ("triangle", 2 * p + 8),
-            ("region", 2 * p + 8), ("singular", 2 * p + 8),
-            ("edge", 2 * p + 9)]
+    """(kind, quad_rule variant, exactness) of every point set the loop
+    tabulates at degree p."""
+    return [("local", "triangle", 2 * (p + 2)),
+            ("data", "triangle", 2 * p + 8),
+            ("region", "subdivided triangle", 2 * p + 8),
+            ("singular", "graded triangle", 2 * p + 8),
+            ("edge", "edge", 2 * p + 9)]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -301,19 +304,23 @@ def test_ref_tables_are_the_einsum(p):
     """Every table of every point set is coefficient-major, read-only and
     contiguous, and a degree-k field contracted on its leading row slice
     equals the einsum over the point-major basis at the same points, for
-    every degree k the table reaches."""
+    every degree k the table reaches.  Each kind's points and weights are
+    those of its quad_rule variant and exactness."""
     rng = np.random.default_rng(p)
     basis = RefScalarBasis(p + 2)
-    for kind, exactness in _point_sets(p):
-        T = ref_tables(p, exactness, kind)
+    for kind, variant, exactness in _point_sets(p):
+        T = ref_tables(p, kind)
         pts = T.points
         nq, nloc = len(pts), 2 * basis_size(p)
+        rule = quad_rule(exactness, variant)
+        assert np.array_equal(T.weights, rule.weights)
         if kind == "edge":
-            t = quad_rule(exactness, "edge").points
+            t = rule.points
             assert np.array_equal(pts, np.vstack([
                 edge_ref_points(j, u) for j in range(3) for u in (t, 1 - t)]))
             assert abs(T.weights.sum() - 1.0) <= 1e-14
         else:
+            assert np.array_equal(pts, rule.points)
             # exact for every monomial up to the exactness
             for a in range(exactness + 1):
                 for b in range(exactness + 1 - a):
@@ -343,9 +350,9 @@ def test_ref_tables_are_the_einsum(p):
 
 
 def test_ref_tables_are_built_once():
-    assert ref_tables(2, 12, "triangle") is ref_tables(2, 12, "triangle")
+    assert ref_tables(2, "data") is ref_tables(2, "data")
     with pytest.raises(ValueError, match="point set"):
-        ref_tables(2, 12, "square")
+        ref_tables(2, "square")
 
 
 class _TableView(np.ndarray):
