@@ -107,13 +107,14 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
                  uniform: bool = False, initial_elements: int | None = None,
                  with_errors: bool = True, with_theta: bool = True,
                  eta_tol: float = 0.0, max_elements: int | None = None,
-                 keep_meshes: bool = True,
-                 keep_reports: bool = False) -> AdaptiveRun:
+                 keep_meshes: bool = True) -> AdaptiveRun:
     """Execute the refinement loop and record one entry per solved mesh.
 
-    marker selects the indicator driving the marking ("eta" improved or
-    "eta_tilde" built-in); uniform=True bisects every element instead.
-    with_theta decides whether the records carry the saturation delta.  The
+    Each stage takes the one result before it: solve -> postprocess_resmin
+    -> full_report.  marker selects the indicator driving the marking
+    ("eta" improved or "eta_tilde" built-in); uniform=True bisects every
+    element instead.  with_theta decides whether the records carry the
+    saturation delta, keep_meshes whether they keep mesh and report.  The
     loop stops early when the estimator reaches eta_tol, when max_elements
     would be exceeded, or when the solver fails (partial run returned with
     the abort reason).
@@ -135,7 +136,7 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
             run.abort_reason = str(exc)
             break
         post = postprocess_resmin(solution)
-        report = full_report(problem, solution, post, with_errors=with_errors)
+        report = full_report(post, with_errors=with_errors)
         rec = IterationRecord(
             iteration=it, n_elements=mesh.n_triangles,
             n_flux_dofs=solution.flux_space.n_dofs,
@@ -145,7 +146,7 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
             effectivity=report.effectivity,
             errors=None if report.errors is None else report.errors.to_dict(),
             mesh=mesh if keep_meshes else None,
-            report=report if keep_reports else None)
+            report=report if keep_meshes else None)
         run.records.append(rec)
         if rec.eta <= eta_tol or it == iterations - 1:
             break

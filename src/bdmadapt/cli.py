@@ -15,6 +15,14 @@ from .verify import run_verification
 _RUN_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
+def _seed(text):
+    """A --seed: numpy's generators take non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bdmadapt",
@@ -44,14 +52,14 @@ def _build_parser():
 
     ver = sub.add_parser("verify", help="run the identity/property suites")
     ver.add_argument("--out", default=None)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
     ver.add_argument("--full", action="store_true",
                      help="larger randomized sample sizes")
 
     fort = sub.add_parser("fortin", help="biorthogonal trace system report")
     fort.add_argument("--out", default=None)
     fort.add_argument("--samples", type=int, default=100)
-    fort.add_argument("--seed", type=int, default=20240601)
+    fort.add_argument("--seed", type=_seed, default=20240601)
     return parser
 
 

@@ -20,8 +20,9 @@ per p and shared by every later mesh; the "data" tables are also the ones
 the load vector and the dual norm read.  One pass over the element
 quadrature points gathers every element-interior error, the saturation
 numerator ||grad(u - theta_h)||_K included; the scaled traces of nu_h are
-shared with the indicator through PostprocResult.nu_traces.  The
-oscillation bound of a report is computed when it is first read.  The edge
+those the postprocessing took for the indicator.  Every entry point takes
+the PostprocResult alone.  A report is plain data: the caller that writes
+it sets its oscillation bound osc_K.  The edge
 terms (the normal-flux trace error and the oscillation bound) are taken
 once per global edge: q . n_e is sampled in the stored edge direction, on
 singular edges from the singular end, and q_h . n_e = sum_m c_(e,m) (2m+1)
@@ -31,8 +32,7 @@ element-local dual norm ||r||_*K on the mean-free degree-(p+2) space is
 stiffness that the postprocessing already holds, and b the load of r.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +147,8 @@ def dual_norm_star(mesh: TriMesh, p: int, element: int, r) -> float:
 
 @dataclass
 class EstimatorReport:
-    """Per-element indicator decomposition plus optional exact-error block."""
+    """Per-element indicator decomposition plus optional exact-error block
+    and per-element oscillation bound (oscillation_bound)."""
 
     mesh: TriMesh
     p: int
@@ -160,18 +161,7 @@ class EstimatorReport:
     delta: float | None = None
     delta_degenerate: bool = False
     effectivity: float | None = None
-    # the problem whose oscillation bound osc_K reads
-    _osc_problem: ProblemSpec | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    @cached_property
-    def osc_K(self) -> np.ndarray | None:
-        """Per-element oscillation_bound of a report with exact errors,
-        computed on first read: of a run, only the reports that are written
-        out read it."""
-        if self._osc_problem is None:
-            return None
-        return oscillation_bound(self._osc_problem, self.mesh, self.p)[0]
+    osc_K: np.ndarray | None = None
 
     @property
     def eta(self) -> float:
@@ -212,10 +202,10 @@ class EstimatorReport:
         write_json(path, self.to_dict())
 
 
-def eta_improved(post: PostprocResult, solution: MixedSolution,
-                 u_D) -> EstimatorReport:
+def eta_improved(post: PostprocResult) -> EstimatorReport:
     """Improved indicator: residual representative + mismatch + scaled traces."""
-    mesh, p = post.mesh, post.p
+    solution = post.solution
+    mesh, p = solution.mesh, solution.p
     T = ref_tables(p, "local")
     grad_nu = np.matmul(
         (post.nu @ T.D[:post.nu.shape[1]]).reshape(mesh.n_triangles, -1, 2),
@@ -223,12 +213,12 @@ def eta_improved(post: PostprocResult, solution: MixedSolution,
     qh = solution.flux_space.flux_values(solution.flux, T.N)
     qh += grad_nu
     mismatch_sq = (_norm_sq(qh) @ T.weights) * mesh.det_jacobians
-    jump_K, bnd_K = post.nu_traces(u_D)
-    eta_K = np.sqrt(post.eta_tilde_K ** 2 + mismatch_sq + jump_K + bnd_K)
+    eta_K = np.sqrt(post.eta_tilde_K ** 2 + mismatch_sq + post.jump_K
+                    + post.boundary_K)
     return EstimatorReport(
         mesh=mesh, p=p, eta_K=eta_K, eta_tilde_K=post.eta_tilde_K.copy(),
         mismatch_K=np.sqrt(np.maximum(mismatch_sq, 0.0)),
-        jump_K=jump_K, boundary_K=bnd_K)
+        jump_K=post.jump_K, boundary_K=post.boundary_K)
 
 
 # -- exact-error norms ---------------------------------------------------------
@@ -286,9 +276,9 @@ class ErrorBlock:
                 "u_L2": self.u_L2, "nu_L2": self.nu_L2, "full": self.full}
 
 
-def error_norms(problem: ProblemSpec, solution: MixedSolution,
-                post: PostprocResult) -> ErrorBlock:
+def error_norms(post: PostprocResult) -> ErrorBlock:
     """All exact-error norms; requires the problem's exact pair."""
+    solution, problem = post.solution, post.solution.problem
     if not problem.has_exact:
         raise ValueError("problem carries no exact solution")
     mesh, p = solution.mesh, solution.p
@@ -338,12 +328,11 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
         star_rhs[ids] = _grad_load(diff, Binv, J, w, T.D[1:])
         q_L2_sq[ids] = integral(_norm_sq(diff))
 
-    q_star_K = np.linalg.norm(post.classes.matmul(post.chol_inv, star_rhs),
-                              axis=1)
+    q_star_K = np.linalg.norm(
+        solution.classes.matmul(post.chol_inv, star_rhs), axis=1)
 
-    trace_sq = _flux_trace_error_sq(problem, solution)
-    jump_K, bnd_K = post.nu_traces(problem.u_D)
-    one_h_K = np.sqrt(grad_nu_sq + jump_K + bnd_K)
+    trace_sq = _flux_trace_error_sq(solution)
+    one_h_K = np.sqrt(grad_nu_sq + post.jump_K + post.boundary_K)
     return ErrorBlock(
         grad_nu_K=np.sqrt(grad_nu_sq),
         grad_theta_K=np.sqrt(grad_theta_sq),
@@ -356,7 +345,7 @@ def error_norms(problem: ProblemSpec, solution: MixedSolution,
     )
 
 
-def _flux_trace_error_sq(problem: ProblemSpec, solution: MixedSolution):
+def _flux_trace_error_sq(solution: MixedSolution):
     """sum over the edges of K of ||(q - q_h) . n||^2_{edge}, per element."""
     mesh, p = solution.mesh, solution.p
     moments = np.asarray(solution.flux)[:mesh.n_edges * (p + 1)]
@@ -365,7 +354,7 @@ def _flux_trace_error_sq(problem: ProblemSpec, solution: MixedSolution):
     def residual(ids, w, leg, g):
         return g - (scaled[ids] @ leg) / mesh.edge_lengths[ids, None]
 
-    return _edge_flux_sq(problem, mesh, p, p + 5, residual)
+    return _edge_flux_sq(solution.problem, mesh, p, p + 5, residual)
 
 
 def oscillation_bound(problem: ProblemSpec, mesh: TriMesh, p: int):
@@ -385,19 +374,17 @@ def oscillation_bound(problem: ProblemSpec, mesh: TriMesh, p: int):
     return per, float(np.sqrt(np.sum(per ** 2)))
 
 
-def full_report(problem: ProblemSpec, solution: MixedSolution,
-                post: PostprocResult,
+def full_report(post: PostprocResult,
                 with_errors: bool = True) -> EstimatorReport:
     """Improved-estimator report, augmented with the exact-error block.
 
     With exact errors, delta = ||grad(u - theta_h)|| / ||grad(u - nu_h)||
     measures saturation; an exactly discrete solution (zero denominator) is
-    flagged degenerate and reports delta = 0.
+    flagged degenerate and reports delta = 0.  osc_K is left unset.
     """
-    report = eta_improved(post, solution, problem.u_D)
-    if with_errors and problem.has_exact:
-        err = report.errors = error_norms(problem, solution, post)
-        report._osc_problem = problem
+    report = eta_improved(post)
+    if with_errors and post.solution.problem.has_exact:
+        err = report.errors = error_norms(post)
         report.effectivity = report.eta / err.full if err.full > 0 else None
         report.delta_degenerate = err.grad_nu ** 2 <= 1e-28
         report.delta = 0.0 if report.delta_degenerate \

@@ -25,7 +25,7 @@ bases share the same normalized constant.  Each element is solved with its
 class factor alone, so results do not depend on element order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,36 +39,25 @@ from .solver import MixedSolution
 
 @dataclass
 class PostprocResult:
-    """Per-element coefficients of the postprocessed scalars and residual.
+    """The postprocessed scalars and residual of solution, per element.
 
     nu (degree p+1) and theta (degree p+2) have full coefficients (column 0
     is the constant); eps has mean-free degree-(p+2) coefficients;
-    eta_tilde_K holds ||grad eps||_K; classes groups the elements by shape
-    and chol_inv holds G = L^{-1} (n_classes, n2, n2) for the Cholesky
-    factors L of the classes' mean-free degree-(p+2) stiffnesses.
+    eta_tilde_K holds ||grad eps||_K; chol_inv holds G = L^{-1}
+    (n_classes, n2, n2) for the Cholesky factors L of the mean-free
+    degree-(p+2) stiffnesses of solution.classes.  jump_K and boundary_K
+    are the scaled traces of nu (fields.nu_jump_terms with the problem's
+    u_D), which the improved indicator and the exact-error block both read.
     """
 
-    mesh: TriMesh
-    p: int
+    solution: MixedSolution
     nu: np.ndarray
     eps: np.ndarray
     eta_tilde_K: np.ndarray
     theta: np.ndarray
-    classes: ElementClasses
     chol_inv: np.ndarray
-    _traces: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-
-    def nu_traces(self, u_D):
-        """nu_jump_terms of nu and u_D, computed once per u_D and returned
-        read-only: the improved indicator and the exact-error block of one
-        report both need it."""
-        if u_D not in self._traces:
-            terms = nu_jump_terms(self.mesh, self.nu, u_D, self.p)
-            for a in terms:
-                a.setflags(write=False)
-            self._traces[u_D] = terms
-        return self._traces[u_D]
+    jump_K: np.ndarray
+    boundary_K: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -113,15 +102,16 @@ def _with_mean(solution: MixedSolution, mean_free: np.ndarray) -> np.ndarray:
 
 
 def postprocess_resmin(solution: MixedSolution) -> PostprocResult:
-    """Factor each class stiffness once and derive all local solutions."""
-    n1 = basis_size(solution.p + 1) - 1
-    classes = solution.classes
-    G = class_factors(solution.mesh, solution.p, classes)
+    """Factor each class stiffness once and derive all local solutions and
+    the scaled traces of nu."""
+    mesh, p, classes = solution.mesh, solution.p, solution.classes
+    n1 = basis_size(p + 1) - 1
+    G = class_factors(mesh, p, classes)
     z = classes.matmul(G, residual_load(solution))
     theta = classes.matmul(np.swapaxes(G, 1, 2), z)
-    nu = classes.matmul(np.swapaxes(G[:, :n1, :n1], 1, 2), z[:, :n1])
+    nu = _with_mean(
+        solution, classes.matmul(np.swapaxes(G[:, :n1, :n1], 1, 2), z[:, :n1]))
     eps = classes.matmul(np.swapaxes(G[:, n1:, :], 1, 2), z[:, n1:])
-    return PostprocResult(
-        mesh=solution.mesh, p=solution.p, nu=_with_mean(solution, nu),
-        eps=eps, eta_tilde_K=np.linalg.norm(z[:, n1:], axis=1),
-        theta=_with_mean(solution, theta), classes=classes, chol_inv=G)
+    jump_K, boundary_K = nu_jump_terms(mesh, nu, solution.problem.u_D, p)
+    return PostprocResult(solution, nu, eps, np.linalg.norm(z[:, n1:], axis=1),
+                          _with_mean(solution, theta), G, jump_K, boundary_K)

@@ -84,8 +84,8 @@ class ProblemSpec:
     def has_exact(self) -> bool:
         return self.exact_u is not None and self.exact_q is not None
 
-    def validate_exact(self, points, tol=1e-8):
-        """Check q = -grad u at sample points by central differences."""
+    def validate_exact(self, points):
+        """Check q = -grad u at points by central differences, to 1e-8."""
         if not self.has_exact:
             return
         h = 1e-6
@@ -94,7 +94,7 @@ class ProblemSpec:
         q = field_values(self.exact_q, points, "exact_q", vector=True)
         scale = max(1.0, float(np.abs(q).max()))
         err = np.hypot(*(q + (u[0::2] - u[1::2]).T / (2 * h)).T).max()
-        if err > tol * scale:
+        if err > 1e-8 * scale:
             raise ValueError(
                 f"exact pair inconsistent: max |q + grad u| = {err:.3e}")
 
@@ -128,11 +128,12 @@ class MixedSystem:
     p: int
     flux_space: BdmSpace
     scalar_space: DgSpace
+    problem: ProblemSpec
 
 
 @dataclass
 class MixedSolution:
-    """Discrete mixed solution, the solver's shape classes and diagnostics."""
+    """Discrete mixed solution, its problem, the shape classes, diagnostics."""
 
     flux: np.ndarray
     scalar: np.ndarray
@@ -141,6 +142,7 @@ class MixedSolution:
     flux_space: BdmSpace
     scalar_space: DgSpace
     classes: ElementClasses
+    problem: ProblemSpec
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -194,7 +196,8 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     S = coo_matrix((S_loc[keep], (rows[keep], cols[keep])),
                    shape=(n_mult, n_mult)).tocsc()
     return MixedSystem(classes, blocks, inverse, signs, np.concatenate([g, F]),
-                       S, multiplier, edge_sign, owned, mesh, p, flux, scalar)
+                       S, multiplier, edge_sign, owned, mesh, p, flux, scalar,
+                       problem)
 
 
 def _factor(system: MixedSystem):
@@ -304,7 +307,7 @@ def solve(system: MixedSystem) -> MixedSolution:
     return MixedSolution(
         flux=x[:nq], scalar=x[nq:], mesh=system.mesh, p=system.p,
         flux_space=system.flux_space, scalar_space=system.scalar_space,
-        classes=system.classes,
+        classes=system.classes, problem=system.problem,
         # fill: the entries SuperLU stores for L and U, read without copying
         # them (lu.L and lu.U would build CSC copies of the whole fill)
         diagnostics={"rel_residual": rel, "n_dofs": int(S.shape[0]),

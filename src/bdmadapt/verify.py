@@ -36,8 +36,8 @@ def run_verification(seed: int = 0, quick: bool = True) -> dict:
         mesh = build_initial_mesh(lin.domain, 8)
         sol = solve_problem(mesh, p, lin)
         post = postprocess_resmin(sol)
-        rep = eta_improved(post, sol, lin.u_D)
-        err = error_norms(lin, sol, post)
+        rep = eta_improved(post)
+        err = error_norms(post)
         worst = max(worst, rep.eta, err.full, err.nu_L2)
     checks.append(_check("linear_exactness", worst <= 1e-10,
                          f"max residual {worst:.2e}"))
@@ -69,7 +69,7 @@ def run_verification(seed: int = 0, quick: bool = True) -> dict:
                          f"max residual {resid.max():.2e}"))
 
     # local efficiency of both indicators
-    rep = full_report(smooth, sol, post)
+    rep = full_report(post)
     err = rep.errors
     slack = 1e-8 * err.full
     eff1 = rep.eta_tilde_K <= err.grad_nu_K + err.q_star_K + slack

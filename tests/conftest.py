@@ -432,7 +432,7 @@ def stenberg_oracle(solution):
 
 def einsum_mismatch_sq(post, solution):
     """||q_h + grad nu_h||_K^2 per element, as in eta_improved."""
-    mesh, p = post.mesh, post.p
+    mesh, p = solution.mesh, solution.p
     rule = quad_rule(2 * (p + 2), "triangle")
     D = make_scalar_basis(p + 1).grads(rule.points)
     grad_nu = np.einsum("ni,qib->nqb", post.nu, D)

@@ -93,8 +93,7 @@ def dorfler_gap(eta_K, n_marked: int):
 def trajectory(case: str, p: int) -> list:
     """One record per solved mesh of the case at degree p."""
     name, kwargs = CASES[case]
-    run = run_adaptive(preset(name), p, keep_reports=True,
-                       keep_meshes=False, **kwargs)
+    run = run_adaptive(preset(name), p, keep_meshes=True, **kwargs)
     assert not run.aborted, run.abort_reason
     out = []
     for rec in run.records:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 
@@ -152,10 +153,34 @@ def test_one_stiffness_build_per_iteration(monkeypatch):
     assert len(calls) == 1
 
 
+@dataclasses.dataclass
+class _Scaled:
+    """x -> scale * x_0; a dataclass with eq and without frozen is
+    unhashable."""
+
+    scale: float
+
+    def __call__(self, x):
+        return self.scale * x[:, 0]
+
+
+def test_unhashable_boundary_data_runs():
+    # any callable is valid boundary data: nothing keys a cache on it
+    smooth = preset("smooth")
+    u_D = _Scaled(0.0)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(u_D)
+    kwargs = dict(iterations=3, theta=0.5, initial_elements=32)
+    want = run_adaptive(smooth, 1, **kwargs)
+    got = run_adaptive(dataclasses.replace(smooth, u_D=u_D), 1, **kwargs)
+    assert not got.aborted and got.n_iterations == 3
+    assert [r.eta for r in got.records] == [r.eta for r in want.records]
+
+
 def test_builtin_indicator_marker_switch():
     smooth = preset("smooth")
     run = run_adaptive(smooth, 1, theta=0.5, iterations=3, initial_elements=8,
-                       marker="eta_tilde", keep_reports=True)
+                       marker="eta_tilde", keep_meshes=True)
     assert run.marker == "eta_tilde"
     rec = run.records[0]
     marked = dorfler_mark(rec.report.eta_tilde_K, 0.5)

@@ -13,6 +13,12 @@ json.dump or json.dumps call in the package, and no orjson import on the
 way to `import bdmadapt`.  A last one keeps basis.quad_rule the one place
 that takes a quadrature exactness: every other rule follows from p and its
 job (fields.ref_tables).
+
+The option guard asks the same of parameters: every defaulted parameter of
+a module-level function or method must be passed, by keyword or by
+position, by some call in src/bdmadapt or benchmarks/.  An option that no
+caller sets has one value and belongs in the code as a constant; the
+exceptions are on ALLOWED_OPTIONS.
 """
 
 import ast
@@ -37,6 +43,12 @@ ALLOWED = {
     "mesh.TriMesh.inradius": "shape-regularity audit of refined meshes",
     "mesh.DomainSpec.area": "audit of a mesh's area against its domain",
     "mesh.load_mesh": "reader of the mesh files written by run --dump-meshes",
+}
+
+# qualified parameter name -> why no caller in the package sets it
+ALLOWED_OPTIONS = {
+    "cli.main.argv": "the tests drive the command line through it; the "
+                     "console script reads sys.argv",
 }
 
 
@@ -200,3 +212,74 @@ def test_only_quad_rule_takes_an_exactness():
     assert takers == ["basis.quad_rule"], (
         f"{takers} take an exactness: derive the rule from p and its job "
         "with fields.ref_tables(p, kind)")
+
+
+def _defaulted(func, qual, callee, skip):
+    """qual.param -> (callee, position or None, param) of each defaulted
+    parameter of func, after its first `skip` positional parameters."""
+    args = func.args
+    positional = (args.posonlyargs + args.args)[skip:]
+    out = {}
+    for i, a in enumerate(positional):
+        if i >= len(positional) - len(args.defaults):
+            out[f"{qual}.{a.arg}"] = (callee, i, a.arg)
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            out[f"{qual}.{a.arg}"] = (callee, None, a.arg)
+    return out
+
+
+def _options():
+    """Every defaulted parameter of a module-level function or of a method
+    of a module-level class; a constructor is called by its class name, and
+    a method's first parameter (self or cls) is never passed."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.update(_defaulted(node, f"{path.stem}.{node.name}",
+                                      node.name, 0))
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if not isinstance(sub, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef)):
+                        continue
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in sub.decorator_list)
+                    callee = node.name if sub.name == "__init__" else sub.name
+                    out.update(_defaulted(
+                        sub, f"{path.stem}.{node.name}.{sub.name}", callee,
+                        0 if static else 1))
+    return out
+
+
+def _sets(call, position, name):
+    """Whether call may pass the parameter: by keyword (or **kwargs), by
+    position (or *args)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def test_every_option_is_set_by_a_caller():
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCHMARKS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    options = _options()
+    unset = sorted(
+        q for q, (callee, position, name) in options.items()
+        if q not in ALLOWED_OPTIONS and not any(
+            _sets(call, position, name) for call in calls.get(callee, ())))
+    assert not unset, (
+        f"no call in src/bdmadapt or benchmarks/ sets {unset}: make each a "
+        "constant, or add it to ALLOWED_OPTIONS with a reason")
+    stale = sorted(set(ALLOWED_OPTIONS) - set(options))
+    assert not stale, f"ALLOWED_OPTIONS names that no longer exist: {stale}"

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from bdmadapt import (TriMesh, build_initial_mesh, dual_norm_star,
-                      error_norms, eta_improved, full_report,
+from bdmadapt import (ExperimentConfig, TriMesh, build_initial_mesh,
+                      dual_norm_star, error_norms, eta_improved, full_report,
                       oscillation_bound, postprocess_resmin, preset,
-                      run_adaptive, solve_problem)
+                      run_adaptive, run_experiment, solve_problem)
 from bdmadapt.basis import make_scalar_basis, quad_rule
 import bdmadapt.basis as basis_mod
-from bdmadapt import estimators, fields
+from bdmadapt import adaptivity, estimators, fields
 from bdmadapt.bdm import edge_legendre
 from bdmadapt.fields import stiffness_tensors
 
@@ -29,7 +29,7 @@ def smooth_run():
     for p in (1, 2, 3):
         sol = solve_problem(mesh, p, smooth)
         post = postprocess_resmin(sol)
-        out[p] = (smooth, sol, post, full_report(smooth, sol, post))
+        out[p] = (smooth, sol, post, full_report(post))
     return out
 
 
@@ -127,7 +127,7 @@ def test_estimator_zero_on_linear_solution():
     for p in (1, 2, 3):
         sol = solve_problem(mesh, p, lin)
         post = postprocess_resmin(sol)
-        rep = eta_improved(post, sol, lin.u_D)
+        rep = eta_improved(post)
         assert rep.eta <= 1e-10
 
 
@@ -140,31 +140,75 @@ def test_estimator_report_structure(p, smooth_run):
     payload = rep.to_dict()
     assert payload["has_exact"] and payload["errors"]["full"] > 0
     assert rep.effectivity is not None and rep.delta is not None
-    assert rep.osc_K is not None and payload["osc"] >= 0.0
+    # the oscillation bound is filled in only by the caller that needs it
+    assert rep.osc_K is None and "osc" not in payload
 
 
-def test_osc_is_the_oscillation_bound_read_once(monkeypatch, smooth_run):
-    prob, sol, post, _ = smooth_run[2]
-    rep = full_report(prob, sol, post)
-    calls = []
-    real = estimators.oscillation_bound
+def test_osc_is_the_oscillation_bound_read_once(monkeypatch, tmp_path,
+                                                smooth_run):
+    # run_experiment sets osc_K of the final report from one
+    # oscillation_bound pass, and the written report carries that bound
+    real_bound, real_report = estimators.oscillation_bound, \
+        adaptivity.full_report
+    calls, reports = [], []
 
     def counted(*args):
         calls.append(args)
-        return real(*args)
+        return real_bound(*args)
+
+    def kept(*args, **kwargs):
+        reports.append(real_report(*args, **kwargs))
+        return reports[-1]
 
     monkeypatch.setattr(estimators, "oscillation_bound", counted)
+    monkeypatch.setattr(adaptivity, "full_report", kept)
+    run_experiment(ExperimentConfig(experiment="smooth", p_list=(2,),
+                                    iterations=2, out=str(tmp_path),
+                                    initial_elements=8))
+    first, final = reports
+    assert len(calls) == 1 and first.osc_K is None
+    want, glob = real_bound(preset("smooth"), final.mesh, 2)
+    assert np.array_equal(final.osc_K, want)
+    data = load_strict(str(tmp_path / "report_p2_final.json"))
+    assert data["osc_K"] == want.tolist() and data["osc"] == glob
+    _, _, post, _ = smooth_run[2]
+    assert full_report(post, with_errors=False).osc_K is None
+
+
+def test_serializing_a_report_evaluates_nothing(tmp_path):
+    # to_dict and save write the fields a report holds, with or without
+    # its oscillation bound, and evaluate no exact field
+    smooth = preset("smooth")
+    calls = []
+
+    def counted(name):
+        real = getattr(smooth, name)
+
+        def fn(x):
+            calls.append(name)
+            return real(x)
+        return fn
+
+    prob = dataclasses.replace(smooth, exact_q=counted("exact_q"),
+                               exact_u=counted("exact_u"))
+    mesh = build_initial_mesh(prob.domain, 32)
+    rep = full_report(postprocess_resmin(solve_problem(mesh, 2, prob)))
+    assert rep.has_exact and {"exact_q", "exact_u"} <= set(calls)
+    calls.clear()
+    path = str(tmp_path / "report.json")
+    for osc_K in (None, oscillation_bound(smooth, mesh, 2)[0]):
+        rep.osc_K = osc_K
+        payload = rep.to_dict()
+        rep.save(path)
+        assert ("osc" in payload) == ("osc" in load_strict(path)) \
+            == (osc_K is not None)
     assert calls == []
-    want, _ = real(prob, sol.mesh, 2)
-    assert np.array_equal(rep.osc_K, want)
-    assert rep.osc_K is rep.osc_K and len(calls) == 1
-    assert full_report(prob, sol, post, with_errors=False).osc_K is None
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_local_efficiency_builtin(p, smooth_run):
     prob, sol, post, _ = smooth_run[p]
-    err = error_norms(prob, sol, post)
+    err = error_norms(post)
     slack = 1e-8 * err.full
     assert np.all(post.eta_tilde_K <= err.grad_nu_K + err.q_star_K + slack)
 
@@ -172,8 +216,8 @@ def test_local_efficiency_builtin(p, smooth_run):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_local_efficiency_improved(p, smooth_run):
     prob, sol, post, _ = smooth_run[p]
-    rep = eta_improved(post, sol, prob.u_D)
-    err = error_norms(prob, sol, post)
+    rep = eta_improved(post)
+    err = error_norms(post)
     slack = 1e-8 * err.full
     assert np.all(rep.eta_K <= err.one_h_K + err.q_L2_K + slack)
 
@@ -183,7 +227,7 @@ def test_error_norms_zero_for_exact_discrete():
     mesh = build_initial_mesh(lin.domain, 8)
     sol = solve_problem(mesh, 2, lin)
     post = postprocess_resmin(sol)
-    err = error_norms(lin, sol, post)
+    err = error_norms(post)
     assert err.full <= 1e-10
     assert err.u_L2 <= 1e-10 and err.nu_L2 <= 1e-10
 
@@ -197,7 +241,7 @@ def test_flux_error_ratio_p3_uniform():
     for _ in range(2):
         sol = solve_problem(mesh, p, smooth)
         post = postprocess_resmin(sol)
-        err = error_norms(smooth, sol, post)
+        err = error_norms(post)
         vals.append(err.q_0h)
         mesh = mesh.refine(range(mesh.n_triangles))
         mesh = mesh.refine(range(mesh.n_triangles))
@@ -208,7 +252,7 @@ def test_flux_error_ratio_p3_uniform():
 @pytest.mark.parametrize("p", [1, 2])
 def test_star_norm_below_l2_norm_in_error(p, smooth_run):
     prob, sol, post, _ = smooth_run[p]
-    err = error_norms(prob, sol, post)
+    err = error_norms(post)
     assert np.all(err.q_star_K <= err.q_L2_K + 1e-12)
     assert err.q_star_h <= err.q_0h + 1e-12
 
@@ -240,7 +284,7 @@ def test_oscillation_decay_rate_smooth():
         mesh = mesh.refine(range(mesh.n_triangles))
         mesh = mesh.refine(range(mesh.n_triangles))
     from bdmadapt import fit_slope
-    slope = fit_slope(nels, vals, drop=0)
+    slope = fit_slope(nels, vals, tail=len(vals))
     assert slope <= -(p + 1) + 0.2
 
 
@@ -253,7 +297,7 @@ def test_flux_trace_matches_element_oracle(name, count, p):
     prob = preset(name)
     mesh = build_initial_mesh(prob.domain, count).refine([0, 5, 11])
     sol = solve_problem(mesh, p, prob)
-    err = error_norms(prob, sol, postprocess_resmin(sol))
+    err = error_norms(postprocess_resmin(sol))
     trace_sq, qn_sq = element_flux_trace_sq(prob, sol)
     got = err.q_trace_K ** 2
     want = mesh.h_K * trace_sq
@@ -306,7 +350,7 @@ def test_saturation_nonnegative_and_degenerate_flag(smooth_run):
     lin = make_linear_problem()
     mesh = build_initial_mesh(lin.domain, 8)
     sol2 = solve_problem(mesh, 1, lin)
-    rep2 = full_report(lin, sol2, postprocess_resmin(sol2))
+    rep2 = full_report(postprocess_resmin(sol2))
     assert rep2.delta_degenerate and rep2.delta == 0.0
 
 
@@ -323,7 +367,8 @@ def test_eta_tilde_invariant_under_elementwise_constant_shift(smooth_run, rng):
     from bdmadapt.solver import MixedSolution
     sol2 = MixedSolution(flux=sol.flux, scalar=shifted.ravel(), mesh=sol.mesh,
                          p=sol.p, flux_space=sol.flux_space,
-                         scalar_space=sol.scalar_space, classes=sol.classes)
+                         scalar_space=sol.scalar_space, classes=sol.classes,
+                         problem=sol.problem)
     post2 = postprocess_resmin(sol2)
     assert np.array_equal(post2.eta_tilde_K, post.eta_tilde_K)
     assert np.array_equal(post2.eps, post.eps)
@@ -333,7 +378,7 @@ def test_eta_tilde_invariant_under_elementwise_constant_shift(smooth_run, rng):
 def test_reliability_with_measured_saturation(p, smooth_run):
     # ||grad(u - nu)|| <= eta_tilde / (1 - delta) with the measured delta
     prob, sol, post, rep = smooth_run[p]
-    err = error_norms(prob, sol, post)
+    err = error_norms(post)
     assert not rep.delta_degenerate and rep.delta < 1.0
     bound = rep.eta_tilde / (1.0 - rep.delta)
     assert err.grad_nu <= bound + 1e-8 * err.grad_nu
@@ -354,10 +399,11 @@ def test_report_json_roundtrip(tmp_path, smooth_run):
 
 
 def test_full_report_computes_nu_jump_terms_once(monkeypatch):
+    # the postprocessing takes the traces of nu, once per iteration; the
+    # indicator and the exact-error block read them
     smooth = preset("smooth")
     mesh = build_initial_mesh(smooth.domain, 32)
     sol = solve_problem(mesh, 2, smooth)
-    post = postprocess_resmin(sol)
     real = fields.nu_jump_terms
     calls = []
 
@@ -369,16 +415,19 @@ def test_full_report_computes_nu_jump_terms_once(monkeypatch):
         if name.startswith("bdmadapt") and \
                 getattr(module, "nu_jump_terms", None) is real:
             monkeypatch.setattr(module, "nu_jump_terms", counted)
-    report = full_report(smooth, sol, post)
+    report = full_report(postprocess_resmin(sol))
     assert len(calls) == 1
     # the shared traces are those of a fresh postprocess
     fresh = postprocess_resmin(sol)
+    assert len(calls) == 2
     jump_K, bnd_K = real(mesh, fresh.nu, smooth.u_D, 2)
     assert np.array_equal(report.jump_K, jump_K)
     assert np.array_equal(report.boundary_K, bnd_K)
-    alone = error_norms(smooth, sol, fresh)
+    alone = error_norms(fresh)
     assert np.array_equal(report.errors.one_h_K, alone.one_h_K)
     assert len(calls) == 2
+    run_adaptive(smooth, 2, iterations=3, initial_elements=32)
+    assert len(calls) == 5
 
 
 def test_lshape_errors_do_not_depend_on_vertex_order():
@@ -396,7 +445,7 @@ def test_lshape_errors_do_not_depend_on_vertex_order():
         reports = []
         for m in (mesh, mirror):
             sol = solve_problem(m, p, lshape)
-            reports.append(full_report(lshape, sol, postprocess_resmin(sol)))
+            reports.append(full_report(postprocess_resmin(sol)))
         a, b = reports
         assert b.errors.full == pytest.approx(a.errors.full, rel=1e-12,
                                               abs=0.0), p
@@ -420,13 +469,13 @@ def test_lshape_exact_errors_are_converged(monkeypatch):
         for rec in run.records:
             sol = solve_problem(rec.mesh, p, lshape)
             states.append((sol, postprocess_resmin(sol)))
-    blocks = [error_norms(lshape, sol, post) for sol, post in states]
+    blocks = [error_norms(post) for sol, post in states]
     try:
         with monkeypatch.context() as m:
             m.setattr(basis_mod, "GRADED_EXTRA_POINTS",
                       basis_mod.GRADED_EXTRA_POINTS + 4)
             _clear_rule_caches()
-            finer = [error_norms(lshape, sol, post) for sol, post in states]
+            finer = [error_norms(post) for sol, post in states]
     finally:
         # no table of the finer rules may outlive the test
         _clear_rule_caches()

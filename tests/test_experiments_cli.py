@@ -168,10 +168,10 @@ def test_fit_slope_policy():
     vals = [1.0, 0.25, 0.0625, 0.015625]  # exact slope -2 vs sqrt(Nel)
     assert abs(fit_slope(nel, vals) + 2.0) < 1e-12
     assert abs(fit_slope(nel, vals, tail=3) + 2.0) < 1e-12
-    assert fit_slope(nel, [1.0, 1.0], drop=2) is None
+    assert fit_slope(nel, [1.0, 1.0]) is None
     # nonpositive entries are skipped; the two positive points remain
-    assert abs(fit_slope(nel, [1.0, -1.0, 2.0, 0.0], drop=0) - 0.5) < 1e-12
-    assert fit_slope(nel, [0.0, -1.0, 0.0, 2.0], drop=0) is None
+    assert abs(fit_slope(nel, [1.0, -1.0, 2.0, 0.0], tail=4) - 0.5) < 1e-12
+    assert fit_slope(nel, [0.0, -1.0, 0.0, 2.0], tail=4) is None
 
 
 def test_cli_run_with_config_and_override(tmp_path, capsys):
@@ -440,3 +440,17 @@ def test_cli_fortin_reports_unwritable_out(tmp_path, capsys):
     assert main(["fortin", "--samples", "2", "--out", out]) == 1
     err = capsys.readouterr().err
     assert f"cannot write {out}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, runner", [("verify", "run_verification"),
+                                             ("fortin", "fortin_report")])
+def test_cli_rejects_negative_seed(capsys, monkeypatch, command, runner):
+    # numpy's generators take non-negative seeds only: a usage error naming
+    # the flag, before any work
+    monkeypatch.setattr(cli, runner, None)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "argument --seed: must be a non-negative " \
+        "integer, got '-1'" in err and "Traceback" not in err

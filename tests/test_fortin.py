@@ -276,7 +276,7 @@ def test_trace_inequality_scale_invariance():
 
 
 def test_fortin_report_contents():
-    report = fortin_report(n_samples=25, seed=3, degrees=(1,))
+    report = fortin_report(n_samples=25, seed=3)
     assert report["det_A"] > 0
     assert report["reference_biorthogonality_residual"] <= 1e-12
     assert report["physical_biorthogonality_residual"] <= 1e-11

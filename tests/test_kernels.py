@@ -260,18 +260,18 @@ def test_local_ingredients_match_einsum(solved, p):
         S22_ref, rhs_ref = einsum_local_ingredients(solution)
         assert_matches(residual_load(solution), rhs_ref)
         G_ref = np.linalg.inv(np.linalg.cholesky(S22_ref))
-        assert_matches(post.chol_inv[post.classes.id], G_ref)
+        assert_matches(post.chol_inv[solution.classes.id], G_ref)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_estimator_terms_match_einsum(solved, advdiff, p):
     for solution, post in solved[p]:
-        report = eta_improved(post, solution, advdiff.u_D)
+        report = eta_improved(post)
         assert_matches(report.mismatch_K ** 2,
                        einsum_mismatch_sq(post, solution))
-        jump_ref, bnd_ref = einsum_nu_jump_terms(post.mesh, post.nu,
+        jump_ref, bnd_ref = einsum_nu_jump_terms(solution.mesh, post.nu,
                                                  advdiff.u_D, p + 5)
-        jump_K, bnd_K = nu_jump_terms(post.mesh, post.nu, advdiff.u_D, p)
+        jump_K, bnd_K = nu_jump_terms(solution.mesh, post.nu, advdiff.u_D, p)
         assert_matches(jump_K, jump_ref)
         assert_matches(bnd_K, bnd_ref)
 
@@ -279,7 +279,7 @@ def test_estimator_terms_match_einsum(solved, advdiff, p):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_error_block_matches_einsum(solved, advdiff, p):
     for solution, post in solved[p]:
-        new = error_norms(advdiff, solution, post)
+        new = error_norms(post)
         ref = einsum_error_norms(advdiff, solution, post)
         for name in ("grad_nu_K", "grad_theta_K", "one_h_K", "q_L2_K",
                      "q_trace_K", "q_star_K", "u_L2", "nu_L2"):
@@ -397,7 +397,7 @@ def test_contractions_read_views_of_cached_tables(monkeypatch, advdiff):
     def run():
         for p in (1, 2, 3):
             solution = solve(assemble(mesh, p, advdiff))
-            full_report(advdiff, solution, postprocess_resmin(solution))
+            full_report(postprocess_resmin(solution))
 
     run()  # the tables derived from the cached ones are cached as well
     for module in (fields, bdm, estimators, postprocess):
@@ -428,7 +428,7 @@ def test_cold_run_tabulates_each_point_set_once():
         "for name in ('smooth', 'advdiff'):\n"
         "    for p in (1, 2, 3):\n"
         "        run = run_adaptive(preset(name), p, iterations=3,\n"
-        "                           keep_reports=True)\n"
+        "                           keep_meshes=True)\n"
         "        run.records[-1].report.to_dict()\n"
         "print(len(seen), max(seen.values()))\n")
     out = subprocess.run([sys.executable, "-c", script], check=True,
@@ -450,7 +450,7 @@ def _warm_iteration(advdiff):
 
     def iteration():
         solution = solve(assemble(mesh, 2, advdiff))
-        return full_report(advdiff, solution, postprocess_resmin(solution))
+        return full_report(postprocess_resmin(solution))
 
     iteration()
     return mesh.n_triangles, iteration
@@ -517,6 +517,6 @@ def test_loop_builds_reference_tables_once(monkeypatch, advdiff):
         monkeypatch.setattr(module, name, counted)
 
     counting(RefScalarBasis, "tabulate")
-    report = full_report(advdiff, solution, post)
+    report = full_report(post)
     assert report.has_exact and mesh.n_triangles > nt
     assert calls == []

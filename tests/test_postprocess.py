@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bdmadapt import build_initial_mesh, postprocess_resmin, solve_problem
+from bdmadapt import (build_initial_mesh, postprocess_resmin, preset,
+                      solve_problem)
 from bdmadapt.basis import basis_size, make_scalar_basis, quad_rule
 from bdmadapt.bdm import BdmSpace, DgSpace
 from bdmadapt.estimators import dual_norm_star
@@ -13,10 +14,12 @@ from conftest import eval_flux, single_element_mesh, stenberg_oracle
 
 
 def manual_solution(mesh, p, flux, scalar):
+    # the problem only supplies the boundary data of the traces of nu
     return MixedSolution(flux=flux, scalar=scalar, mesh=mesh, p=p,
                          flux_space=BdmSpace(mesh, p),
                          scalar_space=DgSpace(mesh, p - 1),
-                         classes=ElementClasses(mesh))
+                         classes=ElementClasses(mesh),
+                         problem=preset("smooth"))
 
 
 def element_means(mesh, coeffs):

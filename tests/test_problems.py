@@ -55,7 +55,7 @@ def test_lshape_harmonic_away_from_corner():
 def test_lshape_gradient_consistency():
     lshape = preset("lshape")
     pts = np.array([(0.4, 0.3), (-0.5, 0.6), (0.3, -0.6)])
-    lshape.validate_exact(pts, tol=1e-8)
+    lshape.validate_exact(pts)
 
 
 def test_lshape_boundary_values_on_reentrant_edges():
