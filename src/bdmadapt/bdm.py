@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import _jacobi, basis_size, interior_test_fields, quad_rule
-from .fields import edge_points, field_values, mapped_points, ref_tables
+from .fields import (edge_points, field_values, mapped_points,
+                     point_blocks, ref_tables)
 from .mesh import TriMesh
 
 
@@ -66,11 +67,14 @@ class DgSpace:
         return np.asarray(vec).reshape(self.mesh.n_triangles, self.local_dim)
 
     def load_vector(self, f) -> np.ndarray:
-        # the scalars of degree k pair with the BDM(k + 1) fluxes
-        T = ref_tables(self.degree + 1, "data")
-        vals = field_values(f, mapped_points(self.mesh, T.points), "f")
-        F = ((vals * T.weights) @ T.V[:self.local_dim].T) \
-            * self.mesh.det_jacobians[:, None]
+        # the scalars of degree k pair with the BDM(k + 1) fluxes; f is
+        # weighted block by block, the load is one GEMM
+        T, mesh = ref_tables(self.degree + 1, "data"), self.mesh
+        vals = np.empty((mesh.n_triangles, len(T.weights)))
+        for b in point_blocks(mesh.n_triangles, len(T.weights)):
+            np.multiply(field_values(f, mapped_points(mesh, T.points, b), "f"),
+                        T.weights, out=vals[b])
+        F = (vals @ T.V[:self.local_dim].T) * mesh.det_jacobians[:, None]
         return F.ravel()
 
 

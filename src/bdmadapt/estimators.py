@@ -17,19 +17,20 @@ depend only on the physical element and not on its local vertex order.
 Elements with a vertex in its quadrature region get the "region" rule, the
 data rule subdivided once.  The tables of each of these jobs are built once
 per p and shared by every later mesh; the "data" tables are also the ones
-the load vector and the dual norm read.  One pass over the element
-quadrature points gathers every element-interior error, the saturation
-numerator ||grad(u - theta_h)||_K included; the scaled traces of nu_h are
-those the postprocessing took for the indicator.  Every entry point takes
-the PostprocResult alone.  A report is plain data: the caller that writes
-it sets its oscillation bound osc_K.  The edge
-terms (the normal-flux trace error and the oscillation bound) are taken
-once per global edge: q . n_e is sampled in the stored edge direction, on
-singular edges from the singular end, and q_h . n_e = sum_m c_(e,m) (2m+1)
-L_m(t) / |e| comes from the global edge moments c_(e,m) of q_h.  The
-element-local dual norm ||r||_*K on the mean-free degree-(p+2) space is
-||G b|| with G = L^{-1} the inverse Cholesky factor of the element's class
-stiffness that the postprocessing already holds, and b the load of r.
+the load vector and the dual norm read.  One pass over the element quadrature
+points, in blocks of at most fields.BLOCK_POINTS points, gathers every
+element-interior error, the saturation numerator ||grad(u - theta_h)||_K
+included; the scaled traces of nu_h are those the postprocessing took for
+the indicator.  Every entry point takes the PostprocResult alone.  A report is
+plain data: the caller that writes it sets its oscillation bound osc_K.  The
+edge terms (the normal-flux trace error and the oscillation bound) are taken
+once per global edge, in blocks of edges likewise: q . n_e is sampled in the
+stored edge direction, on singular edges from the singular end, and
+q_h . n_e = sum_m c_(e,m) (2m+1) L_m(t) / |e| comes from the global edge
+moments c_(e,m) of q_h.  The element-local dual norm ||r||_*K on the mean-free
+degree-(p+2) space is ||G b|| with G = L^{-1} the inverse Cholesky factor of
+the element's class stiffness that the postprocessing already holds, and b
+the load of r.
 """
 
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .artifacts import write_json
 from .basis import basis_size
 from .bdm import edge_legendre
 from .fields import (ElementClasses, edge_points, field_values, mapped_points,
-                     ref_tables)
+                     point_blocks, ref_tables)
 from .mesh import TriMesh
 from .postprocess import PostprocResult, class_factors
 from .solver import MixedSolution, ProblemSpec
@@ -94,14 +95,17 @@ def _edge_flux_sq(problem: ProblemSpec, mesh: TriMesh, p: int,
     singular = at.any(axis=1)
     sq = np.zeros(mesh.n_edges)
     for graded in (False, True):
-        ids = np.nonzero(singular == graded)[0]
-        if ids.size == 0:
+        group = np.nonzero(singular == graded)[0]
+        if group.size == 0:
             continue
         t, w, leg = edge_legendre(p, n_points, graded)
-        pts = edge_points(mesh, ids, t, from_end=at[ids, 1])
-        qv = field_values(problem.exact_q, pts, "exact_q", vector=True)
-        g = (qv @ mesh.edge_normals[ids, :, None])[..., 0]
-        sq[ids] = (residual(ids, w, leg, g) ** 2 @ w) * mesh.edge_lengths[ids]
+        for b in point_blocks(len(group), len(t)):
+            ids = group[b]
+            pts = edge_points(mesh, ids, t, from_end=at[ids, 1])
+            qv = field_values(problem.exact_q, pts, "exact_q", vector=True)
+            g = (qv @ mesh.edge_normals[ids, :, None])[..., 0]
+            sq[ids] = ((residual(ids, w, leg, g) ** 2 @ w)
+                       * mesh.edge_lengths[ids])
     return sq[mesh.elem_edges].sum(axis=1)
 
 
@@ -276,6 +280,48 @@ class ErrorBlock:
                 "u_L2": self.u_L2, "nu_L2": self.nu_L2, "full": self.full}
 
 
+def _element_errors(post: PostprocResult, ids, T):
+    """Squared errors ||grad(u - nu_h)||^2, ||grad(u - theta_h)||^2,
+    ||u - u_h||^2, ||u - nu_h||^2 and ||q - q_h||^2 of elements ids, and
+    the dual-norm load of q - q_h, at the rule of the tables T."""
+    solution, problem = post.solution, post.solution.problem
+    mesh, w = solution.mesh, T.weights
+    phys = mapped_points(mesh, T.points, ids)
+    qv = field_values(problem.exact_q, phys, "exact_q", vector=True)
+    uv = field_values(problem.exact_u, phys, "exact_u")
+    J = mesh.det_jacobians[ids]
+    Binv = mesh.inv_jacobians[ids]
+
+    def at_points(coeffs, table):
+        # the bases are hierarchical: a lower degree is a leading slice
+        return coeffs[ids] @ table[:coeffs.shape[1]]
+
+    def integral(vals):
+        return (vals @ w) * J
+
+    def grad_error_sq(coeffs):
+        # grad(u - v) = -q - grad v
+        g = np.matmul(at_points(coeffs, T.D).reshape(len(ids), -1, 2), Binv)
+        g += qv
+        return integral(_norm_sq(g))
+
+    def value_error_sq(coeffs):
+        d = at_points(coeffs, T.V)
+        np.subtract(uv, d, out=d)
+        return integral(np.square(d, out=d))
+
+    grad_nu_sq = grad_error_sq(post.nu)
+    grad_theta_sq = grad_error_sq(post.theta)
+    u_L2_sq = value_error_sq(solution.scalar_by_element)
+    nu_L2_sq = value_error_sq(post.nu)
+    diff = solution.flux_space.flux_values(solution.flux, T.N, ids)
+    np.subtract(qv, diff, out=diff)
+    # load (q - q_h, grad v) of the mean-free degree-(p+2) basis
+    star_rhs = _grad_load(diff, Binv, J, w, T.D[1:])
+    return (grad_nu_sq, grad_theta_sq, u_L2_sq, nu_L2_sq,
+            integral(_norm_sq(diff)), star_rhs)
+
+
 def error_norms(post: PostprocResult) -> ErrorBlock:
     """All exact-error norms; requires the problem's exact pair."""
     solution, problem = post.solution, post.solution.problem
@@ -289,44 +335,12 @@ def error_norms(post: PostprocResult) -> ErrorBlock:
     u_L2_sq = np.zeros(nt)
     nu_L2_sq = np.zeros(nt)
     star_rhs = np.zeros((nt, basis_size(p + 2) - 1))
-    u_by_el = solution.scalar_by_element
 
-    for ids, T in _element_groups(mesh, problem, p):
-        w = T.weights
-        phys = mapped_points(mesh, T.points, ids)
-        qv = field_values(problem.exact_q, phys, "exact_q", vector=True)
-        uv = field_values(problem.exact_u, phys, "exact_u")
-        J = mesh.det_jacobians[ids]
-        Binv = mesh.inv_jacobians[ids]
-
-        def at_points(coeffs, table):
-            # the bases are hierarchical: a lower degree is a leading slice
-            return coeffs[ids] @ table[:coeffs.shape[1]]
-
-        def integral(vals):
-            return (vals @ w) * J
-
-        def grad_error_sq(coeffs):
-            # grad(u - v) = -q - grad v
-            g = np.matmul(at_points(coeffs, T.D).reshape(len(ids), -1, 2),
-                          Binv)
-            g += qv
-            return integral(_norm_sq(g))
-
-        def value_error_sq(coeffs):
-            d = at_points(coeffs, T.V)
-            np.subtract(uv, d, out=d)
-            return integral(np.square(d, out=d))
-
-        grad_nu_sq[ids] = grad_error_sq(post.nu)
-        grad_theta_sq[ids] = grad_error_sq(post.theta)
-        u_L2_sq[ids] = value_error_sq(u_by_el)
-        nu_L2_sq[ids] = value_error_sq(post.nu)
-        diff = solution.flux_space.flux_values(solution.flux, T.N, ids)
-        np.subtract(qv, diff, out=diff)
-        # load (q - q_h, grad v) of the mean-free degree-(p+2) basis
-        star_rhs[ids] = _grad_load(diff, Binv, J, w, T.D[1:])
-        q_L2_sq[ids] = integral(_norm_sq(diff))
+    for group, T in _element_groups(mesh, problem, p):
+        for b in point_blocks(len(group), len(T.weights)):
+            ids = group[b]
+            (grad_nu_sq[ids], grad_theta_sq[ids], u_L2_sq[ids], nu_L2_sq[ids],
+             q_L2_sq[ids], star_rhs[ids]) = _element_errors(post, ids, T)
 
     q_star_K = np.linalg.norm(
         solution.classes.matmul(post.chol_inv, star_rhs), axis=1)

@@ -45,6 +45,11 @@ factors themselves.  Element matrices that depend on the geometry only
 through the element's shape are built once per shape class (ElementClasses)
 and applied as one batched matrix product over fixed-length class chunks.
 Results do not depend on element visitation order.
+
+The load vector and the exact errors evaluate the problem callables and
+their per-point kernels on blocks of whole elements or edges
+(point_blocks), at most BLOCK_POINTS points each, so that their temporaries
+do not grow with the mesh.
 """
 
 from dataclasses import dataclass
@@ -127,9 +132,36 @@ def grad_outer_tables(p: int):
     return R
 
 
+# The load vector and the exact-error pass call the problem callables and
+# their per-point kernels on blocks of at most this many points, so that
+# their temporaries stay bounded while the mesh grows and the factor of the
+# multiplier system sets the memory peak (CHANGES.md has the measurement).
+BLOCK_POINTS = 2 ** 16
+
+
+def point_blocks(n: int, n_points: int) -> list:
+    """Consecutive slices of range(n), over items (elements or edges) of
+    n_points quadrature points each, of at most BLOCK_POINTS points.
+
+    Every block but the last has step items, a multiple of 64 when step
+    reaches 64, and the last one takes the rest, step to 2 step - 1 items
+    (or all n).  The values per item are then those of one product over all
+    n: the BLAS chooses its kernel by the shape of a product (a single row,
+    or a few rows against a narrow table, take other kernels) and treats
+    the rows past the last full unroll apart, so a block keeps both the
+    size class of the whole product and its row offsets modulo 64.
+    """
+    step = max(1, BLOCK_POINTS // (2 * n_points))
+    if step >= 64:
+        step -= step % 64
+    bounds = [i * step for i in range(max(1, n // step))] + [n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def field_values(fn, pts, name: str, vector: bool = False) -> np.ndarray:
     """A problem callable at points (..., 2), called once on the flat (n, 2)
     batch; it must return finite values of shape (n,), or (n, 2) if vector.
+    The load and the exact errors make one call per block of point_blocks.
     """
     pts = np.asarray(pts, dtype=float)
     flat = pts.reshape(-1, 2)

@@ -14,6 +14,8 @@ A_K = Sigma_K A_c Sigma_K (fields.ElementClasses), so one block per class is
 built and inverted, and every local solve is one matrix product per class.
 Only the multiplier system S = sum_K E_K A_K^{-1} E_K^T is factorized, by
 one sparse LU for every beta; S is symmetric positive definite when beta = 0.
+S is assembled from COO triplets formed once, so that the factor, not
+assembly, sets the memory peak of a solve.
 Boundary edges carry no multiplier, since u_D enters through the load.
 (q_h, u_h) are recovered class by class, followed by one refinement
 step on the residual of the full mixed equations.  The global saddle matrix
@@ -172,13 +174,12 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
 
     interior = ~mesh.boundary_edge
     n_mult = int(interior.sum()) * (p + 1)
-    edge_mult = np.full(mesh.n_edges, -1, dtype=np.int64)
-    edge_mult[interior] = np.arange(n_mult // (p + 1))
-    moments = np.arange(p + 1)
-    local_mult = edge_mult[mesh.elem_edges]
-    multiplier = np.where(local_mult[:, :, None] >= 0,
-                          local_mult[:, :, None] * (p + 1) + moments, -1)
-    multiplier = multiplier.reshape(nt, -1)
+    edge_mult = np.full(mesh.n_edges, -1, dtype=np.int32)
+    edge_mult[interior] = np.arange(n_mult // (p + 1), dtype=np.int32)
+    local_mult = edge_mult[mesh.elem_edges][:, :, None]
+    moments = np.arange(p + 1, dtype=np.int32)
+    multiplier = np.where(local_mult >= 0, local_mult * (p + 1) + moments,
+                          -1).reshape(nt, -1)
     side = np.repeat(np.where(mesh.elem_edge_aligned, 1.0, -1.0), p + 1,
                      axis=1)
     ne = 3 * (p + 1)
@@ -187,17 +188,36 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     owned[:, :ne] = (side > 0) | (multiplier < 0)
     # multiplier side times the dof's orientation sign
     edge_sign = side * signs[:, :ne]
-    S_loc = inverse[:, :ne, :ne][classes.id]
-    S_loc *= edge_sign[:, :, None]
-    S_loc *= edge_sign[:, None, :]
-    rows = np.broadcast_to(multiplier[:, :, None], S_loc.shape)
-    cols = np.broadcast_to(multiplier[:, None, :], S_loc.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    S = coo_matrix((S_loc[keep], (rows[keep], cols[keep])),
-                   shape=(n_mult, n_mult)).tocsc()
+    S = _multiplier_matrix(inverse[:, :ne, :ne], classes, multiplier,
+                           edge_sign, n_mult)
     return MixedSystem(classes, blocks, inverse, signs, np.concatenate([g, F]),
                        S, multiplier, edge_sign, owned, mesh, p, flux, scalar,
                        problem)
+
+
+def _multiplier_matrix(inverse, classes: ElementClasses, multiplier,
+                       edge_sign, n_mult: int):
+    """S = sum_K E_K A_K^{-1} E_K^T, CSC with intc indices, from the edge
+    blocks inverse (n_classes, ne, ne) of the class inverses.
+
+    Each COO triplet array is formed once: the values from the signed
+    element blocks, which are dropped before the indices are gathered, the
+    indices from the int32 multiplier numbers, which the conversion takes
+    without a copy.  An entry of S sums at most two triplets, those of the
+    two elements of an interior edge, so the order of the summation cannot
+    change a bit.
+    """
+    S_loc = inverse[classes.id]
+    S_loc *= edge_sign[:, :, None]
+    S_loc *= edge_sign[:, None, :]
+    keep = multiplier >= 0
+    pair = keep[:, :, None] & keep[:, None, :]
+    data = S_loc[pair]
+    del S_loc
+    rows = np.broadcast_to(multiplier[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(multiplier[:, None, :], pair.shape)[pair]
+    del pair
+    return coo_matrix((data, (rows, cols)), shape=(n_mult, n_mult)).tocsc()
 
 
 def _factor(system: MixedSystem):

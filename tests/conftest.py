@@ -88,6 +88,32 @@ def saddle_system(mesh, p, problem):
                            flux_space=flux, scalar_space=scalar)
 
 
+def coo_schur(system):
+    """(S, multiplier numbers) of system, built the direct way: int64
+    multiplier numbers from the mesh, the signed element blocks, a mask over
+    their (row, column) pairs and a COO -> CSC conversion.  The oracle of
+    solver._multiplier_matrix, which forms each triplet array once."""
+    mesh, p = system.mesh, system.p
+    interior = ~mesh.boundary_edge
+    n_mult = int(interior.sum()) * (p + 1)
+    edge_mult = np.full(mesh.n_edges, -1, dtype=np.int64)
+    edge_mult[interior] = np.arange(n_mult // (p + 1))
+    local_mult = edge_mult[mesh.elem_edges]
+    multiplier = np.where(local_mult[:, :, None] >= 0,
+                          local_mult[:, :, None] * (p + 1) + np.arange(p + 1),
+                          -1).reshape(mesh.n_triangles, -1)
+    ne = 3 * (p + 1)
+    S_loc = system.inverse[:, :ne, :ne][system.classes.id]
+    S_loc *= system.edge_sign[:, :, None]
+    S_loc *= system.edge_sign[:, None, :]
+    rows = np.broadcast_to(multiplier[:, :, None], S_loc.shape)
+    cols = np.broadcast_to(multiplier[:, None, :], S_loc.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    S = coo_matrix((S_loc[keep], (rows[keep], cols[keep])),
+                   shape=(n_mult, n_mult)).tocsc()
+    return S, multiplier
+
+
 def element_flux_trace_sq(problem, solution):
     """Element-side oracle for the exact normal-flux trace term.
 

@@ -6,6 +6,7 @@ Run from the repository root:
     PYTHONPATH=src python tests/make_golden.py CASE...       # rewrite these cases
     PYTHONPATH=src python tests/make_golden.py --diff        # compare, write nothing
     PYTHONPATH=src python tests/make_golden.py --floor 0 1 2 # round-off floor
+    PYTHONPATH=src python tests/make_golden.py --hash        # bitwise digests
 
 Cases: the smooth preset under uniform refinement (4 iterations) and the
 lshape and advdiff presets under adaptive refinement (8 iterations each), all
@@ -29,9 +30,19 @@ the one source of every quadrature rule) is moved one ulp up or down with
 signs drawn from the seed, and the nudged trajectories are compared with the
 committed file.  It prints, per case, the worst deviation of each gated
 quantity over the seeds and the bound that FLOOR_FACTOR makes of it.
+
+--hash prints, per case, two SHA-256 digests of its trajectory, writing
+nothing: "method" over every mesh (vertices and triangles), marked set and
+indicator array (eta_K, eta_tilde_K, mismatch_K, jump_K, boundary_K), and
+"errors" over every ErrorBlock field.  Two trees whose --hash output is the
+same compute the same trajectories bit for bit, on the machine and BLAS
+build that ran both (pin BLAS to one thread, OPENBLAS_NUM_THREADS=1, as a
+threaded BLAS may split large products differently).
 """
 
 from concurrent.futures import ProcessPoolExecutor
+import dataclasses
+import hashlib
 import json
 import multiprocessing
 import pathlib
@@ -90,11 +101,17 @@ def dorfler_gap(eta_K, n_marked: int):
     return float((last - ordered[n_marked]) / last)
 
 
-def trajectory(case: str, p: int) -> list:
-    """One record per solved mesh of the case at degree p."""
+def _run(case: str, p: int):
     name, kwargs = CASES[case]
     run = run_adaptive(preset(name), p, keep_meshes=True, **kwargs)
     assert not run.aborted, run.abort_reason
+    return run
+
+
+def trajectory(case: str, p: int) -> list:
+    """One record per solved mesh of the case at degree p."""
+    run = _run(case, p)
+    uniform = CASES[case][1].get("uniform")
     out = []
     for rec in run.records:
         rep = rec.report
@@ -108,7 +125,7 @@ def trajectory(case: str, p: int) -> list:
             "mismatch_sq": float(np.sum(rep.mismatch_K ** 2)),
             "jump": float(np.sum(rep.jump_K)),
             "boundary": float(np.sum(rep.boundary_K)),
-            "dorfler_gap": (None if rec.marked is None or kwargs.get("uniform")
+            "dorfler_gap": (None if rec.marked is None or uniform
                             else dorfler_gap(rep.eta_K, len(rec.marked))),
         })
     return out
@@ -142,6 +159,36 @@ def compare(key: str, golden: dict):
     got, want = trajectory(case, int(p)), golden[key]
     return ([r["n"] for r in got], [r["n"] for r in want],
             deviations(got, want))
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def digests(case: str, p: int):
+    """(method, errors) SHA-256 digests of the trajectory of case at p."""
+    method, errors = [], []
+    for rec in _run(case, p).records:
+        rep = rec.report
+        method += [rec.mesh.vertices, rec.mesh.triangles, rep.eta_K,
+                   rep.eta_tilde_K, rep.mismatch_K, rep.jump_K, rep.boundary_K]
+        if rec.marked is not None:
+            method.append(rec.marked)
+        errors += [getattr(rep.errors, f.name)
+                   for f in dataclasses.fields(rep.errors)]
+    return _digest(method), _digest(errors)
+
+
+def hashes():
+    for key in KEYS:
+        case, p = key.split("/p")
+        method, errors = digests(case, int(p))
+        print(f"{key}: method {method} errors {errors}")
 
 
 def diff():
@@ -205,6 +252,9 @@ def floor(seeds):
 def main():
     if sys.argv[1:] == ["--diff"]:
         diff()
+        return
+    if sys.argv[1:] == ["--hash"]:
+        hashes()
         return
     if sys.argv[1:2] == ["--floor"]:
         floor([int(s) for s in sys.argv[2:]] or list(FLOOR_SEEDS))

@@ -1,5 +1,8 @@
 import dataclasses
+import os
+import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,3 +488,86 @@ def test_lshape_exact_errors_are_converged(monkeypatch):
             want = np.asarray(getattr(b, name))
             assert np.all(np.abs(value - want) <= 1e-10 * np.abs(want)), \
                 (a.grad_nu_K.size, name)
+
+
+def _lshape_state(refinements, p):
+    lshape = preset("lshape")
+    mesh = build_initial_mesh(lshape.domain, 150)
+    for _ in range(refinements):
+        mesh = mesh.refine(np.arange(mesh.n_triangles))
+    return postprocess_resmin(solve_problem(mesh, p, lshape))
+
+
+def test_error_norms_transient_does_not_grow_with_the_mesh():
+    # lshape p = 2 on 2,400 and 9,600 elements: point blocks bound the
+    # temporaries, and what still grows is the per-element output.  One
+    # pass over all points measured 10.2 and 40.9 MB (ratio 4.0), the
+    # blocked pass 5.0 and 6.7 MB (ratio 1.36)
+    peaks = []
+    for refinements in (4, 6):
+        post = _lshape_state(refinements, 2)
+        error_norms(post)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            error_norms(post)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.0 * peaks[0], peaks
+
+
+# one BLAS thread: a threaded BLAS splits a product by its size, so the bits
+# of a row depend on the thread count and the product it is part of (also
+# without blocks: the unblocked pass gives other bits with two threads)
+_BLOCK_CHECK = """
+import numpy as np
+from bdmadapt import (build_initial_mesh, error_norms, fields,
+                      postprocess_resmin, preset, solve_problem)
+blocked = fields.BLOCK_POINTS
+for name, initial in (("lshape", 150), ("advdiff", 50)):
+    problem = preset(name)
+    mesh = build_initial_mesh(problem.domain, initial)
+    for _ in range(6):
+        mesh = mesh.refine(np.arange(mesh.n_triangles))
+    fields.BLOCK_POINTS = blocked
+    assert len(fields.point_blocks(mesh.n_triangles, 36)) > 1
+    for p in (1, 2, 3):
+        post = postprocess_resmin(solve_problem(mesh, p, problem))
+        runs = []
+        for points in (blocked, 2 ** 40):
+            fields.BLOCK_POINTS = points
+            load = post.solution.scalar_space.load_vector(problem.f)
+            runs.append([load, *vars(error_norms(post)).values()])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b), (name, p)
+"""
+
+
+def test_point_blocks_change_no_bit():
+    # lshape on 9,600 and advdiff on 3,200 elements span 6 to 20 blocks of
+    # the "data" rule; one block over all points gives the same load vector
+    # and ErrorBlock bit for bit
+    src = os.path.dirname(os.path.dirname(estimators.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", _BLOCK_CHECK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("n, n_points", [(0, 36), (1, 36), (910, 36),
+                                         (2048, 49), (98304, 64),
+                                         (7, 2016), (147456, 7)])
+def test_point_blocks_cover_in_aligned_steps(n, n_points):
+    blocks = fields.point_blocks(n, n_points)
+    bounds = [b.start for b in blocks] + [n]
+    assert bounds[0] == 0 and all(b.stop == e for b, e in
+                                  zip(blocks, bounds[1:]))
+    sizes = np.diff(bounds)
+    assert np.all(sizes >= 0)
+    assert np.all(sizes * n_points <= fields.BLOCK_POINTS) or len(blocks) == 1
+    step = sizes[0]
+    if len(blocks) > 1:
+        assert np.all(sizes[:-1] == step) and step <= sizes[-1] < 2 * step
+        assert step % 64 == 0 or step < 64
