@@ -207,16 +207,21 @@ class EstimatorReport:
 
 
 def eta_improved(post: PostprocResult) -> EstimatorReport:
-    """Improved indicator: residual representative + mismatch + scaled traces."""
+    """Improved indicator: residual representative + mismatch + scaled traces.
+
+    The mismatch ||q_h + grad nu_h||_K is evaluated on point blocks, so that
+    grad nu_h and q_h never exist at every point of the mesh at once.
+    """
     solution = post.solution
     mesh, p = solution.mesh, solution.p
     T = ref_tables(p, "local")
-    grad_nu = np.matmul(
-        (post.nu @ T.D[:post.nu.shape[1]]).reshape(mesh.n_triangles, -1, 2),
-        mesh.inv_jacobians)
-    qh = solution.flux_space.flux_values(solution.flux, T.N)
-    qh += grad_nu
-    mismatch_sq = (_norm_sq(qh) @ T.weights) * mesh.det_jacobians
+    D = T.D[:post.nu.shape[1]]
+    mismatch_sq = np.empty(mesh.n_triangles)
+    for b in point_blocks(mesh.n_triangles, len(T.weights)):
+        qh = solution.flux_space.flux_values(solution.flux, T.N, b)
+        qh += np.matmul((post.nu[b] @ D).reshape(len(qh), -1, 2),
+                        mesh.inv_jacobians[b])
+        mismatch_sq[b] = (_norm_sq(qh) @ T.weights) * mesh.det_jacobians[b]
     eta_K = np.sqrt(post.eta_tilde_K ** 2 + mismatch_sq + post.jump_K
                     + post.boundary_K)
     return EstimatorReport(

@@ -20,14 +20,23 @@ Boundary edges carry no multiplier, since u_D enters through the load.
 (q_h, u_h) are recovered class by class, followed by one refinement
 step on the residual of the full mixed equations.  The global saddle matrix
 is never formed; it lives only in the tests, as the oracle.
+
+S is converted to compressed columns and factored by two of scipy's compiled
+modules, sparsetools and SuperLU (Demmel et al. 1999), called directly:
+they are loaded from their files, so the __init__ of scipy.sparse and of
+scipy.sparse.linalg never runs.  Those two would add about 0.2 s and 26 MB
+of peak memory to every process (the array-API layer of scipy.sparse
+imports numpy.f2py and numpy.testing; scipy.sparse.linalg imports
+scipy.linalg), and nothing in them is needed for one factor and its solves.
 """
 
+import importlib.machinery
+import importlib.util
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
 
 from .bdm import BdmSpace, DgSpace, interpolate_boundary_term, mixed_blocks
 from .fields import ElementClasses, field_values
@@ -35,6 +44,41 @@ from .mesh import DomainSpec, TriMesh
 
 # relative residual of the full mixed equations above which solve() fails
 RESIDUAL_TOL = 1e-8
+
+
+def _scipy_extension(name: str, functions: tuple):
+    """scipy's compiled module scipy.<name>, loaded from its file so that
+    the __init__ of none of its packages runs; it must define functions.
+
+    These modules are private to scipy, so their place and their calls are
+    checked against the scipy version that pyproject.toml asks for; on
+    another layout the import fails here, naming the version and the path.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("bdmadapt needs scipy, which is not installed")
+    package, _, module = name.rpartition(".")
+    directory = os.path.join(scipy_spec.submodule_search_locations[0],
+                             *package.split("."))
+    spec = importlib.machinery.PathFinder.find_spec(f"scipy.{name}",
+                                                    [directory])
+    if spec is not None:
+        ext = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ext)
+        if all(hasattr(ext, fn) for fn in functions):
+            return ext
+    from importlib.metadata import version  # 0.05 s, 35 modules: only here
+    raise ImportError(
+        f"scipy {version('scipy')} has no compiled module "
+        f"{module} with {', '.join(functions)} in {directory}; bdmadapt "
+        f"calls it directly (see pyproject.toml for the scipy it was "
+        f"checked with)")
+
+
+_sparsetools = _scipy_extension(
+    "sparse._sparsetools",
+    ("coo_tocsr", "csr_sort_indices", "csr_sum_duplicates"))
+_superlu = _scipy_extension("sparse.linalg._dsolve._superlu", ("gstrf",))
 
 
 class SingularSystemError(RuntimeError):
@@ -102,6 +146,27 @@ class ProblemSpec:
 
 
 @dataclass
+class CscMatrix:
+    """Square sparse matrix in compressed sparse columns: column j holds the
+    rows indices[indptr[j]:indptr[j + 1]], sorted and without duplicates,
+    with the values data[indptr[j]:indptr[j + 1]]; indices and indptr are
+    int32, the index type of SuperLU."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        n = len(self.indptr) - 1
+        return n, n
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
+@dataclass
 class MixedSystem:
     """Element blocks of the mixed system, condensed onto edge multipliers.
 
@@ -122,7 +187,7 @@ class MixedSystem:
     inverse: np.ndarray
     signs: np.ndarray
     rhs: np.ndarray
-    schur: object
+    schur: CscMatrix
     multiplier: np.ndarray
     edge_sign: np.ndarray
     owned: np.ndarray
@@ -196,16 +261,19 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
 
 
 def _multiplier_matrix(inverse, classes: ElementClasses, multiplier,
-                       edge_sign, n_mult: int):
-    """S = sum_K E_K A_K^{-1} E_K^T, CSC with intc indices, from the edge
-    blocks inverse (n_classes, ne, ne) of the class inverses.
+                       edge_sign, n_mult: int) -> CscMatrix:
+    """S = sum_K E_K A_K^{-1} E_K^T from the edge blocks inverse
+    (n_classes, ne, ne) of the class inverses.
 
     Each COO triplet array is formed once: the values from the signed
     element blocks, which are dropped before the indices are gathered, the
-    indices from the int32 multiplier numbers, which the conversion takes
-    without a copy.  An entry of S sums at most two triplets, those of the
-    two elements of an interior edge, so the order of the summation cannot
-    change a bit.
+    indices from the int32 multiplier numbers.  sparsetools converts them
+    as scipy's coo_matrix.tocsc() does (rows bucketed by column, sorted,
+    duplicates summed in place), so S is that conversion bit for bit.  An
+    entry of S sums at most two triplets, those of the two elements of an
+    interior edge, so the order of the summation cannot change a bit.  As in
+    scipy's conversion, data and indices are views of buffers of the
+    triplet count, about 1.2 nnz.
     """
     S_loc = inverse[classes.id]
     S_loc *= edge_sign[:, :, None]
@@ -217,11 +285,31 @@ def _multiplier_matrix(inverse, classes: ElementClasses, multiplier,
     rows = np.broadcast_to(multiplier[:, :, None], pair.shape)[pair]
     cols = np.broadcast_to(multiplier[:, None, :], pair.shape)[pair]
     del pair
-    return coo_matrix((data, (rows, cols)), shape=(n_mult, n_mult)).tocsc()
+    # the columns of S are the rows of the CSR form of S^T
+    indptr = np.empty(n_mult + 1, dtype=np.int32)
+    indices = np.empty_like(rows)
+    values = np.empty_like(data)
+    _sparsetools.coo_tocsr(n_mult, n_mult, len(data), cols, rows, data,
+                           indptr, indices, values)
+    _sparsetools.csr_sort_indices(n_mult, indptr, indices, values)
+    _sparsetools.csr_sum_duplicates(n_mult, n_mult, indptr, indices, values)
+    nnz = int(indptr[-1])
+    return CscMatrix(values[:nnz], indices[:nnz], indptr)
+
+
+def _no_factor_matrices(*args):
+    raise RuntimeError("the LU factor of S is used only to solve; building "
+                       "L and U would copy the whole fill")
 
 
 def _factor(system: MixedSystem):
-    """Sparse LU of S: symmetric ordering, no pivoting, for every beta.
+    """Sparse LU of S by SuperLU's gstrf: symmetric ordering, no pivoting,
+    for every beta.  This is the call scipy's splu makes with
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
+    panel_size=1 and options={"SymmetricMode": True}, on S as it is: S is
+    in canonical CSC form with int32 indices, so splu would neither convert
+    nor copy it.  The result is scipy's SuperLU object; its L and U are
+    never built (_no_factor_matrices).
 
     S is nonsymmetric when beta != 0; skipping pivoting is safe because
     solve() raises SingularSystemError when the residual of the mixed
@@ -249,8 +337,12 @@ def _factor(system: MixedSystem):
     """
     S = system.schur
     try:
-        return splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    relax=1, panel_size=1, options={"SymmetricMode": True})
+        # splu passes its arguments to gstrf under these keys
+        return _superlu.gstrf(
+            S.shape[0], S.nnz, S.data, S.indices, S.indptr,
+            csc_construct_func=_no_factor_matrices, ilu=False,
+            options={"ColPerm": "MMD_AT_PLUS_A", "DiagPivotThresh": 0.0,
+                     "Relax": 1, "PanelSize": 1, "SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SingularSystemError(
             f"multiplier factorization failed on {S.shape[0]} dofs "

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse import bmat, coo_matrix
+from scipy.sparse import bmat, coo_matrix, csc_matrix
 
 from bdmadapt import TriMesh, build_initial_mesh, preset, solve_problem
 from bdmadapt.basis import (_jacobi, basis_size, bdm_reference,
@@ -86,6 +86,12 @@ def saddle_system(mesh, p, problem):
     A = bmat([[M, -B.T], [B - C, None]], format="csc")
     return SimpleNamespace(matrix=A, rhs=np.concatenate([g, F]),
                            flux_space=flux, scalar_space=scalar)
+
+
+def scipy_schur(system):
+    """system.schur as a scipy CSC matrix on the same arrays."""
+    S = system.schur
+    return csc_matrix((S.data, S.indices, S.indptr), shape=S.shape)
 
 
 def coo_schur(system):

@@ -498,21 +498,35 @@ def _lshape_state(refinements, p):
     return postprocess_resmin(solve_problem(mesh, p, lshape))
 
 
+def _traced_peaks(fn):
+    """Traced peak of fn(post) on lshape p = 2 at 2,400 and 9,600
+    elements, after a first call has built the cached tables."""
+    peaks = []
+    for refinements in (4, 6):
+        post = _lshape_state(refinements, 2)
+        fn(post)
+        tracemalloc.start()
+        try:
+            fn(post)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def test_error_norms_transient_does_not_grow_with_the_mesh():
     # lshape p = 2 on 2,400 and 9,600 elements: point blocks bound the
     # temporaries, and what still grows is the per-element output.  One
     # pass over all points measured 10.2 and 40.9 MB (ratio 4.0), the
     # blocked pass 5.0 and 6.7 MB (ratio 1.36)
-    peaks = []
-    for refinements in (4, 6):
-        post = _lshape_state(refinements, 2)
-        error_norms(post)  # builds the cached tables
-        tracemalloc.start()
-        try:
-            error_norms(post)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = _traced_peaks(error_norms)
+    assert peaks[1] <= 2.0 * peaks[0], peaks
+
+
+def test_eta_improved_transient_does_not_grow_with_the_mesh():
+    # the same meshes: grad nu_h and q_h at every point of the mesh at once
+    # measured 3.2 and 12.7 MB (ratio 4.0), on point blocks 2.9 and 2.4 MB
+    peaks = _traced_peaks(eta_improved)
     assert peaks[1] <= 2.0 * peaks[0], peaks
 
 
@@ -521,7 +535,7 @@ def test_error_norms_transient_does_not_grow_with_the_mesh():
 # without blocks: the unblocked pass gives other bits with two threads)
 _BLOCK_CHECK = """
 import numpy as np
-from bdmadapt import (build_initial_mesh, error_norms, fields,
+from bdmadapt import (build_initial_mesh, error_norms, eta_improved, fields,
                       postprocess_resmin, preset, solve_problem)
 blocked = fields.BLOCK_POINTS
 for name, initial in (("lshape", 150), ("advdiff", 50)):
@@ -537,7 +551,9 @@ for name, initial in (("lshape", 150), ("advdiff", 50)):
         for points in (blocked, 2 ** 40):
             fields.BLOCK_POINTS = points
             load = post.solution.scalar_space.load_vector(problem.f)
-            runs.append([load, *vars(error_norms(post)).values()])
+            eta = eta_improved(post)
+            runs.append([load, *vars(error_norms(post)).values(),
+                         eta.eta_K, eta.mismatch_K])
         for a, b in zip(*runs):
             assert np.array_equal(a, b), (name, p)
 """
@@ -545,8 +561,8 @@ for name, initial in (("lshape", 150), ("advdiff", 50)):
 
 def test_point_blocks_change_no_bit():
     # lshape on 9,600 and advdiff on 3,200 elements span 6 to 20 blocks of
-    # the "data" rule; one block over all points gives the same load vector
-    # and ErrorBlock bit for bit
+    # the "data" rule; one block over all points gives the same load vector,
+    # ErrorBlock and improved indicator (eta_K, mismatch_K) bit for bit
     src = os.path.dirname(os.path.dirname(estimators.__file__))
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",

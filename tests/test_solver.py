@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 from scipy.sparse.linalg import splu
 
 import bdmadapt.solver as solver_mod
@@ -19,7 +21,7 @@ from bdmadapt.fields import mapped_points
 
 from conftest import (advection_matrix, bdm_mass_matrix, coo_schur,
                       divergence_matrix, eval_flux, make_linear_problem,
-                      saddle_system, single_element_mesh)
+                      saddle_system, scipy_schur, single_element_mesh)
 from factor_cases import multiplier_cases
 
 
@@ -248,11 +250,15 @@ def test_fill_is_read_from_the_factor_without_copies(monkeypatch):
     adv = preset("advdiff")
     sol = solve_problem(build_initial_mesh(adv.domain, 32), 2, adv)
     assert sol.diagnostics["fill"] == seen[0].nnz
+    # and nothing else could build them: the factor has no matrix type
+    for name in ("L", "U"):
+        with pytest.raises(RuntimeError, match="copy the whole fill"):
+            getattr(seen[0], name)
 
 
 def _sloppy_factor(monkeypatch):
     """Make every multiplier solve off by half."""
-    real_splu = solver_mod.splu
+    real_gstrf = solver_mod._superlu.gstrf
 
     class Sloppy:
         def __init__(self, lu):
@@ -261,8 +267,8 @@ def _sloppy_factor(monkeypatch):
         def solve(self, b):
             return 1.5 * self.lu.solve(b)
 
-    monkeypatch.setattr(solver_mod, "splu",
-                        lambda *a, **k: Sloppy(real_splu(*a, **k)))
+    monkeypatch.setattr(solver_mod, "_superlu", SimpleNamespace(
+        gstrf=lambda *a, **k: Sloppy(real_gstrf(*a, **k))))
 
 
 def test_inaccurate_factor_raises(monkeypatch):
@@ -305,11 +311,17 @@ def multiplier_systems():
 def test_schur_equals_coo_oracle_bitwise(multiplier_systems, name):
     # each entry of S sums at most two triplets, so forming the triplets
     # once from int32 numbers changes no bit of S or of its index arrays
+    # scipy's coo_matrix.tocsc() is the oracle of the sparsetools calls
     system = multiplier_systems[name]
     S, multiplier = coo_schur(system)
     got = system.schur
     assert got.indices.dtype == np.intc and got.indptr.dtype == np.intc
-    assert got.shape == S.shape and got.has_sorted_indices
+    assert got.data.dtype == np.float64
+    assert got.shape == S.shape and got.nnz == S.nnz
+    # sorted row indices, no duplicates: they strictly increase in a column
+    steps = np.diff(got.indices)
+    steps[got.indptr[1:-1] - 1] = 1  # a new column may start anywhere
+    assert np.all(steps > 0) and S.has_sorted_indices
     assert np.array_equal(got.indptr, S.indptr)
     assert np.array_equal(got.indices, S.indices)
     assert np.array_equal(got.data.view(np.uint64), S.data.view(np.uint64))
@@ -347,40 +359,123 @@ def test_assemble_peak_is_bounded_by_its_result(name, initial, p):
     assert peak <= ASSEMBLE_PEAK_RATIO * live, peak / live
 
 
+# splu's arguments for the factor of S, which solver._factor passes to gstrf
+PINNED_SPLU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+               "relax": 1, "panel_size": 1,
+               "options": {"SymmetricMode": True}}
+
+
 @pytest.mark.parametrize("name", ["advdiff", "smooth", "lshape"])
 def test_one_column_panels_keep_ordering_and_fill(multiplier_systems, name,
                                                   rng):
     # the panel width only schedules the column updates: against SuperLU's
     # default panel the ordering and the fill are the same, the solution
-    # the same to round-off
+    # the same to round-off.  scipy's public splu is the oracle, and with
+    # the pinned arguments it is the direct call, bit for bit
     system = multiplier_systems[name]
     lu = solver_mod._factor(system)
-    ref = splu(system.schur, permc_spec="MMD_AT_PLUS_A",
-               diag_pivot_thresh=0.0, relax=1,
-               options={"SymmetricMode": True})
+    S = scipy_schur(system)
+    b = rng.standard_normal(S.shape[0])
+    pinned = splu(S, **PINNED_SPLU)
+    assert np.array_equal(lu.perm_c, pinned.perm_c)
+    assert np.array_equal(lu.perm_r, pinned.perm_r)
+    assert lu.nnz == pinned.nnz
+    assert np.array_equal(lu.solve(b), pinned.solve(b))
+    default_panel = {k: v for k, v in PINNED_SPLU.items() if k != "panel_size"}
+    ref = splu(S, **default_panel)
     assert np.array_equal(lu.perm_c, ref.perm_c)
     assert np.array_equal(lu.perm_r, ref.perm_r)
     assert lu.nnz == ref.nnz
-    b = rng.standard_normal(system.schur.shape[0])
     want = ref.solve(b)
     assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_factor_call_is_pinned(monkeypatch):
     calls = []
-    real_splu = solver_mod.splu
+    real_gstrf = solver_mod._superlu.gstrf
 
     def recorder(*args, **kwargs):
-        calls.append((len(args), kwargs))
-        return real_splu(*args, **kwargs)
+        calls.append((args, kwargs))
+        return real_gstrf(*args, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "splu", recorder)
+    monkeypatch.setattr(solver_mod, "_superlu",
+                        SimpleNamespace(gstrf=recorder))
     smooth = preset("smooth")
-    solve_problem(build_initial_mesh(smooth.domain, 32), 1, smooth)
-    assert calls == [(1, {"permc_spec": "MMD_AT_PLUS_A",
-                          "diag_pivot_thresh": 0.0, "relax": 1,
-                          "panel_size": 1,
-                          "options": {"SymmetricMode": True}})]
+    system = assemble(build_initial_mesh(smooth.domain, 32), 1, smooth)
+    solve(system)
+    S = system.schur
+    [(args, kwargs)] = calls
+    assert args[:2] == (S.shape[0], S.nnz)
+    assert all(a is b for a, b in zip(args[2:], (S.data, S.indices,
+                                                 S.indptr)))
+    assert len(args) == 5
+    assert kwargs == {"csc_construct_func": solver_mod._no_factor_matrices,
+                      "ilu": False,
+                      "options": {"ColPerm": "MMD_AT_PLUS_A",
+                                  "DiagPivotThresh": 0.0, "Relax": 1,
+                                  "PanelSize": 1, "SymmetricMode": True}}
+
+
+@pytest.mark.parametrize("name, functions", [
+    ("sparse._no_such_module", ("gstrf",)),
+    ("sparse._sparsetools", ("coo_tocsr", "no_such_function"))])
+def test_missing_scipy_extension_names_version_and_path(name, functions):
+    # no fallback to splu: another scipy layout fails at import, and says
+    # which scipy and where it looked
+    with pytest.raises(ImportError) as info:
+        solver_mod._scipy_extension(name, functions)
+    message = str(info.value)
+    assert f"scipy {scipy.__version__} " in message
+    assert os.path.join(os.path.dirname(scipy.__file__), "sparse") in message
+
+
+def _subprocess_env(**extra):
+    """The environment of a child Python that imports bdmadapt from this
+    tree and the test helpers from tests/."""
+    src = os.path.dirname(os.path.dirname(solver_mod.__file__))
+    paths = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
+                **extra)
+
+
+# the direct factor before and after scipy.sparse.linalg imports the same
+# SuperLU extension: scipy's import must not disturb the one bdmadapt made
+_IMPORT_GUARD = """
+import sys
+heavy = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "orjson")
+for module in ("bdmadapt", "bdmadapt.cli"):
+    __import__(module)
+    loaded = [m for m in heavy if m in sys.modules]
+    assert not loaded, (module, loaded)
+import numpy as np
+from bdmadapt import assemble, solver
+from factor_cases import multiplier_cases
+systems = [assemble(mesh, p, problem)
+           for name, problem, mesh, p in multiplier_cases()]
+loads = [np.random.default_rng(0).standard_normal(s.schur.shape[0])
+         for s in systems]
+before = [solver._factor(s).solve(b) for s, b in zip(systems, loads)]
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
+for s, b, x in zip(systems, loads, before):
+    S = s.schur
+    ref = splu(csc_matrix((S.data, S.indices, S.indptr), shape=S.shape),
+               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
+               panel_size=1, options={"SymmetricMode": True})
+    assert np.array_equal(x, ref.solve(b))
+    assert np.array_equal(solver._factor(s).solve(b), x)
+"""
+
+
+def test_import_loads_neither_scipy_sparse_nor_linalg():
+    # import bdmadapt and the command line without the __init__ of
+    # scipy.sparse (its array-API layer imports numpy.f2py and
+    # numpy.testing), scipy.sparse.linalg and scipy.linalg: about 0.2 s and
+    # 26 MB per process; the factor still agrees with scipy's splu
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
+                          env=_subprocess_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 _MALLOC_DEBUG = ctypes.util.find_library("c_malloc_debug")
@@ -401,14 +496,12 @@ for _ in range(2):
 def test_factor_heap_is_intact_under_debug_allocator():
     # wide SuperLU panels (panel_size >= 24 on these systems) corrupt the
     # heap, which glibc's checking allocator turns into an abort; the
-    # pinned factor must run all three presets cleanly
-    src = os.path.dirname(os.path.dirname(solver_mod.__file__))
-    paths = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+    # pinned factor, the direct gstrf call on the sparsetools conversion,
+    # must run all three presets cleanly
     preload = [_MALLOC_DEBUG, os.environ.get("LD_PRELOAD")]
-    env = dict(os.environ, MALLOC_CHECK_="3", OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, paths)),
-               LD_PRELOAD=" ".join(filter(None, preload)))
+    env = _subprocess_env(MALLOC_CHECK_="3", OPENBLAS_NUM_THREADS="1",
+                          OMP_NUM_THREADS="1",
+                          LD_PRELOAD=" ".join(filter(None, preload)))
     proc = subprocess.run([sys.executable, "-c", _HEAP_GUARD], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
