@@ -3,9 +3,8 @@
 from .adaptivity import AdaptiveRun, dorfler_mark, run_adaptive
 from .basis import QuadRule, RefScalarBasis, make_scalar_basis, quad_rule
 from .bdm import BdmSpace, DgSpace, interpolate_boundary_term
-from .estimators import (EstimatorReport, ErrorBlock, dual_norm_star,
-                         error_norms, eta_improved, full_report,
-                         oscillation_bound)
+from .estimators import (EstimatorReport, ErrorBlock, error_norms,
+                         eta_improved, full_report, oscillation_bound)
 from .experiments import ExperimentConfig, fit_slope, run_experiment
 from .fortin import (BiorthogonalSet, build_biorthogonal, fortin_apply,
                      fortin_report, scaled_trace_inequality_check)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _jacobi, basis_size, interior_test_fields, quad_rule
+from .basis import _jacobi, basis_size, quad_rule
 from .fields import (edge_points, field_values, mapped_points,
                      point_blocks, ref_tables)
 from .mesh import TriMesh
@@ -122,31 +122,6 @@ class BdmSpace:
         BT = np.swapaxes(self.mesh.jacobians[ids], 1, 2)
         return np.matmul((c @ N).reshape(len(c), -1, 2),
                          BT / self.mesh.det_jacobians[ids][:, None, None])
-
-    def interpolate(self, q) -> np.ndarray:
-        """Canonical interpolation of a smooth vector field q(x) -> (n, 2)."""
-        mesh, p = self.mesh, self.p
-        t, w, leg = edge_legendre(p, p + 5, False)
-        qv = field_values(q, edge_points(mesh, slice(None), t), "q",
-                          vector=True)
-        qn = (qv @ mesh.edge_normals[:, :, None])[..., 0]
-        dofs = np.empty(self.n_dofs)
-        edge_part = ((qn * w) @ leg.T) * mesh.edge_lengths[:, None]
-        dofs[: self.n_edge_dofs] = edge_part.ravel()
-        if self.n_interior:
-            T = ref_tables(p, "data")
-            theta = interior_test_fields(
-                p, T.points, T.V, T.D.reshape(len(T.D), -1, 2))
-            qv = field_values(q, mapped_points(mesh, T.points), "q",
-                              vector=True)
-            # contravariant pull-back J B^{-1} q
-            JBinvT = mesh.det_jacobians[:, None, None] * np.swapaxes(
-                mesh.inv_jacobians, 1, 2)
-            qhat = np.matmul(qv, JBinvT) * T.weights[:, None]
-            vals = qhat.reshape(mesh.n_triangles, -1) @ theta.reshape(
-                len(theta), -1).T
-            dofs[self.n_edge_dofs:] = vals.ravel()
-        return dofs
 
 
 @lru_cache(maxsize=None)

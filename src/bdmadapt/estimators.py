@@ -40,10 +40,10 @@ import numpy as np
 from .artifacts import write_json
 from .basis import basis_size
 from .bdm import edge_legendre
-from .fields import (ElementClasses, edge_points, field_values, mapped_points,
-                     point_blocks, ref_tables)
+from .fields import (edge_points, field_values, mapped_points, point_blocks,
+                     ref_tables)
 from .mesh import TriMesh
-from .postprocess import PostprocResult, class_factors
+from .postprocess import PostprocResult
 from .solver import MixedSolution, ProblemSpec
 
 
@@ -127,23 +127,6 @@ def _grad_load(r, Binv, J, w, D) -> np.ndarray:
     # table, so no pass over the (n, nq, 2) values weights them
     pulled = np.matmul(r, np.swapaxes(Binv, 1, 2) * J[:, None, None])
     return pulled.reshape(len(J), -1) @ (D * np.repeat(w, 2)).T
-
-
-def dual_norm_star(mesh: TriMesh, p: int, element: int, r) -> float:
-    """sup over mean-free degree-(p+2) v of (r, grad v)_K / ||grad v||_K.
-
-    r maps (n, 2) physical points to (n, 2) vector values.  The element is
-    evaluated as a one-element mesh with the kernels of the adaptive loop.
-    """
-    if not 0 <= element < mesh.n_triangles:
-        raise IndexError(f"element {element} out of range")
-    one = TriMesh(mesh.tri_coords[element], [[0, 1, 2]])
-    T = ref_tables(p, "data")
-    vals = field_values(r, mapped_points(one, T.points), "r", vector=True)
-    b = _grad_load(vals, one.inv_jacobians, one.det_jacobians,
-                   T.weights, T.D[1:])
-    G = class_factors(one, p, ElementClasses(one))
-    return float(np.linalg.norm(G[0] @ b[0]))
 
 
 # -- estimators ----------------------------------------------------------------
@@ -377,10 +360,9 @@ def _flux_trace_error_sq(solution: MixedSolution):
 
 
 def oscillation_bound(problem: ProblemSpec, mesh: TriMesh, p: int):
-    """Upper bound h_K^{1/2} * (edgewise best approximation of q.n by P_p).
-
-    Returns (per-element array, global value).
-    """
+    """Per element, the upper bound h_K^{1/2} * (edgewise best
+    approximation of q.n by P_p); EstimatorReport.to_dict forms the global
+    value."""
     if problem.exact_q is None:
         raise ValueError("oscillation bound needs the exact flux")
     scale = 2.0 * np.arange(p + 1) + 1.0
@@ -389,8 +371,7 @@ def oscillation_bound(problem: ProblemSpec, mesh: TriMesh, p: int):
         # g minus its L2(0, 1) projection onto P_p
         return g - ((g * w) @ leg.T * scale) @ leg
 
-    per = np.sqrt(mesh.h_K * _edge_flux_sq(problem, mesh, p, p + 6, residual))
-    return per, float(np.sqrt(np.sum(per ** 2)))
+    return np.sqrt(mesh.h_K * _edge_flux_sq(problem, mesh, p, p + 6, residual))
 
 
 def full_report(post: PostprocResult,

@@ -216,7 +216,7 @@ def run_experiment(config: ExperimentConfig,
             final = run.records[-1].report
             if final.has_exact:
                 final.osc_K = estimators.oscillation_bound(
-                    problem, final.mesh, p)[0]
+                    problem, final.mesh, p)
             _write.append(
                 (os.path.join(config.out, f"report_p{p}_final.json"),
                  lambda path, final=final: final.save(path)))

@@ -61,10 +61,6 @@ class DomainSpec:
     def vertices(self):
         return np.asarray(self.loop, dtype=float)
 
-    @property
-    def area(self):
-        return _polygon_area(self.vertices)
-
 
 def _polygon_area(loop):
     x, y = loop[:, 0], loop[:, 1]
@@ -230,10 +226,6 @@ class TriMesh:
         return inv / J[:, None, None]
 
     @cached_property
-    def areas(self):
-        return 0.5 * self.det_jacobians
-
-    @cached_property
     def edge_lengths(self):
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         return np.hypot(d[:, 0], d[:, 1])
@@ -248,25 +240,11 @@ class TriMesh:
         return self.tri_edge_lengths.max(axis=1)
 
     @cached_property
-    def inradius(self):
-        return 2.0 * self.areas / self.tri_edge_lengths.sum(axis=1)
-
-    @cached_property
-    def centroids(self):
-        return self.tri_coords.mean(axis=1)
-
-    @cached_property
     def edge_normals(self):
         """Unit normals in the global edge orientation (right of lo->hi)."""
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         n = np.stack([d[:, 1], -d[:, 0]], axis=1)
         return n / self.edge_lengths[:, None]
-
-    @cached_property
-    def outward_normals(self):
-        """Outward unit normal per (triangle, local edge); shape (nt, 3, 2)."""
-        sign = np.where(self.elem_edge_aligned, 1.0, -1.0)
-        return self.edge_normals[self.elem_edges] * sign[..., None]
 
     @cached_property
     def min_angles(self):
@@ -335,21 +313,6 @@ class TriMesh:
                        generation=(self.generation[:, None] + depth)[keep],
                        parent=np.repeat(parent, keep.sum(axis=1)),
                        domain_name=self.domain_name)
-
-    # -- audits -------------------------------------------------------------
-
-    def validate(self):
-        """Raise if any structural invariant fails; returns self when clean."""
-        self._check_orientation()
-        counts = np.bincount(self.elem_edges.ravel(), minlength=self.n_edges)
-        if not np.array_equal(counts == 1, self.boundary_edge):
-            raise AssertionError("edge adjacency inconsistent with boundary flags")
-        # every element sees the normals of its edges point out of it
-        ends = self.vertices[self.edges[self.elem_edges]]
-        to_edge = 0.5 * ends.sum(axis=2) - self.centroids[:, None, :]
-        if np.any(np.einsum("nja,nja->nj", to_edge, self.outward_normals) <= 0):
-            raise AssertionError("an edge normal does not point out of its element")
-        return self
 
 
 # -- initial meshes ---------------------------------------------------------

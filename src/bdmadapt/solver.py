@@ -216,10 +216,6 @@ class MixedSolution:
     def scalar_by_element(self) -> np.ndarray:
         return self.scalar_space.coeffs_by_element(self.scalar)
 
-    @property
-    def n_dofs(self) -> int:
-        return self.flux_space.n_dofs + self.scalar_space.n_dofs
-
 
 def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     """Invert the class blocks and assemble the multiplier system S."""

@@ -4,16 +4,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.sparse import bmat, coo_matrix, csc_matrix
 
 from bdmadapt import TriMesh, build_initial_mesh, preset, solve_problem
 from bdmadapt.basis import (_jacobi, basis_size, bdm_reference,
-                            edge_ref_points, make_scalar_basis, quad_rule)
+                            edge_ref_points, interior_test_fields,
+                            make_scalar_basis, quad_rule)
 from bdmadapt.bdm import (BdmSpace, DgSpace, edge_legendre,
                           interpolate_boundary_term)
 from bdmadapt.estimators import ErrorBlock, _element_groups
-from bdmadapt.fields import (edge_points, mapped_points, metric_tensors,
-                             tabulate)
+from bdmadapt.fields import (edge_points, field_values, mapped_points,
+                             metric_tensors, ref_tables, tabulate)
 from bdmadapt.postprocess import _with_mean
 
 
@@ -137,6 +139,7 @@ def element_flux_trace_sq(problem, solution):
         at = np.linalg.norm(mesh.vertices - problem.quad_singular_point,
                             axis=1) < 1e-12
     singular = at[mesh.edges].any(axis=1)
+    normals = outward_normals(mesh)
     trace_sq = np.zeros(mesh.n_triangles)
     qn_sq = np.zeros(mesh.n_triangles)
     for graded in (False, True):
@@ -164,7 +167,7 @@ def element_flux_trace_sq(problem, solution):
                 pts = mapped_points(mesh, edge_ref_points(j, t), ids)
             qv = np.asarray(problem.exact_q(pts.reshape(-1, 2)), float)
             qv = qv.reshape(len(ids), len(t), 2)
-            nrm = mesh.outward_normals[ids, j]
+            nrm = normals[ids, j]
             le = mesh.tri_edge_lengths[ids, j]
             dn = np.einsum("nqa,na->nq", qv - qh, nrm)
             gn = np.einsum("nqa,na->nq", qv, nrm)
@@ -205,6 +208,77 @@ def skewed_triangle():
 def single_element_mesh(tri=None):
     tri = skewed_triangle() if tri is None else np.asarray(tri, dtype=float)
     return TriMesh(tri, np.array([[0, 1, 2]]))
+
+
+# -- geometry audits and the canonical interpolant ------------------------------
+
+
+def areas(mesh):
+    return 0.5 * mesh.det_jacobians
+
+
+def centroids(mesh):
+    return mesh.tri_coords.mean(axis=1)
+
+
+def inradius(mesh):
+    return 2.0 * areas(mesh) / mesh.tri_edge_lengths.sum(axis=1)
+
+
+def outward_normals(mesh):
+    """Outward unit normal per (triangle, local edge); shape (nt, 3, 2)."""
+    sign = np.where(mesh.elem_edge_aligned, 1.0, -1.0)
+    return mesh.edge_normals[mesh.elem_edges] * sign[..., None]
+
+
+def domain_area(domain):
+    """Area of the domain's polygon by the shoelace formula."""
+    x, y = domain.vertices.T
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def validate(mesh):
+    """Raise AssertionError if a structural invariant of mesh fails:
+    positive orientation, boundary flags that match the edge adjacency, and
+    edge normals that point out of every element.  Returns mesh."""
+    assert np.all(mesh.det_jacobians > 0), "a triangle is not positively " \
+        "oriented"
+    counts = np.bincount(mesh.elem_edges.ravel(), minlength=mesh.n_edges)
+    assert np.array_equal(counts == 1, mesh.boundary_edge), \
+        "edge adjacency inconsistent with boundary flags"
+    ends = mesh.vertices[mesh.edges[mesh.elem_edges]]
+    to_edge = 0.5 * ends.sum(axis=2) - centroids(mesh)[:, None, :]
+    assert np.all(np.einsum("nja,nja->nj", to_edge,
+                            outward_normals(mesh)) > 0), \
+        "an edge normal does not point out of its element"
+    return mesh
+
+
+def interpolate(space, q):
+    """Canonical BDM interpolant (global coefficients) of a smooth vector
+    field q(x) -> (n, 2): edge moments by the (p+5)-point Gauss rule,
+    interior moments by the "data" rule; q is read through
+    fields.field_values as "q"."""
+    mesh, p = space.mesh, space.p
+    t, w, leg = edge_legendre(p, p + 5, False)
+    qv = field_values(q, edge_points(mesh, slice(None), t), "q", vector=True)
+    qn = (qv @ mesh.edge_normals[:, :, None])[..., 0]
+    dofs = np.empty(space.n_dofs)
+    edge_part = ((qn * w) @ leg.T) * mesh.edge_lengths[:, None]
+    dofs[: space.n_edge_dofs] = edge_part.ravel()
+    if space.n_interior:
+        T = ref_tables(p, "data")
+        theta = interior_test_fields(
+            p, T.points, T.V, T.D.reshape(len(T.D), -1, 2))
+        qv = field_values(q, mapped_points(mesh, T.points), "q", vector=True)
+        # contravariant pull-back J B^{-1} q
+        JBinvT = mesh.det_jacobians[:, None, None] * np.swapaxes(
+            mesh.inv_jacobians, 1, 2)
+        qhat = np.matmul(qv, JBinvT) * T.weights[:, None]
+        vals = qhat.reshape(mesh.n_triangles, -1) @ theta.reshape(
+            len(theta), -1).T
+        dofs[space.n_edge_dofs:] = vals.ravel()
+    return dofs
 
 
 # -- moments of the boundary trace functionals ----------------------------------
@@ -460,6 +534,28 @@ def stenberg_oracle(solution):
     theta = np.linalg.solve(S22, rhs[..., None])[..., 0]
     nu = np.linalg.solve(S22[:, :n1, :n1], rhs[:, :n1, None])[..., 0]
     return _with_mean(solution, nu), _with_mean(solution, theta)
+
+
+def dual_norm_load(mesh, p, k, r):
+    """Load b_i = (r, grad v_i)_K of element k against the mean-free
+    degree-(p+2) basis v_i, by einsum at the degree-(2p+8) rule; r maps
+    (n, 2) physical points to (n, 2) values."""
+    rule = quad_rule(2 * p + 8, "triangle")
+    D = make_scalar_basis(p + 2).grads(rule.points)[:, 1:, :]
+    vals = np.asarray(r(affine_map(rule.points, mesh.tri_coords[k])), float)
+    pulled = np.einsum("qa,ba->qb", vals, mesh.inv_jacobians[k])
+    return mesh.det_jacobians[k] * np.einsum("q,qb,qib->i", rule.weights,
+                                             pulled, D)
+
+
+def dual_norm_oracle(mesh, p, k, r):
+    """||r||_{*,K} of element k, the sup over mean-free degree-(p+2) v of
+    (r, grad v)_K / ||grad v||_K, from the dual_norm_load and a dense
+    eigendecomposition of the element's einsum stiffness."""
+    S = einsum_stiffness_tensors(mesh, p + 2, 2 * (p + 2))[k, 1:, 1:]
+    evals, evecs = eigh(S)
+    b = dual_norm_load(mesh, p, k, r)
+    return float(np.linalg.norm((evecs.T @ b) / np.sqrt(evals)))
 
 
 def einsum_mismatch_sq(post, solution):

@@ -10,17 +10,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 
-from bdmadapt import (build_biorthogonal, build_initial_mesh, dual_norm_star,
-                      error_norms, eta_improved, fit_slope, fortin_apply,
+from bdmadapt import (build_biorthogonal, build_initial_mesh, error_norms,
+                      eta_improved, fit_slope, fortin_apply,
                       postprocess_resmin, preset, run_adaptive, solve_problem)
 from bdmadapt.basis import make_scalar_basis, quad_rule
-from bdmadapt.fields import stiffness_tensors
+from bdmadapt.fields import ElementClasses, stiffness_tensors
 from bdmadapt.fortin import pairing_matrices, random_shape_regular_triangles
 from bdmadapt.mesh import _LOCAL_EDGE_VERTS
+from bdmadapt.postprocess import class_factors
 
-from conftest import (boundary_moments, eval_flux, make_linear_problem,
+from conftest import (boundary_moments, centroids, dual_norm_load,
+                      dual_norm_oracle, eval_flux, make_linear_problem,
                       projection_moments, stenberg_oracle)
 
 SLOPE_TOL = 0.15          # criterion 5
@@ -206,7 +207,7 @@ def test_c08_lshape_adaptive(lshape_suite):
         assert nu >= (p + 2) - ADAPTIVE_SLACK, (p, nu)
         slopes[p] = (round(full, 2), round(nu, 2))
     run3 = runs[3]
-    pts = np.vstack([r.mesh.centroids[r.marked] for r in run3.records[5:]
+    pts = np.vstack([centroids(r.mesh)[r.marked] for r in run3.records[5:]
                      if r.marked is not None and len(r.marked)])
     frac = float(np.mean(np.linalg.norm(pts, axis=1) < 0.25))
     assert frac >= 0.5, frac
@@ -227,7 +228,7 @@ def test_c09_advection_diffusion(advdiff_suite):
     assert min(gaps[1], gaps[2]) > gaps[3], gaps
     # outflow-layer localization in late iterations
     run3 = runs[3]
-    pts = np.vstack([r.mesh.centroids[r.marked] for r in run3.records[8:]
+    pts = np.vstack([centroids(r.mesh)[r.marked] for r in run3.records[8:]
                      if r.marked is not None and len(r.marked)])
     in_strip = (pts[:, 0] > 0.9) | (pts[:, 1] > 0.9)
     density_strip = in_strip.mean() / 0.19
@@ -286,13 +287,14 @@ def test_c10_biorthogonal_verification(rng):
 
 
 def test_c11_dual_norm_oracle(rng):
-    mesh = build_initial_mesh(preset("smooth").domain, 32)
+    # the class factors of the loop, on classes keyed by the advdiff beta,
+    # against a dense eigen-oracle of each element's own stiffness
+    advdiff = preset("advdiff")
+    mesh = build_initial_mesh(advdiff.domain, 32).refine([0, 5, 11])
+    classes = ElementClasses(mesh, advdiff.beta)
     worst = 0.0
     for p in (1, 2, 3):
-        basis = make_scalar_basis(p + 2)
-        rule = quad_rule(2 * p + 8, "triangle")
-        D = basis.grads(rule.points)[:, 1:, :]
-        S22 = stiffness_tensors(mesh, p)
+        G = class_factors(mesh, p, classes)
         for _ in range(50):
             k = int(rng.integers(0, mesh.n_triangles))
             c = rng.standard_normal((4, 2))
@@ -301,14 +303,9 @@ def test_c11_dual_norm_oracle(rng):
                 return (c[None, 0] + c[None, 1] * x[:, 0:1]
                         + c[None, 2] * np.sin(x) + c[None, 3] * x ** 2)
 
-            got = dual_norm_star(mesh, p, k, fld)
-            pts = mesh.tri_coords[k, 0][None, :] + rule.points @ \
-                mesh.jacobians[k].T
-            pulled = np.einsum("qa,ba->qb", fld(pts), mesh.inv_jacobians[k])
-            b = mesh.det_jacobians[k] * np.einsum(
-                "q,qb,qib->i", rule.weights, pulled, D)
-            evals, evecs = eigh(S22[k])
-            want = float(np.linalg.norm((evecs.T @ b) / np.sqrt(evals)))
+            got = float(np.linalg.norm(G[classes.id[k]]
+                                       @ dual_norm_load(mesh, p, k, fld)))
+            want = dual_norm_oracle(mesh, p, k, fld)
             rel = abs(got - want) / max(want, 1e-300)
             assert rel <= 1e-10, (p, rel)
             worst = max(worst, rel)

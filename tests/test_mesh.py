@@ -11,7 +11,8 @@ from bdmadapt.basis import make_scalar_basis
 from bdmadapt.fields import nu_jump_terms
 
 from artifact_checks import assert_round_trip
-from conftest import edge_elements, refine_loop
+from conftest import (areas, centroids, domain_area, edge_elements,
+                      inradius, refine_loop, validate)
 
 
 def edge_hash_audit(mesh):
@@ -54,13 +55,13 @@ def assert_bisection_history(mesh, out, marked):
     assert set(marked) <= set(split.tolist())
     assert np.array_equal(np.sort(np.concatenate([kept, split])),
                           np.arange(mesh.n_triangles))
-    area = np.bincount(out.parent[child], out.areas[child],
+    area = np.bincount(out.parent[child], areas(out)[child],
                        minlength=mesh.n_triangles)[split]
-    assert np.allclose(area, mesh.areas[split], rtol=1e-12, atol=0.0)
+    assert np.allclose(area, areas(mesh)[split], rtol=1e-12, atol=0.0)
     parent = out.parent[child]
     depth = out.generation[child] - mesh.generation[parent]
     assert set(depth.tolist()) <= {1, 2}
-    assert np.allclose(np.log2(mesh.areas[parent] / out.areas[child]), depth,
+    assert np.allclose(np.log2(areas(mesh)[parent] / areas(out)[child]), depth,
                        rtol=0.0, atol=1e-9)
 
 
@@ -77,8 +78,8 @@ RANDOM_START = {
 def test_initial_lshape_count():
     mesh = build_initial_mesh(DomainSpec.l_shape(), 96)
     assert mesh.n_triangles == 96
-    assert abs(mesh.areas.sum() - 3.0) < 1e-14
-    mesh.validate()
+    assert abs(areas(mesh).sum() - 3.0) < 1e-14
+    validate(mesh)
 
 
 def test_initial_square_two_triangles():
@@ -108,7 +109,7 @@ def test_refine_all_at_least_doubles():
     mesh = build_initial_mesh(DomainSpec.unit_square(), 8)
     out = mesh.refine(range(mesh.n_triangles))
     assert out.n_triangles >= 2 * mesh.n_triangles
-    out.validate()
+    validate(out)
     edge_hash_audit(out)
 
 
@@ -151,7 +152,7 @@ def test_closure_single_marked_two_triangles():
     out = mesh.refine([0])
     # the neighbor shares the refinement diagonal, so it must split too
     assert out.n_triangles == 4
-    out.validate()
+    validate(out)
     edge_hash_audit(out)
 
 
@@ -164,10 +165,10 @@ def test_refine_random_sets_stay_conforming(data):
     marked = data.draw(st.sets(
         st.integers(min_value=0, max_value=mesh.n_triangles - 1), max_size=12))
     out = mesh.refine(marked)
-    out.validate()
+    validate(out)
     edge_hash_audit(out)
-    area = mesh.areas.sum()
-    assert abs(out.areas.sum() - area) <= 1e-12 * area
+    area = areas(mesh).sum()
+    assert abs(areas(out).sum() - area) <= 1e-12 * area
     if marked:
         assert out.n_triangles > mesh.n_triangles
     assert_same_mesh(out, refine_loop(mesh, marked))
@@ -195,13 +196,13 @@ def test_refine_matches_loop_oracle_on_adaptive_traces(name, kwargs):
 
 def test_area_preserved_over_generations(rng):
     mesh = build_initial_mesh(DomainSpec.l_shape(), 24)
-    area0 = mesh.areas.sum()
+    area0 = areas(mesh).sum()
     for _ in range(5):
         marked = rng.choice(mesh.n_triangles,
                             size=max(1, mesh.n_triangles // 4), replace=False)
         mesh = mesh.refine(marked)
-        assert abs(mesh.areas.sum() - area0) <= 1e-12 * area0
-    mesh.validate()
+        assert abs(areas(mesh).sum() - area0) <= 1e-12 * area0
+    validate(mesh)
 
 
 def test_min_angle_bound(rng):
@@ -230,12 +231,12 @@ def test_edge_lengths_match_endpoints():
 
 def test_shape_regularity_bounded_under_refinement(rng):
     mesh = build_initial_mesh(DomainSpec.unit_square(), 8)
-    ratio0 = (mesh.h_K / mesh.inradius).max()
+    ratio0 = (mesh.h_K / inradius(mesh)).max()
     for _ in range(5):
         marked = rng.choice(mesh.n_triangles,
                             size=max(1, mesh.n_triangles // 3), replace=False)
         mesh = mesh.refine(marked)
-    assert (mesh.h_K / mesh.inradius).max() <= 4.0 * ratio0
+    assert (mesh.h_K / inradius(mesh)).max() <= 4.0 * ratio0
 
 
 def test_jump_trace_pairs_two_triangles():
@@ -253,8 +254,8 @@ def test_jump_trace_pairs_two_triangles():
     # normal points from K+ into K-
     mid = 0.5 * (mesh.vertices[mesh.edges[e, 0]] + mesh.vertices[mesh.edges[e, 1]])
     n = mesh.edge_normals[e]
-    assert np.dot(mesh.centroids[km] - mid, n) > 0
-    assert np.dot(mesh.centroids[kp] - mid, n) < 0
+    assert np.dot(centroids(mesh)[km] - mid, n) > 0
+    assert np.dot(centroids(mesh)[kp] - mid, n) < 0
 
 
 def test_jump_of_continuous_field_vanishes():
@@ -313,15 +314,16 @@ def test_nonsimple_polygon_rejected():
 def test_initial_mesh_covers_its_domain(domain):
     # a preset's name alone does not select its structured layout
     mesh = build_initial_mesh(domain, 24)
-    mesh.validate()
-    assert abs(mesh.areas.sum() - domain.area) < 1e-12 * domain.area
+    validate(mesh)
+    area = domain_area(domain)
+    assert abs(areas(mesh).sum() - area) < 1e-12 * area
 
 
 def test_validate_catches_flipped_alignment():
     mesh = build_initial_mesh(DomainSpec.unit_square(), 8)
     mesh.elem_edge_aligned = ~mesh.elem_edge_aligned
     with pytest.raises(AssertionError, match="normal"):
-        mesh.validate()
+        validate(mesh)
 
 
 def test_custom_polygon_mesh():
@@ -329,8 +331,9 @@ def test_custom_polygon_mesh():
                      name="pentagon")
     mesh = build_initial_mesh(dom, 20)
     assert mesh.n_triangles >= 20
-    mesh.validate()
-    assert abs(mesh.areas.sum() - dom.area) < 1e-12 * dom.area
+    validate(mesh)
+    area = domain_area(dom)
+    assert abs(areas(mesh).sum() - area) < 1e-12 * area
 
 
 def test_export_roundtrip(tmp_path):

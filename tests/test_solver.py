@@ -20,8 +20,9 @@ from bdmadapt.bdm import BdmSpace, DgSpace
 from bdmadapt.fields import mapped_points
 
 from conftest import (advection_matrix, bdm_mass_matrix, coo_schur,
-                      divergence_matrix, eval_flux, make_linear_problem,
-                      saddle_system, scipy_schur, single_element_mesh)
+                      divergence_matrix, eval_flux, interpolate,
+                      make_linear_problem, saddle_system, scipy_schur,
+                      single_element_mesh)
 from factor_cases import multiplier_cases
 
 
@@ -108,7 +109,7 @@ def test_advection_residual_decreases_under_refinement():
     mesh = build_initial_mesh(adv.domain, 32)
     for _ in range(3):
         system = saddle_system(mesh, 1, adv)
-        flux = system.flux_space.interpolate(adv.exact_q)
+        flux = interpolate(system.flux_space, adv.exact_q)
         rule = quad_rule(10, "triangle")
         V = make_scalar_basis(0).values(rule.points)
         phys = mapped_points(mesh, rule.points)
