@@ -38,7 +38,11 @@ def dorfler_mark(eta_K, theta: float) -> np.ndarray:
 
 @dataclass
 class IterationRecord:
-    """State of one loop iteration (the mesh that was solved)."""
+    """State of one loop iteration (the mesh that was solved).
+
+    mesh and report are set on the newest record of a run; on the earlier
+    ones only when run_adaptive was called with keep_meshes=True.
+    """
 
     iteration: int
     n_elements: int
@@ -72,7 +76,12 @@ class IterationRecord:
 
 @dataclass
 class AdaptiveRun:
-    """Append-only record of an adaptive (or uniform) refinement run."""
+    """Append-only record of an adaptive (or uniform) refinement run.
+
+    Without keep_meshes only the last record holds its mesh and report, and
+    after a solver failure none does: the failed mesh has no record, and
+    the last record's were dropped before the failed mesh was assembled.
+    """
 
     problem_name: str
     p: int
@@ -114,10 +123,13 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
     -> full_report.  marker selects the indicator driving the marking
     ("eta" improved or "eta_tilde" built-in); uniform=True bisects every
     element instead.  with_theta decides whether the records carry the
-    saturation delta, keep_meshes whether they keep mesh and report.  The
-    loop stops early when the estimator reaches eta_tol, when max_elements
-    would be exceeded, or when the solver fails (partial run returned with
-    the abort reason).
+    saturation delta.  The newest record holds its mesh and report;
+    without keep_meshes they are dropped from it right before the next mesh
+    is assembled, so that no solve runs while an earlier mesh is held, and
+    the last record keeps them when the loop ends.  keep_meshes=True keeps
+    them on every record.  The loop stops early when the estimator reaches
+    eta_tol, when max_elements would be exceeded, or when the solver fails
+    (partial run returned with the abort reason).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -129,6 +141,8 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
     run = AdaptiveRun(problem_name=problem.name, p=p, theta=theta,
                       marker=marker, uniform=uniform)
     for it in range(iterations):
+        if run.records and not keep_meshes:
+            run.records[-1].mesh = run.records[-1].report = None
         try:
             solution = solve(assemble(mesh, p, problem))
         except SingularSystemError as exc:
@@ -145,18 +159,19 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
             delta=report.delta if with_theta else None,
             effectivity=report.effectivity,
             errors=None if report.errors is None else report.errors.to_dict(),
-            mesh=mesh if keep_meshes else None,
-            report=report if keep_meshes else None)
+            mesh=mesh, report=report)
         run.records.append(rec)
         if rec.eta <= eta_tol or it == iterations - 1:
             break
-        indicator = report.eta_K if marker == "eta" else report.eta_tilde_K
-        # the next global solve sets the peak memory: free this mesh's state
-        del solution, post, report
+        # the next global solve sets the peak memory: of this mesh's state
+        # only the record's mesh and report stay, until the next assembly
+        del solution, post
         if uniform:
             marked = np.arange(mesh.n_triangles)
         else:
-            marked = dorfler_mark(indicator, theta)
+            marked = dorfler_mark(report.eta_K if marker == "eta"
+                                  else report.eta_tilde_K, theta)
+        del report
         rec.marked = marked
         if len(marked) == 0:
             break

@@ -271,12 +271,14 @@ class ErrorBlock:
 def _element_errors(post: PostprocResult, ids, T):
     """Squared errors ||grad(u - nu_h)||^2, ||grad(u - theta_h)||^2,
     ||u - u_h||^2, ||u - nu_h||^2 and ||q - q_h||^2 of elements ids, and
-    the dual-norm load of q - q_h, at the rule of the tables T."""
+    the dual-norm load of q - q_h, at the rule of the tables T.
+
+    The terms run so that at most three (n, nq, 2) arrays live at once: u
+    goes once the value errors are taken, the points once q is evaluated,
+    and q once the flux difference has taken its place.
+    """
     solution, problem = post.solution, post.solution.problem
     mesh, w = solution.mesh, T.weights
-    phys = mapped_points(mesh, T.points, ids)
-    qv = field_values(problem.exact_q, phys, "exact_q", vector=True)
-    uv = field_values(problem.exact_u, phys, "exact_u")
     J = mesh.det_jacobians[ids]
     Binv = mesh.inv_jacobians[ids]
 
@@ -287,23 +289,29 @@ def _element_errors(post: PostprocResult, ids, T):
     def integral(vals):
         return (vals @ w) * J
 
-    def grad_error_sq(coeffs):
-        # grad(u - v) = -q - grad v
-        g = np.matmul(at_points(coeffs, T.D).reshape(len(ids), -1, 2), Binv)
-        g += qv
-        return integral(_norm_sq(g))
-
-    def value_error_sq(coeffs):
+    def value_error_sq(u, coeffs):
         d = at_points(coeffs, T.V)
-        np.subtract(uv, d, out=d)
+        np.subtract(u, d, out=d)
         return integral(np.square(d, out=d))
 
-    grad_nu_sq = grad_error_sq(post.nu)
-    grad_theta_sq = grad_error_sq(post.theta)
-    u_L2_sq = value_error_sq(solution.scalar_by_element)
-    nu_L2_sq = value_error_sq(post.nu)
+    def grad_error_sq(q, coeffs):
+        # grad(u - v) = -q - grad v
+        g = np.matmul(at_points(coeffs, T.D).reshape(len(ids), -1, 2), Binv)
+        g += q
+        return integral(_norm_sq(g))
+
+    phys = mapped_points(mesh, T.points, ids)
+    uv = field_values(problem.exact_u, phys, "exact_u")
+    u_L2_sq = value_error_sq(uv, solution.scalar_by_element)
+    nu_L2_sq = value_error_sq(uv, post.nu)
+    del uv
+    qv = field_values(problem.exact_q, phys, "exact_q", vector=True)
+    del phys
+    grad_nu_sq = grad_error_sq(qv, post.nu)
+    grad_theta_sq = grad_error_sq(qv, post.theta)
     diff = solution.flux_space.flux_values(solution.flux, T.N, ids)
     np.subtract(qv, diff, out=diff)
+    del qv
     # load (q - q_h, grad v) of the mean-free degree-(p+2) basis
     star_rhs = _grad_load(diff, Binv, J, w, T.D[1:])
     return (grad_nu_sq, grad_theta_sq, u_L2_sq, nu_L2_sq,

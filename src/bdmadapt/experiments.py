@@ -166,6 +166,51 @@ def experiment_problem(config: ExperimentConfig) -> ProblemSpec:
     return preset(config.experiment)
 
 
+def _run_degree(config: ExperimentConfig, problem: ProblemSpec, p: int,
+                tail: int | None, io_errors: list) -> dict:
+    """Run degree p, write its artifacts and return its summary entry.
+
+    Only the last record keeps its mesh and report (all of them under
+    dump_meshes), and nothing of the run outlives the call.  A degree whose
+    solve aborted has no final report, so it writes no report file.
+    """
+    logger.info("[%s] p=%d mode=%s ...", config.experiment, p, config.mode)
+    run = run_adaptive(
+        problem, p, theta=config.theta, iterations=config.iterations,
+        marker=config.marker, uniform=(config.mode == "uniform"),
+        initial_elements=config.initial_elements,
+        max_elements=config.max_elements, keep_meshes=config.dump_meshes)
+    _write = [
+        (os.path.join(config.out, f"convergence_p{p}.csv"),
+         lambda path: write_convergence_csv(run, path)),
+        (os.path.join(config.out, f"log_p{p}.json"), run.to_json),
+    ]
+    final = run.records[-1].report if run.records else None
+    if final is not None:
+        if final.has_exact:
+            # through the module, where benchmarks/tracing.py patches it
+            final.osc_K = estimators.oscillation_bound(problem, final.mesh, p)
+        _write.append(
+            (os.path.join(config.out, f"report_p{p}_final.json"), final.save))
+    if config.dump_meshes:
+        for it in _MESH_DUMP_ITERATIONS:
+            if it < run.n_iterations:
+                _write.append(
+                    (os.path.join(config.out, f"mesh_p{p}_iter{it}"),
+                     lambda path, m=run.records[it].mesh: save_mesh(m, path)))
+    for path, writer in _write:
+        try:
+            writer(path)
+        except OSError as exc:
+            io_errors.append({"path": path, "error": str(exc)})
+    return {
+        "n_iterations": run.n_iterations,
+        "final_elements": run.records[-1].n_elements if run.records else 0,
+        "aborted": run.aborted,
+        "slopes": run_slopes(run, tail=tail),
+    }
+
+
 def run_experiment(config: ExperimentConfig,
                    problem: ProblemSpec | None = None) -> dict:
     """Run one experiment for every degree and write all artifacts.
@@ -177,60 +222,21 @@ def run_experiment(config: ExperimentConfig,
     problem = problem if problem is not None else experiment_problem(config)
     os.makedirs(config.out, exist_ok=True)
     io_errors = []
+    tail = (6 if config.experiment == "advdiff" and config.mode == "adaptive"
+            else None)
     summary = {
         "experiment": config.experiment,
         "mode": config.mode,
         "theta": config.theta,
         "iterations": config.iterations,
         "marker": config.marker,
-        "fit_policy": None,
+        "fit_policy": (f"final {tail} iterations" if tail is not None
+                       else "drop first 2 meshes"),
         "per_degree": {},
     }
-    tail = (6 if config.experiment == "advdiff" and config.mode == "adaptive"
-            else None)
-    summary["fit_policy"] = (
-        f"final {tail} iterations" if tail is not None
-        else "drop first 2 meshes")
     for p in config.p_list:
-        logger.info("[%s] p=%d mode=%s ...", config.experiment, p, config.mode)
-        run = run_adaptive(
-            problem, p, theta=config.theta, iterations=config.iterations,
-            marker=config.marker, uniform=(config.mode == "uniform"),
-            initial_elements=config.initial_elements,
-            max_elements=config.max_elements, keep_meshes=True)
-        slopes = run_slopes(run, tail=tail)
-        summary["per_degree"][str(p)] = {
-            "n_iterations": run.n_iterations,
-            "final_elements": run.records[-1].n_elements if run.records else 0,
-            "aborted": run.aborted,
-            "slopes": slopes,
-        }
-        _write = [
-            (os.path.join(config.out, f"convergence_p{p}.csv"),
-             lambda path, run=run: write_convergence_csv(run, path)),
-            (os.path.join(config.out, f"log_p{p}.json"),
-             lambda path, run=run: run.to_json(path)),
-        ]
-        if run.records:
-            # through the module, where benchmarks/tracing.py patches it
-            final = run.records[-1].report
-            if final.has_exact:
-                final.osc_K = estimators.oscillation_bound(
-                    problem, final.mesh, p)
-            _write.append(
-                (os.path.join(config.out, f"report_p{p}_final.json"),
-                 lambda path, final=final: final.save(path)))
-        if config.dump_meshes:
-            for it in _MESH_DUMP_ITERATIONS:
-                if it < run.n_iterations and run.records[it].mesh is not None:
-                    _write.append(
-                        (os.path.join(config.out, f"mesh_p{p}_iter{it}"),
-                         lambda path, m=run.records[it].mesh: save_mesh(m, path)))
-        for path, writer in _write:
-            try:
-                writer(path)
-            except OSError as exc:
-                io_errors.append({"path": path, "error": str(exc)})
+        summary["per_degree"][str(p)] = _run_degree(config, problem, p, tail,
+                                                    io_errors)
     summary["io_errors"] = io_errors
     path = os.path.join(config.out, "summary.json")
     try:

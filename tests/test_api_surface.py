@@ -4,11 +4,17 @@ attribute and dataclass field of the package has a reader.
 A name counts as read when src/bdmadapt or benchmarks/ load it as a Name or
 an Attribute or pass it as a string literal to getattr, or when the
 benchmark tracer looks it up by string (the attribute column of its PATCHES
-table).  Assignments and imports do not count, and neither do the tests:
+table, on the class of its class column).  Assignments and imports do not count, and neither do the tests:
 code that only the tests call belongs in the tests.  Names without a reader
-must be on ALLOWED, with the reason they stay.  Reads are matched by plain
-name, so a member counts as read when a member of the same name on another
-class is read: MixedSolution.n_dofs went unnoticed behind the reads of
+must be on ALLOWED, with the reason they stay.
+
+A read `x.member` whose receiver's class is known counts only for that
+class's member.  The class is known for self in a method, for a parameter,
+dataclass field or property annotated with a package class, for a call of
+a package class or of a function annotated to return one, and for a local
+name that every assignment binds to the same such class.  Other reads are
+matched by plain name, so they count for every member of that name; when
+all reads were, MixedSolution.n_dofs went unnoticed behind the reads of
 BdmSpace.n_dofs and DgSpace.n_dofs.
 
 Two more guards keep artifacts.write_json the one JSON writer: no
@@ -108,37 +114,187 @@ def _attributes():
 
 
 def _tracer_lookups():
+    """(class or None, attribute) of every entry of the tracer's PATCHES."""
     tree = ast.parse((BENCHMARKS / "tracing.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "PATCHES"
                 for t in node.targets):
-            return {entry.elts[2].value for entry in node.value.elts}
+            return {(entry.elts[1].value, entry.elts[2].value)
+                    for entry in node.value.elts}
     raise AssertionError("benchmarks/tracing.py has no PATCHES table")
 
 
-def _names_read():
-    used = set(_tracer_lookups())
+def _class_of(annotation, classes):
+    """The one package class an annotation names (X, "X | None", ...)."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value,
+                                                           str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    names = {n.id for n in ast.walk(annotation) if isinstance(n, ast.Name)} \
+        if annotation is not None else set()
+    names &= classes
+    return names.pop() if len(names) == 1 else None
+
+
+def _package_types():
+    """(classes, returns, members, modules): the package's class names,
+    the class each module-level function returns, per class the class of
+    each annotated dataclass field and of what each method or property
+    returns, and the names under which code reaches the package's modules."""
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    classes = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    returns, members = {}, {name: {} for name in classes}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                kind = _class_of(node.returns, classes)
+                returns[node.name] = (kind if returns.get(node.name, kind)
+                                      == kind else None)
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        members[node.name][sub.name] = _class_of(sub.returns,
+                                                                 classes)
+                    elif (isinstance(sub, ast.AnnAssign)
+                          and isinstance(sub.target, ast.Name)):
+                        members[node.name][sub.target.id] = _class_of(
+                            sub.annotation, classes)
+    modules = {path.stem for path in PACKAGE.glob("*.py")} | {"bdmadapt"}
+    return classes, returns, members, modules
+
+
+def _expr_class(node, env, types):
+    """The package class of an expression's value, where it is known."""
+    classes, returns, members, modules = types
+    if isinstance(node, ast.Name):
+        return env.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _expr_class(node.value, env, types)
+        return members[owner].get(node.attr) if owner else None
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            owner = _expr_class(func.value, env, types)
+            if owner:
+                return members[owner].get(func.attr)
+            if not (isinstance(func.value, ast.Name)
+                    and func.value.id in modules):
+                return None
+            name = func.attr
+        elif isinstance(func, ast.Name) and func.id not in env:
+            name = func.id
+        else:
+            return None
+        return name if name in classes else returns.get(name)
+    return None
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(scope):
+    """The nodes of a scope, nested scopes included but not their bodies."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bound_pairs(target, value):
+    """(Name node, value expression or None) of an assignment."""
+    if isinstance(target, ast.Name):
+        return [(target, value)]
+    if (isinstance(target, (ast.Tuple, ast.List))
+            and isinstance(value, (ast.Tuple, ast.List))
+            and len(target.elts) == len(value.elts)):
+        return [pair for t, v in zip(target.elts, value.elts)
+                for pair in _bound_pairs(t, v)]
+    return [(n, None) for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def _scope_env(func, outer, owner, types):
+    """Local name -> package class in a function or lambda: self in a
+    method of the class owner, annotated parameters, and the names that
+    every binding gives the same known class (closures see the enclosing
+    names that they do not bind)."""
+    args = func.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [
+        a for a in (args.vararg, args.kwarg) if a is not None]
+    bindings = {a.arg: [("class", _class_of(a.annotation, types[0]))]
+                for a in params}
+    if owner in types[0] and params and params[0].arg == "self":
+        bindings["self"] = [("class", owner)]
+    values = {}
+    for node in _own_nodes(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                values.update((id(n), v) for n, v in _bound_pairs(target,
+                                                                 node.value))
+    for node in _own_nodes(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            value = values.get(id(node))
+            bindings.setdefault(node.id, []).append(
+                ("class", None) if value is None else ("expr", value))
+    env = {k: v for k, v in outer.items() if k not in bindings}
+    # a name's class may follow from another's: one pass per name suffices
+    for _ in range(len(bindings)):
+        for name, kinds in bindings.items():
+            found = {v if how == "class" else _expr_class(v, env, types)
+                     for how, v in kinds}
+            if len(found) == 1 and None not in found:
+                env[name] = found.pop()
+    return env
+
+
+def _scan(scope, env, owner, types, plain, typed):
+    """Add the reads of a scope to plain and typed; owner is the class
+    whose body holds the scope."""
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        env = _scope_env(scope, env, owner, types)
+    inner = scope.name if isinstance(scope, ast.ClassDef) else None
+    for node in _own_nodes(scope):
+        if isinstance(node, _SCOPES):
+            _scan(node, env, inner, types, plain, typed)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            plain.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            kind = _expr_class(node.value, env, types)
+            if kind is None:
+                plain.add(node.attr)
+            else:
+                typed.add((kind, node.attr))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            plain.add(node.args[1].value)
+
+
+def _reads():
+    """(plain, typed): the names read where the receiver's class is not
+    known, and the (class, member) pairs read where it is."""
+    types = _package_types()
+    plain, typed = set(), set()
+    for cls, attr in _tracer_lookups():
+        if cls is None:
+            plain.add(attr)
+        else:
+            typed.add((cls, attr))
     for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCHMARKS.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
-                used.add(node.attr)
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Name)
-                  and node.func.id == "getattr" and len(node.args) > 1
-                  and isinstance(node.args[1], ast.Constant)):
-                used.add(node.args[1].value)
-    return used
+        _scan(ast.parse(path.read_text()), {}, None, types, plain, typed)
+    return plain, typed
 
 
 def _unread(defined):
-    used = _names_read()
+    plain, typed = _reads()
     return sorted(q for q, name in defined.items()
-                  if name not in used and not _is_dunder(name)
-                  and q not in ALLOWED)
+                  if name not in plain
+                  and tuple(q.split(".")[1:]) not in typed
+                  and not _is_dunder(name) and q not in ALLOWED)
 
 
 def test_every_package_function_has_a_caller():

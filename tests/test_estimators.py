@@ -531,6 +531,35 @@ def test_eta_improved_transient_does_not_grow_with_the_mesh():
     assert peaks[1] <= 2.0 * peaks[0], peaks
 
 
+def test_error_norms_peak_is_three_block_arrays_on_advdiff():
+    # the final p = 3 mesh of a 16-iteration advdiff run from 50 elements,
+    # as in the advdiff-adaptive benchmark: 510 of its 624 elements take the
+    # 256-point "region" rule, so the block-sized (n, nq, 2) arrays, not the
+    # per-element outputs, set the peak.  Measured in block arrays (254
+    # elements x 256 points, 0.99 MiB): 4.79 with the mapped points held to
+    # the end (4.76 MiB), 3.79 with them freed after the exact fields, and
+    # 3.20 (3.18 MiB) with u dropped after the value errors and q after the
+    # flux difference
+    advdiff = preset("advdiff")
+    run = run_adaptive(advdiff, 3, iterations=16, initial_elements=50,
+                       with_errors=False)
+    mesh = run.records[-1].mesh
+    assert mesh.n_triangles == 624
+    post = postprocess_resmin(solve_problem(mesh, 3, advdiff))
+    block = 2 * 8 * max(
+        (b.stop - b.start) * len(T.weights)
+        for group, T in estimators._element_groups(mesh, advdiff, 3)
+        for b in fields.point_blocks(len(group), len(T.weights)))
+    error_norms(post)
+    tracemalloc.start()
+    try:
+        error_norms(post)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * block, peak / block
+
+
 # one BLAS thread: a threaded BLAS splits a product by its size, so the bits
 # of a row depend on the thread count and the product it is part of (also
 # without blocks: the unblocked pass gives other bits with two threads)

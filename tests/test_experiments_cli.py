@@ -2,14 +2,17 @@ import dataclasses
 import json
 import logging
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from bdmadapt import ExperimentConfig, fit_slope, run_experiment
-from bdmadapt import cli, estimators, experiments
+from bdmadapt import adaptivity, cli, estimators, experiments
 from bdmadapt.cli import _build_parser, main
 from bdmadapt.experiments import CSV_COLUMNS
+from bdmadapt.mesh import load_mesh
+from bdmadapt.solver import SingularSystemError
 
 from artifact_checks import assert_round_trip
 
@@ -161,6 +164,68 @@ def test_mesh_dumps_at_snapshot_iterations(tmp_path):
     assert os.path.exists(os.path.join(out, "mesh_p1_iter5.elems"))
     assert os.path.exists(os.path.join(out, "mesh_p1_iter0.json"))
     assert not os.path.exists(os.path.join(out, "mesh_p1_iter10.nodes"))
+
+
+def test_run_experiment_holds_only_the_current_mesh(tmp_path, monkeypatch):
+    # the loop needs only the current mesh: while one is solved, every mesh
+    # assembled before it, of this degree or an earlier one, has been freed
+    meshes, held = [], []
+    real_assemble, real_solve = adaptivity.assemble, adaptivity.solve
+
+    def assemble(mesh, p, problem):
+        meshes.append(weakref.ref(mesh))
+        return real_assemble(mesh, p, problem)
+
+    def solve(system):
+        held.append([i for i, ref in enumerate(meshes[:-1])
+                     if ref() is not None])
+        return real_solve(system)
+
+    monkeypatch.setattr(adaptivity, "assemble", assemble)
+    monkeypatch.setattr(adaptivity, "solve", solve)
+    out = tmp_path / "held"
+    summary = run_experiment(tiny_config(str(out), p_list=(1, 2),
+                                         mode="adaptive", iterations=4))
+    assert held == [[]] * 8
+    assert [summary["per_degree"][p]["n_iterations"] for p in "12"] == [4, 4]
+    assert (out / "report_p2_final.json").exists()
+
+    # --dump-meshes still writes the snapshots of iterations 0, 5 and 10
+    monkeypatch.setattr(adaptivity, "solve", real_solve)
+    out = tmp_path / "dump"
+    run_experiment(tiny_config(str(out), mode="adaptive", iterations=11,
+                               dump_meshes=True))
+    log = json.loads((out / "log_p1.json").read_text())
+    for it in (0, 5, 10):
+        mesh = load_mesh(str(out / f"mesh_p1_iter{it}"))
+        assert mesh.n_triangles == log["iterations"][it]["n_elements"]
+    assert not (out / "mesh_p1_iter1.nodes").exists()
+
+    # a solver failure drops the last report before the failing solve: the
+    # degree writes its table, log and summary entry, and no final report
+    calls = []
+
+    def flaky(system):
+        calls.append(1)
+        if len(calls) >= 3:
+            raise SingularSystemError("synthetic failure")
+        return real_solve(system)
+
+    monkeypatch.setattr(adaptivity, "solve", flaky)
+    out = tmp_path / "abort"
+    summary = run_experiment(tiny_config(str(out), mode="adaptive",
+                                         iterations=6))
+    assert summary["per_degree"]["1"]["aborted"]
+    assert summary["per_degree"]["1"]["n_iterations"] == 2
+    assert summary["io_errors"] == []
+    log = json.loads((out / "log_p1.json").read_text())
+    assert log["aborted"] and "synthetic" in log["abort_reason"]
+    assert len(log["iterations"]) == 2
+    with open(out / "convergence_p1.csv") as fh:
+        assert len(fh.read().splitlines()) == 3
+    assert json.loads((out / "summary.json").read_text()) == summary
+    assert sorted(path.name for path in out.iterdir()) == [
+        "convergence_p1.csv", "log_p1.json", "summary.json"]
 
 
 def test_fit_slope_policy():
