@@ -2,7 +2,7 @@
 
 from .adaptivity import AdaptiveRun, dorfler_mark, run_adaptive
 from .basis import QuadRule, RefScalarBasis, make_scalar_basis, quad_rule
-from .bdm import BdmSpace, DgSpace, interpolate_boundary_term
+from .bdm import BdmSpace, interpolate_boundary_term
 from .estimators import (EstimatorReport, ErrorBlock, error_norms,
                          eta_improved, full_report, oscillation_bound)
 from .experiments import ExperimentConfig, fit_slope, run_experiment
@@ -12,6 +12,6 @@ from .mesh import DomainSpec, TriMesh, build_initial_mesh, load_mesh, save_mesh
 from .postprocess import PostprocResult, postprocess_resmin
 from .problems import preset
 from .solver import (MixedSolution, MixedSystem, ProblemSpec,
-                     SingularSystemError, assemble, solve, solve_problem)
+                     SingularSystemError, assemble, solve)
 
 __version__ = "0.1.0"

@@ -38,10 +38,11 @@ def dorfler_mark(eta_K, theta: float) -> np.ndarray:
 
 @dataclass
 class IterationRecord:
-    """State of one loop iteration (the mesh that was solved).
+    """State of one loop iteration.
 
-    mesh and report are set on the newest record of a run; on the earlier
-    ones only when run_adaptive was called with keep_meshes=True.
+    report, which holds the solved mesh, is set on the newest record of a
+    run; on the earlier ones only when run_adaptive was called with
+    keep_meshes=True.
     """
 
     iteration: int
@@ -54,7 +55,6 @@ class IterationRecord:
     effectivity: float | None = None
     errors: dict | None = None
     marked: np.ndarray | None = None
-    mesh: TriMesh | None = None
     report: EstimatorReport | None = None
 
     def to_dict(self) -> dict:
@@ -78,9 +78,10 @@ class IterationRecord:
 class AdaptiveRun:
     """Append-only record of an adaptive (or uniform) refinement run.
 
-    Without keep_meshes only the last record holds its mesh and report, and
-    after a solver failure none does: the failed mesh has no record, and
-    the last record's were dropped before the failed mesh was assembled.
+    Without keep_meshes only the last record holds its report (and with it
+    its mesh), and after a solver failure none does: the failed mesh has no
+    record, and the last record's report was dropped before the failed mesh
+    was assembled.
     """
 
     problem_name: str
@@ -111,6 +112,25 @@ class AdaptiveRun:
         write_json(path, self.to_dict())
 
 
+def _initial_mesh(problem: ProblemSpec,
+                  initial_elements: int | None) -> TriMesh:
+    """The first mesh of a run, of about initial_elements elements (by
+    default a count per domain)."""
+    count = _DEFAULT_INITIAL.get(problem.domain.name, 64) \
+        if initial_elements is None else initial_elements
+    return build_initial_mesh(problem.domain, count)
+
+
+def _refine(mesh: TriMesh, marked, uniform: bool) -> TriMesh:
+    """One refinement step of a run: bisect the marked elements, and in a
+    uniform run sweep once more, which halves h and keeps one congruence
+    family."""
+    refined = mesh.refine(marked)
+    if uniform:
+        refined = refined.refine(np.arange(refined.n_triangles))
+    return refined
+
+
 def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
                  iterations: int = 10, marker: str = "eta",
                  uniform: bool = False, initial_elements: int | None = None,
@@ -123,26 +143,24 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
     -> full_report.  marker selects the indicator driving the marking
     ("eta" improved or "eta_tilde" built-in); uniform=True bisects every
     element instead.  with_theta decides whether the records carry the
-    saturation delta.  The newest record holds its mesh and report;
-    without keep_meshes they are dropped from it right before the next mesh
-    is assembled, so that no solve runs while an earlier mesh is held, and
-    the last record keeps them when the loop ends.  keep_meshes=True keeps
-    them on every record.  The loop stops early when the estimator reaches
-    eta_tol, when max_elements would be exceeded, or when the solver fails
-    (partial run returned with the abort reason).
+    saturation delta.  The newest record holds its report, and with it its
+    mesh; without keep_meshes the report is dropped from it right before
+    the next mesh is assembled, so that no solve runs while an earlier mesh
+    is held, and the last record keeps it when the loop ends.
+    keep_meshes=True keeps it on every record.  The loop stops early when
+    the estimator reaches eta_tol, when max_elements would be exceeded, or
+    when the solver fails (partial run returned with the abort reason).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if marker not in ("eta", "eta_tilde"):
         raise ValueError("marker must be 'eta' or 'eta_tilde'")
-    count = _DEFAULT_INITIAL.get(problem.domain.name, 64) \
-        if initial_elements is None else initial_elements
-    mesh = build_initial_mesh(problem.domain, count)
+    mesh = _initial_mesh(problem, initial_elements)
     run = AdaptiveRun(problem_name=problem.name, p=p, theta=theta,
                       marker=marker, uniform=uniform)
     for it in range(iterations):
         if run.records and not keep_meshes:
-            run.records[-1].mesh = run.records[-1].report = None
+            run.records[-1].report = None
         try:
             solution = solve(assemble(mesh, p, problem))
         except SingularSystemError as exc:
@@ -154,17 +172,17 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
         rec = IterationRecord(
             iteration=it, n_elements=mesh.n_triangles,
             n_flux_dofs=solution.flux_space.n_dofs,
-            n_scalar_dofs=solution.scalar_space.n_dofs,
+            n_scalar_dofs=solution.scalar.size,
             eta=report.eta, eta_tilde=report.eta_tilde,
             delta=report.delta if with_theta else None,
             effectivity=report.effectivity,
             errors=None if report.errors is None else report.errors.to_dict(),
-            mesh=mesh, report=report)
+            report=report)
         run.records.append(rec)
         if rec.eta <= eta_tol or it == iterations - 1:
             break
         # the next global solve sets the peak memory: of this mesh's state
-        # only the record's mesh and report stay, until the next assembly
+        # only the record's report stays, until the next assembly
         del solution, post
         if uniform:
             marked = np.arange(mesh.n_triangles)
@@ -175,10 +193,7 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
         rec.marked = marked
         if len(marked) == 0:
             break
-        refined = mesh.refine(marked)
-        if uniform:
-            # a second sweep halves h, keeping one congruence family
-            refined = refined.refine(np.arange(refined.n_triangles))
+        refined = _refine(mesh, marked, uniform)
         if max_elements is not None and refined.n_triangles > max_elements:
             run.aborted = True
             run.abort_reason = "max_elements reached"

@@ -1,4 +1,4 @@
-"""BDM H(div)-conforming flux spaces and discontinuous scalar spaces.
+"""BDM H(div)-conforming flux spaces and the load of the paired scalars.
 
 Reference shape functions of degree p are the nodal (dual) basis of these
 functionals on the full vector polynomial space (P_p)^2 (their coefficients
@@ -52,30 +52,16 @@ def edge_legendre(p: int, n_points: int, graded: bool):
     return t, w, L
 
 
-class DgSpace:
-    """Elementwise discontinuous scalar space of total degree k."""
-
-    def __init__(self, mesh: TriMesh, degree: int):
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        self.mesh = mesh
-        self.degree = degree
-        self.local_dim = basis_size(degree)
-        self.n_dofs = mesh.n_triangles * self.local_dim
-
-    def coeffs_by_element(self, vec) -> np.ndarray:
-        return np.asarray(vec).reshape(self.mesh.n_triangles, self.local_dim)
-
-    def load_vector(self, f) -> np.ndarray:
-        # the scalars of degree k pair with the BDM(k + 1) fluxes; f is
-        # weighted block by block, the load is one GEMM
-        T, mesh = ref_tables(self.degree + 1, "data"), self.mesh
-        vals = np.empty((mesh.n_triangles, len(T.weights)))
-        for b in point_blocks(mesh.n_triangles, len(T.weights)):
-            np.multiply(field_values(f, mapped_points(mesh, T.points, b), "f"),
-                        T.weights, out=vals[b])
-        F = (vals @ T.V[:self.local_dim].T) * mesh.det_jacobians[:, None]
-        return F.ravel()
+def load_vector(mesh: TriMesh, p: int, f) -> np.ndarray:
+    """Loads (f, psi_i)_K (n_elements, s) of the degree-(p-1) scalars that
+    pair with the BDM(p) fluxes; f is weighted block by block, the load is
+    one GEMM."""
+    T = ref_tables(p, "data")
+    vals = np.empty((mesh.n_triangles, len(T.weights)))
+    for b in point_blocks(mesh.n_triangles, len(T.weights)):
+        np.multiply(field_values(f, mapped_points(mesh, T.points, b), "f"),
+                    T.weights, out=vals[b])
+    return (vals @ T.V[:basis_size(p - 1)].T) * mesh.det_jacobians[:, None]
 
 
 class BdmSpace:

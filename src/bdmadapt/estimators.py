@@ -208,7 +208,7 @@ def eta_improved(post: PostprocResult) -> EstimatorReport:
     eta_K = np.sqrt(post.eta_tilde_K ** 2 + mismatch_sq + post.jump_K
                     + post.boundary_K)
     return EstimatorReport(
-        mesh=mesh, p=p, eta_K=eta_K, eta_tilde_K=post.eta_tilde_K.copy(),
+        mesh=mesh, p=p, eta_K=eta_K, eta_tilde_K=post.eta_tilde_K,
         mismatch_K=np.sqrt(np.maximum(mismatch_sq, 0.0)),
         jump_K=post.jump_K, boundary_K=post.boundary_K)
 
@@ -302,7 +302,7 @@ def _element_errors(post: PostprocResult, ids, T):
 
     phys = mapped_points(mesh, T.points, ids)
     uv = field_values(problem.exact_u, phys, "exact_u")
-    u_L2_sq = value_error_sq(uv, solution.scalar_by_element)
+    u_L2_sq = value_error_sq(uv, solution.scalar)
     nu_L2_sq = value_error_sq(uv, post.nu)
     del uv
     qv = field_values(problem.exact_q, phys, "exact_q", vector=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .adaptivity import AdaptiveRun, run_adaptive
+from .adaptivity import AdaptiveRun, _initial_mesh, _refine, run_adaptive
 from .artifacts import write_json
 from .mesh import save_mesh
 from .problems import preset
@@ -170,16 +170,17 @@ def _run_degree(config: ExperimentConfig, problem: ProblemSpec, p: int,
                 tail: int | None, io_errors: list) -> dict:
     """Run degree p, write its artifacts and return its summary entry.
 
-    Only the last record keeps its mesh and report (all of them under
-    dump_meshes), and nothing of the run outlives the call.  A degree whose
-    solve aborted has no final report, so it writes no report file.
+    Only the last record keeps its report, and nothing of the run outlives
+    the call; the meshes of dump_meshes are rebuilt afterwards by
+    replaying the recorded marked sets.  A degree whose solve aborted has
+    no final report, so it writes no report file.
     """
     logger.info("[%s] p=%d mode=%s ...", config.experiment, p, config.mode)
     run = run_adaptive(
         problem, p, theta=config.theta, iterations=config.iterations,
         marker=config.marker, uniform=(config.mode == "uniform"),
         initial_elements=config.initial_elements,
-        max_elements=config.max_elements, keep_meshes=config.dump_meshes)
+        max_elements=config.max_elements, keep_meshes=False)
     _write = [
         (os.path.join(config.out, f"convergence_p{p}.csv"),
          lambda path: write_convergence_csv(run, path)),
@@ -193,11 +194,14 @@ def _run_degree(config: ExperimentConfig, problem: ProblemSpec, p: int,
         _write.append(
             (os.path.join(config.out, f"report_p{p}_final.json"), final.save))
     if config.dump_meshes:
-        for it in _MESH_DUMP_ITERATIONS:
-            if it < run.n_iterations:
+        mesh = _initial_mesh(problem, config.initial_elements)
+        for it in range(min(run.n_iterations, _MESH_DUMP_ITERATIONS[-1] + 1)):
+            if it:
+                mesh = _refine(mesh, run.records[it - 1].marked, run.uniform)
+            if it in _MESH_DUMP_ITERATIONS:
                 _write.append(
                     (os.path.join(config.out, f"mesh_p{p}_iter{it}"),
-                     lambda path, m=run.records[it].mesh: save_mesh(m, path)))
+                     lambda path, m=mesh: save_mesh(m, path)))
     for path, writer in _write:
         try:
             writer(path)

@@ -369,15 +369,10 @@ def _earclip(loop):
 
 
 def _orient_longest_edge(verts, tris):
-    """Reorder each triangle so the longest edge is the refinement edge (a, b)."""
+    """Rotate each (counter-clockwise) triangle so that its longest edge is
+    the refinement edge (a, b)."""
     out = []
-    for (i, j, k) in tris:
-        pts = verts[[i, j, k]]
-        cross = ((pts[1, 0] - pts[0, 0]) * (pts[2, 1] - pts[0, 1])
-                 - (pts[1, 1] - pts[0, 1]) * (pts[2, 0] - pts[0, 0]))
-        if cross < 0:
-            i, j, k = i, k, j
-        tri = (i, j, k)
+    for tri in tris:
         pts = verts[list(tri)]
         lens = [np.linalg.norm(pts[(m + 2) % 3] - pts[(m + 1) % 3]) for m in range(3)]
         peak = int(np.argmax(lens))  # edge opposite the peak is longest

@@ -96,7 +96,7 @@ def class_factors(mesh: TriMesh, p: int, classes: ElementClasses):
 def _with_mean(solution: MixedSolution, mean_free: np.ndarray) -> np.ndarray:
     """Full coefficient rows whose constant matches the element mean of u_h."""
     out = np.empty((mean_free.shape[0], mean_free.shape[1] + 1))
-    out[:, 0] = solution.scalar_by_element[:, 0]
+    out[:, 0] = solution.scalar[:, 0]
     out[:, 1:] = mean_free
     return out
 

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bdm import BdmSpace, DgSpace, interpolate_boundary_term, mixed_blocks
+from .bdm import (BdmSpace, interpolate_boundary_term, load_vector,
+                  mixed_blocks)
 from .fields import ElementClasses, field_values
 from .mesh import DomainSpec, TriMesh
 
@@ -172,20 +173,19 @@ class MixedSystem:
 
     classes groups the elements by shape; blocks (n_classes, m, m), m = flux
     + scalar local dims, are the class blocks in the local orientation and
-    inverse their inverses.  With signs (n_elements, m) the orientation
-    signs of the local dofs (1 on scalar dofs), element K's block in the
-    global edge orientation is signs[K] * blocks[id_K] * signs[K]^T, and its
-    inverse likewise.  rhs is the global right side (-g_D, F).  multiplier
-    (n_elements, 3(p+1)) numbers the local edge dofs' multipliers (-1 on
-    boundary edges); edge_sign is signs[:, :3(p+1)] times +-1 for the
-    aligned/opposite element of the edge, and owned marks the one element
-    that holds each shared flux dof when local values are gathered.
+    inverse their inverses.  Element K's block in the global edge
+    orientation has its flux rows and columns signed by
+    flux_space.signs[K], and its inverse likewise; the scalar dofs carry no
+    sign.  rhs is the global right side (-g_D, F).  multiplier (n_elements,
+    3(p+1)) numbers the local edge dofs' multipliers (-1 on boundary
+    edges); edge_sign is the edge columns of flux_space.signs times +-1 for
+    the aligned/opposite element of the edge, and owned marks the one
+    element that holds each shared flux dof when local values are gathered.
     """
 
     classes: ElementClasses
     blocks: np.ndarray
     inverse: np.ndarray
-    signs: np.ndarray
     rhs: np.ndarray
     schur: CscMatrix
     multiplier: np.ndarray
@@ -194,33 +194,30 @@ class MixedSystem:
     mesh: TriMesh
     p: int
     flux_space: BdmSpace
-    scalar_space: DgSpace
     problem: ProblemSpec
 
 
 @dataclass
 class MixedSolution:
-    """Discrete mixed solution, its problem, the shape classes, diagnostics."""
+    """Discrete mixed solution, its problem, the shape classes, diagnostics.
+
+    flux holds the global coefficients of q_h, scalar (n_elements, s) those
+    of u_h on each element, s = basis_size(p - 1).
+    """
 
     flux: np.ndarray
     scalar: np.ndarray
     mesh: TriMesh
     p: int
     flux_space: BdmSpace
-    scalar_space: DgSpace
     classes: ElementClasses
     problem: ProblemSpec
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def scalar_by_element(self) -> np.ndarray:
-        return self.scalar_space.coeffs_by_element(self.scalar)
 
 
 def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     """Invert the class blocks and assemble the multiplier system S."""
     flux = BdmSpace(mesh, p)
-    scalar = DgSpace(mesh, p - 1)
     nt, nq = mesh.n_triangles, flux.local_dim
     classes = ElementClasses(mesh, problem.beta)
     blocks = mixed_blocks(flux, classes.reps, problem.beta)
@@ -228,10 +225,8 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
         inverse = np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"singular element block: {exc}") from exc
-    signs = np.ones((nt, blocks.shape[1]))
-    signs[:, :nq] = flux.signs
     g = interpolate_boundary_term(flux, problem.u_D)
-    F = scalar.load_vector(problem.f)
+    F = load_vector(mesh, p, problem.f)
 
     interior = ~mesh.boundary_edge
     n_mult = int(interior.sum()) * (p + 1)
@@ -248,12 +243,12 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     owned = np.ones((nt, nq), dtype=bool)
     owned[:, :ne] = (side > 0) | (multiplier < 0)
     # multiplier side times the dof's orientation sign
-    edge_sign = side * signs[:, :ne]
+    edge_sign = side * flux.signs[:, :ne]
     S = _multiplier_matrix(inverse[:, :ne, :ne], classes, multiplier,
                            edge_sign, n_mult)
-    return MixedSystem(classes, blocks, inverse, signs, np.concatenate([g, F]),
-                       S, multiplier, edge_sign, owned, mesh, p, flux, scalar,
-                       problem)
+    rhs = np.concatenate([g, F.ravel()])
+    return MixedSystem(classes, blocks, inverse, rhs, S, multiplier,
+                       edge_sign, owned, mesh, p, flux, problem)
 
 
 def _multiplier_matrix(inverse, classes: ElementClasses, multiplier,
@@ -350,19 +345,20 @@ def _local(system: MixedSystem, x: np.ndarray) -> np.ndarray:
     nq = system.flux_space.n_dofs
     return np.concatenate(
         [x[:nq][system.flux_space.l2g],
-         system.scalar_space.coeffs_by_element(x[nq:])], axis=1)
+         x[nq:].reshape(system.mesh.n_triangles, -1)], axis=1)
 
 
 def _apply(system: MixedSystem, x: np.ndarray) -> np.ndarray:
     """Global saddle matrix times x, computed class by class."""
     flux = system.flux_space
+    nq = flux.local_dim
     x_loc = _local(system, x)
-    x_loc *= system.signs
+    x_loc[:, :nq] *= flux.signs
     Ax = system.classes.matmul(system.blocks, x_loc)
-    Ax *= system.signs
-    out_q = np.bincount(flux.l2g.ravel(), Ax[:, :flux.local_dim].ravel(),
+    Ax[:, :nq] *= flux.signs
+    out_q = np.bincount(flux.l2g.ravel(), Ax[:, :nq].ravel(),
                         minlength=flux.n_dofs)
-    return np.concatenate([out_q, Ax[:, flux.local_dim:].ravel()])
+    return np.concatenate([out_q, Ax[:, nq:].ravel()])
 
 
 def _hybrid_solve(system: MixedSystem, lu, r: np.ndarray) -> np.ndarray:
@@ -371,15 +367,15 @@ def _hybrid_solve(system: MixedSystem, lu, r: np.ndarray) -> np.ndarray:
     Each shared flux row of r goes to its owner's element load; the element
     equations A_K x_K + E_K^T lambda = r_K and continuity sum_K E_K x_K = 0
     give S lambda = sum_K E_K A_K^{-1} r_K and x_K = A_K^{-1} (r_K - E_K^T
-    lambda).  Both local solves run on the signed rows signs * r_K, one
+    lambda).  Both local solves run on r_K with its flux rows signed, one
     matrix product per class.
     """
     flux = system.flux_space
-    ne = 3 * (system.p + 1)
+    nq, ne = flux.local_dim, 3 * (system.p + 1)
     mult, edge_sign = system.multiplier, system.edge_sign
     r_loc = _local(system, r)
-    r_loc[:, :flux.local_dim] *= system.owned
-    r_loc *= system.signs
+    r_loc[:, :nq] *= system.owned
+    r_loc[:, :nq] *= flux.signs
     # the load needs only the edge rows of A_K^{-1} r_K
     z = system.classes.matmul(system.inverse[:, :ne], r_loc)
     z *= edge_sign
@@ -389,10 +385,10 @@ def _hybrid_solve(system: MixedSystem, lu, r: np.ndarray) -> np.ndarray:
     # index -1 (boundary edge) picks the appended zero
     r_loc[:, :ne] -= edge_sign * np.append(lam, 0.0)[mult]
     x_loc = system.classes.matmul(system.inverse, r_loc)
-    x_loc *= system.signs
+    x_loc[:, :nq] *= flux.signs
     q = np.zeros(flux.n_dofs)
-    q[flux.l2g[system.owned]] = x_loc[:, :flux.local_dim][system.owned]
-    return np.concatenate([q, x_loc[:, flux.local_dim:].ravel()])
+    q[flux.l2g[system.owned]] = x_loc[:, :nq][system.owned]
+    return np.concatenate([q, x_loc[:, nq:].ravel()])
 
 
 def solve(system: MixedSystem) -> MixedSolution:
@@ -413,8 +409,8 @@ def solve(system: MixedSystem) -> MixedSolution:
             f"{RESIDUAL_TOL:.0e} ({S.shape[0]} multipliers)")
     nq = system.flux_space.n_dofs
     return MixedSolution(
-        flux=x[:nq], scalar=x[nq:], mesh=system.mesh, p=system.p,
-        flux_space=system.flux_space, scalar_space=system.scalar_space,
+        flux=x[:nq], scalar=x[nq:].reshape(system.mesh.n_triangles, -1),
+        mesh=system.mesh, p=system.p, flux_space=system.flux_space,
         classes=system.classes, problem=system.problem,
         # fill: the entries SuperLU stores for L and U, read without copying
         # them (lu.L and lu.U would build CSC copies of the whole fill)
@@ -423,7 +419,4 @@ def solve(system: MixedSystem) -> MixedSolution:
                      "fill": int(lu.nnz),
                      "factor_seconds": elapsed})
 
-
-def solve_problem(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSolution:
-    return solve(assemble(mesh, p, problem))
 

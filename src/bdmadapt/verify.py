@@ -9,7 +9,7 @@ from .fields import ElementClasses, stiffness_tensors
 from .mesh import DomainSpec, build_initial_mesh
 from .postprocess import class_factors, postprocess_resmin, residual_load
 from .problems import preset
-from .solver import solve_problem
+from .solver import assemble, solve
 
 
 def _check(name, passed, detail):
@@ -34,7 +34,7 @@ def run_verification(seed: int = 0, quick: bool = True) -> dict:
     worst = 0.0
     for p in (1, 2, 3):
         mesh = build_initial_mesh(lin.domain, 8)
-        sol = solve_problem(mesh, p, lin)
+        sol = solve(assemble(mesh, p, lin))
         post = postprocess_resmin(sol)
         rep = eta_improved(post)
         err = error_norms(post)
@@ -51,7 +51,7 @@ def run_verification(seed: int = 0, quick: bool = True) -> dict:
     square = DomainSpec(((0, 0), (0.6, 0), (1, 0), (1, 1), (0, 1)), "square")
     mesh = build_initial_mesh(square, 148)
     p = 2
-    sol = solve_problem(mesh, p, smooth)
+    sol = solve(assemble(mesh, p, smooth))
     post = postprocess_resmin(sol)
     S22 = stiffness_tensors(mesh, p)
     rhs = residual_load(sol)

@@ -7,15 +7,15 @@ import pytest
 from scipy.linalg import eigh
 from scipy.sparse import bmat, coo_matrix, csc_matrix
 
-from bdmadapt import TriMesh, build_initial_mesh, preset, solve_problem
+from bdmadapt import TriMesh, assemble, build_initial_mesh, preset, solve
 from bdmadapt.basis import (_jacobi, basis_size, bdm_reference,
                             edge_ref_points, interior_test_fields,
                             make_scalar_basis, quad_rule)
-from bdmadapt.bdm import (BdmSpace, DgSpace, edge_legendre,
-                          interpolate_boundary_term)
+from bdmadapt.bdm import (BdmSpace, edge_legendre, interpolate_boundary_term,
+                          load_vector)
 from bdmadapt.estimators import ErrorBlock, _element_groups
 from bdmadapt.fields import (edge_points, field_values, mapped_points,
-                             metric_tensors, ref_tables, tabulate)
+                             ref_tables, tabulate)
 from bdmadapt.postprocess import _with_mean
 
 
@@ -48,8 +48,11 @@ def _scatter(blocks, row_map, col_map, shape):
     return coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
 
 
-def _scalar_map(scalar):
-    return np.arange(scalar.n_dofs).reshape(-1, scalar.local_dim)
+def _scalar_map(space):
+    """Global numbers (n_elements, s) of the degree-(p-1) scalar dofs that
+    pair with the BDM(p) space, element by element."""
+    s = basis_size(space.p - 1)
+    return np.arange(space.mesh.n_triangles * s).reshape(-1, s)
 
 
 def bdm_mass_matrix(space):
@@ -58,36 +61,36 @@ def bdm_mass_matrix(space):
                     space.l2g, (space.n_dofs, space.n_dofs))
 
 
-def divergence_matrix(space, scalar):
-    """B[i, j] = (div N_j, psi_i) over the mesh (CSR)."""
-    return _scatter(element_divergence_matrices(space),
-                    _scalar_map(scalar), space.l2g,
-                    (scalar.n_dofs, space.n_dofs))
+def divergence_matrix(space):
+    """B[i, j] = (div N_j, psi_i) over the mesh against the degree-(p-1)
+    scalars psi_i (CSR)."""
+    rows = _scalar_map(space)
+    return _scatter(element_divergence_matrices(space), rows, space.l2g,
+                    (rows.size, space.n_dofs))
 
 
-def advection_matrix(space, scalar, beta):
+def advection_matrix(space, beta):
     """C[i, j] = (beta . N_j, psi_i) for a constant vector beta (CSR)."""
-    return _scatter(einsum_element_advection_matrices(space, scalar, beta),
-                    _scalar_map(scalar), space.l2g,
-                    (scalar.n_dofs, space.n_dofs))
+    rows = _scalar_map(space)
+    return _scatter(einsum_element_advection_matrices(space, beta), rows,
+                    space.l2g, (rows.size, space.n_dofs))
 
 
 def saddle_system(mesh, p, problem):
     """Global saddle system [[M, -B^T], [B - C, 0]] x = (-g_D, F) as an oracle.
 
-    Returns matrix (CSC), rhs and the two spaces; the program itself only
+    Returns matrix (CSC), rhs and the flux space; the program itself only
     solves the hybridized form of this system.
     """
     flux = BdmSpace(mesh, p)
-    scalar = DgSpace(mesh, p - 1)
     M = bdm_mass_matrix(flux)
-    B = divergence_matrix(flux, scalar)
-    C = advection_matrix(flux, scalar, problem.beta)
+    B = divergence_matrix(flux)
+    C = advection_matrix(flux, problem.beta)
     g = interpolate_boundary_term(flux, problem.u_D)
-    F = scalar.load_vector(problem.f)
+    F = load_vector(mesh, p, problem.f).ravel()
     A = bmat([[M, -B.T], [B - C, None]], format="csc")
     return SimpleNamespace(matrix=A, rhs=np.concatenate([g, F]),
-                           flux_space=flux, scalar_space=scalar)
+                           flux_space=flux)
 
 
 def scipy_schur(system):
@@ -196,7 +199,7 @@ def small_smooth_solutions(smooth_problem):
     out = {}
     mesh = build_initial_mesh(smooth_problem.domain, 32).refine(range(32))
     for p in (1, 2, 3):
-        out[p] = solve_problem(mesh, p, smooth_problem)
+        out[p] = solve(assemble(mesh, p, smooth_problem))
     return out
 
 
@@ -442,10 +445,14 @@ def einsum_flux_values(space, coeffs, ref_pts, ids=slice(None)):
 
 
 def einsum_stiffness_tensors(mesh, degree, exactness):
+    """(grad v_i, grad v_j)_K per element, with the metric J B^{-1} B^{-T}
+    formed here from the mesh's inverse Jacobians and determinants."""
     rule = quad_rule(exactness, "triangle")
     D = make_scalar_basis(degree).grads(rule.points)
     R = np.einsum("q,qia,qjb->abij", rule.weights, D, D)
-    return np.einsum("nab,abij->nij", metric_tensors(mesh), R)
+    Binv = mesh.inv_jacobians
+    metric = np.einsum("n,nac,nbc->nab", mesh.det_jacobians, Binv, Binv)
+    return np.einsum("nab,abij->nij", metric, R)
 
 
 def einsum_element_mass_matrices(space):
@@ -475,34 +482,33 @@ def element_divergence_matrices(space):
 def einsum_element_blocks(space, beta):
     """Globally oriented element blocks [[M, -D^T], [D - C, 0]] (n, m, m)
     from the per-element einsum oracles."""
-    scalar = DgSpace(space.mesh, space.p - 1)
-    nq, s = space.local_dim, scalar.local_dim
+    nq, s = space.local_dim, basis_size(space.p - 1)
     D = element_divergence_matrices(space)
     A = np.zeros((space.mesh.n_triangles, nq + s, nq + s))
     A[:, :nq, :nq] = einsum_element_mass_matrices(space)
     A[:, :nq, nq:] = -np.swapaxes(D, 1, 2)
-    A[:, nq:, :nq] = D - einsum_element_advection_matrices(space, scalar,
-                                                           beta)
+    A[:, nq:, :nq] = D - einsum_element_advection_matrices(space, beta)
     return A
 
 
-def einsum_element_advection_matrices(space, scalar, beta):
+def einsum_element_advection_matrices(space, beta):
     p = space.p
     rule = quad_rule(2 * (p + 2), "triangle")
     Nh = reference_shape_values(p, rule.points)
-    V = make_scalar_basis(scalar.degree).values(rule.points)
+    V = make_scalar_basis(p - 1).values(rule.points)
     Rc = np.einsum("q,qi,qla->ila", rule.weights, V, Nh)
     Btb = np.einsum("nba,b->na", space.mesh.jacobians, np.asarray(beta, float))
     return np.einsum("ila,na->nil", Rc, Btb) * space.signs[:, None, :]
 
 
-def einsum_load_vector(scalar, f, exactness):
+def einsum_load_vector(mesh, p, f, exactness):
+    """Loads (f, psi_i)_K (n_elements, s) of the degree-(p-1) scalars."""
     rule = quad_rule(exactness, "triangle")
-    V = make_scalar_basis(scalar.degree).values(rule.points)
-    pts = einsum_mapped_points(scalar.mesh, rule.points)
+    V = make_scalar_basis(p - 1).values(rule.points)
+    pts = einsum_mapped_points(mesh, rule.points)
     vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-    return np.einsum("n,q,nq,qi->ni", scalar.mesh.det_jacobians, rule.weights,
-                     vals, V).ravel()
+    return np.einsum("n,q,nq,qi->ni", mesh.det_jacobians, rule.weights, vals,
+                     V)
 
 
 def einsum_local_ingredients(solution):
@@ -711,7 +717,6 @@ def einsum_error_norms(problem, solution, post):
     grad_nu_sq, grad_theta_sq = np.zeros(nt), np.zeros(nt)
     q_L2_sq, u_L2_sq, nu_L2_sq = np.zeros(nt), np.zeros(nt), np.zeros(nt)
     star_rhs = np.zeros((nt, basis_p2.size - 1))
-    u_by_el = solution.scalar_by_element
     for ids, tables in _element_groups(mesh, problem, p):
         pts, w = tables.points, tables.weights
         flat = einsum_mapped_points(mesh, pts, ids).reshape(-1, 2)
@@ -728,7 +733,7 @@ def einsum_error_norms(problem, solution, post):
 
         nu_vals = np.einsum("ni,qi->nq", post.nu[ids], basis_nu.values(pts))
         qh = einsum_flux_values(solution.flux_space, solution.flux, pts, ids)
-        uh = np.einsum("ni,qi->nq", u_by_el[ids], basis_u.values(pts))
+        uh = np.einsum("ni,qi->nq", solution.scalar[ids], basis_u.values(pts))
         grad_nu_sq[ids] = grad_error_sq(post.nu, basis_nu.grads(pts))
         grad_theta_sq[ids] = grad_error_sq(post.theta, Dp2)
         q_L2_sq[ids] = np.einsum("nq,q,n->n",

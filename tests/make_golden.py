@@ -175,7 +175,7 @@ def digests(case: str, p: int):
     method, errors = [], []
     for rec in _run(case, p).records:
         rep = rec.report
-        method += [rec.mesh.vertices, rec.mesh.triangles, rep.eta_K,
+        method += [rep.mesh.vertices, rep.mesh.triangles, rep.eta_K,
                    rep.eta_tilde_K, rep.mismatch_K, rep.jump_K, rep.boundary_K]
         if rec.marked is not None:
             method.append(rec.marked)

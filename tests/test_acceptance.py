@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from bdmadapt import (build_biorthogonal, build_initial_mesh, error_norms,
-                      eta_improved, fit_slope, fortin_apply,
-                      postprocess_resmin, preset, run_adaptive, solve_problem)
+from bdmadapt import (assemble, build_biorthogonal, build_initial_mesh,
+                      error_norms, eta_improved, fit_slope, fortin_apply,
+                      postprocess_resmin, preset, run_adaptive, solve)
 from bdmadapt.basis import make_scalar_basis, quad_rule
 from bdmadapt.fields import ElementClasses, stiffness_tensors
 from bdmadapt.fortin import pairing_matrices, random_shape_regular_triangles
@@ -61,7 +61,7 @@ def cross_experiment_states():
         mesh = build_initial_mesh(problem.domain, initial)
         mesh = mesh.refine(range(mesh.n_triangles))
         for p in (1, 2, 3):
-            sol = solve_problem(mesh, p, problem)
+            sol = solve(assemble(mesh, p, problem))
             post = postprocess_resmin(sol)
             out[(name, p)] = (problem, sol, post, stenberg_oracle(sol))
     return out
@@ -89,7 +89,7 @@ def test_c01_exactness_smoke():
     worst = 0.0
     for p in (1, 2, 3):
         mesh = build_initial_mesh(lin.domain, 8)
-        sol = solve_problem(mesh, p, lin)
+        sol = solve(assemble(mesh, p, lin))
         post = postprocess_resmin(sol)
         rep = eta_improved(post)
         err = error_norms(post)
@@ -100,7 +100,7 @@ def test_c01_exactness_smoke():
         V = make_scalar_basis(p - 1).values(rule.points)
         phys = mapped_points(mesh, rule.points)
         proj = np.einsum("q,nq,qi->ni", rule.weights, phys[:, :, 0], V)
-        worst = max(worst, float(np.abs(sol.scalar_by_element - proj).max()))
+        worst = max(worst, float(np.abs(sol.scalar - proj).max()))
         pts = np.array([[0.25, 0.25], [0.6, 0.2], [0.1, 0.55]])
         for k in range(mesh.n_triangles):
             vals = eval_flux(sol.flux_space, sol.flux, k, pts)
@@ -207,7 +207,8 @@ def test_c08_lshape_adaptive(lshape_suite):
         assert nu >= (p + 2) - ADAPTIVE_SLACK, (p, nu)
         slopes[p] = (round(full, 2), round(nu, 2))
     run3 = runs[3]
-    pts = np.vstack([centroids(r.mesh)[r.marked] for r in run3.records[5:]
+    pts = np.vstack([centroids(r.report.mesh)[r.marked]
+                     for r in run3.records[5:]
                      if r.marked is not None and len(r.marked)])
     frac = float(np.mean(np.linalg.norm(pts, axis=1) < 0.25))
     assert frac >= 0.5, frac
@@ -228,7 +229,8 @@ def test_c09_advection_diffusion(advdiff_suite):
     assert min(gaps[1], gaps[2]) > gaps[3], gaps
     # outflow-layer localization in late iterations
     run3 = runs[3]
-    pts = np.vstack([centroids(r.mesh)[r.marked] for r in run3.records[8:]
+    pts = np.vstack([centroids(r.report.mesh)[r.marked]
+                     for r in run3.records[8:]
                      if r.marked is not None and len(r.marked)])
     in_strip = (pts[:, 0] > 0.9) | (pts[:, 1] > 0.9)
     density_strip = in_strip.mean() / 0.19

@@ -100,7 +100,7 @@ def test_adaptive_smooth_quasi_uniform():
     smooth = preset("smooth")
     run = run_adaptive(smooth, 1, theta=0.5, iterations=6,
                        initial_elements=32)
-    final_mesh = run.records[-1].mesh
+    final_mesh = run.records[-1].report.mesh
     ratio = final_mesh.h_K.max() / final_mesh.h_K.min()
     assert ratio <= 8.0
     nel = run.element_counts()
@@ -130,7 +130,7 @@ def test_uniform_records_describe_the_solved_mesh():
     rec = run.records[0]
     assert rec.n_elements == 32
     assert np.array_equal(rec.marked, np.arange(32))
-    centers = centroids(rec.mesh)
+    centers = centroids(rec.report.mesh)
     assert np.array_equal(centers[rec.marked], centers)
 
 

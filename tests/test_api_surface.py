@@ -15,13 +15,19 @@ a package class or of a function annotated to return one, and for a local
 name that every assignment binds to the same such class.  Other reads are
 matched by plain name, so they count for every member of that name; when
 all reads were, MixedSolution.n_dofs went unnoticed behind the reads of
-BdmSpace.n_dofs and DgSpace.n_dofs.
+BdmSpace.n_dofs.
 
 Two more guards keep artifacts.write_json the one JSON writer: no
 json.dump or json.dumps call in the package, and no orjson import on the
 way to `import bdmadapt`.  A last one keeps basis.quad_rule the one place
 that takes a quadrature exactness: every other rule follows from p and its
 job (fields.ref_tables).
+
+No module-level function of the package may be a pass-through wrapper:
+one whose body, docstring aside, is a single return of (nested) calls of
+package functions or classes that pass only its own parameters, unchanged.
+Such a function restates a composition that its callers can write; a
+cached factory (lru_cache) is exempt, since the cache is its job.
 
 The option guard asks the same of parameters: every defaulted parameter of
 a module-level function or method must be passed, by keyword or by
@@ -434,3 +440,64 @@ def test_every_option_is_set_by_a_caller():
         "constant, or add it to ALLOWED_OPTIONS with a reason")
     stale = sorted(set(ALLOWED_OPTIONS) - set(options))
     assert not stale, f"ALLOWED_OPTIONS names that no longer exist: {stale}"
+
+
+def _forwards(node, params, callables, modules):
+    """Whether an expression is one of params, or a call of a package
+    function or class whose arguments all forward params unchanged."""
+    if isinstance(node, ast.Starred):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id in params
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+            and func.value.id in modules:
+        name = func.attr
+    elif isinstance(func, ast.Name):
+        name = func.id
+    else:
+        return False
+    return name in callables and all(
+        _forwards(a, params, callables, modules)
+        for a in node.args + [k.value for k in node.keywords])
+
+
+def _pass_through_wrappers():
+    """module.name of every module-level function of the package whose
+    body, docstring aside, is one return of package calls that forward only
+    its own parameters; lru_cache factories excepted."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    callables = {node.name for tree in trees.values() for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))}
+    modules = set(trees) | {"bdmadapt"}
+    found = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any("lru_cache" in ast.unparse(d) for d in node.decorator_list):
+                continue
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                body = body[1:]
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+            if (len(body) == 1 and isinstance(body[0], ast.Return)
+                    and isinstance(body[0].value, ast.Call)
+                    and _forwards(body[0].value, params, callables, modules)):
+                found.append(f"{stem}.{node.name}")
+    return found
+
+
+def test_no_function_only_forwards_its_parameters():
+    wrappers = _pass_through_wrappers()
+    assert not wrappers, (
+        f"{wrappers} only pass their parameters on to package calls: let "
+        "the callers make those calls")

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bdmadapt import (ExperimentConfig, TriMesh, build_initial_mesh,
+from bdmadapt import (ExperimentConfig, TriMesh, assemble, build_initial_mesh,
                       error_norms, eta_improved, full_report,
                       oscillation_bound, postprocess_resmin, preset,
-                      run_adaptive, run_experiment, solve_problem)
+                      run_adaptive, run_experiment, solve)
 from bdmadapt.basis import make_scalar_basis, quad_rule
 import bdmadapt.basis as basis_mod
 from bdmadapt import adaptivity, estimators, fields
@@ -31,7 +31,7 @@ def smooth_run():
     mesh = build_initial_mesh(smooth.domain, 32).refine(range(32))
     out = {}
     for p in (1, 2, 3):
-        sol = solve_problem(mesh, p, smooth)
+        sol = solve(assemble(mesh, p, smooth))
         post = postprocess_resmin(sol)
         out[p] = (smooth, sol, post, full_report(post))
     return out
@@ -128,7 +128,7 @@ def test_estimator_zero_on_linear_solution():
     lin = make_linear_problem()
     mesh = build_initial_mesh(lin.domain, 8)
     for p in (1, 2, 3):
-        sol = solve_problem(mesh, p, lin)
+        sol = solve(assemble(mesh, p, lin))
         post = postprocess_resmin(sol)
         rep = eta_improved(post)
         assert rep.eta <= 1e-10
@@ -196,7 +196,7 @@ def test_serializing_a_report_evaluates_nothing(tmp_path):
     prob = dataclasses.replace(smooth, exact_q=counted("exact_q"),
                                exact_u=counted("exact_u"))
     mesh = build_initial_mesh(prob.domain, 32)
-    rep = full_report(postprocess_resmin(solve_problem(mesh, 2, prob)))
+    rep = full_report(postprocess_resmin(solve(assemble(mesh, 2, prob))))
     assert rep.has_exact and {"exact_q", "exact_u"} <= set(calls)
     calls.clear()
     path = str(tmp_path / "report.json")
@@ -229,7 +229,7 @@ def test_local_efficiency_improved(p, smooth_run):
 def test_error_norms_zero_for_exact_discrete():
     lin = make_linear_problem()
     mesh = build_initial_mesh(lin.domain, 8)
-    sol = solve_problem(mesh, 2, lin)
+    sol = solve(assemble(mesh, 2, lin))
     post = postprocess_resmin(sol)
     err = error_norms(post)
     assert err.full <= 1e-10
@@ -243,7 +243,7 @@ def test_flux_error_ratio_p3_uniform():
     vals = []
     mesh = build_initial_mesh(smooth.domain, 32)
     for _ in range(2):
-        sol = solve_problem(mesh, p, smooth)
+        sol = solve(assemble(mesh, p, smooth))
         post = postprocess_resmin(sol)
         err = error_norms(post)
         vals.append(err.q_0h)
@@ -300,7 +300,7 @@ def test_flux_trace_matches_element_oracle(name, count, p):
     # Piola evaluation on every local edge
     prob = preset(name)
     mesh = build_initial_mesh(prob.domain, count).refine([0, 5, 11])
-    sol = solve_problem(mesh, p, prob)
+    sol = solve(assemble(mesh, p, prob))
     err = error_norms(postprocess_resmin(sol))
     trace_sq, qn_sq = element_flux_trace_sq(prob, sol)
     got = err.q_trace_K ** 2
@@ -353,7 +353,7 @@ def test_saturation_nonnegative_and_degenerate_flag(smooth_run):
     assert rep.delta >= 0.0 and not rep.delta_degenerate
     lin = make_linear_problem()
     mesh = build_initial_mesh(lin.domain, 8)
-    sol2 = solve_problem(mesh, 1, lin)
+    sol2 = solve(assemble(mesh, 1, lin))
     rep2 = full_report(postprocess_resmin(sol2))
     assert rep2.delta_degenerate and rep2.delta == 0.0
 
@@ -366,13 +366,12 @@ def test_saturation_below_one_smooth(p, smooth_run):
 
 def test_eta_tilde_invariant_under_elementwise_constant_shift(smooth_run, rng):
     prob, sol, post, _ = smooth_run[2]
-    shifted = sol.scalar.copy().reshape(sol.mesh.n_triangles, -1)
+    shifted = sol.scalar.copy()
     shifted[:, 0] += rng.standard_normal(sol.mesh.n_triangles)
     from bdmadapt.solver import MixedSolution
-    sol2 = MixedSolution(flux=sol.flux, scalar=shifted.ravel(), mesh=sol.mesh,
+    sol2 = MixedSolution(flux=sol.flux, scalar=shifted, mesh=sol.mesh,
                          p=sol.p, flux_space=sol.flux_space,
-                         scalar_space=sol.scalar_space, classes=sol.classes,
-                         problem=sol.problem)
+                         classes=sol.classes, problem=sol.problem)
     post2 = postprocess_resmin(sol2)
     assert np.array_equal(post2.eta_tilde_K, post.eta_tilde_K)
     assert np.array_equal(post2.eps, post.eps)
@@ -407,7 +406,7 @@ def test_full_report_computes_nu_jump_terms_once(monkeypatch):
     # indicator and the exact-error block read them
     smooth = preset("smooth")
     mesh = build_initial_mesh(smooth.domain, 32)
-    sol = solve_problem(mesh, 2, smooth)
+    sol = solve(assemble(mesh, 2, smooth))
     real = fields.nu_jump_terms
     calls = []
 
@@ -443,12 +442,12 @@ def test_lshape_errors_do_not_depend_on_vertex_order():
     for p, count in ((1, 124), (2, 120), (3, 118)):
         run = run_adaptive(lshape, p, iterations=6, theta=0.5,
                            with_errors=False)
-        mesh = run.records[-1].mesh
+        mesh = run.records[-1].report.mesh
         assert mesh.n_triangles == count
         mirror = TriMesh(mesh.vertices[:, ::-1], mesh.triangles[:, [0, 2, 1]])
         reports = []
         for m in (mesh, mirror):
-            sol = solve_problem(m, p, lshape)
+            sol = solve(assemble(m, p, lshape))
             reports.append(full_report(postprocess_resmin(sol)))
         a, b = reports
         assert b.errors.full == pytest.approx(a.errors.full, rel=1e-12,
@@ -471,7 +470,7 @@ def test_lshape_exact_errors_are_converged(monkeypatch):
     for p in (1, 2, 3):
         run = run_adaptive(lshape, p, with_errors=False, **kwargs)
         for rec in run.records:
-            sol = solve_problem(rec.mesh, p, lshape)
+            sol = solve(assemble(rec.report.mesh, p, lshape))
             states.append((sol, postprocess_resmin(sol)))
     blocks = [error_norms(post) for sol, post in states]
     try:
@@ -496,7 +495,7 @@ def _lshape_state(refinements, p):
     mesh = build_initial_mesh(lshape.domain, 150)
     for _ in range(refinements):
         mesh = mesh.refine(np.arange(mesh.n_triangles))
-    return postprocess_resmin(solve_problem(mesh, p, lshape))
+    return postprocess_resmin(solve(assemble(mesh, p, lshape)))
 
 
 def _traced_peaks(fn):
@@ -543,9 +542,9 @@ def test_error_norms_peak_is_three_block_arrays_on_advdiff():
     advdiff = preset("advdiff")
     run = run_adaptive(advdiff, 3, iterations=16, initial_elements=50,
                        with_errors=False)
-    mesh = run.records[-1].mesh
+    mesh = run.records[-1].report.mesh
     assert mesh.n_triangles == 624
-    post = postprocess_resmin(solve_problem(mesh, 3, advdiff))
+    post = postprocess_resmin(solve(assemble(mesh, 3, advdiff)))
     block = 2 * 8 * max(
         (b.stop - b.start) * len(T.weights)
         for group, T in estimators._element_groups(mesh, advdiff, 3)
@@ -565,8 +564,9 @@ def test_error_norms_peak_is_three_block_arrays_on_advdiff():
 # without blocks: the unblocked pass gives other bits with two threads)
 _BLOCK_CHECK = """
 import numpy as np
-from bdmadapt import (build_initial_mesh, error_norms, eta_improved, fields,
-                      postprocess_resmin, preset, solve_problem)
+from bdmadapt import (assemble, build_initial_mesh, error_norms,
+                      eta_improved, fields, postprocess_resmin, preset, solve)
+from bdmadapt.bdm import load_vector
 blocked = fields.BLOCK_POINTS
 for name, initial in (("lshape", 150), ("advdiff", 50)):
     problem = preset(name)
@@ -576,11 +576,11 @@ for name, initial in (("lshape", 150), ("advdiff", 50)):
     fields.BLOCK_POINTS = blocked
     assert len(fields.point_blocks(mesh.n_triangles, 36)) > 1
     for p in (1, 2, 3):
-        post = postprocess_resmin(solve_problem(mesh, p, problem))
+        post = postprocess_resmin(solve(assemble(mesh, p, problem)))
         runs = []
         for points in (blocked, 2 ** 40):
             fields.BLOCK_POINTS = points
-            load = post.solution.scalar_space.load_vector(problem.f)
+            load = load_vector(mesh, p, problem.f)
             eta = eta_improved(post)
             runs.append([load, *vars(error_norms(post)).values(),
                          eta.eta_K, eta.mismatch_K])

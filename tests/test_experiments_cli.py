@@ -190,15 +190,27 @@ def test_run_experiment_holds_only_the_current_mesh(tmp_path, monkeypatch):
     assert [summary["per_degree"][p]["n_iterations"] for p in "12"] == [4, 4]
     assert (out / "report_p2_final.json").exists()
 
-    # --dump-meshes still writes the snapshots of iterations 0, 5 and 10
-    monkeypatch.setattr(adaptivity, "solve", real_solve)
+    # --dump-meshes holds no more: it rebuilds the snapshots of iterations
+    # 0, 5 and 10 after the run, and they are the meshes that were solved
+    meshes.clear()
+    held.clear()
+    solved = {}
+
+    def solve_and_keep(system):
+        solved[len(meshes) - 1] = (system.mesh.vertices.copy(),
+                                   system.mesh.triangles.copy())
+        return solve(system)
+
+    monkeypatch.setattr(adaptivity, "solve", solve_and_keep)
     out = tmp_path / "dump"
-    run_experiment(tiny_config(str(out), mode="adaptive", iterations=11,
-                               dump_meshes=True))
-    log = json.loads((out / "log_p1.json").read_text())
+    run_experiment(tiny_config(str(out), p_list=(1, 2), mode="adaptive",
+                               iterations=11, dump_meshes=True))
+    assert held == [[]] * 22
     for it in (0, 5, 10):
-        mesh = load_mesh(str(out / f"mesh_p1_iter{it}"))
-        assert mesh.n_triangles == log["iterations"][it]["n_elements"]
+        mesh = load_mesh(str(out / f"mesh_p2_iter{it}"))
+        vertices, triangles = solved[11 + it]
+        assert np.array_equal(mesh.vertices, vertices)
+        assert np.array_equal(mesh.triangles, triangles)
     assert not (out / "mesh_p1_iter1.nodes").exists()
 
     # a solver failure drops the last report before the failing solve: the

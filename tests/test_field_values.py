@@ -13,7 +13,7 @@ import pytest
 from bdmadapt import (BdmSpace, assemble, build_biorthogonal,
                       build_initial_mesh, error_norms, fortin_apply,
                       oscillation_bound, postprocess_resmin, preset,
-                      run_adaptive, solve_problem)
+                      run_adaptive, solve)
 from bdmadapt import fields
 from bdmadapt.fortin import random_shape_regular_triangles
 
@@ -43,7 +43,7 @@ def bad_field(kind, vector=False, good=None, good_calls=0):
 def smooth_state():
     problem = preset("smooth")
     mesh = build_initial_mesh(problem.domain, 8)
-    sol = solve_problem(mesh, 1, problem)
+    sol = solve(assemble(mesh, 1, problem))
     return problem, mesh, sol, postprocess_resmin(sol)
 
 

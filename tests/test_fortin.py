@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bdmadapt import (build_biorthogonal, build_initial_mesh, fortin_apply,
-                      preset, scaled_trace_inequality_check, solve_problem)
+from bdmadapt import (assemble, build_biorthogonal, build_initial_mesh,
+                      fortin_apply, preset, scaled_trace_inequality_check,
+                      solve)
 from bdmadapt.basis import quad_rule
 from bdmadapt.fields import edge_ref_points
 from bdmadapt.fortin import (FortinProjection, fortin_report,
@@ -197,7 +198,7 @@ def test_bdm_flux_orthogonality_on_sample_run(bset, rng):
     # v the normal error of an actual solve
     smooth = preset("smooth")
     mesh = build_initial_mesh(smooth.domain, 8)
-    sol = solve_problem(mesh, 1, smooth)
+    sol = solve(assemble(mesh, 1, smooth))
     t13 = quad_rule(13, "edge")
     t, w = t13.points, t13.weights
     normals = outward_normals(mesh)

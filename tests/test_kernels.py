@@ -23,10 +23,10 @@ import numpy as np
 import pytest
 
 from bdmadapt import (DomainSpec, TriMesh, bdm, build_initial_mesh,
-                      estimators, fields, postprocess, preset, solve_problem)
+                      estimators, fields, postprocess, preset)
 from bdmadapt.basis import (RefScalarBasis, basis_size, edge_ref_points,
                             quad_rule)
-from bdmadapt.bdm import BdmSpace, DgSpace
+from bdmadapt.bdm import BdmSpace, load_vector
 from bdmadapt.estimators import eta_improved, error_norms, full_report
 from bdmadapt.fields import (ElementClasses, edge_points, mapped_points,
                              nu_jump_terms, ref_tables, stiffness_tensors,
@@ -101,7 +101,7 @@ def solved(meshes, advdiff):
     for p in (1, 2, 3):
         out[p] = []
         for mesh in meshes:
-            sol = solve_problem(mesh, p, advdiff)
+            sol = solve(assemble(mesh, p, advdiff))
             out[p].append((sol, postprocess_resmin(sol)))
     return out
 
@@ -234,7 +234,10 @@ def test_element_matrices_match_einsum(meshes, advdiff, p):
             mesh, p + 2, 2 * (p + 2))[:, 1:, 1:])
         for problem in (preset("smooth"), advdiff):
             system = assemble(mesh, p, problem)
-            ids, signs = system.classes.id, system.signs
+            ids, flux = system.classes.id, system.flux_space
+            # Sigma_K = diag(flux signs, 1): the scalar dofs carry no sign
+            signs = np.ones((len(ids), system.blocks.shape[1]))
+            signs[:, :flux.local_dim] = flux.signs
             ref = einsum_element_blocks(system.flux_space, problem.beta)
             got = signs[:, :, None] * system.blocks[ids] * signs[:, None, :]
             assert_matches(got, ref)
@@ -247,9 +250,8 @@ def test_element_matrices_match_einsum(meshes, advdiff, p):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_load_vector_matches_einsum(perturbed_mesh, advdiff, p):
-    scalar = DgSpace(perturbed_mesh, p - 1)
-    assert_matches(scalar.load_vector(advdiff.f),
-                   einsum_load_vector(scalar, advdiff.f, 2 * p + 8))
+    assert_matches(load_vector(perturbed_mesh, p, advdiff.f),
+                   einsum_load_vector(perturbed_mesh, p, advdiff.f, 2 * p + 8))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -9,6 +9,7 @@ from bdmadapt import (DomainSpec, TriMesh, build_initial_mesh, load_mesh,
                       preset, run_adaptive, save_mesh)
 from bdmadapt.basis import make_scalar_basis
 from bdmadapt.fields import nu_jump_terms
+from bdmadapt.mesh import _earclip
 
 from artifact_checks import assert_round_trip
 from conftest import (areas, centroids, domain_area, edge_elements,
@@ -175,6 +176,29 @@ def test_refine_random_sets_stay_conforming(data):
     assert_bisection_history(mesh, out, marked)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_earclip_emits_counter_clockwise_triangles(data):
+    # the ear-clipped triangles of the positively oriented loop that
+    # DomainSpec stores are positively oriented themselves, so the initial
+    # mesh of a custom polygon needs no orientation flip: random polygons,
+    # star-shaped about the origin (vertices at multiples of 10 degrees,
+    # no angular gap over 120 degrees)
+    slots = sorted({0, 12, 24} | data.draw(
+        st.sets(st.integers(min_value=0, max_value=35), max_size=9)))
+    radii = data.draw(st.lists(st.floats(min_value=0.2, max_value=1.0),
+                               min_size=len(slots), max_size=len(slots)))
+    angles = np.radians(10.0 * np.array(slots))
+    loop = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    domain = DomainSpec(loop=tuple(map(tuple, loop)))
+    tris = _earclip(domain.loop)
+    assert len(tris) == len(slots) - 2
+    t = domain.vertices[np.asarray(tris)]
+    cross = ((t[:, 1, 0] - t[:, 0, 0]) * (t[:, 2, 1] - t[:, 0, 1])
+             - (t[:, 1, 1] - t[:, 0, 1]) * (t[:, 2, 0] - t[:, 0, 0]))
+    assert np.all(cross > 0), cross
+
+
 @pytest.mark.parametrize("name, kwargs", [
     ("smooth", {"uniform": True, "iterations": 4}),
     ("lshape", {"iterations": 12}),
@@ -182,7 +206,7 @@ def test_refine_random_sets_stay_conforming(data):
 ], ids=["smooth", "lshape", "advdiff"])
 def test_refine_matches_loop_oracle_on_adaptive_traces(name, kwargs):
     run = run_adaptive(preset(name), 1, with_errors=False, **kwargs)
-    steps = [(rec.mesh, rec.marked) for rec in run.records[:-1]]
+    steps = [(rec.report.mesh, rec.marked) for rec in run.records[:-1]]
     assert len(steps) == kwargs["iterations"] - 1
     if kwargs.get("uniform"):
         # the second sweep of each uniform step

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from bdmadapt import (build_initial_mesh, postprocess_resmin, preset,
-                      solve_problem)
+from bdmadapt import (assemble, build_initial_mesh, postprocess_resmin,
+                      preset, solve)
 from bdmadapt.basis import basis_size, make_scalar_basis, quad_rule
-from bdmadapt.bdm import BdmSpace, DgSpace
+from bdmadapt.bdm import BdmSpace
 from bdmadapt.fields import ElementClasses, stiffness_tensors, tabulate
 from bdmadapt.postprocess import residual_load
 from bdmadapt.solver import MixedSolution
@@ -17,7 +17,6 @@ def manual_solution(mesh, p, flux, scalar):
     # the problem only supplies the boundary data of the traces of nu
     return MixedSolution(flux=flux, scalar=scalar, mesh=mesh, p=p,
                          flux_space=BdmSpace(mesh, p),
-                         scalar_space=DgSpace(mesh, p - 1),
                          classes=ElementClasses(mesh),
                          problem=preset("smooth"))
 
@@ -31,8 +30,8 @@ def test_zero_data_gives_zero():
     mesh = single_element_mesh()
     p = 2
     space = BdmSpace(mesh, p)
-    dg = DgSpace(mesh, p - 1)
-    sol = manual_solution(mesh, p, np.zeros(space.n_dofs), np.zeros(dg.n_dofs))
+    sol = manual_solution(mesh, p, np.zeros(space.n_dofs),
+                          np.zeros((1, basis_size(p - 1))))
     post = postprocess_resmin(sol)
     assert np.abs(post.nu).max() == 0.0
     assert np.abs(post.eps).max() == 0.0
@@ -46,7 +45,6 @@ def test_exactly_representable_residual(p, rng):
     # q_h = -grad w with w of degree p+1: nu recovers w, eps vanishes
     mesh = single_element_mesh()
     space = BdmSpace(mesh, p)
-    dg = DgSpace(mesh, p - 1)
     basis = make_scalar_basis(p + 1)
     w = rng.standard_normal(basis.size)
     Binv = mesh.inv_jacobians[0]
@@ -58,8 +56,7 @@ def test_exactly_representable_residual(p, rng):
         return -(g @ Binv)
 
     flux = interpolate(space, q)
-    scalar = np.zeros(dg.n_dofs)
-    scalar[: basis_size(p - 1)] = w[: basis_size(p - 1)]
+    scalar = w[None, :basis_size(p - 1)]
     sol = manual_solution(mesh, p, flux, scalar)
     post = postprocess_resmin(sol)
     scale = max(1.0, np.abs(w).max())
@@ -109,7 +106,7 @@ def test_mean_constraints(p, small_smooth_solutions):
     mesh = sol.mesh
     post = postprocess_resmin(sol)
     theta = post.theta
-    u_means = element_means(mesh, sol.scalar_by_element)
+    u_means = element_means(mesh, sol.scalar)
     scale = np.abs(u_means).max()
     assert np.abs(element_means(mesh, post.nu) - u_means).max() <= 1e-12 * max(
         scale, 1.0)
@@ -194,7 +191,7 @@ def test_eps_is_accurate_where_it_is_far_below_theta(smooth_problem):
     mesh = build_initial_mesh(smooth_problem.domain, 32)
     while mesh.n_triangles < 2048:
         mesh = mesh.refine(range(mesh.n_triangles))
-    sol = solve_problem(mesh, p, smooth_problem)
+    sol = solve(assemble(mesh, p, smooth_problem))
     post = postprocess_resmin(sol)
     classes = sol.classes
     S22 = stiffness_tensors(mesh, p, classes.reps)

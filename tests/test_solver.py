@@ -14,9 +14,9 @@ from scipy.sparse.linalg import splu
 import bdmadapt.solver as solver_mod
 from bdmadapt import (DomainSpec, ProblemSpec, SingularSystemError, assemble,
                       build_initial_mesh, interpolate_boundary_term, preset,
-                      solve, solve_problem)
+                      solve)
 from bdmadapt.basis import make_scalar_basis, quad_rule
-from bdmadapt.bdm import BdmSpace, DgSpace
+from bdmadapt.bdm import BdmSpace, load_vector
 from bdmadapt.fields import mapped_points
 
 from conftest import (advection_matrix, bdm_mass_matrix, coo_schur,
@@ -34,7 +34,7 @@ def zero_problem():
 
 def test_homogeneous_problem_gives_zero():
     mesh = build_initial_mesh(DomainSpec.unit_square(), 8)
-    sol = solve_problem(mesh, 2, zero_problem())
+    sol = solve(assemble(mesh, 2, zero_problem()))
     assert np.abs(sol.flux).max() <= 1e-12
     assert np.abs(sol.scalar).max() <= 1e-12
 
@@ -43,7 +43,7 @@ def test_homogeneous_problem_gives_zero():
 def test_linear_solution_exact(p):
     lin = make_linear_problem()
     mesh = build_initial_mesh(lin.domain, 8)
-    sol = solve_problem(mesh, p, lin)
+    sol = solve(assemble(mesh, p, lin))
     assert sol.diagnostics["rel_residual"] <= 1e-10
     # q_h = (-1, 0) everywhere
     pts = np.array([[0.2, 0.3], [0.5, 0.1], [0.3, 0.6]])
@@ -55,8 +55,7 @@ def test_linear_solution_exact(p):
     V = make_scalar_basis(p - 1).values(rule.points)
     phys = mapped_points(mesh, rule.points)
     proj = np.einsum("q,nq,qi->ni", rule.weights, phys[:, :, 0], V)
-    got = sol.scalar_by_element
-    assert np.abs(got - proj).max() <= 1e-10
+    assert np.abs(sol.scalar - proj).max() <= 1e-10
 
 
 def test_divergence_equation_holds_exactly():
@@ -64,9 +63,9 @@ def test_divergence_equation_holds_exactly():
     smooth = preset("smooth")
     mesh = build_initial_mesh(smooth.domain, 32).refine(range(32))
     p = 2
-    sol = solve_problem(mesh, p, smooth)
-    B = divergence_matrix(sol.flux_space, sol.scalar_space)
-    F = sol.scalar_space.load_vector(smooth.f)
+    sol = solve(assemble(mesh, p, smooth))
+    B = divergence_matrix(sol.flux_space)
+    F = load_vector(mesh, p, smooth.f).ravel()
     resid = B @ sol.flux - F
     assert np.abs(resid).max() <= 1e-10 * max(1.0, np.abs(F).max())
 
@@ -75,11 +74,11 @@ def test_galerkin_orthogonality_random_tests(rng):
     smooth = preset("smooth")
     mesh = build_initial_mesh(smooth.domain, 32)
     p = 2
-    sol = solve_problem(mesh, p, smooth)
+    sol = solve(assemble(mesh, p, smooth))
     M = bdm_mass_matrix(sol.flux_space)
-    B = divergence_matrix(sol.flux_space, sol.scalar_space)
+    B = divergence_matrix(sol.flux_space)
     g = interpolate_boundary_term(sol.flux_space, smooth.u_D)
-    resid = M @ sol.flux - B.T @ sol.scalar - g
+    resid = M @ sol.flux - B.T @ sol.scalar.ravel() - g
     scale = max(np.abs(sol.flux).max(), 1.0)
     for _ in range(20):
         ph = rng.standard_normal(sol.flux_space.n_dofs)
@@ -91,9 +90,8 @@ def test_advection_one_element_sanity(rng):
     mesh = single_element_mesh()
     p = 2
     space = BdmSpace(mesh, p)
-    dg = DgSpace(mesh, p - 1)
     beta = (0.7, -1.3)
-    C = advection_matrix(space, dg, beta).toarray()
+    C = advection_matrix(space, beta).toarray()
     rule = quad_rule(2 * p + 6, "triangle")
     coeffs = rng.standard_normal(space.n_dofs)
     vals = eval_flux(space, coeffs, 0, rule.points)
@@ -129,9 +127,9 @@ def test_dense_lu_oracle_small_mesh():
     mesh = build_initial_mesh(smooth.domain, 8)
     system = saddle_system(mesh, 1, smooth)
     assert system.matrix.shape[0] <= 200
-    sol = solve_problem(mesh, 1, smooth)
+    sol = solve(assemble(mesh, 1, smooth))
     dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
-    x = np.concatenate([sol.flux, sol.scalar])
+    x = np.concatenate([sol.flux, sol.scalar.ravel()])
     assert np.abs(x - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
 
 
@@ -140,7 +138,7 @@ def test_schur_complement_positive_definite():
     mesh = build_initial_mesh(smooth.domain, 32)
     system = saddle_system(mesh, 1, smooth)
     M = bdm_mass_matrix(system.flux_space).toarray()
-    B = divergence_matrix(system.flux_space, system.scalar_space).toarray()
+    B = divergence_matrix(system.flux_space).toarray()
     S = B @ np.linalg.solve(M, B.T)
     evals = np.linalg.eigvalsh(0.5 * (S + S.T))
     assert evals.min() > 0
@@ -203,11 +201,11 @@ def test_hybrid_matches_saddle_lu(name, beta_scale, p):
         problem, beta=tuple(beta_scale * b for b in problem.beta))
     count = 96 if name == "lshape" else 32
     mesh = build_initial_mesh(problem.domain, count).refine(range(count))
-    sol = solve_problem(mesh, p, problem)
+    sol = solve(assemble(mesh, p, problem))
     oracle = saddle_system(mesh, p, problem)
     x = splu(oracle.matrix).solve(oracle.rhs)
     nq = oracle.flux_space.n_dofs
-    for got, want in ((sol.flux, x[:nq]), (sol.scalar, x[nq:])):
+    for got, want in ((sol.flux, x[:nq]), (sol.scalar.ravel(), x[nq:])):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -249,7 +247,7 @@ def test_fill_is_read_from_the_factor_without_copies(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "_factor", guarded)
     adv = preset("advdiff")
-    sol = solve_problem(build_initial_mesh(adv.domain, 32), 2, adv)
+    sol = solve(assemble(build_initial_mesh(adv.domain, 32), 2, adv))
     assert sol.diagnostics["fill"] == seen[0].nnz
     # and nothing else could build them: the factor has no matrix type
     for name in ("L", "U"):
@@ -277,7 +275,7 @@ def test_inaccurate_factor_raises(monkeypatch):
     smooth = preset("smooth")
     mesh = build_initial_mesh(smooth.domain, 32)
     with pytest.raises(SingularSystemError, match="residual"):
-        solve_problem(mesh, 1, smooth)
+        solve(assemble(mesh, 1, smooth))
 
 
 def test_rel_residual_is_that_of_the_mixed_equations(monkeypatch):
@@ -285,9 +283,9 @@ def test_rel_residual_is_that_of_the_mixed_equations(monkeypatch):
     monkeypatch.setattr(solver_mod, "RESIDUAL_TOL", np.inf)
     adv = preset("advdiff")
     mesh = build_initial_mesh(adv.domain, 32)
-    sol = solve_problem(mesh, 2, adv)
+    sol = solve(assemble(mesh, 2, adv))
     oracle = saddle_system(mesh, 2, adv)
-    x = np.concatenate([sol.flux, sol.scalar])
+    x = np.concatenate([sol.flux, sol.scalar.ravel()])
     want = (np.linalg.norm(oracle.matrix @ x - oracle.rhs)
             / np.linalg.norm(oracle.rhs))
     assert want > 1e-3
@@ -296,7 +294,7 @@ def test_rel_residual_is_that_of_the_mixed_equations(monkeypatch):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_single_element_needs_no_multipliers(p):
-    sol = solve_problem(single_element_mesh(), p, make_linear_problem())
+    sol = solve(assemble(single_element_mesh(), p, make_linear_problem()))
     assert sol.diagnostics["n_dofs"] == 0
     vals = eval_flux(sol.flux_space, sol.flux, 0, np.array([[0.2, 0.3]]))
     assert np.abs(vals - [-1.0, 0.0]).max() <= 1e-12
@@ -483,12 +481,12 @@ _MALLOC_DEBUG = ctypes.util.find_library("c_malloc_debug")
 # two passes: with address randomization one pass of a wide panel escapes
 # the checks in about 1 run of 30, two passes escaped in none of 40
 _HEAP_GUARD = """
-from bdmadapt import solve_problem
+from bdmadapt import assemble, solve
 from factor_cases import multiplier_cases
 cases = multiplier_cases()
 for _ in range(2):
     for name, problem, mesh, p in cases:
-        solve_problem(mesh, p, problem)
+        solve(assemble(mesh, p, problem))
 """
 
 
