@@ -196,7 +196,7 @@ def eta_improved(post: PostprocResult) -> EstimatorReport:
     grad nu_h and q_h never exist at every point of the mesh at once.
     """
     solution = post.solution
-    mesh, p = solution.mesh, solution.p
+    mesh, p = solution.flux_space.mesh, solution.flux_space.p
     T = ref_tables(p, "local")
     D = T.D[:post.nu.shape[1]]
     mismatch_sq = np.empty(mesh.n_triangles)
@@ -278,7 +278,7 @@ def _element_errors(post: PostprocResult, ids, T):
     and q once the flux difference has taken its place.
     """
     solution, problem = post.solution, post.solution.problem
-    mesh, w = solution.mesh, T.weights
+    mesh, w = solution.flux_space.mesh, T.weights
     J = mesh.det_jacobians[ids]
     Binv = mesh.inv_jacobians[ids]
 
@@ -323,7 +323,7 @@ def error_norms(post: PostprocResult) -> ErrorBlock:
     solution, problem = post.solution, post.solution.problem
     if not problem.has_exact:
         raise ValueError("problem carries no exact solution")
-    mesh, p = solution.mesh, solution.p
+    mesh, p = solution.flux_space.mesh, solution.flux_space.p
     nt = mesh.n_triangles
     grad_nu_sq = np.zeros(nt)
     grad_theta_sq = np.zeros(nt)
@@ -357,7 +357,7 @@ def error_norms(post: PostprocResult) -> ErrorBlock:
 
 def _flux_trace_error_sq(solution: MixedSolution):
     """sum over the edges of K of ||(q - q_h) . n||^2_{edge}, per element."""
-    mesh, p = solution.mesh, solution.p
+    mesh, p = solution.flux_space.mesh, solution.flux_space.p
     moments = np.asarray(solution.flux)[:mesh.n_edges * (p + 1)]
     scaled = moments.reshape(-1, p + 1) * (2.0 * np.arange(p + 1) + 1.0)
 

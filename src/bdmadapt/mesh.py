@@ -278,10 +278,10 @@ class TriMesh:
             return self
         if marked.dtype.kind not in "iu":
             raise ValueError(f"marked ids must be integers, not {marked.dtype}")
-        marked = np.unique(marked)
         if marked.min() < 0 or marked.max() >= self.n_triangles:
             raise ValueError("marked set contains invalid triangle ids")
         edge_marked = np.zeros(self.n_edges, dtype=bool)
+        # repeats set a flag twice; no np.unique, which imports numpy.ma
         edge_marked[self.elem_edges[marked, 0]] = True
         while True:
             has_marked = edge_marked[self.elem_edges].any(axis=1)

@@ -74,9 +74,8 @@ def residual_load(solution: MixedSolution) -> np.ndarray:
     """Loads rhs (n, n2), rhs_i = -(q_h, grad v_i)_K, of the mean-free
     degree-(p+2) basis.  The load is geometry free: the Piola factor B / J
     of q_h cancels the B^{-T} of grad v_i and the J of the integral."""
-    p = solution.p
-    c = solution.flux_space.local_coeffs(solution.flux)
-    return -(c @ _flux_load_table(p))
+    space = solution.flux_space
+    return -(space.local_coeffs(solution.flux) @ _flux_load_table(space.p))
 
 
 def class_factors(mesh: TriMesh, p: int, classes: ElementClasses):
@@ -104,7 +103,8 @@ def _with_mean(solution: MixedSolution, mean_free: np.ndarray) -> np.ndarray:
 def postprocess_resmin(solution: MixedSolution) -> PostprocResult:
     """Factor each class stiffness once and derive all local solutions and
     the scaled traces of nu."""
-    mesh, p, classes = solution.mesh, solution.p, solution.classes
+    mesh, p = solution.flux_space.mesh, solution.flux_space.p
+    classes = solution.classes
     n1 = basis_size(p + 1) - 1
     G = class_factors(mesh, p, classes)
     z = classes.matmul(G, residual_load(solution))

@@ -30,6 +30,7 @@ imports numpy.f2py and numpy.testing; scipy.sparse.linalg imports
 scipy.linalg), and nothing in them is needed for one factor and its solves.
 """
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -80,6 +81,12 @@ _sparsetools = _scipy_extension(
     "sparse._sparsetools",
     ("coo_tocsr", "csr_sort_indices", "csr_sum_duplicates"))
 _superlu = _scipy_extension("sparse.linalg._dsolve._superlu", ("gstrf",))
+
+# glibc's malloc_trim; None where the C library has none (musl, macOS)
+try:
+    _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+except (OSError, TypeError):  # no C library to open by the name None
+    _malloc_trim = None
 
 
 class SingularSystemError(RuntimeError):
@@ -181,6 +188,7 @@ class MixedSystem:
     edges); edge_sign is the edge columns of flux_space.signs times +-1 for
     the aligned/opposite element of the edge, and owned marks the one
     element that holds each shared flux dof when local values are gathered.
+    The mesh and the degree p are flux_space.mesh and flux_space.p.
     """
 
     classes: ElementClasses
@@ -191,8 +199,6 @@ class MixedSystem:
     multiplier: np.ndarray
     edge_sign: np.ndarray
     owned: np.ndarray
-    mesh: TriMesh
-    p: int
     flux_space: BdmSpace
     problem: ProblemSpec
 
@@ -201,14 +207,13 @@ class MixedSystem:
 class MixedSolution:
     """Discrete mixed solution, its problem, the shape classes, diagnostics.
 
-    flux holds the global coefficients of q_h, scalar (n_elements, s) those
-    of u_h on each element, s = basis_size(p - 1).
+    flux holds the global coefficients of q_h in flux_space, scalar
+    (n_elements, s) those of u_h on each element, s = basis_size(p - 1);
+    the mesh and p are flux_space.mesh and flux_space.p.
     """
 
     flux: np.ndarray
     scalar: np.ndarray
-    mesh: TriMesh
-    p: int
     flux_space: BdmSpace
     classes: ElementClasses
     problem: ProblemSpec
@@ -248,7 +253,7 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
                            edge_sign, n_mult)
     rhs = np.concatenate([g, F.ravel()])
     return MixedSystem(classes, blocks, inverse, rhs, S, multiplier,
-                       edge_sign, owned, mesh, p, flux, problem)
+                       edge_sign, owned, flux, problem)
 
 
 def _multiplier_matrix(inverse, classes: ElementClasses, multiplier,
@@ -325,8 +330,27 @@ def _factor(system: MixedSystem):
 
     Under glibc's debug allocator (MALLOC_CHECK_=3) widths 1..20 factor
     all 87 matrices cleanly; 24, 32 and 40 corrupt the heap.
+
+    Right before gstrf, malloc_trim(0) gives the pages glibc holds free back
+    to the system.  Those are the COO triplets of assembly, just dropped,
+    and the buffers of earlier factors: once glibc's dynamic mmap threshold
+    has risen past them, it puts them on the brk heap, and the large
+    buffers of the new factor are fresh mmaps that never reuse their pages.
+    So the factor, which sets the memory peak of a solve, would start on
+    top of freed memory: untrimmed, before the last factor of the
+    lshape-method benchmark loop (p = 1, 150 to 9,052 elements) the process
+    held 55 MB resident, and glibc's heap spanned 65.3 MB with 12.3 MB in
+    use.  Over that loop the peak grows 33.9 MB past the peak after import
+    untrimmed, 27.4 MB when trimmed here, 29.2 MB when trimmed after each
+    solve() and 30.3 MB before each assemble().  The trims take 4.5-6.8 ms
+    of a benchmark run (12-48 factors).  malloc_trim only returns free
+    pages and sets nothing in the allocator, so the user's MALLOC_*
+    settings hold and no number changes.  Where the C library has no
+    malloc_trim, nothing is called.
     """
     S = system.schur
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     try:
         # splu passes its arguments to gstrf under these keys
         return _superlu.gstrf(
@@ -342,10 +366,10 @@ def _factor(system: MixedSystem):
 
 def _local(system: MixedSystem, x: np.ndarray) -> np.ndarray:
     """Per-element (flux, scalar) coefficients of a global vector."""
-    nq = system.flux_space.n_dofs
+    flux = system.flux_space
     return np.concatenate(
-        [x[:nq][system.flux_space.l2g],
-         x[nq:].reshape(system.mesh.n_triangles, -1)], axis=1)
+        [x[:flux.n_dofs][flux.l2g],
+         x[flux.n_dofs:].reshape(flux.mesh.n_triangles, -1)], axis=1)
 
 
 def _apply(system: MixedSystem, x: np.ndarray) -> np.ndarray:
@@ -371,7 +395,7 @@ def _hybrid_solve(system: MixedSystem, lu, r: np.ndarray) -> np.ndarray:
     matrix product per class.
     """
     flux = system.flux_space
-    nq, ne = flux.local_dim, 3 * (system.p + 1)
+    nq, ne = flux.local_dim, 3 * (flux.p + 1)
     mult, edge_sign = system.multiplier, system.edge_sign
     r_loc = _local(system, r)
     r_loc[:, :nq] *= system.owned
@@ -407,11 +431,11 @@ def solve(system: MixedSystem) -> MixedSolution:
         raise SingularSystemError(
             f"relative residual {rel:.3e} of the mixed equations exceeds "
             f"{RESIDUAL_TOL:.0e} ({S.shape[0]} multipliers)")
-    nq = system.flux_space.n_dofs
+    flux = system.flux_space
     return MixedSolution(
-        flux=x[:nq], scalar=x[nq:].reshape(system.mesh.n_triangles, -1),
-        mesh=system.mesh, p=system.p, flux_space=system.flux_space,
-        classes=system.classes, problem=system.problem,
+        flux=x[:flux.n_dofs],
+        scalar=x[flux.n_dofs:].reshape(flux.mesh.n_triangles, -1),
+        flux_space=flux, classes=system.classes, problem=system.problem,
         # fill: the entries SuperLU stores for L and U, read without copying
         # them (lu.L and lu.U would build CSC copies of the whole fill)
         diagnostics={"rel_residual": rel, "n_dofs": int(S.shape[0]),

@@ -104,7 +104,7 @@ def coo_schur(system):
     multiplier numbers from the mesh, the signed element blocks, a mask over
     their (row, column) pairs and a COO -> CSC conversion.  The oracle of
     solver._multiplier_matrix, which forms each triplet array once."""
-    mesh, p = system.mesh, system.p
+    mesh, p = system.flux_space.mesh, system.flux_space.p
     interior = ~mesh.boundary_edge
     n_mult = int(interior.sum()) * (p + 1)
     edge_mult = np.full(mesh.n_edges, -1, dtype=np.int64)
@@ -135,7 +135,7 @@ def element_flux_trace_sq(problem, solution):
     exact flux is sampled from the singular end).  Returns (trace_sq,
     qn_sq).
     """
-    mesh, p = solution.mesh, solution.p
+    mesh, p = solution.flux_space.mesh, solution.flux_space.p
     c_flux = solution.flux_space.local_coeffs(solution.flux)
     at = np.zeros(len(mesh.vertices), dtype=bool)
     if problem.quad_singular_point is not None:
@@ -514,7 +514,7 @@ def einsum_load_vector(mesh, p, f, exactness):
 def einsum_local_ingredients(solution):
     """Per-element stiffness S22 (n, n2, n2) on the mean-free degree-(p+2)
     basis and the load rhs of postprocess.residual_load."""
-    mesh, p = solution.mesh, solution.p
+    mesh, p = solution.flux_space.mesh, solution.flux_space.p
     exact = 2 * (p + 2)
     S22 = einsum_stiffness_tensors(mesh, p + 2, exact)[:, 1:, 1:]
     rule = quad_rule(exact, "triangle")
@@ -535,7 +535,7 @@ def stenberg_oracle(solution):
 
     Returns (nu, theta) with the same layout as PostprocResult.
     """
-    n1 = basis_size(solution.p + 1) - 1
+    n1 = basis_size(solution.flux_space.p + 1) - 1
     S22, rhs = einsum_local_ingredients(solution)
     theta = np.linalg.solve(S22, rhs[..., None])[..., 0]
     nu = np.linalg.solve(S22[:, :n1, :n1], rhs[:, :n1, None])[..., 0]
@@ -566,7 +566,7 @@ def dual_norm_oracle(mesh, p, k, r):
 
 def einsum_mismatch_sq(post, solution):
     """||q_h + grad nu_h||_K^2 per element, as in eta_improved."""
-    mesh, p = solution.mesh, solution.p
+    mesh, p = solution.flux_space.mesh, solution.flux_space.p
     rule = quad_rule(2 * (p + 2), "triangle")
     D = make_scalar_basis(p + 1).grads(rule.points)
     grad_nu = np.einsum("ni,qib->nqb", post.nu, D)
@@ -690,7 +690,7 @@ def einsum_flux_trace_sq(problem, solution):
     """sum over the edges of K of ||(q - q_h) . n||^2, per element, from one
     (p+5)-point pass per global edge (no subdivision: for problems without a
     singular point)."""
-    mesh, p = solution.mesh, solution.p
+    mesh, p = solution.flux_space.mesh, solution.flux_space.p
     assert problem.quad_singular_point is None
     t, w, _ = edge_legendre(p, p + 5, 0)
     pts = edge_points(mesh, slice(None), t)
@@ -709,7 +709,7 @@ def einsum_flux_trace_sq(problem, solution):
 def einsum_error_norms(problem, solution, post):
     """ErrorBlock from the element loop of estimators.error_norms, written
     with einsum."""
-    mesh, p = solution.mesh, solution.p
+    mesh, p = solution.flux_space.mesh, solution.flux_space.p
     nt = mesh.n_triangles
     basis_nu = make_scalar_basis(p + 1)
     basis_p2 = make_scalar_basis(p + 2)

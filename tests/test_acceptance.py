@@ -114,7 +114,7 @@ def test_c02_postprocessing_equivalence(cross_experiment_states):
     worst = 0.0
     for (name, p), (problem, sol, post, (ref, _)) in \
             cross_experiment_states.items():
-        J = sol.mesh.det_jacobians
+        J = sol.flux_space.mesh.det_jacobians
         dev_K = np.sqrt(J[:, None]) * np.abs(post.nu - ref)
         norm = math.sqrt(float(np.sum(J[:, None] * ref ** 2)))
         rel = float(dev_K.max()) / max(norm, 1e-300)
@@ -127,7 +127,7 @@ def test_c03_enrichment_identity(cross_experiment_states):
     worst = 0.0
     for (name, p), (problem, sol, post, (_, theta)) in \
             cross_experiment_states.items():
-        S22 = stiffness_tensors(sol.mesh, p)
+        S22 = stiffness_tensors(sol.flux_space.mesh, p)
         diff = theta[:, 1:].copy()
         n1 = post.nu.shape[1] - 1
         diff[:, :n1] -= post.nu[:, 1:]

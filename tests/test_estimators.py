@@ -116,7 +116,7 @@ def test_dual_norm_below_l2_norm(rng):
 def test_eta_tilde_matches_postprocess(p, smooth_run):
     # ||z[n1:]|| from the factor equals ||grad eps||_K from the coefficients
     _, sol, post, rep = smooth_run[p]
-    S22 = stiffness_tensors(sol.mesh, p)
+    S22 = stiffness_tensors(sol.flux_space.mesh, p)
     per = np.sqrt(np.einsum("ni,nij,nj->n", post.eps, S22, post.eps))
     assert np.abs(per - post.eta_tilde_K).max() <= 1e-12 * max(
         1.0, post.eta_tilde_K.max())
@@ -367,10 +367,10 @@ def test_saturation_below_one_smooth(p, smooth_run):
 def test_eta_tilde_invariant_under_elementwise_constant_shift(smooth_run, rng):
     prob, sol, post, _ = smooth_run[2]
     shifted = sol.scalar.copy()
-    shifted[:, 0] += rng.standard_normal(sol.mesh.n_triangles)
+    shifted[:, 0] += rng.standard_normal(sol.flux_space.mesh.n_triangles)
     from bdmadapt.solver import MixedSolution
-    sol2 = MixedSolution(flux=sol.flux, scalar=shifted, mesh=sol.mesh,
-                         p=sol.p, flux_space=sol.flux_space,
+    sol2 = MixedSolution(flux=sol.flux, scalar=shifted,
+                         flux_space=sol.flux_space,
                          classes=sol.classes, problem=sol.problem)
     post2 = postprocess_resmin(sol2)
     assert np.array_equal(post2.eta_tilde_K, post.eta_tilde_K)
@@ -396,7 +396,7 @@ def test_report_json_roundtrip(tmp_path, smooth_run):
     assert not mismatches(data, expected)
     assert not null_floats(data, expected)
     assert data["p"] == 2
-    assert len(data["eta_K"]) == sol.mesh.n_triangles
+    assert len(data["eta_K"]) == sol.flux_space.mesh.n_triangles
     assert abs(data["eta"] - rep.eta) < 1e-15
     assert data["errors"]["full"] == rep.errors.full
 

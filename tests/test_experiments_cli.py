@@ -197,8 +197,8 @@ def test_run_experiment_holds_only_the_current_mesh(tmp_path, monkeypatch):
     solved = {}
 
     def solve_and_keep(system):
-        solved[len(meshes) - 1] = (system.mesh.vertices.copy(),
-                                   system.mesh.triangles.copy())
+        solved[len(meshes) - 1] = (system.flux_space.mesh.vertices.copy(),
+                                   system.flux_space.mesh.triangles.copy())
         return solve(system)
 
     monkeypatch.setattr(adaptivity, "solve", solve_and_keep)

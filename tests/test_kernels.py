@@ -271,9 +271,10 @@ def test_estimator_terms_match_einsum(solved, advdiff, p):
         report = eta_improved(post)
         assert_matches(report.mismatch_K ** 2,
                        einsum_mismatch_sq(post, solution))
-        jump_ref, bnd_ref = einsum_nu_jump_terms(solution.mesh, post.nu,
-                                                 advdiff.u_D, p + 5)
-        jump_K, bnd_K = nu_jump_terms(solution.mesh, post.nu, advdiff.u_D, p)
+        mesh = solution.flux_space.mesh
+        jump_ref, bnd_ref = einsum_nu_jump_terms(mesh, post.nu, advdiff.u_D,
+                                                 p + 5)
+        jump_K, bnd_K = nu_jump_terms(mesh, post.nu, advdiff.u_D, p)
         assert_matches(jump_K, jump_ref)
         assert_matches(bnd_K, bnd_ref)
 

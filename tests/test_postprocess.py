@@ -15,7 +15,7 @@ from conftest import (dual_norm_oracle, eval_flux, interpolate,
 
 def manual_solution(mesh, p, flux, scalar):
     # the problem only supplies the boundary data of the traces of nu
-    return MixedSolution(flux=flux, scalar=scalar, mesh=mesh, p=p,
+    return MixedSolution(flux=flux, scalar=scalar,
                          flux_space=BdmSpace(mesh, p),
                          classes=ElementClasses(mesh),
                          problem=preset("smooth"))
@@ -70,15 +70,16 @@ def test_equivalence_with_direct_elliptic_solve(p, small_smooth_solutions):
     sol = small_smooth_solutions[p]
     post = postprocess_resmin(sol)
     # the Cholesky-derived nu and theta against direct LU solves
+    J = sol.flux_space.mesh.det_jacobians
     for got, ref in zip((post.nu, post.theta), stenberg_oracle(sol)):
-        norm = np.sqrt(np.sum(sol.mesh.det_jacobians[:, None] * ref ** 2))
+        norm = np.sqrt(np.sum(J[:, None] * ref ** 2))
         assert np.abs(got - ref).max() <= 1e-10 * max(norm, 1.0)
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_minimization_property(p, small_smooth_solutions, rng):
     sol = small_smooth_solutions[p]
-    mesh = sol.mesh
+    mesh = sol.flux_space.mesh
     post = postprocess_resmin(sol)
     basis = make_scalar_basis(p + 1)
     rule = quad_rule(2 * (p + 2), "triangle")
@@ -103,7 +104,7 @@ def test_minimization_property(p, small_smooth_solutions, rng):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_mean_constraints(p, small_smooth_solutions):
     sol = small_smooth_solutions[p]
-    mesh = sol.mesh
+    mesh = sol.flux_space.mesh
     post = postprocess_resmin(sol)
     theta = post.theta
     u_means = element_means(mesh, sol.scalar)
@@ -120,7 +121,7 @@ def test_gradient_orthogonality_of_residual_representative(
     # (grad w, grad eps) = 0 for all mean-free w of degree p+1
     sol = small_smooth_solutions[p]
     post = postprocess_resmin(sol)
-    S22 = stiffness_tensors(sol.mesh, p)
+    S22 = stiffness_tensors(sol.flux_space.mesh, p)
     n1 = basis_size(p + 1) - 1
     inner = np.einsum("nij,nj->ni", S22[:, :n1, :], post.eps)
     scale = max(post.eta_tilde_K.max(), 1e-30)
@@ -131,7 +132,7 @@ def test_gradient_orthogonality_of_residual_representative(
 def test_euler_lagrange_consistency(p, small_smooth_solutions):
     # (grad eps + grad nu + q_h, grad v) = 0, recomputed with a finer rule
     sol = small_smooth_solutions[p]
-    mesh = sol.mesh
+    mesh = sol.flux_space.mesh
     post = postprocess_resmin(sol)
     exact = 2 * p + 10
     rule = quad_rule(exact, "triangle")
@@ -159,7 +160,7 @@ def test_enrichment_identity_per_element(p, small_smooth_solutions):
     sol = small_smooth_solutions[p]
     post = postprocess_resmin(sol)
     _, theta = stenberg_oracle(sol)
-    S22 = stiffness_tensors(sol.mesh, p)
+    S22 = stiffness_tensors(sol.flux_space.mesh, p)
     diff = theta[:, 1:].copy()
     n1 = post.nu.shape[1] - 1
     diff[:, :n1] -= post.nu[:, 1:]

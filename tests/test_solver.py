@@ -446,6 +446,9 @@ for module in ("bdmadapt", "bdmadapt.cli"):
     __import__(module)
     loaded = [m for m in heavy if m in sys.modules]
     assert not loaded, (module, loaded)
+from bdmadapt import preset, run_adaptive
+run_adaptive(preset("advdiff"), p=1, iterations=3)
+assert "numpy.ma" not in sys.modules
 import numpy as np
 from bdmadapt import assemble, solver
 from factor_cases import multiplier_cases
@@ -470,7 +473,9 @@ def test_import_loads_neither_scipy_sparse_nor_linalg():
     # import bdmadapt and the command line without the __init__ of
     # scipy.sparse (its array-API layer imports numpy.f2py and
     # numpy.testing), scipy.sparse.linalg and scipy.linalg: about 0.2 s and
-    # 26 MB per process; the factor still agrees with scipy's splu
+    # 26 MB per process; a short adaptive run does not load numpy.ma (a
+    # bare np.unique does: 9-14 ms and 1.2 MB); the factor still agrees
+    # with scipy's splu
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
                           env=_subprocess_env(), capture_output=True,
                           text=True, timeout=120)
@@ -504,3 +509,31 @@ def test_factor_heap_is_intact_under_debug_allocator():
     proc = subprocess.run([sys.executable, "-c", _HEAP_GUARD], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# ru_maxrss is in KiB on Linux, the platform of glibc's malloc_trim
+_HEAP_GROWTH = """
+import resource
+from bdmadapt import preset, run_adaptive
+problem = preset("lshape")
+start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run = run_adaptive(problem, p=1, theta=0.5, iterations=200, eta_tol=3e-4,
+                   with_errors=False, with_theta=False, keep_meshes=False,
+                   initial_elements=150)
+assert not run.aborted and run.records[-1].eta <= 3e-4, run.abort_reason
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start) / 1024)
+"""
+
+
+@pytest.mark.skipif(solver_mod._malloc_trim is None,
+                    reason="the C library has no malloc_trim")
+def test_factor_starts_on_a_trimmed_heap():
+    # the lshape p = 1 loop of the lshape-method benchmark (27 solves, up to
+    # 9,052 elements): the peak grows 27.0-27.8 MB past the peak after the
+    # import when each factor starts on a trimmed heap, 34.3 MB without the
+    # trim, and 35.6 MB when refine also loads numpy.ma
+    env = _subprocess_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _HEAP_GROWTH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout) <= 31.0
