@@ -431,10 +431,9 @@ def solve(system: MixedSystem) -> MixedSolution:
         raise SingularSystemError(
             f"relative residual {rel:.3e} of the mixed equations exceeds "
             f"{RESIDUAL_TOL:.0e} ({S.shape[0]} multipliers)")
-    flux = system.flux_space
+    flux, nq = system.flux_space, system.flux_space.n_dofs
     return MixedSolution(
-        flux=x[:flux.n_dofs],
-        scalar=x[flux.n_dofs:].reshape(flux.mesh.n_triangles, -1),
+        flux=x[:nq], scalar=x[nq:].reshape(flux.mesh.n_triangles, -1),
         flux_space=flux, classes=system.classes, problem=system.problem,
         # fill: the entries SuperLU stores for L and U, read without copying
         # them (lu.L and lu.U would build CSC copies of the whole fill)

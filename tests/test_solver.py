@@ -474,7 +474,7 @@ def test_import_loads_neither_scipy_sparse_nor_linalg():
     # scipy.sparse (its array-API layer imports numpy.f2py and
     # numpy.testing), scipy.sparse.linalg and scipy.linalg: about 0.2 s and
     # 26 MB per process; a short adaptive run does not load numpy.ma (a
-    # bare np.unique does: 9-14 ms and 1.2 MB); the factor still agrees
+    # bare np.unique does, about 30 ms and 0.6 MB); the factor still agrees
     # with scipy's splu
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
                           env=_subprocess_env(), capture_output=True,
