@@ -9,8 +9,6 @@ import sys
 
 from .artifacts import write_json
 from .experiments import ExperimentConfig, run_experiment
-from .fortin import fortin_report
-from .verify import run_verification
 
 _RUN_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
@@ -118,6 +116,8 @@ def _write_report(path, report) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification  # only here: `run` needs none
+
     report = run_verification(seed=args.seed, quick=not args.full)
     for check in report["checks"]:
         state = "PASS" if check["passed"] else "FAIL"
@@ -128,6 +128,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fortin(args, parser) -> int:
+    from .fortin import fortin_report  # only here: `run` needs none
+
     try:
         report = fortin_report(n_samples=args.samples, seed=args.seed)
     except ValueError as exc:

@@ -15,7 +15,6 @@ the other one (K-).  Meshes are immutable after construction; refinement
 returns a new mesh.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -443,6 +442,8 @@ def save_mesh(mesh: TriMesh, prefix: str):
 
 
 def load_mesh(prefix: str) -> TriMesh:
+    import json  # only here: a run that never reads a mesh back needs none
+
     verts = np.loadtxt(f"{prefix}.nodes", ndmin=2)
     tris = np.loadtxt(f"{prefix}.elems", dtype=np.int64, ndmin=2)
     with open(f"{prefix}.json") as fh:

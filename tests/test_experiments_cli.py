@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bdmadapt import ExperimentConfig, fit_slope, run_experiment
-from bdmadapt import adaptivity, cli, estimators, experiments
+from bdmadapt import adaptivity, cli, estimators, experiments, fortin, verify
 from bdmadapt.cli import _build_parser, main
 from bdmadapt.experiments import CSV_COLUMNS
 from bdmadapt.mesh import load_mesh
@@ -427,16 +427,21 @@ def test_config_keeps_numpy_integer_degrees():
     assert ExperimentConfig(p_list=np.array([2])).p_list == (2,)
 
 
+# the module each subcommand reads its runner from when it runs
+_RUNNER_MODULE = {"run_verification": verify, "fortin_report": fortin}
+
+
 def _keep_report(monkeypatch, name):
-    """Replace cli.<name> by a wrapper that keeps the report it returns."""
+    """Replace the runner <name> by a wrapper that keeps its reports."""
     kept = []
-    real = getattr(cli, name)
+    owner = _RUNNER_MODULE[name]
+    real = getattr(owner, name)
 
     def keep(**kw):
         kept.append(real(**kw))
         return kept[-1]
 
-    monkeypatch.setattr(cli, name, keep)
+    monkeypatch.setattr(owner, name, keep)
     return kept
 
 
@@ -503,7 +508,7 @@ def test_cli_verify_reports_unwritable_out(tmp_path, capsys, monkeypatch):
     # message names the path
     report = {"passed": True,
               "checks": [{"name": "stub", "passed": True, "detail": ""}]}
-    monkeypatch.setattr(cli, "run_verification", lambda **kw: report)
+    monkeypatch.setattr(verify, "run_verification", lambda **kw: report)
     (tmp_path / "blocker").write_text("")
     out = str(tmp_path / "blocker" / "verify.json")
     assert main(["verify", "--out", out]) == 1
@@ -524,7 +529,7 @@ def test_cli_fortin_reports_unwritable_out(tmp_path, capsys):
 def test_cli_rejects_negative_seed(capsys, monkeypatch, command, runner):
     # numpy's generators take non-negative seeds only: a usage error naming
     # the flag, before any work
-    monkeypatch.setattr(cli, runner, None)
+    monkeypatch.setattr(_RUNNER_MODULE[runner], runner, None)
     with pytest.raises(SystemExit) as exc:
         main([command, "--seed", "-1"])
     assert exc.value.code == 2

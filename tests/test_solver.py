@@ -442,13 +442,34 @@ def _subprocess_env(**extra):
 _IMPORT_GUARD = """
 import sys
 heavy = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "orjson")
-for module in ("bdmadapt", "bdmadapt.cli"):
-    __import__(module)
-    loaded = [m for m in heavy if m in sys.modules]
-    assert not loaded, (module, loaded)
+driver = ("bdmadapt.experiments", "bdmadapt.fortin", "bdmadapt.verify",
+          "logging")
+import bdmadapt
+loaded = [m for m in heavy + driver + ("json",) if m in sys.modules]
+assert not loaded, ("bdmadapt", loaded)
 from bdmadapt import preset, run_adaptive
 run_adaptive(preset("advdiff"), p=1, iterations=3)
-assert "numpy.ma" not in sys.modules
+loaded = [m for m in driver + ("numpy.ma",) if m in sys.modules]
+assert not loaded, ("run_adaptive", loaded)
+import bdmadapt.cli
+loaded = [m for m in heavy + driver[1:3] if m in sys.modules]
+assert not loaded, ("bdmadapt.cli", loaded)
+assert "fortin_report" in dir(bdmadapt)
+from bdmadapt import fortin_report
+lazy = {"experiments": ("ExperimentConfig", "fit_slope", "run_experiment"),
+        "fortin": ("BiorthogonalSet", "build_biorthogonal", "fortin_apply",
+                   "fortin_report", "scaled_trace_inequality_check")}
+for module, names in lazy.items():
+    for name in names:
+        own = getattr(sys.modules["bdmadapt." + module], name)
+        assert getattr(bdmadapt, name) is own, name
+assert fortin_report is bdmadapt.fortin.fortin_report
+try:
+    bdmadapt.nope
+except AttributeError as exc:
+    assert "nope" in str(exc), exc
+else:
+    raise AssertionError("bdmadapt.nope did not raise AttributeError")
 import numpy as np
 from bdmadapt import assemble, solver
 from factor_cases import multiplier_cases
@@ -474,8 +495,10 @@ def test_import_loads_neither_scipy_sparse_nor_linalg():
     # scipy.sparse (its array-API layer imports numpy.f2py and
     # numpy.testing), scipy.sparse.linalg and scipy.linalg: about 0.2 s and
     # 26 MB per process; a short adaptive run does not load numpy.ma (a
-    # bare np.unique does, about 30 ms and 0.6 MB); the factor still agrees
-    # with scipy's splu
+    # bare np.unique does, about 30 ms and 0.6 MB), nor the batch driver,
+    # logging or the trace-system checks, which load on first use (about
+    # 10 ms), and neither does the command line load fortin or verify; the
+    # factor still agrees with scipy's splu
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
                           env=_subprocess_env(), capture_output=True,
                           text=True, timeout=120)
