@@ -452,7 +452,8 @@ run_adaptive(preset("advdiff"), p=1, iterations=3)
 loaded = [m for m in driver + ("numpy.ma",) if m in sys.modules]
 assert not loaded, ("run_adaptive", loaded)
 import bdmadapt.cli
-loaded = [m for m in heavy + driver[1:3] if m in sys.modules]
+loaded = [m for m in heavy + ("bdmadapt.fortin", "bdmadapt.verify")
+          if m in sys.modules]
 assert not loaded, ("bdmadapt.cli", loaded)
 assert "fortin_report" in dir(bdmadapt)
 from bdmadapt import fortin_report
