@@ -3,14 +3,10 @@
 import argparse
 import dataclasses
 import json
-import logging
 import os
 import sys
 
 from .artifacts import write_json
-from .experiments import ExperimentConfig, run_experiment
-
-_RUN_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _seed(text):
@@ -77,8 +73,12 @@ def _read_config(path, parser) -> dict:
 
 
 def _cmd_run(args, parser) -> int:
+    import logging  # only here: `verify` and `fortin` need neither
+
+    from .experiments import ExperimentConfig, run_experiment
+
     settings = _read_config(args.config, parser) if args.config else {}
-    for key in _RUN_KEYS:
+    for key in (f.name for f in dataclasses.fields(ExperimentConfig)):
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val

@@ -119,17 +119,10 @@ class TriMesh:
     interior edge has exactly one), boundary_edge the edges with one element.
     """
 
-    def __init__(self, vertices, triangles, generation=None, parent=None,
-                 domain_name=None):
+    def __init__(self, vertices, triangles):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = _integers(triangles, "triangles")
-        nt = len(self.triangles)
-        self.generation = (np.zeros(nt, dtype=np.int64) if generation is None
-                           else _integers(generation, "generation"))
-        self.parent = (np.full(nt, -1, dtype=np.int64) if parent is None
-                       else _integers(parent, "parent"))
-        self.domain_name = domain_name
-        if nt == 0:
+        if len(self.triangles) == 0:
             raise ValueError("empty mesh")
         self._check_input()
         self._check_orientation()
@@ -148,10 +141,6 @@ class TriMesh:
             raise ValueError("triangles must form an (nt, 3) array")
         if tris.min() < 0 or tris.max() >= len(verts):
             raise ValueError(f"vertex ids must lie in [0, {len(verts)})")
-        nt = len(tris)
-        if self.generation.shape != (nt,) or self.parent.shape != (nt,):
-            raise ValueError("need one generation and one parent entry per "
-                             "triangle")
 
     def _check_orientation(self):
         t = self.vertices[self.triangles]
@@ -266,9 +255,7 @@ class TriMesh:
           2. (m2, a, m0) if e2;
           3. (m1, m0, b) if e1, else (m0, b, p) if e0;
           4. (m1, p, m0) if e1.
-        The filled slots are listed parent by parent.  A child is one
-        generation deeper per bisection and its parent is the split
-        triangle's id; an unsplit triangle keeps its generation and parent.
+        The filled slots are listed parent by parent.
         """
         if not (isinstance(marked, np.ndarray) and marked.ndim == 1):
             # boxing an array's ids through a list costs ~0.1 us per id
@@ -305,13 +292,7 @@ class TriMesh:
             np.where(s1, [m1, m0, b], [m0, b, p]),
             [m1, p, m0]]).transpose(2, 0, 1)
         keep = np.stack([np.ones_like(s0), s2, s0, s1], axis=1)
-        # slots 1-2 halve the parent's half at e2 once more, slots 3-4 at e1
-        depth = s0[:, None] + np.stack([s2, s2, s1, s1], axis=1, dtype=np.int64)
-        parent = np.where(s0, np.arange(len(s0)), self.parent)
-        return TriMesh(verts, children[keep],
-                       generation=(self.generation[:, None] + depth)[keep],
-                       parent=np.repeat(parent, keep.sum(axis=1)),
-                       domain_name=self.domain_name)
+        return TriMesh(verts, children[keep])
 
 
 # -- initial meshes ---------------------------------------------------------
@@ -405,13 +386,12 @@ def build_initial_mesh(domain: DomainSpec, target_count: int) -> TriMesh:
     else:
         verts = domain.vertices
         tris = _orient_longest_edge(verts, _earclip([tuple(v) for v in verts]))
-        mesh = TriMesh(verts, np.asarray(tris), domain_name=domain.name)
+        mesh = TriMesh(verts, np.asarray(tris))
         while mesh.n_triangles < target_count:
             mesh = mesh.refine(range(mesh.n_triangles))
         return mesh
     return TriMesh(np.asarray(store["verts"], dtype=float),
-                   np.asarray(store["tris"], dtype=np.int64),
-                   domain_name=domain.name)
+                   np.asarray(store["tris"], dtype=np.int64))
 
 
 # -- export -----------------------------------------------------------------
@@ -421,8 +401,8 @@ def save_mesh(mesh: TriMesh, prefix: str):
     """Write <prefix>.nodes / <prefix>.elems (plain text) and <prefix>.json.
 
     Nodes: one "x y" per line.  Elements: one "i j k" per line, 0-based, in
-    storage order (peak first).  The JSON block records boundary edges, the
-    bisection generation and the parent of every triangle.
+    storage order (peak first).  The JSON block records the counts and the
+    boundary edges.
     """
     with open(f"{prefix}.nodes", "w") as fh:
         for x, y in mesh.vertices:
@@ -433,20 +413,17 @@ def save_mesh(mesh: TriMesh, prefix: str):
     meta = {
         "n_vertices": int(mesh.n_vertices),
         "n_triangles": int(mesh.n_triangles),
-        "domain": mesh.domain_name,
         "boundary_edges": mesh.edges[mesh.boundary_edge].tolist(),
-        "generation": mesh.generation.tolist(),
-        "parent": mesh.parent.tolist(),
     }
     write_json(f"{prefix}.json", meta)
 
 
 def load_mesh(prefix: str) -> TriMesh:
-    import json  # only here: a run that never reads a mesh back needs none
+    """The mesh of save_mesh's <prefix>.nodes and <prefix>.elems.
 
-    verts = np.loadtxt(f"{prefix}.nodes", ndmin=2)
-    tris = np.loadtxt(f"{prefix}.elems", dtype=np.int64, ndmin=2)
-    with open(f"{prefix}.json") as fh:
-        meta = json.load(fh)
-    return TriMesh(verts, tris, generation=meta.get("generation"),
-                   parent=meta.get("parent"), domain_name=meta.get("domain"))
+    The JSON block is not read, so older files, whose block also held each
+    triangle's bisection history, load too.  The ids are read as numbers, so
+    the constructor's integer check rejects a fractional one.
+    """
+    return TriMesh(np.loadtxt(f"{prefix}.nodes", ndmin=2),
+                   np.loadtxt(f"{prefix}.elems", ndmin=2))

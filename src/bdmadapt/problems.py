@@ -40,9 +40,12 @@ def _smooth() -> ProblemSpec:
 
 def _lshape() -> ProblemSpec:
     def _polar(x):
+        # the angle runs over [-pi/2, pi] on the domain; its cut lies in the
+        # middle of the missing quadrant, so a point a rounding error outside
+        # the edge y = 0, x < 0 keeps an angle near pi, not -pi
         r = np.hypot(x[:, 0], x[:, 1])
         th = np.arctan2(x[:, 1], x[:, 0])
-        return r, th
+        return r, np.where(th < -0.75 * np.pi, th + 2.0 * np.pi, th)
 
     def u(x):
         r, th = _polar(x)

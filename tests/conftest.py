@@ -621,17 +621,14 @@ def refine_loop(mesh, marked):
                   + mesh.vertices[mesh.edges[split_ids, 1]])
     verts = np.vstack([mesh.vertices, mids])
 
-    tris, gen, par = [], [], []
+    tris = []
     for t in range(mesh.n_triangles):
         e0, e1, e2 = mesh.elem_edges[t]
         if not edge_marked[e0]:
             tris.append(mesh.triangles[t])
-            gen.append(mesh.generation[t])
-            par.append(mesh.parent[t])
             continue
         p, a, b = mesh.triangles[t]
         m = new_vid[e0]
-        g = mesh.generation[t]
         # children (m, p, a) with refinement edge e2=(p,a) and
         # (m, b, p) with refinement edge e1=(b,p)
         for child, opp_edge in (((m, p, a), e2), ((m, b, p), e1)):
@@ -639,14 +636,9 @@ def refine_loop(mesh, marked):
                 cp, ca, cb = child
                 mm = new_vid[opp_edge]
                 tris.extend([(mm, cp, ca), (mm, cb, cp)])
-                gen.extend([g + 2, g + 2])
-                par.extend([t, t])
             else:
                 tris.append(child)
-                gen.append(g + 1)
-                par.append(t)
-    return TriMesh(verts, np.asarray(tris, dtype=np.int64), generation=gen,
-                   parent=par, domain_name=mesh.domain_name)
+    return TriMesh(verts, np.asarray(tris, dtype=np.int64))
 
 
 def einsum_nu_jump_terms(mesh, coeffs, u_D, n_points):

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bdmadapt import (ExperimentConfig, TriMesh, assemble, build_initial_mesh,
-                      error_norms, eta_improved, full_report,
-                      oscillation_bound, postprocess_resmin, preset,
-                      run_adaptive, run_experiment, solve)
+from bdmadapt import (DomainSpec, ExperimentConfig, TriMesh, assemble,
+                      build_initial_mesh, error_norms, eta_improved,
+                      full_report, oscillation_bound, postprocess_resmin,
+                      preset, run_adaptive, run_experiment, solve)
 from bdmadapt.basis import make_scalar_basis, quad_rule
 import bdmadapt.basis as basis_mod
 from bdmadapt import adaptivity, estimators, fields
@@ -453,6 +453,66 @@ def test_lshape_errors_do_not_depend_on_vertex_order():
         assert b.errors.full == pytest.approx(a.errors.full, rel=1e-12,
                                               abs=0.0), p
         assert b.delta == pytest.approx(a.delta, rel=1e-12, abs=0.0), p
+
+
+# the motion x -> scale R x + SHIFT, R the rotation by 0.7 rad
+SHIFT = np.array([3.0, -2.0])
+ROT = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+# measured on the meshes below at p = 1..3, both scales: at most 8e-13
+# relative on eta, eta_tilde, eta_K (against its maximum) and err_full, but
+# 1.2e-9 on the L-shape's err_full: its graded points crowd the moved corner
+# (3, -2), where coordinates are held only to 4e-16
+MOTION_RTOL, MOVED_CORNER_RTOL = 1e-11, 1e-8
+
+
+def _moved(problem, scale):
+    """problem on its domain moved by x -> scale R x + SHIFT: u and u_D
+    pulled back, q rotated and divided by scale, f divided by scale^2, beta
+    rotated and divided by scale, so the moved u solves the moved problem."""
+    def pull(y):
+        return (y - SHIFT) @ ROT / scale
+
+    def back(fn):
+        return None if fn is None else (lambda y: fn(pull(y)))
+
+    point = problem.quad_singular_point
+    return dataclasses.replace(
+        problem,
+        domain=DomainSpec(loop=problem.domain.vertices @ ROT.T * scale
+                          + SHIFT),
+        f=lambda y: problem.f(pull(y)) / scale ** 2, u_D=back(problem.u_D),
+        exact_u=back(problem.exact_u),
+        exact_q=lambda y: problem.exact_q(pull(y)) @ ROT.T / scale,
+        beta=ROT @ problem.beta / scale, quad_region=back(problem.quad_region),
+        quad_singular_point=(None if point is None
+                             else ROT @ point * scale + SHIFT))
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0], ids=["rigid", "scaled"])
+@pytest.mark.parametrize("name", ["smooth", "lshape", "advdiff"])
+def test_moving_the_problem_moves_nothing_else(name, scale):
+    # a rigid motion of the domain, the data and a fixed mesh leaves the
+    # estimates and the exact errors unchanged; so does a dilation by 2,
+    # which changes det B by 4 (a rigid motion keeps it) and so sees the
+    # Piola 1/J.  The moved mesh numbers the vertices backwards, so every
+    # edge changes its global direction and every edge sign is exercised
+    problem = preset(name)
+    mesh = build_initial_mesh(problem.domain, 32)
+    mesh = mesh.refine(range(0, mesh.n_triangles, 3))
+    moved_mesh = TriMesh((mesh.vertices @ ROT.T * scale + SHIFT)[::-1],
+                         mesh.n_vertices - 1 - mesh.triangles)
+    moved = _moved(problem, scale)
+    err_rtol = MOVED_CORNER_RTOL if problem.quad_singular_point \
+        else MOTION_RTOL
+    for p in (1, 2, 3):
+        a, b = (full_report(postprocess_resmin(solve(assemble(m, p, prob))))
+                for m, prob in ((mesh, problem), (moved_mesh, moved)))
+        assert b.eta == pytest.approx(a.eta, rel=MOTION_RTOL, abs=0.0), p
+        assert b.eta_tilde == pytest.approx(a.eta_tilde, rel=MOTION_RTOL,
+                                            abs=0.0), p
+        assert np.abs(b.eta_K - a.eta_K).max() <= MOTION_RTOL * a.eta_K.max()
+        assert b.errors.full == pytest.approx(a.errors.full, rel=err_rtol,
+                                              abs=0.0), p
 
 
 def _clear_rule_caches():

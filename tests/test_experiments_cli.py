@@ -486,7 +486,7 @@ def test_cli_fortin_rejects_empty_sample(tmp_path, capsys, samples):
 def test_cli_run_rejects_unusable_out(tmp_path, capsys, monkeypatch, where):
     # an output path that cannot be a directory is a usage error naming
     # it, before any solve
-    monkeypatch.setattr(cli, "run_experiment", None)
+    monkeypatch.setattr(experiments, "run_experiment", None)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     out = {"empty": "", "file": str(blocker)}.get(where, str(blocker / "sub"))

@@ -70,7 +70,7 @@ def perturbed_mesh(advdiff):
     inside = ((v > 1e-12) & (v < 1.0 - 1e-12)).all(axis=1)
     shift = 0.15 * base.tri_edge_lengths.min()
     v[inside] += rng.uniform(-shift, shift, (inside.sum(), 2))
-    mesh = TriMesh(v, base.triangles, domain_name=base.domain_name)
+    mesh = TriMesh(v, base.triangles)
     assert mesh.elem_edge_aligned.any() and not mesh.elem_edge_aligned.all()
     assert not np.allclose(mesh.det_jacobians, mesh.det_jacobians[0])
     return mesh

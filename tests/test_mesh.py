@@ -34,40 +34,43 @@ def edge_hash_audit(mesh):
 
 
 def assert_same_mesh(got, want):
-    for name in ("vertices", "triangles", "generation", "parent"):
+    for name in ("vertices", "triangles"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def assert_bisection_history(mesh, out, marked):
-    """generation and parent of out = mesh.refine(marked) against geometry.
+def assert_bisection_geometry(mesh, out, marked):
+    """out = mesh.refine(marked) against geometry alone.
 
-    The children of split triangles are the triangles with a new vertex.
-    Every other triangle keeps its vertex triple, generation and parent; the
-    children of each split parent fill its area, and each child is one
-    generation deeper per halving of the area, so by 1 or 2.
+    The triangles without a new vertex are exactly the unsplit triangles of
+    mesh, vertex triples and all, and no marked triangle is among them.
+    Every other triangle is a child: its centroid lies in exactly one split
+    triangle, whose area its children fill in halves or quarters.
     """
     child = (out.triangles >= mesh.n_vertices).any(axis=1)
     old_id = {tuple(t): k for k, t in enumerate(mesh.triangles.tolist())}
-    kept = np.array([old_id[tuple(t)] for t in out.triangles[~child].tolist()],
-                    dtype=np.int64)
-    assert np.array_equal(out.generation[~child], mesh.generation[kept])
-    assert np.array_equal(out.parent[~child], mesh.parent[kept])
-    split = np.unique(out.parent[child])
-    assert set(marked) <= set(split.tolist())
-    assert np.array_equal(np.sort(np.concatenate([kept, split])),
-                          np.arange(mesh.n_triangles))
-    area = np.bincount(out.parent[child], areas(out)[child],
-                       minlength=mesh.n_triangles)[split]
-    assert np.allclose(area, areas(mesh)[split], rtol=1e-12, atol=0.0)
-    parent = out.parent[child]
-    depth = out.generation[child] - mesh.generation[parent]
-    assert set(depth.tolist()) <= {1, 2}
-    assert np.allclose(np.log2(areas(mesh)[parent] / areas(out)[child]), depth,
-                       rtol=0.0, atol=1e-9)
+    kept = [old_id.get(tuple(t), -1) for t in out.triangles[~child].tolist()]
+    assert -1 not in kept and len(set(kept)) == len(kept)
+    assert not set(marked) & set(kept)
+    split = np.setdiff1d(np.arange(mesh.n_triangles), kept)
+    v0, inv = mesh.tri_coords[split, 0], mesh.inv_jacobians[split]
+    c = centroids(out)[child]
+    owner = np.empty(len(c), dtype=np.int64)
+    for lo in range(0, len(c), 256):
+        # barycentric coordinates of each centroid in each split triangle
+        lam = np.einsum("sij,scj->sci", inv,
+                        c[None, lo:lo + 256] - v0[:, None])
+        inside = (lam > 0).all(axis=2) & (lam.sum(axis=2) < 1)
+        assert np.all(inside.sum(axis=0) == 1)
+        owner[lo:lo + 256] = split[inside.argmax(axis=0)]
+    ratio = areas(out)[child] / areas(mesh)[owner]
+    assert np.all(np.isclose(ratio, 0.5, rtol=1e-9, atol=0.0)
+                  | np.isclose(ratio, 0.25, rtol=1e-9, atol=0.0))
+    fill = np.bincount(owner, areas(out)[child], minlength=mesh.n_triangles)
+    assert np.allclose(fill[split], areas(mesh)[split], rtol=1e-12, atol=0.0)
 
 
-# start meshes for random marked sets: an unrefined grid, an L-shape whose
-# generations and parents already differ, and an ear-clipped pentagon
+# start meshes for random marked sets: an unrefined grid, an L-shape that
+# is already partly refined, and an ear-clipped pentagon
 RANDOM_START = {
     "square": build_initial_mesh(DomainSpec.unit_square(), 32),
     "lshape": build_initial_mesh(DomainSpec.l_shape(), 24).refine([0, 7, 15]),
@@ -161,7 +164,7 @@ def test_closure_single_marked_two_triangles():
 @given(st.data())
 def test_refine_random_sets_stay_conforming(data):
     # conforming, area-preserving, bitwise equal to the loop oracle, and
-    # with the generation and parent of the bisection history
+    # with children that fill the split triangles
     mesh = RANDOM_START[data.draw(st.sampled_from(sorted(RANDOM_START)))]
     marked = data.draw(st.sets(
         st.integers(min_value=0, max_value=mesh.n_triangles - 1), max_size=12))
@@ -173,7 +176,7 @@ def test_refine_random_sets_stay_conforming(data):
     if marked:
         assert out.n_triangles > mesh.n_triangles
     assert_same_mesh(out, refine_loop(mesh, marked))
-    assert_bisection_history(mesh, out, marked)
+    assert_bisection_geometry(mesh, out, marked)
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,7 +218,7 @@ def test_refine_matches_loop_oracle_on_adaptive_traces(name, kwargs):
     for mesh, marked in steps:
         out = mesh.refine(marked)
         assert_same_mesh(out, refine_loop(mesh, marked))
-        assert_bisection_history(mesh, out, marked)
+        assert_bisection_geometry(mesh, out, marked)
 
 
 def test_area_preserved_over_generations(rng):
@@ -373,20 +376,32 @@ def test_export_roundtrip(tmp_path):
     assert len(elines) == mesh.n_triangles
     with open(prefix + ".json") as fh:
         meta = json.load(fh)
+    assert sorted(meta) == ["boundary_edges", "n_triangles", "n_vertices"]
     assert meta["n_triangles"] == mesh.n_triangles
     assert len(meta["boundary_edges"]) == int(mesh.boundary_edge.sum())
-    assert meta["generation"] == mesh.generation.tolist()
     assert_round_trip(prefix + ".json", {
         "n_vertices": mesh.n_vertices, "n_triangles": mesh.n_triangles,
-        "domain": mesh.domain_name,
-        "boundary_edges": mesh.edges[mesh.boundary_edge],
-        "generation": mesh.generation, "parent": mesh.parent})
+        "boundary_edges": mesh.edges[mesh.boundary_edge]})
     back = load_mesh(prefix)
     assert np.allclose(back.vertices, mesh.vertices)
     assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.any(mesh.parent >= 0)
-    assert np.array_equal(back.parent, mesh.parent)
-    assert np.array_equal(back.generation, mesh.generation)
+
+
+def test_load_mesh_reads_files_with_the_bisection_history(tmp_path):
+    # files written before the mesh dropped its history carry a domain
+    # name and each triangle's generation and parent; they load unchanged
+    mesh = build_initial_mesh(DomainSpec.l_shape(), 24).refine([0, 1])
+    prefix = str(tmp_path / "mesh")
+    save_mesh(mesh, prefix)
+    with open(prefix + ".json") as fh:
+        meta = json.load(fh)
+    meta.update(domain="l_shape", generation=[1] * mesh.n_triangles,
+                parent=list(range(mesh.n_triangles)))
+    with open(prefix + ".json", "w") as fh:
+        json.dump(meta, fh)
+    back = load_mesh(prefix)
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.triangles, mesh.triangles)
 
 
 UNIT_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
@@ -400,21 +415,12 @@ UNIT_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 2]], {},
      r"\(n, 2\)"),
     (UNIT_TRI, [[0, 1, 2, 0]], {}, r"\(nt, 3\)"),
-    (UNIT_TRI, [[0, 1, 2]], {"generation": [0, 0]}, "one generation"),
-    (UNIT_TRI, [[0, 1, 2]], {"parent": [-1, -1]}, "one generation"),
-    (UNIT_TRI, [[0, 1, 2]], {"parent": 1}, "one generation"),
     (UNIT_TRI, [[0.4, 1.9, 2.2]], {}, "triangles must hold integers"),
     (UNIT_TRI, [[0.0, 1.0, np.inf]], {}, "triangles must hold integers"),
-    (UNIT_TRI, [[0, 1, 2]], {"generation": [0.7]},
-     "generation must hold integers"),
-    (UNIT_TRI, [[0, 1, 2]], {"parent": [-1.5]}, "parent must hold integers"),
-    (UNIT_TRI, [[0, 1, 2]], {"generation": [1e30]},
-     "generation must hold integers"),
-    (UNIT_TRI, [[0, 1, 2]], {"generation": [True]},
-     "generation must hold integers"),
-    (UNIT_TRI, [[0, 1, 2]], {"parent": [False]}, "parent must hold integers"),
+    (UNIT_TRI, [[0.0, 1.0, 1e30]], {}, "triangles must hold integers"),
+    (UNIT_TRI, [[False, True, True]], {}, "triangles must hold integers"),
     (UNIT_TRI, [["0", "1", "2"]], {}, "triangles must hold integers"),
-    (UNIT_TRI, [[0, 1, 2]], {"parent": [None]}, "parent must hold integers"),
+    (UNIT_TRI, [[0, 1, None]], {}, "triangles must hold integers"),
     (UNIT_TRI, [[0, 1, 2 + 0j]], {}, "triangles must hold integers"),
     # both positively oriented, both traverse the shared edge 0 -> 1
     ([[0.0, 0.0], [1.0, 0.0], [0.2, 1.0], [0.8, 1.0]], [[0, 1, 2], [0, 1, 3]],
@@ -423,11 +429,8 @@ UNIT_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     ([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]],
      [[0, 1, 2], [1, 0, 3], [0, 1, 4]], {}, "multiplicity"),
 ], ids=["nan-vertex", "inf-vertex", "negative-id", "id-too-large",
-        "three-columns", "four-vertex-ids", "generation-length",
-        "parent-length", "scalar-parent", "fractional-ids", "inf-id",
-        "fractional-generation", "fractional-parent", "huge-generation",
-        "bool-generation", "bool-parent", "string-ids", "object-parent",
-        "complex-ids",
+        "three-columns", "four-vertex-ids", "fractional-ids", "inf-id",
+        "huge-id", "bool-ids", "string-ids", "object-ids", "complex-ids",
         "overlapping-triangles", "edge-in-three-triangles"])
 def test_malformed_mesh_rejected(vertices, triangles, kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -435,11 +438,9 @@ def test_malformed_mesh_rejected(vertices, triangles, kwargs, match):
 
 
 def test_integral_float_ids_accepted():
-    mesh = TriMesh(UNIT_TRI, [[0.0, 1.0, 2.0]], generation=[1.0],
-                   parent=[-1.0])
+    mesh = TriMesh(UNIT_TRI, [[0.0, 1.0, 2.0]])
     assert mesh.triangles.dtype == np.int64
     assert mesh.triangles.tolist() == [[0, 1, 2]]
-    assert mesh.generation.tolist() == [1] and mesh.parent.tolist() == [-1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -449,29 +450,15 @@ def test_nonfinite_polygon_rejected(bad):
 
 
 def test_load_mesh_rejects_malformed_files(tmp_path):
-    prefix = str(tmp_path / "mesh")
-    save_mesh(build_initial_mesh(DomainSpec.unit_square(), 2), prefix)
-    with open(prefix + ".json") as fh:
-        meta = json.load(fh)
-    half = [0.5] + meta["generation"][1:]
-    for key, value in (("generation", half), ("parent", meta["parent"][:1])):
-        with open(prefix + ".json", "w") as fh:
-            json.dump(dict(meta, **{key: value}), fh)
-        with pytest.raises(ValueError, match=key):
+    for suffix, line, match in ((".nodes", "nan 0.0", "finite"),
+                                (".elems", "0 1.5 2",
+                                 "triangles must hold integers")):
+        prefix = str(tmp_path / suffix[1:])
+        save_mesh(build_initial_mesh(DomainSpec.unit_square(), 2), prefix)
+        with open(prefix + suffix) as fh:
+            lines = fh.read().splitlines()
+        lines[0] = line
+        with open(prefix + suffix, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match):
             load_mesh(prefix)
-    with open(prefix + ".nodes") as fh:
-        nodes = fh.read().splitlines()
-    nodes[0] = "nan 0.0"
-    with open(prefix + ".nodes", "w") as fh:
-        fh.write("\n".join(nodes) + "\n")
-    with pytest.raises(ValueError, match="finite"):
-        load_mesh(prefix)
-
-
-def test_generation_tracking():
-    mesh = build_initial_mesh(DomainSpec.unit_square(), 2)
-    out = mesh.refine([0])
-    assert out.generation.max() == 1
-    out2 = out.refine(range(out.n_triangles))
-    assert out2.generation.max() >= 2
-    assert np.all(out2.parent >= 0)

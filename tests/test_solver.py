@@ -452,8 +452,7 @@ run_adaptive(preset("advdiff"), p=1, iterations=3)
 loaded = [m for m in driver + ("numpy.ma",) if m in sys.modules]
 assert not loaded, ("run_adaptive", loaded)
 import bdmadapt.cli
-loaded = [m for m in heavy + ("bdmadapt.fortin", "bdmadapt.verify")
-          if m in sys.modules]
+loaded = [m for m in heavy + driver if m in sys.modules]
 assert not loaded, ("bdmadapt.cli", loaded)
 assert "fortin_report" in dir(bdmadapt)
 from bdmadapt import fortin_report
@@ -462,8 +461,8 @@ lazy = {"experiments": ("ExperimentConfig", "fit_slope", "run_experiment"),
                    "fortin_report", "scaled_trace_inequality_check")}
 for module, names in lazy.items():
     for name in names:
-        own = getattr(sys.modules["bdmadapt." + module], name)
-        assert getattr(bdmadapt, name) is own, name
+        value = getattr(bdmadapt, name)
+        assert value is getattr(sys.modules["bdmadapt." + module], name), name
 assert fortin_report is bdmadapt.fortin.fortin_report
 try:
     bdmadapt.nope
@@ -498,8 +497,8 @@ def test_import_loads_neither_scipy_sparse_nor_linalg():
     # 26 MB per process; a short adaptive run does not load numpy.ma (a
     # bare np.unique does, about 30 ms and 0.6 MB), nor the batch driver,
     # logging or the trace-system checks, which load on first use (about
-    # 10 ms), and neither does the command line load fortin or verify; the
-    # factor still agrees with scipy's splu
+    # 10 ms), and neither does the command line, whose subcommands each
+    # import what they run; the factor still agrees with scipy's splu
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
                           env=_subprocess_env(), capture_output=True,
                           text=True, timeout=120)
