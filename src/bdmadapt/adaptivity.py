@@ -10,8 +10,6 @@ from .mesh import TriMesh, build_initial_mesh
 from .postprocess import postprocess_resmin
 from .solver import ProblemSpec, SingularSystemError, assemble, solve
 
-_DEFAULT_INITIAL = {"unit_square": 32, "l_shape": 96}
-
 
 def dorfler_mark(eta_K, theta: float) -> np.ndarray:
     """Minimal set M (greedy, squared indicators) with sum_{M} eta_K^2 >=
@@ -90,8 +88,11 @@ class AdaptiveRun:
     marker: str
     uniform: bool
     records: list = field(default_factory=list)
-    aborted: bool = False
     abort_reason: str | None = None
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
     @property
     def n_iterations(self) -> int:
@@ -110,15 +111,6 @@ class AdaptiveRun:
 
     def to_json(self, path: str):
         write_json(path, self.to_dict())
-
-
-def _initial_mesh(problem: ProblemSpec,
-                  initial_elements: int | None) -> TriMesh:
-    """The first mesh of a run, of about initial_elements elements (by
-    default a count per domain)."""
-    count = _DEFAULT_INITIAL.get(problem.domain.name, 64) \
-        if initial_elements is None else initial_elements
-    return build_initial_mesh(problem.domain, count)
 
 
 def _refine(mesh: TriMesh, marked, uniform: bool) -> TriMesh:
@@ -155,7 +147,9 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
         raise ValueError("iterations must be >= 1")
     if marker not in ("eta", "eta_tilde"):
         raise ValueError("marker must be 'eta' or 'eta_tilde'")
-    mesh = _initial_mesh(problem, initial_elements)
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    mesh = build_initial_mesh(problem.domain, initial_elements)
     run = AdaptiveRun(problem_name=problem.name, p=p, theta=theta,
                       marker=marker, uniform=uniform)
     for it in range(iterations):
@@ -164,7 +158,6 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
         try:
             solution = solve(assemble(mesh, p, problem))
         except SingularSystemError as exc:
-            run.aborted = True
             run.abort_reason = str(exc)
             break
         post = postprocess_resmin(solution)
@@ -195,7 +188,6 @@ def run_adaptive(problem: ProblemSpec, p: int, theta: float = 0.5,
             break
         refined = _refine(mesh, marked, uniform)
         if max_elements is not None and refined.n_triangles > max_elements:
-            run.aborted = True
             run.abort_reason = "max_elements reached"
             break
         mesh = refined

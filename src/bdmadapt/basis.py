@@ -108,10 +108,6 @@ class RefScalarBasis:
         """Basis values at reference points; shape (npts, size)."""
         return np.ascontiguousarray(self.tabulate(pts)[0].T)
 
-    def grads(self, pts) -> np.ndarray:
-        """Basis gradients at reference points; shape (npts, size, 2)."""
-        return np.ascontiguousarray(self.tabulate(pts)[1].transpose(1, 0, 2))
-
     def __repr__(self):
         return f"RefScalarBasis(degree={self.degree}, size={self.size})"
 

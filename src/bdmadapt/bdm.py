@@ -125,26 +125,25 @@ def _mixed_tables(p: int):
     return Rm, D, Rc
 
 
-def mixed_blocks(space: BdmSpace, ids, beta) -> np.ndarray:
-    """Element blocks [[M, -D^T], [D - C, 0]] (len(ids), m, m) of elements
-    ids in their local orientation, m = flux + scalar local dimensions.
+def mixed_blocks(p: int, metric, drift) -> np.ndarray:
+    """Element blocks [[M, -D^T], [D - C, 0]] (n, m, m) of degree p in the
+    local orientation, m = flux + scalar local dimensions, of n elements
+    with metrics B^T B / J (n, 2, 2) and drifts B^T beta (n, 2)
+    (fields.ElementClasses holds both per shape class).
 
     The globally oriented block of element K is Sigma_K A Sigma_K with
-    Sigma_K = diag(space.signs[K], 1).  The Piola mass depends on the metric
-    B^T B / J, the advection block (beta . N_l, psi_i) is linear in B^T beta,
+    Sigma_K = diag(signs[K], 1) (BdmSpace.signs).  The Piola mass is linear
+    in the metric, the advection block (beta . N_l, psi_i) in the drift,
     and the divergence block (div N_l, psi_i) of the degree-(p-1) scalars is
     geometry free: the 1/J of the Piola divergence cancels the Jacobian.
     """
-    Rm, D, Rc = _mixed_tables(space.p)
-    B, J = space.mesh.jacobians[ids], space.mesh.det_jacobians[ids]
+    Rm, D, Rc = _mixed_tables(p)
     s, nloc = D.shape
-    T = np.matmul(np.swapaxes(B, 1, 2), B) / J[:, None, None]
-    Btb = np.matmul(np.asarray(beta, dtype=float), B)
-    A = np.zeros((len(J), nloc + s, nloc + s))
-    A[:, :nloc, :nloc] = (T.reshape(-1, 4) @ Rm.reshape(4, -1)).reshape(
+    A = np.zeros((len(metric), nloc + s, nloc + s))
+    A[:, :nloc, :nloc] = (metric.reshape(-1, 4) @ Rm.reshape(4, -1)).reshape(
         -1, nloc, nloc)
     A[:, :nloc, nloc:] = -D.T
-    A[:, nloc:, :nloc] = D - (Btb @ Rc.reshape(2, -1)).reshape(-1, s, nloc)
+    A[:, nloc:, :nloc] = D - (drift @ Rc.reshape(2, -1)).reshape(-1, s, nloc)
     return A
 
 

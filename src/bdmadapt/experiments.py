@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .adaptivity import AdaptiveRun, _initial_mesh, _refine, run_adaptive
+from .adaptivity import AdaptiveRun, _refine, run_adaptive
 from .artifacts import write_json
-from .mesh import save_mesh
+from .mesh import build_initial_mesh, save_mesh
 from .problems import preset
 from .solver import ProblemSpec
 
@@ -194,7 +194,7 @@ def _run_degree(config: ExperimentConfig, problem: ProblemSpec, p: int,
         _write.append(
             (os.path.join(config.out, f"report_p{p}_final.json"), final.save))
     if config.dump_meshes:
-        mesh = _initial_mesh(problem, config.initial_elements)
+        mesh = build_initial_mesh(problem.domain, config.initial_elements)
         for it in range(min(run.n_iterations, _MESH_DUMP_ITERATIONS[-1] + 1)):
             if it:
                 mesh = _refine(mesh, run.records[it - 1].marked, run.uniform)

@@ -205,8 +205,10 @@ class ElementClasses:
     differ has one class per element.
 
     id (n_elements,) is the class of each element and reps (n_classes,) the
-    representative element of each class (its lowest id).  For matmul each
-    class is cut into chunks of L = ceil(n_elements / n_classes) rows, at
+    representative element of each class (its lowest id); metric (n_classes,
+    2, 2) and drift (n_classes, 2), T and B^T beta of the representatives,
+    are all the geometry of a class's blocks (bdm.mixed_blocks).  For matmul
+    each class is cut into chunks of L = ceil(n_elements / n_classes) rows, at
     most 2 n_classes chunks padded to at most 2 n_elements + n_classes rows:
     chunk_class (n_chunks,) is the class of each chunk, slot (n_elements,)
     the row of each element in the padded (n_chunks L) buffer and source
@@ -216,10 +218,10 @@ class ElementClasses:
     def __init__(self, mesh: TriMesh, beta=(0.0, 0.0)):
         B, J = mesh.jacobians, mesh.det_jacobians
         T = np.matmul(np.swapaxes(B, 1, 2), B) / J[:, None, None]
+        Btb = np.matmul(np.asarray(beta, dtype=float), B)
         key = [T[:, 0, 0], T[:, 0, 1], T[:, 1, 1]]
         size = float(np.hypot(*beta))
         if size:
-            Btb = np.matmul(np.asarray(beta, dtype=float), B)
             key += [*(Btb / (size * np.sqrt(J)[:, None])).T, np.log2(J)]
         key = np.round(np.stack(key), 12)
         order = np.lexsort(key[::-1])
@@ -230,6 +232,7 @@ class ElementClasses:
         self.id[order] = np.cumsum(first) - 1
         starts = np.flatnonzero(first)
         self.reps = order[starts]
+        self.metric, self.drift = T[self.reps], Btb[self.reps]
         # chunk the class-sorted rows: row j of class c goes to chunk
         # offset[c] + j // L, row j % L
         counts = np.diff(np.append(starts, len(order)))

@@ -30,7 +30,6 @@ class DomainSpec:
     """Polygonal domain given by one simple, positively oriented vertex loop."""
 
     loop: tuple
-    name: str = "custom"
 
     def __post_init__(self):
         loop = np.asarray(self.loop, dtype=float)
@@ -48,13 +47,12 @@ class DomainSpec:
 
     @classmethod
     def unit_square(cls):
-        return cls(loop=((0, 0), (1, 0), (1, 1), (0, 1)), name="unit_square")
+        return cls(loop=((0, 0), (1, 0), (1, 1), (0, 1)))
 
     @classmethod
     def l_shape(cls):
         """(-1,1)^2 minus (-1,0)^2, re-entrant corner at the origin."""
-        return cls(loop=((0, 0), (0, -1), (1, -1), (1, 1), (-1, 1), (-1, 0)),
-                   name="l_shape")
+        return cls(loop=((0, 0), (0, -1), (1, -1), (1, 1), (-1, 1), (-1, 0)))
 
     @property
     def vertices(self):
@@ -363,21 +361,27 @@ def _orient_longest_edge(verts, tris):
     return out
 
 
-def build_initial_mesh(domain: DomainSpec, target_count: int) -> TriMesh:
-    """Conforming mesh of the domain with element count close to target_count.
+def build_initial_mesh(domain: DomainSpec,
+                       target_count: int | None = None) -> TriMesh:
+    """Conforming mesh of the domain with element count close to target_count
+    (by default 32 on the unit square, 96 on the L-shape, else 64).
 
-    The preset domains get deterministic structured layouts (2*n^2 triangles
-    on the unit square, 6*n^2 on the L-shape); any other polygon, whatever
-    its name, is ear-clipped and uniformly bisected until the target is
+    The polygon decides the layout: the unit square and the L-shape loops
+    get deterministic structured layouts (2*n^2 and 6*n^2 triangles); any
+    other polygon is ear-clipped and uniformly bisected until the target is
     reached.
     """
+    square = domain == DomainSpec.unit_square()
+    lshape = domain == DomainSpec.l_shape()
+    if target_count is None:
+        target_count = 32 if square else 96 if lshape else 64
     if target_count < 1:
         raise ValueError("target_count must be positive")
     store = {"verts": [], "tris": [], "index": {}}
-    if domain == DomainSpec.unit_square():
+    if square:
         n = max(1, round((target_count / 2.0) ** 0.5))
         _grid_block(store, 0.0, 0.0, n, n, 1.0 / n)
-    elif domain == DomainSpec.l_shape():
+    elif lshape:
         n = max(1, round((target_count / 6.0) ** 0.5))
         h = 1.0 / n
         _grid_block(store, 0.0, -1.0, n, n, h)

@@ -225,7 +225,7 @@ def assemble(mesh: TriMesh, p: int, problem: ProblemSpec) -> MixedSystem:
     flux = BdmSpace(mesh, p)
     nt, nq = mesh.n_triangles, flux.local_dim
     classes = ElementClasses(mesh, problem.beta)
-    blocks = mixed_blocks(flux, classes.reps, problem.beta)
+    blocks = mixed_blocks(p, classes.metric, classes.drift)
     try:
         inverse = np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:

@@ -287,6 +287,11 @@ def interpolate(space, q):
 # -- moments of the boundary trace functionals ----------------------------------
 
 
+def reference_grads(basis, pts):
+    """Gradients (npts, size, 2) of a reference scalar basis at pts."""
+    return np.ascontiguousarray(basis.tabulate(pts)[1].transpose(1, 0, 2))
+
+
 def affine_map(pts, tri):
     """Images (n, 2) of reference points pts in the triangle tri (3x2 vertex
     rows): v0 + x (v1 - v0) + y (v2 - v0)."""
@@ -400,7 +405,7 @@ def reference_shape_values(p, pts):
 def reference_shape_divs(p, pts):
     """Reference divergences (nq, nloc) of the BDM(p) shapes at pts."""
     C, s = bdm_reference(p), basis_size(p)
-    g = make_scalar_basis(p).grads(pts)
+    g = reference_grads(make_scalar_basis(p), pts)
     return g[:, :, 0] @ C[:s] + g[:, :, 1] @ C[s:]
 
 
@@ -448,7 +453,7 @@ def einsum_stiffness_tensors(mesh, degree, exactness):
     """(grad v_i, grad v_j)_K per element, with the metric J B^{-1} B^{-T}
     formed here from the mesh's inverse Jacobians and determinants."""
     rule = quad_rule(exactness, "triangle")
-    D = make_scalar_basis(degree).grads(rule.points)
+    D = reference_grads(make_scalar_basis(degree), rule.points)
     R = np.einsum("q,qia,qjb->abij", rule.weights, D, D)
     Binv = mesh.inv_jacobians
     metric = np.einsum("n,nac,nbc->nab", mesh.det_jacobians, Binv, Binv)
@@ -519,7 +524,7 @@ def einsum_local_ingredients(solution):
     S22 = einsum_stiffness_tensors(mesh, p + 2, exact)[:, 1:, 1:]
     rule = quad_rule(exact, "triangle")
     Nh = reference_shape_values(p, rule.points)
-    D = make_scalar_basis(p + 2).grads(rule.points)
+    D = reference_grads(make_scalar_basis(p + 2), rule.points)
     c = solution.flux_space.local_coeffs(solution.flux)
     ref_flux = np.einsum("nl,qla->nqa", c, Nh)
     B, Binv = mesh.jacobians, mesh.inv_jacobians
@@ -547,7 +552,7 @@ def dual_norm_load(mesh, p, k, r):
     degree-(p+2) basis v_i, by einsum at the degree-(2p+8) rule; r maps
     (n, 2) physical points to (n, 2) values."""
     rule = quad_rule(2 * p + 8, "triangle")
-    D = make_scalar_basis(p + 2).grads(rule.points)[:, 1:, :]
+    D = reference_grads(make_scalar_basis(p + 2), rule.points)[:, 1:, :]
     vals = np.asarray(r(affine_map(rule.points, mesh.tri_coords[k])), float)
     pulled = np.einsum("qa,ba->qb", vals, mesh.inv_jacobians[k])
     return mesh.det_jacobians[k] * np.einsum("q,qb,qib->i", rule.weights,
@@ -568,7 +573,7 @@ def einsum_mismatch_sq(post, solution):
     """||q_h + grad nu_h||_K^2 per element, as in eta_improved."""
     mesh, p = solution.flux_space.mesh, solution.flux_space.p
     rule = quad_rule(2 * (p + 2), "triangle")
-    D = make_scalar_basis(p + 1).grads(rule.points)
+    D = reference_grads(make_scalar_basis(p + 1), rule.points)
     grad_nu = np.einsum("ni,qib->nqb", post.nu, D)
     grad_nu = np.einsum("nqb,nba->nqa", grad_nu, mesh.inv_jacobians)
     qh = einsum_flux_values(solution.flux_space, solution.flux, rule.points)
@@ -716,7 +721,7 @@ def einsum_error_norms(problem, solution, post):
         uv = np.asarray(problem.exact_u(flat), float).reshape(len(ids), len(w))
         J = mesh.det_jacobians[ids]
         Binv = mesh.inv_jacobians[ids]
-        Dp2 = basis_p2.grads(pts)
+        Dp2 = reference_grads(basis_p2, pts)
 
         def grad_error_sq(coeffs, D):
             g = np.einsum("ni,qib->nqb", coeffs[ids], D)
@@ -726,7 +731,8 @@ def einsum_error_norms(problem, solution, post):
         nu_vals = np.einsum("ni,qi->nq", post.nu[ids], basis_nu.values(pts))
         qh = einsum_flux_values(solution.flux_space, solution.flux, pts, ids)
         uh = np.einsum("ni,qi->nq", solution.scalar[ids], basis_u.values(pts))
-        grad_nu_sq[ids] = grad_error_sq(post.nu, basis_nu.grads(pts))
+        grad_nu_sq[ids] = grad_error_sq(post.nu,
+                                        reference_grads(basis_nu, pts))
         grad_theta_sq[ids] = grad_error_sq(post.theta, Dp2)
         q_L2_sq[ids] = np.einsum("nq,q,n->n",
                                  np.sum((qv - qh) ** 2, axis=2), w, J)

@@ -252,6 +252,22 @@ def test_run_log_serialization(tmp_path):
     assert data["iterations"][0]["errors"]["full"] > 0
 
 
+@pytest.mark.parametrize("uniform", [False, True], ids=["adaptive",
+                                                        "uniform"])
+@pytest.mark.parametrize("theta", [1.5, 0.0, float("nan")])
+def test_bad_theta_is_rejected_before_the_first_solve(monkeypatch, uniform,
+                                                      theta):
+    import bdmadapt.adaptivity as adaptivity_mod
+
+    def unexpected(*args):
+        raise AssertionError("assemble called")
+
+    monkeypatch.setattr(adaptivity_mod, "assemble", unexpected)
+    with pytest.raises(ValueError, match="theta"):
+        run_adaptive(preset("smooth"), 1, theta=theta, iterations=2,
+                     uniform=uniform, initial_elements=8)
+
+
 def test_zero_initial_elements_is_rejected():
     # 0 is not "use the default": it must reach build_initial_mesh and fail
     with pytest.raises(ValueError, match="target_count"):

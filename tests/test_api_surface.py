@@ -19,9 +19,11 @@ BdmSpace.n_dofs.
 
 Two more guards keep artifacts.write_json the one JSON writer: no
 json.dump or json.dumps call in the package, and no orjson import on the
-way to `import bdmadapt`.  A last one keeps basis.quad_rule the one place
+way to `import bdmadapt`.  One more keeps basis.quad_rule the one place
 that takes a quadrature exactness: every other rule follows from p and its
-job (fields.ref_tables).
+job (fields.ref_tables).  A last one keeps fields.mapped_points the one map
+of reference points onto elements: outside mesh and fields no module reads
+TriMesh.tri_coords.
 
 No module-level function of the package may be a pass-through wrapper:
 one whose body, docstring aside, is a single return of (nested) calls of
@@ -369,6 +371,18 @@ def test_only_quad_rule_takes_an_exactness():
     assert takers == ["basis.quad_rule"], (
         f"{takers} take an exactness: derive the rule from p and its job "
         "with fields.ref_tables(p, kind)")
+
+
+def test_only_mesh_and_fields_read_tri_coords():
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem not in ("mesh", "fields")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute)
+               and node.attr == "tri_coords"]
+    assert not readers, (
+        f"TriMesh.tri_coords read at {readers}: map reference points with "
+        "fields.mapped_points")
 
 
 def _defaulted(func, qual, callee, skip):

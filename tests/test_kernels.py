@@ -39,8 +39,8 @@ from conftest import (broadcast_edge_points, einsum_element_blocks,
                       einsum_load_vector, einsum_local_ingredients,
                       einsum_mapped_points, einsum_mismatch_sq,
                       einsum_nu_jump_terms, einsum_stiffness_tensors,
-                      loop_class_matmul, reference_shape_divs,
-                      reference_shape_values)
+                      loop_class_matmul, reference_grads,
+                      reference_shape_divs, reference_shape_values)
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -79,7 +79,7 @@ def perturbed_mesh(advdiff):
 @pytest.fixture(scope="module")
 def merged_mesh(advdiff):
     """Ear-clipped unit square bisected to 304 elements in few classes."""
-    square = DomainSpec(((0, 0), (0.6, 0), (1, 0), (1, 1), (0, 1)), "square")
+    square = DomainSpec(((0, 0), (0.6, 0), (1, 0), (1, 1), (0, 1)))
     mesh = build_initial_mesh(square, 150)
     counts = np.bincount(ElementClasses(mesh).id)
     assert mesh.n_triangles == 304 and len(counts) == 6 and counts.min() == 1
@@ -337,7 +337,7 @@ def test_ref_tables_are_the_einsum(p):
             table = getattr(T, name)
             assert table.shape == shape and table.flags.c_contiguous
             assert not table.flags.writeable
-        V, G = basis.values(pts), basis.grads(pts)
+        V, G = basis.values(pts), reference_grads(basis, pts)
         for k in range(p + 3):
             s = basis_size(k)
             c = rng.standard_normal((5, s))

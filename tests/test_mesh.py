@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdmadapt import (DomainSpec, TriMesh, build_initial_mesh, load_mesh,
-                      preset, run_adaptive, save_mesh)
+from bdmadapt import (DomainSpec, ProblemSpec, TriMesh, build_initial_mesh,
+                      load_mesh, preset, run_adaptive, save_mesh)
 from bdmadapt.basis import make_scalar_basis
 from bdmadapt.fields import nu_jump_terms
 from bdmadapt.mesh import _earclip
@@ -69,13 +69,14 @@ def assert_bisection_geometry(mesh, out, marked):
     assert np.allclose(fill[split], areas(mesh)[split], rtol=1e-12, atol=0.0)
 
 
+PENTAGON = ((0, 0), (2, 0), (2, 1), (1, 1.5), (0, 1))
+
 # start meshes for random marked sets: an unrefined grid, an L-shape that
 # is already partly refined, and an ear-clipped pentagon
 RANDOM_START = {
     "square": build_initial_mesh(DomainSpec.unit_square(), 32),
     "lshape": build_initial_mesh(DomainSpec.l_shape(), 24).refine([0, 7, 15]),
-    "earclip": build_initial_mesh(
-        DomainSpec(loop=((0, 0), (2, 0), (2, 1), (1, 1.5), (0, 1))), 20),
+    "earclip": build_initial_mesh(DomainSpec(loop=PENTAGON), 20),
 }
 
 
@@ -334,12 +335,10 @@ def test_nonsimple_polygon_rejected():
 
 
 @pytest.mark.parametrize("domain", [
-    DomainSpec(loop=((0, 0), (2, 0), (2, 2), (0, 2)), name="unit_square"),
-    DomainSpec(loop=((0, 0), (0, -2), (2, -2), (2, 2), (-2, 2), (-2, 0)),
-               name="l_shape"),
-], ids=["square-named-unit_square", "l-named-l_shape"])
+    DomainSpec(loop=((0, 0), (2, 0), (2, 2), (0, 2))),
+    DomainSpec(loop=((0, 0), (0, -2), (2, -2), (2, 2), (-2, 2), (-2, 0))),
+], ids=["square-of-side-2", "l-shape-of-side-4"])
 def test_initial_mesh_covers_its_domain(domain):
-    # a preset's name alone does not select its structured layout
     mesh = build_initial_mesh(domain, 24)
     validate(mesh)
     area = domain_area(domain)
@@ -354,13 +353,34 @@ def test_validate_catches_flipped_alignment():
 
 
 def test_custom_polygon_mesh():
-    dom = DomainSpec(loop=((0, 0), (2, 0), (2, 1), (1, 1.5), (0, 1)),
-                     name="pentagon")
+    dom = DomainSpec(loop=PENTAGON)
     mesh = build_initial_mesh(dom, 20)
     assert mesh.n_triangles >= 20
     validate(mesh)
     area = domain_area(dom)
     assert abs(areas(mesh).sum() - area) < 1e-12 * area
+
+
+def test_the_polygon_decides_the_initial_mesh():
+    # a preset's loop written out gets the preset's layout and default size
+    # (32 on the unit square, 96 on the L-shape); any other polygon the
+    # ear-clipped default target 64, which the pentagon reaches at 72
+    square = ((0, 0), (1, 0), (1, 1), (0, 1))
+    lshape = ((0, 0), (0, -1), (1, -1), (1, 1), (-1, 1), (-1, 0))
+    for loop, preset_domain in ((square, DomainSpec.unit_square()),
+                                (lshape, DomainSpec.l_shape())):
+        got = build_initial_mesh(DomainSpec(loop=loop))
+        want = build_initial_mesh(preset_domain)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.triangles, want.triangles)
+    counts = []
+    for loop in (square, lshape, PENTAGON):
+        problem = ProblemSpec(domain=DomainSpec(loop=loop),
+                              f=lambda x: np.ones(len(x)),
+                              u_D=lambda x: np.zeros(len(x)))
+        run = run_adaptive(problem, 1, iterations=1, with_errors=False)
+        counts.append(run.records[0].n_elements)
+    assert counts == [32, 96, 72]
 
 
 def test_export_roundtrip(tmp_path):
