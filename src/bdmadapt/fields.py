@@ -40,10 +40,10 @@ component.  A broadcast np.matmul((1, nq, 2), (n, 2, 2)) gives the same bits
 3-5 times slower; v0 is added afterwards, since folding it into the GEMM as a
 fifth row changes the last bit.
 
-einsum only builds the reference tables and the per-element 2x2 geometry
-factors themselves.  Element matrices that depend on the geometry only
-through the element's shape are built once per shape class (ElementClasses)
-and applied as one batched matrix product over fixed-length class chunks.
+einsum only builds the reference tables.  Element matrices that depend on
+the geometry only through the element's shape (TriMesh.metric) are built
+from the metric of each shape class (ElementClasses) and applied as one
+batched matrix product over fixed-length class chunks.
 Results do not depend on element visitation order.
 
 The load vector and the exact errors evaluate the problem callables and
@@ -122,12 +122,13 @@ def ref_tables(p: int, kind: str) -> RefTables:
 
 
 @lru_cache(maxsize=None)
-def grad_outer_tables(p: int):
-    """R[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j on the reference element,
-    for the degree-(p+2) scalars phi at the "local" rule."""
+def curl_outer_tables(p: int):
+    """R[a, b, i, j] = sum_q w_q c_a phi_i c_b phi_j on the reference element,
+    for the curls c = (-d_y, d_x) of the degree-(p+2) scalars phi at the
+    "local" rule."""
     T = ref_tables(p, "local")
-    D = T.D.reshape(-1, len(T.weights), 2)
-    R = np.einsum("q,iqa,jqb->abij", T.weights, D, D)
+    C = T.D.reshape(-1, len(T.weights), 2)[..., ::-1] * [-1.0, 1.0]
+    R = np.einsum("q,iqa,jqb->abij", T.weights, C, C)
     R.setflags(write=False)
     return R
 
@@ -175,20 +176,14 @@ def field_values(fn, pts, name: str, vector: bool = False) -> np.ndarray:
     return vals.reshape(pts.shape if vector else pts.shape[:-1])
 
 
-def metric_tensors(mesh: TriMesh, ids=slice(None)):
-    """J * Binv Binv^T per element (of elements ids, default all); contracts
-    with grad_outer_tables."""
-    Binv, J = mesh.inv_jacobians[ids], mesh.det_jacobians[ids]
-    return np.einsum("n,nab,ncb->nac", J, Binv, Binv)
-
-
-def stiffness_tensors(mesh: TriMesh, p: int, ids=slice(None)) -> np.ndarray:
-    """Element stiffness matrices (n, s - 1, s - 1) of the mean-free
-    degree-(p+2) scalars on elements ids (default all): those of the full
-    basis without row and column 0, which belong to the constant."""
-    R = grad_outer_tables(p)
+def stiffness_tensors(p: int, metric) -> np.ndarray:
+    """Stiffness matrices (n, s - 1, s - 1) of the mean-free degree-(p+2)
+    scalars on elements of metrics T (n, 2, 2): gradients pair by T^{-1} =
+    J B^-1 B^-T, which is rot T rot^T as det T = 1, so T pairs the curls.
+    Row and column 0 of the full basis, the constant's, are dropped."""
+    R = curl_outer_tables(p)
     s = R.shape[-1]
-    return (metric_tensors(mesh, ids).reshape(-1, 4)
+    return (metric.reshape(-1, 4)
             @ R.reshape(4, s * s)).reshape(-1, s, s)[:, 1:, 1:]
 
 
@@ -207,17 +202,17 @@ class ElementClasses:
     id (n_elements,) is the class of each element and reps (n_classes,) the
     representative element of each class (its lowest id); metric (n_classes,
     2, 2) and drift (n_classes, 2), T and B^T beta of the representatives,
-    are all the geometry of a class's blocks (bdm.mixed_blocks).  For matmul
-    each class is cut into chunks of L = ceil(n_elements / n_classes) rows, at
-    most 2 n_classes chunks padded to at most 2 n_elements + n_classes rows:
-    chunk_class (n_chunks,) is the class of each chunk, slot (n_elements,)
-    the row of each element in the padded (n_chunks L) buffer and source
-    (n_chunks L,) the element of each buffer row (element 0 on padding).
+    are all the geometry of a class's blocks and stiffness (bdm.mixed_blocks,
+    stiffness_tensors).  For matmul each class is cut into chunks of L =
+    ceil(n_elements / n_classes) rows, at most 2 n_classes chunks padded to
+    at most 2 n_elements + n_classes rows: chunk_class (n_chunks,) is the
+    class of each chunk, slot (n_elements,) the row of each element in the
+    padded (n_chunks L) buffer and source (n_chunks L,) the element of each
+    buffer row (element 0 on padding).
     """
 
     def __init__(self, mesh: TriMesh, beta=(0.0, 0.0)):
-        B, J = mesh.jacobians, mesh.det_jacobians
-        T = np.matmul(np.swapaxes(B, 1, 2), B) / J[:, None, None]
+        B, J, T = mesh.jacobians, mesh.det_jacobians, mesh.metric
         Btb = np.matmul(np.asarray(beta, dtype=float), B)
         key = [T[:, 0, 0], T[:, 0, 1], T[:, 1, 1]]
         size = float(np.hypot(*beta))

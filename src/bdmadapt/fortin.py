@@ -203,7 +203,7 @@ def trace_constants(mesh: TriMesh, p: int) -> np.ndarray:
     from scipy.linalg import eigh
     rule = quad_rule(2 * (p + 2) + 1, "edge")
     basis = make_scalar_basis(p + 2)
-    S = stiffness_tensors(mesh, p)
+    S = stiffness_tensors(p, mesh.metric)
     V = np.stack([basis.values(edge_ref_points(j, rule.points))[:, 1:]
                   for j in range(3)])
     # boundary mass: the reference edge Gram matrices scaled by |e_j|

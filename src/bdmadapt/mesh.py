@@ -25,9 +25,17 @@ from .artifacts import write_json
 _LOCAL_EDGE_VERTS = ((1, 2), (2, 0), (0, 1))  # local edge j is opposite vertex j
 
 
+# the preset loops as DomainSpec stores them, for build_initial_mesh to match
+_UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+_L_SHAPE = ((-1.0, 0.0), (0.0, 0.0), (0.0, -1.0), (1.0, -1.0), (1.0, 1.0),
+            (-1.0, 1.0))
+
+
 @dataclass(frozen=True)
 class DomainSpec:
-    """Polygonal domain given by one simple, positively oriented vertex loop."""
+    """Polygonal domain given by one simple vertex loop with no repeated
+    vertex, stored counter-clockwise from its lowest (lexicographic) vertex,
+    so that one polygon has one loop however it is written."""
 
     loop: tuple
 
@@ -37,22 +45,27 @@ class DomainSpec:
             raise ValueError("polygon loop must be an (n>=3, 2) array")
         if not np.all(np.isfinite(loop)):
             raise ValueError("polygon loop has non-finite coordinates")
+        verts = list(map(tuple, loop.tolist()))
+        for k, v in enumerate(verts):
+            if v in verts[:k]:
+                raise ValueError(f"polygon loop repeats vertex {v}")
         if abs(_polygon_area(loop)) < 1e-14:
             raise ValueError("degenerate polygon")
         if not _is_simple_polygon(loop):
             raise ValueError("polygon is not simple (self-intersecting)")
         if _polygon_area(loop) < 0:
-            loop = loop[::-1]
-        object.__setattr__(self, "loop", tuple(map(tuple, loop)))
+            verts = verts[::-1]
+        first = verts.index(min(verts))
+        object.__setattr__(self, "loop", tuple(verts[first:] + verts[:first]))
 
     @classmethod
     def unit_square(cls):
-        return cls(loop=((0, 0), (1, 0), (1, 1), (0, 1)))
+        return cls(loop=_UNIT_SQUARE)
 
     @classmethod
     def l_shape(cls):
         """(-1,1)^2 minus (-1,0)^2, re-entrant corner at the origin."""
-        return cls(loop=((0, 0), (0, -1), (1, -1), (1, 1), (-1, 1), (-1, 0)))
+        return cls(loop=_L_SHAPE)
 
     @property
     def vertices(self):
@@ -200,6 +213,12 @@ class TriMesh:
     def det_jacobians(self):
         B = self.jacobians
         return B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+
+    @property
+    def metric(self):
+        """T = B^T B / J (n, 2, 2), det T = 1: the shape of each element."""
+        B, J = self.jacobians, self.det_jacobians
+        return np.matmul(np.swapaxes(B, 1, 2), B) / J[:, None, None]
 
     @cached_property
     def inv_jacobians(self):
@@ -366,13 +385,13 @@ def build_initial_mesh(domain: DomainSpec,
     """Conforming mesh of the domain with element count close to target_count
     (by default 32 on the unit square, 96 on the L-shape, else 64).
 
-    The polygon decides the layout: the unit square and the L-shape loops
-    get deterministic structured layouts (2*n^2 and 6*n^2 triangles); any
+    The polygon decides the layout: the unit square and the L-shape, from
+    whichever vertex and in whichever direction their loops are written, get
+    deterministic structured layouts (2*n^2 and 6*n^2 triangles); any
     other polygon is ear-clipped and uniformly bisected until the target is
     reached.
     """
-    square = domain == DomainSpec.unit_square()
-    lshape = domain == DomainSpec.l_shape()
+    square, lshape = domain.loop == _UNIT_SQUARE, domain.loop == _L_SHAPE
     if target_count is None:
         target_count = 32 if square else 96 if lshape else 64
     if target_count < 1:

@@ -3,8 +3,8 @@
 All local problems live on the mean-free hierarchical bases, where the
 degree-(p+1) basis is the leading slice of the degree-(p+2) one.  The
 degree-(p+2) stiffness S22 depends on the element only through its metric,
-so it is built and factored once per shape class of the solver
-(fields.ElementClasses), S22 = L L^T, and G = L^{-1} is formed; its leading
+so it is built from each class metric of the solver (fields.ElementClasses)
+and factored once, S22 = L L^T, and G = L^{-1} is formed; its leading
 block G11 = L11^{-1} inverts the factor of the degree-(p+1) stiffness S11.
 With rhs_i = -(q_h, grad v_i)_K, z = G rhs, each product one GEMM per class:
 
@@ -31,9 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import basis_size
-from .fields import (ElementClasses, nu_jump_terms, ref_tables,
-                     stiffness_tensors)
-from .mesh import TriMesh
+from .fields import nu_jump_terms, ref_tables, stiffness_tensors
 from .solver import MixedSolution
 
 
@@ -78,11 +76,11 @@ def residual_load(solution: MixedSolution) -> np.ndarray:
     return -(space.local_coeffs(solution.flux) @ _flux_load_table(space.p))
 
 
-def class_factors(mesh: TriMesh, p: int, classes: ElementClasses):
-    """G = L^{-1} (n_classes, n2, n2) for the Cholesky factors L of the
-    stiffnesses on the mean-free degree-(p+2) basis, built on the class
-    representatives; the classes may also be keyed by beta."""
-    S22 = stiffness_tensors(mesh, p, classes.reps)
+def class_factors(p: int, metric):
+    """G = L^{-1} (n, n2, n2) for the Cholesky factors L of the stiffnesses
+    on the mean-free degree-(p+2) basis of n classes of metrics (n, 2, 2)
+    (ElementClasses.metric, also of classes keyed by beta)."""
+    S22 = stiffness_tensors(p, metric)
     try:
         L = np.linalg.cholesky(S22)
     except np.linalg.LinAlgError as exc:
@@ -106,7 +104,7 @@ def postprocess_resmin(solution: MixedSolution) -> PostprocResult:
     mesh, p = solution.flux_space.mesh, solution.flux_space.p
     classes = solution.classes
     n1 = basis_size(p + 1) - 1
-    G = class_factors(mesh, p, classes)
+    G = class_factors(p, classes.metric)
     z = classes.matmul(G, residual_load(solution))
     theta = classes.matmul(np.swapaxes(G, 1, 2), z)
     nu = _with_mean(

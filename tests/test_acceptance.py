@@ -127,7 +127,7 @@ def test_c03_enrichment_identity(cross_experiment_states):
     worst = 0.0
     for (name, p), (problem, sol, post, (_, theta)) in \
             cross_experiment_states.items():
-        S22 = stiffness_tensors(sol.flux_space.mesh, p)
+        S22 = stiffness_tensors(p, sol.flux_space.mesh.metric)
         diff = theta[:, 1:].copy()
         n1 = post.nu.shape[1] - 1
         diff[:, :n1] -= post.nu[:, 1:]
@@ -296,7 +296,7 @@ def test_c11_dual_norm_oracle(rng):
     classes = ElementClasses(mesh, advdiff.beta)
     worst = 0.0
     for p in (1, 2, 3):
-        G = class_factors(mesh, p, classes)
+        G = class_factors(p, classes.metric)
         for _ in range(50):
             k = int(rng.integers(0, mesh.n_triangles))
             c = rng.standard_normal((4, 2))

@@ -41,7 +41,7 @@ def class_dual_norm(mesh, p, k, r):
     """||G b|| with the class factor G of element k, as the loop takes the
     dual norm, of the einsum load b of r."""
     classes = ElementClasses(mesh)
-    G = class_factors(mesh, p, classes)
+    G = class_factors(p, classes.metric)
     return float(np.linalg.norm(G[classes.id[k]]
                                 @ dual_norm_load(mesh, p, k, r)))
 
@@ -67,7 +67,7 @@ def test_dual_norm_riesz_identity(p, rng):
         return g @ Binv
 
     got = class_dual_norm(mesh, p, 0, r)
-    S = stiffness_tensors(mesh, p)[0]
+    S = stiffness_tensors(p, mesh.metric)[0]
     want = float(np.sqrt(c[1:] @ S @ c[1:]))
     assert abs(got - want) <= 1e-11 * max(want, 1.0)
 
@@ -116,7 +116,7 @@ def test_dual_norm_below_l2_norm(rng):
 def test_eta_tilde_matches_postprocess(p, smooth_run):
     # ||z[n1:]|| from the factor equals ||grad eps||_K from the coefficients
     _, sol, post, rep = smooth_run[p]
-    S22 = stiffness_tensors(sol.flux_space.mesh, p)
+    S22 = stiffness_tensors(p, sol.flux_space.mesh.metric)
     per = np.sqrt(np.einsum("ni,nij,nj->n", post.eps, S22, post.eps))
     assert np.abs(per - post.eta_tilde_K).max() <= 1e-12 * max(
         1.0, post.eta_tilde_K.max())
@@ -495,12 +495,18 @@ def test_moving_the_problem_moves_nothing_else(name, scale):
     # estimates and the exact errors unchanged; so does a dilation by 2,
     # which changes det B by 4 (a rigid motion keeps it) and so sees the
     # Piola 1/J.  The moved mesh numbers the vertices backwards, so every
-    # edge changes its global direction and every edge sign is exercised
+    # edge changes its global direction and every edge sign is exercised;
+    # it keeps each triangle's local vertex order, so its metrics
+    # B^T B / J, of determinant 1, are the same to round-off
     problem = preset(name)
     mesh = build_initial_mesh(problem.domain, 32)
     mesh = mesh.refine(range(0, mesh.n_triangles, 3))
     moved_mesh = TriMesh((mesh.vertices @ ROT.T * scale + SHIFT)[::-1],
                          mesh.n_vertices - 1 - mesh.triangles)
+    T = mesh.metric
+    assert np.abs(moved_mesh.metric - T).max() <= 1e-13 * np.abs(T).max()
+    for m in (mesh, moved_mesh):
+        assert np.abs(np.linalg.det(m.metric) - 1.0).max() <= 1e-14
     moved = _moved(problem, scale)
     err_rtol = MOVED_CORNER_RTOL if problem.quad_singular_point \
         else MOTION_RTOL

@@ -230,8 +230,9 @@ def test_element_matrices_match_einsum(meshes, advdiff, p):
     """Each element's signed class block, and its inverse, against the
     element's own einsum blocks, for beta = 0 and beta != 0."""
     for mesh in meshes:
-        assert_matches(stiffness_tensors(mesh, p), einsum_stiffness_tensors(
-            mesh, p + 2, 2 * (p + 2))[:, 1:, 1:])
+        assert_matches(stiffness_tensors(p, mesh.metric),
+                       einsum_stiffness_tensors(mesh, p + 2,
+                                                2 * (p + 2))[:, 1:, 1:])
         for problem in (preset("smooth"), advdiff):
             system = assemble(mesh, p, problem)
             ids, flux = system.classes.id, system.flux_space

@@ -332,6 +332,12 @@ def test_nonsimple_polygon_rejected():
     bowtie = ((0, 0), (1, 1), (1, 0), (0, 1))  # zero signed area
     with pytest.raises(ValueError):
         DomainSpec(loop=bowtie)
+    closed = ((0, 0), (2, 0), (2, 2), (0, 2), (0, 0))  # closing first vertex
+    with pytest.raises(ValueError, match=r"repeats vertex \(0\.0, 0\.0\)"):
+        DomainSpec(loop=closed)
+    doubled = ((0, 0), (2, 0), (2, 0), (2, 2), (0, 2))
+    with pytest.raises(ValueError, match=r"repeats vertex \(2\.0, 0\.0\)"):
+        DomainSpec(loop=doubled)
 
 
 @pytest.mark.parametrize("domain", [
@@ -362,17 +368,20 @@ def test_custom_polygon_mesh():
 
 
 def test_the_polygon_decides_the_initial_mesh():
-    # a preset's loop written out gets the preset's layout and default size
-    # (32 on the unit square, 96 on the L-shape); any other polygon the
-    # ear-clipped default target 64, which the pentagon reaches at 72
+    # a preset's loop written out, from any vertex and in either direction,
+    # gets the preset's layout and default size (32 on the unit square, 96
+    # on the L-shape); any other polygon the ear-clipped default target 64,
+    # which the pentagon reaches at 72
     square = ((0, 0), (1, 0), (1, 1), (0, 1))
     lshape = ((0, 0), (0, -1), (1, -1), (1, 1), (-1, 1), (-1, 0))
     for loop, preset_domain in ((square, DomainSpec.unit_square()),
                                 (lshape, DomainSpec.l_shape())):
-        got = build_initial_mesh(DomainSpec(loop=loop))
         want = build_initial_mesh(preset_domain)
-        assert np.array_equal(got.vertices, want.vertices)
-        assert np.array_equal(got.triangles, want.triangles)
+        for k in range(len(loop)):
+            for written in (loop[k:] + loop[:k], (loop[k:] + loop[:k])[::-1]):
+                got = build_initial_mesh(DomainSpec(loop=written))
+                assert np.array_equal(got.vertices, want.vertices), written
+                assert np.array_equal(got.triangles, want.triangles), written
     counts = []
     for loop in (square, lshape, PENTAGON):
         problem = ProblemSpec(domain=DomainSpec(loop=loop),
