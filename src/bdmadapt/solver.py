@@ -13,13 +13,23 @@ element only through its shape class and its orientation signs,
 A_K = Sigma_K A_c Sigma_K (fields.ElementClasses), so one block per class is
 built and inverted, and every local solve is one matrix product per class.
 Only the multiplier system S = sum_K E_K A_K^{-1} E_K^T is factorized, by
-one sparse LU for every beta; S is symmetric positive definite when beta = 0.
-S is assembled from COO triplets formed once, so that the factor, not
-assembly, sets the memory peak of a solve.
+one sparse LU with the same ordering for every beta.  S is assembled from
+COO triplets formed once, so that the factor, not assembly, sets the memory
+peak of a solve.
 Boundary edges carry no multiplier, since u_D enters through the load.
 (q_h, u_h) are recovered class by class, followed by one refinement
 step on the residual of the full mixed equations.  The global saddle matrix
 is never formed; it lives only in the tests, as the oracle.
+
+When beta = 0, S is symmetric positive definite and well conditioned, and
+its LU is computed in single precision: the factor holds half the value
+bytes, and each multiplier solve adds one correction on the residual in
+double precision (mixed-precision iterative refinement, Carson & Higham,
+SIAM J. Sci. Comput. 40 (2018) A817), which gives the final residual of a
+double-precision factor.  When beta != 0, S is nonsymmetric and factored in
+double precision, where single precision was measured slower (see
+_factor).  Should the single-precision factor fail, or its solution miss
+RESIDUAL_TOL, solve() factors S once more in double precision.
 
 S is converted to compressed columns and factored by two of scipy's compiled
 modules, sparsetools and SuperLU (Demmel et al. 1999), called directly:
@@ -79,7 +89,8 @@ def _scipy_extension(name: str, functions: tuple):
 
 _sparsetools = _scipy_extension(
     "sparse._sparsetools",
-    ("coo_tocsr", "csr_sort_indices", "csr_sum_duplicates"))
+    ("coo_tocsr", "csr_sort_indices", "csr_sum_duplicates",
+     "csc_matvec"))
 _superlu = _scipy_extension("sparse.linalg._dsolve._superlu", ("gstrf",))
 
 # glibc's malloc_trim; None where the C library has none (musl, macOS)
@@ -298,18 +309,39 @@ def _no_factor_matrices(*args):
                        "L and U would copy the whole fill")
 
 
-def _factor(system: MixedSystem):
+def _factor(system: MixedSystem, single: bool):
     """Sparse LU of S by SuperLU's gstrf: symmetric ordering, no pivoting,
-    for every beta.  This is the call scipy's splu makes with
-    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
-    panel_size=1 and options={"SymmetricMode": True}, on S as it is: S is
-    in canonical CSC form with int32 indices, so splu would neither convert
-    nor copy it.  The result is scipy's SuperLU object; its L and U are
+    for every beta, in single precision if single.  This is the call
+    scipy's splu makes with permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0.0, relax=1, panel_size=1 and
+    options={"SymmetricMode": True}, on S as it is: S is in canonical CSC
+    form with int32 indices, so splu would neither convert nor copy it.  The result is scipy's SuperLU object; its L and U are
     never built (_no_factor_matrices).
+
+    Single precision: gstrf is given a float32 copy of S's values and
+    runs SuperLU's sgstrf with the same options.  The ordering and the fill
+    depend only on the structure of S and stay the same; the factor holds
+    half the value bytes, and solve() asks for it when beta = 0, where S is
+    symmetric positive definite.  _multiplier_solve then adds one
+    correction on the residual in double precision to each solve, which
+    gives back the final residual of the double-precision factor.  Fixed
+    meshes, fresh process, peak RSS from VmHWM (2-vCPU Xeon VM, one BLAS
+    thread), double -> single:
+
+        elements         peak           factor          residual
+        smooth p=3 32k   329 -> 269 MB  0.93 -> 0.58 s  2.8e-13 -> 7.4e-12
+        lshape p=2 25k   160 -> 138 MB  0.24 -> 0.19 s  1.3e-15 -> 4.5e-15
+
+    With beta != 0, S is nonsymmetric, and there single precision is slower:
+    the advdiff factor took 0.229 -> 0.400 s at p = 1 (32,768 elements) and
+    0.060 -> 0.078 s at p = 3 (4,096 elements), so the factor stays in
+    double precision, bit for bit as it was.
 
     S is nonsymmetric when beta != 0; skipping pivoting is safe because
     solve() raises SingularSystemError when the residual of the mixed
-    equations exceeds RESIDUAL_TOL.  relax=1 turns off SuperLU's relaxed
+    equations exceeds RESIDUAL_TOL.  Where the single-precision factor
+    fails here or its solution misses RESIDUAL_TOL, solve() first factors S
+    once more in double precision.  relax=1 turns off SuperLU's relaxed
     supernodes, which under the minimum degree ordering of S slow the
     factorization by 3-8x at equal fill.
 
@@ -349,12 +381,14 @@ def _factor(system: MixedSystem):
     malloc_trim, nothing is called.
     """
     S = system.schur
+    # a float32 copy makes gstrf run SuperLU's single-precision sgstrf
+    data = S.data.astype(np.float32) if single else S.data
     if _malloc_trim is not None:
         _malloc_trim(0)
     try:
         # splu passes its arguments to gstrf under these keys
         return _superlu.gstrf(
-            S.shape[0], S.nnz, S.data, S.indices, S.indptr,
+            S.shape[0], S.nnz, data, S.indices, S.indptr,
             csc_construct_func=_no_factor_matrices, ilu=False,
             options={"ColPerm": "MMD_AT_PLUS_A", "DiagPivotThresh": 0.0,
                      "Relax": 1, "PanelSize": 1, "SymmetricMode": True})
@@ -385,7 +419,31 @@ def _apply(system: MixedSystem, x: np.ndarray) -> np.ndarray:
     return np.concatenate([out_q, Ax[:, nq:].ravel()])
 
 
-def _hybrid_solve(system: MixedSystem, lu, r: np.ndarray) -> np.ndarray:
+def _multiplier_solve(system: MixedSystem, lu, single: bool,
+                      b: np.ndarray) -> np.ndarray:
+    """S lambda = b by the factor lu of S.
+
+    A double-precision factor solves b as it is.  A single-precision one
+    solves b scaled by its largest entry, so that float32 can hold it,
+    then adds one single-precision solve of the residual b - S lambda,
+    formed in double precision from S itself.
+    """
+    if not single:
+        return lu.solve(b)
+    S = system.schur
+    n = S.shape[0]
+    scale = float(np.abs(b).max(initial=0.0)) or 1.0
+    resid = b / scale
+    lam = lu.solve(resid.astype(np.float32)).astype(np.float64)
+    # resid += S (-lam): sparsetools' product adds into its output
+    _sparsetools.csc_matvec(n, n, S.indptr, S.indices, S.data, -lam, resid)
+    lam += lu.solve(resid.astype(np.float32))
+    lam *= scale
+    return lam
+
+
+def _hybrid_solve(system: MixedSystem, lu, single: bool,
+                  r: np.ndarray) -> np.ndarray:
     """Solution of the global saddle system with right side r.
 
     Each shared flux row of r goes to its owner's element load; the element
@@ -404,8 +462,8 @@ def _hybrid_solve(system: MixedSystem, lu, r: np.ndarray) -> np.ndarray:
     z = system.classes.matmul(system.inverse[:, :ne], r_loc)
     z *= edge_sign
     keep = mult >= 0
-    lam = lu.solve(
-        np.bincount(mult[keep], z[keep], minlength=system.schur.shape[0]))
+    lam = _multiplier_solve(system, lu, single, np.bincount(
+        mult[keep], z[keep], minlength=system.schur.shape[0]))
     # index -1 (boundary edge) picks the appended zero
     r_loc[:, :ne] -= edge_sign * np.append(lam, 0.0)[mult]
     x_loc = system.classes.matmul(system.inverse, r_loc)
@@ -415,19 +473,39 @@ def _hybrid_solve(system: MixedSystem, lu, r: np.ndarray) -> np.ndarray:
     return np.concatenate([q, x_loc[:, nq:].ravel()])
 
 
-def solve(system: MixedSystem) -> MixedSolution:
-    """Factor S, recover (q_h, u_h), refine once; fails on a large residual."""
-    S = system.schur
-    t0 = time.perf_counter()
-    lu = _factor(system)
-    elapsed = time.perf_counter() - t0
-    x = _hybrid_solve(system, lu, system.rhs)
-    resid = system.rhs - _apply(system, x)
-    x += _hybrid_solve(system, lu, resid)
+def _recover(system: MixedSystem, lu, single: bool):
+    """(q_h, u_h) as one global vector, refined once, and the relative
+    residual of the mixed equations it leaves."""
+    x = _hybrid_solve(system, lu, single, system.rhs)
+    x += _hybrid_solve(system, lu, single, system.rhs - _apply(system, x))
     resid = system.rhs - _apply(system, x)
     scale = max(float(np.linalg.norm(system.rhs)), 1e-300)
-    rel = float(np.linalg.norm(resid)) / scale
-    if not rel <= RESIDUAL_TOL:  # also catches a non-finite solution
+    return x, float(np.linalg.norm(resid)) / scale
+
+
+def solve(system: MixedSystem) -> MixedSolution:
+    """Factor S, recover (q_h, u_h), refine once; fails on a large residual.
+
+    S is factored in single precision when beta = 0, where it is symmetric
+    positive definite, and in double precision otherwise, or when the
+    single-precision factor fails or leaves a residual over RESIDUAL_TOL.
+    """
+    S = system.schur
+    elapsed = 0.0
+    for single in (False,) if any(system.problem.beta) else (True, False):
+        t0 = time.perf_counter()
+        try:
+            lu = _factor(system, single)
+        except SingularSystemError:
+            if not single:
+                raise
+            continue
+        finally:
+            elapsed += time.perf_counter() - t0
+        x, rel = _recover(system, lu, single)
+        if rel <= RESIDUAL_TOL:  # also fails on a non-finite solution
+            break
+    else:
         raise SingularSystemError(
             f"relative residual {rel:.3e} of the mixed equations exceeds "
             f"{RESIDUAL_TOL:.0e} ({S.shape[0]} multipliers)")
@@ -440,6 +518,5 @@ def solve(system: MixedSystem) -> MixedSolution:
         diagnostics={"rel_residual": rel, "n_dofs": int(S.shape[0]),
                      "nnz": int(S.nnz),
                      "fill": int(lu.nnz),
-                     "factor_seconds": elapsed})
-
-
+                     "factor_seconds": elapsed,
+                     "factor_precision": "single" if single else "double"})

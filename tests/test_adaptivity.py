@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdmadapt import dorfler_mark, preset, run_adaptive
@@ -63,6 +63,9 @@ def test_dorfler_rejects_nonfinite_indicators(bad):
 @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1,
                 max_size=24),
        st.floats(min_value=0.05, max_value=0.95))
+# two equal indicators just past half the total: a slack of 1e-3 on the
+# cut would mark one element, short of the bulk
+@example([1.0, 1.0], 0.5002)
 def test_dorfler_bulk_criterion_and_minimality(vals, theta):
     eta = np.asarray(vals)
     marked = dorfler_mark(eta, theta)

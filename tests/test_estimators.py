@@ -683,3 +683,76 @@ def test_point_blocks_cover_in_aligned_steps(n, n_points):
     if len(blocks) > 1:
         assert np.all(sizes[:-1] == step) and step <= sizes[-1] < 2 * step
         assert step % 64 == 0 or step < 64
+
+
+def _polynomial_problem(d, beta):
+    """u = sum_i 0.3 (i + 1) x^i y^(d - i) + x - 2y of degree d, q = -grad u
+    and f = div q - beta . q, from numpy polynomial coefficients
+    (c[i, j] multiplies x^i y^j)."""
+    P = np.polynomial.polynomial
+    c = np.zeros((d + 1, d + 1))
+    c[np.arange(d + 1), d - np.arange(d + 1)] = 0.3 * (np.arange(d + 1) + 1)
+    c[1, 0] += 1.0
+    c[0, 1] -= 2.0
+    cx, cy = P.polyder(c, axis=0), P.polyder(c, axis=1)
+    cxx, cyy = P.polyder(c, 2, axis=0), P.polyder(c, 2, axis=1)
+
+    def at(coef, x):
+        return P.polyval2d(x[:, 0], x[:, 1], coef)
+
+    return dataclasses.replace(
+        make_linear_problem(), beta=beta, name=f"degree {d}",
+        exact_u=lambda x: at(c, x), u_D=lambda x: at(c, x),
+        exact_q=lambda x: -np.stack([at(cx, x), at(cy, x)], axis=1),
+        f=lambda x: (beta[0] * at(cx, x) + beta[1] * at(cy, x)
+                     - at(cxx, x) - at(cyy, x)))
+
+
+@pytest.fixture(scope="module")
+def reproduction_meshes():
+    """verify's ear-clipped pentagon (148 elements, 6 shape classes); the
+    32-element square with its interior vertices moved by up to 1e-5, so
+    that nearly congruent elements fall into distinct classes; and that
+    square with every third element bisected."""
+    square = build_initial_mesh(DomainSpec.unit_square(), 32)
+    moved = square.vertices.copy()
+    interior = np.ones(len(moved), dtype=bool)
+    interior[square.edges[square.boundary_edge].ravel()] = False
+    rng = np.random.default_rng(0)
+    moved[interior] += rng.uniform(-1e-5, 1e-5, (int(interior.sum()), 2))
+    pentagon = DomainSpec(((0, 0), (0.6, 0), (1, 0), (1, 1), (0, 1)))
+    return {"pentagon": build_initial_mesh(pentagon, 148),
+            "jittered": TriMesh(moved, square.triangles),
+            "bisected": square.refine(np.arange(0, 32, 3))}
+
+
+def _estimates(mesh, p, problem):
+    """The largest entry of every estimator part and of every ErrorBlock
+    field but u_L2, which compares u with u_h of degree p - 1."""
+    report = full_report(postprocess_resmin(solve(assemble(mesh, p,
+                                                           problem))))
+    parts = {name: getattr(report, name) for name in (
+        "eta_K", "eta_tilde_K", "mismatch_K", "jump_K", "boundary_K")}
+    parts.update((f.name, getattr(report.errors, f.name))
+                 for f in dataclasses.fields(report.errors)
+                 if f.name != "u_L2")
+    return {name: float(np.max(np.abs(v))) for name, v in parts.items()}
+
+
+@pytest.mark.parametrize("mesh_name", ["pentagon", "jittered", "bisected"])
+@pytest.mark.parametrize("beta", [(0.0, 0.0), (1.5, -0.5)],
+                         ids=["beta0", "advection"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_degree_p_plus_1_solutions_are_reproduced(reproduction_meshes,
+                                                  mesh_name, beta, p):
+    # BDM(p) holds every flux of P_p^2 and the degree-(p + 1)
+    # postprocessing every u of P_(p+1): the residual representative, the
+    # mismatch, the jumps and every exact error vanish.  One degree more,
+    # they do not, so the check is sharp in the degree.  With beta = 0 the
+    # multiplier system is factored in single precision, so this also
+    # bounds what its one correction leaves
+    mesh = reproduction_meshes[mesh_name]
+    exact = _estimates(mesh, p, _polynomial_problem(p + 1, beta))
+    assert max(exact.values()) <= 1e-12, exact
+    control = _estimates(mesh, p, _polynomial_problem(p + 2, beta))
+    assert control["eta_K"] >= 1e-6 and control["one_h_K"] >= 1e-6, control

@@ -240,8 +240,8 @@ def test_fill_is_read_from_the_factor_without_copies(monkeypatch):
                 raise AssertionError(f"solve() read the factor's {name!r}")
             return getattr(self._lu, name)
 
-    def guarded(system):
-        lu = real_factor(system)
+    def guarded(system, single):
+        lu = real_factor(system, single)
         seen.append(lu)
         return Guard(lu)
 
@@ -290,6 +290,65 @@ def test_rel_residual_is_that_of_the_mixed_equations(monkeypatch):
             / np.linalg.norm(oracle.rhs))
     assert want > 1e-3
     assert sol.diagnostics["rel_residual"] == pytest.approx(want, rel=1e-9)
+
+
+def _record_factors(monkeypatch):
+    """The precisions solve() factors in, single (True) or double."""
+    real_factor = solver_mod._factor
+    precisions = []
+
+    def recorder(system, single):
+        precisions.append(single)
+        return real_factor(system, single)
+
+    monkeypatch.setattr(solver_mod, "_factor", recorder)
+    return precisions
+
+
+def test_residual_over_tolerance_raises_after_a_double_retry(monkeypatch):
+    # element blocks off by 1e-3 relative from the inverted ones: the
+    # refinement step leaves 3.3e-6, between RESIDUAL_TOL and 1e-2 (the
+    # residual falls as the square of the perturbation, so 1e-6 leaves
+    # 3e-12, under RESIDUAL_TOL); the single-precision factor misses the
+    # tolerance, the double-precision retry too, and solve() raises
+    smooth = preset("smooth")
+    system = assemble(build_initial_mesh(smooth.domain, 32), 1, smooth)
+    noise = np.random.default_rng(0).standard_normal(system.blocks.shape)
+    system = dataclasses.replace(system,
+                                 blocks=system.blocks * (1 + 1e-3 * noise))
+    precisions = _record_factors(monkeypatch)
+    with pytest.raises(SingularSystemError,
+                       match=r"relative residual \d\.\d+e-06 "):
+        solve(system)
+    assert precisions == [True, False]
+
+
+def test_failed_single_precision_factor_falls_back_to_double(monkeypatch):
+    # where SuperLU's sgstrf fails, solve() factors S in double precision:
+    # the solution is that of the double-precision factor, bit for bit
+    smooth = preset("smooth")
+    system = assemble(build_initial_mesh(smooth.domain, 32), 2, smooth)
+    want, rel = solver_mod._recover(
+        system, solver_mod._factor(system, False), False)
+    single = solve(system)
+    assert single.diagnostics["factor_precision"] == "single"
+    got = np.concatenate([single.flux, single.scalar.ravel()])
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    real_gstrf = solver_mod._superlu.gstrf
+
+    def gstrf(n, nnz, data, *args, **kwargs):
+        if data.dtype == np.float32:
+            raise RuntimeError("Factor is exactly singular")
+        return real_gstrf(n, nnz, data, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_superlu", SimpleNamespace(gstrf=gstrf))
+    precisions = _record_factors(monkeypatch)
+    sol = solve(system)
+    assert precisions == [True, False]
+    assert sol.diagnostics["factor_precision"] == "double"
+    assert sol.diagnostics["rel_residual"] == rel
+    got = np.concatenate([sol.flux, sol.scalar.ravel()])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -370,26 +429,38 @@ def test_one_column_panels_keep_ordering_and_fill(multiplier_systems, name,
     # the panel width only schedules the column updates: against SuperLU's
     # default panel the ordering and the fill are the same, the solution
     # the same to round-off.  scipy's public splu is the oracle, and with
-    # the pinned arguments it is the direct call, bit for bit
+    # the pinned arguments it is the direct call, bit for bit, in either
+    # precision: splu factors in the precision of the matrix it is given
     system = multiplier_systems[name]
-    lu = solver_mod._factor(system)
-    S = scipy_schur(system)
-    b = rng.standard_normal(S.shape[0])
-    pinned = splu(S, **PINNED_SPLU)
-    assert np.array_equal(lu.perm_c, pinned.perm_c)
-    assert np.array_equal(lu.perm_r, pinned.perm_r)
-    assert lu.nnz == pinned.nnz
-    assert np.array_equal(lu.solve(b), pinned.solve(b))
-    default_panel = {k: v for k, v in PINNED_SPLU.items() if k != "panel_size"}
-    ref = splu(S, **default_panel)
-    assert np.array_equal(lu.perm_c, ref.perm_c)
-    assert np.array_equal(lu.perm_r, ref.perm_r)
-    assert lu.nnz == ref.nnz
-    want = ref.solve(b)
-    assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+    for single in (True, False):
+        lu = solver_mod._factor(system, single)
+        dtype = np.float32 if single else np.float64
+        S = scipy_schur(system).astype(dtype)
+        b = rng.standard_normal(S.shape[0]).astype(dtype)
+        pinned = splu(S, **PINNED_SPLU)
+        assert np.array_equal(lu.perm_c, pinned.perm_c)
+        assert np.array_equal(lu.perm_r, pinned.perm_r)
+        assert lu.nnz == pinned.nnz
+        assert lu.solve(b).dtype == dtype
+        assert np.array_equal(lu.solve(b), pinned.solve(b))
+        default_panel = {k: v for k, v in PINNED_SPLU.items()
+                         if k != "panel_size"}
+        ref = splu(S, **default_panel)
+        assert np.array_equal(lu.perm_c, ref.perm_c)
+        assert np.array_equal(lu.perm_r, ref.perm_r)
+        assert lu.nnz == ref.nnz
+        want = ref.solve(b)
+        # round-off: 1e-12 in double precision, and the same count of units
+        # in the last place in single precision (5.4e-4; measured 1.4e-7 to
+        # 9.0e-6 on these systems)
+        tol = 1e-12 * np.finfo(dtype).eps / np.finfo(np.float64).eps
+        assert (np.linalg.norm(lu.solve(b) - want)
+                <= tol * np.linalg.norm(want))
 
 
 def test_factor_call_is_pinned(monkeypatch):
+    # beta = 0 factors a float32 copy of S, which makes gstrf run SuperLU's
+    # single-precision sgstrf; beta != 0 factors S itself
     calls = []
     real_gstrf = solver_mod._superlu.gstrf
 
@@ -399,20 +470,28 @@ def test_factor_call_is_pinned(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "_superlu",
                         SimpleNamespace(gstrf=recorder))
-    smooth = preset("smooth")
-    system = assemble(build_initial_mesh(smooth.domain, 32), 1, smooth)
-    solve(system)
-    S = system.schur
-    [(args, kwargs)] = calls
-    assert args[:2] == (S.shape[0], S.nnz)
-    assert all(a is b for a, b in zip(args[2:], (S.data, S.indices,
-                                                 S.indptr)))
-    assert len(args) == 5
-    assert kwargs == {"csc_construct_func": solver_mod._no_factor_matrices,
-                      "ilu": False,
-                      "options": {"ColPerm": "MMD_AT_PLUS_A",
-                                  "DiagPivotThresh": 0.0, "Relax": 1,
-                                  "PanelSize": 1, "SymmetricMode": True}}
+    for name, p, precision in (("smooth", 1, "single"),
+                               ("advdiff", 2, "double")):
+        problem = preset(name)
+        system = assemble(build_initial_mesh(problem.domain, 32), p, problem)
+        calls.clear()
+        sol = solve(system)
+        assert sol.diagnostics["factor_precision"] == precision
+        S = system.schur
+        [(args, kwargs)] = calls
+        assert args[:2] == (S.shape[0], S.nnz)
+        if precision == "double":
+            assert args[2] is S.data
+        else:
+            assert args[2].dtype == np.float32
+            assert np.array_equal(args[2], S.data.astype(np.float32))
+        assert args[3] is S.indices and args[4] is S.indptr
+        assert len(args) == 5
+        assert kwargs == {
+            "csc_construct_func": solver_mod._no_factor_matrices,
+            "ilu": False,
+            "options": {"ColPerm": "MMD_AT_PLUS_A", "DiagPivotThresh": 0.0,
+                        "Relax": 1, "PanelSize": 1, "SymmetricMode": True}}
 
 
 @pytest.mark.parametrize("name, functions", [
@@ -477,16 +556,23 @@ systems = [assemble(mesh, p, problem)
            for name, problem, mesh, p in multiplier_cases()]
 loads = [np.random.default_rng(0).standard_normal(s.schur.shape[0])
          for s in systems]
-before = [solver._factor(s).solve(b) for s, b in zip(systems, loads)]
+# solve() factors in single precision when beta = 0
+single = [not any(s.problem.beta) for s in systems]
+loads = [b.astype(np.float32) if sp else b for b, sp in zip(loads, single)]
+before = [solver._factor(s, sp).solve(b)
+          for s, sp, b in zip(systems, single, loads)]
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
-for s, b, x in zip(systems, loads, before):
+for s, sp, b, x in zip(systems, single, loads, before):
     S = s.schur
-    ref = splu(csc_matrix((S.data, S.indices, S.indptr), shape=S.shape),
+    data = S.data.astype(np.float32) if sp else S.data
+    ref = splu(csc_matrix((data, S.indices, S.indptr), shape=S.shape),
                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
                panel_size=1, options={"SymmetricMode": True})
+    assert x.dtype == b.dtype
     assert np.array_equal(x, ref.solve(b))
-    assert np.array_equal(solver._factor(s).solve(b), x)
+    assert np.array_equal(solver._factor(s, sp).solve(b), x)
+assert sorted(single) == [False, True, True], single
 """
 
 
@@ -534,17 +620,22 @@ def test_factor_heap_is_intact_under_debug_allocator():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-# ru_maxrss is in KiB on Linux, the platform of glibc's malloc_trim
+# peak RSS of the child alone: exec resets VmHWM, while ru_maxrss carries
+# the high-water mark of the larger pytest parent into the child
 _HEAP_GROWTH = """
-import resource
+def peak_mb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
 from bdmadapt import preset, run_adaptive
 problem = preset("lshape")
-start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = peak_mb()
 run = run_adaptive(problem, p=1, theta=0.5, iterations=200, eta_tol=3e-4,
                    with_errors=False, with_theta=False, keep_meshes=False,
                    initial_elements=150)
 assert not run.aborted and run.records[-1].eta <= 3e-4, run.abort_reason
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start) / 1024)
+print(peak_mb() - start)
 """
 
 
@@ -552,11 +643,12 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start) / 1024)
                     reason="the C library has no malloc_trim")
 def test_factor_starts_on_a_trimmed_heap():
     # the lshape p = 1 loop of the lshape-method benchmark (27 solves, up to
-    # 9,052 elements): the peak grows 27.0-27.8 MB past the peak after the
-    # import when each factor starts on a trimmed heap, 34.3 MB without the
-    # trim, and 35.6 MB when refine also loads numpy.ma
+    # 9,052 elements): the child's peak grows 22.6-22.9 MB past its peak
+    # after the import when each factor starts on a trimmed heap, and
+    # 25.0 MB without the trim (with the double-precision factor: 26.9 and
+    # 33.7 MB)
     env = _subprocess_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _HEAP_GROWTH], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert float(proc.stdout) <= 31.0
+    assert float(proc.stdout) <= 23.8, proc.stdout
